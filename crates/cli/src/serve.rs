@@ -7,6 +7,39 @@
 //! session machinery the simulator drives with a virtual clock here
 //! runs against real files on the machine's clock.
 //!
+//! # Threads
+//!
+//! A request is parsed, run and answered on its connection's thread:
+//! `QUERY` calls `engine.run(.., 1)`, whose single worker is the caller,
+//! so the only hand-off in a served query is a round's page reads going
+//! to the backend's per-disk workers (none when the node cache holds
+//! the round). The accept loop owns the listener and nothing else.
+//!
+//! # Replies, flushing and limits
+//!
+//! Accepted sockets run with `TCP_NODELAY`, and replies collect in a
+//! per-connection buffer that is written out whenever the handler is
+//! about to wait for input — i.e. unless a complete further request
+//! line is already buffered — or holds 64 KiB. A lone request therefore
+//! gets its reply, newline included, in one segment (two small segments
+//! would stall ~40 ms between Nagle and the peer's delayed ACK), and a
+//! pipelined burst gets its replies in as few writes as its requests
+//! arrived in, in request order.
+//!
+//! A request line is at most 64 KiB before its newline: a longer one is
+//! answered `ERR line too long` and the connection closed, since there
+//! is no telling where the next request starts. A line that is not
+//! UTF-8 gets an `ERR` and the connection stays open.
+//!
+//! # Shutdown
+//!
+//! `SHUTDOWN` is answered `BYE`, then the server stops accepting and
+//! shuts down every open connection in both directions: idle clients
+//! read end-of-file, a request another connection had in flight still
+//! runs to completion in the engine but its reply is dropped. The
+//! process then writes its calibration, trace and metrics files and
+//! exits; it does not wait for clients to leave.
+//!
 //! # Protocol
 //!
 //! Line-oriented, UTF-8, one request per line, one reply per request
@@ -43,7 +76,8 @@
 //! ```
 //!
 //! Any malformed request gets `ERR <detail>` and the connection stays
-//! open. Distances are Euclidean, printed with six decimals.
+//! open; blank lines are skipped. Distances are Euclidean, printed with
+//! six decimals.
 //!
 //! # Telemetry
 //!
@@ -61,17 +95,19 @@ use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfil
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::Point;
 use sqda_obs::{trace_document, LiveTelemetry, Prediction};
-use sqda_rstar::{Node, RStarTree};
+use sqda_rstar::{Neighbor, Node, RStarTree};
 use sqda_simkernel::SystemParams;
 use sqda_storage::{
     FileStore, InlineBackend, IoBackend, NodeCache, PageStore, ReadObserver, ThreadedFileBackend,
 };
+use std::collections::HashMap;
 use std::error::Error;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 type CmdResult = Result<(), Box<dyn Error + Send + Sync>>;
 
@@ -275,11 +311,33 @@ pub fn serve(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Longest request line served, excluding its newline. A client that
+/// sends more without a newline gets `ERR line too long` and is closed.
+const MAX_LINE: usize = 64 * 1024;
+
+/// Pending reply bytes at which a pipelined burst is written out even
+/// though more requests are already buffered: bounds the reply buffer.
+const REPLY_FLUSH_BYTES: usize = 64 * 1024;
+
+/// What every connection handler shares.
+struct Server<'a> {
+    engine: RealTimeEngine<'a, RStarTree<FileStore>>,
+    explain: ExplainContext,
+    /// Queries answered (`STATS queries=`).
+    served: AtomicU64,
+    shutdown: AtomicBool,
+    /// A clone of every open connection, keyed by accept order, so
+    /// `SHUTDOWN` can unblock handlers parked in `read`.
+    conns: Mutex<HashMap<usize, TcpStream>>,
+    addr: SocketAddr,
+}
+
 /// Accept loop: one handler thread per connection, shared engine. Returns
-/// once a client sends `SHUTDOWN` and every handler has drained. The
-/// `live` registry observes every query (engine side) and every page
-/// read (backend side); the caller keeps its clone to drain trace and
-/// metrics sinks after shutdown.
+/// once a client sends `SHUTDOWN`: every open connection is then shut
+/// down, so idle clients cannot hold the server up, and the handlers are
+/// joined. The `live` registry observes every query (engine side) and
+/// every page read (backend side); the caller keeps its clone to drain
+/// trace and metrics sinks after shutdown.
 pub fn run_server(
     tree: &RStarTree<FileStore>,
     backend: BackendKind,
@@ -288,62 +346,99 @@ pub fn run_server(
     explain: ExplainContext,
 ) -> CmdResult {
     let observer: Arc<dyn ReadObserver> = Arc::clone(&live) as _;
-    let engine =
-        RealTimeEngine::new(tree, backend.build(tree.store(), observer))?.with_telemetry(live)?;
-    let addr = listener.local_addr()?;
-    let shutdown = AtomicBool::new(false);
-    let served = AtomicU64::new(0);
+    let server = Server {
+        engine: RealTimeEngine::new(tree, backend.build(tree.store(), observer))?
+            .with_telemetry(live)?,
+        explain,
+        served: AtomicU64::new(0),
+        shutdown: AtomicBool::new(false),
+        conns: Mutex::new(HashMap::new()),
+        addr: listener.local_addr()?,
+    };
+    let server = &server;
+    let conns = || server.conns.lock().expect("connection registry poisoned");
     std::thread::scope(|s| -> CmdResult {
-        for conn in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
+        let mut accepted = Ok(());
+        for (id, conn) in listener.incoming().enumerate() {
+            if server.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = conn?;
-            let engine = &engine;
-            let shutdown = &shutdown;
-            let served = &served;
-            let explain = &explain;
-            s.spawn(move || handle_connection(stream, engine, explain, shutdown, served, addr));
+            let stream = match conn {
+                Ok(stream) => stream,
+                Err(e) => {
+                    accepted = Err(e.into());
+                    break;
+                }
+            };
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            conns().insert(id, clone);
+            s.spawn(move || {
+                handle_connection(&stream, server);
+                conns().remove(&id);
+            });
         }
-        Ok(())
+        // Whichever way the accept loop ended, the scope joins every
+        // handler next: wake the ones blocked on their sockets.
+        for stream in conns().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        accepted
     })
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    engine: &RealTimeEngine<RStarTree<FileStore>>,
-    explain: &ExplainContext,
-    shutdown: &AtomicBool,
-    served: &AtomicU64,
-    addr: SocketAddr,
-) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
+/// Serves one connection until `QUIT`, `SHUTDOWN`, end of input or a
+/// socket error. Replies collect in `out` and leave in one `write` each
+/// time the input is drained (see the module docs).
+fn handle_connection(stream: &TcpStream, server: &Server) {
+    // Replies are written whole, so Nagle has nothing to coalesce; off,
+    // a reply never waits for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
-        let request = line.trim();
-        if request.is_empty() {
-            continue;
-        }
-        let reply = respond(request, engine, explain, served);
-        if writeln!(writer, "{}", reply.text)
-            .and_then(|()| writer.flush())
-            .is_err()
+    let mut line: Vec<u8> = Vec::new();
+    let mut out = String::new();
+    let last = loop {
+        // The flush rule: never block in `read` holding replies, and
+        // never hold more than REPLY_FLUSH_BYTES of them.
+        if !out.is_empty() && (out.len() >= REPLY_FLUSH_BYTES || !reader.buffer().contains(&b'\n'))
         {
-            break;
-        }
-        match reply.control {
-            Control::None => {}
-            Control::Quit => break,
-            Control::Shutdown => {
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so it observes the flag.
-                let _ = TcpStream::connect(addr);
-                break;
+            if writer.write_all(out.as_bytes()).is_err() {
+                return;
             }
+            out.clear();
         }
+        line.clear();
+        let mut capped = reader.by_ref().take(MAX_LINE as u64 + 1);
+        if !capped.read_until(b'\n', &mut line).is_ok_and(|n| n > 0) {
+            break Control::Quit; // end of input, or the socket failed
+        }
+        let control = if line.len() > MAX_LINE && !line.ends_with(b"\n") {
+            out.push_str("ERR line too long");
+            Control::Quit
+        } else {
+            match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(request) => respond(request, server, &mut out),
+                Err(_) => {
+                    out.push_str("ERR request is not valid UTF-8");
+                    Control::None
+                }
+            }
+        };
+        out.push('\n');
+        if !matches!(control, Control::None) {
+            break control;
+        }
+    };
+    let _ = writer.write_all(out.as_bytes());
+    if matches!(last, Control::Shutdown) {
+        // After the BYE is on the wire: the accept loop closes this
+        // connection too once it sees the flag.
+        server.shutdown.store(true, Ordering::SeqCst);
+        // Unblock the accept loop so it observes the flag.
+        let _ = TcpStream::connect(server.addr);
     }
 }
 
@@ -353,46 +448,110 @@ enum Control {
     Shutdown,
 }
 
-struct Reply {
-    text: String,
-    control: Control,
+/// The operands `QUERY`, `EXPLAIN` and `BATCH` share, validated
+/// against the served tree.
+struct KnnRequest {
+    /// One point, or one per `;`-separated part for `BATCH`.
+    points: Vec<Point>,
+    k: usize,
+    kind: AlgorithmKind,
 }
 
-impl Reply {
-    fn line(text: String) -> Self {
-        Reply {
-            text,
-            control: Control::None,
+/// Parses `<x,y,...> <k> [algo]` (`batch`: `<x,y;x,y;...> <k>`) off the
+/// words after the verb; the `Err` is the `ERR` reply's detail.
+fn parse_knn<'a>(
+    mut words: impl Iterator<Item = &'a str>,
+    usage: &str,
+    batch: bool,
+    dim: usize,
+) -> Result<KnnRequest, String> {
+    let (Some(coords), Some(k)) = (words.next(), words.next()) else {
+        return Err(format!("usage: {usage}"));
+    };
+    let point = |part: &str| -> Result<Point, String> {
+        let coords = parse_point(part).map_err(|e| e.to_string())?;
+        Point::try_new(coords).map_err(|e| e.to_string())
+    };
+    let points = if batch {
+        coords.split(';').map(point).collect::<Result<_, _>>()?
+    } else {
+        vec![point(coords)?]
+    };
+    let k: usize = match k.parse() {
+        Ok(k) if k > 0 => k,
+        _ => return Err(format!("bad k {k:?}")),
+    };
+    // `BATCH` names no algorithm: any word after its `k` is trailing.
+    let kind = match if batch { None } else { words.next() } {
+        None => AlgorithmKind::Crss,
+        Some(name) => algo_by_name(name).map_err(|e| e.to_string())?,
+    };
+    no_more(words)?;
+    if let Some(p) = points.iter().find(|p| p.dim() != dim) {
+        return Err(format!("query dim {} but tree dim {dim}", p.dim()));
+    }
+    Ok(KnnRequest { points, k, kind })
+}
+
+/// Refuses a request that has words left over.
+fn no_more<'a>(mut words: impl Iterator<Item = &'a str>) -> Result<(), String> {
+    match words.next() {
+        None => Ok(()),
+        Some(extra) => Err(format!("unexpected trailing {extra:?}")),
+    }
+}
+
+/// Appends `answers` as `<id>:<dist>` items with `sep` between them.
+fn write_neighbors(out: &mut String, answers: &[Neighbor], sep: char) {
+    for (i, n) in answers.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        let _ = write!(out, "{}:{:.6}", n.object.0, n.dist());
+    }
+}
+
+/// One protocol request → one reply appended to `out`, without its
+/// final newline (plus connection control). A refused request leaves
+/// exactly `ERR <detail>` behind.
+fn respond(request: &str, server: &Server, out: &mut String) -> Control {
+    let start = out.len();
+    match try_respond(request, server, out) {
+        Ok(control) => control,
+        Err(detail) => {
+            out.truncate(start);
+            let _ = write!(out, "ERR {detail}");
+            Control::None
         }
     }
-    fn err(detail: impl std::fmt::Display) -> Self {
-        Reply::line(format!("ERR {detail}"))
-    }
 }
 
-/// One protocol request → one reply line (plus connection control).
-fn respond(
-    request: &str,
-    engine: &RealTimeEngine<RStarTree<FileStore>>,
-    explain: &ExplainContext,
-    served: &AtomicU64,
-) -> Reply {
+fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Control, String> {
+    let Server {
+        engine,
+        explain,
+        served,
+        ..
+    } = server;
+    let dim = engine.access_method().dim();
     let mut words = request.split_whitespace();
+    // `write!` into a `String` cannot fail; its results are dropped.
     match words.next() {
-        Some("PING") => Reply::line("PONG".into()),
-        Some("QUIT") => Reply {
-            text: "BYE".into(),
-            control: Control::Quit,
-        },
-        Some("SHUTDOWN") => Reply {
-            text: "BYE".into(),
-            control: Control::Shutdown,
-        },
+        Some("PING") => out.push_str("PONG"),
+        Some("QUIT") => {
+            out.push_str("BYE");
+            return Ok(Control::Quit);
+        }
+        Some("SHUTDOWN") => {
+            out.push_str("BYE");
+            return Ok(Control::Shutdown);
+        }
         Some("STATS") => {
             let io = engine.access_method().io_stats();
             // The first four fields are a wire contract (smoke scripts
             // parse the prefix); new telemetry only appends.
-            let mut text = format!(
+            let _ = write!(
+                out,
                 "STATS queries={} reads={} cache_hits={} cache_misses={}",
                 served.load(Ordering::Relaxed),
                 io.reads,
@@ -405,133 +564,69 @@ fn respond(
             } else {
                 io.cache_hits as f64 / lookups as f64
             };
-            text.push_str(&format!(" cache_hit_ratio={ratio:.4}"));
+            let _ = write!(out, " cache_hit_ratio={ratio:.4}");
             if let Some(live) = engine.telemetry() {
                 let w = live.window_stats();
-                text.push_str(&format!(
+                let _ = write!(
+                    out,
                     " degraded_reads={} window_qps={:.3} window_p50_ms={:.3} window_p99_ms={:.3}",
                     live.degraded_reads.get(),
                     w.qps,
                     w.p50_ms,
                     w.p99_ms
-                ));
+                );
             }
-            let per_disk: Vec<String> = io.reads_per_disk.iter().map(|r| r.to_string()).collect();
-            text.push_str(&format!(" reads_per_disk={}", per_disk.join(",")));
-            text.push_str(&format!(
+            out.push_str(" reads_per_disk=");
+            for (i, reads) in io.reads_per_disk.iter().enumerate() {
+                let _ = write!(out, "{}{reads}", if i > 0 { "," } else { "" });
+            }
+            let _ = write!(
+                out,
                 " resident_bytes={} byte_budget={}",
                 io.cache_resident_bytes, io.cache_byte_budget
-            ));
-            Reply::line(text)
+            );
         }
         Some("METRICS") => {
-            let Some(live) = engine.telemetry() else {
-                return Reply::err("telemetry disabled");
-            };
-            if let Some(extra) = words.next() {
-                return Reply::err(format!("unexpected trailing {extra:?}"));
-            }
+            let live = engine.telemetry().ok_or("telemetry disabled")?;
+            no_more(words)?;
             let io = engine.access_method().io_stats();
             // Multi-line reply; the final "# EOF" line doubles as the
             // exposition-format terminator and the protocol terminator.
-            Reply::line(live.prometheus(Some(&io)).trim_end().to_string())
+            out.push_str(live.prometheus(Some(&io)).trim_end());
         }
         Some("DUMP-TRACE") => {
-            let Some(path) = words.next() else {
-                return Reply::err("usage: DUMP-TRACE <path>");
-            };
-            if let Some(extra) = words.next() {
-                return Reply::err(format!("unexpected trailing {extra:?}"));
-            }
-            let Some(live) = engine.telemetry() else {
-                return Reply::err("telemetry disabled");
-            };
-            let Some(flight) = live.flight() else {
-                return Reply::err("flight recorder disabled (serve --flight-cap <n>)");
-            };
+            let path = words.next().ok_or("usage: DUMP-TRACE <path>")?;
+            no_more(words)?;
+            let live = engine.telemetry().ok_or("telemetry disabled")?;
+            let flight = live
+                .flight()
+                .ok_or("flight recorder disabled (serve --flight-cap <n>)")?;
             let events = flight.drain();
             let doc = trace_document(Path::new(path), &events, live.num_disks(), 1);
-            match std::fs::write(path, doc) {
-                Ok(()) => Reply::line(format!("OK trace events={} path={path}", events.len())),
-                Err(e) => Reply::err(format!("cannot write {path}: {e}")),
-            }
+            std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+            let _ = write!(out, "OK trace events={} path={path}", events.len());
         }
         Some("QUERY") => {
-            let (Some(coords), Some(k)) = (words.next(), words.next()) else {
-                return Reply::err("usage: QUERY <x,y,...> <k> [algo]");
-            };
-            let point = match parse_point(coords).map(Point::try_new) {
-                Ok(Ok(p)) => p,
-                Ok(Err(e)) => return Reply::err(e),
-                Err(e) => return Reply::err(e),
-            };
-            let k: usize = match k.parse() {
-                Ok(k) if k > 0 => k,
-                _ => return Reply::err(format!("bad k {k:?}")),
-            };
-            let kind = match words.next() {
-                None => AlgorithmKind::Crss,
-                Some(name) => match algo_by_name(name) {
-                    Ok(kind) => kind,
-                    Err(e) => return Reply::err(e),
-                },
-            };
-            if let Some(extra) = words.next() {
-                return Reply::err(format!("unexpected trailing {extra:?}"));
+            let mut req = parse_knn(words, "QUERY <x,y,...> <k> [algo]", false, dim)?;
+            let point = req.points.pop().expect("a QUERY parses to one point");
+            let report = engine
+                .run(req.kind, &Workload::single(point, req.k), 1)
+                .map_err(|e| e.to_string())?;
+            if let Some((_, e)) = report.failures.first() {
+                return Err(e.to_string());
             }
-            if point.dim() != engine.access_method().dim() {
-                return Reply::err(format!(
-                    "query dim {} but tree dim {}",
-                    point.dim(),
-                    engine.access_method().dim()
-                ));
+            served.fetch_add(1, Ordering::Relaxed);
+            let answers = &report.answers[0];
+            let _ = write!(out, "OK {}", answers.len());
+            if !answers.is_empty() {
+                out.push(' ');
             }
-            match engine.run(kind, &Workload::single(point, k), 1) {
-                Err(e) => Reply::err(e),
-                Ok(report) => {
-                    if let Some((_, e)) = report.failures.first() {
-                        return Reply::err(e);
-                    }
-                    served.fetch_add(1, Ordering::Relaxed);
-                    let answers = &report.answers[0];
-                    let mut text = format!("OK {}", answers.len());
-                    for n in answers {
-                        text.push_str(&format!(" {}:{:.6}", n.object.0, n.dist()));
-                    }
-                    Reply::line(text)
-                }
-            }
+            write_neighbors(out, answers, ' ');
         }
         Some("EXPLAIN") => {
-            let (Some(coords), Some(k)) = (words.next(), words.next()) else {
-                return Reply::err("usage: EXPLAIN <x,y,...> <k> [algo]");
-            };
-            let point = match parse_point(coords).map(Point::try_new) {
-                Ok(Ok(p)) => p,
-                Ok(Err(e)) => return Reply::err(e),
-                Err(e) => return Reply::err(e),
-            };
-            let k: usize = match k.parse() {
-                Ok(k) if k > 0 => k,
-                _ => return Reply::err(format!("bad k {k:?}")),
-            };
-            let kind = match words.next() {
-                None => AlgorithmKind::Crss,
-                Some(name) => match algo_by_name(name) {
-                    Ok(kind) => kind,
-                    Err(e) => return Reply::err(e),
-                },
-            };
-            if let Some(extra) = words.next() {
-                return Reply::err(format!("unexpected trailing {extra:?}"));
-            }
-            if point.dim() != engine.access_method().dim() {
-                return Reply::err(format!(
-                    "query dim {} but tree dim {}",
-                    point.dim(),
-                    engine.access_method().dim()
-                ));
-            }
+            let mut req = parse_knn(words, "EXPLAIN <x,y,...> <k> [algo]", false, dim)?;
+            let (k, kind) = (req.k, req.kind);
+            let point = req.points.pop().expect("an EXPLAIN parses to one point");
             // λ: the live windowed arrival rate, floored at one query
             // per second so an idle server still predicts finite waits.
             let lambda = engine
@@ -549,73 +644,40 @@ fn respond(
                     }
                 })
             });
-            match engine.explain_query(kind, point, k, lambda, explain.calibrated, predicted) {
-                Err(e) => Reply::err(e),
-                Ok((record, _)) => {
-                    served.fetch_add(1, Ordering::Relaxed);
-                    Reply::line(record.to_json())
-                }
-            }
+            let (record, _) = engine
+                .explain_query(kind, point, k, lambda, explain.calibrated, predicted)
+                .map_err(|e| e.to_string())?;
+            served.fetch_add(1, Ordering::Relaxed);
+            out.push_str(&record.to_json());
         }
         Some("BATCH") => {
             // B queries through one shared traversal (FPSS wavefront
             // semantics): each wavefront page is fetched and decoded
             // once for every query still interested in it.
-            let (Some(coords), Some(k)) = (words.next(), words.next()) else {
-                return Reply::err("usage: BATCH <x,y;x,y;...> <k>");
-            };
-            let mut queries = Vec::new();
-            for part in coords.split(';') {
-                match parse_point(part).map(Point::try_new) {
-                    Ok(Ok(p)) => queries.push(p),
-                    Ok(Err(e)) => return Reply::err(e),
-                    Err(e) => return Reply::err(e),
-                }
-            }
-            let k: usize = match k.parse() {
-                Ok(k) if k > 0 => k,
-                _ => return Reply::err(format!("bad k {k:?}")),
-            };
-            if let Some(extra) = words.next() {
-                return Reply::err(format!("unexpected trailing {extra:?}"));
-            }
-            if let Some(p) = queries
-                .iter()
-                .find(|p| p.dim() != engine.access_method().dim())
-            {
-                return Reply::err(format!(
-                    "query dim {} but tree dim {}",
-                    p.dim(),
-                    engine.access_method().dim()
-                ));
-            }
-            match engine.run_query_batch(&queries, k) {
-                Err(e) => Reply::err(e),
-                Ok((report, wall_s)) => {
-                    served.fetch_add(queries.len() as u64, Ordering::Relaxed);
-                    let mut text = format!(
-                        "OK {} fetches={}/{} rounds={} wall_us={:.1}",
-                        report.answers.len(),
-                        report.unique_fetches,
-                        report.total_interest,
-                        report.rounds,
-                        wall_s * 1e6
-                    );
-                    for (qi, answers) in report.answers.iter().enumerate() {
-                        text.push_str(&format!(" q{qi}="));
-                        let items: Vec<String> = answers
-                            .iter()
-                            .map(|n| format!("{}:{:.6}", n.object.0, n.dist()))
-                            .collect();
-                        text.push_str(&items.join(","));
-                    }
-                    Reply::line(text)
-                }
+            let KnnRequest { points, k, .. } =
+                parse_knn(words, "BATCH <x,y;x,y;...> <k>", true, dim)?;
+            let (report, wall_s) = engine
+                .run_query_batch(&points, k)
+                .map_err(|e| e.to_string())?;
+            served.fetch_add(points.len() as u64, Ordering::Relaxed);
+            let _ = write!(
+                out,
+                "OK {} fetches={}/{} rounds={} wall_us={:.1}",
+                report.answers.len(),
+                report.unique_fetches,
+                report.total_interest,
+                report.rounds,
+                wall_s * 1e6
+            );
+            for (qi, answers) in report.answers.iter().enumerate() {
+                let _ = write!(out, " q{qi}=");
+                write_neighbors(out, answers, ',');
             }
         }
-        Some(other) => Reply::err(format!("unknown request {other:?}")),
-        None => Reply::err("empty request"),
+        Some(other) => return Err(format!("unknown request {other:?}")),
+        None => return Err("empty request".into()),
     }
+    Ok(Control::None)
 }
 
 #[cfg(test)]
@@ -666,8 +728,9 @@ mod tests {
         reader: &mut BufReader<TcpStream>,
         req: &str,
     ) -> String {
-        writeln!(stream, "{req}").unwrap();
-        stream.flush().unwrap();
+        // One `write` per request: split in two, the client's own Nagle
+        // holds the newline back until the server's delayed ACK.
+        stream.write_all(format!("{req}\n").as_bytes()).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line.trim_end().to_string()
@@ -830,8 +893,7 @@ mod tests {
     /// Reads a multi-line `METRICS` reply up to and including the
     /// `# EOF` terminator line.
     fn request_metrics(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
-        writeln!(stream, "METRICS").unwrap();
-        stream.flush().unwrap();
+        stream.write_all(b"METRICS\n").unwrap();
         let mut text = String::new();
         loop {
             let mut line = String::new();
@@ -931,6 +993,172 @@ mod tests {
         );
         assert!(record.get("predicted_accesses").is_some(), "{slow}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Serves a fresh store to `client`, then shuts the server down.
+    fn with_server(name: &str, client: impl FnOnce(SocketAddr)) {
+        let dir = build_store(name);
+        let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                run_server(
+                    &tree,
+                    BackendKind::File,
+                    listener,
+                    live.clone(),
+                    test_context(&tree),
+                )
+            });
+            // A failed client assertion must still stop the server, or
+            // the scope would wait for it forever.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(addr)));
+            let (mut c, mut rc) = connect(addr);
+            assert_eq!(request_line(&mut c, &mut rc, "SHUTDOWN"), "BYE");
+            server.join().unwrap().unwrap();
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A plain client: Nagle left on, as `nc` or a Python socket has it.
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_stall() {
+        // A reply that leaves as two segments waits ~44 ms for the
+        // client's delayed ACK: 200 round trips then take >= 8.8 s.
+        with_server("no-stall", |addr| {
+            let (mut c, mut rc) = connect(addr);
+            for (req, want) in [("PING", "PONG"), ("QUERY 5.0,5.0 3", "OK 3 ")] {
+                let started = std::time::Instant::now();
+                for _ in 0..200 {
+                    let reply = request_line(&mut c, &mut rc, req);
+                    assert!(reply.starts_with(want), "{req}: {reply}");
+                }
+                let took = started.elapsed();
+                assert!(took.as_secs_f64() < 2.0, "200 x {req} took {took:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let requests: Vec<String> = (0..500)
+            .map(|i| match i % 5 {
+                0 => "PING".to_string(),
+                1 => format!("QUERY {}.5,{}.25 {}", i % 19, i % 13, 1 + i % 7),
+                2 => format!("QUERY {}.0,{}.0 3 bbss", i % 17, i % 11),
+                3 => format!("QUERY {}.0 3", i % 7),
+                _ => format!("BOGUS {i}"),
+            })
+            .collect();
+        with_server("pipeline", |addr| {
+            let (mut one, mut r_one) = connect(addr);
+            let sequential: Vec<String> = requests
+                .iter()
+                .map(|req| request_line(&mut one, &mut r_one, req))
+                .collect();
+
+            let (mut burst, mut r_burst) = connect(addr);
+            burst
+                .write_all((requests.join("\n") + "\n").as_bytes())
+                .unwrap();
+            for (req, want) in requests.iter().zip(&sequential) {
+                let mut got = String::new();
+                r_burst.read_line(&mut got).unwrap();
+                assert_eq!(got.trim_end_matches('\n'), want, "reply to {req:?}");
+            }
+
+            // A multi-line reply mid-pipeline keeps its framing.
+            burst
+                .write_all(b"PING\nMETRICS\n\nQUERY 5.0,5.0 1\n")
+                .unwrap();
+            let mut line = String::new();
+            r_burst.read_line(&mut line).unwrap();
+            assert_eq!(line, "PONG\n");
+            loop {
+                line.clear();
+                r_burst.read_line(&mut line).unwrap();
+                assert!(!line.starts_with("OK") && !line.is_empty(), "{line}");
+                if line == "# EOF\n" {
+                    break;
+                }
+            }
+            line.clear();
+            r_burst.read_line(&mut line).unwrap();
+            assert!(line.starts_with("OK 1 "), "{line}");
+        });
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_idle_clients() {
+        let dir = build_store("idle-shutdown");
+        let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ctx = test_context(&tree);
+                let result = run_server(&tree, BackendKind::File, listener, live.clone(), ctx);
+                done_tx.send(result.is_ok()).unwrap();
+            });
+            let (mut idle, mut r_idle) = connect(addr);
+            assert_eq!(request_line(&mut idle, &mut r_idle, "PING"), "PONG");
+            let (mut a, mut ra) = connect(addr);
+            assert_eq!(request_line(&mut a, &mut ra, "SHUTDOWN"), "BYE");
+            let stopped = done_rx.recv_timeout(std::time::Duration::from_secs(2));
+            // The idle client sees its connection closed, not a hang.
+            let mut rest = String::new();
+            let closed = stopped.is_ok() && r_idle.read_line(&mut rest).is_ok_and(|n| n == 0);
+            // Let a server that failed the check go, so the scope ends.
+            drop((idle, r_idle));
+            assert_eq!(stopped, Ok(true), "server still up 2 s after BYE");
+            assert!(closed, "idle client was left open: {rest:?}");
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn request_lines_are_bounded_and_must_be_utf8() {
+        with_server("line-cap", |addr| {
+            // 1 MiB without a newline: refused after MAX_LINE bytes, and
+            // the connection is closed (the write may see the reset).
+            let (mut big, mut r_big) = connect(addr);
+            let _ = big.write_all(&vec![b'a'; 1 << 20]);
+            let mut reply = String::new();
+            r_big.read_line(&mut reply).unwrap();
+            assert_eq!(reply, "ERR line too long\n");
+            // ...while everyone else is still served.
+            let (mut c, mut rc) = connect(addr);
+            assert_eq!(request_line(&mut c, &mut rc, "PING"), "PONG");
+
+            // The longest legal line is answered as a request.
+            let mut longest = vec![b' '; MAX_LINE];
+            longest[..4].copy_from_slice(b"PING");
+            longest.push(b'\n');
+            c.write_all(&longest).unwrap();
+            reply.clear();
+            rc.read_line(&mut reply).unwrap();
+            assert_eq!(reply, "PONG\n");
+
+            // Invalid UTF-8 is an error reply, not a dropped connection.
+            c.write_all(b"QUERY \xff\xfe 3\n").unwrap();
+            reply.clear();
+            rc.read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("ERR "), "{reply}");
+            assert_eq!(request_line(&mut c, &mut rc, "PING"), "PONG");
+        });
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! engine runs a closed-loop workload: `concurrency` workers each drive
 //! one query session at a time to completion, so "arrival" is the
 //! moment a worker picks the query up (the Poisson schedule of a
-//! [`Workload`] only has meaning under the simulator).
+//! [`Workload`] only has meaning under the simulator). A lone worker is
+//! the calling thread itself; only two or more are spawned.
 //!
 //! Observability uses the same vocabulary as the simulated engine —
 //! `query_arrive`, `batch_issued`, `disk_service`, `cpu_slice`,
@@ -135,6 +136,34 @@ struct CompletedSession {
     obs: SessionObs,
 }
 
+/// What one worker hands back: its sessions' outcomes and the events it
+/// buffered for the recorder.
+type WorkerOutput = (Vec<SessionOutcome>, Vec<(u64, ObsEvent)>);
+
+/// The live-telemetry record of one query: its measured components when
+/// it completed, a bare failure mark (`done` = `None`) when it aborted.
+fn observation(
+    query: u32,
+    kind: AlgorithmKind,
+    k: usize,
+    done: Option<&CompletedSession>,
+) -> QueryObservation<'static> {
+    let obs = done.map(|d| d.obs).unwrap_or_default();
+    QueryObservation {
+        query,
+        algo: kind.name(),
+        k,
+        answers: done.map_or(0, |d| d.answers.len()),
+        nodes: done.map_or(0, |d| d.nodes_visited),
+        batches: obs.batches,
+        response_ns: done.map_or(0, |d| d.response_ns),
+        disk_queue_ns: obs.disk_queue_ns,
+        disk_service_ns: obs.seek_ns + obs.rotation_ns + obs.transfer_ns,
+        cpu_ns: obs.cpu_ns,
+        failed: done.is_none(),
+    }
+}
+
 /// Rewrites the query id an event is tagged with: recorder streams use
 /// workload indices (what the post-hoc tooling joins on), the shared
 /// flight recorder uses the global serving ids [`LiveTelemetry`] hands
@@ -245,7 +274,8 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         Ok((report, started.elapsed().as_secs_f64()))
     }
 
-    /// Runs `workload` under `kind` with `concurrency` worker sessions.
+    /// Runs `workload` under `kind` with `concurrency` worker sessions
+    /// (at `concurrency` 1, on the calling thread).
     pub fn run(
         &self,
         kind: AlgorithmKind,
@@ -267,104 +297,31 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     ) -> Result<RealTimeReport, QueryError> {
         let concurrency = concurrency.max(1);
         let recording = recorder.enabled();
-        let flight_on = self.live.as_ref().is_some_and(|live| live.flight_enabled());
         let clock = WallClock::new();
         let started = Instant::now();
         let cursor = AtomicUsize::new(0);
 
-        // Per-worker results, merged after the scope joins.
-        let mut worker_outcomes: Vec<Vec<SessionOutcome>> = Vec::new();
-        let mut worker_events: Vec<Vec<(u64, ObsEvent)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..concurrency)
-                .map(|worker| {
-                    let cursor = &cursor;
-                    let clock = &clock;
-                    scope.spawn(move || {
-                        let mut outcomes = Vec::new();
-                        let mut events: Vec<(u64, ObsEvent)> = Vec::new();
-                        let mut scratch = crate::QueryScratch::new();
-                        // Tree level of every page this worker has seen
-                        // (root = 0); only maintained while some event
-                        // consumer (recorder or flight ring) wants it.
-                        let mut levels: HashMap<PageId, u16> = HashMap::new();
-                        if recording || flight_on {
-                            levels.insert(self.am.root_page(), 0);
-                        }
-                        loop {
-                            let q = cursor.fetch_add(1, Ordering::Relaxed);
-                            if q >= workload.queries.len() {
-                                break;
-                            }
-                            let wq = &workload.queries[q];
-                            // Global serving id: counts the pickup and
-                            // tags this query's flight events.
-                            let live_q = self.live.as_ref().map(|live| live.begin_query());
-                            let result = kind
-                                .build_with(self.am, wq.point.clone(), wq.k, &mut scratch)
-                                .and_then(|algo| {
-                                    self.drive_session(
-                                        algo,
-                                        q as u32,
-                                        live_q,
-                                        worker as u16,
-                                        clock,
-                                        recording,
-                                        &mut events,
-                                        &mut levels,
-                                        None,
-                                    )
-                                });
-                            if let Some(live) = &self.live {
-                                let query = live_q.unwrap_or(q as u32);
-                                let observation = match &result {
-                                    Ok(done) => QueryObservation {
-                                        query,
-                                        algo: kind.name(),
-                                        k: wq.k,
-                                        answers: done.answers.len(),
-                                        nodes: done.nodes_visited,
-                                        batches: done.obs.batches,
-                                        response_ns: done.response_ns,
-                                        disk_queue_ns: done.obs.disk_queue_ns,
-                                        disk_service_ns: done.obs.seek_ns
-                                            + done.obs.rotation_ns
-                                            + done.obs.transfer_ns,
-                                        cpu_ns: done.obs.cpu_ns,
-                                        failed: false,
-                                    },
-                                    Err(_) => QueryObservation {
-                                        query,
-                                        algo: kind.name(),
-                                        k: wq.k,
-                                        answers: 0,
-                                        nodes: 0,
-                                        batches: 0,
-                                        response_ns: 0,
-                                        disk_queue_ns: 0,
-                                        disk_service_ns: 0,
-                                        cpu_ns: 0,
-                                        failed: true,
-                                    },
-                                };
-                                live.observe_query(&observation);
-                            }
-                            outcomes.push(SessionOutcome {
-                                index: q as u32,
-                                result,
-                            });
-                        }
-                        (outcomes, events)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (outcomes, events) = handle.join().expect("engine worker panicked");
-                worker_outcomes.push(outcomes);
-                worker_events.push(events);
-            }
-        });
+        // One worker body for every concurrency; a lone worker runs it
+        // on the caller's thread, so a served single query pays no
+        // thread spawn and only its page reads cross to the backend.
+        let worker = |index: usize| {
+            self.run_worker(kind, workload, index as u16, &cursor, &clock, recording)
+        };
+        let per_worker: Vec<WorkerOutput> = if concurrency == 1 {
+            vec![worker(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..concurrency)
+                    .map(|w| scope.spawn(move || worker(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("engine worker panicked"))
+                    .collect()
+            })
+        };
         let wall_s = started.elapsed().as_secs_f64();
+        let (worker_outcomes, worker_events): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
 
         if recording {
             let mut merged: Vec<(u64, ObsEvent)> = worker_events.into_iter().flatten().collect();
@@ -425,6 +382,65 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         })
     }
 
+    /// One closed-loop worker: claims queries off `cursor` and drives
+    /// each session to completion on the calling thread, until the
+    /// workload is exhausted.
+    fn run_worker(
+        &self,
+        kind: AlgorithmKind,
+        workload: &Workload,
+        worker: u16,
+        cursor: &AtomicUsize,
+        clock: &WallClock,
+        recording: bool,
+    ) -> WorkerOutput {
+        let mut outcomes = Vec::new();
+        let mut events: Vec<(u64, ObsEvent)> = Vec::new();
+        let mut scratch = crate::QueryScratch::new();
+        // Tree level of every page this worker has seen (root = 0);
+        // only maintained while some event consumer (recorder or
+        // flight ring) wants it.
+        let mut levels: HashMap<PageId, u16> = HashMap::new();
+        let flight_on = self.live.as_ref().is_some_and(|live| live.flight_enabled());
+        if recording || flight_on {
+            levels.insert(self.am.root_page(), 0);
+        }
+        loop {
+            let q = cursor.fetch_add(1, Ordering::Relaxed);
+            if q >= workload.queries.len() {
+                break;
+            }
+            let wq = &workload.queries[q];
+            // Global serving id: counts the pickup and tags this
+            // query's flight events.
+            let live_q = self.live.as_ref().map(|live| live.begin_query());
+            let result = kind
+                .build_with(self.am, wq.point.clone(), wq.k, &mut scratch)
+                .and_then(|algo| {
+                    self.drive_session(
+                        algo,
+                        q as u32,
+                        live_q,
+                        worker,
+                        clock,
+                        recording,
+                        &mut events,
+                        &mut levels,
+                        None,
+                    )
+                });
+            if let Some(live) = &self.live {
+                let query = live_q.unwrap_or(q as u32);
+                live.observe_query(&observation(query, kind, wq.k, result.as_ref().ok()));
+            }
+            outcomes.push(SessionOutcome {
+                index: q as u32,
+                result,
+            });
+        }
+        (outcomes, events)
+    }
+
     /// Runs one k-NN query through the exact per-session machinery of
     /// [`Self::run`] and returns its introspection record next to its
     /// answers: per-level node accesses, batch sizes, the lemma-1
@@ -476,19 +492,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             Ok(done) => done,
             Err(e) => {
                 if let Some(live) = &self.live {
-                    live.observe_query(&QueryObservation {
-                        query,
-                        algo: kind.name(),
-                        k,
-                        answers: 0,
-                        nodes: 0,
-                        batches: 0,
-                        response_ns: 0,
-                        disk_queue_ns: 0,
-                        disk_service_ns: 0,
-                        cpu_ns: 0,
-                        failed: true,
-                    });
+                    live.observe_query(&observation(query, kind, k, None));
                 }
                 return Err(e);
             }
@@ -517,22 +521,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         };
         if let Some(live) = &self.live {
             let record = explain.to_json();
-            live.observe_query_explained(
-                &QueryObservation {
-                    query,
-                    algo: kind.name(),
-                    k,
-                    answers: done.answers.len(),
-                    nodes: done.nodes_visited,
-                    batches: done.obs.batches,
-                    response_ns: done.response_ns,
-                    disk_queue_ns: done.obs.disk_queue_ns,
-                    disk_service_ns,
-                    cpu_ns: done.obs.cpu_ns,
-                    failed: false,
-                },
-                Some(&record),
-            );
+            live.observe_query_explained(&observation(query, kind, k, Some(&done)), Some(&record));
             if let Some(accesses) = explain.residual_accesses() {
                 // Saturated predictions have no latency residual; NaN is
                 // dropped by the window, the access residual still lands.

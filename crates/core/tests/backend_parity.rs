@@ -10,19 +10,21 @@
 //! reads the shared node cache absorbs.
 
 use sqda_core::{
-    exec::run_query, AlgorithmKind, BatchResult, IndexNode, Neighbor, RealTimeEngine,
-    SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    exec::run_query, AccessMethod, AlgorithmKind, BatchResult, IndexNode, Neighbor, QueryError,
+    RealTimeEngine, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{Node, RStarConfig, RStarTree};
 use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
 use sqda_storage::{
-    FileStore, InlineBackend, IoStats, NodeCache, PageId, PageStore, ThreadedFileBackend,
+    Bytes, FileStore, InlineBackend, IoStats, NodeCache, PageId, PageStore, Placement,
+    ThreadedFileBackend,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 const NUM_DISKS: u32 = 4;
 const PAGE_SIZE: usize = 1024;
@@ -419,5 +421,81 @@ fn concurrent_real_sessions_preserve_answers() {
         io: tree.io_stats(),
     };
     assert_answers_identical(kind, &sequential, &concurrent, "sequential vs concurrent");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Forwards to the tree and notes which threads the engine probes the
+/// node cache from — the session thread of every round.
+struct ThreadSpy<'a> {
+    inner: &'a RStarTree<FileStore>,
+    seen: Mutex<HashSet<ThreadId>>,
+}
+
+impl AccessMethod for ThreadSpy<'_> {
+    fn root_page(&self) -> PageId {
+        self.inner.root_page()
+    }
+    fn num_disks(&self) -> u32 {
+        AccessMethod::num_disks(self.inner)
+    }
+    fn read_index_node(&self, page: PageId) -> Result<IndexNode, QueryError> {
+        self.inner.read_index_node(page)
+    }
+    fn placement(&self, page: PageId) -> Result<Placement, QueryError> {
+        AccessMethod::placement(self.inner, page)
+    }
+    fn cached_index_node(&self, page: PageId) -> Result<Option<IndexNode>, QueryError> {
+        self.seen.lock().unwrap().insert(thread::current().id());
+        self.inner.cached_index_node(page)
+    }
+    fn decode_index_node(&self, page: PageId, bytes: Bytes) -> Result<IndexNode, QueryError> {
+        self.inner.decode_index_node(page, bytes)
+    }
+}
+
+/// One worker and four run the same worker body: same answers, same
+/// store `IoStats` — and the lone worker is the caller itself, so a
+/// served query never leaves its connection thread, while a concurrent
+/// run leaves the caller free. No node cache here: every page goes to
+/// the backend, so concurrent sessions cannot race on cache fills and
+/// the read counts are exact.
+#[test]
+fn lone_worker_runs_on_the_caller_with_identical_work() {
+    let dir = tmpdir("caller-thread");
+    let root = build_store(&dir);
+    for kind in AlgorithmKind::ALL {
+        let run = |concurrency: usize| {
+            let store = Arc::new(FileStore::open(&dir).unwrap());
+            let tree = RStarTree::attach(store, config(), Box::new(ProximityIndex), root).unwrap();
+            let spy = ThreadSpy {
+                inner: &tree,
+                seen: Mutex::new(HashSet::new()),
+            };
+            let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
+            let engine = RealTimeEngine::new(&spy, backend).unwrap();
+            let report = engine.run(kind, &workload(), concurrency).unwrap();
+            assert_eq!(report.failed, 0, "{kind} x{concurrency}");
+            let run = ModeRun {
+                answers: report.answers,
+                io: tree.io_stats(),
+            };
+            (run, spy.seen.into_inner().unwrap())
+        };
+        let (one, one_threads) = run(1);
+        let (four, four_threads) = run(4);
+        assert!(one.io.reads > 0, "{kind}: the runs must reach the backend");
+        assert_answers_identical(kind, &one, &four, "1 worker vs 4");
+        assert_io_identical(kind, &one, &four, "1 worker vs 4");
+        let caller = thread::current().id();
+        assert_eq!(
+            one_threads,
+            HashSet::from([caller]),
+            "{kind}: concurrency 1 must drive its sessions on the caller's thread"
+        );
+        assert!(
+            !four_threads.is_empty() && !four_threads.contains(&caller),
+            "{kind}: concurrency 4 must drive its sessions on spawned workers"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
