@@ -116,7 +116,7 @@ fn bench_exposition(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/exposition");
     group.bench_function("snapshot", |b| b.iter(|| black_box(t.snapshot())));
     group.bench_function("prometheus_render", |b| {
-        b.iter(|| black_box(t.prometheus(None)).len())
+        b.iter(|| black_box(t.prometheus(None, None)).len())
     });
     group.bench_function("window_stats", |b| b.iter(|| black_box(t.window_stats())));
     group.finish();

@@ -62,7 +62,7 @@
 //! <- STATS queries=<q> reads=<r> cache_hits=<h> cache_misses=<m>
 //!          cache_hit_ratio=<x> degraded_reads=<d> window_qps=<qps>
 //!          window_p50_ms=<p50> window_p99_ms=<p99> reads_per_disk=<a,b,...>
-//!          resident_bytes=<b> byte_budget=<b>
+//!          resident_bytes=<b> byte_budget=<b> [inline_reads=<n>]
 //! -> METRICS       (Prometheus text exposition; read until the "# EOF" line)
 //! <- # HELP sqda_queries_started_total ...
 //!    ...
@@ -77,7 +77,9 @@
 //!
 //! Any malformed request gets `ERR <detail>` and the connection stays
 //! open; blank lines are skipped. Distances are Euclidean, printed with
-//! six decimals.
+//! six decimals. `inline_reads` counts the reads the threaded backend
+//! served on the connection thread rather than a disk worker;
+//! `--backend inline` has no workers and omits it.
 //!
 //! # Telemetry
 //!
@@ -129,15 +131,25 @@ impl BackendKind {
         }
     }
 
-    fn build(self, store: &Arc<FileStore>, observer: Arc<dyn ReadObserver>) -> Arc<dyn IoBackend> {
+    /// The backend to submit through and, for `File`, the same backend
+    /// by its own type: it counts the reads it kept off its workers.
+    fn build(
+        self,
+        store: &Arc<FileStore>,
+        observer: Arc<dyn ReadObserver>,
+    ) -> (Arc<dyn IoBackend>, Option<Arc<ThreadedFileBackend>>) {
         match self {
-            BackendKind::File => Arc::new(ThreadedFileBackend::with_observer(
-                Arc::clone(store),
-                observer,
-            )),
-            BackendKind::Inline => {
-                Arc::new(InlineBackend::with_observer(Arc::clone(store), observer))
+            BackendKind::File => {
+                let threaded = Arc::new(ThreadedFileBackend::with_observer(
+                    Arc::clone(store),
+                    observer,
+                ));
+                (Arc::clone(&threaded) as _, Some(threaded))
             }
+            BackendKind::Inline => (
+                Arc::new(InlineBackend::with_observer(Arc::clone(store), observer)),
+                None,
+            ),
         }
     }
 }
@@ -322,6 +334,9 @@ const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 /// What every connection handler shares.
 struct Server<'a> {
     engine: RealTimeEngine<'a, RStarTree<FileStore>>,
+    /// The engine's backend when it is the threaded one (`STATS
+    /// inline_reads=`); `--backend inline` has no workers to spare.
+    threaded: Option<Arc<ThreadedFileBackend>>,
     explain: ExplainContext,
     /// Queries answered (`STATS queries=`).
     served: AtomicU64,
@@ -346,9 +361,10 @@ pub fn run_server(
     explain: ExplainContext,
 ) -> CmdResult {
     let observer: Arc<dyn ReadObserver> = Arc::clone(&live) as _;
+    let (io, threaded) = backend.build(tree.store(), observer);
     let server = Server {
-        engine: RealTimeEngine::new(tree, backend.build(tree.store(), observer))?
-            .with_telemetry(live)?,
+        engine: RealTimeEngine::new(tree, io)?.with_telemetry(live)?,
+        threaded,
         explain,
         served: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
@@ -529,6 +545,7 @@ fn respond(request: &str, server: &Server, out: &mut String) -> Control {
 fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Control, String> {
     let Server {
         engine,
+        threaded,
         explain,
         served,
         ..
@@ -585,6 +602,9 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
                 " resident_bytes={} byte_budget={}",
                 io.cache_resident_bytes, io.cache_byte_budget
             );
+            if let Some(threaded) = threaded {
+                let _ = write!(out, " inline_reads={}", threaded.inline_reads());
+            }
         }
         Some("METRICS") => {
             let live = engine.telemetry().ok_or("telemetry disabled")?;
@@ -592,7 +612,8 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             let io = engine.access_method().io_stats();
             // Multi-line reply; the final "# EOF" line doubles as the
             // exposition-format terminator and the protocol terminator.
-            out.push_str(live.prometheus(Some(&io)).trim_end());
+            let inline_reads = threaded.as_ref().map(|t| t.inline_reads());
+            out.push_str(live.prometheus(Some(&io), inline_reads).trim_end());
         }
         Some("DUMP-TRACE") => {
             let path = words.next().ok_or("usage: DUMP-TRACE <path>")?;
@@ -784,6 +805,16 @@ mod tests {
             // breakdown (zeros here: the test tree carries no cache).
             assert!(stats.contains(" resident_bytes=0"), "{stats}");
             assert!(stats.contains(" byte_budget=0"), "{stats}");
+            // The backend's caller/worker split comes last, and counts
+            // no more than the store read.
+            let field = |key: &str| -> u64 {
+                let (_, rest) = stats
+                    .split_once(key)
+                    .unwrap_or_else(|| panic!("{key} in {stats}"));
+                rest.split(' ').next().unwrap().parse().unwrap()
+            };
+            assert!(field(" reads=") > 0, "{stats}");
+            assert!(field(" inline_reads=") <= field(" reads="), "{stats}");
 
             // EXPLAIN runs the query and replies with its one-line JSON
             // introspection record: observed work and timing next to
@@ -948,6 +979,7 @@ mod tests {
             assert!(text.contains("sqda_response_ms_count 3"), "{text}");
             assert!(text.contains("sqda_disk_reads_total{disk=\"0\"}"), "{text}");
             assert!(text.contains("sqda_cache_hits_total"), "{text}");
+            assert!(text.contains("sqda_backend_inline_reads_total "), "{text}");
             assert!(text.contains("sqda_model_residual_accesses "), "{text}");
             assert!(text.contains("sqda_model_residual_latency "), "{text}");
 

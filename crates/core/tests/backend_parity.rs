@@ -19,7 +19,7 @@ use sqda_rstar::{Node, RStarConfig, RStarTree};
 use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
 use sqda_storage::{
     Bytes, FileStore, InlineBackend, IoStats, NodeCache, PageId, PageStore, Placement,
-    ThreadedFileBackend,
+    ReadObserver, ThreadedFileBackend,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
@@ -421,6 +421,138 @@ fn concurrent_real_sessions_preserve_answers() {
         io: tree.io_stats(),
     };
     assert_answers_identical(kind, &sequential, &concurrent, "sequential vs concurrent");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Notes, per backend read, the disk and the name of the thread that
+/// served it.
+#[derive(Default)]
+struct ReadSpy(Mutex<Vec<(u32, String)>>);
+
+impl ReadObserver for ReadSpy {
+    fn on_disk_read(&self, disk: u32, _queue_ns: u64, _service_ns: u64, _queue_depth: u32) {
+        let name = thread::current().name().unwrap_or("").to_string();
+        self.0.lock().unwrap().push((disk, name));
+    }
+}
+
+/// What one spied run did: its work, and where each read was served.
+struct SpiedRun {
+    run: ModeRun,
+    mean_nodes: f64,
+    reads: Vec<(u32, String)>,
+    /// Reads the backend served on the caller / handed to a worker.
+    split: (u64, u64),
+    /// Whether the store still attempts non-blocking reads and, for an
+    /// evicted run, whether the eviction took (a RAM-backed filesystem
+    /// keeps its pages). Path assertions hold only when it is set.
+    kernel_decides: bool,
+}
+
+/// A threaded-backend run over the store as it is — just written, so its
+/// pages sit in the OS cache — or, with `evict`, after the OS was asked
+/// to drop them: the two sides of the backend's per-read choice.
+fn run_threaded_spied(dir: &PathBuf, root: PageId, kind: AlgorithmKind, evict: bool) -> SpiedRun {
+    let tree = open_tree(dir, root);
+    let store = Arc::clone(tree.store());
+    let mut kernel_decides = true;
+    if evict {
+        store.evict_from_os_cache().unwrap();
+        // Probe a page on another disk than the root's, so the root's
+        // file stays untouched (a declined read may start read-ahead).
+        let root_disk = store.placement(root).unwrap().disk;
+        let probe = (0..)
+            .map(PageId::from_raw)
+            .find(|p| store.placement(*p).is_ok_and(|at| at.disk != root_disk))
+            .unwrap();
+        kernel_decides = store.read_resident(probe).unwrap().1.is_none();
+        store.reset_stats();
+    }
+    let spy = Arc::new(ReadSpy::default());
+    let backend = Arc::new(ThreadedFileBackend::with_observer(
+        Arc::clone(&store),
+        Arc::<ReadSpy>::clone(&spy),
+    ));
+    let engine = RealTimeEngine::new(&tree, Arc::<ThreadedFileBackend>::clone(&backend)).unwrap();
+    let report = engine.run(kind, &workload(), 1).unwrap();
+    assert_eq!(report.failed, 0, "{kind}");
+    let reads = spy.0.lock().unwrap().clone();
+    SpiedRun {
+        run: ModeRun {
+            answers: report.answers,
+            io: tree.io_stats(),
+        },
+        mean_nodes: report.mean_nodes_per_query,
+        reads,
+        split: (backend.inline_reads(), backend.worker_reads()),
+        kernel_decides: kernel_decides && store.nowait_supported(),
+    }
+}
+
+/// Where a read is served is the kernel's call and never changes the
+/// work: a run over resident pages, a run after the OS dropped them and
+/// a run through `InlineBackend` return the same answers, visit the same
+/// nodes and leave the same store `IoStats`, for all four algorithms.
+#[test]
+fn resident_evicted_and_inline_runs_agree() {
+    let dir = tmpdir("residency");
+    let root = build_store(&dir);
+    for kind in AlgorithmKind::ALL {
+        let inline = run_real(&dir, root, kind, false);
+        let resident = run_threaded_spied(&dir, root, kind, false);
+        let evicted = run_threaded_spied(&dir, root, kind, true);
+        for (what, spied) in [("resident", &resident), ("evicted", &evicted)] {
+            assert_answers_identical(kind, &inline, &spied.run, what);
+            assert_io_identical(kind, &inline, &spied.run, what);
+            // (WOPTSS's oracle pre-pass reads the store past the backend.)
+            assert_eq!(
+                spied.split.0 + spied.split.1,
+                spied.reads.len() as u64,
+                "{kind} {what}: inline + worker reads account for every backend read"
+            );
+            assert!(
+                spied.reads.len() as u64 <= spied.run.io.reads,
+                "{kind} {what}"
+            );
+        }
+        assert_eq!(
+            resident.mean_nodes.to_bits(),
+            evicted.mean_nodes.to_bits(),
+            "{kind}: nodes visited"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// At `concurrency == 1` a query over resident pages never leaves its
+/// thread, reads included; once the pages are gone from the OS cache the
+/// reads that would block are the disk workers' again.
+#[test]
+fn resident_reads_stay_on_the_caller() {
+    let dir = tmpdir("read-threads");
+    let root = build_store(&dir);
+    let kind = AlgorithmKind::Crss;
+    let on_worker = |(disk, name): &(u32, String)| *name == format!("sqda-disk{disk}");
+
+    let resident = run_threaded_spied(&dir, root, kind, false);
+    assert_eq!(resident.reads.len() as u64, resident.run.io.reads);
+    if resident.kernel_decides {
+        assert!(
+            !resident.reads.iter().any(on_worker),
+            "{:?}",
+            resident.reads
+        );
+        assert_eq!(resident.split.1, 0, "nothing handed to a worker");
+    }
+
+    let evicted = run_threaded_spied(&dir, root, kind, true);
+    assert_eq!(evicted.reads.len() as u64, evicted.run.io.reads);
+    if evicted.kernel_decides {
+        // The run's first read is the root, on a file nothing has
+        // touched since the eviction.
+        assert!(on_worker(&evicted.reads[0]), "{:?}", evicted.reads);
+        assert!(evicted.split.1 >= 1);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -869,14 +869,22 @@ impl LiveTelemetry {
         snap
     }
 
-    /// Renders the whole registry as Prometheus text exposition; see
-    /// [`prometheus`](crate::prometheus) for the format contract.
-    pub fn prometheus(&self, io: Option<&sqda_storage::IoStats>) -> String {
-        crate::prometheus::render(self, io)
+    /// Renders the whole registry as Prometheus text exposition, with
+    /// the store's [`IoStats`](sqda_storage::IoStats) and the threaded
+    /// backend's
+    /// [`inline_reads`](sqda_storage::ThreadedFileBackend::inline_reads)
+    /// when given; see [`prometheus`](crate::prometheus) for the format
+    /// contract.
+    pub fn prometheus(
+        &self,
+        io: Option<&sqda_storage::IoStats>,
+        inline_reads: Option<u64>,
+    ) -> String {
+        crate::prometheus::render(self, io, inline_reads)
     }
 }
 
-/// The hook the I/O backends call from their disk worker threads:
+/// The hook the I/O backends call from whichever thread served a read:
 /// [`LiveTelemetry`] *is* a [`sqda_storage::ReadObserver`], so
 /// `ThreadedFileBackend::with_observer(store, telemetry)` feeds the
 /// per-disk registries without the storage crate knowing any metrics

@@ -84,8 +84,9 @@ fn histogram_family(
 }
 
 /// Renders the whole live registry (and, when given, the store's
-/// [`IoStats`]) as Prometheus text exposition terminated by `# EOF`.
-pub fn render(t: &LiveTelemetry, io: Option<&IoStats>) -> String {
+/// [`IoStats`] and the backend's inline-read count) as Prometheus text
+/// exposition terminated by `# EOF`.
+pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>) -> String {
     let mut out = String::new();
     let uptime_ns = t.now_ns();
 
@@ -364,6 +365,15 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>) -> String {
         }
     }
 
+    if let Some(inline_reads) = inline_reads {
+        counter_u64(
+            &mut out,
+            &format!("{PREFIX}_backend_inline_reads_total"),
+            "Backend reads served on the submitting thread, not by a disk worker.",
+            inline_reads,
+        );
+    }
+
     if let Some(flight) = t.flight() {
         counter_u64(
             &mut out,
@@ -586,7 +596,7 @@ mod tests {
             cache_byte_budget: 65_536,
             ..sqda_storage::IoStats::default()
         };
-        let text = render(&t, Some(&io));
+        let text = render(&t, Some(&io), Some(17));
         let errors = lint(&text);
         assert!(errors.is_empty(), "lint errors: {errors:#?}");
         assert!(text.ends_with("# EOF\n"));
@@ -599,6 +609,7 @@ mod tests {
         assert!(text.contains("sqda_disk_reads_total{disk=\"0\"} 3"));
         assert!(text.contains("sqda_cache_hit_ratio 0.4"));
         assert!(text.contains("sqda_disk_service_time_ms_bucket{disk=\"1\",le=\"+Inf\"} 2"));
+        assert!(text.contains("sqda_backend_inline_reads_total 17"));
         assert!(text.contains("sqda_flight_events_total"));
     }
 
@@ -632,7 +643,7 @@ mod tests {
             "sqda_window_qps ",
             "sqda_disk_utilization{",
         ];
-        let normalized: String = render(&t, None)
+        let normalized: String = render(&t, None, None)
             .lines()
             .map(|l| {
                 if wall.iter().any(|p| l.starts_with(p)) {

@@ -11,7 +11,10 @@
 //!   where "parallelism" is purely the simulator's affair;
 //! * [`ThreadedFileBackend`] drives a [`FileStore`] with one worker
 //!   thread per disk, so a whole-batch submission becomes genuinely
-//!   concurrent positional reads against the per-disk files.
+//!   concurrent positional reads against the per-disk files — for the
+//!   reads that would block. A page the OS already holds in memory is
+//!   read on the submitting thread: waking a worker for it costs more
+//!   than the read.
 //!
 //! Completions are delivered over a channel, unordered; each carries its
 //! page id, physical placement, and wall-clock queue/service timings so
@@ -35,27 +38,31 @@ pub struct ReadCompletion {
     /// The page bytes, or the storage error that stopped the read.
     pub result: Result<Bytes>,
     /// Wall-clock nanoseconds the request waited before its disk's
-    /// worker picked it up (always 0 for inline backends).
+    /// worker picked it up. Always 0 for a read served on the submitting
+    /// thread: every read of an inline backend, and a read of a resident
+    /// page on the threaded one.
     pub queue_ns: u64,
     /// Wall-clock nanoseconds the read itself took.
     pub service_ns: u64,
     /// Requests already waiting or in service at this disk when the
-    /// read was submitted, this request excluded (always 0 for inline
-    /// backends — there is no queue to wait in).
+    /// read was submitted, this request excluded. Always 0 for a read
+    /// served on the submitting thread — it waited in no queue.
     pub queue_depth: u32,
 }
 
 /// Observer of individual disk reads, called from whichever thread
-/// serviced the read the moment it finishes.
+/// serviced the read the moment it finishes: a disk worker, or the
+/// thread that submitted the batch when the read was served there.
 ///
 /// This is the seam the live telemetry plane (in `sqda-obs`, which
 /// *depends on* this crate) hooks into: the backend stays free of any
 /// metrics vocabulary, the observer stays free of I/O. Implementations
 /// must be cheap and lock-free — the call sits on the disk workers'
-/// service path.
+/// service path and on the query's own.
 pub trait ReadObserver: Send + Sync {
     /// One read finished on `disk`: it waited `queue_ns` behind
-    /// `queue_depth` earlier requests, then took `service_ns` to read.
+    /// `queue_depth` earlier requests (both 0 when it was served on the
+    /// submitting thread), then took `service_ns` to read.
     fn on_disk_read(&self, disk: u32, queue_ns: u64, service_ns: u64, queue_depth: u32);
 }
 
@@ -161,8 +168,18 @@ struct ReadRequest {
 /// Real-file backend: one worker thread per disk, each servicing its
 /// disk's queue with positional reads, so a whole-batch submission
 /// becomes parallel reads across the array.
+///
+/// Each page is first tried with [`FileStore::read_resident`] on the
+/// submitting thread; only a read the kernel declines to serve without
+/// blocking goes to its disk's worker. The choice is the kernel's, per
+/// read: cold pages keep the per-disk parallelism, and a submitting
+/// thread never blocks on the device.
 pub struct ThreadedFileBackend {
     store: Arc<FileStore>,
+    observer: Option<Arc<dyn ReadObserver>>,
+    /// Reads served on the submitting thread / handed to a worker.
+    inline_reads: AtomicU64,
+    worker_reads: AtomicU64,
     /// Per-disk request queues; dropping these shuts the workers down.
     queues: Vec<Sender<ReadRequest>>,
     /// Per-disk outstanding-request counts (queued + in service),
@@ -179,8 +196,8 @@ impl ThreadedFileBackend {
         Self::build(store, None)
     }
 
-    /// Spawns one worker per disk, with a read observer notified from
-    /// each worker thread as its reads finish.
+    /// Spawns one worker per disk, with a read observer notified as
+    /// each read finishes, from the thread that served it.
     pub fn with_observer(store: Arc<FileStore>, observer: Arc<dyn ReadObserver>) -> Self {
         Self::build(store, Some(observer))
     }
@@ -227,6 +244,9 @@ impl ThreadedFileBackend {
         }
         Self {
             store,
+            observer,
+            inline_reads: AtomicU64::new(0),
+            worker_reads: AtomicU64::new(0),
             queues,
             depths,
             workers,
@@ -244,41 +264,73 @@ impl ThreadedFileBackend {
             .get(disk as usize)
             .map_or(0, |d| d.load(Ordering::Relaxed))
     }
+
+    /// Reads served on the submitting thread so far.
+    pub fn inline_reads(&self) -> u64 {
+        self.inline_reads.load(Ordering::Relaxed)
+    }
+
+    /// Reads handed to a disk worker so far; with
+    /// [`inline_reads`](Self::inline_reads), every read submitted.
+    pub fn worker_reads(&self) -> u64 {
+        self.worker_reads.load(Ordering::Relaxed)
+    }
 }
 
 impl IoBackend for ThreadedFileBackend {
     fn submit_batch(&self, pages: &[PageId]) -> Receiver<ReadCompletion> {
         let (tx, rx) = std::sync::mpsc::channel();
         for &page in pages {
-            match self.store.placement(page) {
-                Ok(p) => {
+            let submitted = Instant::now();
+            let done = match self.store.read_resident(page) {
+                Ok((p, Some(data))) => {
+                    let service_ns = submitted.elapsed().as_nanos() as u64;
+                    self.inline_reads.fetch_add(1, Ordering::Relaxed);
+                    if let Some(obs) = &self.observer {
+                        obs.on_disk_read(p.disk.0, 0, service_ns, 0);
+                    }
+                    ReadCompletion {
+                        page,
+                        disk: p.disk.0,
+                        cylinder: p.cylinder,
+                        result: Ok(data),
+                        queue_ns: 0,
+                        service_ns,
+                        queue_depth: 0,
+                    }
+                }
+                // Not served without blocking, whatever the reason: the
+                // disk's worker does the read and types any error. Its
+                // queue time counts from submission, attempt included.
+                Ok((p, None)) => {
+                    self.worker_reads.fetch_add(1, Ordering::Relaxed);
                     let queue_depth =
                         self.depths[p.disk.index()].fetch_add(1, Ordering::Relaxed) as u32;
-                    let req = ReadRequest {
-                        page,
-                        cylinder: p.cylinder,
-                        submitted: Instant::now(),
-                        queue_depth,
-                        reply: tx.clone(),
-                    };
                     self.queues[p.disk.index()]
-                        .send(req)
+                        .send(ReadRequest {
+                            page,
+                            cylinder: p.cylinder,
+                            submitted,
+                            queue_depth,
+                            reply: tx.clone(),
+                        })
                         .expect("disk worker alive while backend alive");
+                    continue;
                 }
                 // Unknown page: complete immediately with the error so
                 // the batch still yields one completion per page.
-                Err(e) => {
-                    let _ = tx.send(ReadCompletion {
-                        page,
-                        disk: 0,
-                        cylinder: 0,
-                        result: Err(e),
-                        queue_ns: 0,
-                        service_ns: 0,
-                        queue_depth: 0,
-                    });
-                }
-            }
+                Err(e) => ReadCompletion {
+                    page,
+                    disk: 0,
+                    cylinder: 0,
+                    result: Err(e),
+                    queue_ns: 0,
+                    service_ns: 0,
+                    queue_depth: 0,
+                },
+            };
+            // A dropped receiver just discards the completion.
+            let _ = tx.send(done);
         }
         rx
     }
@@ -304,7 +356,7 @@ impl Drop for ThreadedFileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArrayStore, DiskId};
+    use crate::{ArrayStore, DiskId, StorageError};
     use std::path::PathBuf;
 
     fn collect(rx: Receiver<ReadCompletion>, n: usize) -> Vec<ReadCompletion> {
@@ -376,15 +428,142 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Where each read was observed: `(disk, name of the thread that
+    /// served it)`.
+    #[derive(Default)]
+    struct ThreadSpy(std::sync::Mutex<Vec<(u32, String)>>);
+
+    impl ReadObserver for ThreadSpy {
+        fn on_disk_read(&self, disk: u32, _queue_ns: u64, _service_ns: u64, _queue_depth: u32) {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.0.lock().unwrap().push((disk, name));
+        }
+    }
+
+    #[test]
+    fn threaded_backend_splits_a_half_evicted_batch() {
+        // Disks 0 and 1 resident, disks 2 and 3 dropped from the OS
+        // cache: one batch over all of them. What a caller sees must not
+        // depend on the split; which side served a read is asserted only
+        // where the filesystem lets both sides happen.
+        let dir = tmpdir("split");
+        let store = Arc::new(FileStore::create(&dir, 4, 100, 256, 2).unwrap());
+        let mut pages = Vec::new();
+        for i in 0..32u64 {
+            let p = store.allocate(DiskId((i % 4) as u32)).unwrap();
+            store
+                .write(p, Bytes::from(vec![i as u8; (i as usize % 100) + 1]))
+                .unwrap();
+            pages.push(p);
+        }
+        store.evict_from_os_cache().unwrap();
+        for p in pages.iter().filter(|p| p.as_raw() % 4 < 2) {
+            store.read(*p).unwrap(); // blocking read: resident again
+        }
+        // Probe disk 3: declined with NOWAIT still on means the eviction
+        // took (it does not on a RAM-backed filesystem). Disk 2's file is
+        // left untouched, so its first page in the batch must block.
+        let evicted =
+            store.read_resident(pages[3]).unwrap().1.is_none() && store.nowait_supported();
+        store.reset_stats();
+
+        let spy = Arc::new(ThreadSpy::default());
+        let backend =
+            ThreadedFileBackend::with_observer(Arc::clone(&store), Arc::<ThreadSpy>::clone(&spy));
+        let out = collect(backend.submit_batch(&pages), pages.len());
+        let mut seen: Vec<_> = out.iter().map(|c| c.page).collect();
+        seen.sort();
+        assert_eq!(seen, pages, "exactly one completion per page");
+        let stats = store.stats();
+        assert_eq!(stats.reads_per_disk, vec![8, 8, 8, 8]);
+        let (inline, worker) = (backend.inline_reads(), backend.worker_reads());
+        assert_eq!(
+            inline + worker,
+            stats.reads,
+            "a read is tallied once, whichever side served it"
+        );
+        for disk in 0..4 {
+            assert_eq!(backend.queue_depth(disk), 0);
+        }
+        for c in &out {
+            assert_eq!(c.result.as_ref().unwrap(), &store.read(c.page).unwrap());
+            assert_eq!(c.disk, store.placement(c.page).unwrap().disk.0);
+        }
+
+        let spied = spy.0.lock().unwrap();
+        assert_eq!(spied.len(), 32);
+        let on_worker = |(disk, name): &(u32, String)| *name == format!("sqda-disk{disk}");
+        if evicted {
+            // Resident pages never left the caller; the first cold page
+            // of the batch (disk 2's) did.
+            assert!(spied.iter().all(|r| r.0 >= 2 || !on_worker(r)), "{spied:?}");
+            assert!(spied.iter().any(|r| r.0 == 2 && on_worker(r)), "{spied:?}");
+            assert!(
+                inline >= 16 && worker >= 1,
+                "inline {inline}, worker {worker}"
+            );
+        } else if store.nowait_supported() {
+            assert_eq!(
+                (inline, worker),
+                (32, 0),
+                "nothing evicted: nothing to hand off"
+            );
+        } else {
+            assert_eq!(
+                (inline, worker),
+                (0, 32),
+                "no NOWAIT: every read to a worker"
+            );
+        }
+        drop(spied);
+        drop(backend);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threaded_backend_types_errors_on_the_worker_path() {
+        // A never-written page and a page whose disk file lost its tail:
+        // the inline attempt declines both (no length / short count) and
+        // the worker's `store.read` types them, as before.
+        let dir = tmpdir("typed");
+        let store = Arc::new(FileStore::create(&dir, 2, 10, 64, 3).unwrap());
+        let blank = store.allocate(DiskId(0)).unwrap();
+        let cut = store.allocate(DiskId(1)).unwrap();
+        store.write(cut, Bytes::from(vec![9u8; 64])).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("disk0001.sqda"))
+            .unwrap();
+        file.set_len(10).unwrap();
+        let backend = ThreadedFileBackend::new(Arc::clone(&store));
+        let out = collect(backend.submit_batch(&[blank, cut]), 2);
+        for c in &out {
+            match (c.page == blank, c.result.as_ref().unwrap_err()) {
+                (true, StorageError::UninitializedPage(p)) => assert_eq!(*p, blank),
+                (false, StorageError::CorruptPage { page, detail }) => {
+                    assert_eq!(*page, cut);
+                    assert!(detail.contains("file I/O"), "{detail}");
+                }
+                (_, other) => panic!("page {:?}: unexpected {other:?}", c.page),
+            }
+        }
+        assert_eq!((backend.inline_reads(), backend.worker_reads()), (0, 2));
+        assert_eq!(store.stats().reads, 0, "a failed read is not tallied");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[derive(Default)]
     struct CountingObserver {
         reads: AtomicU64,
         service_ns: AtomicU64,
         max_depth: AtomicU64,
+        /// Held by a test to park every thread that reports a read.
+        hold: std::sync::Mutex<()>,
     }
 
     impl ReadObserver for CountingObserver {
         fn on_disk_read(&self, _disk: u32, _queue_ns: u64, service_ns: u64, queue_depth: u32) {
+            drop(self.hold.lock().unwrap());
             self.reads.fetch_add(1, Ordering::Relaxed);
             self.service_ns.fetch_add(service_ns, Ordering::Relaxed);
             self.max_depth
@@ -403,14 +582,35 @@ mod tests {
             pages.push(p);
         }
         let obs = Arc::new(CountingObserver::default());
-        let backend =
-            ThreadedFileBackend::with_observer(Arc::clone(&store), Arc::<CountingObserver>::clone(&obs));
+        let backend = ThreadedFileBackend::with_observer(
+            Arc::clone(&store),
+            Arc::<CountingObserver>::clone(&obs),
+        );
         let out = collect(backend.submit_batch(&pages), pages.len());
         assert!(out.iter().all(|c| c.result.is_ok()));
         assert_eq!(obs.reads.load(Ordering::Relaxed), 24);
-        // 12 requests per disk submitted in one burst: some request must
-        // have seen a non-empty queue.
-        assert!(obs.max_depth.load(Ordering::Relaxed) > 0);
+        assert_eq!(backend.inline_reads() + backend.worker_reads(), 24);
+
+        // Queues form behind reads that go to the workers, and a
+        // never-written page always does, on any filesystem. 12 per disk
+        // in one burst, each worker parked in the observer after its
+        // first read: at most one request per disk has left the queue
+        // when the last is submitted behind the other ten.
+        let blanks: Vec<_> = (0..24)
+            .map(|i| store.allocate(DiskId(i % 2)).unwrap())
+            .collect();
+        let handed_over = backend.worker_reads();
+        let hold = obs.hold.lock().unwrap();
+        let rx = backend.submit_batch(&blanks);
+        drop(hold);
+        let out = collect(rx, blanks.len());
+        assert!(out
+            .iter()
+            .all(|c| matches!(c.result, Err(StorageError::UninitializedPage(_)))));
+        assert_eq!(backend.worker_reads() - handed_over, 24);
+        assert_eq!(obs.reads.load(Ordering::Relaxed), 48);
+        assert!(obs.max_depth.load(Ordering::Relaxed) >= 10);
+        assert!(out.iter().map(|c| c.queue_depth).max() >= Some(10));
         // All submissions drained: outstanding counts return to zero.
         assert_eq!(backend.queue_depth(0), 0);
         assert_eq!(backend.queue_depth(1), 0);

@@ -21,6 +21,12 @@
 //! [`ArrayStore`](crate::ArrayStore)'s lock-free accounting. Readers on
 //! different disks (and on the same disk) proceed fully in parallel;
 //! only allocate/free/write take the table lock exclusively.
+//!
+//! [`FileStore::read_resident`] is the same read with the kernel asked
+//! not to block (`preadv2` + `RWF_NOWAIT`): it returns the bytes when the
+//! OS page cache holds them and declines otherwise, which is how
+//! [`crate::ThreadedFileBackend`] decides, per read, whether a hand-off
+//! to a disk worker can buy anything.
 
 use crate::store::Counters;
 use crate::{DiskId, IoStats, PageId, PageStore, Placement, Result, StorageError};
@@ -31,6 +37,7 @@ use rand::{Rng, SeedableRng};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const META_MAGIC: &[u8; 4] = b"SQDA";
 const META_VERSION: u8 = 1;
@@ -76,6 +83,75 @@ fn write_all_at(file: &File, mut buf: &[u8], mut offset: u64) -> std::io::Result
     Ok(())
 }
 
+/// The two Linux calls `std` has no safe wrapper for, declared against
+/// the C library `std` already links (no `libc` crate: the offline stub
+/// build has none). 64-bit only, where `off_t` is `i64` in every ABI.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod os {
+    use std::fs::File;
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct IoVec {
+        base: *mut u8,
+        len: usize,
+    }
+
+    const RWF_NOWAIT: i32 = 0x8;
+    const POSIX_FADV_DONTNEED: i32 = 4;
+
+    unsafe extern "C" {
+        fn preadv2(fd: i32, iov: *const IoVec, iovcnt: i32, offset: i64, flags: i32) -> isize;
+        // Takes integers only and touches no caller memory: sound to
+        // call with any arguments.
+        safe fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
+    }
+
+    /// One `preadv2(RWF_NOWAIT)`: the byte count copied out of the page
+    /// cache, or the error — `WouldBlock` when the read needs the device.
+    pub(super) fn pread_nowait(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+        let offset = i64::try_from(offset).map_err(std::io::Error::other)?;
+        let iov = IoVec {
+            base: buf.as_mut_ptr(),
+            len: buf.len(),
+        };
+        // SAFETY: `iov` describes exactly the live, exclusively borrowed
+        // `buf`, so the kernel writes at most `buf.len()` bytes into
+        // memory we own; `iov` and `buf` outlive the call, which retains
+        // neither; the descriptor is open because `file` is borrowed.
+        let n = unsafe { preadv2(file.as_raw_fd(), &iov, 1, offset, RWF_NOWAIT) };
+        if n < 0 {
+            Err(std::io::Error::last_os_error())
+        } else {
+            Ok(n as usize)
+        }
+    }
+
+    /// Flushes `file` and asks the kernel to drop its cached pages.
+    pub(super) fn drop_cached(file: &File) -> std::io::Result<()> {
+        file.sync_all()?; // dirty pages are not dropped
+        match posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) {
+            0 => Ok(()),
+            errno => Err(std::io::Error::from_raw_os_error(errno)),
+        }
+    }
+}
+
+/// Everywhere else the attempt is compiled out: every read is declined
+/// (the first one latches it off) and eviction does nothing.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+mod os {
+    use std::fs::File;
+
+    pub(super) fn pread_nowait(_: &File, _: &mut [u8], _: u64) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+
+    pub(super) fn drop_cached(_: &File) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 struct SlotInfo {
     placement: Placement,
     /// Slot index within the disk file.
@@ -110,6 +186,10 @@ pub struct FileStore {
     files: Vec<File>,
     meta: RwLock<Meta>,
     counters: Counters,
+    /// Cleared the first time the platform or the filesystem refuses a
+    /// non-blocking read outright, so that costs one failed syscall per
+    /// store, not one per read.
+    nowait: AtomicBool,
 }
 
 const NEVER_WRITTEN: u32 = u32::MAX;
@@ -210,6 +290,7 @@ impl FileStore {
                 rng: StdRng::seed_from_u64(seed),
             }),
             counters: Counters::new(num_disks),
+            nowait: AtomicBool::new(true),
         };
         store.sync()?;
         Ok(store)
@@ -332,6 +413,7 @@ impl FileStore {
                 rng: StdRng::seed_from_u64(rng_seed),
             }),
             counters: Counters::new(num_disks),
+            nowait: AtomicBool::new(true),
         })
     }
 
@@ -374,23 +456,81 @@ impl FileStore {
         }
     }
 
-    /// Looks up the physical location of a readable page: disk index,
-    /// byte offset in the disk file, and stored length.
-    fn read_plan(&self, page: PageId) -> Result<(usize, u64, usize)> {
+    /// One metadata lookup: where `page` lives, its byte offset in that
+    /// disk's file, and its stored length (`NEVER_WRITTEN` included).
+    fn locate(&self, page: PageId) -> Result<(Placement, u64, u32)> {
         let meta = self.meta.read();
         let info = meta
             .slots
             .get(page.as_raw() as usize)
             .and_then(|s| s.as_ref())
             .ok_or(StorageError::PageNotFound(page))?;
-        if info.len == NEVER_WRITTEN {
-            return Err(StorageError::UninitializedPage(page));
+        Ok((info.placement, info.slot * self.page_size as u64, info.len))
+    }
+
+    /// [`PageStore::read`] for a caller that must not block: the page's
+    /// placement, and its bytes if the OS page cache could supply all of
+    /// them at once. A successful read is tallied like any other.
+    ///
+    /// `None` means "read it somewhere that may block": the kernel said
+    /// the read needs the device, came up short, or failed, the page was
+    /// never written, or this platform has no non-blocking read. The
+    /// reason is deliberately not typed here — [`PageStore::read`] stays
+    /// the one place that turns a failing read into a [`StorageError`].
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::PageNotFound`] when `page` has no placement.
+    pub fn read_resident(&self, page: PageId) -> Result<(Placement, Option<Bytes>)> {
+        let (placement, offset, len) = self.locate(page)?;
+        let data = if len == NEVER_WRITTEN {
+            None
+        } else {
+            self.pread_nowait(placement.disk.index(), offset, len as usize)
+        };
+        Ok((placement, data))
+    }
+
+    fn pread_nowait(&self, disk: usize, offset: u64, len: usize) -> Option<Bytes> {
+        if !self.nowait_supported() {
+            return None;
         }
-        Ok((
-            info.placement.disk.index(),
-            info.slot * self.page_size as u64,
-            info.len as usize,
-        ))
+        let mut data = vec![0u8; len];
+        match os::pread_nowait(&self.files[disk], &mut data, offset) {
+            Ok(n) if n == len => {
+                self.counters.tally_read(disk);
+                Some(Bytes::from(data))
+            }
+            Ok(_) => None,
+            Err(e) => {
+                // ENOSYS / EOPNOTSUPP (kernel or filesystem without
+                // RWF_NOWAIT) and EINVAL (flag rejected) will not change
+                // on a retry; EAGAIN and the rest are per read.
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Unsupported | std::io::ErrorKind::InvalidInput
+                ) {
+                    self.nowait.store(false, Ordering::Relaxed);
+                }
+                None
+            }
+        }
+    }
+
+    /// Whether [`read_resident`](Self::read_resident) still attempts
+    /// non-blocking reads: `false` once the platform or this store's
+    /// filesystem has refused one.
+    pub fn nowait_supported(&self) -> bool {
+        self.nowait.load(Ordering::Relaxed)
+    }
+
+    /// Flushes every disk file and asks the OS to drop its cached pages
+    /// (`posix_fadvise(DONTNEED)`), so the next reads come from the
+    /// device — what an honest cold measurement needs. Advisory: a
+    /// RAM-backed filesystem keeps its pages, and elsewhere than Linux
+    /// this does nothing.
+    pub fn evict_from_os_cache(&self) -> std::io::Result<()> {
+        self.files.iter().try_for_each(os::drop_cached)
     }
 }
 
@@ -460,14 +600,11 @@ impl PageStore for FileStore {
                 info.slot * self.page_size as u64,
             )
         };
-        let file = &self.files[disk];
-        write_all_at(file, &data, offset).map_err(|e| Self::io_err(e, page))?;
-        // Pad to a full page so slots never overlap.
-        let pad = self.page_size - data.len();
-        if pad > 0 {
-            write_all_at(file, &vec![0u8; pad], offset + data.len() as u64)
-                .map_err(|e| Self::io_err(e, page))?;
-        }
+        // One write of the whole slot, payload then zeros: slots never
+        // overlap and a shorter rewrite leaves no stale tail behind.
+        let mut slot = vec![0u8; self.page_size];
+        slot[..data.len()].copy_from_slice(&data);
+        write_all_at(&self.files[disk], &slot, offset).map_err(|e| Self::io_err(e, page))?;
         self.counters.tally_write(disk);
         Ok(())
     }
@@ -476,8 +613,12 @@ impl PageStore for FileStore {
         // Shared metadata lock, dropped before the file access; the read
         // itself is positional on the per-disk handle, so concurrent
         // readers — same disk or different disks — never serialize.
-        let (disk, offset, len) = self.read_plan(page)?;
-        let mut data = vec![0u8; len];
+        let (placement, offset, len) = self.locate(page)?;
+        if len == NEVER_WRITTEN {
+            return Err(StorageError::UninitializedPage(page));
+        }
+        let disk = placement.disk.index();
+        let mut data = vec![0u8; len as usize];
         read_exact_at(&self.files[disk], &mut data, offset).map_err(|e| Self::io_err(e, page))?;
         self.counters.tally_read(disk);
         Ok(Bytes::from(data))
@@ -497,12 +638,7 @@ impl PageStore for FileStore {
     }
 
     fn placement(&self, page: PageId) -> Result<Placement> {
-        let meta = self.meta.read();
-        meta.slots
-            .get(page.as_raw() as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.placement)
-            .ok_or(StorageError::PageNotFound(page))
+        self.locate(page).map(|(placement, _, _)| placement)
     }
 
     fn stats(&self) -> IoStats {
@@ -544,6 +680,61 @@ mod tests {
         // Rewrite with different length.
         s.write(p, Bytes::from_static(b"xy")).unwrap();
         assert_eq!(s.read(p).unwrap(), Bytes::from_static(b"xy"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_lays_down_one_zero_padded_slot() {
+        // The raw disk file, byte for byte: payload then zeros up to the
+        // slot size, for a short, a full-length and an empty payload, and
+        // no stale tail after a longer-then-shorter rewrite.
+        let dir = tmpdir("rawbytes");
+        let s = FileStore::create(&dir, 1, 10, 16, 1).unwrap();
+        let pages: Vec<_> = (0..3).map(|_| s.allocate(DiskId(0)).unwrap()).collect();
+        s.write(pages[0], Bytes::from_static(b"a longer one"))
+            .unwrap();
+        s.write(pages[0], Bytes::from_static(b"short")).unwrap();
+        s.write(pages[1], Bytes::from(vec![7u8; 16])).unwrap();
+        s.write(pages[2], Bytes::new()).unwrap();
+        let mut want = vec![0u8; 48];
+        want[..5].copy_from_slice(b"short");
+        want[16..32].fill(7);
+        assert_eq!(std::fs::read(dir.join("disk0000.sqda")).unwrap(), want);
+        assert_eq!(s.read(pages[0]).unwrap(), Bytes::from_static(b"short"));
+        assert_eq!(s.read(pages[2]).unwrap(), Bytes::new());
+        assert_eq!(s.stats().writes, 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_resident_matches_read_or_declines() {
+        let dir = tmpdir("resident");
+        let s = FileStore::create(&dir, 2, 10, 64, 1).unwrap();
+        let p = s.allocate(DiskId(1)).unwrap();
+        let blank = s.allocate(DiskId(0)).unwrap();
+        s.write(p, Bytes::from_static(b"payload")).unwrap();
+        s.reset_stats();
+        // A page just written is in the OS cache: served, and tallied
+        // like a `read` — unless this filesystem has no NOWAIT reads.
+        let (placement, data) = s.read_resident(p).unwrap();
+        assert_eq!(placement, s.placement(p).unwrap());
+        if s.nowait_supported() {
+            assert_eq!(data, Some(Bytes::from_static(b"payload")));
+            assert_eq!(s.stats().reads_per_disk, vec![0, 1]);
+        } else {
+            assert_eq!(data, None);
+            assert_eq!(s.stats().reads, 0);
+        }
+        // Never written: declined with its placement, not typed here.
+        let (placement, data) = s.read_resident(blank).unwrap();
+        assert_eq!((placement.disk, data), (DiskId(0), None));
+        assert!(matches!(
+            s.read_resident(PageId::from_raw(99)),
+            Err(StorageError::PageNotFound(_))
+        ));
+        // Eviction never changes what a read returns.
+        s.evict_from_os_cache().unwrap();
+        assert_eq!(s.read(p).unwrap(), Bytes::from_static(b"payload"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
