@@ -159,12 +159,13 @@ fn bench_batch_knn(c: &mut Criterion) {
         })
         .collect();
     let mut scratch = sqda_core::BatchScratch::new();
-    sqda_core::batch_knn_with(&tree, &queries, 10, &mut scratch).expect("batch knn"); // warm
+    sqda_core::batch_knn_with(&tree, None, &queries, 10, &mut scratch).expect("batch knn"); // warm
     let mut group = c.benchmark_group("hotpath/batch_knn");
     group.throughput(Throughput::Elements(queries.len() as u64));
     group.bench_function("b8_k10", |b| {
         b.iter(|| {
-            let report = sqda_core::batch_knn_with(&tree, &queries, 10, &mut scratch).unwrap();
+            let report =
+                sqda_core::batch_knn_with(&tree, None, &queries, 10, &mut scratch).unwrap();
             black_box(report.answers.len())
         })
     });

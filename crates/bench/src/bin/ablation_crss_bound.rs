@@ -10,7 +10,7 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions, ResultsTable,
 };
-use sqda_core::{exec::run_query, Crss, Simulation, Workload};
+use sqda_core::{exec::run_query, Crss, RunOptions, Simulation, Workload};
 use sqda_datasets::gaussian;
 use sqda_obs::MetricSummary;
 use sqda_simkernel::SystemParams;
@@ -64,10 +64,11 @@ fn main() {
             nodes_per_query.push(nodes as f64 / queries.len() as f64);
             let sim_report = sim
                 .run_with(
-                    |point, kk| Box::new(Crss::with_activation_bound(&tree, point, kk, u)),
-                    "CRSS",
                     &Workload::poisson(queries.clone(), k, lambda, rep_seed(1712, rep)),
                     rep_seed(1713, rep),
+                    RunOptions::factory("CRSS", &mut |point, kk| {
+                        Box::new(Crss::with_activation_bound(&tree, point, kk, u))
+                    }),
                 )
                 .expect("simulation");
             resp.push(sim_report.mean_response_s);

@@ -250,12 +250,13 @@ fn main() {
         .collect();
     let mut batch_scratch = sqda_core::BatchScratch::new();
     let batch_report =
-        sqda_core::batch_knn_with(&tree, &batch_queries, K, &mut batch_scratch).expect("batch");
+        sqda_core::batch_knn_with(&tree, None, &batch_queries, K, &mut batch_scratch)
+            .expect("batch");
     let mut batch_reps = Vec::with_capacity(reps);
     for _ in 0..reps {
         let start = Instant::now();
-        let r =
-            sqda_core::batch_knn_with(&tree, &batch_queries, K, &mut batch_scratch).expect("batch");
+        let r = sqda_core::batch_knn_with(&tree, None, &batch_queries, K, &mut batch_scratch)
+            .expect("batch");
         std::hint::black_box(r.answers.len());
         batch_reps.push(start.elapsed().as_nanos() as f64 / batch_queries.len() as f64);
     }

@@ -29,6 +29,7 @@ use sqda_bench::{
 };
 use sqda_datasets::uniform_stream;
 use sqda_geom::Point;
+use sqda_obs::stats::percentile;
 use sqda_obs::MetricSummary;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{ExternalBuildOptions, FnSource, Node, PointSource, RStarConfig, RStarTree};
@@ -47,19 +48,6 @@ const RUN_CAPACITY: usize = 1 << 15;
 /// thousand 2-d nodes — far below the 1M+ trees, so the cold/warm gap
 /// is real.
 const CACHE_BYTES: usize = 2 << 20;
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-    }
-}
 
 /// Times one k-NN pass over `queries`, returning (sorted latencies in
 /// seconds, answers).

@@ -12,7 +12,7 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions, ResultsTable,
 };
-use sqda_core::{exec::run_query, Crss, Simulation, Workload};
+use sqda_core::{exec::run_query, Crss, RunOptions, Simulation, Workload};
 use sqda_datasets::{gaussian, uniform};
 use sqda_obs::MetricSummary;
 use sqda_simkernel::SystemParams;
@@ -73,16 +73,21 @@ fn main() {
                 let w = Workload::poisson(queries.clone(), k, lambda, rep_seed(2112, rep));
                 let sim_seed = rep_seed(2113, rep);
                 stock_resp.push(
-                    sim.run_with(|p, kk| Box::new(Crss::new(&tree, p, kk)), "CRSS", &w, sim_seed)
-                        .expect("simulation")
-                        .mean_response_s,
+                    sim.run_with(
+                        &w,
+                        sim_seed,
+                        RunOptions::factory("CRSS", &mut |p, kk| Box::new(Crss::new(&tree, p, kk))),
+                    )
+                    .expect("simulation")
+                    .mean_response_s,
                 );
                 tight_resp.push(
                     sim.run_with(
-                        |p, kk| Box::new(Crss::new(&tree, p, kk).with_minmax_threshold()),
-                        "CRSS+mm",
                         &w,
                         sim_seed,
+                        RunOptions::factory("CRSS+mm", &mut |p, kk| {
+                            Box::new(Crss::new(&tree, p, kk).with_minmax_threshold())
+                        }),
                     )
                     .expect("simulation")
                     .mean_response_s,

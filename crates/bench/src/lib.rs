@@ -10,7 +10,8 @@
 //! by CI and the smoke tests; the default configuration is paper scale.
 
 use sqda_core::{
-    exec::run_query_with, AlgorithmKind, QueryScratch, Simulation, SimulationReport, Workload,
+    exec::run_query_with, AlgorithmKind, QueryScratch, RunOptions, Simulation, SimulationReport,
+    Workload,
 };
 use sqda_datasets::Dataset;
 use sqda_geom::Point;
@@ -366,8 +367,12 @@ pub fn simulate_faulted(
     params.mirrored_reads = true;
     let sim = Simulation::new(tree, params).expect("simulation");
     let workload = Workload::poisson(queries.to_vec(), k, lambda, seed);
-    sim.run_faulted(kind, &workload, seed ^ 0x5eed, plan)
-        .expect("simulation")
+    sim.run_with(
+        &workload,
+        seed ^ 0x5eed,
+        RunOptions::kind(kind).faults(plan),
+    )
+    .expect("simulation")
 }
 
 /// Whether [`simulate_observed`] has already written its one trace this

@@ -3,7 +3,7 @@
 use crate::args::{parse_point, Args};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
-use sqda_core::{exec::run_query, AlgorithmKind, RealTimeEngine, Simulation, Workload};
+use sqda_core::{exec::run_query, AlgorithmKind, RealTimeEngine, RunOptions, Simulation, Workload};
 use sqda_datasets::Dataset;
 use sqda_geom::Point;
 use sqda_obs::{metrics_document, trace_document, CollectingRecorder, Event, Prediction};
@@ -471,11 +471,11 @@ pub fn simulate(args: &Args) -> CmdResult {
     let workload = Workload::poisson(sample, k, lambda, seed ^ 0xABCD);
     let sim = Simulation::new(&tree, params)?;
     let mut recorder = CollectingRecorder::default();
-    let report = if trace.is_some() || metrics.is_some() {
-        sim.run_faulted_recorded(kind, &workload, seed ^ 0x1234, &plan, &mut recorder)?
-    } else {
-        sim.run_faulted(kind, &workload, seed ^ 0x1234, &plan)?
-    };
+    let mut options = RunOptions::kind(kind).faults(&plan);
+    if trace.is_some() || metrics.is_some() {
+        options = options.recorded(&mut recorder);
+    }
+    let report = sim.run_with(&workload, seed ^ 0x1234, options)?;
     println!("algorithm        : {}", report.algorithm);
     println!("queries          : {}", report.completed);
     println!("mean response    : {:.4} s", report.mean_response_s);

@@ -22,11 +22,12 @@
 use crate::access::{AccessMethod, IndexNode};
 use crate::algo::KBest;
 use crate::error::QueryError;
+use crate::exec::{fetch_round, Round};
 use crate::threshold::{lemma1_threshold_sq, Candidate};
 use sqda_geom::Point;
 use sqda_rstar::{Neighbor, ObjectId};
 use sqda_storage::{IoBackend, PageId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Results of one shared-traversal batch.
 #[derive(Debug, Clone)]
@@ -55,14 +56,15 @@ impl BatchKnnReport {
     }
 }
 
-/// Reusable workspace for [`batch_knn_with`]: the kernel scratch buffers
-/// survive across batches, so a steady-state batch stream allocates only
-/// per-query state.
+/// Reusable workspace for [`batch_knn_with`]: the kernel scratch and
+/// round-read buffers survive across batches, so a steady-state batch
+/// stream allocates only per-query state.
 #[derive(Default)]
 pub struct BatchScratch {
     d_min: Vec<f64>,
     d_mm: Vec<f64>,
     d_max: Vec<f64>,
+    round: Round,
 }
 
 impl BatchScratch {
@@ -72,7 +74,8 @@ impl BatchScratch {
     }
 }
 
-/// Runs `queries` as one shared-traversal k-NN batch over `am`.
+/// Runs `queries` as one shared-traversal k-NN batch over `am`, reading
+/// through the access method itself.
 ///
 /// See the module docs for semantics; answers are bit-identical to
 /// running [`crate::Fpss`] per query.
@@ -81,97 +84,22 @@ pub fn batch_knn(
     queries: &[Point],
     k: usize,
 ) -> Result<BatchKnnReport, QueryError> {
-    let mut scratch = BatchScratch::new();
-    batch_knn_with(am, queries, k, &mut scratch)
+    batch_knn_with(am, None, queries, k, &mut BatchScratch::new())
 }
 
-/// [`batch_knn`] over a caller-supplied [`BatchScratch`].
-pub fn batch_knn_with(
-    am: &(impl AccessMethod + ?Sized),
-    queries: &[Point],
-    k: usize,
-    scratch: &mut BatchScratch,
-) -> Result<BatchKnnReport, QueryError> {
-    batch_knn_core(am, queries, k, scratch, &mut |am, pages, out| {
-        for &page in pages {
-            out.push(am.read_index_node(page)?);
-        }
-        Ok(())
-    })
-}
-
-/// [`batch_knn`] with each wavefront read served through an
-/// [`IoBackend`]: cache probes first (hit/miss accounting identical to
-/// the read-through path), then one `submit_batch` call for the misses —
-/// over a [`sqda_storage::ThreadedFileBackend`] the whole round reads
-/// concurrently across the per-disk files. Completions arrive in finish
-/// order, **not** request order; they are re-assembled by page id before
-/// the kernels run, so answers and the report stay bit-identical to
-/// [`batch_knn`].
-pub fn batch_knn_backend(
-    am: &(impl AccessMethod + ?Sized),
-    backend: &dyn IoBackend,
-    queries: &[Point],
-    k: usize,
-) -> Result<BatchKnnReport, QueryError> {
-    let mut scratch = BatchScratch::new();
-    batch_knn_backend_with(am, backend, queries, k, &mut scratch)
-}
-
-/// [`batch_knn_backend`] over a caller-supplied [`BatchScratch`].
-pub fn batch_knn_backend_with(
-    am: &(impl AccessMethod + ?Sized),
-    backend: &dyn IoBackend,
-    queries: &[Point],
-    k: usize,
-    scratch: &mut BatchScratch,
-) -> Result<BatchKnnReport, QueryError> {
-    let mut decoded: HashMap<PageId, IndexNode> = HashMap::new();
-    let mut misses: Vec<PageId> = Vec::new();
-    batch_knn_core(am, queries, k, scratch, &mut |am, pages, out| {
-        decoded.clear();
-        misses.clear();
-        for &page in pages {
-            match am.cached_index_node(page)? {
-                Some(node) => {
-                    decoded.insert(page, node);
-                }
-                None => misses.push(page),
-            }
-        }
-        if !misses.is_empty() {
-            let rx = backend.submit_batch(&misses);
-            for _ in 0..misses.len() {
-                let completion = rx.recv().map_err(|_| {
-                    QueryError::Invariant("I/O backend dropped a batch mid-flight".into())
-                })?;
-                let bytes = completion.result?;
-                let node = am.decode_index_node(completion.page, bytes)?;
-                decoded.insert(completion.page, node);
-            }
-        }
-        for &page in pages {
-            out.push(decoded.remove(&page).ok_or_else(|| {
-                QueryError::Invariant(format!("page {page:?} requested but never delivered"))
-            })?);
-        }
-        Ok(())
-    })
-}
-
-/// Signature of a wavefront reader: append one decoded node per page of
-/// `pages`, in request order, to `out`.
-type FetchWave<'a, A> =
-    dyn FnMut(&A, &[PageId], &mut Vec<IndexNode>) -> Result<(), QueryError> + 'a;
-
-/// The shared-traversal state machine, generic over how each round's
-/// page union is turned into decoded nodes.
-fn batch_knn_core<A: AccessMethod + ?Sized>(
+/// [`batch_knn`] over a caller-supplied [`BatchScratch`] and, with
+/// `backend` given, with each wavefront read served through that
+/// [`IoBackend`] the way the real-clock engine reads a session's batch:
+/// cache probes first, then one `submit_batch` for the misses — over a
+/// [`sqda_storage::ThreadedFileBackend`] the whole round reads
+/// concurrently across the per-disk files — re-assembled in request
+/// order, so answers and the report stay bit-identical to [`batch_knn`].
+pub fn batch_knn_with<A: AccessMethod + ?Sized>(
     am: &A,
+    backend: Option<&dyn IoBackend>,
     queries: &[Point],
     k: usize,
     scratch: &mut BatchScratch,
-    fetch_wave: &mut FetchWave<'_, A>,
 ) -> Result<BatchKnnReport, QueryError> {
     let b = queries.len();
     let mut kbest: Vec<KBest> = (0..b).map(|_| KBest::new(k)).collect();
@@ -188,25 +116,24 @@ fn batch_knn_core<A: AccessMethod + ?Sized>(
     // Per-query candidate accumulators for the current round.
     let mut cands: Vec<Vec<Candidate>> = (0..b).map(|_| Vec::new()).collect();
 
-    let mut nodes: Vec<IndexNode> = Vec::new();
     while !frontier.is_empty() {
         rounds += 1;
         let wave = std::mem::take(&mut frontier);
-        // One fetch call covers the whole round (over an I/O backend the
+        // One fetch covers the whole round (over an I/O backend the
         // union reads in parallel); one decode serves every interested
         // query of a page.
         let pages: Vec<PageId> = wave.keys().copied().collect();
-        nodes.clear();
-        fetch_wave(am, &pages, &mut nodes)?;
-        if nodes.len() != pages.len() {
-            return Err(QueryError::Invariant(format!(
-                "wavefront reader returned {} nodes for {} pages",
-                nodes.len(),
-                pages.len()
-            )));
+        match backend {
+            Some(backend) => fetch_round(am, backend, &pages, &mut scratch.round, |_| {})?,
+            None => {
+                scratch.round.nodes.clear();
+                for &page in &pages {
+                    scratch.round.nodes.push(am.read_index_node(page)?);
+                }
+            }
         }
         let mut leaf_round = false;
-        for ((_page, interested), node) in wave.into_iter().zip(nodes.drain(..)) {
+        for ((_page, interested), node) in wave.into_iter().zip(scratch.round.nodes.drain(..)) {
             unique_fetches += 1;
             total_interest += interested.len() as u64;
             match node {
@@ -385,7 +312,8 @@ mod tests {
             .collect();
         for k in [1, 7] {
             let direct = batch_knn(&tree, &queries, k).unwrap();
-            let routed = batch_knn_backend(&tree, &backend, &queries, k).unwrap();
+            let mut scratch = BatchScratch::new();
+            let routed = batch_knn_with(&tree, Some(&backend), &queries, k, &mut scratch).unwrap();
             // Identical counters: the backend path fetches the same page
             // union per round, it only changes who performs the reads.
             assert_eq!(routed.unique_fetches, direct.unique_fetches);

@@ -4,12 +4,13 @@
 //! notions of time: the *virtual* clock of the event-driven simulator
 //! (advanced by popping the [`EventQueue`](sqda_simkernel::EventQueue))
 //! and the *wall* clock of the real-file engine (advanced by the
-//! machine). Observability events are stamped through [`EngineClock`]
-//! in both modes, so a trace consumer sees one timestamp discipline —
-//! nanoseconds since run start — regardless of which engine produced
-//! the stream.
+//! machine). The session core reads time, and observability events are
+//! stamped, through [`EngineClock`] in both modes, so a trace consumer
+//! sees one timestamp discipline — nanoseconds since run start —
+//! regardless of which engine produced the stream.
 
 use sqda_simkernel::SimTime;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Monotonic nanoseconds since the start of an engine run.
@@ -21,10 +22,12 @@ pub trait EngineClock {
 /// The simulator's clock: holds the timestamp of the event currently
 /// being processed. The event loop advances it on every pop, so
 /// `now_ns` is exactly the popped event's time — recording through it
-/// is bit-identical to stamping with the event time directly.
+/// is bit-identical to stamping with the event time directly. The
+/// instant sits in a `Cell`: the loop advances the clock while the
+/// narrator it stamps for holds it shared.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    now: SimTime,
+    now: Cell<SimTime>,
 }
 
 impl VirtualClock {
@@ -36,22 +39,22 @@ impl VirtualClock {
     /// Advances to the time of the event being processed. Events pop in
     /// non-decreasing time order, so the clock never runs backwards.
     #[inline]
-    pub fn advance(&mut self, to: SimTime) {
-        debug_assert!(to >= self.now, "virtual clock cannot run backwards");
-        self.now = to;
+    pub fn advance(&self, to: SimTime) {
+        debug_assert!(to >= self.now.get(), "virtual clock cannot run backwards");
+        self.now.set(to);
     }
 
     /// The current simulated instant.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.now.get()
     }
 }
 
 impl EngineClock for VirtualClock {
     #[inline]
     fn now_ns(&self) -> u64 {
-        self.now.as_nanos()
+        self.now.get().as_nanos()
     }
 }
 
@@ -90,7 +93,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_tracks_event_times() {
-        let mut clock = VirtualClock::new();
+        let clock = VirtualClock::new();
         assert_eq!(clock.now_ns(), 0);
         clock.advance(SimTime::from_nanos(42));
         assert_eq!(clock.now_ns(), 42);
@@ -102,7 +105,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "backwards")]
     fn virtual_clock_rejects_time_travel() {
-        let mut clock = VirtualClock::new();
+        let clock = VirtualClock::new();
         clock.advance(SimTime::from_nanos(10));
         clock.advance(SimTime::from_nanos(9));
     }

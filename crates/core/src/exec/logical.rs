@@ -1,25 +1,11 @@
 //! The logical executor: runs one query to completion, counting node
 //! accesses (the effectiveness metric of Figures 8–9).
 
+use super::clock::VirtualClock;
+use super::session::{CpuCharge, Narrator, QueryRun, Session};
 use crate::access::AccessMethod;
-use crate::algo::{SimilaritySearch, Step};
+use crate::algo::SimilaritySearch;
 use crate::error::QueryError;
-use sqda_rstar::Neighbor;
-
-/// The outcome of one logically executed query.
-#[derive(Debug, Clone)]
-pub struct QueryRun {
-    /// The k answers, sorted by increasing distance.
-    pub results: Vec<Neighbor>,
-    /// Total nodes (pages) fetched, including the root.
-    pub nodes_visited: u64,
-    /// Number of fetch batches (round trips to the array).
-    pub batches: u64,
-    /// Largest single batch (peak intra-query parallelism demand).
-    pub max_batch: usize,
-    /// CPU instructions accumulated under the paper's cost model.
-    pub cpu_instructions: u64,
-}
 
 /// Runs `algo` against any access method until completion.
 ///
@@ -37,36 +23,26 @@ pub fn run_query(
 /// [`run_query`] over a reusable [`crate::QueryScratch`]: the fetched-batch
 /// buffer is borrowed from the scratch, so a sweep of queries re-fills one
 /// allocation instead of building a fresh `Vec` per batch.
+///
+/// The session core with the scheduling taken out: every page is read
+/// the moment it is asked for, no clock runs and nothing is narrated.
 pub fn run_query_with(
     am: &(impl AccessMethod + ?Sized),
     algo: &mut dyn SimilaritySearch,
     scratch: &mut crate::QueryScratch,
 ) -> Result<QueryRun, QueryError> {
-    let mut step = algo.start();
-    let mut nodes_visited = 0u64;
-    let mut batches = 0u64;
-    let mut max_batch = 0usize;
-    let mut cpu_instructions = 0u64;
+    let clock = VirtualClock::new();
+    let mut nar = Narrator::off(&clock);
     scratch.batch.clear();
-    while let Step::Fetch(pages) = step {
-        assert!(!pages.is_empty(), "{}: empty fetch batch", algo.name());
-        nodes_visited += pages.len() as u64;
-        batches += 1;
-        max_batch = max_batch.max(pages.len());
+    let mut session = Session::new(algo, 0, 0, std::mem::take(&mut scratch.batch));
+    session.arrive(&mut nar);
+    while let Some(pages) = session.next_batch(&mut nar)? {
         for page in pages {
-            scratch.batch.push((page, am.read_index_node(page)?));
+            let node = am.read_index_node(page)?;
+            session.deliver(&mut nar, page, node, |_, _| CpuCharge::default())?;
         }
-        let result = algo.on_fetched(&mut scratch.batch);
-        debug_assert!(scratch.batch.is_empty(), "algorithms drain the batch");
-        scratch.batch.clear();
-        cpu_instructions += result.cpu_instructions;
-        step = result.next;
     }
-    Ok(QueryRun {
-        results: algo.results(),
-        nodes_visited,
-        batches,
-        max_batch,
-        cpu_instructions,
-    })
+    let (run, buffer) = session.finish();
+    scratch.batch = buffer;
+    Ok(run)
 }

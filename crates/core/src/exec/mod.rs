@@ -2,11 +2,13 @@
 //! accesses), under the full event-driven disk-array timing model, or
 //! against real files on the machine's clock.
 //!
-//! The three executors share one session/batch machinery ([`session`])
-//! and one timestamp discipline ([`clock`]): the simulator drives it
-//! with the virtual [`clock::VirtualClock`] advanced by its event
-//! queue, the real-clock engine with [`clock::WallClock`] and an
-//! [`sqda_storage::IoBackend`] for batched reads.
+//! The per-query lifecycle exists once, in [`session`]; the three
+//! executors are schedulers over it that only decide where a page and a
+//! timestamp come from: the logical executor reads on the spot with no
+//! clock, the simulator routes pages through its disk/bus/CPU models on
+//! the [`clock::VirtualClock`] its event queue advances, and the
+//! real-clock engine submits batches to an [`sqda_storage::IoBackend`]
+//! on the [`clock::WallClock`].
 
 mod clock;
 mod logical;
@@ -15,7 +17,8 @@ mod session;
 mod sim;
 
 pub use clock::{EngineClock, VirtualClock, WallClock};
-pub use logical::{run_query, run_query_with, QueryRun};
+pub use logical::{run_query, run_query_with};
+pub(crate) use real::{fetch_round, Round};
 pub use real::{RealTimeEngine, RealTimeReport};
-pub use session::mirror_partner;
-pub use sim::{Simulation, SimulationReport};
+pub use session::{mirror_partner, QueryRun};
+pub use sim::{AlgoFactory, RunOptions, Simulation, SimulationReport};

@@ -1,6 +1,6 @@
-//! The real-clock executor: the same session/batch machinery as the
-//! simulator, driven by the machine's clock and a batched I/O backend
-//! instead of the event queue and the disk timing model.
+//! The real-clock executor: the same session core as the simulator,
+//! scheduled by the machine's clock and a batched I/O backend instead of
+//! the event queue and the disk timing model.
 //!
 //! One k-NN activation round becomes one [`IoBackend::submit_batch`]
 //! call — over a [`ThreadedFileBackend`](sqda_storage::ThreadedFileBackend)
@@ -14,21 +14,25 @@
 //!
 //! Observability uses the same vocabulary as the simulated engine —
 //! `query_arrive`, `batch_issued`, `disk_service`, `cpu_slice`,
-//! `query_complete` — stamped through [`WallClock`] instead of the
-//! virtual clock. Wall-clock `disk_service` carries measured queue and
-//! transfer times (seek/rotation are not separable on real files), and
-//! there are no `bus_transfer` events: the memory bus is not observable
-//! from user space.
+//! `query_complete`, `query_abort` — stamped through [`WallClock`]
+//! instead of the virtual clock. Wall-clock `disk_service` carries
+//! measured queue and transfer times (seek/rotation are not separable on
+//! real files), and there are no `bus_transfer` events: the memory bus
+//! is not observable from user space.
 
-use super::clock::{EngineClock, WallClock};
-use super::session::{settle_outstanding, Session, SessionObs};
+use super::clock::WallClock;
+use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session, SessionObs};
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{AlgorithmKind, Step};
+use crate::algo::{AlgorithmKind, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
-use sqda_obs::{Event as ObsEvent, LiveTelemetry, NullRecorder, QueryObservation, Recorder};
+use sqda_obs::stats::percentile;
+use sqda_obs::{
+    CollectingRecorder, Event as ObsEvent, LiveTelemetry, NullRecorder, Prediction, QueryExplain,
+    QueryObservation, Recorder,
+};
 use sqda_rstar::Neighbor;
-use sqda_storage::{IoBackend, PageId};
+use sqda_storage::{IoBackend, PageId, ReadCompletion};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,67 +76,20 @@ pub struct RealTimeReport {
     pub failures: Vec<(u32, QueryError)>,
 }
 
-/// Linear-interpolated percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-    }
-}
-
 /// Outcome of one driven session, before aggregation.
 struct SessionOutcome {
     index: u32,
     result: Result<CompletedSession, QueryError>,
 }
 
-/// Per-query introspection accumulators behind [`RealTimeEngine::
-/// explain_query`]: everything a [`sqda_obs::QueryExplain`] reports
-/// beyond the [`SessionObs`] timing accumulators. Collected inline in
-/// `drive_session` so an explained query runs the exact same code path
-/// (and produces the exact same answers and I/O) as a bare one.
-struct ExplainProbe {
-    /// Node accesses per tree level, index 0 = root.
-    level_accesses: Vec<u64>,
-    /// Pages per fetch batch, in issue order.
-    batch_sizes: Vec<u32>,
-    /// Lemma-1 threshold (`d_th`) after each batch, when the algorithm
-    /// exposes it.
-    thresholds: Vec<f64>,
-    /// Physical reads per disk for this query.
-    reads_per_disk: Vec<u64>,
-    /// Node lookups served by the decoded-node cache.
-    cache_hits: u64,
-    /// Node lookups that went to the I/O backend.
-    cache_misses: u64,
-}
-
-impl ExplainProbe {
-    fn new(num_disks: u32) -> Self {
-        Self {
-            level_accesses: Vec::new(),
-            batch_sizes: Vec::new(),
-            thresholds: Vec::new(),
-            reads_per_disk: vec![0; num_disks as usize],
-            cache_hits: 0,
-            cache_misses: 0,
-        }
-    }
-}
+/// What an explained query is asked with beyond a bare one: the arrival
+/// rate its prediction assumed, whether that prediction used a device
+/// calibration, and the prediction itself.
+type ExplainRequest = (f64, bool, Option<Prediction>);
 
 struct CompletedSession {
+    run: QueryRun,
     response_ns: u64,
-    nodes_visited: u64,
-    answers: Vec<Neighbor>,
-    /// Component accumulators, populated when recording or live
-    /// telemetry asked for them (zeros otherwise).
     obs: SessionObs,
 }
 
@@ -153,8 +110,8 @@ fn observation(
         query,
         algo: kind.name(),
         k,
-        answers: done.map_or(0, |d| d.answers.len()),
-        nodes: done.map_or(0, |d| d.nodes_visited),
+        answers: done.map_or(0, |d| d.run.results.len()),
+        nodes: done.map_or(0, |d| d.run.nodes_visited),
         batches: obs.batches,
         response_ns: done.map_or(0, |d| d.response_ns),
         disk_queue_ns: obs.disk_queue_ns,
@@ -164,28 +121,66 @@ fn observation(
     }
 }
 
-/// Rewrites the query id an event is tagged with: recorder streams use
-/// workload indices (what the post-hoc tooling joins on), the shared
-/// flight recorder uses the global serving ids [`LiveTelemetry`] hands
-/// out, so one constructed event serves both.
-fn retag(event: ObsEvent, query: u32) -> ObsEvent {
-    let mut ev = event;
-    match &mut ev {
-        ObsEvent::QueryArrive { query: q }
-        | ObsEvent::QueryComplete { query: q, .. }
-        | ObsEvent::BatchIssued { query: q, .. }
-        | ObsEvent::DiskService { query: q, .. }
-        | ObsEvent::BusTransfer { query: q, .. }
-        | ObsEvent::CpuSlice { query: q, .. }
-        | ObsEvent::CrssState { query: q, .. }
-        | ObsEvent::DegradedRead { query: q, .. }
-        | ObsEvent::ReadRetry { query: q, .. }
-        | ObsEvent::QueryAbort { query: q, .. } => *q = query,
-        ObsEvent::DiskFailed { .. }
-        | ObsEvent::DiskRecovered { .. }
-        | ObsEvent::DiskDegraded { .. } => {}
+/// Reusable buffers of [`fetch_round`]; after a round, `nodes` holds its
+/// decoded nodes in request order and `misses` the pages the backend
+/// read.
+#[derive(Default)]
+pub(crate) struct Round {
+    decoded: HashMap<PageId, IndexNode>,
+    pub(crate) misses: Vec<PageId>,
+    pub(crate) nodes: Vec<IndexNode>,
+}
+
+/// Reads one round's pages through `backend`: cache probes first
+/// (hit/miss accounting identical to the read-through path), then one
+/// `submit_batch` for the misses, so the whole round reads in parallel.
+/// Completions arrive in finish order — `on_read` sees each as it lands —
+/// and are re-assembled in request order, so callers get exactly what
+/// the logical and simulated executors deliver.
+pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
+    am: &A,
+    backend: &dyn IoBackend,
+    pages: &[PageId],
+    round: &mut Round,
+    mut on_read: impl FnMut(&ReadCompletion),
+) -> Result<(), QueryError> {
+    round.decoded.clear();
+    round.misses.clear();
+    round.nodes.clear();
+    for &page in pages {
+        match am.cached_index_node(page)? {
+            Some(node) => {
+                round.decoded.insert(page, node);
+            }
+            None => round.misses.push(page),
+        }
     }
-    ev
+    if !round.misses.is_empty() {
+        let rx = backend.submit_batch(&round.misses);
+        for _ in 0..round.misses.len() {
+            let completion = rx.recv().map_err(|_| {
+                QueryError::Invariant("I/O backend dropped a batch mid-flight".into())
+            })?;
+            on_read(&completion);
+            let node = am.decode_index_node(completion.page, completion.result?)?;
+            round.decoded.insert(completion.page, node);
+        }
+    }
+    for page in pages {
+        round.nodes.push(round.decoded.remove(page).ok_or_else(|| {
+            QueryError::Invariant(format!("page {page:?} requested but never delivered"))
+        })?);
+    }
+    Ok(())
+}
+
+/// What a worker carries from one query to the next: its narrator (and
+/// with it the page→level map), scratch buffers and CPU-track id.
+struct Worker<'a> {
+    id: u16,
+    nar: Narrator<'a>,
+    scratch: crate::QueryScratch,
+    round: Round,
 }
 
 /// The wall-clock twin of [`super::Simulation`]: executes a workload
@@ -258,19 +253,19 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     /// wavefront page a single time, and serves every interested query
     /// from the shared block via the batch distance kernels. Answers are
     /// bit-identical to running FPSS per query through [`Self::run`].
-    /// Each round probes the node cache first, then reads the misses
-    /// through this engine's [`IoBackend`] as one submitted batch — over
-    /// a threaded backend the whole wavefront reads concurrently across
-    /// the per-disk files, the same intra-round parallelism the
-    /// per-session scheduler gets. Returns the batch report and the
-    /// wall-clock seconds the batch took.
+    /// Each round is read through this engine's [`IoBackend`] exactly as
+    /// a session's batch is — over a threaded backend the whole
+    /// wavefront reads concurrently across the per-disk files. Returns
+    /// the batch report and the wall-clock seconds the batch took.
     pub fn run_query_batch(
         &self,
         queries: &[sqda_geom::Point],
         k: usize,
     ) -> Result<(crate::batch::BatchKnnReport, f64), QueryError> {
         let started = Instant::now();
-        let report = crate::batch::batch_knn_backend(self.am, self.backend.as_ref(), queries, k)?;
+        let mut scratch = crate::batch::BatchScratch::new();
+        let backend = Some(self.backend.as_ref());
+        let report = crate::batch::batch_knn_with(self.am, backend, queries, k, &mut scratch)?;
         Ok((report, started.elapsed().as_secs_f64()))
     }
 
@@ -341,8 +336,8 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             match outcome.result {
                 Ok(done) => {
                     responses.push(done.response_ns as f64 / 1e9);
-                    total_nodes += done.nodes_visited;
-                    answers[outcome.index as usize] = done.answers;
+                    total_nodes += done.run.nodes_visited;
+                    answers[outcome.index as usize] = done.run.results;
                 }
                 Err(e) => failures.push((outcome.index, e)),
             }
@@ -362,83 +357,62 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             } else {
                 0.0
             },
-            mean_response_s: if completed == 0 {
-                0.0
-            } else {
-                sorted.iter().sum::<f64>() / completed as f64
-            },
+            mean_response_s: per(sorted.iter().sum(), completed),
             p50_response_s: percentile(&sorted, 0.50),
             p95_response_s: percentile(&sorted, 0.95),
             p99_response_s: percentile(&sorted, 0.99),
             max_response_s: sorted.last().copied().unwrap_or(0.0),
-            mean_nodes_per_query: if completed == 0 {
-                0.0
-            } else {
-                total_nodes as f64 / completed as f64
-            },
+            mean_nodes_per_query: per(total_nodes as f64, completed),
             responses,
             answers,
             failures,
         })
     }
 
-    /// One closed-loop worker: claims queries off `cursor` and drives
-    /// each session to completion on the calling thread, until the
-    /// workload is exhausted.
+    /// One closed-loop worker: claims queries off `cursor` and runs each
+    /// to completion on the calling thread, until the workload is
+    /// exhausted.
     fn run_worker(
         &self,
         kind: AlgorithmKind,
         workload: &Workload,
-        worker: u16,
+        id: u16,
         cursor: &AtomicUsize,
         clock: &WallClock,
         recording: bool,
     ) -> WorkerOutput {
         let mut outcomes = Vec::new();
-        let mut events: Vec<(u64, ObsEvent)> = Vec::new();
-        let mut scratch = crate::QueryScratch::new();
-        // Tree level of every page this worker has seen (root = 0);
-        // only maintained while some event consumer (recorder or
-        // flight ring) wants it.
-        let mut levels: HashMap<PageId, u16> = HashMap::new();
-        let flight_on = self.live.as_ref().is_some_and(|live| live.flight_enabled());
-        if recording || flight_on {
-            levels.insert(self.am.root_page(), 0);
-        }
+        let mut buffer = CollectingRecorder::new();
+        let mut worker = self.worker(id, clock, recording.then_some(&mut buffer as _));
         loop {
             let q = cursor.fetch_add(1, Ordering::Relaxed);
-            if q >= workload.queries.len() {
+            let Some(wq) = workload.queries.get(q) else {
                 break;
-            }
-            let wq = &workload.queries[q];
-            // Global serving id: counts the pickup and tags this
-            // query's flight events.
-            let live_q = self.live.as_ref().map(|live| live.begin_query());
-            let result = kind
-                .build_with(self.am, wq.point.clone(), wq.k, &mut scratch)
-                .and_then(|algo| {
-                    self.drive_session(
-                        algo,
-                        q as u32,
-                        live_q,
-                        worker,
-                        clock,
-                        recording,
-                        &mut events,
-                        &mut levels,
-                        None,
-                    )
-                });
-            if let Some(live) = &self.live {
-                let query = live_q.unwrap_or(q as u32);
-                live.observe_query(&observation(query, kind, wq.k, result.as_ref().ok()));
-            }
-            outcomes.push(SessionOutcome {
-                index: q as u32,
-                result,
-            });
+            };
+            let index = q as u32;
+            let result = self
+                .run_one(kind, wq.point.clone(), wq.k, index, &mut worker, None)
+                .map(|(done, _)| done);
+            outcomes.push(SessionOutcome { index, result });
         }
-        (outcomes, events)
+        drop(worker);
+        (outcomes, buffer.into_events())
+    }
+
+    /// A fresh worker narrating to `recorder` and to the flight ring of
+    /// the attached telemetry, whichever are on.
+    fn worker<'a>(
+        &'a self,
+        id: u16,
+        clock: &'a WallClock,
+        recorder: Option<&'a mut dyn Recorder>,
+    ) -> Worker<'a> {
+        Worker {
+            id,
+            nar: Narrator::new(clock, recorder, self.live.as_deref(), self.am.root_page()),
+            scratch: crate::QueryScratch::new(),
+            round: Round::default(),
+        }
     }
 
     /// Runs one k-NN query through the exact per-session machinery of
@@ -463,327 +437,178 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         k: usize,
         lambda: f64,
         calibrated: bool,
-        predicted: Option<sqda_obs::Prediction>,
-    ) -> Result<(sqda_obs::QueryExplain, Vec<Neighbor>), QueryError> {
+        predicted: Option<Prediction>,
+    ) -> Result<(QueryExplain, Vec<Neighbor>), QueryError> {
         let clock = WallClock::new();
-        let mut scratch = crate::QueryScratch::new();
-        let mut events: Vec<(u64, ObsEvent)> = Vec::new();
-        let mut levels: HashMap<PageId, u16> = HashMap::new();
-        levels.insert(self.am.root_page(), 0);
-        let live_q = self.live.as_ref().map(|live| live.begin_query());
-        let query = live_q.unwrap_or(0);
-        let mut probe = ExplainProbe::new(self.am.num_disks());
-        let result = kind
-            .build_with(self.am, point, k, &mut scratch)
-            .and_then(|algo| {
-                self.drive_session(
-                    algo,
-                    query,
-                    live_q,
-                    0,
-                    &clock,
-                    false,
-                    &mut events,
-                    &mut levels,
-                    Some(&mut probe),
-                )
-            });
-        let done = match result {
-            Ok(done) => done,
-            Err(e) => {
-                if let Some(live) = &self.live {
-                    live.observe_query(&observation(query, kind, k, None));
-                }
-                return Err(e);
-            }
-        };
-        let disk_service_ns = done.obs.seek_ns + done.obs.rotation_ns + done.obs.transfer_ns;
-        let explain = sqda_obs::QueryExplain {
-            query,
-            algo: kind.name().to_string(),
-            k,
-            answers: done.answers.len(),
-            nodes: done.nodes_visited,
-            batches: done.obs.batches,
-            level_accesses: probe.level_accesses,
-            batch_sizes: probe.batch_sizes,
-            threshold_trajectory: probe.thresholds,
-            reads_per_disk: probe.reads_per_disk,
-            cache_hits: probe.cache_hits,
-            cache_misses: probe.cache_misses,
-            response_ms: done.response_ns as f64 / 1e6,
-            disk_queue_ms: done.obs.disk_queue_ns as f64 / 1e6,
-            disk_service_ms: disk_service_ns as f64 / 1e6,
-            cpu_ms: done.obs.cpu_ns as f64 / 1e6,
-            lambda,
-            calibrated,
-            predicted,
-        };
-        if let Some(live) = &self.live {
-            let record = explain.to_json();
-            live.observe_query_explained(&observation(query, kind, k, Some(&done)), Some(&record));
-            if let Some(accesses) = explain.residual_accesses() {
-                // Saturated predictions have no latency residual; NaN is
-                // dropped by the window, the access residual still lands.
-                let latency = explain.residual_response_ms().unwrap_or(f64::NAN);
-                live.observe_residual(accesses, latency);
-            }
-        }
-        Ok((explain, done.answers))
+        let mut worker = self.worker(0, &clock, None);
+        let request = Some((lambda, calibrated, predicted));
+        let (done, explain) = self.run_one(kind, point, k, 0, &mut worker, request)?;
+        Ok((
+            explain.expect("an explained query has a record"),
+            done.run.results,
+        ))
     }
 
-    /// Drives one session from `start` to `Done`: probe the node cache,
-    /// submit the misses as one batch, decode completions, feed the
-    /// algorithm — the simulator's Fetch/BusDone/CpuDone cycle with the
-    /// event queue replaced by real completion delivery.
-    #[allow(clippy::too_many_arguments)]
+    /// One query from pickup to the books, the path `run` and
+    /// `explain_query` share: takes a serving id from the live telemetry
+    /// (which counts the pickup and tags the query's flight events),
+    /// builds the algorithm, drives its session — filling an EXPLAIN
+    /// record on the way when `explain` asks for one — and feeds the
+    /// outcome to every live aggregate.
+    fn run_one(
+        &self,
+        kind: AlgorithmKind,
+        point: sqda_geom::Point,
+        k: usize,
+        index: u32,
+        worker: &mut Worker<'_>,
+        explain: Option<ExplainRequest>,
+    ) -> Result<(CompletedSession, Option<QueryExplain>), QueryError> {
+        let live = self.live.as_deref();
+        let query = live.map_or(index, |l| l.begin_query());
+        // The record starts with what the session fills as it goes; the
+        // totals are booked once the query completed.
+        let mut record = explain.map(|(lambda, calibrated, predicted)| {
+            worker.nar.track_levels(self.am.root_page());
+            QueryExplain {
+                query,
+                algo: kind.name().to_string(),
+                k,
+                answers: 0,
+                nodes: 0,
+                batches: 0,
+                level_accesses: Vec::new(),
+                batch_sizes: Vec::new(),
+                threshold_trajectory: Vec::new(),
+                reads_per_disk: vec![0; self.am.num_disks() as usize],
+                cache_hits: 0,
+                cache_misses: 0,
+                response_ms: 0.0,
+                disk_queue_ms: 0.0,
+                disk_service_ms: 0.0,
+                cpu_ms: 0.0,
+                lambda,
+                calibrated,
+                predicted,
+            }
+        });
+        let result = kind
+            .build_with(self.am, point, k, &mut worker.scratch)
+            .and_then(|mut algo| {
+                self.drive_session(algo.as_mut(), index, query, worker, record.as_mut())
+            });
+        let seen = observation(query, kind, k, result.as_ref().ok());
+        let record = record.filter(|_| result.is_ok()).map(|mut record| {
+            record.answers = seen.answers;
+            record.nodes = seen.nodes;
+            record.batches = seen.batches;
+            record.response_ms = seen.response_ns as f64 / 1e6;
+            record.disk_queue_ms = seen.disk_queue_ns as f64 / 1e6;
+            record.disk_service_ms = seen.disk_service_ns as f64 / 1e6;
+            record.cpu_ms = seen.cpu_ns as f64 / 1e6;
+            record
+        });
+        if let Some(live) = live {
+            let json = record.as_ref().map(|r| r.to_json());
+            live.observe_query_explained(&seen, json.as_deref());
+            if let Some(accesses) = record.as_ref().and_then(|r| r.residual_accesses()) {
+                // Saturated predictions have no latency residual; NaN is
+                // dropped by the window, the access residual still lands.
+                let latency = record.as_ref().and_then(|r| r.residual_response_ms());
+                live.observe_residual(accesses, latency.unwrap_or(f64::NAN));
+            }
+        }
+        result.map(|done| (done, record))
+    }
+
+    /// Drives one session from arrival to completion or abort: the
+    /// simulator's Fetch/BusDone/CpuDone cycle with the event queue
+    /// replaced by real completion delivery, one [`fetch_round`] per
+    /// batch. A failed read or decode aborts the session — narrated, so
+    /// the stream's `query_arrive` is closed — and surfaces as the
+    /// query's typed error. `explain`, when given, collects what only an
+    /// EXPLAIN record reports (per-level accesses, batch sizes, the
+    /// threshold trajectory, per-disk reads, the cache split) inline, so
+    /// an explained query runs the exact same code path — and produces
+    /// the exact same answers and I/O — as a bare one.
     fn drive_session(
         &self,
-        algo: Box<dyn crate::SimilaritySearch>,
-        q: u32,
-        live_q: Option<u32>,
-        worker: u16,
-        clock: &WallClock,
-        recording: bool,
-        events: &mut Vec<(u64, ObsEvent)>,
-        levels: &mut HashMap<PageId, u16>,
-        mut probe: Option<&mut ExplainProbe>,
+        algo: &mut dyn SimilaritySearch,
+        index: u32,
+        serving: u32,
+        worker: &mut Worker<'_>,
+        mut explain: Option<&mut QueryExplain>,
     ) -> Result<CompletedSession, QueryError> {
-        // Four independent consumers of this session's observability,
-        // all free to be off: the post-hoc recorder (workload-indexed
-        // events), the flight ring (serving-id events, live clock), the
-        // live aggregates (which need only the accumulators), and the
-        // EXPLAIN probe (per-level/per-disk/threshold introspection).
-        let live = self.live.as_deref();
-        let flight = live.filter(|l| l.flight_enabled());
-        let probing = probe.is_some();
-        let observing = recording || live.is_some() || probing;
-        let emitting = recording || flight.is_some();
-        let tracking_levels = emitting || probing;
-        let fq = live_q.unwrap_or(q);
-        let arrival = clock.now_ns();
-        let mut session = Session::new(algo, arrival);
-        if recording {
-            events.push((arrival, ObsEvent::QueryArrive { query: q }));
-        }
-        if let Some(l) = flight {
-            l.record_event(l.now_ns(), ObsEvent::QueryArrive { query: fq });
-        }
-        session.pending = Some(session.algo.start());
-        // Completions arrive in finish order; the batch is re-assembled
-        // in request order so algorithms see exactly what the logical
-        // and simulated executors deliver.
-        let mut decoded: HashMap<PageId, IndexNode> = HashMap::new();
-        let mut misses: Vec<PageId> = Vec::new();
-        loop {
-            let step = session
-                .pending
-                .take()
-                .ok_or_else(|| QueryError::Invariant(format!("query {q} lost its pending step")))?;
-            let pages = match step {
-                Step::Done => break,
-                Step::Fetch(pages) => pages,
-            };
-            if pages.is_empty() {
-                return Err(QueryError::Invariant(format!(
-                    "query {q} issued an empty fetch batch"
-                )));
-            }
-            session.outstanding = pages.len();
-            session.nodes_visited += pages.len() as u64;
-            if observing {
-                session.obs.batches += 1;
-            }
-            if let Some(l) = live {
-                l.batch_size.observe(pages.len() as f64);
-            }
-            if let Some(p) = probe.as_deref_mut() {
-                p.batch_sizes.push(pages.len() as u32);
-                for page in &pages {
-                    let l = levels.get(page).copied().unwrap_or_default() as usize;
-                    if p.level_accesses.len() <= l {
-                        p.level_accesses.resize(l + 1, 0);
-                    }
-                    p.level_accesses[l] += 1;
+        let (nar, round, cpu) = (&mut worker.nar, &mut worker.round, worker.id);
+        worker.scratch.batch.clear();
+        let buffer = std::mem::take(&mut worker.scratch.batch);
+        let mut session = Session::new(algo, index, serving, buffer);
+        session.arrive(nar);
+        // The disk of the last read the query saw complete: the failing
+        // one when a read is what ends it.
+        let mut last_disk = 0u16;
+        let mut rounds = || -> Result<(), QueryError> {
+            while let Some(pages) = session.next_batch(nar)? {
+                if let Some(live) = &self.live {
+                    live.batch_size.observe(pages.len() as f64);
                 }
-            }
-            if emitting {
-                let mut level = u16::MAX;
-                let mut level_max = 0u16;
-                for page in &pages {
-                    let l = levels.get(page).copied().unwrap_or_default();
-                    level = level.min(l);
-                    level_max = level_max.max(l);
-                }
-                let ev = ObsEvent::BatchIssued {
-                    query: q,
-                    level,
-                    level_max,
-                    size: pages.len() as u32,
-                };
-                if recording {
-                    events.push((clock.now_ns(), ev));
-                }
-                if let Some(l) = flight {
-                    l.record_event(l.now_ns(), retag(ev, fq));
-                }
-            }
-            // Cache probes first (hit/miss accounting identical to the
-            // read-through path), then one batched submission for the
-            // misses: the whole activation round reads in parallel.
-            decoded.clear();
-            misses.clear();
-            for &page in &pages {
-                match self.am.cached_index_node(page)? {
-                    Some(node) => {
-                        if let Some(p) = probe.as_deref_mut() {
-                            p.cache_hits += 1;
+                if let Some(x) = explain.as_deref_mut() {
+                    x.batch_sizes.push(pages.len() as u32);
+                    for &page in &pages {
+                        let level = nar.level(page) as usize;
+                        if x.level_accesses.len() <= level {
+                            x.level_accesses.resize(level + 1, 0);
                         }
-                        decoded.insert(page, node);
-                    }
-                    None => {
-                        if let Some(p) = probe.as_deref_mut() {
-                            p.cache_misses += 1;
-                        }
-                        misses.push(page);
+                        x.level_accesses[level] += 1;
                     }
                 }
-            }
-            if !misses.is_empty() {
-                let rx = self.backend.submit_batch(&misses);
-                for _ in 0..misses.len() {
-                    let completion = rx.recv().map_err(|_| {
-                        QueryError::Invariant(format!(
-                            "query {q}: I/O backend dropped a batch mid-flight"
-                        ))
-                    })?;
-                    let bytes = completion.result?;
-                    if observing {
-                        session.obs.disk_queue_ns += completion.queue_ns;
-                        session.obs.transfer_ns += completion.service_ns;
-                    }
-                    if let Some(p) = probe.as_deref_mut() {
-                        if let Some(slot) = p.reads_per_disk.get_mut(completion.disk as usize) {
+                fetch_round(self.am, self.backend.as_ref(), &pages, round, |done| {
+                    last_disk = done.disk as u16;
+                    if let Some(x) = explain.as_deref_mut() {
+                        if let Some(slot) = x.reads_per_disk.get_mut(done.disk as usize) {
                             *slot += 1;
                         }
                     }
-                    if emitting {
-                        let level = levels.get(&completion.page).copied().unwrap_or_default();
-                        let ev = ObsEvent::DiskService {
-                            query: q,
-                            disk: completion.disk as u16,
-                            cylinder: completion.cylinder,
-                            level,
-                            queue_ns: completion.queue_ns,
-                            seek_ns: 0,
-                            rotation_ns: 0,
-                            transfer_ns: completion.service_ns,
-                            queue_depth: completion.queue_depth,
-                        };
-                        if recording {
-                            events.push((clock.now_ns(), ev));
-                        }
-                        if let Some(l) = flight {
-                            l.record_event(l.now_ns(), retag(ev, fq));
-                        }
-                    }
-                    let node = self.am.decode_index_node(completion.page, bytes)?;
-                    decoded.insert(completion.page, node);
-                }
-            }
-            for &page in &pages {
-                let node = decoded.remove(&page).ok_or_else(|| {
-                    QueryError::Invariant(format!(
-                        "query {q}: page {page:?} requested but never delivered"
-                    ))
-                })?;
-                if tracking_levels {
-                    if let IndexNode::Internal(block) = &node {
-                        let child_level = levels.get(&page).copied().unwrap_or_default() + 1;
-                        for child in block.children() {
-                            levels.insert(child, child_level);
-                        }
-                    }
-                }
-                session.fetched.push((page, node));
-                session.outstanding = settle_outstanding(session.outstanding, q as usize)?;
-            }
-            debug_assert_eq!(session.outstanding, 0);
-            let cpu_start = Instant::now();
-            let result = session.algo.on_fetched(&mut session.fetched);
-            let cpu_ns = cpu_start.elapsed().as_nanos() as u64;
-            debug_assert!(session.fetched.is_empty(), "algorithms drain the batch");
-            session.fetched.clear();
-            session.pending = Some(result.next);
-            if observing {
-                session.obs.cpu_ns += cpu_ns;
-            }
-            if let Some(pr) = probe.as_deref_mut() {
-                if let Some(p) = session.algo.progress() {
-                    pr.thresholds.push(p.d_th_sq.sqrt());
-                }
-            }
-            if emitting {
-                let ev = ObsEvent::CpuSlice {
-                    query: q,
-                    cpu: worker,
-                    queue_ns: 0,
-                    exec_ns: cpu_ns,
-                    instructions: result.cpu_instructions,
-                };
-                if recording {
-                    events.push((clock.now_ns(), ev));
-                }
-                if let Some(l) = flight {
-                    l.record_event(l.now_ns(), retag(ev, fq));
-                }
-                if let Some(p) = session.algo.progress() {
-                    let ev = ObsEvent::CrssState {
-                        query: q,
-                        d_th_sq: p.d_th_sq,
-                        stack_runs: p.stack_runs,
-                        stack_candidates: p.stack_candidates,
+                    let read = DiskRead {
+                        disk: done.disk as u16,
+                        cylinder: done.cylinder,
+                        queue_ns: done.queue_ns,
+                        seek_ns: 0,
+                        rotation_ns: 0,
+                        transfer_ns: done.service_ns,
+                        queue_depth: done.queue_depth,
                     };
-                    if recording {
-                        events.push((clock.now_ns(), ev));
-                    }
-                    if let Some(l) = flight {
-                        l.record_event(l.now_ns(), retag(ev, fq));
-                    }
+                    session.disk_read(nar, done.page, read);
+                })?;
+                if let Some(x) = explain.as_deref_mut() {
+                    x.cache_misses += round.misses.len() as u64;
+                    x.cache_hits += (pages.len() - round.misses.len()) as u64;
+                }
+                for (&page, node) in pages.iter().zip(round.nodes.drain(..)) {
+                    session.deliver(nar, page, node, |_, elapsed_ns| CpuCharge {
+                        cpu,
+                        queue_ns: 0,
+                        exec_ns: elapsed_ns,
+                    })?;
+                }
+                if let (Some(x), Some(progress)) = (explain.as_deref_mut(), session.progress()) {
+                    x.threshold_trajectory.push(progress.d_th_sq.sqrt());
                 }
             }
+            Ok(())
+        };
+        if let Err(e) = rounds() {
+            session.abort(nar, last_disk, 1);
+            return Err(e);
         }
-        let now = clock.now_ns();
-        session.finished_at = Some(now);
-        let response_ns = now.saturating_sub(arrival);
-        if emitting {
-            let obs = session.obs;
-            let ev = ObsEvent::QueryComplete {
-                query: q,
-                response_ns,
-                nodes: session.nodes_visited,
-                batches: obs.batches,
-                disk_queue_ns: obs.disk_queue_ns,
-                seek_ns: obs.seek_ns,
-                rotation_ns: obs.rotation_ns,
-                transfer_ns: obs.transfer_ns,
-                bus_queue_ns: obs.bus_queue_ns,
-                bus_ns: obs.bus_ns,
-                cpu_queue_ns: obs.cpu_queue_ns,
-                cpu_ns: obs.cpu_ns,
-            };
-            if recording {
-                events.push((now, ev));
-            }
-            if let Some(l) = flight {
-                l.record_event(l.now_ns(), retag(ev, fq));
-            }
-        }
+        let response_ns = session.complete(nar);
+        let obs = session.obs;
+        let (run, buffer) = session.finish();
+        worker.scratch.batch = buffer;
         Ok(CompletedSession {
+            run,
             response_ns,
-            nodes_visited: session.nodes_visited,
-            answers: session.algo.results(),
-            obs: session.obs,
+            obs,
         })
     }
 }
@@ -791,14 +616,75 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::{BatchResult, Step};
+    use crate::exec::{run_query, RunOptions, Simulation};
+    use crate::workload::WorkloadQuery;
+    use sqda_geom::Point;
+    use sqda_rstar::decluster::ProximityIndex;
+    use sqda_rstar::{RStarConfig, RStarTree};
+    use sqda_simkernel::{SimTime, SystemParams};
+    use sqda_storage::{ArrayStore, InlineBackend};
 
+    /// Asks for an empty batch straight away — one no delivery could
+    /// ever complete.
+    struct EmptyFetcher;
+
+    impl SimilaritySearch for EmptyFetcher {
+        fn start(&mut self) -> Step {
+            Step::Fetch(Vec::new())
+        }
+        fn on_fetched(&mut self, _nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
+            unreachable!("an empty batch is never delivered")
+        }
+        fn results(&self) -> Vec<Neighbor> {
+            Vec::new()
+        }
+        fn name(&self) -> &'static str {
+            "empty-fetcher"
+        }
+    }
+
+    /// The three executors share `Session::next_batch`, so a misbehaving
+    /// algorithm gets the same typed error from each — the logical
+    /// executor used to panic here — and the real-clock engine closes
+    /// the query's narration with a `query_abort`.
     #[test]
-    fn percentile_interpolates() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&s, 1.0), 4.0);
-        assert_eq!(percentile(&s, 0.5), 2.5);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    fn empty_fetch_batch_is_a_typed_invariant_under_every_executor() {
+        let store = Arc::new(ArrayStore::new(2, 1449, 1));
+        let config = RStarConfig::new(2).with_max_entries(8);
+        let mut tree = RStarTree::create(store, config, Box::new(ProximityIndex)).unwrap();
+        tree.insert(Point::new(vec![1.0, 1.0]), 0).unwrap();
+        let assert_invariant = |e: QueryError, executor: &str| match e {
+            QueryError::Invariant(msg) => assert!(msg.contains("empty fetch batch"), "{msg}"),
+            other => panic!("{executor}: expected Invariant, got {other:?}"),
+        };
+
+        assert_invariant(run_query(&tree, &mut EmptyFetcher).unwrap_err(), "logical");
+
+        let workload = Workload {
+            queries: vec![WorkloadQuery {
+                arrival: SimTime::ZERO,
+                point: Point::new(vec![1.0, 1.0]),
+                k: 1,
+            }],
+        };
+        let sim = Simulation::new(&tree, SystemParams::with_disks(2)).unwrap();
+        let mut factory = |_, _| -> Box<dyn SimilaritySearch> { Box::new(EmptyFetcher) };
+        let options = RunOptions::factory("empty-fetcher", &mut factory);
+        assert_invariant(
+            sim.run_with(&workload, 1, options).unwrap_err(),
+            "simulated",
+        );
+
+        let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+        let engine = RealTimeEngine::new(&tree, backend).unwrap();
+        let clock = WallClock::new();
+        let mut events = CollectingRecorder::new();
+        let mut worker = engine.worker(0, &clock, Some(&mut events));
+        let result = engine.drive_session(&mut EmptyFetcher, 0, 0, &mut worker, None);
+        drop(worker);
+        assert_invariant(result.map(|_| ()).unwrap_err(), "real-clock");
+        let kinds: Vec<&str> = events.events().iter().map(|(_, e)| e.kind()).collect();
+        assert_eq!(kinds, ["query_arrive", "query_abort"]);
     }
 }

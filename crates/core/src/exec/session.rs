@@ -1,22 +1,29 @@
-//! Query-session machinery shared by the simulated and real-clock
-//! engines.
+//! The per-query session core all three executors run.
 //!
-//! A [`Session`] carries one in-flight query through the engine loop:
-//! the algorithm state machine, its outstanding-page count, the staging
-//! buffer for fetched nodes, and the per-component response-time
-//! accumulators that feed `query_complete` events. The simulator
-//! instantiates it over [`SimTime`](sqda_simkernel::SimTime); the
-//! real-clock engine over wall-clock nanoseconds. Read routing under
-//! fault state ([`route_read`], [`mirror_partner`]) and the
-//! outstanding-count invariant ([`settle_outstanding`]) live here too,
-//! so both engines — and any future one — share one definition of how a
-//! session behaves.
+//! A [`Session`] is one query's whole lifecycle around its algorithm
+//! state machine: take the pending step and issue its batch
+//! ([`Session::next_batch`]), hand fetched nodes back and run the
+//! algorithm on the last one ([`Session::deliver`]), finish
+//! ([`Session::complete`]) or give up ([`Session::abort`]). It counts
+//! nodes, batches and CPU instructions, accumulates the response-time
+//! components, and narrates every step through a [`Narrator`] — the one
+//! place executor events are built and fanned out to their sinks.
+//!
+//! What is left to an executor is scheduling: where a page comes from
+//! and what time it is. The logical executor reads pages on the spot,
+//! the simulator routes them through its disk/bus/CPU models
+//! ([`route_read`], [`mirror_partner`]) on a virtual clock, and the
+//! real-clock engine submits them to an I/O backend on the wall clock.
 
+use super::clock::EngineClock;
 use crate::access::IndexNode;
-use crate::algo::{SimilaritySearch, Step};
+use crate::algo::{AlgoProgress, SimilaritySearch, Step};
 use crate::error::QueryError;
+use sqda_obs::{Event as ObsEvent, LiveTelemetry, Recorder};
+use sqda_rstar::Neighbor;
 use sqda_simkernel::{Cpu, Disk, SimTime};
 use sqda_storage::PageId;
+use std::collections::HashMap;
 
 /// The disk holding the replica of `disk`'s pages under shadowed
 /// (mirrored) operation, or `None` if the disk is unpaired.
@@ -52,10 +59,11 @@ pub(crate) enum Route {
     /// Serve from this disk (the healthy path; may already be the
     /// mirror partner under the earliest-free-replica rule).
     Serve(usize),
-    /// The primary is failed; its shadow replica serves the read.
-    Degraded { primary: usize, replica: usize },
+    /// The primary is failed; this disk, its shadow replica, serves the
+    /// read.
+    Degraded(usize),
     /// No live replica exists right now.
-    Unavailable { primary: usize },
+    Unavailable,
 }
 
 /// Picks the disk to serve a read of a page placed on `primary`,
@@ -69,38 +77,34 @@ pub(crate) fn route_read(
     mirrored: bool,
     faulted: bool,
 ) -> Route {
-    let partner = if mirrored {
-        mirror_partner(primary, disks.len())
-    } else {
-        None
+    let partner = mirror_partner(primary, disks.len()).filter(|_| mirrored);
+    // Shadowed disks, both replicas alive: serve the read from
+    // whichever frees up first.
+    let earliest_free = |p: usize| {
+        if disks[p].busy_until() < disks[primary].busy_until() {
+            p
+        } else {
+            primary
+        }
     };
     if !faulted {
-        // Shadowed disks: serve the read from whichever replica frees
-        // up first.
-        if let Some(p) = partner {
-            if disks[p].busy_until() < disks[primary].busy_until() {
-                return Route::Serve(p);
-            }
-        }
-        return Route::Serve(primary);
+        return Route::Serve(partner.map_or(primary, earliest_free));
     }
-    let primary_up = !disks[primary].is_failed(now);
-    let partner_up = partner.map(|p| !disks[p].is_failed(now));
-    match (primary_up, partner, partner_up) {
-        (true, Some(p), Some(true)) => {
-            // Both replicas alive: the earliest-free rule, as above.
-            if disks[p].busy_until() < disks[primary].busy_until() {
-                Route::Serve(p)
-            } else {
-                Route::Serve(primary)
-            }
-        }
-        (true, _, _) => Route::Serve(primary),
-        (false, Some(p), Some(true)) => Route::Degraded {
-            primary,
-            replica: p,
-        },
-        (false, _, _) => Route::Unavailable { primary },
+    let live_partner = partner.filter(|&p| !disks[p].is_failed(now));
+    match (!disks[primary].is_failed(now), live_partner) {
+        (true, Some(p)) => Route::Serve(earliest_free(p)),
+        (true, None) => Route::Serve(primary),
+        (false, Some(replica)) => Route::Degraded(replica),
+        (false, None) => Route::Unavailable,
+    }
+}
+
+/// `total / n`, or 0 when there is nothing to average over.
+pub(crate) fn per(total: f64, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        total / n as f64
     }
 }
 
@@ -118,8 +122,23 @@ pub(crate) fn settle_outstanding(outstanding: usize, q: usize) -> Result<usize, 
     })
 }
 
-/// Per-session response-time component accumulators, filled only while
-/// recording is enabled. All scalars — lives inline in the session.
+/// The outcome of one executed query.
+#[derive(Debug, Clone)]
+pub struct QueryRun {
+    /// The k answers, sorted by increasing distance.
+    pub results: Vec<Neighbor>,
+    /// Total nodes (pages) fetched, including the root.
+    pub nodes_visited: u64,
+    /// Number of fetch batches (round trips to the array).
+    pub batches: u64,
+    /// Largest single batch (peak intra-query parallelism demand).
+    pub max_batch: usize,
+    /// CPU instructions accumulated under the paper's cost model.
+    pub cpu_instructions: u64,
+}
+
+/// Response-time component accumulators of one session — the fields of
+/// its `query_complete` event. All scalars.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SessionObs {
     pub(crate) disk_queue_ns: u64,
@@ -133,37 +152,360 @@ pub(crate) struct SessionObs {
     pub(crate) batches: u32,
 }
 
-/// One in-flight query session, generic over the engine's time instant:
-/// [`SimTime`](sqda_simkernel::SimTime) under the virtual clock,
-/// nanoseconds (`u64`) under the wall clock.
-pub(crate) struct Session<T> {
-    pub(crate) algo: Box<dyn SimilaritySearch>,
-    pub(crate) arrival: T,
-    pub(crate) outstanding: usize,
-    pub(crate) fetched: Vec<(PageId, IndexNode)>,
-    pub(crate) pending: Option<Step>,
+/// The one narration path. An event is built once per sink that is on
+/// and stamped through the engine's clock: for the run's recorder (the
+/// simulator's caller-supplied one; a real-clock worker's buffer, merged
+/// after the run) under the query's workload index, which is what the
+/// post-hoc tooling joins on; for the live flight ring, which keeps its
+/// own clock, under the global serving id [`LiveTelemetry`] handed out.
+/// With both off a hook costs two checks and nothing is built.
+pub(crate) struct Narrator<'a> {
+    clock: &'a dyn EngineClock,
+    recorder: Option<&'a mut dyn Recorder>,
+    flight: Option<&'a LiveTelemetry>,
+    /// Tree level of every page seen so far (root = 0), extended as
+    /// internal nodes are delivered. Maintained only while tracking.
+    levels: HashMap<PageId, u16>,
+    tracking: bool,
+}
+
+impl<'a> Narrator<'a> {
+    /// A narrator with every sink off.
+    pub(crate) fn off(clock: &'a dyn EngineClock) -> Self {
+        Self {
+            clock,
+            recorder: None,
+            flight: None,
+            levels: HashMap::new(),
+            tracking: false,
+        }
+    }
+
+    /// A narrator over `clock` feeding `recorder` (an enabled one) and
+    /// the flight ring of `live` (if it has one). `root` seeds the level
+    /// map.
+    pub(crate) fn new(
+        clock: &'a dyn EngineClock,
+        recorder: Option<&'a mut dyn Recorder>,
+        live: Option<&'a LiveTelemetry>,
+        root: PageId,
+    ) -> Self {
+        let mut nar = Self::off(clock);
+        nar.recorder = recorder;
+        nar.flight = live.filter(|l| l.flight_enabled());
+        if nar.on() {
+            nar.track_levels(root);
+        }
+        nar
+    }
+
+    /// Whether any sink wants events.
+    #[inline]
+    pub(crate) fn on(&self) -> bool {
+        self.recorder.is_some() || self.flight.is_some()
+    }
+
+    /// Maintains the page→level map even with every sink off (the
+    /// EXPLAIN record reads it).
+    pub(crate) fn track_levels(&mut self, root: PageId) {
+        self.tracking = true;
+        self.levels.insert(root, 0);
+    }
+
+    /// Tree level of `page` (0 for a page never seen below a delivered
+    /// parent, or while not tracking).
+    pub(crate) fn level(&self, page: PageId) -> u16 {
+        self.levels.get(&page).copied().unwrap_or_default()
+    }
+}
+
+/// How an executor charged one CPU step: on which processor, how long it
+/// queued, how long it ran.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CpuCharge {
+    pub(crate) cpu: u16,
+    pub(crate) queue_ns: u64,
+    pub(crate) exec_ns: u64,
+}
+
+/// One page read as its disk served it. A real disk does not tell seek
+/// from rotation: the real-clock engine books the whole service as
+/// transfer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DiskRead {
+    pub(crate) disk: u16,
+    pub(crate) cylinder: u32,
+    pub(crate) queue_ns: u64,
+    pub(crate) seek_ns: u64,
+    pub(crate) rotation_ns: u64,
+    pub(crate) transfer_ns: u64,
+    pub(crate) queue_depth: u32,
+}
+
+/// One in-flight query. Times are nanoseconds of the executor's clock.
+pub(crate) struct Session<'a> {
+    algo: &'a mut dyn SimilaritySearch,
+    /// Workload index: the id recorder streams know the query by.
+    query: u32,
+    /// The id the flight ring knows it by (`query` without one).
+    serving: u32,
+    arrival_ns: u64,
+    outstanding: usize,
+    fetched: Vec<(PageId, IndexNode)>,
+    pending: Option<Step>,
     pub(crate) nodes_visited: u64,
-    pub(crate) finished_at: Option<T>,
-    /// Set when the query aborts (degraded mode); the session's
-    /// remaining in-flight events are ignored from then on.
+    max_batch: usize,
+    cpu_instructions: u64,
+    /// Arrival-to-completion time, once [`Session::complete`] ran.
+    pub(crate) response_ns: Option<u64>,
+    /// Set by [`Session::abort`]; the scheduler drops the session's
+    /// remaining in-flight work from then on.
     pub(crate) failed: bool,
     pub(crate) obs: SessionObs,
 }
 
-impl<T> Session<T> {
-    /// A fresh session for a query arriving at `arrival`.
-    pub(crate) fn new(algo: Box<dyn SimilaritySearch>, arrival: T) -> Self {
+impl<'a> Session<'a> {
+    /// A session for workload query `query`, staging fetched nodes in
+    /// `fetched` (an empty buffer whose capacity is worth reusing).
+    pub(crate) fn new(
+        algo: &'a mut dyn SimilaritySearch,
+        query: u32,
+        serving: u32,
+        fetched: Vec<(PageId, IndexNode)>,
+    ) -> Self {
         Self {
             algo,
-            arrival,
+            query,
+            serving,
+            arrival_ns: 0,
             outstanding: 0,
-            fetched: Vec::new(),
+            fetched,
             pending: None,
             nodes_visited: 0,
-            finished_at: None,
+            max_batch: 0,
+            cpu_instructions: 0,
+            response_ns: None,
             failed: false,
             obs: SessionObs::default(),
         }
+    }
+
+    /// Sends the event `build` makes of a query id to every sink that is
+    /// on, under the id that sink knows this query by.
+    #[inline]
+    pub(crate) fn narrate(&self, nar: &mut Narrator<'_>, build: impl Fn(u32) -> ObsEvent) {
+        if let Some(recorder) = nar.recorder.as_deref_mut() {
+            recorder.record(nar.clock.now_ns(), build(self.query));
+        }
+        if let Some(live) = nar.flight {
+            live.record_event(live.now_ns(), build(self.serving));
+        }
+    }
+
+    /// The query enters the system now: narrates `query_arrive` and
+    /// takes the algorithm's first step (the root page).
+    pub(crate) fn arrive(&mut self, nar: &mut Narrator<'_>) {
+        self.arrival_ns = nar.clock.now_ns();
+        self.narrate(nar, |query| ObsEvent::QueryArrive { query });
+        self.pending = Some(self.algo.start());
+    }
+
+    /// Takes the pending step: `Some(pages)` is a batch to fetch,
+    /// already counted and narrated as `batch_issued`; `None` means the
+    /// algorithm is done and the session wants [`Session::complete`].
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Invariant`] if no step is pending or the algorithm
+    /// asked for an empty batch (which would never complete).
+    pub(crate) fn next_batch(
+        &mut self,
+        nar: &mut Narrator<'_>,
+    ) -> Result<Option<Vec<PageId>>, QueryError> {
+        let q = self.query;
+        let step = self
+            .pending
+            .take()
+            .ok_or_else(|| QueryError::Invariant(format!("query {q} has no pending step")))?;
+        let Step::Fetch(pages) = step else {
+            return Ok(None);
+        };
+        if pages.is_empty() {
+            return Err(QueryError::Invariant(format!(
+                "query {q} ({}) issued an empty fetch batch",
+                self.algo.name()
+            )));
+        }
+        self.outstanding = pages.len();
+        self.nodes_visited += pages.len() as u64;
+        self.max_batch = self.max_batch.max(pages.len());
+        self.obs.batches += 1;
+        if nar.on() {
+            // A batch can mix levels (CRSS pulls pages from several runs
+            // at once): record the shallowest and deepest, not
+            // pages[0]'s, which mislabelled mixed batches.
+            let (level, level_max) = pages.iter().fold((u16::MAX, 0), |(lo, hi), &page| {
+                let l = nar.level(page);
+                (lo.min(l), hi.max(l))
+            });
+            let size = pages.len() as u32;
+            self.narrate(nar, |query| ObsEvent::BatchIssued {
+                query,
+                level,
+                level_max,
+                size,
+            });
+        }
+        Ok(Some(pages))
+    }
+
+    /// Books one page read against the session and narrates it as
+    /// `disk_service`.
+    pub(crate) fn disk_read(&mut self, nar: &mut Narrator<'_>, page: PageId, read: DiskRead) {
+        self.obs.disk_queue_ns += read.queue_ns;
+        self.obs.seek_ns += read.seek_ns;
+        self.obs.rotation_ns += read.rotation_ns;
+        self.obs.transfer_ns += read.transfer_ns;
+        let level = if nar.on() { nar.level(page) } else { 0 };
+        self.narrate(nar, |query| ObsEvent::DiskService {
+            query,
+            disk: read.disk,
+            cylinder: read.cylinder,
+            level,
+            queue_ns: read.queue_ns,
+            seek_ns: read.seek_ns,
+            rotation_ns: read.rotation_ns,
+            transfer_ns: read.transfer_ns,
+            queue_depth: read.queue_depth,
+        });
+    }
+
+    /// Hands one fetched node to the session, in request order. On the
+    /// batch's last page the algorithm runs over the whole batch, its
+    /// next step becomes pending, and `charge` — given the instructions
+    /// the batch cost under the paper's model and the nanoseconds the
+    /// engine clock moved meanwhile — says how the executor bills that
+    /// CPU step, which is narrated as `cpu_slice` (and `crss_state`).
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Invariant`] on a delivery no batch is waiting for.
+    pub(crate) fn deliver(
+        &mut self,
+        nar: &mut Narrator<'_>,
+        page: PageId,
+        node: IndexNode,
+        charge: impl FnOnce(u64, u64) -> CpuCharge,
+    ) -> Result<(), QueryError> {
+        if nar.tracking {
+            if let IndexNode::Internal(block) = &node {
+                let child_level = nar.level(page) + 1;
+                for child in block.children() {
+                    nar.levels.insert(child, child_level);
+                }
+            }
+        }
+        self.fetched.push((page, node));
+        self.outstanding = settle_outstanding(self.outstanding, self.query as usize)?;
+        if self.outstanding > 0 {
+            return Ok(());
+        }
+        // The algorithm drains `fetched` in place; its capacity is
+        // reused for the session's next batch.
+        let started_ns = nar.clock.now_ns();
+        let result = self.algo.on_fetched(&mut self.fetched);
+        let elapsed_ns = nar.clock.now_ns().saturating_sub(started_ns);
+        debug_assert!(self.fetched.is_empty(), "algorithms drain the batch");
+        self.fetched.clear();
+        self.pending = Some(result.next);
+        self.cpu_instructions += result.cpu_instructions;
+        let charge = charge(result.cpu_instructions, elapsed_ns);
+        self.cpu_slice(nar, charge, result.cpu_instructions);
+        if nar.on() {
+            if let Some(p) = self.algo.progress() {
+                self.narrate(nar, |query| ObsEvent::CrssState {
+                    query,
+                    d_th_sq: p.d_th_sq,
+                    stack_runs: p.stack_runs,
+                    stack_candidates: p.stack_candidates,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Books one CPU step against the session and narrates it as
+    /// `cpu_slice` (`instructions` 0: the fixed-duration startup step).
+    pub(crate) fn cpu_slice(
+        &mut self,
+        nar: &mut Narrator<'_>,
+        charge: CpuCharge,
+        instructions: u64,
+    ) {
+        self.obs.cpu_queue_ns += charge.queue_ns;
+        self.obs.cpu_ns += charge.exec_ns;
+        self.narrate(nar, |query| ObsEvent::CpuSlice {
+            query,
+            cpu: charge.cpu,
+            queue_ns: charge.queue_ns,
+            exec_ns: charge.exec_ns,
+            instructions,
+        });
+    }
+
+    /// The algorithm is done: fixes the response time, narrates
+    /// `query_complete` with the whole breakdown and returns the
+    /// response time.
+    pub(crate) fn complete(&mut self, nar: &mut Narrator<'_>) -> u64 {
+        let response_ns = nar.clock.now_ns().saturating_sub(self.arrival_ns);
+        self.response_ns = Some(response_ns);
+        let (nodes, obs) = (self.nodes_visited, self.obs);
+        self.narrate(nar, |query| ObsEvent::QueryComplete {
+            query,
+            response_ns,
+            nodes,
+            batches: obs.batches,
+            disk_queue_ns: obs.disk_queue_ns,
+            seek_ns: obs.seek_ns,
+            rotation_ns: obs.rotation_ns,
+            transfer_ns: obs.transfer_ns,
+            bus_queue_ns: obs.bus_queue_ns,
+            bus_ns: obs.bus_ns,
+            cpu_queue_ns: obs.cpu_queue_ns,
+            cpu_ns: obs.cpu_ns,
+        });
+        response_ns
+    }
+
+    /// What a completed session did, next to its (drained) fetch buffer
+    /// for the next session to reuse.
+    pub(crate) fn finish(self) -> (QueryRun, Vec<(PageId, IndexNode)>) {
+        let run = QueryRun {
+            results: self.algo.results(),
+            nodes_visited: self.nodes_visited,
+            batches: self.obs.batches as u64,
+            max_batch: self.max_batch,
+            cpu_instructions: self.cpu_instructions,
+        };
+        (run, self.fetched)
+    }
+
+    /// The query gives up with a typed error: marks the session failed
+    /// and narrates `query_abort`, so every `query_arrive` in a stream
+    /// is closed by a completion or an abort. `disk` is the disk whose
+    /// read the query gave up on.
+    pub(crate) fn abort(&mut self, nar: &mut Narrator<'_>, disk: u16, attempts: u32) {
+        self.failed = true;
+        self.narrate(nar, |query| ObsEvent::QueryAbort {
+            query,
+            disk,
+            attempts,
+        });
+    }
+
+    /// The algorithm's telemetry after its last processed batch.
+    pub(crate) fn progress(&self) -> Option<AlgoProgress> {
+        self.algo.progress()
     }
 }
 

@@ -8,26 +8,32 @@
 //! to completion, averaged over all queries — the paper's primary metric
 //! for the multi-user experiments (Figures 10–12, Tables 3–4).
 //!
-//! The executor optionally narrates itself through a
+//! The per-query lifecycle is the shared [`Session`] core; what lives
+//! here is the scheduler — the event queue, the disk/bus/CPU models and
+//! the degraded-mode routing that decide *when* each page of a batch is
+//! delivered. The run optionally narrates itself through a
 //! [`Recorder`](sqda_obs::Recorder): every arrival, disk service (with
 //! its queue/seek/rotation/transfer breakdown), bus grant, CPU slice and
-//! completion becomes a structured [`sqda_obs::Event`]. With the
-//! default [`NullRecorder`] all observability bookkeeping is skipped —
-//! no per-event heap allocation, and simulated timing is untouched
-//! either way (recording observes, never steers).
+//! completion becomes a structured [`sqda_obs::Event`]. With the default
+//! [`NullRecorder`](sqda_obs::NullRecorder) nothing is built per event,
+//! and simulated timing is untouched either way (recording observes,
+//! never steers).
 
-use super::clock::{EngineClock, VirtualClock};
-use super::session::{least_busy_cpu, route_read, settle_outstanding, Route, Session, SessionObs};
-use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{AlgorithmKind, SimilaritySearch, Step};
+use super::clock::VirtualClock;
+use super::session::{
+    least_busy_cpu, per, route_read, CpuCharge, DiskRead, Narrator, Route, Session,
+};
+use crate::access::AccessMethod;
+use crate::algo::{AlgorithmKind, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
-use sqda_obs::{Event as ObsEvent, NullRecorder, Recorder};
+use sqda_geom::Point;
+use sqda_obs::{Event as ObsEvent, Recorder};
 use sqda_simkernel::{
-    Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, SampleStats, SimTime, SystemParams,
+    Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, RetryPolicy, SampleStats, SimTime,
+    SystemParams,
 };
 use sqda_storage::PageId;
-use std::collections::HashMap;
 
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone)]
@@ -94,50 +100,115 @@ enum Event {
     },
 }
 
-/// Submits a page read to `disk`, scheduling its completion and (while
-/// recording) narrating the service breakdown. Shared by the initial
-/// fetch path and the degraded-mode retry path, so both produce the
-/// same events and the same timing for the same submission.
-#[allow(clippy::too_many_arguments)]
-fn submit_read(
-    disks: &mut [Disk],
-    disk: usize,
-    q: usize,
-    page: PageId,
-    cylinder: u32,
-    level: u16,
-    now: SimTime,
-    clock: &dyn EngineClock,
-    rng: &mut rand::rngs::StdRng,
-    events: &mut EventQueue<Event>,
-    recording: bool,
-    recorder: &mut dyn Recorder,
-    obs: &mut SessionObs,
-) {
-    if recording {
-        let detail = disks[disk].submit_detailed(now, cylinder, rng);
-        obs.disk_queue_ns += detail.queue.as_nanos();
-        obs.seek_ns += detail.seek.as_nanos();
-        obs.rotation_ns += detail.rotation.as_nanos();
-        obs.transfer_ns += detail.transfer.as_nanos();
-        recorder.record(
-            clock.now_ns(),
-            ObsEvent::DiskService {
-                query: q as u32,
-                disk: disk as u16,
-                cylinder,
-                level,
-                queue_ns: detail.queue.as_nanos(),
-                seek_ns: detail.seek.as_nanos(),
-                rotation_ns: detail.rotation.as_nanos(),
-                transfer_ns: detail.transfer.as_nanos(),
-                queue_depth: detail.queue_depth,
-            },
-        );
-        events.schedule(detail.completion, Event::DiskDone { q, page });
-    } else {
-        let done = disks[disk].submit(now, cylinder, rng);
-        events.schedule(done, Event::DiskDone { q, page });
+/// Produces one algorithm instance per workload query.
+pub type AlgoFactory<'a> = dyn FnMut(Point, usize) -> Box<dyn SimilaritySearch> + 'a;
+
+enum AlgoSource<'a> {
+    Kind(AlgorithmKind),
+    Factory(&'a mut AlgoFactory<'a>),
+}
+
+/// What [`Simulation::run_with`] runs besides the workload and the
+/// seed: where the algorithm instances come from, the faults to inject
+/// and the recorder to narrate through.
+pub struct RunOptions<'a> {
+    name: &'static str,
+    algo: AlgoSource<'a>,
+    plan: Option<&'a FaultPlan>,
+    recorder: Option<&'a mut dyn Recorder>,
+}
+
+impl<'a> RunOptions<'a> {
+    fn new(name: &'static str, algo: AlgoSource<'a>) -> Self {
+        Self {
+            name,
+            algo,
+            plan: None,
+            recorder: None,
+        }
+    }
+
+    /// A fault-free, unrecorded run of one of the four algorithms.
+    pub fn kind(kind: AlgorithmKind) -> Self {
+        Self::new(kind.name(), AlgoSource::Kind(kind))
+    }
+
+    /// A fault-free, unrecorded run of instances produced by `factory`
+    /// and reported as `name` — for parameter sweeps like the CRSS
+    /// activation-bound ablation, where [`AlgorithmKind`] cannot carry
+    /// the parameter, and for tests that wrap an algorithm to observe
+    /// its answers.
+    pub fn factory(name: &'static str, factory: &'a mut AlgoFactory<'a>) -> Self {
+        Self::new(name, AlgoSource::Factory(factory))
+    }
+
+    /// Injects the faults of `plan`.
+    ///
+    /// With the empty plan the run is byte-identical to a fault-free one
+    /// (same RNG stream, same timing, same report). Under a non-empty
+    /// plan, reads targeting a failed disk are redirected to the shadow
+    /// replica when the array is mirrored; pages with no live replica
+    /// are re-probed under the plan's retry policy and the owning query
+    /// aborts with [`QueryError::Unavailable`] when the budget runs out
+    /// — per-query failures land in [`SimulationReport::failures`],
+    /// they do not fail the run.
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Narrates the run through `recorder` (see [`sqda_obs`]). Timing
+    /// and results are identical to an unrecorded run with the same
+    /// seed. Fault transitions are narrated as first-class events
+    /// (`disk_failed`, `disk_recovered`, `disk_degraded`,
+    /// `degraded_read`, `read_retry`, `query_abort`).
+    pub fn recorded(mut self, recorder: &'a mut dyn Recorder) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+}
+
+/// Narrates a fault plan's transitions up front: they are scheduled
+/// facts, not simulation outcomes, so they do not flow through the event
+/// queue. Consumers that care about ordering (metrics, Perfetto) scan
+/// the whole stream first.
+fn narrate_plan(plan: &FaultPlan, recorder: &mut dyn Recorder) {
+    for fault in plan.faults() {
+        // A slow window and a hot spot are both a degraded window: one
+        // scales service time, the other adds to it.
+        let (disk, from, until, multiplier, extra) = match *fault {
+            DiskFault::FailStop {
+                disk,
+                at,
+                recovers_at,
+            } => {
+                let disk = disk as u16;
+                recorder.record(at.as_nanos(), ObsEvent::DiskFailed { disk });
+                if let Some(rec) = recovers_at {
+                    recorder.record(rec.as_nanos(), ObsEvent::DiskRecovered { disk });
+                }
+                continue;
+            }
+            DiskFault::SlowWindow {
+                disk,
+                from,
+                until,
+                multiplier,
+            } => (disk, from, until, multiplier, SimTime::ZERO),
+            DiskFault::HotSpot {
+                disk,
+                from,
+                until,
+                extra,
+            } => (disk, from, until, 1.0, extra),
+        };
+        let event = ObsEvent::DiskDegraded {
+            disk: disk as u16,
+            until_ns: until.as_nanos(),
+            multiplier,
+            extra_ns: extra.as_nanos(),
+        };
+        recorder.record(from.as_nanos(), event);
     }
 }
 
@@ -179,12 +250,11 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
         workload: &Workload,
         seed: u64,
     ) -> Result<SimulationReport, QueryError> {
-        self.run_recorded(kind, workload, seed, &mut NullRecorder)
+        self.run_with(workload, seed, RunOptions::kind(kind))
     }
 
     /// Like [`Simulation::run`], but narrates the run through `recorder`
-    /// (see [`sqda_obs`]). Timing and results are identical to an
-    /// unrecorded run with the same seed.
+    /// (see [`RunOptions::recorded`]).
     pub fn run_recorded(
         &self,
         kind: AlgorithmKind,
@@ -192,136 +262,26 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
         seed: u64,
         recorder: &mut dyn Recorder,
     ) -> Result<SimulationReport, QueryError> {
-        // One scratch shared across all of this run's oracle builds: the
-        // WOPTSS precomputation reuses a single best-first heap.
-        let mut scratch = crate::QueryScratch::new();
-        let mut factory =
-            |point: sqda_geom::Point, k: usize| kind.build_with(self.am, point, k, &mut scratch);
-        self.run_with_fallible(
-            &mut factory,
-            kind.name(),
-            workload,
-            seed,
-            &FaultPlan::none(),
-            recorder,
-        )
+        self.run_with(workload, seed, RunOptions::kind(kind).recorded(recorder))
     }
 
-    /// Runs `workload` under `kind` with faults injected from `plan`.
+    /// Runs `workload` as `options` say: the one entry point every other
+    /// `run*` is a front for.
     ///
-    /// With the empty plan this is byte-identical to [`Simulation::run`]
-    /// (same RNG stream, same timing, same report). Under a non-empty
-    /// plan, reads targeting a failed disk are redirected to the shadow
-    /// replica when the array is mirrored; pages with no live replica
-    /// are re-probed under the plan's retry policy and the owning query
-    /// aborts with [`QueryError::Unavailable`] when the budget runs out
-    /// — per-query failures land in
-    /// [`SimulationReport::failures`], they do not fail the run.
-    pub fn run_faulted(
+    /// # Errors
+    ///
+    /// [`QueryError::Config`] if the fault plan names a disk the array
+    /// does not have; otherwise whatever building an algorithm instance
+    /// or reading a page fails with. A query that runs out of replicas
+    /// is a per-query failure in the report, not an error.
+    pub fn run_with(
         &self,
-        kind: AlgorithmKind,
         workload: &Workload,
         seed: u64,
-        plan: &FaultPlan,
+        mut options: RunOptions<'_>,
     ) -> Result<SimulationReport, QueryError> {
-        self.run_faulted_recorded(kind, workload, seed, plan, &mut NullRecorder)
-    }
-
-    /// [`Simulation::run_faulted`] plus a recorder. Fault transitions
-    /// are narrated as first-class events (`disk_failed`,
-    /// `disk_recovered`, `disk_degraded`, `degraded_read`,
-    /// `read_retry`, `query_abort`).
-    pub fn run_faulted_recorded(
-        &self,
-        kind: AlgorithmKind,
-        workload: &Workload,
-        seed: u64,
-        plan: &FaultPlan,
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimulationReport, QueryError> {
-        let mut scratch = crate::QueryScratch::new();
-        let mut factory =
-            |point: sqda_geom::Point, k: usize| kind.build_with(self.am, point, k, &mut scratch);
-        self.run_with_fallible(&mut factory, kind.name(), workload, seed, plan, recorder)
-    }
-
-    /// Runs `workload` with algorithm instances produced by `factory`
-    /// (used for parameter sweeps like the CRSS activation-bound
-    /// ablation, where [`AlgorithmKind`] cannot carry the parameter).
-    pub fn run_with<F>(
-        &self,
-        factory: F,
-        name: &'static str,
-        workload: &Workload,
-        seed: u64,
-    ) -> Result<SimulationReport, QueryError>
-    where
-        F: FnMut(sqda_geom::Point, usize) -> Box<dyn SimilaritySearch>,
-    {
-        self.run_with_recorded(factory, name, workload, seed, &mut NullRecorder)
-    }
-
-    /// [`Simulation::run_with`] plus a recorder.
-    pub fn run_with_recorded<F>(
-        &self,
-        mut factory: F,
-        name: &'static str,
-        workload: &Workload,
-        seed: u64,
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimulationReport, QueryError>
-    where
-        F: FnMut(sqda_geom::Point, usize) -> Box<dyn SimilaritySearch>,
-    {
-        let mut fallible =
-            |point: sqda_geom::Point, k: usize| -> Result<Box<dyn SimilaritySearch>, QueryError> {
-                Ok(factory(point, k))
-            };
-        self.run_with_fallible(
-            &mut fallible,
-            name,
-            workload,
-            seed,
-            &FaultPlan::none(),
-            recorder,
-        )
-    }
-
-    /// [`Simulation::run_with_recorded`] plus a fault plan — the
-    /// factory-driven twin of [`Simulation::run_faulted_recorded`],
-    /// used by tests that wrap algorithms to observe degraded-mode
-    /// answers.
-    pub fn run_with_faulted_recorded<F>(
-        &self,
-        mut factory: F,
-        name: &'static str,
-        workload: &Workload,
-        seed: u64,
-        plan: &FaultPlan,
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimulationReport, QueryError>
-    where
-        F: FnMut(sqda_geom::Point, usize) -> Box<dyn SimilaritySearch>,
-    {
-        let mut fallible =
-            |point: sqda_geom::Point, k: usize| -> Result<Box<dyn SimilaritySearch>, QueryError> {
-                Ok(factory(point, k))
-            };
-        self.run_with_fallible(&mut fallible, name, workload, seed, plan, recorder)
-    }
-
-    fn run_with_fallible(
-        &self,
-        factory: &mut dyn FnMut(
-            sqda_geom::Point,
-            usize,
-        ) -> Result<Box<dyn SimilaritySearch>, QueryError>,
-        name: &'static str,
-        workload: &Workload,
-        seed: u64,
-        plan: &FaultPlan,
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimulationReport, QueryError> {
+        let no_faults = FaultPlan::none();
+        let plan = options.plan.unwrap_or(&no_faults);
         if let Some(max) = plan.max_disk() {
             if max >= self.params.num_disks {
                 return Err(QueryError::Config(format!(
@@ -330,25 +290,19 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
                 )));
             }
         }
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let mut disks: Vec<Disk> = (0..self.params.num_disks)
             .map(|_| Disk::new(self.params.disk.clone()))
             .collect();
-        let mut bus = Bus::new(self.params.bus_transfer());
-        let mut cpus: Vec<Cpu> = (0..self.params.num_cpus.max(1))
-            .map(|_| Cpu::new(self.params.cpu_mips))
-            .collect();
-        // Every query contributes one arrival event up front, so the
-        // workload size is a tight initial-capacity hint.
-        let mut events: EventQueue<Event> = EventQueue::with_capacity(workload.queries.len());
-        let recording = recorder.enabled();
-
         // Degraded-mode state. `faulted` gates every fault-path branch:
         // with an empty plan no profile is installed, no fault event is
-        // emitted and the routing below is the pre-fault logic verbatim,
+        // emitted and reads are routed by the pre-fault logic verbatim,
         // which keeps empty-plan runs byte-identical to `run`.
         let faulted = !plan.is_empty();
-        let retry = plan.retry();
+        // (The cast shortens the recorder's lifetime to this run's.)
+        let mut recorder = options
+            .recorder
+            .map(|r| r as &mut dyn Recorder)
+            .filter(|r| r.enabled());
         if faulted {
             for (d, disk) in disks.iter_mut().enumerate() {
                 let profile = plan.profile_for(d as u32);
@@ -356,518 +310,284 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
                     disk.set_fault_profile(profile);
                 }
             }
-            if recording {
-                // Narrate the plan's transitions up front: they are
-                // scheduled facts, not simulation outcomes, so they do
-                // not flow through the event queue. Consumers that care
-                // about ordering (metrics, Perfetto) scan the whole
-                // stream first.
-                for fault in plan.faults() {
-                    match *fault {
-                        DiskFault::FailStop {
-                            disk,
-                            at,
-                            recovers_at,
-                        } => {
-                            recorder
-                                .record(at.as_nanos(), ObsEvent::DiskFailed { disk: disk as u16 });
-                            if let Some(rec) = recovers_at {
-                                recorder.record(
-                                    rec.as_nanos(),
-                                    ObsEvent::DiskRecovered { disk: disk as u16 },
-                                );
-                            }
-                        }
-                        DiskFault::SlowWindow {
-                            disk,
-                            from,
-                            until,
-                            multiplier,
-                        } => recorder.record(
-                            from.as_nanos(),
-                            ObsEvent::DiskDegraded {
-                                disk: disk as u16,
-                                until_ns: until.as_nanos(),
-                                multiplier,
-                                extra_ns: 0,
-                            },
-                        ),
-                        DiskFault::HotSpot {
-                            disk,
-                            from,
-                            until,
-                            extra,
-                        } => recorder.record(
-                            from.as_nanos(),
-                            ObsEvent::DiskDegraded {
-                                disk: disk as u16,
-                                until_ns: until.as_nanos(),
-                                multiplier: 1.0,
-                                extra_ns: extra.as_nanos(),
-                            },
-                        ),
-                    }
-                }
+            if let Some(recorder) = recorder.as_deref_mut() {
+                narrate_plan(plan, recorder);
             }
         }
-        let mut degraded_reads = 0u64;
-        let mut read_retries = 0u64;
-        let mut failures: Vec<(u32, QueryError)> = Vec::new();
 
-        // Tree level of every page seen so far (root = 0), extended as
-        // internal nodes are decoded. Only maintained while recording.
-        let mut levels: HashMap<PageId, u16> = HashMap::new();
-        if recording {
-            levels.insert(self.am.root_page(), 0);
-        }
-
-        // Build one session per query. Oracle preparation (WOPTSS) happens
-        // here, outside simulated time.
-        let mut sessions: Vec<Session<SimTime>> = Vec::with_capacity(workload.queries.len());
+        // One algorithm instance per query. Oracle preparation (WOPTSS)
+        // happens here, outside simulated time, over one shared scratch:
+        // the precomputation reuses a single best-first heap.
+        let mut scratch = crate::QueryScratch::new();
+        let mut algos = Vec::with_capacity(workload.queries.len());
         for wq in &workload.queries {
-            let algo = factory(wq.point.clone(), wq.k)?;
-            sessions.push(Session::new(algo, wq.arrival));
-            events.schedule(wq.arrival, Event::Arrive(sessions.len() - 1));
+            algos.push(match &mut options.algo {
+                AlgoSource::Kind(kind) => {
+                    kind.build_with(self.am, wq.point.clone(), wq.k, &mut scratch)?
+                }
+                AlgoSource::Factory(factory) => factory(wq.point.clone(), wq.k),
+            });
+        }
+        // Every query contributes one arrival event up front, so the
+        // workload size is a tight initial-capacity hint.
+        let mut events = EventQueue::with_capacity(workload.queries.len());
+        let mut sessions = Vec::with_capacity(algos.len());
+        for (q, (algo, wq)) in algos.iter_mut().zip(&workload.queries).enumerate() {
+            sessions.push(Session::new(algo.as_mut(), q as u32, q as u32, Vec::new()));
+            events.schedule(wq.arrival, Event::Arrive(q));
         }
 
-        let mut response_times = SampleStats::new();
-        let mut total_nodes = 0u64;
-        let mut makespan = SimTime::ZERO;
-
-        // The virtual clock tracks the event being processed; recorder
-        // timestamps flow through it, exactly as the real-clock engine
-        // stamps through its wall clock.
-        let mut clock = VirtualClock::new();
-        while let Some((now, event)) = events.pop() {
+        // The virtual clock tracks the event being processed; the session
+        // core reads it and recorder timestamps flow through it, exactly
+        // as the real-clock engine stamps through its wall clock.
+        let clock = VirtualClock::new();
+        let mut run = Run {
+            am: self.am,
+            params: &self.params,
+            rng: <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed),
+            disks,
+            bus: Bus::new(self.params.bus_transfer()),
+            cpus: (0..self.params.num_cpus.max(1))
+                .map(|_| Cpu::new(self.params.cpu_mips))
+                .collect(),
+            events,
+            sessions,
+            nar: Narrator::new(&clock, recorder, None, self.am.root_page()),
+            faulted,
+            retry: plan.retry(),
+            degraded_reads: 0,
+            read_retries: 0,
+            failures: Vec::new(),
+            response_times: SampleStats::new(),
+            total_nodes: 0,
+            makespan: SimTime::ZERO,
+        };
+        while let Some((now, event)) = run.events.pop() {
             clock.advance(now);
-            match event {
-                Event::Arrive(q) => {
-                    // Per the paper, a new query enters the system
-                    // immediately; it pays the fixed startup cost on the
-                    // CPU, then issues its first request (the root page).
-                    let step = sessions[q].algo.start();
-                    sessions[q].pending = Some(step);
-                    let c = least_busy_cpu(&cpus);
-                    let (done, queue) =
-                        cpus[c].submit_duration_detailed(now, self.params.query_startup());
-                    events.schedule(done, Event::CpuDone { q });
-                    if recording {
-                        recorder.record(clock.now_ns(), ObsEvent::QueryArrive { query: q as u32 });
-                        let exec = done - now - queue;
-                        sessions[q].obs.cpu_queue_ns += queue.as_nanos();
-                        sessions[q].obs.cpu_ns += exec.as_nanos();
-                        recorder.record(
-                            clock.now_ns(),
-                            ObsEvent::CpuSlice {
-                                query: q as u32,
-                                cpu: c as u16,
-                                queue_ns: queue.as_nanos(),
-                                exec_ns: exec.as_nanos(),
-                                instructions: 0,
-                            },
-                        );
-                    }
-                }
-                Event::CpuDone { q } => {
-                    if sessions[q].failed {
-                        continue;
-                    }
-                    let step = sessions[q].pending.take().ok_or_else(|| {
-                        QueryError::Invariant(format!(
-                            "CPU completion for query {q} without a pending step"
-                        ))
-                    })?;
-                    match step {
-                        Step::Fetch(pages) => {
-                            if pages.is_empty() {
-                                return Err(QueryError::Invariant(format!(
-                                    "query {q} issued an empty fetch batch"
-                                )));
-                            }
-                            sessions[q].outstanding = pages.len();
-                            sessions[q].nodes_visited += pages.len() as u64;
-                            if recording {
-                                sessions[q].obs.batches += 1;
-                                // A batch can mix levels (CRSS pulls pages
-                                // from several runs at once): record the
-                                // shallowest and deepest, not pages[0]'s,
-                                // which mislabelled mixed batches.
-                                let mut level = u16::MAX;
-                                let mut level_max = 0u16;
-                                for page in &pages {
-                                    let l = levels.get(page).copied().unwrap_or_default();
-                                    level = level.min(l);
-                                    level_max = level_max.max(l);
-                                }
-                                recorder.record(
-                                    clock.now_ns(),
-                                    ObsEvent::BatchIssued {
-                                        query: q as u32,
-                                        level,
-                                        level_max,
-                                        size: pages.len() as u32,
-                                    },
-                                );
-                            }
-                            for page in pages {
-                                let placement = self.am.placement(page)?;
-                                let primary = placement.disk.index();
-                                let level = if recording {
-                                    levels.get(&page).copied().unwrap_or_default()
-                                } else {
-                                    0
-                                };
-                                match route_read(
-                                    primary,
-                                    now,
-                                    &disks,
-                                    self.params.mirrored_reads,
-                                    faulted,
-                                ) {
-                                    Route::Serve(disk) => submit_read(
-                                        &mut disks,
-                                        disk,
-                                        q,
-                                        page,
-                                        placement.cylinder,
-                                        level,
-                                        now,
-                                        &clock,
-                                        &mut rng,
-                                        &mut events,
-                                        recording,
-                                        recorder,
-                                        &mut sessions[q].obs,
-                                    ),
-                                    Route::Degraded { primary, replica } => {
-                                        degraded_reads += 1;
-                                        if recording {
-                                            recorder.record(
-                                                clock.now_ns(),
-                                                ObsEvent::DegradedRead {
-                                                    query: q as u32,
-                                                    disk: primary as u16,
-                                                    replica: replica as u16,
-                                                },
-                                            );
-                                        }
-                                        submit_read(
-                                            &mut disks,
-                                            replica,
-                                            q,
-                                            page,
-                                            placement.cylinder,
-                                            level,
-                                            now,
-                                            &clock,
-                                            &mut rng,
-                                            &mut events,
-                                            recording,
-                                            recorder,
-                                            &mut sessions[q].obs,
-                                        );
-                                    }
-                                    Route::Unavailable { primary } => {
-                                        read_retries += 1;
-                                        if recording {
-                                            recorder.record(
-                                                clock.now_ns(),
-                                                ObsEvent::ReadRetry {
-                                                    query: q as u32,
-                                                    disk: primary as u16,
-                                                    attempt: 1,
-                                                },
-                                            );
-                                        }
-                                        if retry.max_attempts <= 1 {
-                                            sessions[q].failed = true;
-                                            makespan = makespan.max(now);
-                                            failures.push((
-                                                q as u32,
-                                                QueryError::Unavailable {
-                                                    page,
-                                                    disk: primary as u32,
-                                                    attempts: 1,
-                                                },
-                                            ));
-                                            if recording {
-                                                recorder.record(
-                                                    clock.now_ns(),
-                                                    ObsEvent::QueryAbort {
-                                                        query: q as u32,
-                                                        disk: primary as u16,
-                                                        attempts: 1,
-                                                    },
-                                                );
-                                            }
-                                            break;
-                                        }
-                                        events.schedule(
-                                            now + retry.backoff,
-                                            Event::Retry {
-                                                q,
-                                                page,
-                                                attempt: 2,
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        Step::Done => {
-                            let resp = now - sessions[q].arrival;
-                            response_times.push(resp.as_secs_f64());
-                            sessions[q].finished_at = Some(now);
-                            total_nodes += sessions[q].nodes_visited;
-                            makespan = makespan.max(now);
-                            if recording {
-                                let obs = sessions[q].obs;
-                                recorder.record(
-                                    clock.now_ns(),
-                                    ObsEvent::QueryComplete {
-                                        query: q as u32,
-                                        response_ns: resp.as_nanos(),
-                                        nodes: sessions[q].nodes_visited,
-                                        batches: obs.batches,
-                                        disk_queue_ns: obs.disk_queue_ns,
-                                        seek_ns: obs.seek_ns,
-                                        rotation_ns: obs.rotation_ns,
-                                        transfer_ns: obs.transfer_ns,
-                                        bus_queue_ns: obs.bus_queue_ns,
-                                        bus_ns: obs.bus_ns,
-                                        cpu_queue_ns: obs.cpu_queue_ns,
-                                        cpu_ns: obs.cpu_ns,
-                                    },
-                                );
+            run.step(now, event)?;
+        }
+        Ok(run.report(options.name))
+    }
+}
+
+/// Everything one simulation run owns: the modelled array, the event
+/// queue, the query sessions and the run's tallies.
+struct Run<'a, A: AccessMethod + ?Sized> {
+    am: &'a A,
+    params: &'a SystemParams,
+    rng: rand::rngs::StdRng,
+    disks: Vec<Disk>,
+    bus: Bus,
+    cpus: Vec<Cpu>,
+    events: EventQueue<Event>,
+    sessions: Vec<Session<'a>>,
+    nar: Narrator<'a>,
+    faulted: bool,
+    retry: RetryPolicy,
+    degraded_reads: u64,
+    read_retries: u64,
+    failures: Vec<(u32, QueryError)>,
+    response_times: SampleStats,
+    total_nodes: u64,
+    makespan: SimTime,
+}
+
+/// Queues one step of query `q` on the CPU that frees up first and
+/// schedules its completion; `submit` says what the step costs.
+fn charge_cpu(
+    cpus: &mut [Cpu],
+    events: &mut EventQueue<Event>,
+    q: usize,
+    now: SimTime,
+    submit: impl FnOnce(&mut Cpu) -> (SimTime, SimTime),
+) -> CpuCharge {
+    let c = least_busy_cpu(cpus);
+    let (done, queue) = submit(&mut cpus[c]);
+    events.schedule(done, Event::CpuDone { q });
+    CpuCharge {
+        cpu: c as u16,
+        queue_ns: queue.as_nanos(),
+        exec_ns: (done - now - queue).as_nanos(),
+    }
+}
+
+impl<A: AccessMethod + ?Sized> Run<'_, A> {
+    /// Processes one popped event at its time `now`.
+    fn step(&mut self, now: SimTime, event: Event) -> Result<(), QueryError> {
+        match event {
+            Event::Arrive(q) => {
+                // Per the paper, a new query enters the system
+                // immediately; it pays the fixed startup cost on the
+                // CPU, then issues its first request (the root page).
+                self.sessions[q].arrive(&mut self.nar);
+                let startup = self.params.query_startup();
+                let charge = charge_cpu(&mut self.cpus, &mut self.events, q, now, |cpu| {
+                    cpu.submit_duration_detailed(now, startup)
+                });
+                self.sessions[q].cpu_slice(&mut self.nar, charge, 0);
+            }
+            Event::CpuDone { q } if !self.sessions[q].failed => {
+                match self.sessions[q].next_batch(&mut self.nar)? {
+                    Some(pages) => {
+                        for page in pages {
+                            self.dispatch_read(now, q, page, 1)?;
+                            if self.sessions[q].failed {
+                                break;
                             }
                         }
                     }
-                }
-                Event::DiskDone { q, page } => {
-                    if sessions[q].failed {
-                        // The page was read, but its query already
-                        // aborted: drop it instead of crossing the bus.
-                        let _ = page;
-                        continue;
-                    }
-                    let (done, queue) = bus.submit_detailed(now);
-                    events.schedule(done, Event::BusDone { q, page });
-                    if recording {
-                        let transfer = done - now - queue;
-                        sessions[q].obs.bus_queue_ns += queue.as_nanos();
-                        sessions[q].obs.bus_ns += transfer.as_nanos();
-                        recorder.record(
-                            clock.now_ns(),
-                            ObsEvent::BusTransfer {
-                                query: q as u32,
-                                queue_ns: queue.as_nanos(),
-                                transfer_ns: transfer.as_nanos(),
-                            },
-                        );
-                    }
-                }
-                Event::BusDone { q, page } => {
-                    if sessions[q].failed {
-                        continue;
-                    }
-                    let node = self.am.read_index_node(page)?;
-                    if recording {
-                        if let IndexNode::Internal(block) = &node {
-                            let child_level = levels.get(&page).copied().unwrap_or_default() + 1;
-                            for child in block.children() {
-                                levels.insert(child, child_level);
-                            }
-                        }
-                    }
-                    let session = &mut sessions[q];
-                    session.fetched.push((page, node));
-                    session.outstanding = settle_outstanding(session.outstanding, q)?;
-                    if session.outstanding == 0 {
-                        // The algorithm drains `fetched` in place; its
-                        // capacity is reused for the session's next batch.
-                        let result = session.algo.on_fetched(&mut session.fetched);
-                        debug_assert!(session.fetched.is_empty(), "algorithms drain the batch");
-                        session.fetched.clear();
-                        session.pending = Some(result.next);
-                        let c = least_busy_cpu(&cpus);
-                        if recording {
-                            let (done, queue) =
-                                cpus[c].submit_detailed(now, result.cpu_instructions);
-                            events.schedule(done, Event::CpuDone { q });
-                            let exec = done - now - queue;
-                            session.obs.cpu_queue_ns += queue.as_nanos();
-                            session.obs.cpu_ns += exec.as_nanos();
-                            recorder.record(
-                                clock.now_ns(),
-                                ObsEvent::CpuSlice {
-                                    query: q as u32,
-                                    cpu: c as u16,
-                                    queue_ns: queue.as_nanos(),
-                                    exec_ns: exec.as_nanos(),
-                                    instructions: result.cpu_instructions,
-                                },
-                            );
-                            if let Some(p) = session.algo.progress() {
-                                recorder.record(
-                                    clock.now_ns(),
-                                    ObsEvent::CrssState {
-                                        query: q as u32,
-                                        d_th_sq: p.d_th_sq,
-                                        stack_runs: p.stack_runs,
-                                        stack_candidates: p.stack_candidates,
-                                    },
-                                );
-                            }
-                        } else {
-                            let done = cpus[c].submit(now, result.cpu_instructions);
-                            events.schedule(done, Event::CpuDone { q });
-                        }
-                    }
-                }
-                Event::Retry { q, page, attempt } => {
-                    if sessions[q].failed {
-                        continue;
-                    }
-                    let placement = self.am.placement(page)?;
-                    let primary = placement.disk.index();
-                    let level = if recording {
-                        levels.get(&page).copied().unwrap_or_default()
-                    } else {
-                        0
-                    };
-                    match route_read(primary, now, &disks, self.params.mirrored_reads, faulted) {
-                        Route::Serve(disk) => submit_read(
-                            &mut disks,
-                            disk,
-                            q,
-                            page,
-                            placement.cylinder,
-                            level,
-                            now,
-                            &clock,
-                            &mut rng,
-                            &mut events,
-                            recording,
-                            recorder,
-                            &mut sessions[q].obs,
-                        ),
-                        Route::Degraded { primary, replica } => {
-                            degraded_reads += 1;
-                            if recording {
-                                recorder.record(
-                                    clock.now_ns(),
-                                    ObsEvent::DegradedRead {
-                                        query: q as u32,
-                                        disk: primary as u16,
-                                        replica: replica as u16,
-                                    },
-                                );
-                            }
-                            submit_read(
-                                &mut disks,
-                                replica,
-                                q,
-                                page,
-                                placement.cylinder,
-                                level,
-                                now,
-                                &clock,
-                                &mut rng,
-                                &mut events,
-                                recording,
-                                recorder,
-                                &mut sessions[q].obs,
-                            );
-                        }
-                        Route::Unavailable { primary } => {
-                            read_retries += 1;
-                            if recording {
-                                recorder.record(
-                                    clock.now_ns(),
-                                    ObsEvent::ReadRetry {
-                                        query: q as u32,
-                                        disk: primary as u16,
-                                        attempt,
-                                    },
-                                );
-                            }
-                            if attempt >= retry.max_attempts {
-                                // Budget exhausted: degrade to a typed
-                                // per-query failure instead of probing
-                                // (and hence hanging) forever.
-                                sessions[q].failed = true;
-                                makespan = makespan.max(now);
-                                failures.push((
-                                    q as u32,
-                                    QueryError::Unavailable {
-                                        page,
-                                        disk: primary as u32,
-                                        attempts: attempt,
-                                    },
-                                ));
-                                if recording {
-                                    recorder.record(
-                                        clock.now_ns(),
-                                        ObsEvent::QueryAbort {
-                                            query: q as u32,
-                                            disk: primary as u16,
-                                            attempts: attempt,
-                                        },
-                                    );
-                                }
-                            } else {
-                                events.schedule(
-                                    now + retry.backoff,
-                                    Event::Retry {
-                                        q,
-                                        page,
-                                        attempt: attempt + 1,
-                                    },
-                                );
-                            }
-                        }
+                    None => {
+                        let session = &mut self.sessions[q];
+                        let response = SimTime::from_nanos(session.complete(&mut self.nar));
+                        self.response_times.push(response.as_secs_f64());
+                        self.total_nodes += session.nodes_visited;
+                        self.makespan = self.makespan.max(now);
                     }
                 }
             }
+            Event::DiskDone { q, page } if !self.sessions[q].failed => {
+                let (done, queue) = self.bus.submit_detailed(now);
+                self.events.schedule(done, Event::BusDone { q, page });
+                let (queue_ns, transfer_ns) = (queue.as_nanos(), (done - now - queue).as_nanos());
+                let session = &mut self.sessions[q];
+                session.obs.bus_queue_ns += queue_ns;
+                session.obs.bus_ns += transfer_ns;
+                session.narrate(&mut self.nar, |query| ObsEvent::BusTransfer {
+                    query,
+                    queue_ns,
+                    transfer_ns,
+                });
+            }
+            Event::BusDone { q, page } if !self.sessions[q].failed => {
+                let node = self.am.read_index_node(page)?;
+                let (cpus, events) = (&mut self.cpus, &mut self.events);
+                self.sessions[q].deliver(&mut self.nar, page, node, |instructions, _| {
+                    charge_cpu(cpus, events, q, now, |cpu| {
+                        cpu.submit_detailed(now, instructions)
+                    })
+                })?;
+            }
+            Event::Retry { q, page, attempt } if !self.sessions[q].failed => {
+                self.dispatch_read(now, q, page, attempt)?;
+            }
+            // Work still in flight for a query that already aborted: a
+            // page that was read is dropped instead of crossing the bus.
+            _ => {}
         }
+        Ok(())
+    }
 
+    /// Routes probe number `attempt` of `page` for query `q` under the
+    /// current fault state — the first attempt and every retry alike:
+    /// submits the read to the disk that serves it, or, with no live
+    /// replica, schedules the next probe or aborts the query once the
+    /// retry budget is spent (a typed per-query failure instead of
+    /// probing, and hence hanging, forever).
+    fn dispatch_read(
+        &mut self,
+        now: SimTime,
+        q: usize,
+        page: PageId,
+        attempt: u32,
+    ) -> Result<(), QueryError> {
+        let placement = self.am.placement(page)?;
+        let primary = placement.disk.index();
+        let mirrored = self.params.mirrored_reads;
+        let session = &mut self.sessions[q];
+        let disk = match route_read(primary, now, &self.disks, mirrored, self.faulted) {
+            Route::Serve(disk) => disk,
+            Route::Degraded(replica) => {
+                self.degraded_reads += 1;
+                session.narrate(&mut self.nar, |query| ObsEvent::DegradedRead {
+                    query,
+                    disk: primary as u16,
+                    replica: replica as u16,
+                });
+                replica
+            }
+            Route::Unavailable => {
+                self.read_retries += 1;
+                session.narrate(&mut self.nar, |query| ObsEvent::ReadRetry {
+                    query,
+                    disk: primary as u16,
+                    attempt,
+                });
+                if attempt >= self.retry.max_attempts {
+                    session.abort(&mut self.nar, primary as u16, attempt);
+                    self.makespan = self.makespan.max(now);
+                    self.failures.push((
+                        q as u32,
+                        QueryError::Unavailable {
+                            page,
+                            disk: primary as u32,
+                            attempts: attempt,
+                        },
+                    ));
+                } else {
+                    let next = Event::Retry {
+                        q,
+                        page,
+                        attempt: attempt + 1,
+                    };
+                    self.events.schedule(now + self.retry.backoff, next);
+                }
+                return Ok(());
+            }
+        };
+        let detail = self.disks[disk].submit_detailed(now, placement.cylinder, &mut self.rng);
+        self.events
+            .schedule(detail.completion, Event::DiskDone { q, page });
+        let read = DiskRead {
+            disk: disk as u16,
+            cylinder: placement.cylinder,
+            queue_ns: detail.queue.as_nanos(),
+            seek_ns: detail.seek.as_nanos(),
+            rotation_ns: detail.rotation.as_nanos(),
+            transfer_ns: detail.transfer.as_nanos(),
+            queue_depth: detail.queue_depth,
+        };
+        session.disk_read(&mut self.nar, page, read);
+        Ok(())
+    }
+
+    /// Folds the finished run into its report.
+    fn report(self, algorithm: &'static str) -> SimulationReport {
         debug_assert!(
-            sessions.iter().all(|s| s.finished_at.is_some() || s.failed),
+            self.sessions
+                .iter()
+                .all(|s| s.response_ns.is_some() || s.failed),
             "all queries must complete or abort"
         );
-        let completed = sessions.iter().filter(|s| s.finished_at.is_some()).count();
-        let horizon = makespan;
-        let mean_disk_utilization = if disks.is_empty() {
-            0.0
-        } else {
-            disks.iter().map(|d| d.utilization(horizon)).sum::<f64>() / disks.len() as f64
-        };
-        let summary = response_times.summary();
-        Ok(SimulationReport {
-            algorithm: name,
+        let responses: Vec<f64> = self
+            .sessions
+            .iter()
+            .filter_map(|s| {
+                s.response_ns
+                    .map(|ns| SimTime::from_nanos(ns).as_secs_f64())
+            })
+            .collect();
+        let completed = responses.len();
+        let horizon = self.makespan;
+        let summary = self.response_times.summary();
+        let disk_busy: f64 = self.disks.iter().map(|d| d.utilization(horizon)).sum();
+        let cpu_busy: f64 = self.cpus.iter().map(|c| c.utilization(horizon)).sum();
+        SimulationReport {
+            algorithm,
             completed,
             mean_response_s: summary.mean,
             std_response_s: summary.std_dev,
             max_response_s: summary.max,
             p95_response_s: summary.p95,
-            mean_nodes_per_query: if completed == 0 {
-                0.0
-            } else {
-                total_nodes as f64 / completed as f64
-            },
-            mean_disk_utilization,
-            bus_utilization: bus.utilization(horizon),
-            cpu_utilization: cpus.iter().map(|c| c.utilization(horizon)).sum::<f64>()
-                / cpus.len() as f64,
-            makespan_s: makespan.as_secs_f64(),
-            failed: failures.len(),
-            degraded_reads,
-            read_retries,
-            failures,
-            responses: sessions
-                .iter()
-                .filter_map(|s| s.finished_at.map(|f| (f - s.arrival).as_secs_f64()))
-                .collect(),
-        })
+            mean_nodes_per_query: per(self.total_nodes as f64, completed),
+            mean_disk_utilization: per(disk_busy, self.disks.len()),
+            bus_utilization: self.bus.utilization(horizon),
+            cpu_utilization: per(cpu_busy, self.cpus.len()),
+            makespan_s: horizon.as_secs_f64(),
+            failed: self.failures.len(),
+            degraded_reads: self.degraded_reads,
+            read_retries: self.read_retries,
+            failures: self.failures,
+            responses,
+        }
     }
 }

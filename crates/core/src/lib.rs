@@ -79,10 +79,7 @@ pub use access::{
     best_first_knn, best_first_knn_with, AccessMethod, IndexNode, InternalBlock, LeafBlock,
     QueryScratch, RegionBlock,
 };
-pub use batch::{
-    batch_knn, batch_knn_backend, batch_knn_backend_with, batch_knn_with, BatchKnnReport,
-    BatchScratch,
-};
+pub use batch::{batch_knn, batch_knn_with, BatchKnnReport, BatchScratch};
 pub use error::QueryError;
 // Re-exported so access-method crates can type their answers without a
 // direct dependency on the R*-tree crate.
@@ -91,7 +88,7 @@ pub use bbss::Bbss;
 pub use crss::Crss;
 pub use exec::{
     mirror_partner, run_query, run_query_with, QueryRun, RealTimeEngine, RealTimeReport,
-    Simulation, SimulationReport,
+    RunOptions, Simulation, SimulationReport,
 };
 pub use fpss::Fpss;
 pub use range::RangeSearch;

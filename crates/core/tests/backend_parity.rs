@@ -11,18 +11,20 @@
 
 use sqda_core::{
     exec::run_query, AccessMethod, AlgorithmKind, BatchResult, IndexNode, Neighbor, QueryError,
-    RealTimeEngine, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    RealTimeEngine, RunOptions, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
+use sqda_obs::{CollectingRecorder, Event, MetricsSnapshot};
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{Node, RStarConfig, RStarTree};
-use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
+use sqda_simkernel::{SimTime, SystemParams};
 use sqda_storage::{
-    Bytes, FileStore, InlineBackend, IoStats, NodeCache, PageId, PageStore, Placement,
-    ReadObserver, ThreadedFileBackend,
+    Bytes, FileStore, InlineBackend, IoBackend, IoStats, NodeCache, PageId, PageStore, Placement,
+    ReadCompletion, ReadObserver, StorageError, ThreadedFileBackend,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 
@@ -147,24 +149,17 @@ fn run_simulated(dir: &PathBuf, root: PageId, kind: AlgorithmKind) -> ModeRun {
     let sink: Arc<Mutex<BTreeMap<usize, Vec<Neighbor>>>> = Arc::default();
     let mut next_query = 0usize;
     let factory_sink = Arc::clone(&sink);
-    let report = sim
-        .run_with_faulted_recorded(
-            |point, k| {
-                let spy = Spy {
-                    inner: kind.build(&tree, point, k).unwrap(),
-                    query: next_query,
-                    sink: Arc::clone(&factory_sink),
-                };
-                next_query += 1;
-                Box::new(spy)
-            },
-            kind.name(),
-            &workload(),
-            13,
-            &FaultPlan::none(),
-            &mut sqda_obs::NullRecorder,
-        )
-        .unwrap();
+    let mut factory = |point, k| -> Box<dyn SimilaritySearch> {
+        let spy = Spy {
+            inner: kind.build(&tree, point, k).unwrap(),
+            query: next_query,
+            sink: Arc::clone(&factory_sink),
+        };
+        next_query += 1;
+        Box::new(spy)
+    };
+    let options = RunOptions::factory(kind.name(), &mut factory);
+    let report = sim.run_with(&workload(), 13, options).unwrap();
     assert_eq!(report.failed, 0, "{kind}");
     let captured = sink.lock().unwrap();
     let answers = (0..captured.len()).map(|q| captured[&q].clone()).collect();
@@ -629,5 +624,80 @@ fn lone_worker_runs_on_the_caller_with_identical_work() {
             "{kind}: concurrency 4 must drive its sessions on spawned workers"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Serves every read through an [`InlineBackend`], then fails the ones
+/// that landed on `bad_disk` with a typed storage error — a disk that
+/// stopped answering under the real-clock engine.
+struct FailingBackend {
+    inner: InlineBackend<FileStore>,
+    bad_disk: u32,
+}
+
+impl IoBackend for FailingBackend {
+    fn submit_batch(&self, pages: &[PageId]) -> Receiver<ReadCompletion> {
+        let (tx, rx) = channel();
+        for mut completion in self.inner.submit_batch(pages) {
+            if completion.disk == self.bad_disk {
+                completion.result = Err(StorageError::PageNotFound(completion.page));
+            }
+            tx.send(completion).unwrap();
+        }
+        rx
+    }
+    fn name(&self) -> &'static str {
+        "failing"
+    }
+    fn num_disks(&self) -> u32 {
+        self.inner.num_disks()
+    }
+}
+
+/// A query the real-clock engine gives up on is narrated to the end:
+/// every `query_arrive` — in the recorder stream and in the flight ring
+/// alike — is closed by a `query_complete` or a `query_abort`, so the
+/// folded metrics count the aborts the report counts and a Perfetto
+/// export keeps no unterminated span. (The engine used to leave through
+/// `?` with the arrival already narrated and nothing after it.)
+#[test]
+fn failed_real_queries_are_narrated_as_aborts() {
+    let dir = tmpdir("aborts");
+    let root = build_store(&dir);
+    let tree = open_tree(&dir, root);
+    // Not the root's disk: queries get under way, and those that never
+    // need the bad disk complete.
+    let root_disk = tree.store().placement(root).unwrap().disk.0;
+    let backend = Arc::new(FailingBackend {
+        inner: InlineBackend::new(Arc::clone(tree.store())),
+        bad_disk: (root_disk + 1) % NUM_DISKS,
+    });
+    let live = Arc::new(sqda_obs::LiveTelemetry::new(NUM_DISKS).with_flight_recorder(8192));
+    let engine = RealTimeEngine::new(&tree, backend)
+        .unwrap()
+        .with_telemetry(Arc::clone(&live))
+        .unwrap();
+    let mut recorder = CollectingRecorder::new();
+    let report = engine
+        .run_recorded(AlgorithmKind::Crss, &workload(), 1, &mut recorder)
+        .unwrap();
+    assert!(report.failed > 0, "the bad disk must be hit");
+    assert_eq!(report.completed + report.failed, queries().len());
+    for (_, err) in &report.failures {
+        assert!(matches!(err, QueryError::Storage(_)), "{err:?}");
+    }
+
+    let count = |events: &[(u64, Event)], kind: &str| {
+        events.iter().filter(|(_, e)| e.kind() == kind).count()
+    };
+    let flight = live.flight().unwrap().drain();
+    for (what, events) in [("recorder", recorder.events()), ("flight", &flight[..])] {
+        assert_eq!(count(events, "query_abort"), report.failed, "{what}");
+        assert_eq!(count(events, "query_complete"), report.completed, "{what}");
+        assert_eq!(count(events, "query_arrive"), queries().len(), "{what}");
+    }
+    let snapshot = MetricsSnapshot::from_events(recorder.events());
+    assert_eq!(snapshot.queries_aborted.0, report.failed as u64);
+    assert_eq!(live.queries_failed.get(), report.failed as u64);
     std::fs::remove_dir_all(&dir).ok();
 }

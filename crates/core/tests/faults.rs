@@ -8,7 +8,7 @@
 
 use sqda_core::{
     mirror_partner, AccessMethod, AlgorithmKind, BatchResult, IndexNode, Neighbor, QueryError,
-    SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    RunOptions, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_obs::{events_to_jsonl, CollectingRecorder, Event};
@@ -73,7 +73,7 @@ fn workload() -> Workload {
     }
 }
 
-/// The RNG-stream parity pin: with the empty plan, `run_faulted` is
+/// The RNG-stream parity pin: with the empty plan, a faulted run is
 /// byte-identical to `run` — reports bit-equal, recorded event streams
 /// byte-equal — under a stochastic (default-drive, multi-cylinder)
 /// configuration where any extra or reordered RNG draw would diverge.
@@ -103,7 +103,10 @@ fn empty_plan_is_byte_identical_to_fault_free() {
     let sim = Simulation::new(&tree, SystemParams::with_disks(6)).unwrap();
     for kind in AlgorithmKind::ALL {
         let plain = sim.run(kind, &w, 9).unwrap();
-        let faulted = sim.run_faulted(kind, &w, 9, &FaultPlan::none()).unwrap();
+        let no_faults = FaultPlan::none();
+        let faulted = sim
+            .run_with(&w, 9, RunOptions::kind(kind).faults(&no_faults))
+            .unwrap();
         assert_eq!(plain.mean_response_s, faulted.mean_response_s, "{kind}");
         assert_eq!(plain.std_response_s, faulted.std_response_s, "{kind}");
         assert_eq!(plain.max_response_s, faulted.max_response_s, "{kind}");
@@ -117,7 +120,8 @@ fn empty_plan_is_byte_identical_to_fault_free() {
         let mut rec_plain = CollectingRecorder::new();
         let mut rec_faulted = CollectingRecorder::new();
         sim.run_recorded(kind, &w, 9, &mut rec_plain).unwrap();
-        sim.run_faulted_recorded(kind, &w, 9, &FaultPlan::none(), &mut rec_faulted)
+        let options = RunOptions::kind(kind).faults(&no_faults);
+        sim.run_with(&w, 9, options.recorded(&mut rec_faulted))
             .unwrap();
         assert_eq!(
             events_to_jsonl(rec_plain.events()),
@@ -173,25 +177,18 @@ fn run_spied(
     let sim = Simulation::new(tree, params).unwrap();
     let mut next_query = 0usize;
     let factory_sink = Arc::clone(&sink);
-    let report = sim
-        .run_with_faulted_recorded(
-            |point, k| {
-                let inner = kind.build(tree, point, k).unwrap();
-                let spy = Spy {
-                    inner,
-                    query: next_query,
-                    sink: Arc::clone(&factory_sink),
-                };
-                next_query += 1;
-                Box::new(spy)
-            },
-            kind.name(),
-            w,
-            5,
-            plan,
-            &mut sqda_obs::NullRecorder,
-        )
-        .unwrap();
+    let mut factory = |point, k| -> Box<dyn SimilaritySearch> {
+        let inner = kind.build(tree, point, k).unwrap();
+        let spy = Spy {
+            inner,
+            query: next_query,
+            sink: Arc::clone(&factory_sink),
+        };
+        next_query += 1;
+        Box::new(spy)
+    };
+    let options = RunOptions::factory(kind.name(), &mut factory).faults(plan);
+    let report = sim.run_with(w, 5, options).unwrap();
     let answers = sink.lock().unwrap().clone();
     (report, answers)
 }
@@ -252,7 +249,9 @@ fn killing_the_unpaired_disk_aborts_with_typed_error() {
     let plan = FaultPlan::none().fail_stop(unpaired, SimTime::ZERO);
     for kind in AlgorithmKind::ALL {
         let sim = Simulation::new(&tree, mirrored_params(5)).unwrap();
-        let report = sim.run_faulted(kind, &w, 5, &plan).unwrap();
+        let report = sim
+            .run_with(&w, 5, RunOptions::kind(kind).faults(&plan))
+            .unwrap();
         assert_eq!(report.failed, 1, "{kind}: the query must abort");
         assert_eq!(report.completed, 0, "{kind}");
         assert!(report.read_retries > 0, "{kind}");
@@ -326,9 +325,8 @@ fn fault_events_are_recorded() {
     let plan = FaultPlan::none().fail_stop(root_disk, SimTime::ZERO);
     let sim = Simulation::new(&tree, mirrored_params(4)).unwrap();
     let mut rec = CollectingRecorder::new();
-    let report = sim
-        .run_faulted_recorded(AlgorithmKind::Bbss, &w, 5, &plan, &mut rec)
-        .unwrap();
+    let options = RunOptions::kind(AlgorithmKind::Bbss).faults(&plan);
+    let report = sim.run_with(&w, 5, options.recorded(&mut rec)).unwrap();
     let failed_events: Vec<_> = rec
         .events()
         .iter()
@@ -404,14 +402,10 @@ fn mixed_level_batches_record_min_and_max_levels() {
     };
     let sim = Simulation::new(&tree, deterministic_params(2)).unwrap();
     let mut rec = CollectingRecorder::new();
-    sim.run_with_recorded(
-        |_point, _k| Box::new(MixedFetcher { root, rounds: 0 }),
-        "mixed-fetcher",
-        &w,
-        1,
-        &mut rec,
-    )
-    .unwrap();
+    let mut factory =
+        |_point, _k| -> Box<dyn SimilaritySearch> { Box::new(MixedFetcher { root, rounds: 0 }) };
+    let options = RunOptions::factory("mixed-fetcher", &mut factory);
+    sim.run_with(&w, 1, options.recorded(&mut rec)).unwrap();
     let batches: Vec<(u16, u16, u32)> = rec
         .events()
         .iter()

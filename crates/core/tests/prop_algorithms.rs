@@ -3,7 +3,9 @@
 //! invariants of each algorithm hold.
 
 use proptest::prelude::*;
-use sqda_core::{exec::run_query, mirror_partner, AlgorithmKind, Simulation, Workload, WorkloadQuery};
+use sqda_core::{
+    exec::run_query, mirror_partner, AlgorithmKind, RunOptions, Simulation, Workload, WorkloadQuery,
+};
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{RStarConfig, RStarTree};
@@ -147,13 +149,12 @@ proptest! {
             ..SystemParams::with_disks(4)
         };
         let sim = Simulation::new(&tree, params).unwrap();
+        let crss = || RunOptions::kind(AlgorithmKind::Crss);
         let healthy = sim
-            .run_faulted(AlgorithmKind::Crss, &w, 11, &FaultPlan::none())
+            .run_with(&w, 11, crss().faults(&FaultPlan::none()))
             .unwrap();
         let plan = FaultPlan::none().fail_stop(dead, SimTime::ZERO);
-        let degraded = sim
-            .run_faulted(AlgorithmKind::Crss, &w, 11, &plan)
-            .unwrap();
+        let degraded = sim.run_with(&w, 11, crss().faults(&plan)).unwrap();
         prop_assert_eq!(degraded.failed, 0, "mirrored loss must not abort");
         prop_assert_eq!(degraded.completed, 1);
         // Identical traversal: the same nodes are fetched, only their

@@ -1,7 +1,6 @@
 //! n-dimensional points with Euclidean distance.
 
 use crate::{GeomError, Result};
-use serde::{Deserialize, Serialize};
 
 /// An n-dimensional point with `f64` coordinates.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Coordinates are stored in a boxed slice: a `Point` is two words plus the
 /// coordinate payload, and its dimensionality is immutable after creation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     coords: Box<[f64]>,
 }

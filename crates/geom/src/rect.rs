@@ -1,7 +1,6 @@
 //! Minimum bounding rectangles and the three point-to-MBR distance metrics.
 
 use crate::{GeomError, Point, RectRef, Result};
-use serde::{Deserialize, Serialize};
 
 /// An n-dimensional axis-aligned minimum bounding rectangle (MBR).
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///   property underlies the threshold distance of Lemma 1.
 ///
 /// For every point `p` and MBR `r`: `D_min ≤ D_mm ≤ D_max`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     lo: Box<[f64]>,
     hi: Box<[f64]>,

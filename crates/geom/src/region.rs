@@ -7,10 +7,9 @@
 //! either access method.
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A bounding region: an axis-aligned rectangle or a sphere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Region {
     /// An axis-aligned minimum bounding rectangle.
     Rect(Rect),

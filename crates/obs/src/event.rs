@@ -177,13 +177,17 @@ pub enum Event {
         /// Probe number (1 = first attempt).
         attempt: u32,
     },
-    /// A query gave up: a page stayed unavailable through the whole
-    /// retry budget (timestamp = abort). The query leaves the system
-    /// with a typed error instead of an answer.
+    /// A query gave up (timestamp = abort): under the simulator a page
+    /// stayed unavailable through the whole retry budget, under the
+    /// real-clock engine a read or decode failed. The query leaves the
+    /// system with a typed error instead of an answer; every
+    /// `QueryArrive` is closed by this or by a `QueryComplete`.
     QueryAbort {
         /// Aborting query.
         query: QueryId,
-        /// The unavailable primary disk.
+        /// The unavailable primary disk (real-clock engine: the disk of
+        /// the last read the query saw finish — the failing one when a
+        /// read is what ended it).
         disk: u16,
         /// Probes spent before giving up.
         attempts: u32,

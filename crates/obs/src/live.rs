@@ -40,6 +40,7 @@ use crate::json::ObjWriter;
 use crate::metrics::{
     Counter, DiskMetrics, Histogram, MetricsSnapshot, DEPTH_BOUNDS, TIME_MS_BOUNDS,
 };
+use crate::stats::percentile;
 use std::cell::UnsafeCell;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -362,22 +363,6 @@ pub struct WindowStats {
     pub p95_ms: f64,
     /// Windowed 99th-percentile response, ms.
     pub p99_ms: f64,
-}
-
-/// Linear-interpolated percentile of an ascending-sorted sample — the
-/// same convention as the real-clock engine's report percentiles.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-    }
 }
 
 impl WindowRing {

@@ -196,6 +196,24 @@ impl MetricSummary {
     }
 }
 
+/// Linear-interpolated percentile (`q` in `[0, 1]`) of an
+/// ascending-sorted sample; 0 when empty. The convention of `STATS`'
+/// windowed percentiles and of `RealTimeReport`; the simulator's
+/// `SampleStats::percentile` is nearest-rank instead.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    }
+}
+
 /// Drops the warm-up prefix of an arrival-ordered series: the first
 /// `⌊n·fraction⌋` samples are deleted. `fraction` is clamped to
 /// `[0, 1]`; with `fraction = 0` the full series is returned.
@@ -239,6 +257,16 @@ pub fn batch_means(samples: &[f64], batches: usize) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn percentile_interpolates() {
+        let s = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&s, 0.0), 1.0);
+        assert_eq!(percentile(&s, 1.0), 4.0);
+        assert_eq!(percentile(&s, 0.5), 2.5);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    }
+
     /// SplitMix64 — local copy so these tests stay dependency-free
     /// (sqda-obs deliberately has no `rand`).
     fn splitmix64(x: u64) -> u64 {
@@ -281,7 +309,10 @@ mod tests {
         assert_eq!(m.min(), 2.0);
         assert_eq!(m.max(), 9.0);
         let s = m.summary();
-        assert_eq!(s, MetricSummary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]));
+        assert_eq!(
+            s,
+            MetricSummary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
+        );
         assert!((s.ci95_half_width - 1.96 * s.std_dev / 8f64.sqrt()).abs() < 1e-12);
     }
 
@@ -292,7 +323,10 @@ mod tests {
         let mut one = OnlineMoments::new();
         one.push(3.5);
         let s = one.summary();
-        assert_eq!((s.count, s.mean, s.std_dev, s.ci95_half_width), (1, 3.5, 0.0, 0.0));
+        assert_eq!(
+            (s.count, s.mean, s.std_dev, s.ci95_half_width),
+            (1, 3.5, 0.0, 0.0)
+        );
         assert_eq!((s.min, s.max), (3.5, 3.5));
     }
 
@@ -301,7 +335,11 @@ mod tests {
         let mut rng = Rng(7);
         let xs: Vec<f64> = (0..501).map(|_| 1.0e8 + rng.normal()).collect();
         let mut whole = OnlineMoments::new();
-        let mut parts = [OnlineMoments::new(), OnlineMoments::new(), OnlineMoments::new()];
+        let mut parts = [
+            OnlineMoments::new(),
+            OnlineMoments::new(),
+            OnlineMoments::new(),
+        ];
         for (i, &x) in xs.iter().enumerate() {
             whole.push(x);
             parts[i % 3].push(x);
@@ -369,15 +407,28 @@ mod tests {
         let mut series = Vec::new();
         for i in 0..500 {
             let steady = 5.0 + 0.3 * rng.normal();
-            let ramp = if i < 100 { -4.0 * (1.0 - i as f64 / 100.0) } else { 0.0 };
+            let ramp = if i < 100 {
+                -4.0 * (1.0 - i as f64 / 100.0)
+            } else {
+                0.0
+            };
             series.push(steady + ramp);
         }
         let raw = MetricSummary::from_samples(&series);
         let trimmed = MetricSummary::from_samples(truncate_warmup(&series, 0.2));
         assert_eq!(trimmed.count, 400);
-        assert!((trimmed.mean - 5.0).abs() < 0.05, "trimmed {}", trimmed.mean);
+        assert!(
+            (trimmed.mean - 5.0).abs() < 0.05,
+            "trimmed {}",
+            trimmed.mean
+        );
         // The untrimmed mean carries the ramp bias of −2·(100/500) = −0.4.
-        assert!(raw.mean < trimmed.mean - 0.3, "raw {} trimmed {}", raw.mean, trimmed.mean);
+        assert!(
+            raw.mean < trimmed.mean - 0.3,
+            "raw {} trimmed {}",
+            raw.mean,
+            trimmed.mean
+        );
     }
 
     #[test]

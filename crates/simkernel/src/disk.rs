@@ -4,7 +4,6 @@
 use crate::{DiskFaultProfile, SimTime, UtilizationTracker};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Physical parameters of one disk drive.
@@ -12,7 +11,7 @@ use std::collections::VecDeque;
 /// Defaults model the HP-C2200A drive used in the paper's simulation
 /// (Table 2; constants from Ruemmler & Wilkes, *An Introduction to Disk
 /// Drive Modeling*, IEEE Computer 1994).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskParams {
     /// Number of cylinders (`Cyl` in Table 2).
     pub num_cylinders: u32,

@@ -1,7 +1,6 @@
 //! Whole-system simulation parameters.
 
 use crate::{DiskParams, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the simulated system (Tables 1–2 of the paper).
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (shadowed disks, RAID-1 read balancing) and
 /// [`SystemParams::num_cpus`] (a shared-memory multiprocessor front
 /// end).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemParams {
     /// Number of disks in the RAID-0 array.
     pub num_disks: u32,

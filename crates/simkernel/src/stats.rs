@@ -92,6 +92,9 @@ impl SampleStats {
     }
 
     /// Exact percentile by nearest-rank (`p` in `[0, 100]`); 0 when empty.
+    /// Nearest-rank is pinned by the simulator goldens and `results/*.csv`;
+    /// `STATS` and `RealTimeReport` interpolate instead
+    /// (`sqda_obs::stats::percentile`).
     ///
     /// # Panics
     ///

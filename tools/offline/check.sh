@@ -10,11 +10,6 @@ OUT=target/offline/out
 mkdir -p "$OUT"
 
 echo "== stubs"
-rustc --edition 2021 --crate-type proc-macro --crate-name serde_derive \
-  $S/stubs/serde_derive.rs --out-dir $OUT
-rustc --edition 2021 --crate-type lib --crate-name serde \
-  --extern serde_derive=$OUT/libserde_derive.so \
-  $S/stubs/serde.rs --out-dir $OUT
 rustc --edition 2021 --crate-type lib --crate-name bytes \
   $S/stubs/bytes.rs --out-dir $OUT
 rustc --edition 2021 --crate-type lib --crate-name parking_lot \
@@ -24,7 +19,6 @@ rustc --edition 2021 --crate-type lib --crate-name rand \
 rustc --edition 2021 --crate-type lib --crate-name criterion \
   $S/stubs/criterion.rs --out-dir $OUT
 
-EXT_SERDE="--extern serde=$OUT/libserde.rlib --extern serde_derive=$OUT/libserde_derive.so"
 EXT_BYTES="--extern bytes=$OUT/libbytes.rlib"
 EXT_PL="--extern parking_lot=$OUT/libparking_lot.rlib"
 EXT_RAND="--extern rand=$OUT/librand.rlib"
@@ -36,9 +30,9 @@ lib() { # name path externs...
     "$path" --out-dir $OUT
 }
 
-lib sqda_geom crates/geom/src/lib.rs $EXT_SERDE
+lib sqda_geom crates/geom/src/lib.rs
 lib sqda_storage crates/storage/src/lib.rs $EXT_BYTES $EXT_RAND $EXT_PL
-lib sqda_simkernel crates/simkernel/src/lib.rs $EXT_RAND $EXT_SERDE
+lib sqda_simkernel crates/simkernel/src/lib.rs $EXT_RAND
 EXT_GEOM="--extern sqda_geom=$OUT/libsqda_geom.rlib"
 EXT_STORAGE="--extern sqda_storage=$OUT/libsqda_storage.rlib"
 EXT_SIM="--extern sqda_simkernel=$OUT/libsqda_simkernel.rlib"

@@ -14,7 +14,6 @@ OUT=target/offline/out
 T=$OUT/tests
 mkdir -p "$T"
 
-EXT_SERDE="--extern serde=$OUT/libserde.rlib --extern serde_derive=$OUT/libserde_derive.so"
 EXT_BYTES="--extern bytes=$OUT/libbytes.rlib"
 EXT_PL="--extern parking_lot=$OUT/libparking_lot.rlib"
 EXT_RAND="--extern rand=$OUT/librand.rlib"
@@ -41,9 +40,9 @@ t() { # name src externs...
 }
 
 # Unit tests (the #[cfg(test)] modules inside each crate's src tree).
-t geom_unit crates/geom/src/lib.rs $EXT_SERDE
+t geom_unit crates/geom/src/lib.rs
 t storage_unit crates/storage/src/lib.rs $EXT_BYTES $EXT_RAND $EXT_PL
-t simkernel_unit crates/simkernel/src/lib.rs $EXT_RAND $EXT_SERDE
+t simkernel_unit crates/simkernel/src/lib.rs $EXT_RAND
 t obs_unit crates/obs/src/lib.rs $EXT_STORAGE
 t rstar_unit crates/rstar/src/lib.rs $EXT_GEOM $EXT_STORAGE $EXT_BYTES $EXT_PL $EXT_RAND
 t core_unit crates/core/src/lib.rs $EXT_GEOM $EXT_STORAGE $EXT_RSTAR $EXT_SIM $EXT_OBS $EXT_RAND
