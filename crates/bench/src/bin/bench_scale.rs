@@ -118,7 +118,9 @@ fn main() {
     );
     let mut json_points: Vec<String> = Vec::new();
 
-    for (si, &n) in scales.iter().enumerate() {
+    // One external build of the first `n` streamed points into a fresh
+    // store under `root`; the scratch store is gone when it returns.
+    let build_tree = |n: usize, build_opts: &ExternalBuildOptions| {
         let dest_dir = root.join(format!("tree-{n}"));
         let scratch_dir = root.join(format!("scratch-{n}"));
         let store = Arc::new(
@@ -133,19 +135,14 @@ fn main() {
                 .enumerate()
                 .map(|(i, p)| (p, i as u64))
         });
-        let build_opts = ExternalBuildOptions {
-            run_capacity: RUN_CAPACITY,
-            jobs,
-            ..ExternalBuildOptions::default()
-        };
         let t = Instant::now();
-        let (mut tree, build) = RStarTree::bulk_load_external_stats(
+        let (tree, report) = RStarTree::bulk_load_external_stats(
             store.clone(),
             RStarConfig::with_page_size(DIM, page_size),
             Box::new(ProximityIndex),
             &source,
             &scratch,
-            &build_opts,
+            build_opts,
         )
         .expect("external build");
         let build_s = t.elapsed().as_secs_f64();
@@ -153,10 +150,24 @@ fn main() {
         let _ = std::fs::remove_dir_all(&scratch_dir);
         store.sync().expect("sync store");
         eprintln!(
-            "  built n={n} in {build_s:.1}s: {} runs, {} merge passes, \
+            "  built n={n} (runs of {}) in {build_s:.1}s: {} runs, {} merge passes, \
              {} scratch pages spilled (peak {})",
-            build.runs, build.merge_passes, build.spilled_pages, build.peak_scratch_pages
+            build_opts.run_capacity,
+            report.runs,
+            report.merge_passes,
+            report.spilled_pages,
+            report.peak_scratch_pages
         );
+        (tree, source, report, build_s, dest_dir)
+    };
+
+    for (si, &n) in scales.iter().enumerate() {
+        let build_opts = ExternalBuildOptions {
+            run_capacity: RUN_CAPACITY,
+            jobs,
+            ..ExternalBuildOptions::default()
+        };
+        let (mut tree, source, build, build_s, dest_dir) = build_tree(n, &build_opts);
 
         // Query under a fixed resident-node budget: cold pass (empty
         // cache, every wavefront page read from file), then the same
@@ -298,6 +309,23 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dest_dir);
     }
 
+    // The largest scale once more the way `sqda build --external` runs
+    // it when given no options: runs of 2^18 points, one sort worker.
+    let n = scales[scales.len() - 1];
+    let defaults = ExternalBuildOptions::default();
+    let (tree, _, build, build_s, dest_dir) = build_tree(n, &defaults);
+    drop(tree);
+    let _ = std::fs::remove_dir_all(&dest_dir);
+    let default_options = format!(
+        "{{\"n\":{n},\"run_capacity\":{},\"build_s\":{build_s:.3},\"runs\":{},\
+         \"merge_passes\":{},\"spilled_pages\":{},\"peak_scratch_pages\":{}}}",
+        defaults.run_capacity,
+        build.runs,
+        build.merge_passes,
+        build.spilled_pages,
+        build.peak_scratch_pages
+    );
+
     table.print();
     table.write_csv(&opts.out_dir, "bench_scale");
     std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
@@ -307,7 +335,7 @@ fn main() {
          \"disks\": {DISKS},\n    \"k\": {K},\n    \"dim\": {DIM},\n    \
          \"page_size\": {page_size},\n    \"run_capacity\": {RUN_CAPACITY},\n    \
          \"cache_bytes\": {CACHE_BYTES},\n    \"queries\": {n_queries}\n  }},\n  \
-         \"points\": [\n    {}\n  ]\n}}\n",
+         \"points\": [\n    {}\n  ],\n  \"default_options\": {default_options}\n}}\n",
         json_points.join(",\n    ")
     );
     std::fs::write(&path, json).expect("write BENCH_scale.json");

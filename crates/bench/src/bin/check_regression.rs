@@ -11,16 +11,22 @@
 //! universes, so the numeric rules are skipped and only the structure
 //! (every baseline metric still present) is enforced.
 //!
+//! `--scale <BENCH_scale.json>` adds the external build's scaling band:
+//! the build time per point at the largest population may be at most
+//! 1.5× that at the smallest, so a super-linear term cannot come back
+//! unnoticed (the build was 3.8× before it was made linear).
+//!
 //! ```text
 //! check_regression [--current results/BENCH_summary.json]
 //!                  [--baseline results/BASELINE.json]
 //!                  [--rel-threshold 0.05]
+//!                  [--scale results/BENCH_scale.json]
 //! ```
 //!
 //! Exit status: 0 clean, 1 findings (regressions or missing metrics),
 //! 2 usage/parse errors.
 
-use sqda_bench::report::{compare_summary_text, FindingKind};
+use sqda_bench::report::{build_scaling, compare_summary_text, FindingKind, BUILD_SCALING_BAND};
 use std::path::PathBuf;
 
 fn fail(msg: &str) -> ! {
@@ -32,6 +38,7 @@ fn main() {
     let mut current = PathBuf::from("results/BENCH_summary.json");
     let mut baseline = PathBuf::from("results/BASELINE.json");
     let mut rel_threshold = 0.05f64;
+    let mut scale: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -45,6 +52,11 @@ fn main() {
                     args.next()
                         .unwrap_or_else(|| fail("--baseline needs a path")),
                 )
+            }
+            "--scale" => {
+                scale = Some(PathBuf::from(
+                    args.next().unwrap_or_else(|| fail("--scale needs a path")),
+                ))
             }
             "--rel-threshold" => {
                 rel_threshold = args
@@ -102,7 +114,20 @@ fn main() {
             ),
         }
     }
-    if cmp.findings.is_empty() {
+    let mut scaling_ok = true;
+    if let Some(path) = scale {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
+        let ratio = build_scaling(&text).unwrap_or_else(|e| fail(&e));
+        scaling_ok = ratio <= BUILD_SCALING_BAND;
+        println!(
+            "check_regression: external build costs {ratio:.2}x per point at the largest \
+             scale of {} vs the smallest (band {BUILD_SCALING_BAND}x){}",
+            path.display(),
+            if scaling_ok { "" } else { " — SUPER-LINEAR" }
+        );
+    }
+    if cmp.findings.is_empty() && scaling_ok {
         println!("check_regression: OK");
     } else {
         std::process::exit(1);

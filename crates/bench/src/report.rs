@@ -409,9 +409,54 @@ pub fn compare_summary_text(
     compare_summaries(&cur, &base, rel_threshold)
 }
 
+/// Most a point may cost at the largest scale of `BENCH_scale.json`,
+/// as a multiple of what it costs at the smallest.
+pub const BUILD_SCALING_BAND: f64 = 1.5;
+
+/// The external build's scaling figure from `BENCH_scale.json` text:
+/// `build_s / n` at the largest `n` over `build_s / n` at the smallest.
+/// About 1 for a linear build (the merge's `log n` shows as a few
+/// percent); a quadratic term in it grows with `n` and is what
+/// [`BUILD_SCALING_BAND`] is there to catch.
+pub fn build_scaling(scale_json: &str) -> Result<f64, String> {
+    let doc = parse(scale_json.trim()).map_err(|e| format!("scale results: {e}"))?;
+    let points = doc.get("points").and_then(|p| p.as_arr()).unwrap_or(&[]);
+    let per_point = |p: &Value| {
+        let n = p.get("n")?.as_f64().filter(|n| *n > 0.0)?;
+        Some((n, p.get("build_s")?.as_f64()? / n))
+    };
+    let mut costs = points
+        .iter()
+        .map(|p| per_point(p).ok_or("a point lacks a positive \"n\" or a \"build_s\""))
+        .collect::<Result<Vec<_>, _>>()?;
+    costs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    match (costs.first(), costs.last()) {
+        (Some(small), Some(large)) if small.0 < large.0 && small.1 > 0.0 => Ok(large.1 / small.1),
+        _ => Err("scale results need two scales with positive build times".into()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_scaling_is_per_point_cost_largest_over_smallest() {
+        let scale = |small_s: f64, large_s: f64| {
+            format!(
+                "{{\"bench\":\"bench_scale\",\"points\":[\
+                 {{\"n\":10000000,\"build_s\":{large_s}}},{{\"n\":1000000,\"build_s\":{small_s}}}]}}"
+            )
+        };
+        // The committed parent figures: 37.6x the time for 10x the data.
+        let quadratic = build_scaling(&scale(2.453, 92.135)).expect("scaling");
+        assert!((quadratic - 3.756).abs() < 1e-3, "{quadratic}");
+        assert!(quadratic > BUILD_SCALING_BAND);
+        let linear = build_scaling(&scale(1.0, 11.0)).expect("scaling");
+        assert!((linear - 1.1).abs() < 1e-9 && linear <= BUILD_SCALING_BAND);
+        assert!(build_scaling("{\"points\":[{\"n\":5,\"build_s\":1}]}").is_err());
+        assert!(build_scaling("{\"points\":[{\"n\":5},{\"n\":6,\"build_s\":1}]}").is_err());
+    }
 
     fn summary_with(mean: f64, ci: f64) -> String {
         format!(

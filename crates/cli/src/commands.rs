@@ -14,7 +14,7 @@ use sqda_rstar::{ExternalBuildOptions, Node, PointSource, RStarConfig, RStarTree
 use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
 use sqda_storage::{FileStore, NodeCache, PageId, PageStore, ThreadedFileBackend};
 use std::error::Error;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 type CmdResult = Result<(), Box<dyn Error + Send + Sync>>;
@@ -120,34 +120,140 @@ pub fn generate(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// What is wrong with a CSV input and where: `line` is 1-based, 0 when
+/// the file could not be opened.
+#[derive(Debug)]
+struct CsvError {
+    path: PathBuf,
+    line: u64,
+    problem: CsvProblem,
+}
+
+#[derive(Debug)]
+enum CsvProblem {
+    Io(std::io::Error),
+    NotANumber(String),
+    /// A row with another number of fields than the first row.
+    Ragged {
+        expected: usize,
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for CsvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: ", self.path.display(), self.line)?;
+        match &self.problem {
+            CsvProblem::Io(e) => write!(f, "{e}"),
+            CsvProblem::NotANumber(field) => write!(f, "{field:?} is not a number"),
+            CsvProblem::Ragged { expected, got } => {
+                write!(f, "{got} fields, but the first row has {expected}")
+            }
+        }
+    }
+}
+
+impl Error for CsvError {}
+
+/// The non-blank lines of a CSV file through one reused line buffer.
+struct CsvLines {
+    path: PathBuf,
+    reader: std::io::BufReader<std::fs::File>,
+    buf: String,
+    line: u64,
+}
+
+impl CsvLines {
+    fn open(path: &Path) -> Result<Self, CsvError> {
+        let path = path.to_path_buf();
+        match std::fs::File::open(&path) {
+            Ok(file) => Ok(CsvLines {
+                path,
+                reader: std::io::BufReader::new(file),
+                buf: String::new(),
+                line: 0,
+            }),
+            Err(e) => Err(CsvError {
+                path,
+                line: 0,
+                problem: CsvProblem::Io(e),
+            }),
+        }
+    }
+
+    /// `problem`, found on the line last read.
+    fn error(&self, problem: CsvProblem) -> CsvError {
+        CsvError {
+            path: self.path.clone(),
+            line: self.line,
+            problem,
+        }
+    }
+
+    /// Reads the next non-blank line into `buf`; `false` at the end of
+    /// the file.
+    fn next_line(&mut self) -> Result<bool, CsvError> {
+        use std::io::BufRead;
+        loop {
+            self.buf.clear();
+            self.line += 1;
+            match self.reader.read_line(&mut self.buf) {
+                Ok(0) => return Ok(false),
+                Ok(_) if self.buf.trim().is_empty() => {}
+                Ok(_) => return Ok(true),
+                Err(e) => return Err(self.error(CsvProblem::Io(e))),
+            }
+        }
+    }
+
+    /// The next row as a point of `dim` coordinates.
+    fn next_point(&mut self, dim: usize) -> Result<Option<Point>, CsvError> {
+        if !self.next_line()? {
+            return Ok(None);
+        }
+        let mut coords = Vec::with_capacity(dim);
+        for field in self.buf.split(',') {
+            let field = field.trim();
+            match field.parse::<f64>() {
+                Ok(c) => coords.push(c),
+                Err(_) => return Err(self.error(CsvProblem::NotANumber(field.to_string()))),
+            }
+        }
+        if coords.len() != dim {
+            return Err(self.error(CsvProblem::Ragged {
+                expected: dim,
+                got: coords.len(),
+            }));
+        }
+        Ok(Some(Point::new(coords)))
+    }
+}
+
 /// A [`PointSource`] that re-reads a CSV file on every pass, so the
 /// external builder never materializes the dataset: resident memory is
 /// one line buffer plus the builder's bounded sort runs. Object ids are
-/// the zero-based line positions, matching the in-memory build.
+/// the zero-based row positions, matching the in-memory build.
 ///
 /// Construction scans the file once for the cardinality and the
-/// dimensionality of the first row. A row that fails to parse during a
-/// later pass is skipped, which the builder then reports as a typed
-/// point-count mismatch.
+/// dimensionality of the first row. [`PointSource::iter`] cannot return
+/// an error, so a pass that meets a bad row (or a file that changed
+/// under it) ends there and leaves the [`CsvError`] in `error`; `build`
+/// reports that in place of the builder's point-count mismatch.
 struct CsvSource {
-    path: std::path::PathBuf,
+    path: PathBuf,
     len: u64,
     dim: usize,
+    error: std::cell::RefCell<Option<CsvError>>,
 }
 
 impl CsvSource {
-    fn scan(path: &Path) -> Result<Self, Box<dyn Error + Send + Sync>> {
-        use std::io::BufRead;
-        let reader = std::io::BufReader::new(std::fs::File::open(path)?);
+    fn scan(path: &Path) -> Result<Self, CsvError> {
+        let mut lines = CsvLines::open(path)?;
         let mut len = 0u64;
         let mut dim = 0usize;
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
+        while lines.next_line()? {
             if dim == 0 {
-                dim = line.split(',').count();
+                dim = lines.buf.split(',').count();
             }
             len += 1;
         }
@@ -155,7 +261,13 @@ impl CsvSource {
             path: path.to_path_buf(),
             len,
             dim,
+            error: None.into(),
         })
+    }
+
+    /// Keeps the first error of a pass for `build` to report.
+    fn fail(&self, e: CsvError) {
+        self.error.borrow_mut().get_or_insert(e);
     }
 }
 
@@ -169,21 +281,14 @@ impl PointSource for CsvSource {
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = (Point, u64)> + '_> {
-        use std::io::BufRead;
-        let file = std::fs::File::open(&self.path).expect("CSV input vanished between passes");
-        let lines = std::io::BufReader::new(file).lines();
-        Box::new(
-            lines
-                .map_while(|line| line.ok())
-                .filter(|line| !line.trim().is_empty())
-                .filter_map(|line| {
-                    let coords: Result<Vec<f64>, _> =
-                        line.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                    coords.ok().map(Point::new)
-                })
-                .enumerate()
-                .map(|(i, p)| (p, i as u64)),
-        )
+        // Any error ends the pass and is kept for `build`.
+        let mut lines = CsvLines::open(&self.path).map_err(|e| self.fail(e)).ok();
+        let mut ids = 0u64..;
+        Box::new(std::iter::from_fn(move || {
+            let row = lines.as_mut()?.next_point(self.dim);
+            let point = row.map_err(|e| self.fail(e)).ok()??;
+            Some((point, ids.next()?))
+        }))
     }
 }
 
@@ -232,14 +337,20 @@ pub fn build(args: &Args) -> CmdResult {
             jobs,
             ..ExternalBuildOptions::default()
         };
-        let (tree, report) = RStarTree::bulk_load_external_stats(
+        let built = RStarTree::bulk_load_external_stats(
             store.clone(),
             config,
             declusterer,
             &source,
             &scratch,
             &opts,
-        )?;
+        );
+        // A pass cut short by a bad row is the cause of whatever the
+        // builder made of it.
+        if let Some(e) = source.error.take() {
+            return Err(e.into());
+        }
+        let (tree, report) = built?;
         drop(scratch);
         std::fs::remove_dir_all(&scratch_dir)?;
         store.sync()?;

@@ -192,3 +192,39 @@ fn helpful_errors() {
     let help = sqda(&["help"]);
     assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE"));
 }
+
+#[test]
+fn external_build_names_the_bad_csv_row() {
+    // A row that does not parse and a row that is too short, both in
+    // the middle of an input big enough to spill: the build fails with
+    // the file and the 1-based line, not with a bare count mismatch.
+    for (name, bad_row, want) in [
+        ("malformed", "0.25,oops", "\"oops\" is not a number"),
+        ("short", "0.25", "1 fields, but the first row has 2"),
+    ] {
+        let dir = workdir(name);
+        let csv = dir.join("points.csv");
+        let mut rows: Vec<String> = (0..600)
+            .map(|i| format!("{},{}", (i * 37 % 601) as f64 / 601.0, i as f64 / 600.0))
+            .collect();
+        rows[300] = bad_row.to_string();
+        std::fs::write(&csv, rows.join("\n") + "\n").unwrap();
+        let o = sqda(&[
+            "build",
+            "--input",
+            csv.to_str().unwrap(),
+            "--store",
+            dir.join("store").to_str().unwrap(),
+            "--external",
+            "--page-size",
+            "1024",
+            "--run-capacity",
+            "100",
+        ]);
+        assert!(!o.status.success(), "{name}: build succeeded");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains("points.csv:301:"), "{name}: {err}");
+        assert!(err.contains(want), "{name}: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

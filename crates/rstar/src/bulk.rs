@@ -18,6 +18,7 @@ use crate::tree::{RStarError, RStarTree, Result};
 use crate::{Declusterer, RStarConfig};
 use sqda_geom::{Point, Rect};
 use sqda_storage::{DiskId, PageId, PageStore};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a bulk load linearizes the input before packing.
@@ -100,9 +101,14 @@ pub(crate) struct LevelWriter<'a, S: PageStore> {
     tree: &'a RStarTree<S>,
     mode: PlacementMode,
     group: usize,
-    placed: Vec<(Rect, DiskId)>,
+    /// The most recently placed pages: at least the last `WINDOW` of
+    /// them, never the whole level.
+    recent: Vec<(Rect, DiskId)>,
     pages: Vec<PageId>,
 }
+
+/// Most siblings a page is declustered against.
+const WINDOW: usize = 16;
 
 impl<'a, S: PageStore> LevelWriter<'a, S> {
     pub(crate) fn new(tree: &'a RStarTree<S>, mode: PlacementMode) -> Self {
@@ -110,7 +116,7 @@ impl<'a, S: PageStore> LevelWriter<'a, S> {
             tree,
             mode,
             group: tree.config.max_internal_entries.max(1),
-            placed: Vec::new(),
+            recent: Vec::with_capacity(2 * WINDOW),
             pages: Vec::new(),
         }
     }
@@ -119,20 +125,22 @@ impl<'a, S: PageStore> LevelWriter<'a, S> {
         let mbr = node
             .mbr()
             .ok_or_else(|| RStarError::InvalidBuild("empty node in bulk build".into()))?;
-        let idx = self.placed.len();
-        let start = match self.mode {
-            PlacementMode::Trailing => idx.saturating_sub(16),
+        let idx = self.pages.len();
+        let siblings = match self.mode {
+            PlacementMode::Trailing => idx,
             // Only the already-placed members of this page's own parent
-            // group (still capped at the trailing-16 window size).
-            PlacementMode::SiblingStripe => {
-                ((idx / self.group) * self.group).max(idx.saturating_sub(16))
-            }
-        };
-        let window = &self.placed[start..];
+            // group.
+            PlacementMode::SiblingStripe => idx % self.group,
+        }
+        .min(WINDOW);
+        let window = &self.recent[self.recent.len() - siblings..];
         let page = self.tree.allocate_declustered(&mbr, window)?;
         self.tree.write_node(page, node)?;
         let disk = self.tree.store.placement(page)?.disk;
-        self.placed.push((mbr, disk));
+        if self.recent.len() == 2 * WINDOW {
+            self.recent.drain(..WINDOW);
+        }
+        self.recent.push((mbr, disk));
         self.pages.push(page);
         Ok(page)
     }
@@ -224,14 +232,7 @@ impl<S: PageStore> RStarTree<S> {
         let leaf_cap = self.config.max_leaf_entries;
         let min_leaf = self.config.min_leaf_entries();
         let tiles = match order {
-            PackingOrder::Str => str_tile(
-                &mut entries,
-                leaf_cap,
-                min_leaf,
-                dim,
-                0,
-                &|e: &LeafEntry| e.point.clone(),
-            ),
+            PackingOrder::Str => str_tile(&mut entries, leaf_cap, min_leaf, dim, 0, &leaf_key),
             PackingOrder::Morton | PackingOrder::Hilbert => {
                 let (lo, hi) = point_bounds(&entries);
                 match order {
@@ -243,16 +244,12 @@ impl<S: PageStore> RStarTree<S> {
                     }
                     PackingOrder::Str => unreachable!(),
                 }
-                if entries.len() <= leaf_cap {
-                    vec![entries.clone()]
-                } else {
-                    chunk_balanced(&entries, leaf_cap, min_leaf)
-                }
+                chunk_balanced(entries.len(), leaf_cap, min_leaf).collect()
             }
         };
         let level_nodes: Vec<Node> = tiles
             .into_iter()
-            .map(|tile| Node::from_leaf_entries(&tile))
+            .map(|tile| Node::from_leaf_entries(&entries[tile]))
             .collect();
         let pages = self.write_level_with(&level_nodes, mode)?;
         if level_nodes.len() == 1 {
@@ -281,22 +278,19 @@ impl<S: PageStore> RStarTree<S> {
             // STR re-tiles each directory level; curve packing keeps the
             // children's curve order and cuts it into consecutive runs.
             let tiles = match order {
+                // By MBR center, `Rect::center`'s expression per axis.
                 PackingOrder::Str => {
-                    str_tile(&mut entries, cap, min, dim, 0, &|e: &InternalEntry| {
-                        e.mbr.center()
+                    str_tile(&mut entries, cap, min, dim, 0, &|e: &InternalEntry, a| {
+                        (e.mbr.lo()[a] + e.mbr.hi()[a]) / 2.0
                     })
                 }
                 PackingOrder::Morton | PackingOrder::Hilbert => {
-                    if entries.len() <= cap {
-                        vec![entries.clone()]
-                    } else {
-                        chunk_balanced(&entries, cap, min)
-                    }
+                    chunk_balanced(entries.len(), cap, min).collect()
                 }
             };
             let level_nodes: Vec<Node> = tiles
                 .into_iter()
-                .map(|tile| Node::from_internal_entries(level, &tile))
+                .map(|tile| Node::from_internal_entries(level, &entries[tile]))
                 .collect();
             let pages = self.write_level_with(&level_nodes, mode)?;
             if level_nodes.len() == 1 {
@@ -351,6 +345,11 @@ pub(crate) fn validate_point(p: &Point, dim: usize) -> Result<()> {
     Ok(())
 }
 
+/// The STR sort key of a leaf entry: its coordinate along `axis`.
+pub(crate) fn leaf_key(e: &LeafEntry, axis: usize) -> f64 {
+    e.point.coord(axis)
+}
+
 /// The coordinate bounds of a set of leaf entries.
 fn point_bounds(entries: &[LeafEntry]) -> (Vec<f64>, Vec<f64>) {
     let dim = entries[0].point.dim();
@@ -370,32 +369,56 @@ fn point_bounds(entries: &[LeafEntry]) -> (Vec<f64>, Vec<f64>) {
     (lo, hi)
 }
 
-/// Recursively tiles `items` (STR): sorts by the coordinate of
-/// `axis`, splits into slabs, recurses into the next axis, and emits
-/// groups of at most `cap` (and at least `min`, except when fewer items
-/// exist in total).
-pub(crate) fn str_tile<T: Clone>(
+/// Recursively tiles `items` (STR): sorts them in place by `key` at
+/// `axis`, splits into slabs, recurses into the next axis, and returns
+/// the tiles as consecutive ranges of the sorted slice — groups of at
+/// most `cap` (and at least `min`, except when fewer items exist in
+/// total).
+pub(crate) fn str_tile<T>(
     items: &mut [T],
     cap: usize,
     min: usize,
     dim: usize,
     axis: usize,
-    key: &impl Fn(&T) -> Point,
-) -> Vec<Vec<T>> {
+    key: &impl Fn(&T, usize) -> f64,
+) -> Vec<Range<usize>> {
     let n = items.len();
-    if n <= cap {
-        return vec![items.to_vec()];
+    if n > cap {
+        // Coordinates are validated finite on entry; `total_cmp` keeps
+        // the sort panic-free even if a caller sneaks a NaN past that.
+        items.sort_by(|a, b| key(a, axis).total_cmp(&key(b, axis)));
     }
-    if axis + 1 >= dim {
+    if n <= cap || axis + 1 >= dim {
         // Last axis: chunk the sorted run directly.
-        sort_by_axis(items, axis, key);
-        return chunk_balanced(items, cap, min);
+        return chunk_balanced(n, cap, min).collect();
     }
-    let (slab_size, _) = str_slab_size(n, cap, dim, axis);
-    sort_by_axis(items, axis, key);
-    let mut out = Vec::new();
+    let mut tiles = Vec::with_capacity(n.div_ceil(cap));
+    for slab in str_slabs(n, cap, min, dim, axis) {
+        let at = slab.start;
+        let inner = str_tile(&mut items[slab], cap, min, dim, axis + 1, key);
+        tiles.extend(inner.into_iter().map(|t| at + t.start..at + t.end));
+    }
+    tiles
+}
+
+/// The STR slabs of `n` items sorted along `axis`: `ceil(n/cap)` pages
+/// spread over the exact integer ceil-`(dim-axis)`-th root of that many
+/// slabs. The external builder cuts its merged stream with the same
+/// iterator, so both tilings agree.
+pub(crate) fn str_slabs(
+    n: usize,
+    cap: usize,
+    min: usize,
+    dim: usize,
+    axis: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let slabs = ceil_root(n.div_ceil(cap), (dim - axis) as u32);
+    let slab_size = n.div_ceil(slabs).max(cap);
     let mut start = 0;
-    while start < n {
+    std::iter::from_fn(move || {
+        if start >= n {
+            return None;
+        }
         let mut end = (start + slab_size).min(n);
         // Never strand a tail smaller than the minimum fill: shrink this
         // slab so the next one stays viable. Safe because
@@ -404,51 +427,33 @@ pub(crate) fn str_tile<T: Clone>(
         if tail > 0 && tail < min {
             end = n - min;
         }
-        out.extend(str_tile(
-            &mut items[start..end],
-            cap,
-            min,
-            dim,
-            axis + 1,
-            key,
-        ));
+        let slab = start..end;
         start = end;
-    }
-    out
+        Some(slab)
+    })
 }
 
-/// The STR slab width at `axis`: `n` items form `ceil(n/cap)` pages,
-/// spread over the exact integer ceil-`(dim-axis)`-th root of that many
-/// slabs. Returns `(slab_size, slabs)`; the external builder cuts at
-/// the same boundaries so both tilings agree.
-pub(crate) fn str_slab_size(n: usize, cap: usize, dim: usize, axis: usize) -> (usize, usize) {
-    let pages = n.div_ceil(cap);
-    let slabs = ceil_root(pages, (dim - axis) as u32);
-    (n.div_ceil(slabs).max(cap), slabs)
-}
-
-fn sort_by_axis<T>(items: &mut [T], axis: usize, key: &impl Fn(&T) -> Point) {
-    // Coordinates are validated finite on entry; `total_cmp` keeps the
-    // sort panic-free even if a caller sneaks a NaN past validation.
-    items.sort_by(|a, b| key(a).coord(axis).total_cmp(&key(b).coord(axis)));
-}
-
-/// Chunks a sorted run into groups of `cap`, rebalancing the final two
-/// groups so no group falls below `min` (the R\*-tree fill invariant).
-pub(crate) fn chunk_balanced<T: Clone>(items: &[T], cap: usize, min: usize) -> Vec<Vec<T>> {
-    let n = items.len();
-    debug_assert!(n > cap);
-    let mut groups: Vec<Vec<T>> = items.chunks(cap).map(|c| c.to_vec()).collect();
-    let last = groups.len() - 1;
-    if groups[last].len() < min {
-        let deficit = min - groups[last].len();
-        let prev = &mut groups[last - 1];
-        let moved: Vec<T> = prev.drain(prev.len() - deficit..).collect();
-        // Prepend to keep spatial ordering.
-        let old_last = std::mem::take(&mut groups[last]);
-        groups[last] = moved.into_iter().chain(old_last).collect();
-    }
-    groups
+/// Chunks a sorted run of `n` items into groups of `cap` — one group
+/// when `n ≤ cap` — shortening the one before last so the final group
+/// never falls below `min` (the R\*-tree fill invariant).
+pub(crate) fn chunk_balanced(
+    n: usize,
+    cap: usize,
+    min: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let groups = n.div_ceil(cap).max(1);
+    let last = n - cap * (groups - 1);
+    let deficit = if groups > 1 {
+        min.saturating_sub(last)
+    } else {
+        0
+    };
+    let bound = move |g: usize| match groups - g {
+        0 => n,
+        1 => g * cap - deficit,
+        _ => g * cap,
+    };
+    (0..groups).map(move |g| bound(g)..bound(g + 1))
 }
 
 #[cfg(test)]

@@ -13,20 +13,30 @@
 //!    Each run is sorted in RAM (`--jobs` runs sort in parallel) and
 //!    spilled as fixed-size records through a caller-provided *scratch*
 //!    page store.
-//! 2. **K-way merge** — runs merge `merge_fanin` at a time on a
+//! 2. **K-way merge** — runs merge up to `merge_fanin` at a time on a
 //!    `(key, seq)` min-heap; because `seq` is the record's position in
-//!    the previous order, the merge reproduces a *stable* sort exactly,
-//!    and multiple passes handle any run count. Consumed scratch pages
-//!    are freed (and recycled) as they are read.
-//! 3. **Tiling** — STR recurses per axis: the merged stream is cut at
-//!    the same slab boundaries the in-memory tiler would use
-//!    ([`crate::bulk`]'s exact integer ceil-root), slabs respill and
-//!    recurse on the next axis, and any slab that fits in one run
-//!    finishes with the in-memory tiler. Curve orders cut the single
-//!    merged stream straight into leaves. Leaves are written through
-//!    the same [`LevelWriter`] as the in-memory builder; directory
-//!    levels (a few hundred thousand entries even at 10M objects) are
-//!    built in memory.
+//!    the previous order, the merge reproduces a *stable* sort exactly.
+//!    Merges are written back to scratch only while more than
+//!    `merge_fanin` runs remain, and only as many runs as it takes to
+//!    get down to that; the last merge is a *stream* its consumer pulls
+//!    records from, so the fully sorted order never touches a disk.
+//!    Consumed scratch pages are freed (and recycled) as they are read.
+//! 3. **Tiling** — STR cuts that stream at the slab boundaries the
+//!    in-memory tiler would use ([`crate::bulk`]'s exact integer
+//!    ceil-root). A slab that fits one run is collected off the stream
+//!    and finished by the in-memory tiler; a larger one is spilled (with
+//!    `seq` retagged to its position) and sorted externally on the next
+//!    axis, the outer stream paused where the slab ended. On the last
+//!    axis, and for curve orders, the stream is cut straight into
+//!    leaves. Leaves are written through the same [`LevelWriter`] as the
+//!    in-memory builder; directory levels (a few hundred thousand
+//!    entries even at 10M objects) are built in memory.
+//!
+//! A 2-d input whose slabs fit a run is therefore written to scratch
+//! once at run formation and then only where a merge is written back —
+//! at 123 runs and a fan-in of 64 that is one merge of 60 runs, half
+//! the data — and every step is `O(n log n)` or better: the build is
+//! linear in `n` to within the merge's `log`.
 //!
 //! Because runs spill through a **separate** scratch store, the
 //! destination store sees exactly the allocation/write sequence of the
@@ -42,7 +52,8 @@
 //! the scratch store is throwaway by contract.
 
 use crate::bulk::{
-    str_slab_size, str_tile, validate_packing, validate_point, LevelWriter, PlacementMode,
+    chunk_balanced, leaf_key, str_slabs, str_tile, validate_packing, validate_point, LevelWriter,
+    PlacementMode,
 };
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
 use crate::node::Node;
@@ -51,7 +62,7 @@ use crate::{Declusterer, PackingOrder, RStarConfig};
 use sqda_geom::Point;
 use sqda_storage::{Bytes, DiskId, PageId, PageStore};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 /// A re-iterable stream of `(point, object id)` pairs.
@@ -176,9 +187,15 @@ impl Default for ExternalBuildOptions {
 pub struct ExternalBuildReport {
     /// Sort runs formed across all external sorts.
     pub runs: u64,
-    /// Merge passes over the data (0 when nothing spilled).
+    /// Merge passes, summed over all external sorts (0 when nothing
+    /// spilled): per sort, the most merges any one record went through.
+    /// That counts the sort's final merge — of at most `merge_fanin`
+    /// runs, streamed to the tiler instead of written back — and, below
+    /// it, merges that were written back but took in only as many runs
+    /// as needed, so a "pass" may touch part of the data.
     pub merge_passes: u64,
-    /// Scratch pages written in total.
+    /// Scratch pages written in total: run formation, each merge that
+    /// had to be written back, and slabs too big for one run.
     pub spilled_pages: u64,
     /// High-water mark of live scratch pages — the scratch store's
     /// actual footprint requirement.
@@ -332,8 +349,8 @@ impl<T: PageStore> BuildCtx<'_, T> {
     }
 }
 
-/// Input to one external-sort or load step: the original source (first
-/// axis) or a spilled slab from the previous axis.
+/// Input to one external sort: the original source (first axis) or a
+/// spilled slab from the previous axis.
 enum Input<'a> {
     Source(&'a dyn PointSource),
     Spill(Spill),
@@ -344,6 +361,8 @@ enum Input<'a> {
 struct Spill {
     pages: Vec<PageId>,
     n: usize,
+    /// Merges its records have been written back by (0 for a fresh run).
+    depth: u64,
 }
 
 /// The sort key of one pass, computed from a record's coordinates.
@@ -409,6 +428,15 @@ struct Head {
 }
 
 impl RunBuf {
+    /// Room for a whole run up front: growing a buffer of this size by
+    /// doubling copies it, and holds old and new copy at once.
+    fn with_capacity(records: usize, dim: usize) -> Self {
+        Self {
+            heads: Vec::with_capacity(records),
+            coords: Vec::with_capacity(records * dim),
+        }
+    }
+
     fn push(&mut self, key: u128, seq: u64, id: u64, coords: &[f64]) {
         let idx = self.heads.len() as u32;
         self.heads.push(Head { key, seq, id, idx });
@@ -458,8 +486,10 @@ impl SpillWriter {
             return Ok(());
         }
         let page = ctx.alloc_scratch()?;
-        ctx.scratch
-            .write(page, Bytes::from(std::mem::take(&mut self.buf)))?;
+        // Hand the full buffer over and start the next page at capacity.
+        let next = Vec::with_capacity(ctx.per_page * ctx.rec_size);
+        let full = std::mem::replace(&mut self.buf, next);
+        ctx.scratch.write(page, Bytes::from(full))?;
         self.pages.push(page);
         Ok(())
     }
@@ -469,6 +499,7 @@ impl SpillWriter {
         Ok(Spill {
             pages: self.pages,
             n: self.n,
+            depth: 0,
         })
     }
 }
@@ -577,25 +608,29 @@ fn source_bounds(source: &dyn PointSource, dim: usize, n: usize) -> Result<(Vec<
     Ok((lo, hi))
 }
 
-/// External merge sort of `input` by `(key, seq)`: bounded sorted runs,
-/// then k-way merge passes. Returns a single sorted spill.
-fn external_sort<T: PageStore>(
+/// Run formation: streams `input` into bounded buffers, sorts each by
+/// `(key, seq)` (`jobs` at a time) and spills it as one run.
+fn form_runs<T: PageStore>(
     ctx: &mut BuildCtx<'_, T>,
     input: Input<'_>,
     n: usize,
     key: &SortKey<'_>,
-) -> Result<Spill> {
-    // ---- Run formation ----
+) -> Result<Vec<Spill>> {
     let mut runs: Vec<Spill> = Vec::new();
     let mut pending: Vec<RunBuf> = Vec::new();
-    let mut cur = RunBuf::default();
+    // Spilled buffers, emptied: one allocation per sort worker serves
+    // every run.
+    let mut spare: Vec<RunBuf> = Vec::new();
     let dim = ctx.dim;
+    let run_len = ctx.run_cap.min(n);
+    let mut cur = RunBuf::with_capacity(run_len, dim);
     let flush_pending = |ctx: &mut BuildCtx<'_, T>,
                          pending: &mut Vec<RunBuf>,
+                         spare: &mut Vec<RunBuf>,
                          runs: &mut Vec<Spill>|
      -> Result<()> {
         sort_bufs(pending, ctx.jobs);
-        for buf in pending.drain(..) {
+        for mut buf in pending.drain(..) {
             let mut w = SpillWriter::new(ctx);
             for h in &buf.heads {
                 let c = &buf.coords[h.idx as usize * dim..(h.idx as usize + 1) * dim];
@@ -603,6 +638,22 @@ fn external_sort<T: PageStore>(
             }
             runs.push(w.finish(ctx)?);
             ctx.report.runs += 1;
+            buf.heads.clear();
+            buf.coords.clear();
+            spare.push(buf);
+        }
+        Ok(())
+    };
+    let mut add = |ctx: &mut BuildCtx<'_, T>, seq: u64, id: u64, coords: &[f64]| -> Result<()> {
+        cur.push(key.key_of(coords), seq, id, coords);
+        if cur.heads.len() == ctx.run_cap {
+            pending.push(std::mem::take(&mut cur));
+            if pending.len() == ctx.jobs {
+                flush_pending(ctx, &mut pending, &mut spare, &mut runs)?;
+            }
+            cur = spare
+                .pop()
+                .unwrap_or_else(|| RunBuf::with_capacity(run_len, dim));
         }
         Ok(())
     };
@@ -611,16 +662,10 @@ fn external_sort<T: PageStore>(
             let mut seq = 0u64;
             for (p, id) in source.iter() {
                 validate_point(&p, dim)?;
-                cur.push(key.key_of(p.coords()), seq, id, p.coords());
+                add(ctx, seq, id, p.coords())?;
                 seq += 1;
                 if seq as usize > n {
                     return Err(length_mismatch(n, seq as usize));
-                }
-                if cur.heads.len() == ctx.run_cap {
-                    pending.push(std::mem::take(&mut cur));
-                    if pending.len() == ctx.jobs {
-                        flush_pending(ctx, &mut pending, &mut runs)?;
-                    }
                 }
             }
             if seq as usize != n {
@@ -631,40 +676,51 @@ fn external_sort<T: PageStore>(
             let mut r = SpillReader::new(spill);
             let mut rec = Rec::default();
             while r.next(ctx, &mut rec)? {
-                cur.push(key.key_of(&rec.coords), rec.seq, rec.id, &rec.coords);
-                if cur.heads.len() == ctx.run_cap {
-                    pending.push(std::mem::take(&mut cur));
-                    if pending.len() == ctx.jobs {
-                        flush_pending(ctx, &mut pending, &mut runs)?;
-                    }
-                }
+                add(ctx, rec.seq, rec.id, &rec.coords)?;
             }
         }
     }
     if !cur.heads.is_empty() {
         pending.push(cur);
     }
-    flush_pending(ctx, &mut pending, &mut runs)?;
+    flush_pending(ctx, &mut pending, &mut spare, &mut runs)?;
+    Ok(runs)
+}
 
-    // ---- Merge passes ----
-    while runs.len() > 1 {
-        ctx.report.merge_passes += 1;
-        let groups: Vec<Vec<Spill>> = {
-            let mut gs = Vec::new();
-            let mut it = runs.into_iter().peekable();
-            while it.peek().is_some() {
-                gs.push(it.by_ref().take(ctx.fanin).collect());
-            }
-            gs
-        };
-        let mut next = Vec::with_capacity(groups.len());
-        for group in groups {
-            next.push(merge_group(ctx, group)?);
+/// External merge sort of `input` by `(key, seq)`: bounded sorted runs,
+/// k-way merges written back until at most `merge_fanin` runs are left,
+/// and the final merge of those as a stream the caller pulls from — the
+/// sorted order is never written out whole.
+fn external_sort<T: PageStore>(
+    ctx: &mut BuildCtx<'_, T>,
+    input: Input<'_>,
+    n: usize,
+    key: &SortKey<'_>,
+) -> Result<MergeStream> {
+    let mut runs = form_runs(ctx, input, n, key)?;
+    // Written back only until one heap can hold every run, oldest runs
+    // first and no more of them than that takes; the last merge is the
+    // returned stream itself. Which runs meet in which merge is free:
+    // `(key, seq)` is unique, so every grouping yields the same order.
+    while runs.len() > ctx.fanin {
+        let take = (runs.len() - ctx.fanin + 1).min(ctx.fanin);
+        let group: Vec<Spill> = runs.drain(..take).collect();
+        let total = group.iter().map(|run| run.n).sum();
+        let depth = group.iter().map(|run| run.depth).max().unwrap_or(0) + 1;
+        let mut stream = MergeStream::new(ctx, group)?;
+        let mut w = SpillWriter::new(ctx);
+        for _ in 0..total {
+            let rec = stream.take(ctx)?;
+            w.push(ctx, rec.key, rec.seq, rec.id, &rec.coords)?;
         }
-        runs = next;
+        runs.push(Spill {
+            depth,
+            ..w.finish(ctx)?
+        });
     }
-    runs.pop()
-        .ok_or_else(|| RStarError::InvalidBuild("external sort of an empty stream".into()))
+    let written_back = runs.iter().map(|run| run.depth).max().unwrap_or(0);
+    ctx.report.merge_passes += written_back + u64::from(runs.len() > 1);
+    MergeStream::new(ctx, runs)
 }
 
 /// Sorts each pending run buffer by `(key, seq)`, `jobs` at a time.
@@ -682,50 +738,71 @@ fn sort_bufs(bufs: &mut [RunBuf], jobs: usize) {
     }
 }
 
-/// Merges sorted runs on a `(key, seq)` min-heap into one sorted spill.
-fn merge_group<T: PageStore>(ctx: &mut BuildCtx<'_, T>, group: Vec<Spill>) -> Result<Spill> {
-    let mut readers: Vec<SpillReader> = group.into_iter().map(SpillReader::new).collect();
-    let mut recs: Vec<Rec> = vec![Rec::default(); readers.len()];
-    let mut heap: BinaryHeap<Reverse<(u128, u64, usize)>> =
-        BinaryHeap::with_capacity(readers.len());
-    for (i, r) in readers.iter_mut().enumerate() {
-        if r.next(ctx, &mut recs[i])? {
-            heap.push(Reverse((recs[i].key, recs[i].seq, i)));
-        }
-    }
-    let mut w = SpillWriter::new(ctx);
-    while let Some(Reverse((key, seq, i))) = heap.pop() {
-        w.push(ctx, key, seq, recs[i].id, &recs[i].coords)?;
-        if readers[i].next(ctx, &mut recs[i])? {
-            heap.push(Reverse((recs[i].key, recs[i].seq, i)));
-        }
-    }
-    w.finish(ctx)
+/// A k-way merge of sorted runs on a `(key, seq)` min-heap, pulled one
+/// record at a time; each run's scratch pages are freed as they are read.
+struct MergeStream {
+    readers: Vec<SpillReader>,
+    /// The current record of each reader.
+    recs: Vec<Rec>,
+    heap: BinaryHeap<Reverse<(u128, u64, usize)>>,
+    /// Whether the heap's top was already handed out by `take`.
+    taken: bool,
 }
 
-/// Loads a (run-sized) input into leaf entries, preserving its order.
-fn load_entries<T: PageStore>(
-    ctx: &mut BuildCtx<'_, T>,
-    input: Input<'_>,
-    n: usize,
-) -> Result<Vec<LeafEntry>> {
-    match input {
-        Input::Source(source) => collect_validated(source, ctx.dim, n),
-        Input::Spill(spill) => {
-            let mut r = SpillReader::new(spill);
-            let mut rec = Rec::default();
-            let mut out = Vec::with_capacity(n);
-            while r.next(ctx, &mut rec)? {
-                out.push(LeafEntry::new(
-                    Point::new(rec.coords.clone()),
-                    ObjectId(rec.id),
-                ));
+impl MergeStream {
+    fn new<T: PageStore>(ctx: &mut BuildCtx<'_, T>, runs: Vec<Spill>) -> Result<Self> {
+        let mut readers: Vec<SpillReader> = runs.into_iter().map(SpillReader::new).collect();
+        let mut recs: Vec<Rec> = vec![Rec::default(); readers.len()];
+        let mut heap = BinaryHeap::with_capacity(readers.len());
+        for (i, r) in readers.iter_mut().enumerate() {
+            if r.next(ctx, &mut recs[i])? {
+                heap.push(Reverse((recs[i].key, recs[i].seq, i)));
             }
-            if out.len() != n {
-                return Err(length_mismatch(n, out.len()));
-            }
-            Ok(out)
         }
+        Ok(Self {
+            readers,
+            recs,
+            heap,
+            taken: false,
+        })
+    }
+
+    /// The next record in `(key, seq)` order, valid until the next call.
+    fn take<T: PageStore>(&mut self, ctx: &mut BuildCtx<'_, T>) -> Result<&Rec> {
+        if std::mem::replace(&mut self.taken, true) {
+            // Advance the run the last record came from, in one sift.
+            if let Some(mut top) = self.heap.peek_mut() {
+                let i = top.0 .2;
+                if self.readers[i].next(ctx, &mut self.recs[i])? {
+                    *top = Reverse((self.recs[i].key, self.recs[i].seq, i));
+                } else {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        match self.heap.peek() {
+            Some(Reverse((_, _, i))) => Ok(&self.recs[*i]),
+            None => Err(RStarError::InvalidBuild(
+                "merged scratch stream ended before its record count".into(),
+            )),
+        }
+    }
+
+    /// Pulls the next `len` records as leaf entries onto `out`.
+    fn take_entries<T: PageStore>(
+        &mut self,
+        ctx: &mut BuildCtx<'_, T>,
+        len: usize,
+        out: &mut Vec<LeafEntry>,
+    ) -> Result<()> {
+        for _ in 0..len {
+            let rec = self.take(ctx)?;
+            out.push(LeafEntry::new(
+                Point::new(rec.coords.clone()),
+                ObjectId(rec.id),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -745,8 +822,11 @@ fn emit_leaf<S: PageStore>(
     Ok(())
 }
 
-/// External STR: sorts by `axis`, cuts the in-memory tiler's exact slab
-/// boundaries, and recurses; slabs that fit one run finish in memory.
+/// External STR over an input larger than one run: sorts by `axis` and
+/// cuts the merged stream at the in-memory tiler's exact slab
+/// boundaries. A slab that fits one run is tiled in memory straight off
+/// the stream; a larger one is spilled and recursed on, the outer stream
+/// waiting where it stopped.
 fn str_build<S: PageStore, T: PageStore>(
     ctx: &mut BuildCtx<'_, T>,
     writer: &mut LevelWriter<'_, S>,
@@ -755,112 +835,49 @@ fn str_build<S: PageStore, T: PageStore>(
     n: usize,
     axis: usize,
 ) -> Result<()> {
-    let dim = ctx.dim;
-    if n <= ctx.run_cap {
-        let mut items = load_entries(ctx, input, n)?;
-        let tiles = str_tile(
-            &mut items,
-            ctx.leaf_cap,
-            ctx.min_leaf,
-            dim,
-            axis,
-            &|e: &LeafEntry| e.point.clone(),
-        );
-        for tile in tiles {
-            emit_leaf(writer, parents, &tile)?;
-        }
-        return Ok(());
-    }
-    let sorted = external_sort(ctx, input, n, &SortKey::Axis(axis))?;
+    let (dim, cap, min) = (ctx.dim, ctx.leaf_cap, ctx.min_leaf);
+    let mut sorted = external_sort(ctx, input, n, &SortKey::Axis(axis))?;
     if axis + 1 >= dim {
         return stream_leaves(ctx, writer, parents, sorted, n);
     }
-    let (slab_size, _) = str_slab_size(n, ctx.leaf_cap, dim, axis);
-    let slabs = split_slabs(ctx, sorted, n, slab_size)?;
-    for spill in slabs {
-        let len = spill.n;
-        str_build(ctx, writer, parents, Input::Spill(spill), len, axis + 1)?;
+    let mut items: Vec<LeafEntry> = Vec::new();
+    for slab in str_slabs(n, cap, min, dim, axis) {
+        let len = slab.len();
+        if len <= ctx.run_cap {
+            items.clear();
+            sorted.take_entries(ctx, len, &mut items)?;
+            for tile in str_tile(&mut items, cap, min, dim, axis + 1, &leaf_key) {
+                emit_leaf(writer, parents, &items[tile])?;
+            }
+        } else {
+            // Retag `seq` with the record's position in this axis's
+            // order so the next axis's merge stays stable (exactly what
+            // the in-memory stable sort preserves).
+            let mut w = SpillWriter::new(ctx);
+            for seq in slab {
+                let rec = sorted.take(ctx)?;
+                w.push(ctx, rec.key, seq as u64, rec.id, &rec.coords)?;
+            }
+            let spill = w.finish(ctx)?;
+            str_build(ctx, writer, parents, Input::Spill(spill), len, axis + 1)?;
+        }
     }
     Ok(())
 }
 
-/// Cuts a sorted spill at STR slab boundaries, retagging `seq` with the
-/// record's position in the sorted order so the next axis's merge stays
-/// stable (exactly what the in-memory stable sort preserves).
-fn split_slabs<T: PageStore>(
-    ctx: &mut BuildCtx<'_, T>,
-    sorted: Spill,
-    n: usize,
-    slab_size: usize,
-) -> Result<Vec<Spill>> {
-    let min = ctx.min_leaf;
-    let mut out = Vec::new();
-    let mut r = SpillReader::new(sorted);
-    let mut rec = Rec::default();
-    let mut seq = 0u64;
-    let mut start = 0usize;
-    while start < n {
-        let mut end = (start + slab_size).min(n);
-        // Mirror `str_tile`'s tail guard: never strand a slab smaller
-        // than the minimum fill.
-        let tail = n - end;
-        if tail > 0 && tail < min {
-            end = n - min;
-        }
-        let mut w = SpillWriter::new(ctx);
-        for _ in start..end {
-            if !r.next(ctx, &mut rec)? {
-                return Err(length_mismatch(n, seq as usize));
-            }
-            w.push(ctx, rec.key, seq, rec.id, &rec.coords)?;
-            seq += 1;
-        }
-        out.push(w.finish(ctx)?);
-        start = end;
-    }
-    Ok(out)
-}
-
 /// Cuts one fully sorted stream into consecutive leaves at
-/// `chunk_balanced`'s exact boundaries (`n > leaf_cap` is guaranteed
-/// here because `n > run_capacity ≥ 2 × leaf_cap`).
+/// [`chunk_balanced`]'s boundaries.
 fn stream_leaves<S: PageStore, T: PageStore>(
     ctx: &mut BuildCtx<'_, T>,
     writer: &mut LevelWriter<'_, S>,
     parents: &mut Vec<InternalEntry>,
-    sorted: Spill,
+    mut sorted: MergeStream,
     n: usize,
 ) -> Result<()> {
-    let cap = ctx.leaf_cap;
-    let min = ctx.min_leaf;
-    let groups = n.div_ceil(cap);
-    let last = n - cap * (groups - 1);
-    let (penult, final_) = if last < min {
-        (cap - (min - last), min)
-    } else {
-        (cap, last)
-    };
-    let mut r = SpillReader::new(sorted);
-    let mut rec = Rec::default();
-    let mut tile: Vec<LeafEntry> = Vec::with_capacity(cap);
-    for g in 0..groups {
-        let size = if g + 1 == groups {
-            final_
-        } else if g + 2 == groups {
-            penult
-        } else {
-            cap
-        };
+    let mut tile: Vec<LeafEntry> = Vec::with_capacity(ctx.leaf_cap);
+    for group in chunk_balanced(n, ctx.leaf_cap, ctx.min_leaf) {
         tile.clear();
-        for _ in 0..size {
-            if !r.next(ctx, &mut rec)? {
-                return Err(length_mismatch(n, g * cap));
-            }
-            tile.push(LeafEntry::new(
-                Point::new(rec.coords.clone()),
-                ObjectId(rec.id),
-            ));
-        }
+        sorted.take_entries(ctx, group.len(), &mut tile)?;
         emit_leaf(writer, parents, &tile)?;
     }
     Ok(())

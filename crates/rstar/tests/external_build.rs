@@ -210,3 +210,182 @@ fn byte_budget_cache_holds_its_cap_during_knn_sweep() {
     assert!(stats.misses > 0, "sweep never missed the cache");
     assert!(stats.len > 0, "cache ended empty");
 }
+
+/// Deterministic, duplicate-free 3-d points.
+fn points_3d(n: usize) -> Vec<(Point, u64)> {
+    (0..n)
+        .map(|i| {
+            let x = ((i * 7919) % 6007) as f64 * 0.37;
+            let y = ((i * 104_729) % 5987) as f64 * 0.61;
+            let z = ((i * 1_299_709) % 5981) as f64 * 0.13;
+            (Point::new(vec![x, y, z]), i as u64)
+        })
+        .collect()
+}
+
+fn assert_same_tree(a: &RStarTree<ArrayStore>, b: &RStarTree<ArrayStore>, what: &str) {
+    assert_eq!(a.root_page(), b.root_page(), "{what}");
+    assert_eq!(a.root_level(), b.root_level(), "{what}");
+    let pages = walk(a);
+    assert_eq!(pages, walk(b), "{what}: page graph differs");
+    for &page in &pages {
+        assert_eq!(
+            a.store().read(page).unwrap(),
+            b.store().read(page).unwrap(),
+            "{what}: page {page:?} bytes differ"
+        );
+        assert_eq!(
+            a.store().placement(page).unwrap().disk,
+            b.store().placement(page).unwrap().disk,
+            "{what}: page {page:?} placed on a different disk"
+        );
+    }
+}
+
+#[test]
+fn nested_external_sort_under_a_paused_stream_is_byte_identical() {
+    // 6000 3-d points at 31 to a leaf: 194 leaves, so six first-axis
+    // slabs of 1000 points and, inside each, six second-axis slabs of
+    // 167. A run capacity of 256 sends every first-axis slab through a
+    // nested external sort while the outer merge stream waits; 100 nests
+    // once more, down to the last axis.
+    const N3: usize = 6000;
+    let pts = points_3d(N3);
+    let config = || RStarConfig::with_page_size(3, PAGE);
+    assert_eq!(
+        config().max_leaf_entries,
+        31,
+        "the slab sizes above assume it"
+    );
+    for order in [
+        PackingOrder::Str,
+        PackingOrder::Morton,
+        PackingOrder::Hilbert,
+    ] {
+        let mem_tree = RStarTree::bulk_load_ordered(
+            store(42),
+            config(),
+            Box::new(ProximityIndex),
+            pts.clone(),
+            order,
+        );
+        for (run_capacity, merge_fanin) in [(256, 64), (256, 3), (100, 2)] {
+            let scratch = store(7);
+            let opts = ExternalBuildOptions {
+                run_capacity,
+                merge_fanin,
+                jobs: 1,
+                order,
+                placement: PlacementMode::Trailing,
+            };
+            let ext = RStarTree::bulk_load_external_stats(
+                store(42),
+                config(),
+                Box::new(ProximityIndex),
+                &SliceSource::new(&pts),
+                &scratch,
+                &opts,
+            );
+            let what = format!("{order:?}, runs of {run_capacity}, fan-in {merge_fanin}");
+            // Hilbert keys are 2-d only: both builders refuse alike.
+            let (Ok(mem_tree), Ok((ext_tree, report))) = (&mem_tree, &ext) else {
+                assert_eq!(
+                    order,
+                    PackingOrder::Hilbert,
+                    "{what}: {:?} / {:?}",
+                    mem_tree.as_ref().err(),
+                    ext.as_ref().err()
+                );
+                assert!(mem_tree.is_err() && ext.is_err(), "{what}");
+                continue;
+            };
+            assert_same_tree(mem_tree, ext_tree, &what);
+            let top_runs = N3.div_ceil(run_capacity) as u64;
+            if order == PackingOrder::Str {
+                assert!(report.runs > top_runs, "{what}: no nested sort ran");
+            } else {
+                assert_eq!(report.runs, top_runs, "{what}");
+            }
+            // Every scratch page written was read back exactly once and
+            // freed: nothing outlives the build.
+            let io = scratch.stats();
+            assert_eq!(io.writes, report.spilled_pages, "{what}");
+            assert_eq!(io.reads, report.spilled_pages, "{what}");
+            assert_eq!(scratch.allocated_pages(), 0, "{what}");
+            assert!(report.peak_scratch_pages <= report.spilled_pages, "{what}");
+        }
+    }
+}
+
+/// What an external sort of `n` records spills: run formation, then
+/// merges written back — the oldest runs first, no more of them than it
+/// takes — until `fanin` runs are left. The merge of those is streamed
+/// to its consumer and writes nothing, but counts as a pass. Returns
+/// `(passes, pages)`; a run is `(records, merges it has been through)`.
+fn sort_spill(n: usize, run_cap: usize, fanin: usize, per_page: usize) -> (u64, u64) {
+    let mut runs: Vec<(usize, u64)> = (0..n.div_ceil(run_cap))
+        .map(|r| (run_cap.min(n - r * run_cap), 0))
+        .collect();
+    let pages = |len: usize| len.div_ceil(per_page) as u64;
+    let mut spilled = runs.iter().map(|run| pages(run.0)).sum::<u64>();
+    while runs.len() > fanin {
+        let take = (runs.len() - fanin + 1).min(fanin);
+        let group: Vec<_> = runs.drain(..take).collect();
+        let len = group.iter().map(|run| run.0).sum();
+        let depth = group.iter().map(|run| run.1).max().unwrap() + 1;
+        spilled += pages(len);
+        runs.push((len, depth));
+    }
+    let depth = runs.iter().map(|run| run.1).max().unwrap();
+    (depth + u64::from(runs.len() > 1), spilled)
+}
+
+#[test]
+fn spill_accounting_is_pinned() {
+    // 2-d, 3000 points at 42 to a leaf: nine first-axis slabs of 334
+    // points, each of which fits a run of 512, so the one external sort
+    // of six runs is all that ever spills.
+    let pts = points();
+    let per_page = PAGE / (32 + 2 * 8);
+    for (merge_fanin, passes) in [(64, 1), (4, 2), (2, 3)] {
+        for order in [PackingOrder::Str, PackingOrder::Morton] {
+            let (scratch, dest) = (store(7), store(42));
+            let opts = ExternalBuildOptions {
+                run_capacity: 512,
+                merge_fanin,
+                jobs: 1,
+                order,
+                placement: PlacementMode::Trailing,
+            };
+            let (tree, report) = RStarTree::bulk_load_external_stats(
+                Arc::clone(&dest),
+                RStarConfig::with_page_size(2, PAGE),
+                Box::new(ProximityIndex),
+                &SliceSource::new(&pts),
+                &scratch,
+                &opts,
+            )
+            .unwrap();
+            let what = format!("{order:?}, fan-in {merge_fanin}");
+            // The destination is written once per node (plus the empty
+            // root `create` lays down and the build replaces) and never
+            // read. Snapshot before `walk` reads it.
+            let dest_io = dest.stats();
+            assert_eq!(dest_io.reads, 0, "{what}");
+            assert_eq!(dest_io.writes, walk(&tree).len() as u64 + 1, "{what}");
+
+            let (want_passes, want_pages) = sort_spill(N, 512, merge_fanin, per_page);
+            assert_eq!(want_passes, passes, "{what}: the test's own arithmetic");
+            assert_eq!(report.runs, 6, "{what}");
+            assert_eq!(report.merge_passes, passes, "{what}");
+            // In particular: with fan-in 64 the 146 pages of run
+            // formation are all that is ever written — the merged order
+            // goes to the tiler, not back to scratch.
+            assert_eq!(report.spilled_pages, want_pages, "{what}");
+            let io = scratch.stats();
+            assert_eq!((io.writes, io.reads), (want_pages, want_pages), "{what}");
+            assert_eq!(scratch.allocated_pages(), 0, "{what}");
+        }
+    }
+    assert_eq!(sort_spill(N, 512, 64, per_page), (1, 146));
+}

@@ -167,8 +167,13 @@ struct Meta {
     slots: Vec<Option<SlotInfo>>,
     /// Next fresh slot per disk.
     next_slot: Vec<u64>,
-    /// Freed (disk, slot) pairs for reuse.
-    free_slots: Vec<(u32, u64)>,
+    /// Freed slots per disk, reused last-freed-first: one pop, however
+    /// many scratch pages a streamed merge has freed ahead of the next
+    /// allocation.
+    free_slots: Vec<Vec<u64>>,
+    /// Live pages per disk, kept in step by `allocate`/`free` so
+    /// [`PageStore::pages_per_disk`] never rescans the table.
+    live: Vec<usize>,
     /// Freed page ids for reuse.
     free_pages: Vec<u64>,
     rng: StdRng,
@@ -285,7 +290,8 @@ impl FileStore {
             meta: RwLock::new(Meta {
                 slots: Vec::new(),
                 next_slot: vec![0; num_disks as usize],
-                free_slots: Vec::new(),
+                free_slots: vec![Vec::new(); num_disks as usize],
+                live: vec![0; num_disks as usize],
                 free_pages: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
             }),
@@ -352,6 +358,7 @@ impl FileStore {
         r.need(n_slots, "slot table")?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut next_slot = vec![0u64; num_disks as usize];
+        let mut live = vec![0usize; num_disks as usize];
         let mut free_pages = Vec::new();
         for page in 0..n_slots {
             let tag = r.u8("slot tag")?;
@@ -372,6 +379,7 @@ impl FileStore {
                         )));
                     }
                     next_slot[disk as usize] = next_slot[disk as usize].max(slot + 1);
+                    live[disk as usize] += 1;
                     slots.push(Some(SlotInfo {
                         placement: Placement::new(DiskId(disk), cylinder),
                         slot,
@@ -408,7 +416,8 @@ impl FileStore {
             meta: RwLock::new(Meta {
                 slots,
                 next_slot,
-                free_slots: Vec::new(),
+                free_slots: vec![Vec::new(); num_disks as usize],
+                live,
                 free_pages,
                 rng: StdRng::seed_from_u64(rng_seed),
             }),
@@ -557,13 +566,12 @@ impl PageStore for FileStore {
         let mut meta = self.meta.write();
         let cylinder = meta.rng.gen_range(0..self.num_cylinders);
         // Prefer a freed slot on the target disk.
-        let slot = if let Some(pos) = meta.free_slots.iter().position(|(d, _)| *d == disk.0) {
-            meta.free_slots.swap_remove(pos).1
-        } else {
+        let slot = meta.free_slots[disk.index()].pop().unwrap_or_else(|| {
             let s = meta.next_slot[disk.index()];
             meta.next_slot[disk.index()] += 1;
             s
-        };
+        });
+        meta.live[disk.index()] += 1;
         let info = SlotInfo {
             placement: Placement::new(disk, cylinder),
             slot,
@@ -632,7 +640,9 @@ impl PageStore for FileStore {
             .ok_or(StorageError::PageNotFound(page))?
             .take()
             .ok_or(StorageError::PageNotFound(page))?;
-        meta.free_slots.push((info.placement.disk.0, info.slot));
+        let disk = info.placement.disk.index();
+        meta.free_slots[disk].push(info.slot);
+        meta.live[disk] -= 1;
         meta.free_pages.push(page.as_raw());
         Ok(())
     }
@@ -650,12 +660,7 @@ impl PageStore for FileStore {
     }
 
     fn pages_per_disk(&self) -> Vec<usize> {
-        let meta = self.meta.read();
-        let mut counts = vec![0usize; self.num_disks as usize];
-        for slot in meta.slots.iter().flatten() {
-            counts[slot.placement.disk.index()] += 1;
-        }
-        counts
+        self.meta.read().live.clone()
     }
 }
 
@@ -787,6 +792,85 @@ mod tests {
         // The file didn't grow: one page's worth of data.
         let len = std::fs::metadata(dir.join("disk0000.sqda")).unwrap().len();
         assert_eq!(len, 64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Random allocate / write / free traffic; returns the live pages.
+    fn churn(s: &dyn PageStore, seed: u64) -> Vec<PageId> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live = Vec::new();
+        for _ in 0..600 {
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    let disk = DiskId(rng.gen_range(0..s.num_disks()));
+                    live.push(s.allocate(disk).unwrap());
+                }
+                5..=6 if !live.is_empty() => {
+                    let page = live[rng.gen_range(0..live.len())];
+                    s.write(page, Bytes::from(vec![7u8; 9])).unwrap();
+                }
+                _ if !live.is_empty() => {
+                    let page = live.swap_remove(rng.gen_range(0..live.len()));
+                    s.free(page).unwrap();
+                }
+                _ => {}
+            }
+        }
+        live
+    }
+
+    fn recount(s: &dyn PageStore, live: &[PageId]) -> Vec<usize> {
+        let mut counts = vec![0usize; s.num_disks() as usize];
+        for &page in live {
+            counts[s.placement(page).unwrap().disk.index()] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn pages_per_disk_matches_a_recount_of_live_placements() {
+        for seed in 0..8 {
+            let array = crate::ArrayStore::with_page_size(5, 100, 64, seed);
+            let live = churn(&array, seed);
+            assert_eq!(array.pages_per_disk(), recount(&array, &live), "{seed}");
+            assert_eq!(array.allocated_pages(), live.len(), "{seed}");
+
+            let dir = tmpdir(&format!("counts{seed}"));
+            let file = FileStore::create(&dir, 5, 100, 64, seed).unwrap();
+            let mut live = churn(&file, seed);
+            assert_eq!(file.pages_per_disk(), recount(&file, &live), "{seed}");
+            file.sync().unwrap();
+            drop(file);
+            // The counts are not persisted: `open` rebuilds them from the
+            // slot table, and they keep tracking afterwards.
+            let file = FileStore::open(&dir).unwrap();
+            assert_eq!(file.pages_per_disk(), recount(&file, &live), "{seed}");
+            live.extend(churn(&file, seed + 100));
+            assert_eq!(file.pages_per_disk(), recount(&file, &live), "{seed}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn free_slots_are_reused_per_disk_without_growing_the_files() {
+        let dir = tmpdir("perdisk");
+        let s = FileStore::create(&dir, 2, 10, 64, 4).unwrap();
+        let pages: Vec<_> = (0..6).map(|i| s.allocate(DiskId(i % 2)).unwrap()).collect();
+        for &p in &pages {
+            s.write(p, Bytes::from_static(b"x")).unwrap();
+            s.free(p).unwrap();
+        }
+        // Three freed slots per disk: six new pages, three a disk, fit
+        // the files as they are; a fourth on one disk takes a fresh slot.
+        for i in 0..6 {
+            let p = s.allocate(DiskId(i % 2)).unwrap();
+            s.write(p, Bytes::from_static(b"y")).unwrap();
+        }
+        let len = |d: &str| std::fs::metadata(dir.join(d)).unwrap().len();
+        assert_eq!((len("disk0000.sqda"), len("disk0001.sqda")), (192, 192));
+        let p = s.allocate(DiskId(1)).unwrap();
+        s.write(p, Bytes::from_static(b"z")).unwrap();
+        assert_eq!((len("disk0000.sqda"), len("disk0001.sqda")), (192, 256));
         std::fs::remove_dir_all(&dir).ok();
     }
 

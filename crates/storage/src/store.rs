@@ -133,6 +133,8 @@ struct Slot {
 struct Inner {
     slots: Vec<Option<Slot>>,
     free_list: Vec<u64>,
+    /// Live pages per disk, kept in step by `allocate`/`free`.
+    live: Vec<usize>,
     rng: StdRng,
 }
 
@@ -232,6 +234,7 @@ impl ArrayStore {
             inner: RwLock::new(Inner {
                 slots: Vec::new(),
                 free_list: Vec::new(),
+                live: vec![0; num_disks as usize],
                 rng: StdRng::seed_from_u64(seed),
             }),
             counters: Counters::new(num_disks),
@@ -240,8 +243,7 @@ impl ArrayStore {
 
     /// Number of currently allocated pages.
     pub fn allocated_pages(&self) -> usize {
-        let inner = self.inner.read();
-        inner.slots.iter().filter(|s| s.is_some()).count()
+        self.inner.read().live.iter().sum()
     }
 }
 
@@ -267,6 +269,7 @@ impl PageStore for ArrayStore {
         }
         let mut inner = self.inner.write();
         let cylinder = inner.rng.gen_range(0..self.num_cylinders);
+        inner.live[disk.index()] += 1;
         let placement = Placement::new(disk, cylinder);
         let slot = Slot {
             data: None,
@@ -328,10 +331,8 @@ impl PageStore for ArrayStore {
             .slots
             .get_mut(page.as_raw() as usize)
             .ok_or(StorageError::PageNotFound(page))?;
-        if slot.is_none() {
-            return Err(StorageError::PageNotFound(page));
-        }
-        *slot = None;
+        let freed = slot.take().ok_or(StorageError::PageNotFound(page))?;
+        inner.live[freed.placement.disk.index()] -= 1;
         inner.free_list.push(page.as_raw());
         Ok(())
     }
@@ -355,12 +356,7 @@ impl PageStore for ArrayStore {
     }
 
     fn pages_per_disk(&self) -> Vec<usize> {
-        let inner = self.inner.read();
-        let mut counts = vec![0usize; self.num_disks as usize];
-        for slot in inner.slots.iter().flatten() {
-            counts[slot.placement.disk.index()] += 1;
-        }
-        counts
+        self.inner.read().live.clone()
     }
 }
 

@@ -72,4 +72,11 @@ t core_faults crates/core/tests/faults.rs $ALL_EXT
 t core_backend_parity crates/core/tests/backend_parity.rs $ALL_EXT
 t end_to_end tests/end_to_end.rs $ALL_EXT
 
+# The CLI's process-level tests find the binary through the compile-time
+# variable cargo would set, so link a `sqda` for them first.
+echo "== sqda (bin)"
+rustc --edition 2021 --crate-type bin --crate-name sqda -L dependency=$OUT $ALL_EXT \
+  crates/cli/src/main.rs -o "$T/sqda"
+CARGO_BIN_EXE_sqda="$PWD/$T/sqda" t cli_e2e crates/cli/tests/cli_e2e.rs
+
 echo "ALL OFFLINE TESTS PASSED"
