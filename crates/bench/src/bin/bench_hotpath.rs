@@ -10,33 +10,43 @@
 //!   per node, no entry copies);
 //! * `knn_warm_ns_per_query` — end-to-end k-NN with a reused
 //!   [`BestFirstScratch`] over a warm cache;
-//! * `kernel` — ns/entry for the batched `dist_sq` and MINDIST kernels
-//!   at dim 2 and 10, batch sizes 1/8/64 (one entry, one SIMD lane
-//!   width, a large fanout);
+//! * `kernel` — ns/entry for the batched `dist_sq`, MINDIST and
+//!   three-metric rectangle kernels at dims 2, 3, 5 and 8 (const-generic
+//!   bodies) and 10 (runtime `dim`), batch sizes 1/8/64 (one entry, a
+//!   small node, a large fanout);
 //! * `batch_knn_b8_ns_per_query` — shared-traversal batch k-NN, plus its
-//!   deterministic fetch-sharing counters.
+//!   deterministic fetch-sharing counters;
+//! * `crss_hot_query_ns`, `allocs_per_query`, `bytes_per_query` — one
+//!   `RealTimeEngine::run` of a CRSS k-NN query (what `sqda serve`'s
+//!   `QUERY` calls) over a 100 000-point STR-packed tree that is entirely
+//!   in the decoded-node cache: wall time, and what it asks of the
+//!   allocator (counted by this bin's `#[global_allocator]`; exact).
 //!
-//! The tree is built deterministically (no RNG), so the byte layout under
-//! measurement is identical across runs and machines; only the timings
-//! vary. Accepts `--out <dir>` (default `results`), `--no-manifest`
+//! The trees are built deterministically (no RNG), so the byte layout
+//! under measurement is identical across runs and machines; only the
+//! timings vary. Accepts `--out <dir>` (default `results`), `--no-manifest`
 //! (suppress the provenance manifest and schema-v2 fragment; the legacy
 //! `BENCH_hotpath.json` is always written), `--reps <n>`, and — so it can
 //! run under `run_all_experiments` — ignores `--quick`, `--serial`, and
 //! `--warmup <f>`. Timings are reported in the fragment as informational
 //! metrics (machine-dependent, never compared across hosts); the batch
-//! traversal's fetch counters are exact and Direction-tagged, so the
-//! regression gate catches a sharing or pruning regression numerically.
+//! traversal's fetch counters and the hot query's allocation counts are
+//! exact and Direction-tagged, so the regression gate catches a sharing,
+//! pruning or allocation regression numerically.
 
 use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions,
 };
+use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::{kernel, Point};
 use sqda_obs::MetricSummary;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{codec, knn_with_scratch, BestFirstScratch, RStarConfig, RStarTree};
-use sqda_storage::{ArrayStore, NodeCache, PageId, PageStore};
+use sqda_storage::{ArrayStore, InlineBackend, NodeCache, PageId, PageStore};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,9 +55,40 @@ const DEFAULT_REPS: usize = 30;
 const DECODES_PER_REP: usize = 1000;
 const KNN_QUERIES: usize = 20;
 const K: usize = 10;
-const KERNEL_DIMS: [usize; 2] = [2, 10];
+const KERNEL_DIMS: [usize; 5] = [2, 3, 5, 8, 10];
 const KERNEL_BATCHES: [usize; 3] = [1, 8, 64];
+const KERNELS: [&str; 3] = ["dist_sq", "min_dist", "rect_metrics"];
 const BATCH_B: usize = 8;
+const SERVED_OBJECTS: u64 = 100_000;
+const SERVED_QUERIES: u64 = 256;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts what the process asks of the allocator; the hot-query section
+/// reads the counters around single-threaded `engine.run` calls.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statics of plain atomics, touched without allocating.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -77,6 +118,25 @@ fn build_tree() -> RStarTree<ArrayStore> {
             .expect("insert");
     }
     tree.set_node_cache(Arc::new(NodeCache::new(8192)));
+    tree
+}
+
+/// The tree the hot-query section serves from: the benchmark store's
+/// geometry (2-d, 1 KiB pages, 8 disks, STR-packed) at a tenth of its
+/// size, behind a node cache that holds all of it.
+fn build_served_tree() -> RStarTree<ArrayStore> {
+    let points = (0..SERVED_OBJECTS)
+        .map(|i| {
+            let x = (i % 317) as f64 + ((i * 7919) % 13) as f64 / 16.0;
+            let y = (i / 317) as f64 + ((i * 104_729) % 11) as f64 / 16.0;
+            (Point::new(vec![x, y]), i)
+        })
+        .collect();
+    let store = Arc::new(ArrayStore::with_page_size(8, 1449, 1024, 1));
+    let config = RStarConfig::with_page_size(2, 1024);
+    let mut tree =
+        RStarTree::bulk_load(store, config, Box::new(ProximityIndex), points).expect("bulk load");
+    tree.set_node_cache(Arc::new(NodeCache::new(65_536)));
     tree
 }
 
@@ -198,7 +258,7 @@ fn main() {
     // Kernel section: ns/entry for the batched dist_sq and MINDIST
     // kernels, over deterministic synthetic entries. Each sample times
     // enough calls to make one rep ≥ tens of microseconds.
-    let mut kernel_medians: Vec<(usize, usize, f64, f64)> = Vec::new(); // (dim, batch, dist, mindist)
+    let mut kernel_medians: Vec<(usize, usize, [f64; 3])> = Vec::new(); // (dim, batch, per KERNELS)
     let mut kernel_samples: Vec<(usize, usize, &'static str, Vec<f64>)> = Vec::new();
     for &kdim in &KERNEL_DIMS {
         let q: Vec<f64> = (0..kdim).map(|d| d as f64 * 0.7 + 0.1).collect();
@@ -212,29 +272,31 @@ fn main() {
                 })
                 .collect();
             let calls = (20_000 / batch).max(50);
-            let mut out = Vec::new();
-            let mut time_kernel = |f: &dyn Fn(&mut Vec<f64>)| -> Vec<f64> {
+            let mut out = [Vec::new(), Vec::new(), Vec::new()];
+            let mut time_kernel = |f: &dyn Fn(&mut [Vec<f64>; 3])| -> Vec<f64> {
                 let mut samples = Vec::with_capacity(reps);
                 for _ in 0..reps {
                     let start = Instant::now();
                     for _ in 0..calls {
                         f(&mut out);
-                        std::hint::black_box(out.last());
+                        std::hint::black_box(out[0].last());
                     }
                     samples.push(start.elapsed().as_nanos() as f64 / (calls * batch) as f64);
                 }
                 samples
             };
-            let dist_samples = time_kernel(&|out| kernel::batch_dist_sq(&q, &points, out));
-            let mindist_samples = time_kernel(&|out| kernel::batch_min_dist_sq(&q, &rects, out));
-            kernel_medians.push((
-                kdim,
-                batch,
-                median(dist_samples.clone()),
-                median(mindist_samples.clone()),
-            ));
-            kernel_samples.push((kdim, batch, "dist_sq", dist_samples));
-            kernel_samples.push((kdim, batch, "min_dist", mindist_samples));
+            let q = std::hint::black_box(&q[..]);
+            let samples = [
+                time_kernel(&|out| kernel::batch_dist_sq(q, &points, &mut out[0])),
+                time_kernel(&|out| kernel::batch_min_dist_sq(q, &rects, &mut out[0])),
+                time_kernel(&|[d_min, d_mm, d_max]| {
+                    kernel::batch_rect_metrics(q, &rects, d_min, d_mm, d_max)
+                }),
+            ];
+            kernel_medians.push((kdim, batch, samples.clone().map(median)));
+            for (name, samples) in KERNELS.into_iter().zip(samples) {
+                kernel_samples.push((kdim, batch, name, samples));
+            }
         }
     }
 
@@ -262,6 +324,43 @@ fn main() {
     }
     let batch_knn_ns_per_query = median(batch_reps.clone());
 
+    // One served CRSS query, hot: `engine.run` on a single-query
+    // workload, as `QUERY` calls it, every node a cache hit. Two settling
+    // passes (cache fill, then the engine's pooled scratch reaching its
+    // steady size), an exact allocation count, then timed passes.
+    let served = build_served_tree();
+    let backend = Arc::new(InlineBackend::new(Arc::clone(served.store())));
+    let engine = RealTimeEngine::new(&served, backend).expect("engine");
+    let served_queries: Vec<Workload> = (0..SERVED_QUERIES)
+        .map(|i| {
+            let q = vec![(i * 37 % 311) as f64 + 0.3, (i * 53 % 311) as f64 + 0.7];
+            Workload::single(Point::new(q), K)
+        })
+        .collect();
+    let serve_all = || {
+        let mut nodes = 0.0;
+        for w in &served_queries {
+            let report = engine.run(AlgorithmKind::Crss, w, 1).expect("hot query");
+            assert_eq!((report.failed, report.answers[0].len()), (0, K));
+            nodes += report.mean_nodes_per_query;
+        }
+        nodes / served_queries.len() as f64
+    };
+    serve_all();
+    serve_all();
+    let counted_from = (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
+    let crss_nodes_per_query = serve_all();
+    let per_query = |total: u64| total as f64 / served_queries.len() as f64;
+    let allocs_per_query = per_query(ALLOCS.load(Relaxed) - counted_from.0);
+    let bytes_per_query = per_query(ALLOC_BYTES.load(Relaxed) - counted_from.1);
+    let mut crss_reps = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let start = Instant::now();
+        std::hint::black_box(serve_all());
+        crss_reps.push(start.elapsed().as_nanos() as f64 / served_queries.len() as f64);
+    }
+    let crss_hot_query_ns = median(crss_reps.clone());
+
     println!("hot-path medians over {reps} reps ({node_count} nodes, {OBJECTS} objects):");
     println!("  decode_leaf_ns             {decode_leaf_ns:.1}");
     println!("  decode_internal_ns         {decode_internal_ns:.1}");
@@ -274,17 +373,21 @@ fn main() {
         batch_report.total_interest,
         batch_report.sharing_factor()
     );
-    for &(kdim, batch, dist, mindist) in &kernel_medians {
+    println!(
+        "  crss_hot_query_ns          {crss_hot_query_ns:.1} ({crss_nodes_per_query:.2} nodes, \
+         {allocs_per_query:.2} allocations, {bytes_per_query:.1} bytes per query)"
+    );
+    for &(kdim, batch, [dist, mindist, metrics]) in &kernel_medians {
         println!(
-            "  kernel dim{kdim} b{batch:<2}            dist_sq {dist:.2} ns/entry, \
-             min_dist {mindist:.2} ns/entry"
+            "  kernel dim{kdim:<2} b{batch:<2}           dist_sq {dist:.2}, min_dist {mindist:.2}, \
+             rect_metrics {metrics:.2} ns/entry"
         );
     }
 
     std::fs::create_dir_all(&out_dir).expect("create results dir");
     let path = out_dir.join("BENCH_hotpath.json");
     // Per-kernel nested block: {"dim2": {"b1": x, "b8": y, "b64": z}, ...}.
-    let kernel_block = |select: &dyn Fn(&(usize, usize, f64, f64)) -> f64| -> String {
+    let kernel_block = |select: usize| -> String {
         let mut s = String::from("{");
         for (di, &kdim) in KERNEL_DIMS.iter().enumerate() {
             if di > 0 {
@@ -297,15 +400,14 @@ fn main() {
                     s.push_str(", ");
                 }
                 first = false;
-                s.push_str(&format!("\"b{}\": {:.2}", m.1, select(m)));
+                s.push_str(&format!("\"b{}\": {:.2}", m.1, m.2[select]));
             }
             s.push('}');
         }
         s.push('}');
         s
     };
-    let kernel_dist = kernel_block(&|m| m.2);
-    let kernel_mindist = kernel_block(&|m| m.3);
+    let [kernel_dist, kernel_mindist, kernel_metrics] = [0, 1, 2].map(kernel_block);
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"config\": {{\n    \"dim\": {dim},\n    \
          \"page_size\": 1024,\n    \"objects\": {OBJECTS},\n    \"nodes\": {node_count},\n    \
@@ -316,11 +418,16 @@ fn main() {
          \"knn_warm_ns_per_query\": {knn_warm_ns_per_query:.1},\n  \
          \"kernel_ns_per_entry\": {{\n    \
          \"dist_sq\": {kernel_dist},\n    \
-         \"min_dist\": {kernel_mindist}\n  }},\n  \
+         \"min_dist\": {kernel_mindist},\n    \
+         \"rect_metrics\": {kernel_metrics}\n  }},\n  \
          \"batch_knn_b{BATCH_B}_ns_per_query\": {batch_knn_ns_per_query:.1},\n  \
          \"batch_knn_unique_fetches\": {},\n  \
          \"batch_knn_total_interest\": {},\n  \
-         \"batch_knn_rounds\": {}\n}}\n",
+         \"batch_knn_rounds\": {},\n  \
+         \"crss_hot_query_ns\": {crss_hot_query_ns:.1},\n  \
+         \"crss_hot_nodes_per_query\": {crss_nodes_per_query:.2},\n  \
+         \"allocs_per_query\": {allocs_per_query:.2},\n  \
+         \"bytes_per_query\": {bytes_per_query:.1}\n}}\n",
         batch_report.unique_fetches, batch_report.total_interest, batch_report.rounds
     );
     std::fs::write(&path, json).expect("write BENCH_hotpath.json");
@@ -364,6 +471,7 @@ fn main() {
     timing("warm_traversal_ns_per_node", &traversal_reps);
     timing("knn_warm_ns_per_query", &knn_reps);
     timing("batch_knn_ns_per_query", &batch_reps);
+    timing("crss_hot_query_ns", &crss_reps);
     for (kdim, batch, name, samples) in &kernel_samples {
         report.metric_dir(
             "kernel_ns_per_entry",
@@ -394,5 +502,13 @@ fn main() {
         MetricSummary::from_samples(&[batch_report.rounds as f64]),
         Direction::Lower,
     );
+    for (name, exact) in [
+        ("allocs_per_query", allocs_per_query),
+        ("bytes_per_query", bytes_per_query),
+        ("crss_hot_nodes_per_query", crss_nodes_per_query),
+    ] {
+        let summary = MetricSummary::from_samples(&[exact]);
+        report.metric_dir(name, &[], summary, Direction::Lower);
+    }
     report.finish(&opts);
 }

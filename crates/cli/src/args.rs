@@ -4,6 +4,7 @@
 //! subcommand, which covers the whole CLI without pulling an argument-
 //! parsing crate into the approved dependency set.
 
+use sqda_geom::Point;
 use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` options.
@@ -151,6 +152,23 @@ impl Args {
     }
 }
 
+/// Largest magnitude a query coordinate may have. A squared distance from
+/// such a point to any data is at most a few `1e300`, short of the `f64`
+/// range; far beyond it every squared distance is infinite, all
+/// candidates tie, and a k-NN "answer" would be k arbitrary objects.
+pub const MAX_QUERY_COORD: f64 = 1e150;
+
+/// Parses a query point ("1.0,2.5,-3"): finite coordinates, none beyond
+/// [`MAX_QUERY_COORD`] in magnitude. The error's text is what the caller
+/// reports (`ERR coordinate out of range` on the wire).
+pub fn parse_query_point(s: &str) -> Result<Point, Box<dyn std::error::Error + Send + Sync>> {
+    let point = Point::try_new(parse_point(s)?)?;
+    if point.coords().iter().any(|c| c.abs() > MAX_QUERY_COORD) {
+        return Err("coordinate out of range".into());
+    }
+    Ok(point)
+}
+
 /// Parses a comma-separated coordinate list ("1.0,2.5,-3").
 pub fn parse_point(s: &str) -> Result<Vec<f64>, ArgsError> {
     s.split(',')
@@ -230,5 +248,15 @@ mod tests {
     fn point_parsing() {
         assert_eq!(parse_point("1.0, 2.5 ,-3").unwrap(), vec![1.0, 2.5, -3.0]);
         assert!(parse_point("1.0,x").is_err());
+        let at_limit = parse_query_point("1e150,-1e150").unwrap();
+        assert_eq!(at_limit.coords(), &[1e150, -1e150]);
+        let refused = |s: &str| parse_query_point(s).unwrap_err().to_string();
+        assert_eq!(refused("0.5,1.1e150"), "coordinate out of range");
+        assert_eq!(refused("-1e200,0.5"), "coordinate out of range");
+        assert!(
+            refused("inf,0.5").contains("finite"),
+            "{}",
+            refused("inf,0.5")
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The CLI command handlers.
 
-use crate::args::{parse_point, Args};
+use crate::args::{parse_point, parse_query_point, Args};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
 use sqda_core::{exec::run_query, AlgorithmKind, RealTimeEngine, RunOptions, Simulation, Workload};
@@ -448,12 +448,11 @@ fn write_observability(
 /// `sqda query`
 pub fn query(args: &Args) -> CmdResult {
     let (tree, _) = open_tree(args.required("store")?)?;
-    let coords = parse_point(args.required("point")?)?;
+    let point = parse_query_point(args.required("point")?)?;
     let k: usize = args.get_or("k", 10)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
     let trace = args.get("trace").map(str::to_string);
     let metrics = args.get("metrics").map(str::to_string);
-    let point = Point::try_new(coords)?;
     let mut algo = kind.build(&tree, point.clone(), k)?;
     let run = run_query(&tree, algo.as_mut())?;
     println!(
@@ -664,7 +663,7 @@ pub fn estimate(args: &Args) -> CmdResult {
 pub fn explain(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let (mut tree, _) = open_tree(&store_dir)?;
-    let coords = parse_point(args.required("point")?)?;
+    let point = parse_query_point(args.required("point")?)?;
     let k: usize = args.get_or("k", 10)?;
     let lambda: f64 = args.get_or("lambda", 1.0)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
@@ -672,7 +671,6 @@ pub fn explain(args: &Args) -> CmdResult {
     if cache > 0 {
         tree.set_node_cache(Arc::new(NodeCache::<Node>::new(cache)));
     }
-    let point = Point::try_new(coords)?;
     if point.dim() != tree.dim() {
         return Err(format!("query dim {} but tree dim {}", point.dim(), tree.dim()).into());
     }

@@ -76,8 +76,10 @@
 //! ```
 //!
 //! Any malformed request gets `ERR <detail>` and the connection stays
-//! open; blank lines are skipped. Distances are Euclidean, printed with
-//! six decimals. `inline_reads` counts the reads the threaded backend
+//! open; blank lines are skipped. `k` above [`MAX_K`] is `ERR k too
+//! large` and a query coordinate beyond ±1e150 `ERR coordinate out of
+//! range` (its squared distances would overflow). Distances are
+//! Euclidean, printed with six decimals. `inline_reads` counts the reads the threaded backend
 //! served on the connection thread rather than a disk worker;
 //! `--backend inline` has no workers and omits it.
 //!
@@ -91,7 +93,7 @@
 //! Perfetto trace; `--slow-query-ms` / `--slow-query-log` append a JSONL
 //! breakdown line for every query at or over the threshold.
 
-use crate::args::{parse_point, Args};
+use crate::args::{parse_query_point, Args};
 use crate::commands::{algo_by_name, open_tree};
 use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfile};
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
@@ -327,6 +329,12 @@ pub fn serve(args: &Args) -> CmdResult {
 /// sends more without a newline gets `ERR line too long` and is closed.
 const MAX_LINE: usize = 64 * 1024;
 
+/// Most neighbours one request may ask for (`ERR k too large` beyond).
+/// `k` sizes the reply — 29 bytes per neighbour — and the engine's
+/// best-k array: unbounded, a client could make either as large as the
+/// store. 65 536 neighbours is a 1.9 MB line.
+const MAX_K: usize = 65_536;
+
 /// Pending reply bytes at which a pipelined burst is written out even
 /// though more requests are already buffered: bounds the reply buffer.
 const REPLY_FLUSH_BYTES: usize = 64 * 1024;
@@ -484,16 +492,14 @@ fn parse_knn<'a>(
     let (Some(coords), Some(k)) = (words.next(), words.next()) else {
         return Err(format!("usage: {usage}"));
     };
-    let point = |part: &str| -> Result<Point, String> {
-        let coords = parse_point(part).map_err(|e| e.to_string())?;
-        Point::try_new(coords).map_err(|e| e.to_string())
-    };
-    let points = if batch {
+    let point = |part: &str| parse_query_point(part).map_err(|e| e.to_string());
+    let points: Vec<Point> = if batch {
         coords.split(';').map(point).collect::<Result<_, _>>()?
     } else {
         vec![point(coords)?]
     };
     let k: usize = match k.parse() {
+        Ok(k) if k > MAX_K => return Err("k too large".into()),
         Ok(k) if k > 0 => k,
         _ => return Err(format!("bad k {k:?}")),
     };
@@ -1190,6 +1196,41 @@ mod tests {
             rc.read_line(&mut reply).unwrap();
             assert!(reply.starts_with("ERR "), "{reply}");
             assert_eq!(request_line(&mut c, &mut rc, "PING"), "PONG");
+        });
+    }
+
+    #[test]
+    fn query_operands_are_bounded() {
+        with_server("operand-caps", |addr| {
+            let (mut c, mut rc) = connect(addr);
+            let mut ask = |request: &str| request_line(&mut c, &mut rc, request);
+            // Coordinates whose squared distances overflow used to be
+            // answered with `OK 3 0:inf 1:inf 2:inf` — three arbitrary ids.
+            for request in [
+                "QUERY 1e200,1e200 3",
+                "QUERY 0.5,-1.1e150 3 bbss",
+                "EXPLAIN 1e200,0.5 3",
+                "BATCH 0.5,0.5;1e200,0.5 3",
+            ] {
+                assert_eq!(ask(request), "ERR coordinate out of range", "{request}");
+            }
+            // `k` is the client's number: it must not size anything
+            // before it is checked.
+            for request in [
+                "QUERY 0.5,0.5 100000000",
+                "EXPLAIN 0.5,0.5 65537",
+                "BATCH 0.5,0.5;0.6,0.6 100000000",
+            ] {
+                assert_eq!(ask(request), "ERR k too large", "{request}");
+            }
+            // The largest legal `k` answers with everything there is.
+            let everything = ask(&format!("QUERY 0.5,0.5 {MAX_K}"));
+            let found: usize = everything
+                .strip_prefix("OK ")
+                .and_then(|rest| rest.split(' ').next()?.parse().ok())
+                .unwrap_or_else(|| panic!("{everything:.80}"));
+            assert!(0 < found && found < MAX_K, "{found}");
+            assert_eq!(ask("QUERY 1e150,-1e150 2").split(' ').nth(1), Some("2"));
         });
     }
 

@@ -80,6 +80,18 @@ fn full_workflow() {
         "crss",
     ]));
     assert!(out.contains("CRSS found 5 neighbours"), "{out}");
+    // A point whose squared distances overflow is refused, not answered
+    // with five arbitrary objects at distance inf.
+    let far = sqda(&[
+        "query",
+        "--store",
+        store.to_str().unwrap(),
+        "--point",
+        "1e200,0.5",
+    ]);
+    assert!(!far.status.success());
+    let err = String::from_utf8_lossy(&far.stderr);
+    assert!(err.contains("coordinate out of range"), "{err}");
 
     // range
     let out = stdout(&sqda(&[

@@ -11,24 +11,29 @@
 //! (spheres) both implement it.
 //!
 //! Nodes are stored **flat**: one contiguous coordinate block per node
-//! plus parallel id/count arrays, mirroring the on-disk layout of
-//! `sqda_rstar::Node`. The batch distance kernels in
-//! [`sqda_geom::kernel`] run directly over these blocks, so decoding a
-//! node materialises no per-entry `Point`/`Rect` allocations and the hot
-//! paths compute whole-node distance vectors in one call.
+//! plus one integer block (object ids, or `[child, count]` pairs) — the
+//! layout of `sqda_rstar::Node`, which mirrors the page. The batch
+//! distance kernels in [`sqda_geom::kernel`] run directly over these
+//! blocks, so decoding a node materialises no per-entry `Point`/`Rect`
+//! allocations and the hot paths compute whole-node distance vectors in
+//! one call.
+//!
+//! An [`IndexNode`] over an R\*-tree is a **handle** on the decoded node
+//! itself (`Arc<Node>`), the same one the tree's decoded-node cache
+//! holds: serving a node from the cache is one reference-count bump and
+//! copies nothing. Access methods with another node form pack theirs into
+//! the same blocks per conversion.
 
 use crate::error::QueryError;
 use sqda_geom::{kernel, Point, Region};
+use sqda_rstar::Node;
 use sqda_storage::{PageId, Placement};
+use std::sync::Arc;
 
 /// A decoded leaf: `len` data points of dimension `dim` stored
 /// back-to-back in one coordinate block, with a parallel object-id array.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LeafBlock {
-    dim: usize,
-    coords: Box<[f64]>,
-    ids: Box<[u64]>,
-}
+pub struct LeafBlock(Arc<Node>);
 
 impl LeafBlock {
     /// Builds a leaf block from flat storage. `coords` holds the points
@@ -40,75 +45,56 @@ impl LeafBlock {
     /// while entries are present (only an empty node has no
     /// dimensionality to take from its entries).
     pub fn new(dim: usize, coords: Box<[f64]>, ids: Box<[u64]>) -> Self {
-        assert!(dim > 0 || ids.is_empty(), "non-empty leaf needs dimensions");
-        assert_eq!(coords.len(), dim * ids.len(), "coords/ids length mismatch");
-        Self { dim, coords, ids }
-    }
-
-    /// Builds a leaf block from `(point, id)` pairs (convenience for
-    /// tests and entry-based access methods).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points disagree on dimensionality or `dim == 0`.
-    pub fn from_pairs(dim: usize, pairs: &[(Point, u64)]) -> Self {
-        let mut coords = Vec::with_capacity(dim * pairs.len());
-        let mut ids = Vec::with_capacity(pairs.len());
-        for (p, id) in pairs {
-            assert_eq!(p.dim(), dim, "point dimensionality mismatch");
-            coords.extend_from_slice(p.coords());
-            ids.push(*id);
-        }
-        Self::new(dim, coords.into_boxed_slice(), ids.into_boxed_slice())
+        Self(Arc::new(Node::leaf_from_flat(dim, coords, ids)))
     }
 
     /// Number of data points.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.0.len()
     }
 
     /// `true` when the leaf holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.0.is_empty()
     }
 
     /// Point dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.0.dim()
     }
 
     /// The whole coordinate block (stride [`LeafBlock::dim`]).
     #[inline]
     pub fn coords(&self) -> &[f64] {
-        &self.coords
+        self.0.coords()
     }
 
     /// Coordinates of point `i`.
     #[inline]
     pub fn point(&self, i: usize) -> &[f64] {
-        &self.coords[i * self.dim..(i + 1) * self.dim]
+        self.0.leaf_point(i)
     }
 
     /// Raw object id of point `i`.
     #[inline]
     pub fn id(&self, i: usize) -> u64 {
-        self.ids[i]
+        self.0.payload()[i]
     }
 
     /// The object-id array.
     #[inline]
     pub fn ids(&self) -> &[u64] {
-        &self.ids
+        self.0.payload()
     }
 
     /// Iterates `(coords, id)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], u64)> + '_ {
-        self.coords
-            .chunks_exact(self.dim)
-            .zip(self.ids.iter().copied())
+        self.0
+            .leaf_iter()
+            .map(|(coords, object)| (coords, object.0))
     }
 
     /// Squared distance from `q` to **every** point of the leaf in one
@@ -116,83 +102,49 @@ impl LeafBlock {
     /// are bit-identical to per-entry [`Point::dist_sq`].
     #[inline]
     pub fn dist_sq_into(&self, q: &[f64], out: &mut Vec<f64>) {
-        debug_assert!(self.is_empty() || q.len() == self.dim, "query dim mismatch");
+        debug_assert!(
+            self.is_empty() || q.len() == self.dim(),
+            "query dim mismatch"
+        );
         if self.is_empty() {
             out.clear();
             return;
         }
-        kernel::batch_dist_sq(q, &self.coords, out);
+        kernel::batch_dist_sq(q, self.coords(), out);
     }
 }
 
-/// The bounding regions of a directory node, stored flat by shape.
+/// A decoded directory node: flat region storage plus the entries'
+/// `[child page, subtree count]` pairs in one block, as the page stores
+/// them (the count augmentation every supported access method must
+/// provide — Lemma 1 depends on it).
 ///
 /// A node's entries are homogeneous (R\*-trees bound with rectangles,
 /// SS-trees with spheres), so one discriminant per node suffices and the
 /// coordinate blocks stay contiguous for the batch kernels.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RegionBlock {
-    /// Axis-aligned MBRs: entry `i` occupies `[i*2*dim .. (i+1)*2*dim]`
-    /// of `coords` — `dim` low coordinates then `dim` high coordinates.
-    Rects {
-        /// Rectangle dimensionality.
-        dim: usize,
-        /// Corner block, stride `2 * dim`.
-        coords: Box<[f64]>,
-    },
+pub struct InternalBlock(Directory);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Directory {
+    /// An R\*-tree directory node read in place: entry `i`'s MBR occupies
+    /// `[i*2*dim .. (i+1)*2*dim]` of its coordinate block — `dim` low
+    /// coordinates then `dim` high — and its payload is the links.
+    Rects(Arc<Node>),
     /// Bounding spheres: entry `i`'s center at `[i*dim .. (i+1)*dim]` of
     /// `centers`, radius in `radii[i]`.
     Spheres {
-        /// Sphere dimensionality.
         dim: usize,
-        /// Center block, stride `dim`.
         centers: Box<[f64]>,
-        /// Per-entry radii.
         radii: Box<[f64]>,
+        links: Box<[u64]>,
     },
 }
 
-/// A decoded directory node: flat region storage plus parallel child-page
-/// and subtree-count arrays (the count augmentation every supported
-/// access method must provide — Lemma 1 depends on it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternalBlock {
-    children: Box<[u64]>,
-    counts: Box<[u64]>,
-    regions: RegionBlock,
-}
-
 impl InternalBlock {
-    /// Builds a rectangle-bounded directory from flat storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches, or if `dim == 0` while entries are
-    /// present.
-    pub fn from_rects(
-        dim: usize,
-        coords: Box<[f64]>,
-        children: Box<[u64]>,
-        counts: Box<[u64]>,
-    ) -> Self {
-        assert!(
-            dim > 0 || children.is_empty(),
-            "non-empty node needs dimensions"
-        );
-        assert_eq!(
-            coords.len(),
-            2 * dim * children.len(),
-            "corner block length"
-        );
-        assert_eq!(children.len(), counts.len(), "children/counts mismatch");
-        Self {
-            children,
-            counts,
-            regions: RegionBlock::Rects { dim, coords },
-        }
-    }
-
-    /// Builds a sphere-bounded directory from flat storage.
+    /// Builds a sphere-bounded directory from flat storage: entry `i`'s
+    /// child page and subtree count are `links[2 * i]` and
+    /// `links[2 * i + 1]`.
     ///
     /// # Panics
     ///
@@ -202,95 +154,91 @@ impl InternalBlock {
         dim: usize,
         centers: Box<[f64]>,
         radii: Box<[f64]>,
-        children: Box<[u64]>,
-        counts: Box<[u64]>,
+        links: Box<[u64]>,
     ) -> Self {
         assert!(
-            dim > 0 || children.is_empty(),
+            dim > 0 || links.is_empty(),
             "non-empty node needs dimensions"
         );
-        assert_eq!(centers.len(), dim * children.len(), "center block length");
-        assert_eq!(radii.len(), children.len(), "radius per entry");
-        assert_eq!(children.len(), counts.len(), "children/counts mismatch");
-        Self {
-            children,
-            counts,
-            regions: RegionBlock::Spheres {
-                dim,
-                centers,
-                radii,
-            },
+        assert_eq!(centers.len(), dim * radii.len(), "center block length");
+        assert_eq!(
+            links.len(),
+            2 * radii.len(),
+            "one [child, count] pair per entry"
+        );
+        Self(Directory::Spheres {
+            dim,
+            centers,
+            radii,
+            links,
+        })
+    }
+
+    /// The `[child, count]` pairs, entry after entry.
+    #[inline]
+    fn links(&self) -> &[u64] {
+        match &self.0 {
+            Directory::Rects(node) => node.payload(),
+            Directory::Spheres { links, .. } => links,
         }
     }
 
     /// Number of directory entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.links().len() / 2
     }
 
     /// `true` when the directory has no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.links().is_empty()
     }
 
     /// Region dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
-        match &self.regions {
-            RegionBlock::Rects { dim, .. } => *dim,
-            RegionBlock::Spheres { dim, .. } => *dim,
+        match &self.0 {
+            Directory::Rects(node) => node.dim(),
+            Directory::Spheres { dim, .. } => *dim,
         }
-    }
-
-    /// The flat region storage.
-    #[inline]
-    pub fn regions(&self) -> &RegionBlock {
-        &self.regions
     }
 
     /// Child page of entry `i`.
     #[inline]
     pub fn child(&self, i: usize) -> PageId {
-        PageId::from_raw(self.children[i])
+        PageId::from_raw(self.links()[2 * i])
     }
 
     /// Subtree object count of entry `i`.
     #[inline]
     pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
+        self.links()[2 * i + 1]
     }
 
-    /// The subtree-count array.
-    #[inline]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+    /// Iterates the subtree counts.
+    pub fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.links().iter().skip(1).step_by(2).copied()
     }
 
     /// Iterates the child pages.
     pub fn children(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.children.iter().map(|&raw| PageId::from_raw(raw))
+        self.links()
+            .iter()
+            .step_by(2)
+            .map(|&raw| PageId::from_raw(raw))
     }
 
     /// Materialises entry `i`'s bounding region (presentation/debug
     /// paths; the hot paths use the batch kernels instead).
     pub fn region(&self, i: usize) -> Region {
-        match &self.regions {
-            RegionBlock::Rects { dim, coords } => {
-                let base = i * 2 * dim;
-                Region::Rect(
-                    sqda_geom::Rect::new(
-                        coords[base..base + dim].to_vec(),
-                        coords[base + dim..base + 2 * dim].to_vec(),
-                    )
-                    .expect("stored corners form a valid rectangle"),
-                )
-            }
-            RegionBlock::Spheres {
+        match &self.0 {
+            Directory::Rects(node) => Region::Rect(node.internal_rect(i).to_rect()),
+            Directory::Spheres {
                 dim,
                 centers,
                 radii,
+                ..
             } => Region::sphere(Point::from(&centers[i * dim..(i + 1) * dim]), radii[i]),
         }
     }
@@ -307,9 +255,9 @@ impl InternalBlock {
             out.clear();
             return;
         }
-        match &self.regions {
-            RegionBlock::Rects { coords, .. } => kernel::batch_min_dist_sq(q, coords, out),
-            RegionBlock::Spheres { centers, radii, .. } => {
+        match &self.0 {
+            Directory::Rects(node) => kernel::batch_min_dist_sq(q, node.coords(), out),
+            Directory::Spheres { centers, radii, .. } => {
                 kernel::batch_sphere_min_dist_sq(q, centers, radii, out)
             }
         }
@@ -335,11 +283,11 @@ impl InternalBlock {
             d_max.clear();
             return;
         }
-        match &self.regions {
-            RegionBlock::Rects { coords, .. } => {
-                kernel::batch_rect_metrics(q, coords, d_min, d_mm, d_max)
+        match &self.0 {
+            Directory::Rects(node) => {
+                kernel::batch_rect_metrics(q, node.coords(), d_min, d_mm, d_max)
             }
-            RegionBlock::Spheres { centers, radii, .. } => {
+            Directory::Spheres { centers, radii, .. } => {
                 kernel::batch_sphere_metrics(q, centers, radii, d_min, d_mm, d_max)
             }
         }
@@ -416,45 +364,17 @@ pub trait AccessMethod: Send + Sync {
     }
 }
 
-/// The one place an R\*-tree node becomes the algorithms' view of it.
-/// (`sqda-sstree` provides the analogous impl for its sphere nodes.)
-/// Borrowing form: the source node usually lives in the shared decoded-node
-/// cache, so conversion copies the node's flat blocks without consuming
-/// the cached value — straight `memcpy`s of the coordinate/payload
-/// buffers, no per-entry materialisation.
-impl From<&sqda_rstar::Node> for IndexNode {
-    fn from(node: &sqda_rstar::Node) -> Self {
+/// The one place an R\*-tree node becomes the algorithms' view of it:
+/// the view *is* the shared node, whose flat blocks the kernels read in
+/// place. (`sqda-sstree` provides the analogous impl for its sphere
+/// nodes.)
+impl From<Arc<Node>> for IndexNode {
+    fn from(node: Arc<Node>) -> Self {
         if node.is_leaf() {
-            IndexNode::Leaf(LeafBlock::new(
-                node.dim(),
-                node.coords().into(),
-                node.payload().into(),
-            ))
+            IndexNode::Leaf(LeafBlock(node))
         } else {
-            // The node's payload interleaves [child, count] pairs;
-            // de-interleave into the parallel arrays the block layout
-            // keeps.
-            let n = node.len();
-            let payload = node.payload();
-            let mut children = Vec::with_capacity(n);
-            let mut counts = Vec::with_capacity(n);
-            for pair in payload.chunks_exact(2) {
-                children.push(pair[0]);
-                counts.push(pair[1]);
-            }
-            IndexNode::Internal(InternalBlock::from_rects(
-                node.dim(),
-                node.coords().into(),
-                children.into_boxed_slice(),
-                counts.into_boxed_slice(),
-            ))
+            IndexNode::Internal(InternalBlock(Directory::Rects(node)))
         }
-    }
-}
-
-impl From<sqda_rstar::Node> for IndexNode {
-    fn from(node: sqda_rstar::Node) -> Self {
-        (&node).into()
     }
 }
 
@@ -468,7 +388,7 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
     }
 
     fn read_index_node(&self, page: PageId) -> Result<IndexNode, QueryError> {
-        Ok(self.read_node(page)?.as_ref().into())
+        Ok(self.read_node(page)?.into())
     }
 
     fn placement(&self, page: PageId) -> Result<Placement, QueryError> {
@@ -476,7 +396,7 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
     }
 
     fn cached_index_node(&self, page: PageId) -> Result<Option<IndexNode>, QueryError> {
-        Ok(self.cached_node(page).map(|node| node.as_ref().into()))
+        Ok(self.cached_node(page).map(IndexNode::from))
     }
 
     fn decode_index_node(
@@ -484,16 +404,16 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
         page: PageId,
         bytes: sqda_storage::Bytes,
     ) -> Result<IndexNode, QueryError> {
-        Ok(self.decode_node_bytes(page, bytes)?.as_ref().into())
+        Ok(self.decode_node_bytes(page, bytes)?.into())
     }
 }
 
 /// Reusable per-query workspace: the best-first priority heap, the
-/// fetched-batch buffer and the batch-kernel distance buffer survive
-/// between queries, so a steady-state query sweep performs no per-query
-/// allocations for any of them. One scratch per worker thread; any
-/// scratch works with any access method (it carries no query state
-/// between runs).
+/// fetched-batch buffer, the batch-kernel distance buffer and the
+/// algorithms' working memory survive between queries, so a steady-state
+/// query sweep performs no per-query allocations for any of them. One
+/// scratch per worker thread; any scratch works with any access method
+/// (it carries no query state between runs).
 #[derive(Default)]
 pub struct QueryScratch {
     /// Heap storage for [`best_first_knn_with`] (and the WOPTSS oracle).
@@ -501,8 +421,14 @@ pub struct QueryScratch {
     /// Staging buffer for fetched `(page, node)` batches; executors fill
     /// it, algorithms drain it in place.
     pub batch: Vec<(PageId, IndexNode)>,
+    /// The pages of the batch being fetched; executors fill it from the
+    /// session's pending step.
+    pub(crate) pages: Vec<PageId>,
     /// Per-node distance vector for the batch kernels.
     pub dists: Vec<f64>,
+    /// What the four algorithms run on; [`crate::AlgorithmKind::build_with`]
+    /// lends it to the algorithm it builds, the session returns it.
+    pub(crate) algo: crate::algo::AlgoScratch,
 }
 
 impl QueryScratch {
@@ -592,7 +518,7 @@ mod tests {
         assert!(!root.is_leaf());
         assert!(!root.is_empty());
         if let IndexNode::Internal(block) = &root {
-            let total: u64 = block.counts().iter().sum();
+            let total: u64 = block.counts().sum();
             assert_eq!(total, 40);
             assert_eq!(block.dim(), 2);
             assert_eq!(block.children().count(), block.len());
@@ -630,7 +556,7 @@ mod tests {
         let mut d_max = Vec::new();
         while let Some(page) = stack.pop() {
             let node = tree.read_node(page).unwrap();
-            let view: IndexNode = node.as_ref().into();
+            let view: IndexNode = Arc::clone(&node).into();
             assert_eq!(view.len(), node.len());
             match &view {
                 IndexNode::Leaf(leaf) => {

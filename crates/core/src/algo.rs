@@ -1,7 +1,9 @@
-//! The batch state-machine abstraction shared by all four algorithms.
+//! The batch state-machine abstraction shared by all four algorithms,
+//! and the per-query working memory they run on.
 
-use crate::access::{AccessMethod, IndexNode};
+use crate::access::{AccessMethod, IndexNode, InternalBlock, LeafBlock, QueryScratch};
 use crate::error::QueryError;
+use crate::threshold::Candidate;
 use sqda_geom::Point;
 use sqda_rstar::{Neighbor, ObjectId};
 use sqda_storage::PageId;
@@ -74,6 +76,16 @@ pub trait SimilaritySearch {
     fn progress(&self) -> Option<AlgoProgress> {
         None
     }
+
+    /// The working memory the algorithm was built over
+    /// ([`AlgorithmKind::build_with`]), for the session driving it to
+    /// recycle: each fetch list goes back into it as soon as its pages are
+    /// noted, and once the [`SimilaritySearch::results`] are taken the
+    /// whole of it returns to the caller's [`QueryScratch`] — the algorithm
+    /// is spent from then on. `None` (the default) recycles nothing.
+    fn working_memory(&mut self) -> Option<&mut AlgoScratch> {
+        None
+    }
 }
 
 /// Bounded max-heap of the k best (closest) objects seen so far.
@@ -81,14 +93,26 @@ pub trait SimilaritySearch {
 /// `D_k` — the distance to the current k-th nearest neighbour — is the
 /// pruning radius every algorithm shares: it is infinite until k objects
 /// have been seen and only shrinks afterwards.
-#[derive(Debug)]
+///
+/// Storage is flat and grows with the objects actually offered, never
+/// with `k` (a client chooses `k`): heap items carry a slot into one
+/// coordinate block, an evicted object's slot goes to its replacement,
+/// and [`KBest::reset`] keeps both buffers for the next query, so an
+/// offer allocates nothing in steady state.
+#[derive(Debug, Default)]
 pub struct KBest {
     k: usize,
+    dim: usize,
     heap: BinaryHeap<KBestItem>,
+    coords: Vec<f64>,
 }
 
 #[derive(Debug)]
-struct KBestItem(Neighbor);
+struct KBestItem {
+    dist_sq: f64,
+    object: ObjectId,
+    slot: usize,
+}
 
 impl PartialEq for KBestItem {
     fn eq(&self, other: &Self) -> bool {
@@ -103,13 +127,12 @@ impl PartialOrd for KBestItem {
 }
 impl Ord for KBestItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .dist_sq
-            .partial_cmp(&other.0.dist_sq)
+        self.dist_sq
+            .partial_cmp(&other.dist_sq)
             .expect("distances are finite")
             // Deterministic tie-breaking across algorithms: larger object
             // id counts as "farther" so the retained set is unique.
-            .then(self.0.object.cmp(&other.0.object))
+            .then(self.object.cmp(&other.object))
     }
 }
 
@@ -120,27 +143,40 @@ impl KBest {
     ///
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        Self {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
+        let mut kbest = Self::default();
+        kbest.reset(k);
+        kbest
     }
 
-    /// Offers a candidate object.
-    pub fn offer(&mut self, object: ObjectId, point: Point, dist_sq: f64) {
-        let neighbor = Neighbor {
-            object,
-            point,
+    /// Empties the collector for a new query asking for `k`, keeping its
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    pub fn reset(&mut self, k: usize) {
+        assert!(k > 0, "k must be positive");
+        self.k = k;
+        self.heap.clear();
+        self.coords.clear();
+    }
+
+    /// Offers a candidate object at `coords`.
+    pub fn offer(&mut self, object: ObjectId, coords: &[f64], dist_sq: f64) {
+        let mut item = KBestItem {
             dist_sq,
+            object,
+            slot: self.heap.len(),
         };
         if self.heap.len() < self.k {
-            self.heap.push(KBestItem(neighbor));
-        } else if let Some(worst) = self.heap.peek() {
-            let item = KBestItem(neighbor);
-            if item.cmp(worst) == Ordering::Less {
-                self.heap.pop();
-                self.heap.push(item);
+            self.dim = coords.len();
+            self.coords.extend_from_slice(coords);
+            self.heap.push(item);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if item < *worst {
+                item.slot = worst.slot;
+                self.coords[item.slot * self.dim..][..self.dim].copy_from_slice(coords);
+                *worst = item;
             }
         }
     }
@@ -148,13 +184,9 @@ impl KBest {
     /// Squared distance to the current k-th best, or infinity while fewer
     /// than k objects have been seen.
     pub fn dk_sq(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap
-                .peek()
-                .map(|i| i.0.dist_sq)
-                .unwrap_or(f64::INFINITY)
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() == self.k => worst.dist_sq,
+            _ => f64::INFINITY,
         }
     }
 
@@ -170,7 +202,15 @@ impl KBest {
 
     /// The answers in increasing-distance order.
     pub fn to_sorted(&self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.iter().map(|i| i.0.clone()).collect();
+        let mut v: Vec<Neighbor> = self
+            .heap
+            .iter()
+            .map(|i| Neighbor {
+                object: i.object,
+                point: Point::from(&self.coords[i.slot * self.dim..][..self.dim]),
+                dist_sq: i.dist_sq,
+            })
+            .collect();
         v.sort_by(|a, b| {
             a.dist_sq
                 .partial_cmp(&b.dist_sq)
@@ -179,6 +219,89 @@ impl KBest {
         });
         v
     }
+}
+
+/// The working memory one query's algorithm runs on: the best-k array,
+/// the kernels' metric vectors, the candidate store with its run
+/// boundaries, BBSS's branch stack and a spare fetch list. It travels in a
+/// [`QueryScratch`]: [`AlgorithmKind::build_with`] moves it into the
+/// algorithm, the session moves it back
+/// ([`SimilaritySearch::working_memory`]), so a stream of queries over one
+/// scratch re-fills the same buffers. Opaque outside the crate.
+#[derive(Debug, Default)]
+pub struct AlgoScratch {
+    pub(crate) kbest: KBest,
+    /// `D_min²`, `D_mm²`, `D_max²` of the node under the kernels (leaf
+    /// distances in the first).
+    pub(crate) metrics: [Vec<f64>; 3],
+    /// This batch's candidates; for CRSS also the candidate stack below
+    /// them, one run after another.
+    pub(crate) cands: Vec<Candidate>,
+    /// Where each run of CRSS's candidate stack starts in `cands`.
+    pub(crate) runs: Vec<usize>,
+    /// Lemma 1's smallest-`D_max` prefix.
+    pub(crate) prefix: Vec<(f64, u64)>,
+    /// BBSS's DFS stack of `(D_min², page)`, most promising on top.
+    pub(crate) branches: Vec<(f64, PageId)>,
+    /// A page list to build the next [`Step::Fetch`] in.
+    pub(crate) pages: Vec<PageId>,
+}
+
+impl AlgoScratch {
+    /// Readies the buffers for a query asking for `k`.
+    pub(crate) fn for_query(mut self, k: usize) -> Self {
+        self.kbest.reset(k);
+        self.cands.clear();
+        self.runs.clear();
+        self.branches.clear();
+        self
+    }
+
+    /// The step fetching `page` alone, its list built in recycled storage.
+    pub(crate) fn fetch_one(&mut self, page: PageId) -> Step {
+        self.pages.clear();
+        self.pages.push(page);
+        self.fetch_or_done()
+    }
+
+    /// The step fetching what `pages` holds, or `Done` when that is
+    /// nothing (the storage then stays for the next query).
+    pub(crate) fn fetch_or_done(&mut self) -> Step {
+        if self.pages.is_empty() {
+            Step::Done
+        } else {
+            Step::Fetch(std::mem::take(&mut self.pages))
+        }
+    }
+}
+
+/// The UPDATE step all algorithms share: one batch-kernel call over the
+/// leaf, then every entry within the current `D_k` is offered (an offer
+/// past `D_k` is a no-op; ties must still be offered for the object-id
+/// tie-break).
+pub(crate) fn scan_leaf(leaf: &LeafBlock, q: &[f64], dists: &mut Vec<f64>, kbest: &mut KBest) {
+    leaf.dist_sq_into(q, dists);
+    for (i, &d) in dists.iter().enumerate() {
+        if d <= kbest.dk_sq() {
+            kbest.offer(ObjectId(leaf.id(i)), leaf.point(i), d);
+        }
+    }
+}
+
+/// Appends one [`Candidate`] per entry of `block`, its three metrics from
+/// one batched kernel sweep.
+pub(crate) fn push_candidates(
+    block: &InternalBlock,
+    q: &[f64],
+    metrics: &mut [Vec<f64>; 3],
+    cands: &mut Vec<Candidate>,
+) {
+    let [d_min, d_mm, d_max] = metrics;
+    block.metrics_into(q, d_min, d_mm, d_max);
+    cands.extend(
+        (0..block.len())
+            .map(|i| Candidate::new(block.child(i), block.count(i), d_min[i], d_mm[i], d_max[i])),
+    );
 }
 
 /// Which of the four algorithms to instantiate.
@@ -232,25 +355,29 @@ impl AlgorithmKind {
         query: Point,
         k: usize,
     ) -> Result<Box<dyn SimilaritySearch>, QueryError> {
-        let mut scratch = crate::QueryScratch::new();
-        self.build_with(am, query, k, &mut scratch)
+        self.build_with(am, query, k, &mut QueryScratch::new())
     }
 
-    /// [`AlgorithmKind::build`] over a reusable [`crate::QueryScratch`]:
-    /// the WOPTSS oracle's best-first heap is borrowed from the scratch
-    /// instead of freshly allocated (the other algorithms need no
-    /// build-time scratch).
+    /// [`AlgorithmKind::build`] over a reusable [`QueryScratch`]: the
+    /// algorithm runs on the scratch's working memory (moved in here,
+    /// moved back when its session finishes — an algorithm built while
+    /// another still holds it starts on empty buffers), and the
+    /// WOPTSS oracle borrows the scratch's best-first heap.
     pub fn build_with(
         self,
         am: &(impl AccessMethod + ?Sized),
         query: Point,
         k: usize,
-        scratch: &mut crate::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> Result<Box<dyn SimilaritySearch>, QueryError> {
+        let mut memory = || std::mem::take(&mut scratch.algo);
         Ok(match self {
-            AlgorithmKind::Bbss => Box::new(crate::Bbss::new(am, query, k)),
-            AlgorithmKind::Fpss => Box::new(crate::Fpss::new(am, query, k)),
-            AlgorithmKind::Crss => Box::new(crate::Crss::new(am, query, k)),
+            AlgorithmKind::Bbss => Box::new(crate::Bbss::over(am, query, k, memory())),
+            AlgorithmKind::Fpss => Box::new(crate::Fpss::over(am, query, k, memory())),
+            AlgorithmKind::Crss => {
+                let u = am.num_disks() as usize;
+                Box::new(crate::Crss::over(am, query, k, u, memory()))
+            }
             AlgorithmKind::Woptss => Box::new(crate::Woptss::new_with(am, query, k, scratch)?),
         })
     }
@@ -267,7 +394,7 @@ mod tests {
     use super::*;
 
     fn offer(kb: &mut KBest, id: u64, d: f64) {
-        kb.offer(ObjectId(id), Point::new(vec![0.0]), d);
+        kb.offer(ObjectId(id), &[id as f64], d);
     }
 
     #[test]
@@ -315,6 +442,25 @@ mod tests {
         };
         assert_eq!(ids(&a), ids(&b));
         assert_eq!(ids(&a), vec![3, 5]);
+    }
+
+    #[test]
+    fn kbest_keeps_each_answers_own_point_and_never_sizes_by_k() {
+        // `k` comes off the wire: a huge one must cost nothing up front.
+        let mut kb = KBest::new(usize::MAX);
+        offer(&mut kb, 1, 2.0);
+        assert_eq!((kb.len(), kb.dk_sq()), (1, f64::INFINITY));
+        // Evictions hand their coordinate slot to the replacement.
+        kb.reset(2);
+        for (id, d) in [(10, 9.0), (11, 8.0), (12, 1.0), (13, 7.0), (14, 0.5)] {
+            offer(&mut kb, id, d);
+        }
+        let got: Vec<(u64, f64)> = kb
+            .to_sorted()
+            .iter()
+            .map(|n| (n.object.0, n.point.coord(0)))
+            .collect();
+        assert_eq!(got, vec![(14, 14.0), (12, 12.0)]);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! read).
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::KBest;
+use crate::algo::{push_candidates, scan_leaf, KBest};
 use crate::error::QueryError;
 use crate::exec::{fetch_round, Round};
 use crate::threshold::{lemma1_threshold_sq, Candidate};
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::Neighbor;
 use sqda_storage::{IoBackend, PageId};
 use std::collections::BTreeMap;
 
@@ -61,9 +61,8 @@ impl BatchKnnReport {
 /// stream allocates only per-query state.
 #[derive(Default)]
 pub struct BatchScratch {
-    d_min: Vec<f64>,
-    d_mm: Vec<f64>,
-    d_max: Vec<f64>,
+    metrics: [Vec<f64>; 3],
+    prefix: Vec<(f64, u64)>,
     round: Round,
 }
 
@@ -128,12 +127,12 @@ pub fn batch_knn_with<A: AccessMethod + ?Sized>(
             None => {
                 scratch.round.nodes.clear();
                 for &page in &pages {
-                    scratch.round.nodes.push(am.read_index_node(page)?);
+                    scratch.round.nodes.push(Some(am.read_index_node(page)?));
                 }
             }
         }
         let mut leaf_round = false;
-        for ((_page, interested), node) in wave.into_iter().zip(scratch.round.nodes.drain(..)) {
+        for ((_page, interested), node) in wave.into_iter().zip(scratch.round.drain()) {
             unique_fetches += 1;
             total_interest += interested.len() as u64;
             match node {
@@ -142,41 +141,15 @@ pub fn batch_knn_with<A: AccessMethod + ?Sized>(
                     // round for every query in the batch.
                     leaf_round = true;
                     for &q in &interested {
-                        let qi = q as usize;
-                        // One row of the B×entries distance matrix,
-                        // then a filtered bulk push (offers past `dk`
-                        // are no-ops; ties keep the id tie-break).
-                        leaf.dist_sq_into(queries[qi].coords(), &mut scratch.d_min);
-                        for i in 0..leaf.len() {
-                            let d = scratch.d_min[i];
-                            if d <= kbest[qi].dk_sq() {
-                                kbest[qi].offer(
-                                    ObjectId(leaf.id(i)),
-                                    Point::from(leaf.point(i)),
-                                    d,
-                                );
-                            }
-                        }
+                        // One row of the B×entries distance matrix.
+                        let (q, kbest) = (queries[q as usize].coords(), &mut kbest[q as usize]);
+                        scan_leaf(&leaf, q, &mut scratch.metrics[0], kbest);
                     }
                 }
                 IndexNode::Internal(block) => {
                     for &q in &interested {
-                        let qi = q as usize;
-                        block.metrics_into(
-                            queries[qi].coords(),
-                            &mut scratch.d_min,
-                            &mut scratch.d_mm,
-                            &mut scratch.d_max,
-                        );
-                        cands[qi].extend((0..block.len()).map(|i| {
-                            Candidate::new(
-                                block.child(i),
-                                block.count(i),
-                                scratch.d_min[i],
-                                scratch.d_mm[i],
-                                scratch.d_max[i],
-                            )
-                        }));
+                        let (q, cands) = (queries[q as usize].coords(), &mut cands[q as usize]);
+                        push_candidates(&block, q, &mut scratch.metrics, cands);
                     }
                 }
             }
@@ -192,7 +165,7 @@ pub fn batch_knn_with<A: AccessMethod + ?Sized>(
             // Adapt the query's threshold over its whole wavefront
             // (Lemma 1; only ever shrinks), then keep every branch still
             // intersecting its query sphere.
-            if let Some(th) = lemma1_threshold_sq(qc, k as u64) {
+            if let Some(th) = lemma1_threshold_sq(qc, k as u64, &mut scratch.prefix) {
                 if th < d_th[qi] {
                     d_th[qi] = th;
                 }

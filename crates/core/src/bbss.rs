@@ -7,49 +7,47 @@
 //! no intra-query parallelism — the paper's motivation for CRSS.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{BatchResult, KBest, SimilaritySearch, Step};
+use crate::algo::{scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
-
-/// A deferred branch on the DFS stack.
-#[derive(Debug, Clone)]
-struct Branch {
-    page: PageId,
-    d_min_sq: f64,
-}
 
 /// The branch-and-bound (depth-first) similarity search.
 pub struct Bbss {
     query: Point,
-    kbest: KBest,
     root: PageId,
-    /// DFS stack; the most promising branch (smallest `D_min`) on top.
-    stack: Vec<Branch>,
-    /// Batch-kernel scratch: per-node distance vector, reused across
-    /// batches.
-    dists: Vec<f64>,
+    /// The best-k array and the DFS stack (`s.branches`, the most
+    /// promising branch — smallest `D_min` — on top).
+    s: AlgoScratch,
 }
 
 impl Bbss {
     /// Prepares a BBSS run for `k` neighbours of `query`.
     pub fn new(am: &(impl AccessMethod + ?Sized), query: Point, k: usize) -> Self {
+        Self::over(am, query, k, AlgoScratch::default())
+    }
+
+    /// [`Bbss::new`] on recycled working memory.
+    pub(crate) fn over(
+        am: &(impl AccessMethod + ?Sized),
+        query: Point,
+        k: usize,
+        s: AlgoScratch,
+    ) -> Self {
         Self {
             query,
-            kbest: KBest::new(k),
             root: am.root_page(),
-            stack: Vec::new(),
-            dists: Vec::new(),
+            s: s.for_query(k),
         }
     }
 
     /// Pops the next branch still intersecting the query sphere.
     fn next_step(&mut self) -> Step {
-        let dk_sq = self.kbest.dk_sq();
-        while let Some(branch) = self.stack.pop() {
-            if branch.d_min_sq <= dk_sq {
-                return Step::Fetch(vec![branch.page]);
+        let dk_sq = self.s.kbest.dk_sq();
+        while let Some((d_min_sq, page)) = self.s.branches.pop() {
+            if d_min_sq <= dk_sq {
+                return self.s.fetch_one(page);
             }
             // Pruned by Rule 3: cannot contain a better answer.
         }
@@ -59,53 +57,34 @@ impl Bbss {
 
 impl SimilaritySearch for Bbss {
     fn start(&mut self) -> Step {
-        Step::Fetch(vec![self.root])
+        self.s.fetch_one(self.root)
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
         debug_assert_eq!(nodes.len(), 1, "BBSS fetches one node at a time");
         let mut scanned = 0u64;
         let mut sorted = 0u64;
+        let (q, s) = (self.query.coords(), &mut self.s);
         for (_, node) in nodes.drain(..) {
+            scanned += node.len() as u64;
             match node {
-                IndexNode::Leaf(leaf) => {
-                    scanned += leaf.len() as u64;
-                    // One batch-kernel call per node, then a filtered
-                    // bulk push (offers past `dk` are no-ops; ties keep
-                    // the object-id tie-break).
-                    leaf.dist_sq_into(self.query.coords(), &mut self.dists);
-                    for i in 0..leaf.len() {
-                        let d = self.dists[i];
-                        if d <= self.kbest.dk_sq() {
-                            self.kbest
-                                .offer(ObjectId(leaf.id(i)), Point::from(leaf.point(i)), d);
-                        }
-                    }
-                }
+                IndexNode::Leaf(leaf) => scan_leaf(&leaf, q, &mut s.metrics[0], &mut s.kbest),
                 IndexNode::Internal(block) => {
-                    scanned += block.len() as u64;
-                    let dk_sq = self.kbest.dk_sq();
+                    let dk_sq = s.kbest.dk_sq();
                     // Build the active branch list in D_min order (the
                     // ordering Roussopoulos et al. recommend), pruning
                     // branches already outside the query sphere (Rule 1/3).
                     // `D_min²` comes from one batched kernel sweep.
-                    block.min_dist_sq_into(self.query.coords(), &mut self.dists);
-                    let mut branches: Vec<Branch> = (0..block.len())
-                        .map(|i| Branch {
-                            page: block.child(i),
-                            d_min_sq: self.dists[i],
-                        })
-                        .filter(|b| b.d_min_sq <= dk_sq)
-                        .collect();
-                    sorted += branches.len() as u64;
-                    // Push in decreasing D_min order so the smallest ends
+                    let dists = &mut s.metrics[0];
+                    block.min_dist_sq_into(q, dists);
+                    let base = s.branches.len();
+                    let live = dists.iter().enumerate().filter(|(_, &d)| d <= dk_sq);
+                    s.branches.extend(live.map(|(i, &d)| (d, block.child(i))));
+                    sorted += (s.branches.len() - base) as u64;
+                    // Pushed in decreasing D_min order so the smallest ends
                     // on top of the DFS stack.
-                    branches.sort_by(|a, b| {
-                        b.d_min_sq
-                            .partial_cmp(&a.d_min_sq)
-                            .expect("distances are finite")
-                    });
-                    self.stack.extend(branches);
+                    s.branches[base..]
+                        .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("distances are finite"));
                 }
             }
         }
@@ -116,10 +95,14 @@ impl SimilaritySearch for Bbss {
     }
 
     fn results(&self) -> Vec<Neighbor> {
-        self.kbest.to_sorted()
+        self.s.kbest.to_sorted()
     }
 
     fn name(&self) -> &'static str {
         "BBSS"
+    }
+
+    fn working_memory(&mut self) -> Option<&mut AlgoScratch> {
+        Some(&mut self.s)
     }
 }

@@ -27,10 +27,12 @@
 //! exhausted.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{BatchResult, KBest, SimilaritySearch, Step};
-use crate::threshold::{lemma1_threshold_sq, reduce_candidates, Candidate};
+use crate::algo::{
+    push_candidates, scan_leaf, AlgoProgress, AlgoScratch, BatchResult, SimilaritySearch, Step,
+};
+use crate::threshold::{lemma1_threshold_sq, minmax_threshold_sq, reduce_candidates};
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 
@@ -51,24 +53,18 @@ pub struct Crss {
     k: usize,
     /// Activation upper bound `u` = number of disks in the array.
     u: usize,
-    kbest: KBest,
     root: PageId,
     /// Current squared threshold distance `D_th²` (only ever shrinks).
     d_th_sq: f64,
-    /// The candidate stack: each element is a run, ordered by increasing
-    /// `D_min`. Guards are implicit in the run boundaries.
-    stack: Vec<Vec<Candidate>>,
     mode: Mode,
     /// Extension beyond the paper: also bound `D_th` by the k-th smallest
     /// MINMAXDIST of each adaptive-phase wavefront.
     minmax_threshold: bool,
-    /// Batch-kernel scratch: per-node `D_min²` (and leaf distance)
-    /// vector, reused across batches.
-    d_min: Vec<f64>,
-    /// Batch-kernel scratch: per-node `D_mm²` vector.
-    d_mm: Vec<f64>,
-    /// Batch-kernel scratch: per-node `D_max²` vector.
-    d_max: Vec<f64>,
+    /// The best-k array and the candidate stack: `s.cands` holds the runs
+    /// back to back, each ordered by increasing `D_min`, `s.runs` where
+    /// each starts (the guards between them); a batch under reduction sits
+    /// past the newest run.
+    s: AlgoScratch,
 }
 
 impl Crss {
@@ -91,20 +87,27 @@ impl Crss {
         k: usize,
         u: usize,
     ) -> Self {
+        Self::over(am, query, k, u, AlgoScratch::default())
+    }
+
+    /// [`Crss::with_activation_bound`] on recycled working memory.
+    pub(crate) fn over(
+        am: &(impl AccessMethod + ?Sized),
+        query: Point,
+        k: usize,
+        u: usize,
+        s: AlgoScratch,
+    ) -> Self {
         assert!(u >= 1, "activation bound must be at least 1");
         Self {
             query,
             k,
             u,
-            kbest: KBest::new(k),
             root: am.root_page(),
             d_th_sq: f64::INFINITY,
-            stack: Vec::new(),
             mode: Mode::Adaptive,
             minmax_threshold: false,
-            d_min: Vec::new(),
-            d_mm: Vec::new(),
-            d_max: Vec::new(),
+            s: s.for_query(k),
         }
     }
 
@@ -116,156 +119,116 @@ impl Crss {
         self
     }
 
-    /// Tightens the threshold with the current `D_k` when k objects have
-    /// been seen.
-    fn absorb_dk(&mut self) {
-        let dk = self.kbest.dk_sq();
-        if dk < self.d_th_sq {
-            self.d_th_sq = dk;
+    /// Tightens the threshold to `bound` if that is smaller.
+    fn tighten(&mut self, bound: Option<f64>) {
+        if let Some(bound) = bound.filter(|&b| b < self.d_th_sq) {
+            self.d_th_sq = bound;
         }
     }
 
-    /// Pops candidate runs until one yields an activation list, applying
-    /// the guard optimization within each run.
-    fn next_from_stack(&mut self) -> Step {
-        while let Some(run) = self.stack.pop() {
+    /// Applies the reduction criterion to the candidates `cands[base..]`:
+    /// the activated ones become the next fetch list, the saved ones stay
+    /// as the stack's top run. Returns the number of survivors.
+    fn reduce(&mut self, base: usize) -> usize {
+        let s = &mut self.s;
+        let survivors = reduce_candidates(&mut s.cands, base, self.d_th_sq, self.u, &mut s.pages);
+        if s.cands.len() > base {
+            s.runs.push(base);
+        }
+        survivors
+    }
+
+    /// The fetch list [`Crss::reduce`] left, or the next one off the
+    /// candidate stack when it activated nothing: pops runs until one
+    /// yields an activation list, applying the guard optimization within
+    /// each run.
+    fn next_step(&mut self) -> Step {
+        while self.s.pages.is_empty() {
+            let Some(start) = self.s.runs.pop() else {
+                self.mode = Mode::Terminate;
+                return Step::Done;
+            };
             // Guard elimination: the run is ordered by increasing D_min,
             // so the first miss rejects the remainder of the run.
-            let mut survivors = Vec::with_capacity(run.len());
-            for c in run {
-                if c.d_min_sq > self.d_th_sq {
-                    break;
-                }
-                survivors.push(c);
-            }
-            if survivors.is_empty() {
-                continue;
-            }
-            let (active, saved) = reduce_candidates(survivors, self.d_th_sq, self.k as u64, self.u);
-            if !saved.is_empty() {
-                self.stack.push(saved);
-            }
-            // With k ≥ 1 the lower-bound promotion in `reduce_candidates`
-            // always activates at least one surviving candidate.
-            debug_assert!(!active.is_empty());
-            return Step::Fetch(active.into_iter().map(|c| c.page).collect());
+            let run = &self.s.cands[start..];
+            let alive = run.partition_point(|c| c.d_min_sq <= self.d_th_sq);
+            self.s.cands.truncate(start + alive);
+            // The lower-bound promotion in `reduce_candidates` always
+            // activates at least one surviving candidate.
+            self.reduce(start);
         }
-        self.mode = Mode::Terminate;
-        Step::Done
+        self.s.fetch_or_done()
     }
 }
 
 impl SimilaritySearch for Crss {
     fn start(&mut self) -> Step {
-        Step::Fetch(vec![self.root])
+        self.s.fetch_one(self.root)
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
         let mut scanned = 0u64;
         let mut sorted = 0u64;
+        let q = self.query.coords();
+        self.s.pages.clear();
         // Fetched batches are level-uniform (activation lists never mix
         // levels), so inspect the first node.
         let leaf_batch = nodes.first().map(|(_, n)| n.is_leaf()).unwrap_or(true);
-
-        let next = if leaf_batch {
-            // UPDATE mode: data objects refine the best-k array. One
-            // batch-kernel call per node, then a filtered bulk push
-            // (offers past `dk` are no-ops; ties keep the object-id
-            // tie-break).
-            for (_, node) in nodes.drain(..) {
-                let IndexNode::Leaf(leaf) = node else {
-                    unreachable!("level-uniform batch")
-                };
-                scanned += leaf.len() as u64;
-                leaf.dist_sq_into(self.query.coords(), &mut self.d_min);
-                for i in 0..leaf.len() {
-                    let d = self.d_min[i];
-                    if d <= self.kbest.dk_sq() {
-                        self.kbest
-                            .offer(ObjectId(leaf.id(i)), Point::from(leaf.point(i)), d);
-                    }
+        let base = self.s.cands.len();
+        for (_, node) in nodes.drain(..) {
+            scanned += node.len() as u64;
+            match node {
+                // UPDATE mode: data objects refine the best-k array.
+                IndexNode::Leaf(leaf) if leaf_batch => {
+                    scan_leaf(&leaf, q, &mut self.s.metrics[0], &mut self.s.kbest)
                 }
+                IndexNode::Internal(block) if !leaf_batch => {
+                    push_candidates(&block, q, &mut self.s.metrics, &mut self.s.cands)
+                }
+                _ => unreachable!("level-uniform batch"),
             }
-            self.absorb_dk();
+        }
+        if leaf_batch {
             if self.mode == Mode::Adaptive {
                 self.mode = Mode::Normal;
             }
-            self.next_from_stack()
-        } else {
-            let mut candidates: Vec<Candidate> = Vec::new();
-            for (_, node) in nodes.drain(..) {
-                let IndexNode::Internal(block) = node else {
-                    unreachable!("level-uniform batch")
-                };
-                scanned += block.len() as u64;
-                // All three metrics for the whole node in one batched
-                // kernel sweep.
-                block.metrics_into(
-                    self.query.coords(),
-                    &mut self.d_min,
-                    &mut self.d_mm,
-                    &mut self.d_max,
-                );
-                candidates.extend((0..block.len()).map(|i| {
-                    Candidate::new(
-                        block.child(i),
-                        block.count(i),
-                        self.d_min[i],
-                        self.d_mm[i],
-                        self.d_max[i],
-                    )
-                }));
+        } else if self.mode == Mode::Adaptive {
+            // Adapt the threshold from this level's counts (Lemma 1).
+            let (s, k) = (&mut self.s, self.k as u64);
+            let lemma1 = lemma1_threshold_sq(&s.cands[base..], k, &mut s.prefix);
+            self.tighten(lemma1);
+            if self.minmax_threshold {
+                self.tighten(minmax_threshold_sq(&self.s.cands[base..], k));
             }
-            if self.mode == Mode::Adaptive {
-                // Adapt the threshold from this level's counts (Lemma 1).
-                if let Some(th) = lemma1_threshold_sq(&candidates, self.k as u64) {
-                    if th < self.d_th_sq {
-                        self.d_th_sq = th;
-                    }
-                }
-                if self.minmax_threshold {
-                    if let Some(th) =
-                        crate::threshold::minmax_threshold_sq(&candidates, self.k as u64)
-                    {
-                        if th < self.d_th_sq {
-                            self.d_th_sq = th;
-                        }
-                    }
-                }
-            }
-            self.absorb_dk();
-            let (active, saved) =
-                reduce_candidates(candidates, self.d_th_sq, self.k as u64, self.u);
-            sorted += (active.len() + saved.len()) as u64;
-            if !saved.is_empty() {
-                self.stack.push(saved);
-            }
-            if active.is_empty() {
-                self.next_from_stack()
-            } else {
-                Step::Fetch(active.into_iter().map(|c| c.page).collect())
-            }
-        };
-
+        }
+        // `D_k` bounds the threshold once k objects have been seen.
+        self.tighten(Some(self.s.kbest.dk_sq()));
+        if !leaf_batch {
+            sorted += self.reduce(base) as u64;
+        }
         BatchResult {
-            next,
+            next: self.next_step(),
             cpu_instructions: cpu_instructions_for_batch(scanned, sorted),
         }
     }
 
     fn results(&self) -> Vec<Neighbor> {
-        self.kbest.to_sorted()
+        self.s.kbest.to_sorted()
     }
 
     fn name(&self) -> &'static str {
         "CRSS"
     }
 
-    fn progress(&self) -> Option<crate::algo::AlgoProgress> {
-        Some(crate::algo::AlgoProgress {
+    fn progress(&self) -> Option<AlgoProgress> {
+        Some(AlgoProgress {
             d_th_sq: self.d_th_sq,
-            stack_runs: self.stack.len() as u32,
-            stack_candidates: self.stack.iter().map(|run| run.len() as u32).sum(),
+            stack_runs: self.s.runs.len() as u32,
+            stack_candidates: self.s.cands.len() as u32,
         })
+    }
+
+    fn working_memory(&mut self) -> Option<&mut AlgoScratch> {
+        Some(&mut self.s)
     }
 }

@@ -22,7 +22,9 @@ pub fn run_query(
 
 /// [`run_query`] over a reusable [`crate::QueryScratch`]: the fetched-batch
 /// buffer is borrowed from the scratch, so a sweep of queries re-fills one
-/// allocation instead of building a fresh `Vec` per batch.
+/// allocation instead of building a fresh `Vec` per batch, and an `algo`
+/// built over the same scratch ([`crate::AlgorithmKind::build_with`])
+/// hands its working memory back to it on the way out.
 ///
 /// The session core with the scheduling taken out: every page is read
 /// the moment it is asked for, no clock runs and nothing is narrated.
@@ -36,13 +38,13 @@ pub fn run_query_with(
     scratch.batch.clear();
     let mut session = Session::new(algo, 0, 0, std::mem::take(&mut scratch.batch));
     session.arrive(&mut nar);
-    while let Some(pages) = session.next_batch(&mut nar)? {
-        for page in pages {
+    let mut pages = std::mem::take(&mut scratch.pages);
+    while session.next_batch(&mut nar, &mut pages)? {
+        for &page in &pages {
             let node = am.read_index_node(page)?;
             session.deliver(&mut nar, page, node, |_, _| CpuCharge::default())?;
         }
     }
-    let (run, buffer) = session.finish();
-    scratch.batch = buffer;
-    Ok(run)
+    scratch.pages = pages;
+    Ok(session.finish(scratch))
 }

@@ -33,9 +33,8 @@ use sqda_obs::{
 };
 use sqda_rstar::Neighbor;
 use sqda_storage::{IoBackend, PageId, ReadCompletion};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Aggregated results of one real-clock run.
@@ -93,10 +92,6 @@ struct CompletedSession {
     obs: SessionObs,
 }
 
-/// What one worker hands back: its sessions' outcomes and the events it
-/// buffered for the recorder.
-type WorkerOutput = (Vec<SessionOutcome>, Vec<(u64, ObsEvent)>);
-
 /// The live-telemetry record of one query: its measured components when
 /// it completed, a bare failure mark (`done` = `None`) when it aborted.
 fn observation(
@@ -126,16 +121,25 @@ fn observation(
 /// read.
 #[derive(Default)]
 pub(crate) struct Round {
-    decoded: HashMap<PageId, IndexNode>,
+    /// `(page, position in the request)` of every miss, sorted, so a
+    /// completion finds its slot whatever order reads finish in.
+    slots: Vec<(PageId, usize)>,
     pub(crate) misses: Vec<PageId>,
-    pub(crate) nodes: Vec<IndexNode>,
+    pub(crate) nodes: Vec<Option<IndexNode>>,
+}
+
+impl Round {
+    /// Takes the round's nodes, in request order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = IndexNode> + '_ {
+        self.nodes.drain(..).flatten()
+    }
 }
 
 /// Reads one round's pages through `backend`: cache probes first
 /// (hit/miss accounting identical to the read-through path), then one
 /// `submit_batch` for the misses, so the whole round reads in parallel.
 /// Completions arrive in finish order — `on_read` sees each as it lands —
-/// and are re-assembled in request order, so callers get exactly what
+/// and are slotted back into request order, so callers get exactly what
 /// the logical and simulated executors deliver.
 pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
     am: &A,
@@ -144,43 +148,76 @@ pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
     round: &mut Round,
     mut on_read: impl FnMut(&ReadCompletion),
 ) -> Result<(), QueryError> {
-    round.decoded.clear();
+    round.slots.clear();
     round.misses.clear();
     round.nodes.clear();
-    for &page in pages {
-        match am.cached_index_node(page)? {
-            Some(node) => {
-                round.decoded.insert(page, node);
-            }
-            None => round.misses.push(page),
+    for (at, &page) in pages.iter().enumerate() {
+        let node = am.cached_index_node(page)?;
+        if node.is_none() {
+            round.slots.push((page, at));
+            round.misses.push(page);
         }
+        round.nodes.push(node);
     }
-    if !round.misses.is_empty() {
-        let rx = backend.submit_batch(&round.misses);
-        for _ in 0..round.misses.len() {
-            let completion = rx.recv().map_err(|_| {
-                QueryError::Invariant("I/O backend dropped a batch mid-flight".into())
-            })?;
-            on_read(&completion);
-            let node = am.decode_index_node(completion.page, completion.result?)?;
-            round.decoded.insert(completion.page, node);
-        }
+    if round.misses.is_empty() {
+        return Ok(());
     }
-    for page in pages {
-        round.nodes.push(round.decoded.remove(page).ok_or_else(|| {
-            QueryError::Invariant(format!("page {page:?} requested but never delivered"))
-        })?);
+    round.slots.sort_unstable();
+    let rx = backend.submit_batch(&round.misses);
+    for _ in 0..round.misses.len() {
+        let completion = rx
+            .recv()
+            .map_err(|_| QueryError::Invariant("I/O backend dropped a batch mid-flight".into()))?;
+        on_read(&completion);
+        let page = completion.page;
+        let node = am.decode_index_node(page, completion.result?)?;
+        let awaited = round.slots.binary_search_by_key(&page, |&(p, _)| p);
+        let Some(at) = awaited
+            .ok()
+            .map(|i| round.slots[i].1)
+            .filter(|&at| round.nodes[at].is_none())
+        else {
+            return Err(QueryError::Invariant(format!(
+                "page {page:?} delivered but not awaited"
+            )));
+        };
+        round.nodes[at] = Some(node);
+    }
+    if let Some(at) = round.nodes.iter().position(Option::is_none) {
+        let page = pages[at];
+        return Err(QueryError::Invariant(format!(
+            "page {page:?} requested but never delivered"
+        )));
     }
     Ok(())
 }
 
+/// What a worker keeps from one `run` to the next, through the engine's
+/// free list: the algorithms' scratch and the round buffers, grown to
+/// their steady size by the first queries they served.
+#[derive(Default)]
+struct Pooled {
+    scratch: crate::QueryScratch,
+    round: Round,
+}
+
 /// What a worker carries from one query to the next: its narrator (and
-/// with it the page→level map), scratch buffers and CPU-track id.
+/// with it the page→level map), pooled buffers and CPU-track id. The
+/// buffers return to the engine's free list when the worker is dropped.
 struct Worker<'a> {
     id: u16,
     nar: Narrator<'a>,
-    scratch: crate::QueryScratch,
-    round: Round,
+    pooled: Pooled,
+    pool: &'a Mutex<Vec<Pooled>>,
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        // A poisoned list just stops recycling: the buffers are dropped.
+        if let Ok(mut pool) = self.pool.lock() {
+            pool.push(std::mem::take(&mut self.pooled));
+        }
+    }
 }
 
 /// The wall-clock twin of [`super::Simulation`]: executes a workload
@@ -190,6 +227,11 @@ pub struct RealTimeEngine<'t, A: AccessMethod + ?Sized> {
     am: &'t A,
     backend: Arc<dyn IoBackend>,
     live: Option<Arc<LiveTelemetry>>,
+    /// Buffers of workers that finished, for the next ones: a server
+    /// calls `run` once per request, and a request should not pay for
+    /// growing them again. Never longer than the most workers that ever
+    /// ran at once.
+    pool: Mutex<Vec<Pooled>>,
 }
 
 impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
@@ -212,6 +254,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             am,
             backend,
             live: None,
+            pool: Mutex::default(),
         })
     }
 
@@ -296,55 +339,79 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         let started = Instant::now();
         let cursor = AtomicUsize::new(0);
 
-        // One worker body for every concurrency; a lone worker runs it
-        // on the caller's thread, so a served single query pays no
-        // thread spawn and only its page reads cross to the backend.
-        let worker = |index: usize| {
-            self.run_worker(kind, workload, index as u16, &cursor, &clock, recording)
-        };
-        let per_worker: Vec<WorkerOutput> = if concurrency == 1 {
-            vec![worker(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..concurrency)
-                    .map(|w| scope.spawn(move || worker(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("engine worker panicked"))
-                    .collect()
-            })
-        };
-        let wall_s = started.elapsed().as_secs_f64();
-        let (worker_outcomes, worker_events): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
-
-        if recording {
-            let mut merged: Vec<(u64, ObsEvent)> = worker_events.into_iter().flatten().collect();
-            merged.sort_by_key(|(ts, _)| *ts);
-            for (ts, event) in merged {
-                recorder.record(ts, event);
-            }
-        }
-
-        let mut outcomes: Vec<SessionOutcome> = worker_outcomes.into_iter().flatten().collect();
-        outcomes.sort_by_key(|o| o.index);
         let mut responses = Vec::new();
         let mut answers = vec![Vec::new(); workload.queries.len()];
         let mut failures = Vec::new();
         let mut total_nodes = 0u64;
-        for outcome in outcomes {
-            match outcome.result {
-                Ok(done) => {
-                    responses.push(done.response_ns as f64 / 1e9);
-                    total_nodes += done.run.nodes_visited;
-                    answers[outcome.index as usize] = done.run.results;
+        let mut book = |outcome: SessionOutcome| match outcome.result {
+            Ok(done) => {
+                responses.push(done.response_ns as f64 / 1e9);
+                total_nodes += done.run.nodes_visited;
+                answers[outcome.index as usize] = done.run.results;
+            }
+            Err(e) => failures.push((outcome.index, e)),
+        };
+
+        // One worker body for every concurrency. A lone worker runs it on
+        // the caller's thread and books each outcome as it lands, so a
+        // served single query pays no thread spawn and no staging, and
+        // only its page reads cross to the backend; several workers stage
+        // theirs to be booked in workload order.
+        let worker = |index: usize, done: &mut dyn FnMut(SessionOutcome)| {
+            self.run_worker(
+                kind,
+                workload,
+                index as u16,
+                &cursor,
+                &clock,
+                recording,
+                done,
+            )
+        };
+        let mut events = if concurrency == 1 {
+            worker(0, &mut book)
+        } else {
+            let mut staged = Vec::new();
+            let mut events = Vec::new();
+            std::thread::scope(|scope| {
+                let worker = &worker;
+                let handles: Vec<_> = (0..concurrency)
+                    .map(|w| {
+                        scope.spawn(move || {
+                            let mut mine = Vec::new();
+                            let events = worker(w, &mut |outcome| mine.push(outcome));
+                            (mine, events)
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    let (mine, theirs) = handle.join().expect("engine worker panicked");
+                    staged.extend(mine);
+                    events.extend(theirs);
                 }
-                Err(e) => failures.push((outcome.index, e)),
+            });
+            staged.sort_by_key(|o: &SessionOutcome| o.index);
+            staged.into_iter().for_each(&mut book);
+            events
+        };
+        let wall_s = started.elapsed().as_secs_f64();
+
+        if recording {
+            events.sort_by_key(|(ts, _)| *ts);
+            for (ts, event) in events {
+                recorder.record(ts, event);
             }
         }
+
         let completed = responses.len();
-        let mut sorted = responses.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        // The percentiles want the times ranked; a single query's (every
+        // served request) are as they stand.
+        let mut sorted = std::borrow::Cow::from(&responses[..]);
+        if completed > 1 {
+            sorted
+                .to_mut()
+                .sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        }
         Ok(RealTimeReport {
             algorithm: kind.name(),
             backend: self.backend.name(),
@@ -370,8 +437,9 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     }
 
     /// One closed-loop worker: claims queries off `cursor` and runs each
-    /// to completion on the calling thread, until the workload is
-    /// exhausted.
+    /// to completion on the calling thread, handing every outcome to
+    /// `done`, until the workload is exhausted. Returns the events it
+    /// buffered for the recorder.
     fn run_worker(
         &self,
         kind: AlgorithmKind,
@@ -380,8 +448,8 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         cursor: &AtomicUsize,
         clock: &WallClock,
         recording: bool,
-    ) -> WorkerOutput {
-        let mut outcomes = Vec::new();
+        done: &mut dyn FnMut(SessionOutcome),
+    ) -> Vec<(u64, ObsEvent)> {
         let mut buffer = CollectingRecorder::new();
         let mut worker = self.worker(id, clock, recording.then_some(&mut buffer as _));
         loop {
@@ -393,25 +461,27 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             let result = self
                 .run_one(kind, wq.point.clone(), wq.k, index, &mut worker, None)
                 .map(|(done, _)| done);
-            outcomes.push(SessionOutcome { index, result });
+            done(SessionOutcome { index, result });
         }
         drop(worker);
-        (outcomes, buffer.into_events())
+        buffer.into_events()
     }
 
-    /// A fresh worker narrating to `recorder` and to the flight ring of
-    /// the attached telemetry, whichever are on.
+    /// A worker narrating to `recorder` and to the flight ring of the
+    /// attached telemetry, whichever are on, over buffers off the free
+    /// list (fresh ones when it is empty).
     fn worker<'a>(
         &'a self,
         id: u16,
         clock: &'a WallClock,
         recorder: Option<&'a mut dyn Recorder>,
     ) -> Worker<'a> {
+        let pooled = self.pool.lock().ok().and_then(|mut pool| pool.pop());
         Worker {
             id,
             nar: Narrator::new(clock, recorder, self.live.as_deref(), self.am.root_page()),
-            scratch: crate::QueryScratch::new(),
-            round: Round::default(),
+            pooled: pooled.unwrap_or_default(),
+            pool: &self.pool,
         }
     }
 
@@ -493,7 +563,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             }
         });
         let result = kind
-            .build_with(self.am, point, k, &mut worker.scratch)
+            .build_with(self.am, point, k, &mut worker.pooled.scratch)
             .and_then(|mut algo| {
                 self.drive_session(algo.as_mut(), index, query, worker, record.as_mut())
             });
@@ -539,22 +609,24 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         worker: &mut Worker<'_>,
         mut explain: Option<&mut QueryExplain>,
     ) -> Result<CompletedSession, QueryError> {
-        let (nar, round, cpu) = (&mut worker.nar, &mut worker.round, worker.id);
-        worker.scratch.batch.clear();
-        let buffer = std::mem::take(&mut worker.scratch.batch);
+        let (nar, cpu) = (&mut worker.nar, worker.id);
+        let Pooled { scratch, round } = &mut worker.pooled;
+        scratch.batch.clear();
+        let buffer = std::mem::take(&mut scratch.batch);
+        let pages = &mut scratch.pages;
         let mut session = Session::new(algo, index, serving, buffer);
         session.arrive(nar);
         // The disk of the last read the query saw complete: the failing
         // one when a read is what ends it.
         let mut last_disk = 0u16;
         let mut rounds = || -> Result<(), QueryError> {
-            while let Some(pages) = session.next_batch(nar)? {
+            while session.next_batch(nar, pages)? {
                 if let Some(live) = &self.live {
                     live.batch_size.observe(pages.len() as f64);
                 }
                 if let Some(x) = explain.as_deref_mut() {
                     x.batch_sizes.push(pages.len() as u32);
-                    for &page in &pages {
+                    for &page in pages.iter() {
                         let level = nar.level(page) as usize;
                         if x.level_accesses.len() <= level {
                             x.level_accesses.resize(level + 1, 0);
@@ -562,7 +634,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                         x.level_accesses[level] += 1;
                     }
                 }
-                fetch_round(self.am, self.backend.as_ref(), &pages, round, |done| {
+                fetch_round(self.am, self.backend.as_ref(), pages, round, |done| {
                     last_disk = done.disk as u16;
                     if let Some(x) = explain.as_deref_mut() {
                         if let Some(slot) = x.reads_per_disk.get_mut(done.disk as usize) {
@@ -584,7 +656,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                     x.cache_misses += round.misses.len() as u64;
                     x.cache_hits += (pages.len() - round.misses.len()) as u64;
                 }
-                for (&page, node) in pages.iter().zip(round.nodes.drain(..)) {
+                for (&page, node) in pages.iter().zip(round.drain()) {
                     session.deliver(nar, page, node, |_, elapsed_ns| CpuCharge {
                         cpu,
                         queue_ns: 0,
@@ -603,10 +675,8 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         }
         let response_ns = session.complete(nar);
         let obs = session.obs;
-        let (run, buffer) = session.finish();
-        worker.scratch.batch = buffer;
         Ok(CompletedSession {
-            run,
+            run: session.finish(scratch),
             response_ns,
             obs,
         })

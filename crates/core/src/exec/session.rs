@@ -310,9 +310,11 @@ impl<'a> Session<'a> {
         self.pending = Some(self.algo.start());
     }
 
-    /// Takes the pending step: `Some(pages)` is a batch to fetch,
-    /// already counted and narrated as `batch_issued`; `None` means the
-    /// algorithm is done and the session wants [`Session::complete`].
+    /// Takes the pending step: `true` means `batch` now holds the pages
+    /// to fetch, already counted and narrated as `batch_issued` (the
+    /// algorithm has its own list back to build the next step in);
+    /// `false` means the algorithm is done and the session wants
+    /// [`Session::complete`].
     ///
     /// # Errors
     ///
@@ -321,14 +323,15 @@ impl<'a> Session<'a> {
     pub(crate) fn next_batch(
         &mut self,
         nar: &mut Narrator<'_>,
-    ) -> Result<Option<Vec<PageId>>, QueryError> {
+        batch: &mut Vec<PageId>,
+    ) -> Result<bool, QueryError> {
         let q = self.query;
         let step = self
             .pending
             .take()
             .ok_or_else(|| QueryError::Invariant(format!("query {q} has no pending step")))?;
         let Step::Fetch(pages) = step else {
-            return Ok(None);
+            return Ok(false);
         };
         if pages.is_empty() {
             return Err(QueryError::Invariant(format!(
@@ -356,7 +359,12 @@ impl<'a> Session<'a> {
                 size,
             });
         }
-        Ok(Some(pages))
+        batch.clear();
+        batch.extend_from_slice(&pages);
+        if let Some(memory) = self.algo.working_memory() {
+            memory.pages = pages;
+        }
+        Ok(true)
     }
 
     /// Books one page read against the session and narrates it as
@@ -477,17 +485,32 @@ impl<'a> Session<'a> {
         response_ns
     }
 
-    /// What a completed session did, next to its (drained) fetch buffer
-    /// for the next session to reuse.
-    pub(crate) fn finish(self) -> (QueryRun, Vec<(PageId, IndexNode)>) {
-        let run = QueryRun {
-            results: self.algo.results(),
+    /// Frees the algorithm's working memory now instead of with the
+    /// algorithm: for a scheduler that keeps finished sessions until its
+    /// run ends (the simulator holds thousands, each with buffers grown to
+    /// its widest wavefront). The answers go with it.
+    pub(crate) fn retire(&mut self) {
+        if let Some(memory) = self.algo.working_memory() {
+            std::mem::take(memory);
+        }
+    }
+
+    /// What a completed session did. Its (drained) fetch buffer and the
+    /// algorithm's working memory go back to `scratch`, whence the next
+    /// session takes them.
+    pub(crate) fn finish(self, scratch: &mut crate::QueryScratch) -> QueryRun {
+        let results = self.algo.results();
+        if let Some(memory) = self.algo.working_memory() {
+            scratch.algo = std::mem::take(memory);
+        }
+        scratch.batch = self.fetched;
+        QueryRun {
+            results,
             nodes_visited: self.nodes_visited,
             batches: self.obs.batches as u64,
             max_batch: self.max_batch,
             cpu_instructions: self.cpu_instructions,
-        };
-        (run, self.fetched)
+        }
     }
 
     /// The query gives up with a typed error: marks the session failed

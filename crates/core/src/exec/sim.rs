@@ -352,6 +352,7 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
                 .collect(),
             events,
             sessions,
+            batch: Vec::new(),
             nar: Narrator::new(&clock, recorder, None, self.am.root_page()),
             faulted,
             retry: plan.retry(),
@@ -381,6 +382,8 @@ struct Run<'a, A: AccessMethod + ?Sized> {
     cpus: Vec<Cpu>,
     events: EventQueue<Event>,
     sessions: Vec<Session<'a>>,
+    /// The pages of the batch being issued (one buffer for every query).
+    batch: Vec<PageId>,
     nar: Narrator<'a>,
     faulted: bool,
     retry: RetryPolicy,
@@ -427,21 +430,24 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
                 self.sessions[q].cpu_slice(&mut self.nar, charge, 0);
             }
             Event::CpuDone { q } if !self.sessions[q].failed => {
-                match self.sessions[q].next_batch(&mut self.nar)? {
-                    Some(pages) => {
-                        for page in pages {
+                let mut batch = std::mem::take(&mut self.batch);
+                match self.sessions[q].next_batch(&mut self.nar, &mut batch)? {
+                    true => {
+                        for &page in &batch {
                             self.dispatch_read(now, q, page, 1)?;
                             if self.sessions[q].failed {
                                 break;
                             }
                         }
+                        self.batch = batch;
                     }
-                    None => {
+                    false => {
                         let session = &mut self.sessions[q];
                         let response = SimTime::from_nanos(session.complete(&mut self.nar));
                         self.response_times.push(response.as_secs_f64());
                         self.total_nodes += session.nodes_visited;
                         self.makespan = self.makespan.max(now);
+                        session.retire();
                     }
                 }
             }

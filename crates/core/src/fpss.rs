@@ -9,10 +9,10 @@
 //! weakness the experiments expose under load.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{BatchResult, KBest, SimilaritySearch, Step};
-use crate::threshold::{lemma1_threshold_sq, Candidate};
+use crate::algo::{push_candidates, scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
+use crate::threshold::lemma1_threshold_sq;
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 
@@ -20,127 +20,87 @@ use sqda_storage::PageId;
 pub struct Fpss {
     query: Point,
     k: usize,
-    kbest: KBest,
     root: PageId,
     /// Smallest threshold seen so far (squared); pruning radius.
     d_th_sq: f64,
-    /// Batch-kernel scratch: per-node `D_min²` (and leaf distance)
-    /// vector, reused across batches.
-    d_min: Vec<f64>,
-    /// Batch-kernel scratch: per-node `D_mm²` vector.
-    d_mm: Vec<f64>,
-    /// Batch-kernel scratch: per-node `D_max²` vector.
-    d_max: Vec<f64>,
+    /// The best-k array and the wavefront's candidates.
+    s: AlgoScratch,
 }
 
 impl Fpss {
     /// Prepares an FPSS run for `k` neighbours of `query`.
     pub fn new(am: &(impl AccessMethod + ?Sized), query: Point, k: usize) -> Self {
+        Self::over(am, query, k, AlgoScratch::default())
+    }
+
+    /// [`Fpss::new`] on recycled working memory.
+    pub(crate) fn over(
+        am: &(impl AccessMethod + ?Sized),
+        query: Point,
+        k: usize,
+        s: AlgoScratch,
+    ) -> Self {
         Self {
             query,
             k,
-            kbest: KBest::new(k),
             root: am.root_page(),
             d_th_sq: f64::INFINITY,
-            d_min: Vec::new(),
-            d_mm: Vec::new(),
-            d_max: Vec::new(),
+            s: s.for_query(k),
         }
     }
 }
 
 impl SimilaritySearch for Fpss {
     fn start(&mut self) -> Step {
-        Step::Fetch(vec![self.root])
+        self.s.fetch_one(self.root)
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
         let mut scanned = 0u64;
+        let (q, s) = (self.query.coords(), &mut self.s);
+        s.cands.clear();
         // The BFS wavefront is level-uniform: either all leaves or all
         // internal nodes.
-        let leaf_level = nodes.first().map(|(_, n)| n.is_leaf()).unwrap_or(true);
-        if leaf_level {
-            for (_, node) in nodes.drain(..) {
-                let IndexNode::Leaf(leaf) = node else {
-                    unreachable!("mixed BFS wavefront")
-                };
-                scanned += leaf.len() as u64;
-                // One batch-kernel call per node, then a filtered bulk
-                // push: entries already beyond the current k-th best are
-                // skipped without materialising a Point (an offer past
-                // `dk` is a guaranteed no-op; ties must still be offered
-                // for the object-id tie-break).
-                leaf.dist_sq_into(self.query.coords(), &mut self.d_min);
-                for i in 0..leaf.len() {
-                    let d = self.d_min[i];
-                    if d <= self.kbest.dk_sq() {
-                        self.kbest
-                            .offer(ObjectId(leaf.id(i)), Point::from(leaf.point(i)), d);
-                    }
+        for (_, node) in nodes.drain(..) {
+            scanned += node.len() as u64;
+            match node {
+                IndexNode::Leaf(leaf) => scan_leaf(&leaf, q, &mut s.metrics[0], &mut s.kbest),
+                IndexNode::Internal(block) => {
+                    push_candidates(&block, q, &mut s.metrics, &mut s.cands)
                 }
             }
-            return BatchResult {
-                next: Step::Done,
-                cpu_instructions: cpu_instructions_for_batch(scanned, 0),
-            };
-        }
-
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for (_, node) in nodes.drain(..) {
-            let IndexNode::Internal(block) = node else {
-                unreachable!("mixed BFS wavefront")
-            };
-            scanned += block.len() as u64;
-            block.metrics_into(
-                self.query.coords(),
-                &mut self.d_min,
-                &mut self.d_mm,
-                &mut self.d_max,
-            );
-            candidates.extend((0..block.len()).map(|i| {
-                Candidate::new(
-                    block.child(i),
-                    block.count(i),
-                    self.d_min[i],
-                    self.d_mm[i],
-                    self.d_max[i],
-                )
-            }));
         }
         // Adapt the threshold over the whole wavefront.
-        if let Some(th) = lemma1_threshold_sq(&candidates, self.k as u64) {
+        if let Some(th) = lemma1_threshold_sq(&s.cands, self.k as u64, &mut s.prefix) {
             if th < self.d_th_sq {
                 self.d_th_sq = th;
             }
         }
         // Activate everything intersecting the sphere — no upper bound.
-        let mut survivors: Vec<Candidate> = candidates
-            .into_iter()
-            .filter(|c| c.d_min_sq <= self.d_th_sq)
-            .collect();
-        survivors.sort_by(|a, b| {
+        // (A leaf wavefront leaves no candidates: the descent is over.)
+        s.cands.retain(|c| c.d_min_sq <= self.d_th_sq);
+        s.cands.sort_by(|a, b| {
             a.d_min_sq
                 .partial_cmp(&b.d_min_sq)
                 .expect("distances are finite")
         });
-        let sorted = survivors.len() as u64;
-        let pages: Vec<PageId> = survivors.into_iter().map(|c| c.page).collect();
-        let next = if pages.is_empty() {
-            Step::Done
-        } else {
-            Step::Fetch(pages)
-        };
+        s.pages.clear();
+        s.pages.extend(s.cands.iter().map(|c| c.page));
         BatchResult {
-            next,
-            cpu_instructions: cpu_instructions_for_batch(scanned, sorted),
+            cpu_instructions: cpu_instructions_for_batch(scanned, s.pages.len() as u64),
+            next: s.fetch_or_done(),
         }
     }
 
     fn results(&self) -> Vec<Neighbor> {
-        self.kbest.to_sorted()
+        self.s.kbest.to_sorted()
     }
 
     fn name(&self) -> &'static str {
         "FPSS"
+    }
+
+    fn working_memory(&mut self) -> Option<&mut AlgoScratch> {
+        Some(&mut self.s)
     }
 }

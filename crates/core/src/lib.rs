@@ -77,7 +77,7 @@ pub mod workload;
 
 pub use access::{
     best_first_knn, best_first_knn_with, AccessMethod, IndexNode, InternalBlock, LeafBlock,
-    QueryScratch, RegionBlock,
+    QueryScratch,
 };
 pub use batch::{batch_knn, batch_knn_with, BatchKnnReport, BatchScratch};
 pub use error::QueryError;

@@ -11,23 +11,21 @@
 //! are measured against (Theorem 2 shows none of them attains it).
 
 use crate::access::{best_first_knn_with, AccessMethod, IndexNode, QueryScratch};
-use crate::algo::{BatchResult, KBest, SimilaritySearch, Step};
+use crate::algo::{scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
 use crate::error::QueryError;
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 
 /// The weak-optimal oracle search.
 pub struct Woptss {
     query: Point,
-    kbest: KBest,
     root: PageId,
     /// The oracle radius: squared distance to the true k-th neighbour.
     dk_sq: f64,
-    /// Batch-kernel scratch: per-node distance vector, reused across
-    /// batches.
-    dists: Vec<f64>,
+    /// The best-k array and the kernels' distance vector.
+    s: AlgoScratch,
 }
 
 impl Woptss {
@@ -38,12 +36,12 @@ impl Woptss {
         query: Point,
         k: usize,
     ) -> Result<Self, QueryError> {
-        let mut scratch = QueryScratch::new();
-        Self::new_with(am, query, k, &mut scratch)
+        Self::new_with(am, query, k, &mut QueryScratch::new())
     }
 
     /// [`Woptss::new`] with the oracle's best-first heap borrowed from a
-    /// reusable [`QueryScratch`].
+    /// reusable [`QueryScratch`], and the run itself on that scratch's
+    /// working memory.
     pub fn new_with(
         am: &(impl AccessMethod + ?Sized),
         query: Point,
@@ -60,10 +58,9 @@ impl Woptss {
         };
         Ok(Self {
             query,
-            kbest: KBest::new(k),
             root: am.root_page(),
             dk_sq,
-            dists: Vec::new(),
+            s: std::mem::take(&mut scratch.algo).for_query(k),
         })
     }
 
@@ -76,57 +73,41 @@ impl Woptss {
 
 impl SimilaritySearch for Woptss {
     fn start(&mut self) -> Step {
-        Step::Fetch(vec![self.root])
+        self.s.fetch_one(self.root)
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
         let mut scanned = 0u64;
-        let mut pages: Vec<PageId> = Vec::new();
+        let (q, s) = (self.query.coords(), &mut self.s);
+        s.pages.clear();
         for (_, node) in nodes.drain(..) {
+            scanned += node.len() as u64;
             match node {
-                IndexNode::Leaf(leaf) => {
-                    scanned += leaf.len() as u64;
-                    // One batch-kernel call per node, then a filtered
-                    // bulk push (offers past `dk` are no-ops; ties keep
-                    // the object-id tie-break).
-                    leaf.dist_sq_into(self.query.coords(), &mut self.dists);
-                    for i in 0..leaf.len() {
-                        let d = self.dists[i];
-                        if d <= self.kbest.dk_sq() {
-                            self.kbest
-                                .offer(ObjectId(leaf.id(i)), Point::from(leaf.point(i)), d);
-                        }
-                    }
-                }
+                IndexNode::Leaf(leaf) => scan_leaf(&leaf, q, &mut s.metrics[0], &mut s.kbest),
                 IndexNode::Internal(block) => {
-                    scanned += block.len() as u64;
                     // `D_min²` for the whole node in one batched sweep.
-                    block.min_dist_sq_into(self.query.coords(), &mut self.dists);
-                    pages.extend(
-                        (0..block.len())
-                            .filter(|&i| self.dists[i] <= self.dk_sq)
-                            .map(|i| block.child(i)),
-                    );
+                    let dists = &mut s.metrics[0];
+                    block.min_dist_sq_into(q, dists);
+                    let relevant = dists.iter().enumerate().filter(|(_, &d)| d <= self.dk_sq);
+                    s.pages.extend(relevant.map(|(i, _)| block.child(i)));
                 }
             }
         }
-        let sorted = pages.len() as u64;
-        let next = if pages.is_empty() {
-            Step::Done
-        } else {
-            Step::Fetch(pages)
-        };
         BatchResult {
-            next,
-            cpu_instructions: cpu_instructions_for_batch(scanned, sorted),
+            cpu_instructions: cpu_instructions_for_batch(scanned, s.pages.len() as u64),
+            next: s.fetch_or_done(),
         }
     }
 
     fn results(&self) -> Vec<Neighbor> {
-        self.kbest.to_sorted()
+        self.s.kbest.to_sorted()
     }
 
     fn name(&self) -> &'static str {
         "WOPTSS"
+    }
+
+    fn working_memory(&mut self) -> Option<&mut AlgoScratch> {
+        Some(&mut self.s)
     }
 }

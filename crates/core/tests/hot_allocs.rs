@@ -1,0 +1,155 @@
+//! What a cache-resident query costs the allocator, pinned exactly.
+//!
+//! A counting `#[global_allocator]` (per-thread counters, so the harness
+//! and other tests cannot leak into a measurement) brackets hot CRSS
+//! `engine.run` calls — the call `QUERY` makes — over a tree whose nodes
+//! are all in the decoded-node cache. Before the per-query scratch and
+//! the shared node views one such call made 173 allocations and moved
+//! 72 KB on the benchmark store; what is left is what the reply owns: the
+//! report, the algorithm box, the query point and `k` answer points.
+
+use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, RealTimeEngine, Workload};
+use sqda_geom::Point;
+use sqda_rstar::decluster::ProximityIndex;
+use sqda_rstar::{RStarConfig, RStarTree};
+use sqda_storage::{ArrayStore, InlineBackend, NodeCache};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// plain thread-local cells with no destructor, so touching them inside the
+// allocator neither allocates nor runs after thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + new_size as u64));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes requested)` on this thread while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0)
+}
+
+const K: usize = 10;
+
+/// 60 000 points on a jittered grid, STR-packed into 1 KiB pages over 8
+/// disks (the benchmark store's geometry: 42-entry leaves, 21-entry
+/// directories, height 4), every node decoded into the cache.
+fn resident_tree() -> RStarTree<ArrayStore> {
+    let points: Vec<(Point, u64)> = (0..60_000u64)
+        .map(|i| {
+            let x = (i % 245) as f64 + ((i * 7919) % 13) as f64 / 16.0;
+            let y = (i / 245) as f64 + ((i * 104_729) % 11) as f64 / 16.0;
+            (Point::new(vec![x, y]), i)
+        })
+        .collect();
+    let store = Arc::new(ArrayStore::with_page_size(8, 1449, 1024, 1));
+    let config = RStarConfig::with_page_size(2, 1024);
+    let mut tree = RStarTree::bulk_load(store, config, Box::new(ProximityIndex), points).unwrap();
+    tree.set_node_cache(Arc::new(NodeCache::new(65_536)));
+    tree
+}
+
+fn workloads() -> Vec<Workload> {
+    (0..64u64)
+        .map(|i| {
+            let q = vec![(i * 37 % 240) as f64 + 0.3, (i * 53 % 240) as f64 + 0.7];
+            Workload::single(Point::new(q), K)
+        })
+        .collect()
+}
+
+#[test]
+fn hot_crss_query_allocates_only_what_its_reply_owns() {
+    let tree = resident_tree();
+    let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+    let engine = RealTimeEngine::new(&tree, backend).unwrap();
+    let workloads = workloads();
+    // Two settling passes: the first fills the node cache, the second
+    // grows the engine's pooled scratch to its steady size.
+    for _ in 0..2 {
+        for w in &workloads {
+            assert_eq!(engine.run(AlgorithmKind::Crss, w, 1).unwrap().failed, 0);
+        }
+    }
+    let reads_before = tree.io_stats().reads;
+    let (mut worst_allocs, mut worst_bytes, mut nodes) = (0, 0, 0.0);
+    for w in &workloads {
+        let (report, allocs, bytes) = counted(|| engine.run(AlgorithmKind::Crss, w, 1).unwrap());
+        assert_eq!(report.answers[0].len(), K);
+        nodes += report.mean_nodes_per_query;
+        worst_allocs = worst_allocs.max(allocs);
+        worst_bytes = worst_bytes.max(bytes);
+    }
+    assert_eq!(
+        tree.io_stats().reads,
+        reads_before,
+        "every node is resident"
+    );
+    assert!(
+        nodes / workloads.len() as f64 > 10.0,
+        "queries do real work"
+    );
+    println!("hot CRSS engine.run: at most {worst_allocs} allocations, {worst_bytes} bytes");
+    assert!(
+        worst_allocs <= 16,
+        "{worst_allocs} allocations in one hot query"
+    );
+    assert!(worst_bytes <= 4096, "{worst_bytes} bytes in one hot query");
+}
+
+#[test]
+fn cache_hit_shares_the_cached_buffers() {
+    let tree = resident_tree();
+    let mut stack = vec![AccessMethod::root_page(&tree)];
+    let mut seen = (0, 0);
+    while let Some(page) = stack.pop() {
+        tree.read_index_node(page).unwrap();
+        let cached = tree.cached_node(page).expect("resident after a read");
+        let (view, allocs, bytes) = counted(|| tree.cached_index_node(page).unwrap().unwrap());
+        assert_eq!((allocs, bytes), (0, 0), "a hit copies nothing");
+        match &view {
+            IndexNode::Leaf(leaf) => {
+                assert!(std::ptr::eq(
+                    leaf.coords().as_ptr(),
+                    cached.coords().as_ptr()
+                ));
+                assert!(std::ptr::eq(leaf.ids().as_ptr(), cached.payload().as_ptr()));
+                seen.0 += 1;
+            }
+            IndexNode::Internal(block) => {
+                for i in 0..block.len() {
+                    assert_eq!(block.child(i), cached.internal_child(i));
+                    assert_eq!(block.count(i), cached.internal_count(i));
+                }
+                // One root-to-leaf path sees both kinds.
+                stack.push(block.child(0));
+                seen.1 += 1;
+            }
+        }
+    }
+    assert!(seen.0 > 0 && seen.1 > 0, "{seen:?}");
+}

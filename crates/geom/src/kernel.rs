@@ -7,15 +7,12 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The batched kernels vectorize **across entries**, never within one:
-//! each entry keeps its own accumulator and its per-dimension
-//! accumulation order is exactly the scalar loop's (`acc = 0.0; for d
-//! { acc += t*t }`). IEEE-754 addition is not associative, so this is
-//! the only layout where `batch == scalar` holds bit for bit — the
-//! experiment pipeline's pinned answers and `IoStats` depend on it.
-//! Entries are processed in chunks of [`LANES`]; the tail that does not
-//! fill a chunk runs through the scalar kernel, which is the same
-//! arithmetic.
+//! The batched kernels work **across entries**, never within one: each
+//! entry keeps its own accumulator and its per-dimension accumulation
+//! order is exactly the scalar loop's (`acc = 0.0; for d { acc += t*t }`).
+//! IEEE-754 addition is not associative, so this is the only layout where
+//! `batch == scalar` holds bit for bit — the experiment pipeline's pinned
+//! answers and `IoStats` depend on it.
 //!
 //! # Scratch-buffer ownership
 //!
@@ -24,17 +21,17 @@
 //! buffers across nodes/queries — the hot path allocates only when a
 //! node is wider than anything seen before.
 //!
-//! With the off-by-default `simd` feature (nightly only) the chunk
-//! bodies of the point and MINDIST kernels use `std::simd` lanes; each
-//! SIMD lane is one entry's accumulator, so results stay bit-identical.
-
-/// Entries per batch chunk. Eight `f64`s fill one AVX-512 register or
-/// two AVX2 registers; the chunked loops below autovectorize well at
-/// this width and the remainder cost is negligible for real node fans.
-pub const LANES: usize = 8;
-
-#[cfg(feature = "simd")]
-use std::simd::{f64x8, num::SimdFloat};
+//! # Dimension-specialised kernels
+//!
+//! The kernels the query path runs per node — point distances, MINDIST
+//! and the three-metric rectangle sweep — are one body each, generic over
+//! a const `D`, and dispatch on the query's dimensionality: for 1 to 8
+//! dimensions `D` is that dimensionality and the compiler unrolls the
+//! per-entry loops completely (a 2-d node of 21–42 entries spends its
+//! time in arithmetic, not in loop control); `D = 0` is the same body
+//! over a runtime `dim` and serves everything wider. Chunking entries
+//! into lanes, as these kernels used to, measured no faster than the
+//! plain per-entry loop at any dimensionality, so it is gone.
 
 // ---------------------------------------------------------------------
 // Scalar slice kernels: the single source of truth for the arithmetic.
@@ -147,215 +144,106 @@ pub fn sphere_max_dist_sq(center: &[f64], radius: f64, q: &[f64]) -> f64 {
 // Batched kernels: all entries of a node in one call.
 // ---------------------------------------------------------------------
 
+/// Calls `$kernel::<D>` with `D` the query's dimensionality when it is one
+/// of the specialised ones, `$kernel::<0>` (runtime `dim`) otherwise.
+macro_rules! by_dim {
+    ($q:expr, $kernel:ident($($arg:expr),*)) => {
+        match $q.len() {
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            5 => $kernel::<5>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            7 => $kernel::<7>($($arg),*),
+            8 => $kernel::<8>($($arg),*),
+            _ => $kernel::<0>($($arg),*),
+        }
+    };
+}
+
+/// The kernel's dimensionality: `D` when specialised — a constant the
+/// optimiser unrolls over — the query's own for `D = 0`.
+#[inline(always)]
+fn dim_of<const D: usize>(q: &[f64]) -> usize {
+    if D == 0 {
+        q.len()
+    } else {
+        D
+    }
+}
+
 #[inline]
 fn prep_out(out: &mut Vec<f64>, n: usize) {
     out.clear();
     out.resize(n, 0.0);
 }
 
-/// Entry count of a flat buffer with the given per-entry stride.
-#[inline]
-fn entry_count(buf: &[f64], stride: usize) -> usize {
-    if stride == 0 {
-        return 0;
-    }
-    debug_assert_eq!(
-        buf.len() % stride,
-        0,
+/// The entries of a flat buffer, `stride` coordinates each.
+#[inline(always)]
+fn entries(buf: &[f64], stride: usize) -> std::slice::ChunksExact<'_, f64> {
+    debug_assert!(
+        stride > 0 && buf.len() % stride == 0 || buf.is_empty(),
         "buffer is not a whole number of entries"
     );
-    buf.len() / stride
+    buf.chunks_exact(stride.max(1))
 }
 
 /// Squared point-to-point distances from `q` to every entry of a flat
 /// point buffer (`entries × dim`, stride `dim`), written into `out`.
 pub fn batch_dist_sq(q: &[f64], points: &[f64], out: &mut Vec<f64>) {
-    let dim = q.len();
-    let n = entry_count(points, dim);
-    prep_out(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        batch_dist_sq_chunk(q, &points[i * dim..], dim, &mut out[i..i + LANES]);
-        i += LANES;
-    }
-    while i < n {
-        out[i] = dist_sq(&points[i * dim..(i + 1) * dim], q);
-        i += 1;
+    by_dim!(q, dist_sq_each(q, points, out))
+}
+
+fn dist_sq_each<const D: usize>(q: &[f64], points: &[f64], out: &mut Vec<f64>) {
+    let dim = dim_of::<D>(q);
+    let q = &q[..dim];
+    prep_out(out, entries(points, dim).len());
+    for (p, o) in entries(points, dim).zip(out.iter_mut()) {
+        *o = dist_sq(p, q);
     }
 }
 
-#[cfg(not(feature = "simd"))]
-#[inline]
-fn batch_dist_sq_chunk(q: &[f64], points: &[f64], dim: usize, out: &mut [f64]) {
-    let mut acc = [0.0f64; LANES];
-    for (d, &c) in q.iter().enumerate().take(dim) {
-        for (lane, a) in acc.iter_mut().enumerate() {
-            let t = points[lane * dim + d] - c;
-            *a += t * t;
-        }
-    }
-    out.copy_from_slice(&acc);
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn batch_dist_sq_chunk(q: &[f64], points: &[f64], dim: usize, out: &mut [f64]) {
-    let mut acc = f64x8::splat(0.0);
-    let mut lane_buf = [0.0f64; LANES];
-    for (d, &c) in q.iter().enumerate().take(dim) {
-        for (lane, slot) in lane_buf.iter_mut().enumerate() {
-            *slot = points[lane * dim + d];
-        }
-        let t = f64x8::from_array(lane_buf) - f64x8::splat(c);
-        acc += t * t;
-    }
-    out.copy_from_slice(&acc.to_array());
+/// One axis of MINDIST without the scalar kernel's branches: at most one
+/// of the two differences is positive and the other clamps to zero, so
+/// the sum is the branch's value exactly.
+#[inline(always)]
+fn gap(lo: f64, hi: f64, c: f64) -> f64 {
+    (lo - c).max(0.0) + (c - hi).max(0.0)
 }
 
 /// MINDIST² from `q` to every rectangle of a flat rect buffer
 /// (`entries × 2·dim`, each entry `lo[0..dim]` then `hi[0..dim]`).
 pub fn batch_min_dist_sq(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
-    let dim = q.len();
-    let stride = 2 * dim;
-    let n = entry_count(rects, stride);
-    prep_out(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        batch_min_dist_sq_chunk(q, &rects[i * stride..], dim, &mut out[i..i + LANES]);
-        i += LANES;
-    }
-    while i < n {
-        let base = i * stride;
-        out[i] = min_dist_sq(
-            &rects[base..base + dim],
-            &rects[base + dim..base + stride],
-            q,
-        );
-        i += 1;
-    }
+    by_dim!(q, min_dist_sq_each(q, rects, out))
 }
 
-#[cfg(not(feature = "simd"))]
-#[inline]
-fn batch_min_dist_sq_chunk(q: &[f64], rects: &[f64], dim: usize, out: &mut [f64]) {
-    let stride = 2 * dim;
-    let mut acc = [0.0f64; LANES];
-    for (d, &c) in q.iter().enumerate().take(dim) {
-        for (lane, a) in acc.iter_mut().enumerate() {
-            let base = lane * stride;
-            let l = rects[base + d];
-            let h = rects[base + dim + d];
-            let t = if c < l {
-                l - c
-            } else if c > h {
-                c - h
-            } else {
-                0.0
-            };
-            *a += t * t;
+fn min_dist_sq_each<const D: usize>(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
+    let dim = dim_of::<D>(q);
+    let q = &q[..dim];
+    prep_out(out, entries(rects, 2 * dim).len());
+    for (r, o) in entries(rects, 2 * dim).zip(out.iter_mut()) {
+        let mut acc = 0.0;
+        for d in 0..dim {
+            let t = gap(r[d], r[dim + d], q[d]);
+            acc += t * t;
         }
+        *o = acc;
     }
-    out.copy_from_slice(&acc);
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn batch_min_dist_sq_chunk(q: &[f64], rects: &[f64], dim: usize, out: &mut [f64]) {
-    let stride = 2 * dim;
-    let mut acc = f64x8::splat(0.0);
-    let mut lo_buf = [0.0f64; LANES];
-    let mut hi_buf = [0.0f64; LANES];
-    for (d, &c) in q.iter().enumerate().take(dim) {
-        for lane in 0..LANES {
-            let base = lane * stride;
-            lo_buf[lane] = rects[base + d];
-            hi_buf[lane] = rects[base + dim + d];
-        }
-        let lo = f64x8::from_array(lo_buf);
-        let hi = f64x8::from_array(hi_buf);
-        let c = f64x8::splat(c);
-        // below = max(lo-c, 0), above = max(c-hi, 0); exactly one is
-        // non-zero (or both zero inside), matching the scalar branches.
-        // No `mul_add`: fusing would round once instead of twice and
-        // change bits relative to the scalar `t*t` product.
-        let t = (lo - c).simd_max(f64x8::splat(0.0)) + (c - hi).simd_max(f64x8::splat(0.0));
-        acc += t * t;
-    }
-    out.copy_from_slice(&acc.to_array());
 }
 
 /// MINMAXDIST² from `q` to every rectangle of a flat rect buffer.
 pub fn batch_min_max_dist_sq(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
     let dim = q.len();
-    let stride = 2 * dim;
-    let n = entry_count(rects, stride);
-    prep_out(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        let chunk = &rects[i * stride..];
-        let mut total_far = [0.0f64; LANES];
-        for (d, &c) in q.iter().enumerate().take(dim) {
-            for (lane, tf) in total_far.iter_mut().enumerate() {
-                let base = lane * stride;
-                *tf += face_sq(chunk[base + d], chunk[base + dim + d], c).1;
-            }
-        }
-        let mut best = [f64::INFINITY; LANES];
-        for (d, &c) in q.iter().enumerate().take(dim) {
-            for (lane, b) in best.iter_mut().enumerate() {
-                let base = lane * stride;
-                let (near_sq, far_sq) = face_sq(chunk[base + d], chunk[base + dim + d], c);
-                let candidate = total_far[lane] - far_sq + near_sq;
-                if candidate < *b {
-                    *b = candidate;
-                }
-            }
-        }
-        out[i..i + LANES].copy_from_slice(&best);
-        i += LANES;
-    }
-    while i < n {
-        let base = i * stride;
-        out[i] = min_max_dist_sq(
-            &rects[base..base + dim],
-            &rects[base + dim..base + stride],
-            q,
-        );
-        i += 1;
-    }
+    out.clear();
+    out.extend(entries(rects, 2 * dim).map(|r| min_max_dist_sq(&r[..dim], &r[dim..], q)));
 }
 
 /// D_max² from `q` to every rectangle of a flat rect buffer.
 pub fn batch_max_dist_sq(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
     let dim = q.len();
-    let stride = 2 * dim;
-    let n = entry_count(rects, stride);
-    prep_out(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        let chunk = &rects[i * stride..];
-        let mut acc = [0.0f64; LANES];
-        for (d, &c) in q.iter().enumerate().take(dim) {
-            for (lane, a) in acc.iter_mut().enumerate() {
-                let base = lane * stride;
-                let l = chunk[base + d];
-                let h = chunk[base + dim + d];
-                let t = (c - l).abs().max((c - h).abs());
-                *a += t * t;
-            }
-        }
-        out[i..i + LANES].copy_from_slice(&acc);
-        i += LANES;
-    }
-    while i < n {
-        let base = i * stride;
-        out[i] = max_dist_sq(
-            &rects[base..base + dim],
-            &rects[base + dim..base + stride],
-            q,
-        );
-        i += 1;
-    }
+    out.clear();
+    out.extend(entries(rects, 2 * dim).map(|r| max_dist_sq(&r[..dim], &r[dim..], q)));
 }
 
 /// All three rectangle metrics (`D_min²`, `D_mm²`, `D_max²`) for every
@@ -367,9 +255,56 @@ pub fn batch_rect_metrics(
     d_mm: &mut Vec<f64>,
     d_max: &mut Vec<f64>,
 ) {
-    batch_min_dist_sq(q, rects, d_min);
-    batch_min_max_dist_sq(q, rects, d_mm);
-    batch_max_dist_sq(q, rects, d_max);
+    by_dim!(q, rect_metrics_each(q, rects, d_min, d_mm, d_max))
+}
+
+/// Each entry's corners are loaded once and feed all three accumulators.
+/// With `D` known the first pass's MINMAXDIST faces are kept for the
+/// second (re-deriving them unrolled spills at 7–8 dimensions); at runtime
+/// `dim` they are recomputed, as the scalar kernel does.
+fn rect_metrics_each<const D: usize>(
+    q: &[f64],
+    rects: &[f64],
+    d_min: &mut Vec<f64>,
+    d_mm: &mut Vec<f64>,
+    d_max: &mut Vec<f64>,
+) {
+    let dim = dim_of::<D>(q);
+    let q = &q[..dim];
+    let n = entries(rects, 2 * dim).len();
+    prep_out(d_min, n);
+    prep_out(d_mm, n);
+    prep_out(d_max, n);
+    let outs = d_min.iter_mut().zip(d_mm.iter_mut()).zip(d_max.iter_mut());
+    for (r, ((o_min, o_mm), o_max)) in entries(rects, 2 * dim).zip(outs) {
+        let (mut near, mut far, mut total_far) = (0.0, 0.0, 0.0);
+        let mut faces = [(0.0, 0.0); D];
+        for d in 0..dim {
+            let (l, h, c) = (r[d], r[dim + d], q[d]);
+            let t = gap(l, h, c);
+            near += t * t;
+            let t = (c - l).abs().max((c - h).abs());
+            far += t * t;
+            let face = face_sq(l, h, c);
+            if D > 0 {
+                faces[d] = face;
+            }
+            total_far += face.1;
+        }
+        let mut best = f64::INFINITY;
+        for d in 0..dim {
+            let (near_sq, far_sq) = if D > 0 {
+                faces[d]
+            } else {
+                face_sq(r[d], r[dim + d], q[d])
+            };
+            let candidate = total_far - far_sq + near_sq;
+            if candidate < best {
+                best = candidate;
+            }
+        }
+        (*o_min, *o_mm, *o_max) = (near, best, far);
+    }
 }
 
 /// Sphere MINDIST² from `q` to every entry of flat `centers` (stride
@@ -450,22 +385,42 @@ mod tests {
         rects
     }
 
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// The dispatching kernels (`D` = the dimensionality for dims 1–8,
+    /// runtime `dim` above) against the runtime-`dim` instantiation alone
+    /// and against the scalar kernels, bit for bit.
     #[test]
-    fn batch_matches_scalar_bitwise_across_counts() {
+    fn specialised_fallback_and_scalar_kernels_agree_bitwise() {
         let mut mix = Mix(7);
-        for dim in [1, 2, 3, 10] {
-            // Counts straddling the lane width, including 0 and exact
-            // multiples.
-            for n in [0usize, 1, 7, 8, 9, 16, 23] {
+        for dim in 1..=12 {
+            // Node fan-outs of the 1 KiB and 4 KiB page sizes, and counts
+            // straddling the lane width.
+            for n in [0usize, 1, 7, 8, 9, 21, 42] {
                 let q: Vec<f64> = (0..dim).map(|_| mix.next_f64()).collect();
                 let rects = random_rects(&mut mix, n, dim);
                 let points: Vec<f64> = (0..n * dim).map(|_| mix.next_f64()).collect();
+                let what = format!("dim {dim}, {n} entries");
                 let (mut o_min, mut o_mm, mut o_max, mut o_pt) =
                     (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                batch_min_dist_sq(&q, &rects, &mut o_min);
-                batch_min_max_dist_sq(&q, &rects, &mut o_mm);
-                batch_max_dist_sq(&q, &rects, &mut o_max);
+                batch_rect_metrics(&q, &rects, &mut o_min, &mut o_mm, &mut o_max);
                 batch_dist_sq(&q, &points, &mut o_pt);
+                let (mut f_min, mut f_mm, mut f_max, mut f_pt) =
+                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                rect_metrics_each::<0>(&q, &rects, &mut f_min, &mut f_mm, &mut f_max);
+                dist_sq_each::<0>(&q, &points, &mut f_pt);
+                assert_bits(&o_min, &f_min, &what);
+                assert_bits(&o_mm, &f_mm, &what);
+                assert_bits(&o_max, &f_max, &what);
+                assert_bits(&o_pt, &f_pt, &what);
+                let (mut solo, mut solo_dyn) = (vec![99.0], Vec::new());
+                batch_min_dist_sq(&q, &rects, &mut solo);
+                min_dist_sq_each::<0>(&q, &rects, &mut solo_dyn);
+                assert_bits(&solo, &f_min, &what);
+                assert_bits(&solo_dyn, &f_min, &what);
                 assert_eq!(o_min.len(), n);
                 for i in 0..n {
                     let base = i * 2 * dim;
@@ -478,6 +433,38 @@ mod tests {
                         dist_sq(&points[i * dim..(i + 1) * dim], &q).to_bits()
                     );
                 }
+            }
+        }
+    }
+
+    /// Queries on a face, on a corner, inside, and around signed zeros:
+    /// where the branch-free MINDIST axis could differ from the branching
+    /// scalar one if it were wrong.
+    #[test]
+    fn specialised_kernels_agree_on_boundaries_and_signed_zeros() {
+        let rects = [
+            -0.0, 1.0, 0.0, 3.0, 0.0, -2.0, 0.0, -2.0, -4.0, 0.5, -1.0, 0.5,
+        ];
+        for q in [
+            [0.0, 1.0],
+            [-0.0, 3.0],
+            [0.0, 2.0],
+            [-0.0, -2.0],
+            [5.0, 0.5],
+            [-2.5, 0.5],
+        ] {
+            let (mut o_min, mut o_mm, mut o_max) = (Vec::new(), Vec::new(), Vec::new());
+            batch_rect_metrics(&q, &rects, &mut o_min, &mut o_mm, &mut o_max);
+            let (mut f_min, mut f_mm, mut f_max) = (Vec::new(), Vec::new(), Vec::new());
+            rect_metrics_each::<0>(&q, &rects, &mut f_min, &mut f_mm, &mut f_max);
+            assert_bits(&o_min, &f_min, "D_min");
+            assert_bits(&o_mm, &f_mm, "D_mm");
+            assert_bits(&o_max, &f_max, "D_max");
+            for (i, r) in rects.chunks_exact(4).enumerate() {
+                assert_eq!(
+                    o_min[i].to_bits(),
+                    min_dist_sq(&r[..2], &r[2..], &q).to_bits()
+                );
             }
         }
     }

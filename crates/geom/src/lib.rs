@@ -26,8 +26,6 @@
 //! assert!(r.min_max_dist_sq(&p) >= r.min_dist_sq(&p));
 //! ```
 
-#![cfg_attr(feature = "simd", feature(portable_simd))]
-
 pub mod kernel;
 mod point;
 mod rect;

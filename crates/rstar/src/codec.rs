@@ -114,6 +114,32 @@ fn validate_mbr(lo: &[f64], hi: &[f64]) -> Result<(), GeomError> {
     Ok(())
 }
 
+/// Words `skip .. skip + take` of every `per`-word entry of `body`, in
+/// entry order, as one flat block. The iterator reports its exact length,
+/// so the block is allocated once, at its final size.
+fn gather<T>(
+    body: &[u8],
+    per: usize,
+    skip: usize,
+    take: usize,
+    from_word: impl Fn(u64) -> T,
+) -> Box<[T]> {
+    let (mut at, mut left) = (skip, take);
+    let next = || {
+        if left == 0 {
+            at += per - take;
+            left = take;
+        }
+        let word = body[8 * at..][..8].try_into().expect("eight bytes");
+        at += 1;
+        left -= 1;
+        from_word(u64::from_le_bytes(word))
+    };
+    std::iter::repeat_with(next)
+        .take(body.len() / (8 * per) * take)
+        .collect()
+}
+
 /// Deserializes page bytes into a node.
 ///
 /// `page` is used only for error reporting. Validates magic, version,
@@ -150,14 +176,9 @@ pub fn decode_node(mut data: Bytes, dim: usize, page: PageId) -> Result<Node, St
             if data.remaining() < n * leaf_entry_size(dim) {
                 return Err(corrupt(page, "truncated leaf entries"));
             }
-            let mut coords = Vec::with_capacity(n * dim);
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                for _ in 0..dim {
-                    coords.push(data.get_f64_le());
-                }
-                payload.push(data.get_u64_le());
-            }
+            let body = &data[..n * leaf_entry_size(dim)];
+            let coords = gather(body, dim + 1, 0, dim, f64::from_bits);
+            let payload = gather(body, dim + 1, dim, 1, |id| id);
             Ok(Node::from_raw_parts(0, dim as u32, coords, payload))
         }
         TYPE_INTERNAL => {
@@ -167,16 +188,11 @@ pub fn decode_node(mut data: Bytes, dim: usize, page: PageId) -> Result<Node, St
             if data.remaining() < n * internal_entry_size(dim) {
                 return Err(corrupt(page, "truncated internal entries"));
             }
-            let mut coords = Vec::with_capacity(n * 2 * dim);
-            let mut payload = Vec::with_capacity(n * 2);
-            for _ in 0..n {
-                let base = coords.len();
-                for _ in 0..2 * dim {
-                    coords.push(data.get_f64_le());
-                }
-                payload.push(data.get_u64_le());
-                payload.push(data.get_u64_le());
-                let (lo, hi) = coords[base..].split_at(dim);
+            let body = &data[..n * internal_entry_size(dim)];
+            let coords = gather(body, 2 * dim + 2, 0, 2 * dim, f64::from_bits);
+            let payload = gather(body, 2 * dim + 2, 2 * dim, 2, |word| word);
+            for mbr in coords.chunks_exact((2 * dim).max(1)) {
+                let (lo, hi) = mbr.split_at(dim);
                 validate_mbr(lo, hi).map_err(|e| corrupt(page, format!("bad MBR: {e}")))?;
             }
             Ok(Node::from_raw_parts(level, dim as u32, coords, payload))

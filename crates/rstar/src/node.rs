@@ -107,17 +107,39 @@ impl Node {
     pub(crate) fn from_raw_parts(
         level: u32,
         dim: u32,
-        coords: Vec<f64>,
-        payload: Vec<u64>,
+        coords: Box<[f64]>,
+        payload: Box<[u64]>,
     ) -> Self {
         let node = Node {
             level,
             dim,
-            coords: coords.into_boxed_slice(),
-            payload: payload.into_boxed_slice(),
+            coords,
+            payload,
         };
         debug_assert_eq!(node.coords.len(), node.len() * node.entry_stride());
         node
+    }
+
+    /// Builds a leaf from flat storage: `coords` holds the points
+    /// back-to-back (entry `i` at `[i*dim .. (i+1)*dim]`), `objects` their
+    /// ids. For access methods that keep another node form and pack it
+    /// into this one for the search algorithms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords.len() != dim * objects.len()`, or if `dim == 0`
+    /// while entries are present.
+    pub fn leaf_from_flat(dim: usize, coords: Box<[f64]>, objects: Box<[u64]>) -> Self {
+        assert!(
+            dim > 0 || objects.is_empty(),
+            "non-empty leaf needs dimensions"
+        );
+        assert_eq!(
+            coords.len(),
+            dim * objects.len(),
+            "coords/ids length mismatch"
+        );
+        Self::from_raw_parts(0, dim as u32, coords, objects)
     }
 
     #[inline]
@@ -175,9 +197,8 @@ impl Node {
 
     /// The whole flat coordinate block: entry stride [`Node::dim`] for
     /// leaves, `2 * dim` (low corner then high corner) for internal
-    /// nodes. Consumers that keep their own flat views (e.g.
-    /// `sqda_core::IndexNode`) copy this buffer wholesale instead of
-    /// materialising per-entry geometry.
+    /// nodes. The batch distance kernels run over it directly (e.g.
+    /// through `sqda_core::IndexNode`, a handle on the node).
     #[inline]
     pub fn coords(&self) -> &[f64] {
         &self.coords
@@ -525,7 +546,7 @@ mod tests {
     #[test]
     fn node_equality_ignores_dim_of_empty() {
         let built = Node::empty_leaf();
-        let decoded = Node::from_raw_parts(0, 2, Vec::new(), Vec::new());
+        let decoded = Node::from_raw_parts(0, 2, Box::new([]), Box::new([]));
         assert_eq!(built, decoded);
     }
 

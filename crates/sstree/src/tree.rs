@@ -577,12 +577,11 @@ impl From<&SsNode> for sqda_core::IndexNode {
         match node {
             SsNode::Leaf(entries) => {
                 let dim = entries.first().map_or(0, |e| e.point.dim());
-                let mut coords = Vec::with_capacity(dim * entries.len());
-                let mut ids = Vec::with_capacity(entries.len());
-                for e in entries {
-                    coords.extend_from_slice(e.point.coords());
-                    ids.push(e.object);
-                }
+                let coords: Vec<f64> = entries
+                    .iter()
+                    .flat_map(|e| e.point.coords().iter().copied())
+                    .collect();
+                let ids: Vec<u64> = entries.iter().map(|e| e.object).collect();
                 sqda_core::IndexNode::Leaf(sqda_core::LeafBlock::new(
                     dim,
                     coords.into_boxed_slice(),
@@ -591,22 +590,21 @@ impl From<&SsNode> for sqda_core::IndexNode {
             }
             SsNode::Internal { entries, .. } => {
                 let dim = entries.first().map_or(0, |e| e.center.dim());
-                let mut centers = Vec::with_capacity(dim * entries.len());
-                let mut radii = Vec::with_capacity(entries.len());
-                let mut children = Vec::with_capacity(entries.len());
-                let mut counts = Vec::with_capacity(entries.len());
-                for e in entries {
-                    centers.extend_from_slice(e.center.coords());
-                    radii.push(e.radius);
-                    children.push(e.child.as_raw());
-                    counts.push(e.count);
-                }
+                let centers: Vec<f64> = entries
+                    .iter()
+                    .flat_map(|e| e.center.coords().iter().copied())
+                    .collect();
+                let radii: Vec<f64> = entries.iter().map(|e| e.radius).collect();
+                // `[child, count]` pairs, the form the block reads.
+                let links: Vec<u64> = entries
+                    .iter()
+                    .flat_map(|e| [e.child.as_raw(), e.count])
+                    .collect();
                 sqda_core::IndexNode::Internal(sqda_core::InternalBlock::from_spheres(
                     dim,
                     centers.into_boxed_slice(),
                     radii.into_boxed_slice(),
-                    children.into_boxed_slice(),
-                    counts.into_boxed_slice(),
+                    links.into_boxed_slice(),
                 ))
             }
         }

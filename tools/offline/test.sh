@@ -63,6 +63,8 @@ t rstar_external_build crates/rstar/tests/external_build.rs $ALL_EXT
 t sstree_ops crates/sstree/tests/sstree_ops.rs $ALL_EXT
 t analysis_validation crates/analysis/tests/validation.rs $ALL_EXT
 t core_algorithms crates/core/tests/algorithms.rs $ALL_EXT
+t core_exact_algorithms crates/core/tests/exact_algorithms.rs $ALL_EXT
+t core_hot_allocs crates/core/tests/hot_allocs.rs $ALL_EXT
 t core_simulation crates/core/tests/simulation.rs $ALL_EXT
 t core_observability crates/core/tests/observability.rs $ALL_EXT
 t core_concurrency crates/core/tests/concurrency.rs $ALL_EXT
