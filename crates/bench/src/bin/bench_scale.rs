@@ -32,7 +32,7 @@ use sqda_geom::Point;
 use sqda_obs::stats::percentile;
 use sqda_obs::MetricSummary;
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{ExternalBuildOptions, FnSource, Node, PointSource, RStarConfig, RStarTree};
+use sqda_rstar::{ExternalBuildOptions, FnSource, Neighbor, Node, RStarConfig, RStarTree};
 use sqda_storage::{FileStore, NodeCache};
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,10 +51,7 @@ const CACHE_BYTES: usize = 2 << 20;
 
 /// Times one k-NN pass over `queries`, returning (sorted latencies in
 /// seconds, answers).
-fn knn_pass(
-    tree: &RStarTree<FileStore>,
-    queries: &[Point],
-) -> (Vec<f64>, Vec<Vec<sqda_rstar::Neighbor>>) {
+fn knn_pass(tree: &RStarTree<FileStore>, queries: &[Point]) -> (Vec<f64>, Vec<Vec<Neighbor>>) {
     let mut lat = Vec::with_capacity(queries.len());
     let mut answers = Vec::with_capacity(queries.len());
     for q in queries {
@@ -66,6 +63,15 @@ fn knn_pass(
     let mut sorted = lat;
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     (sorted, answers)
+}
+
+/// The same objects at bit-identical distances.
+fn assert_same_answer(got: &[Neighbor], want: &[Neighbor], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.object, b.object, "{what}");
+        assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits(), "{what}");
+    }
 }
 
 fn main() {
@@ -131,9 +137,7 @@ fn main() {
                 .expect("create scratch"),
         );
         let source = FnSource::new(n as u64, DIM, move || {
-            uniform_stream(n, DIM, SEED)
-                .enumerate()
-                .map(|(i, p)| (p, i as u64))
+            uniform_stream(n, DIM, SEED).zip(0u64..)
         });
         let t = Instant::now();
         let (tree, report) = RStarTree::bulk_load_external_stats(
@@ -146,19 +150,21 @@ fn main() {
         )
         .expect("external build");
         let build_s = t.elapsed().as_secs_f64();
+        // Exact: positional file calls behind every page the build moved.
+        let io_calls = store.io_calls() + scratch.io_calls();
         drop(scratch);
         let _ = std::fs::remove_dir_all(&scratch_dir);
         store.sync().expect("sync store");
         eprintln!(
             "  built n={n} (runs of {}) in {build_s:.1}s: {} runs, {} merge passes, \
-             {} scratch pages spilled (peak {})",
+             {} scratch pages spilled (peak {}), {io_calls} file calls",
             build_opts.run_capacity,
             report.runs,
             report.merge_passes,
             report.spilled_pages,
             report.peak_scratch_pages
         );
-        (tree, source, report, build_s, dest_dir)
+        (tree, report, build_s, io_calls, dest_dir)
     };
 
     for (si, &n) in scales.iter().enumerate() {
@@ -167,7 +173,7 @@ fn main() {
             jobs,
             ..ExternalBuildOptions::default()
         };
-        let (mut tree, source, build, build_s, dest_dir) = build_tree(n, &build_opts);
+        let (mut tree, build, build_s, io_calls, dest_dir) = build_tree(n, &build_opts);
 
         // Query under a fixed resident-node budget: cold pass (empty
         // cache, every wavefront page read from file), then the same
@@ -187,11 +193,7 @@ fn main() {
         // answers bit-identically to the in-RAM bulk loader.
         assert_eq!(cold_answers.len(), warm_answers.len());
         for (c, w) in cold_answers.iter().zip(&warm_answers) {
-            assert_eq!(c.len(), w.len(), "warm pass changed an answer set");
-            for (a, b) in c.iter().zip(w) {
-                assert_eq!(a.object, b.object);
-                assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits());
-            }
+            assert_same_answer(c, w, "warm pass changed an answer");
         }
         if si == 0 {
             let ram_dir = root.join(format!("tree-ram-{n}"));
@@ -199,7 +201,7 @@ fn main() {
                 FileStore::create(&ram_dir, DISKS, 1449, page_size, SEED)
                     .expect("create reference store"),
             );
-            let points: Vec<(Point, u64)> = source.iter().collect();
+            let points = uniform_stream(n, DIM, SEED).zip(0u64..).collect();
             let ram_tree = RStarTree::bulk_load(
                 ram_store,
                 RStarConfig::with_page_size(DIM, page_size),
@@ -209,11 +211,7 @@ fn main() {
             .expect("in-memory build");
             for (q, external) in queries.iter().zip(&cold_answers) {
                 let want = ram_tree.knn(q, K).expect("reference knn");
-                assert_eq!(external.len(), want.len());
-                for (a, b) in external.iter().zip(&want) {
-                    assert_eq!(a.object, b.object, "external build changed an answer");
-                    assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits());
-                }
+                assert_same_answer(external, &want, "external build changed an answer");
             }
             let _ = std::fs::remove_dir_all(&ram_dir);
             eprintln!("  n={n}: external answers match the in-memory bulk load");
@@ -245,51 +243,31 @@ fn main() {
             f2(stats.avg_fill),
         ]);
         let labels = [("n", n.to_string())];
-        report.metric_dir(
-            "build_wall_s",
-            &labels,
-            MetricSummary::from_samples(&[build_s]),
-            Direction::Info,
-        );
-        report.metric_dir(
-            "cold_knn_mean_s",
-            &labels,
-            MetricSummary::from_samples(&[cold_mean]),
-            Direction::Info,
-        );
-        report.metric_dir(
-            "warm_knn_mean_s",
-            &labels,
-            MetricSummary::from_samples(&[warm_mean]),
-            Direction::Info,
-        );
-        report.metric_dir(
-            "spilled_pages",
-            &labels,
-            MetricSummary::from_samples(&[build.spilled_pages as f64]),
-            Direction::Lower,
-        );
-        report.metric_dir(
-            "cold_reads_per_query",
-            &labels,
-            MetricSummary::from_samples(&[cold_reads]),
-            Direction::Lower,
-        );
-        report.metric_dir(
-            "warm_cache_hit_ratio",
-            &labels,
-            MetricSummary::from_samples(&[warm_hit_ratio]),
-            Direction::Higher,
-        );
-        report.metric_dir(
-            "avg_fill",
-            &labels,
-            MetricSummary::from_samples(&[stats.avg_fill]),
-            Direction::Higher,
-        );
+        for (name, value, direction) in [
+            ("build_wall_s", build_s, Direction::Info),
+            ("cold_knn_mean_s", cold_mean, Direction::Info),
+            ("warm_knn_mean_s", warm_mean, Direction::Info),
+            (
+                "spilled_pages",
+                build.spilled_pages as f64,
+                Direction::Lower,
+            ),
+            ("io_calls", io_calls as f64, Direction::Lower),
+            ("cold_reads_per_query", cold_reads, Direction::Lower),
+            ("warm_cache_hit_ratio", warm_hit_ratio, Direction::Higher),
+            ("avg_fill", stats.avg_fill, Direction::Higher),
+        ] {
+            report.metric_dir(
+                name,
+                &labels,
+                MetricSummary::from_samples(&[value]),
+                direction,
+            );
+        }
         json_points.push(format!(
             "{{\"n\":{n},\"build_s\":{build_s:.3},\"runs\":{},\"merge_passes\":{},\
              \"spilled_pages\":{},\"peak_scratch_pages\":{},\
+             \"io_calls\":{io_calls},\"io_calls_per_point\":{:.5},\
              \"cold_mean_s\":{cold_mean:.6},\"cold_p95_s\":{:.6},\
              \"warm_mean_s\":{warm_mean:.6},\"warm_p95_s\":{:.6},\
              \"cold_reads_per_query\":{cold_reads:.3},\
@@ -299,6 +277,7 @@ fn main() {
             build.merge_passes,
             build.spilled_pages,
             build.peak_scratch_pages,
+            io_calls as f64 / n as f64,
             percentile(&cold, 0.95),
             percentile(&warm, 0.95),
             stats.avg_fill,
@@ -313,12 +292,13 @@ fn main() {
     // it when given no options: runs of 2^18 points, one sort worker.
     let n = scales[scales.len() - 1];
     let defaults = ExternalBuildOptions::default();
-    let (tree, _, build, build_s, dest_dir) = build_tree(n, &defaults);
+    let (tree, build, build_s, io_calls, dest_dir) = build_tree(n, &defaults);
     drop(tree);
     let _ = std::fs::remove_dir_all(&dest_dir);
     let default_options = format!(
         "{{\"n\":{n},\"run_capacity\":{},\"build_s\":{build_s:.3},\"runs\":{},\
-         \"merge_passes\":{},\"spilled_pages\":{},\"peak_scratch_pages\":{}}}",
+         \"merge_passes\":{},\"spilled_pages\":{},\"peak_scratch_pages\":{},\
+         \"io_calls\":{io_calls}}}",
         defaults.run_capacity,
         build.runs,
         build.merge_passes,

@@ -14,7 +14,10 @@
 //! `--scale <BENCH_scale.json>` adds the external build's scaling band:
 //! the build time per point at the largest population may be at most
 //! 1.5× that at the smallest, so a super-linear term cannot come back
-//! unnoticed (the build was 3.8× before it was made linear).
+//! unnoticed (the build was 3.8× before it was made linear) — and its
+//! file-call budget: no build in that file may make more than half a
+//! positional call per page it moved (it made one before scratch I/O
+//! went by extents; the count is exact, so there is no band).
 //!
 //! ```text
 //! check_regression [--current results/BENCH_summary.json]
@@ -26,7 +29,9 @@
 //! Exit status: 0 clean, 1 findings (regressions or missing metrics),
 //! 2 usage/parse errors.
 
-use sqda_bench::report::{build_scaling, compare_summary_text, FindingKind, BUILD_SCALING_BAND};
+use sqda_bench::report::{
+    build_scaling, compare_summary_text, FindingKind, BUILD_SCALING_BAND, IO_CALL_SHARE_LIMIT,
+};
 use std::path::PathBuf;
 
 fn fail(msg: &str) -> ! {
@@ -118,13 +123,14 @@ fn main() {
     if let Some(path) = scale {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-        let ratio = build_scaling(&text).unwrap_or_else(|e| fail(&e));
-        scaling_ok = ratio <= BUILD_SCALING_BAND;
+        let (ratio, calls) = build_scaling(&text).unwrap_or_else(|e| fail(&e));
+        scaling_ok = ratio <= BUILD_SCALING_BAND && calls <= IO_CALL_SHARE_LIMIT;
         println!(
             "check_regression: external build costs {ratio:.2}x per point at the largest \
-             scale of {} vs the smallest (band {BUILD_SCALING_BAND}x){}",
+             scale of {} vs the smallest (band {BUILD_SCALING_BAND}x), at up to {calls:.3} \
+             file calls per page moved (limit {IO_CALL_SHARE_LIMIT}){}",
             path.display(),
-            if scaling_ok { "" } else { " — SUPER-LINEAR" }
+            if scaling_ok { "" } else { " — OUT OF BAND" }
         );
     }
     if cmp.findings.is_empty() && scaling_ok {

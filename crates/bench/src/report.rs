@@ -413,25 +413,39 @@ pub fn compare_summary_text(
 /// as a multiple of what it costs at the smallest.
 pub const BUILD_SCALING_BAND: f64 = 1.5;
 
-/// The external build's scaling figure from `BENCH_scale.json` text:
-/// `build_s / n` at the largest `n` over `build_s / n` at the smallest.
-/// About 1 for a linear build (the merge's `log n` shows as a few
-/// percent); a quadratic term in it grows with `n` and is what
-/// [`BUILD_SCALING_BAND`] is there to catch.
-pub fn build_scaling(scale_json: &str) -> Result<f64, String> {
+/// Most positional file calls a build in `BENCH_scale.json` may make, as
+/// a share of one call per page moved (what the build cost before
+/// scratch I/O went by extents). The count repeats exactly: no band.
+pub const IO_CALL_SHARE_LIMIT: f64 = 0.5;
+
+/// The external build's figures from `BENCH_scale.json` text:
+///
+/// * scaling — `build_s / n` at the largest `n` over `build_s / n` at the
+///   smallest. About 1 for a linear build (the merge's `log n` shows as a
+///   few percent); a quadratic term in it grows with `n` and is what
+///   [`BUILD_SCALING_BAND`] is there to catch.
+/// * file-call share — the worst point's `io_calls` over its pages moved
+///   (every node written once, every spilled page written and read back),
+///   held under [`IO_CALL_SHARE_LIMIT`].
+pub fn build_scaling(scale_json: &str) -> Result<(f64, f64), String> {
     let doc = parse(scale_json.trim()).map_err(|e| format!("scale results: {e}"))?;
     let points = doc.get("points").and_then(|p| p.as_arr()).unwrap_or(&[]);
-    let per_point = |p: &Value| {
-        let n = p.get("n")?.as_f64().filter(|n| *n > 0.0)?;
-        Some((n, p.get("build_s")?.as_f64()? / n))
+    let figures = |p: &Value| {
+        let field = |name: &str| p.get(name)?.as_f64();
+        let n = field("n").filter(|n| *n > 0.0)?;
+        let pages = field("nodes")? + 2.0 * field("spilled_pages")?;
+        Some((n, field("build_s")? / n, field("io_calls")? / pages))
     };
     let mut costs = points
         .iter()
-        .map(|p| per_point(p).ok_or("a point lacks a positive \"n\" or a \"build_s\""))
+        .map(|p| figures(p).ok_or("a point lacks \"n\", \"build_s\", \"io_calls\" or a page count"))
         .collect::<Result<Vec<_>, _>>()?;
     costs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let share = costs.iter().map(|c| c.2).fold(0.0, f64::max);
     match (costs.first(), costs.last()) {
-        (Some(small), Some(large)) if small.0 < large.0 && small.1 > 0.0 => Ok(large.1 / small.1),
+        (Some(small), Some(large)) if small.0 < large.0 && small.1 > 0.0 => {
+            Ok((large.1 / small.1, share))
+        }
         _ => Err("scale results need two scales with positive build times".into()),
     }
 }
@@ -445,17 +459,23 @@ mod tests {
         let scale = |small_s: f64, large_s: f64| {
             format!(
                 "{{\"bench\":\"bench_scale\",\"points\":[\
-                 {{\"n\":10000000,\"build_s\":{large_s}}},{{\"n\":1000000,\"build_s\":{small_s}}}]}}"
+                 {{\"n\":10000000,\"build_s\":{large_s},\"nodes\":250000,\
+                 \"spilled_pages\":900000,\"io_calls\":512500}},\
+                 {{\"n\":1000000,\"build_s\":{small_s},\"nodes\":25000,\
+                 \"spilled_pages\":50000,\"io_calls\":37500}}]}}"
             )
         };
         // The committed parent figures: 37.6x the time for 10x the data.
-        let quadratic = build_scaling(&scale(2.453, 92.135)).expect("scaling");
+        let (quadratic, share) = build_scaling(&scale(2.453, 92.135)).expect("scaling");
         assert!((quadratic - 3.756).abs() < 1e-3, "{quadratic}");
         assert!(quadratic > BUILD_SCALING_BAND);
-        let linear = build_scaling(&scale(1.0, 11.0)).expect("scaling");
+        // The worse of 512500 / 2050000 and 37500 / 125000.
+        assert!((share - 0.3).abs() < 1e-9 && share <= IO_CALL_SHARE_LIMIT);
+        let (linear, _) = build_scaling(&scale(1.0, 11.0)).expect("scaling");
         assert!((linear - 1.1).abs() < 1e-9 && linear <= BUILD_SCALING_BAND);
         assert!(build_scaling("{\"points\":[{\"n\":5,\"build_s\":1}]}").is_err());
-        assert!(build_scaling("{\"points\":[{\"n\":5},{\"n\":6,\"build_s\":1}]}").is_err());
+        let per_page = scale(1.0, 11.0).replace("37500", "125000");
+        assert_eq!(build_scaling(&per_page).expect("scaling").1, 1.0);
     }
 
     fn summary_with(mean: f64, ci: f64) -> String {

@@ -4,13 +4,15 @@ use crate::args::{parse_point, parse_query_point, Args};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
 use sqda_core::{exec::run_query, AlgorithmKind, RealTimeEngine, RunOptions, Simulation, Workload};
-use sqda_datasets::Dataset;
+use sqda_datasets::{CsvRows, Dataset};
 use sqda_geom::Point;
 use sqda_obs::{metrics_document, trace_document, CollectingRecorder, Event, Prediction};
 use sqda_rstar::decluster::{
     AreaBalance, DataBalance, Declusterer, ProximityIndex, RandomAssign, RoundRobin,
 };
-use sqda_rstar::{ExternalBuildOptions, Node, PointSource, RStarConfig, RStarTree, SplitPolicy};
+use sqda_rstar::{
+    ExternalBuildOptions, Node, PointSource, RStarConfig, RStarError, RStarTree, SplitPolicy,
+};
 use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
 use sqda_storage::{FileStore, NodeCache, PageId, PageStore, ThreadedFileBackend};
 use std::error::Error;
@@ -120,155 +122,18 @@ pub fn generate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// What is wrong with a CSV input and where: `line` is 1-based, 0 when
-/// the file could not be opened.
-#[derive(Debug)]
-struct CsvError {
-    path: PathBuf,
-    line: u64,
-    problem: CsvProblem,
-}
-
-#[derive(Debug)]
-enum CsvProblem {
-    Io(std::io::Error),
-    NotANumber(String),
-    /// A row with another number of fields than the first row.
-    Ragged {
-        expected: usize,
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: ", self.path.display(), self.line)?;
-        match &self.problem {
-            CsvProblem::Io(e) => write!(f, "{e}"),
-            CsvProblem::NotANumber(field) => write!(f, "{field:?} is not a number"),
-            CsvProblem::Ragged { expected, got } => {
-                write!(f, "{got} fields, but the first row has {expected}")
-            }
-        }
-    }
-}
-
-impl Error for CsvError {}
-
-/// The non-blank lines of a CSV file through one reused line buffer.
-struct CsvLines {
-    path: PathBuf,
-    reader: std::io::BufReader<std::fs::File>,
-    buf: String,
-    line: u64,
-}
-
-impl CsvLines {
-    fn open(path: &Path) -> Result<Self, CsvError> {
-        let path = path.to_path_buf();
-        match std::fs::File::open(&path) {
-            Ok(file) => Ok(CsvLines {
-                path,
-                reader: std::io::BufReader::new(file),
-                buf: String::new(),
-                line: 0,
-            }),
-            Err(e) => Err(CsvError {
-                path,
-                line: 0,
-                problem: CsvProblem::Io(e),
-            }),
-        }
-    }
-
-    /// `problem`, found on the line last read.
-    fn error(&self, problem: CsvProblem) -> CsvError {
-        CsvError {
-            path: self.path.clone(),
-            line: self.line,
-            problem,
-        }
-    }
-
-    /// Reads the next non-blank line into `buf`; `false` at the end of
-    /// the file.
-    fn next_line(&mut self) -> Result<bool, CsvError> {
-        use std::io::BufRead;
-        loop {
-            self.buf.clear();
-            self.line += 1;
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => return Ok(false),
-                Ok(_) if self.buf.trim().is_empty() => {}
-                Ok(_) => return Ok(true),
-                Err(e) => return Err(self.error(CsvProblem::Io(e))),
-            }
-        }
-    }
-
-    /// The next row as a point of `dim` coordinates.
-    fn next_point(&mut self, dim: usize) -> Result<Option<Point>, CsvError> {
-        if !self.next_line()? {
-            return Ok(None);
-        }
-        let mut coords = Vec::with_capacity(dim);
-        for field in self.buf.split(',') {
-            let field = field.trim();
-            match field.parse::<f64>() {
-                Ok(c) => coords.push(c),
-                Err(_) => return Err(self.error(CsvProblem::NotANumber(field.to_string()))),
-            }
-        }
-        if coords.len() != dim {
-            return Err(self.error(CsvProblem::Ragged {
-                expected: dim,
-                got: coords.len(),
-            }));
-        }
-        Ok(Some(Point::new(coords)))
-    }
-}
-
 /// A [`PointSource`] that re-reads a CSV file on every pass, so the
 /// external builder never materializes the dataset: resident memory is
 /// one line buffer plus the builder's bounded sort runs. Object ids are
 /// the zero-based row positions, matching the in-memory build.
 ///
 /// Construction scans the file once for the cardinality and the
-/// dimensionality of the first row. [`PointSource::iter`] cannot return
-/// an error, so a pass that meets a bad row (or a file that changed
-/// under it) ends there and leaves the [`CsvError`] in `error`; `build`
-/// reports that in place of the builder's point-count mismatch.
+/// dimensionality of the first row. A pass that meets a bad row fails
+/// the build with that row's `path:line: problem` error.
 struct CsvSource {
-    path: PathBuf,
+    input: PathBuf,
     len: u64,
     dim: usize,
-    error: std::cell::RefCell<Option<CsvError>>,
-}
-
-impl CsvSource {
-    fn scan(path: &Path) -> Result<Self, CsvError> {
-        let mut lines = CsvLines::open(path)?;
-        let mut len = 0u64;
-        let mut dim = 0usize;
-        while lines.next_line()? {
-            if dim == 0 {
-                dim = lines.buf.split(',').count();
-            }
-            len += 1;
-        }
-        Ok(CsvSource {
-            path: path.to_path_buf(),
-            len,
-            dim,
-            error: None.into(),
-        })
-    }
-
-    /// Keeps the first error of a pass for `build` to report.
-    fn fail(&self, e: CsvError) {
-        self.error.borrow_mut().get_or_insert(e);
-    }
 }
 
 impl PointSource for CsvSource {
@@ -280,21 +145,23 @@ impl PointSource for CsvSource {
         self.dim
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = (Point, u64)> + '_> {
-        // Any error ends the pass and is kept for `build`.
-        let mut lines = CsvLines::open(&self.path).map_err(|e| self.fail(e)).ok();
+    fn visit(
+        &self,
+        f: &mut dyn FnMut(&[f64], u64) -> Result<(), RStarError>,
+    ) -> Result<(), RStarError> {
+        let source = |e: std::io::Error| RStarError::Source(Box::new(e));
+        let mut rows = CsvRows::open(&self.input).map_err(source)?;
         let mut ids = 0u64..;
-        Box::new(std::iter::from_fn(move || {
-            let row = lines.as_mut()?.next_point(self.dim);
-            let point = row.map_err(|e| self.fail(e)).ok()??;
-            Some((point, ids.next()?))
-        }))
+        while let Some(coords) = rows.next_row().map_err(source)? {
+            f(coords, ids.next().expect("unbounded"))?;
+        }
+        Ok(())
     }
 }
 
 /// `sqda build`
 pub fn build(args: &Args) -> CmdResult {
-    let input = args.required("input")?.to_string();
+    let input = PathBuf::from(args.required("input")?);
     let store_dir = args.required("store")?.to_string();
     let disks: u32 = args.get_or("disks", 10)?;
     let page_size: usize = args.get_or("page-size", 4096)?;
@@ -308,116 +175,105 @@ pub fn build(args: &Args) -> CmdResult {
 
     let declusterer = declusterer_by_name(&decluster_name, seed)?;
     let start = std::time::Instant::now();
-    let (tree, dim, kind) = if external {
-        // Out-of-core build: stream the CSV per pass, spill bounded sort
-        // runs through a scratch store that lives (and dies) next to the
-        // destination directory.
-        let source = CsvSource::scan(Path::new(&input))?;
-        if source.is_empty() {
-            return Err("input dataset is empty".into());
-        }
-        let store = Arc::new(FileStore::create(
-            Path::new(&store_dir),
-            disks,
-            1449,
-            page_size,
-            seed,
-        )?);
-        let config = RStarConfig::with_page_size(source.dim(), page_size).with_split_policy(split);
-        let scratch_dir = Path::new(&store_dir).join("scratch");
-        let scratch = Arc::new(FileStore::create(
-            &scratch_dir,
-            disks,
-            1449,
-            page_size,
-            seed,
-        )?);
-        let opts = ExternalBuildOptions {
-            run_capacity,
-            jobs,
-            ..ExternalBuildOptions::default()
-        };
-        let built = RStarTree::bulk_load_external_stats(
-            store.clone(),
-            config,
-            declusterer,
-            &source,
-            &scratch,
-            &opts,
-        );
-        // A pass cut short by a bad row is the cause of whatever the
-        // builder made of it.
-        if let Some(e) = source.error.take() {
-            return Err(e.into());
-        }
-        let (tree, report) = built?;
-        drop(scratch);
-        std::fs::remove_dir_all(&scratch_dir)?;
-        store.sync()?;
-        println!(
-            "external build: {} runs, {} merge passes, {} pages spilled (peak {} resident)",
-            report.runs, report.merge_passes, report.spilled_pages, report.peak_scratch_pages
-        );
-        (tree, source.dim(), "external bulk-loaded")
-    } else {
-        let dataset = Dataset::read_csv("input", Path::new(&input))?;
-        if dataset.is_empty() {
-            return Err("input dataset is empty".into());
-        }
-        let store = Arc::new(FileStore::create(
-            Path::new(&store_dir),
-            disks,
-            1449,
-            page_size,
-            seed,
-        )?);
-        let config = RStarConfig::with_page_size(dataset.dim, page_size).with_split_policy(split);
-        let tree = if bulk {
-            RStarTree::bulk_load(
+    let dir = Path::new(&store_dir);
+    let scratch_dir = dir.join("scratch");
+    let (fresh_dir, fresh_scratch) = (!dir.exists(), !scratch_dir.exists());
+    // Set once `FileStore::create` has succeeded: it refuses a directory
+    // that holds a store before touching it.
+    let mut store_made = false;
+    let built = (|| -> CmdResult {
+        let (tree, dim, kind) = if external {
+            // Out-of-core build: stream the CSV per pass, spill bounded sort
+            // runs through a scratch store that lives (and dies) next to the
+            // destination directory.
+            let (len, dim) = CsvRows::scan(&input)?;
+            if len == 0 {
+                return Err("input dataset is empty".into());
+            }
+            let source = CsvSource { input, len, dim };
+            let store = Arc::new(FileStore::create(dir, disks, 1449, page_size, seed)?);
+            store_made = true;
+            let config = RStarConfig::with_page_size(dim, page_size).with_split_policy(split);
+            let scratch = FileStore::create(&scratch_dir, disks, 1449, page_size, seed)?;
+            let opts = ExternalBuildOptions {
+                run_capacity,
+                jobs,
+                ..ExternalBuildOptions::default()
+            };
+            let (tree, report) = RStarTree::bulk_load_external_stats(
                 store.clone(),
                 config,
                 declusterer,
-                dataset
-                    .points
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .map(|(i, p)| (p, i as u64))
-                    .collect(),
-            )?
+                &source,
+                &Arc::new(scratch),
+                &opts,
+            )?;
+            std::fs::remove_dir_all(&scratch_dir)?;
+            store.sync()?;
+            println!(
+                "external build: {} runs, {} merge passes, {} pages spilled (peak {} resident)",
+                report.runs, report.merge_passes, report.spilled_pages, report.peak_scratch_pages
+            );
+            (tree, dim, "external bulk-loaded")
         } else {
-            let mut tree = RStarTree::create(store.clone(), config, declusterer)?;
-            for (i, p) in dataset.points.iter().enumerate() {
-                tree.insert(p.clone(), i as u64)?;
+            let dataset = Dataset::read_csv("input", &input)?;
+            if dataset.is_empty() {
+                return Err("input dataset is empty".into());
             }
-            tree
+            let store = Arc::new(FileStore::create(dir, disks, 1449, page_size, seed)?);
+            store_made = true;
+            let dim = dataset.dim;
+            let config = RStarConfig::with_page_size(dim, page_size).with_split_policy(split);
+            let points = dataset.points.into_iter().zip(0u64..);
+            let tree = if bulk {
+                RStarTree::bulk_load(store.clone(), config, declusterer, points.collect())?
+            } else {
+                let mut tree = RStarTree::create(store.clone(), config, declusterer)?;
+                for (p, id) in points {
+                    tree.insert(p, id)?;
+                }
+                tree
+            };
+            store.sync()?;
+            (tree, dim, if bulk { "bulk-loaded" } else { "incremental" })
         };
-        store.sync()?;
-        (
-            tree,
-            dataset.dim,
-            if bulk { "bulk-loaded" } else { "incremental" },
-        )
-    };
-    TreeMeta {
-        root: tree.root_page().as_raw(),
-        dim,
-        page_size,
-        decluster: decluster_name,
+        TreeMeta {
+            root: tree.root_page().as_raw(),
+            dim,
+            page_size,
+            decluster: decluster_name,
+        }
+        .save(dir)?;
+        let stats = tree.stats()?;
+        println!(
+            "built {} tree: {} objects, height {}, {} nodes, avg fill {:.2}, {} disks, in {:.1?}",
+            kind,
+            tree.num_objects(),
+            tree.height(),
+            stats.total_nodes(),
+            stats.avg_fill,
+            disks,
+            start.elapsed()
+        );
+        Ok(())
+    })();
+    if built.is_err() {
+        // A failed build takes back what it made — half a store would
+        // refuse the corrected re-run — and nothing the directory held.
+        if fresh_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        } else {
+            if fresh_scratch {
+                let _ = std::fs::remove_dir_all(&scratch_dir);
+            }
+            let disk_files = (0..disks).map(|d| format!("disk{d:04}.sqda"));
+            let sidecars = ["meta.sqda", "meta.sqda.tmp", "tree.meta"].map(String::from);
+            for name in disk_files.chain(sidecars).filter(|_| store_made) {
+                let _ = std::fs::remove_file(dir.join(name));
+            }
+        }
     }
-    .save(Path::new(&store_dir))?;
-    let stats = tree.stats()?;
-    println!(
-        "built {} tree: {} objects, height {}, {} nodes, avg fill {:.2}, {} disks, in {:.1?}",
-        kind,
-        tree.num_objects(),
-        tree.height(),
-        stats.total_nodes(),
-        stats.avg_fill,
-        disks,
-        start.elapsed()
-    );
-    Ok(())
+    built
 }
 
 /// Writes the `--trace` / `--metrics` sinks shared by `query` and

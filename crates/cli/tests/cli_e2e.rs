@@ -240,3 +240,60 @@ fn external_build_names_the_bad_csv_row() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn failed_build_leaves_nothing_to_trip_over() {
+    // A bad row deep enough that runs have spilled and the store's files
+    // exist: the build must name the row, take back everything it made —
+    // and only that — and the corrected input must then build into the
+    // same `--store`. With and without `--external` alike.
+    let dir = workdir("failed-build");
+    let csv = dir.join("points.csv");
+    let mut rows: Vec<String> = (0..600)
+        .map(|i| format!("{},{}", (i * 37 % 601) as f64 / 601.0, i as f64 / 600.0))
+        .collect();
+    let good = rows.join("\n") + "\n";
+    rows[450] = "0.25,abc".to_string();
+    let bad = rows.join("\n") + "\n";
+    for (name, mode) in [
+        ("external", &["--external", "--run-capacity", "100"][..]),
+        ("bulk", &["--bulk"][..]),
+    ] {
+        for pre_existing in [false, true] {
+            let store = dir.join(format!("store-{name}-{pre_existing}"));
+            if pre_existing {
+                std::fs::create_dir_all(&store).unwrap();
+                std::fs::write(store.join("notes.txt"), "mine").unwrap();
+            }
+            let build = |input: &str| {
+                std::fs::write(&csv, input).unwrap();
+                let mut args = vec!["build", "--input", csv.to_str().unwrap(), "--store"];
+                args.extend([store.to_str().unwrap(), "--page-size", "1024"]);
+                args.extend(mode);
+                sqda(&args)
+            };
+            let o = build(&bad);
+            let what = format!("{name}, pre-existing {pre_existing}");
+            assert_eq!(o.status.code(), Some(1), "{what}");
+            let err = String::from_utf8_lossy(&o.stderr);
+            assert!(
+                err.contains("points.csv:451: \"abc\" is not a number"),
+                "{what}: {err}"
+            );
+            let left: Vec<_> = std::fs::read_dir(&store)
+                .map(|d| d.map(|e| e.unwrap().file_name()).collect())
+                .unwrap_or_default();
+            if pre_existing {
+                assert_eq!(left, ["notes.txt"], "{what}");
+            } else {
+                assert!(!store.exists(), "{what}: {left:?}");
+            }
+            let out = stdout(&build(&good));
+            assert!(out.contains("600 objects"), "{what}: {out}");
+            assert!(store.join("meta.sqda").exists(), "{what}");
+            assert!(!store.join("scratch").exists(), "{what}");
+            assert_eq!(pre_existing, store.join("notes.txt").exists(), "{what}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

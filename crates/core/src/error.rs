@@ -88,7 +88,8 @@ impl From<RStarError> for QueryError {
             RStarError::Geometry(_)
             | RStarError::DimensionMismatch { .. }
             | RStarError::UnsupportedPacking { .. }
-            | RStarError::InvalidBuild(_) => QueryError::Invariant(e.to_string()),
+            | RStarError::InvalidBuild(_)
+            | RStarError::Source(_) => QueryError::Invariant(e.to_string()),
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The `Dataset` container and CSV round-tripping.
 
+use crate::csv::CsvRows;
 use sqda_geom::Point;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// A named collection of points with uniform dimensionality.
@@ -76,42 +77,25 @@ impl Dataset {
         let file = std::fs::File::create(path)?;
         let mut w = BufWriter::new(file);
         for p in &self.points {
-            let line: Vec<String> = p.coords().iter().map(|c| c.to_string()).collect();
-            writeln!(w, "{}", line.join(","))?;
+            let mut sep = "";
+            for c in p.coords() {
+                write!(w, "{sep}{c}")?;
+                sep = ",";
+            }
+            writeln!(w)?;
         }
         w.flush()
     }
 
     /// Reads points from CSV written by [`Dataset::write_csv`].
     pub fn read_csv(name: impl Into<String>, path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let reader = std::io::BufReader::new(file);
+        let mut rows = CsvRows::open(path)?;
         let mut points = Vec::new();
-        let mut dim = 0usize;
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let coords: Result<Vec<f64>, _> =
-                line.split(',').map(|s| s.trim().parse::<f64>()).collect();
-            let coords = coords.map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("line {}: {e}", lineno + 1),
-                )
-            })?;
-            if dim == 0 {
-                dim = coords.len();
-            } else if coords.len() != dim {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("line {}: expected {dim} coordinates", lineno + 1),
-                ));
-            }
-            points.push(Point::new(coords));
+        while let Some(coords) = rows.next_row()? {
+            points.push(Point::new(coords.to_vec()));
         }
-        Ok(Self::new(name, dim.max(1), points))
+        let dim = points.first().map_or(1, Point::dim);
+        Ok(Self::new(name, dim, points))
     }
 }
 
@@ -173,7 +157,38 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.csv");
         std::fs::write(&path, "1.0,2.0\nnot,a,number\n").unwrap();
-        assert!(Dataset::read_csv("bad", &path).is_err());
+        let err = Dataset::read_csv("bad", &path).unwrap_err().to_string();
+        assert!(
+            err.ends_with("garbage.csv:2: \"not\" is not a number"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn csv_text_is_one_display_formatted_row_per_line() {
+        let dir = std::env::temp_dir().join("sqda-datasets-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("text.csv");
+        let d = Dataset::new(
+            "text",
+            3,
+            vec![
+                Point::new(vec![0.1, -2.5e-7, 1e21]),
+                Point::new(vec![3.0, f64::MIN_POSITIVE, -0.0]),
+            ],
+        );
+        d.write_csv(&path).unwrap();
+        let want: String = d
+            .points
+            .iter()
+            .map(|p| {
+                let fields: Vec<String> = p.coords().iter().map(|c| c.to_string()).collect();
+                fields.join(",") + "\n"
+            })
+            .collect();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        assert_eq!(Dataset::read_csv("text", &path).unwrap(), d);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -25,11 +25,7 @@ pub(crate) fn normal(rng: &mut StdRng) -> f64 {
 
 /// SU: `n` points uniform in the unit hyper-cube `[0,1]^dim`.
 pub fn uniform(n: usize, dim: usize, seed: u64) -> Dataset {
-    assert!(dim > 0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let points = (0..n)
-        .map(|_| sqda_geom::Point::new((0..dim).map(|_| rng.gen::<f64>()).collect()))
-        .collect();
+    let points = crate::uniform_stream(n, dim, seed).collect();
     Dataset::new(format!("uniform-{dim}d"), dim, points)
 }
 
@@ -44,30 +40,7 @@ pub fn gaussian(n: usize, dim: usize, seed: u64) -> Dataset {
 /// center is fixed at 0.5 and σ = 0.15 (the paper's single-Gaussian SG
 /// set).
 pub fn gaussian_clusters(n: usize, dim: usize, k: usize, seed: u64) -> Dataset {
-    assert!(dim > 0 && k > 0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let clusters: Vec<(Vec<f64>, f64)> = if k == 1 {
-        vec![(vec![0.5; dim], 0.15)]
-    } else {
-        (0..k)
-            .map(|_| {
-                let center: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.15..0.85)).collect();
-                let sigma = rng.gen_range(0.02..0.1);
-                (center, sigma)
-            })
-            .collect()
-    };
-    let points = (0..n)
-        .map(|_| {
-            let (center, sigma) = &clusters[rng.gen_range(0..clusters.len())];
-            sqda_geom::Point::new(
-                center
-                    .iter()
-                    .map(|c| c + sigma * normal(&mut rng))
-                    .collect(),
-            )
-        })
-        .collect();
+    let points = crate::gaussian_clusters_stream(n, dim, k, seed).collect();
     let name = if k == 1 {
         format!("gaussian-{dim}d")
     } else {

@@ -21,11 +21,13 @@
 //! practice, and what makes k-NN experiments meaningful on skewed data):
 //! see [`Dataset::sample_queries`].
 
+mod csv;
 mod dataset;
 mod generators;
 mod queries;
 mod stream;
 
+pub use csv::CsvRows;
 pub use dataset::Dataset;
 pub use generators::{
     california_like, gaussian, gaussian_clusters, long_beach_like, uniform, CP_CARDINALITY,

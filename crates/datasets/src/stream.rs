@@ -1,13 +1,12 @@
-//! Streaming twins of the materializing generators.
+//! The streaming generators.
 //!
 //! The out-of-core bulk builder ([`sqda-rstar`'s external build]) consumes
-//! points through a multi-pass iterator source, so at 10M+ objects the
-//! dataset must never be resident as a `Vec<Point>`. The iterators here
-//! draw from the rng in *exactly* the per-point order of their
-//! [`crate::generators`] counterparts: `uniform_stream(n, d, s)` yields
-//! the same points, in the same order, as `uniform(n, d, s).points` —
-//! pinned by the `streams_match_materialized` test — while holding only
-//! the rng state (a few dozen bytes) between points.
+//! points through a multi-pass source, so at 10M+ objects the dataset
+//! must never be resident as a `Vec<Point>`. The iterators here hold only
+//! the rng state (a few dozen bytes) between points; the materializing
+//! [`crate::uniform`] / [`crate::gaussian_clusters`] are these streams
+//! collected, so `uniform_stream(n, d, s)` yields the same points, in the
+//! same order, as `uniform(n, d, s).points`.
 //!
 //! The iterators are cheap to construct, so a multi-pass consumer simply
 //! rebuilds one per pass.
@@ -17,8 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqda_geom::Point;
 
-/// Streaming twin of [`crate::uniform`]: `n` points uniform in
-/// `[0,1]^dim`, identical to the materialized dataset point-for-point.
+/// [`crate::uniform`] as a stream: `n` points uniform in `[0,1]^dim`.
 pub fn uniform_stream(n: usize, dim: usize, seed: u64) -> UniformStream {
     assert!(dim > 0);
     UniformStream {
@@ -54,15 +52,14 @@ impl Iterator for UniformStream {
 
 impl ExactSizeIterator for UniformStream {}
 
-/// Streaming twin of [`crate::gaussian`]: single isotropic Gaussian,
+/// [`crate::gaussian`] as a stream: single isotropic Gaussian,
 /// mean 0.5, σ 0.15 per dimension.
 pub fn gaussian_stream(n: usize, dim: usize, seed: u64) -> GaussianStream {
     gaussian_clusters_stream(n, dim, 1, seed)
 }
 
-/// Streaming twin of [`crate::gaussian_clusters`]. Cluster centers are
-/// drawn eagerly at construction (they precede all point draws in the
-/// materializing generator), point draws happen lazily per `next()`.
+/// [`crate::gaussian_clusters`] as a stream. Cluster centers are drawn
+/// eagerly at construction, point draws happen lazily per `next()`.
 pub fn gaussian_clusters_stream(n: usize, dim: usize, k: usize, seed: u64) -> GaussianStream {
     assert!(dim > 0 && k > 0);
     let mut rng = StdRng::seed_from_u64(seed);

@@ -205,7 +205,7 @@ impl<S: PageStore> RStarTree<S> {
     ) -> Result<Self> {
         validate_packing(order, config.dim)?;
         for (p, _) in &points {
-            validate_point(p, config.dim)?;
+            validate_coords(p.coords(), config.dim)?;
         }
         let mut tree = Self::create(store, config, declusterer)?;
         if points.is_empty() {
@@ -328,21 +328,19 @@ impl<S: PageStore> RStarTree<S> {
 
 /// Rejects points the build cannot represent: wrong dimensionality or
 /// non-finite coordinates (which would poison sort keys and MBRs).
-pub(crate) fn validate_point(p: &Point, dim: usize) -> Result<()> {
-    if p.dim() != dim {
+pub(crate) fn validate_coords(coords: &[f64], dim: usize) -> Result<()> {
+    if coords.len() != dim {
         return Err(RStarError::DimensionMismatch {
             expected: dim,
-            got: p.dim(),
+            got: coords.len(),
         });
     }
-    for c in p.coords() {
-        if !c.is_finite() {
-            return Err(RStarError::InvalidBuild(format!(
-                "non-finite coordinate {c} in bulk input"
-            )));
-        }
+    match coords.iter().find(|c| !c.is_finite()) {
+        Some(c) => Err(RStarError::InvalidBuild(format!(
+            "non-finite coordinate {c} in bulk input"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The STR sort key of a leaf entry: its coordinate along `axis`.

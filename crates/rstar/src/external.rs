@@ -6,13 +6,15 @@
 //! array actually pays off. This module builds the same tree while
 //! never holding more than `O(run_capacity × jobs)` points in memory:
 //!
-//! 1. **Run formation** — points stream out of a [`PointSource`], are
-//!    validated, tagged with a sort key (an STR axis coordinate mapped
-//!    to its order-preserving integer image, or a space-filling-curve
-//!    key) and a sequence number, and accumulate into bounded runs.
-//!    Each run is sorted in RAM (`--jobs` runs sort in parallel) and
-//!    spilled as fixed-size records through a caller-provided *scratch*
-//!    page store.
+//! 1. **Run formation** — a [`PointSource`] *visits* the builder with
+//!    each point's coordinates as a borrowed slice (no per-point
+//!    allocation, and a source that fails mid-pass returns its own error
+//!    through the build as [`RStarError::Source`]). Points are validated,
+//!    tagged with a sort key (an STR axis coordinate mapped to its
+//!    order-preserving integer image, or a space-filling-curve key) and a
+//!    sequence number, and accumulate into bounded runs. Each run is
+//!    sorted in RAM (`--jobs` runs sort in parallel) and spilled as
+//!    fixed-size records through a caller-provided *scratch* page store.
 //! 2. **K-way merge** — runs merge up to `merge_fanin` at a time on a
 //!    `(key, seq)` min-heap; because `seq` is the record's position in
 //!    the previous order, the merge reproduces a *stable* sort exactly.
@@ -20,7 +22,7 @@
 //!    `merge_fanin` runs remain, and only as many runs as it takes to
 //!    get down to that; the last merge is a *stream* its consumer pulls
 //!    records from, so the fully sorted order never touches a disk.
-//!    Consumed scratch pages are freed (and recycled) as they are read.
+//!    Consumed scratch extents are freed (and recycled) as they are read.
 //! 3. **Tiling** — STR cuts that stream at the slab boundaries the
 //!    in-memory tiler would use ([`crate::bulk`]'s exact integer
 //!    ceil-root). A slab that fits one run is collected off the stream
@@ -48,11 +50,29 @@
 //!
 //! Scratch record format: `[key: u128][seq: u64][id: u64][coords: dim × f64]`,
 //! little-endian, packed whole into scratch pages (no record straddles a
-//! page). On error, not-yet-freed scratch pages are simply abandoned —
-//! the scratch store is throwaway by contract.
+//! page; the tail of a page is zero). On error, not-yet-freed scratch
+//! pages are simply abandoned — the scratch store is throwaway by
+//! contract.
+//!
+//! Scratch I/O goes by **extents** of [`EXTENT_PAGES`] pages through
+//! [`PageStore::write_pages`] / [`PageStore::read_pages`]: a run's writer
+//! fills one reused buffer and hands it over whole, its reader refills one
+//! reused buffer, and a store that keeps neighbouring slots together
+//! (`FileStore`) moves each extent with one positional call instead of
+//! eight. Scratch has no declustering constraint, so an extent's pages
+//! are all allocated on one disk — fresh slots are consecutive there —
+//! and it is the *extents* that round-robin over the scratch disks; an
+//! extent is freed last page first so that last-freed-first slot recycling
+//! hands the next extent the same slots in ascending order. Why 8: 8, 16
+//! and 32 pages measured the same build time, and the final merge keeps
+//! `merge_fanin` extents resident, so the smallest was taken. A store
+//! that implements only the required `PageStore` methods gets the trait's
+//! per-page loops and the same pages, placements and
+//! [`ExternalBuildReport`] — the report counts pages as they are filled
+//! and consumed, not as they are allocated and freed.
 
 use crate::bulk::{
-    chunk_balanced, leaf_key, str_slabs, str_tile, validate_packing, validate_point, LevelWriter,
+    chunk_balanced, str_slabs, str_tile, validate_coords, validate_packing, LevelWriter,
     PlacementMode,
 };
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
@@ -60,23 +80,27 @@ use crate::node::Node;
 use crate::tree::{RStarError, RStarTree, Result};
 use crate::{Declusterer, PackingOrder, RStarConfig};
 use sqda_geom::Point;
-use sqda_storage::{Bytes, DiskId, PageId, PageStore};
+use sqda_storage::{DiskId, PageId, PageStore};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A re-iterable stream of `(point, object id)` pairs.
+/// A re-visitable stream of `(coordinates, object id)` pairs.
 ///
 /// The builder makes multiple passes (curve orders need a bounds pass
-/// before the key pass), so [`PointSource::iter`] must yield the same
+/// before the key pass), so [`PointSource::visit`] must present the same
 /// sequence every time it is called.
 pub trait PointSource {
     /// Number of points every pass yields.
     fn len(&self) -> u64;
     /// Dimensionality of the points.
     fn dim(&self) -> usize;
-    /// Starts a fresh pass over the points.
-    fn iter(&self) -> Box<dyn Iterator<Item = (Point, u64)> + '_>;
+    /// One pass: calls `f` with each point's coordinates (borrowed for
+    /// the call only) and id, in order, stopping at `f`'s first error and
+    /// returning it. A source that fails itself returns its own error —
+    /// [`RStarError::Source`] carries any error type through the build.
+    fn visit(&self, f: &mut dyn FnMut(&[f64], u64) -> Result<()>) -> Result<()>;
     /// Whether the source is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -104,8 +128,10 @@ impl PointSource for SliceSource<'_> {
         self.points.first().map_or(0, |(p, _)| p.dim())
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = (Point, u64)> + '_> {
-        Box::new(self.points.iter().map(|(p, id)| (p.clone(), *id)))
+    fn visit(&self, f: &mut dyn FnMut(&[f64], u64) -> Result<()>) -> Result<()> {
+        self.points
+            .iter()
+            .try_for_each(|(p, id)| f(p.coords(), *id))
     }
 }
 
@@ -118,11 +144,7 @@ pub struct FnSource<F> {
     make: F,
 }
 
-impl<F, I> FnSource<F>
-where
-    F: Fn() -> I,
-    I: Iterator<Item = (Point, u64)> + 'static,
-{
+impl<F> FnSource<F> {
     /// Wraps `make`, which must produce the same `len`-point sequence
     /// of `dim`-dimensional points on every call.
     pub fn new(len: u64, dim: usize, make: F) -> Self {
@@ -133,7 +155,7 @@ where
 impl<F, I> PointSource for FnSource<F>
 where
     F: Fn() -> I,
-    I: Iterator<Item = (Point, u64)> + 'static,
+    I: Iterator<Item = (Point, u64)>,
 {
     fn len(&self) -> u64 {
         self.len
@@ -143,8 +165,8 @@ where
         self.dim
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = (Point, u64)> + '_> {
-        Box::new((self.make)())
+    fn visit(&self, f: &mut dyn FnMut(&[f64], u64) -> Result<()>) -> Result<()> {
+        (self.make)().try_for_each(|(p, id)| f(p.coords(), id))
     }
 }
 
@@ -197,8 +219,9 @@ pub struct ExternalBuildReport {
     /// Scratch pages written in total: run formation, each merge that
     /// had to be written back, and slabs too big for one run.
     pub spilled_pages: u64,
-    /// High-water mark of live scratch pages — the scratch store's
-    /// actual footprint requirement.
+    /// High-water mark of pages spilled and not yet read back: what the
+    /// scratch store must be able to hold (it holds a few fewer while
+    /// pages wait in an extent buffer at either end).
     pub peak_scratch_pages: u64,
 }
 
@@ -249,7 +272,11 @@ impl<S: PageStore> RStarTree<S> {
         if n <= run_cap {
             // Small inputs take the in-memory path outright: same tree,
             // no scratch traffic.
-            let entries = collect_validated(source, dim, n)?;
+            let mut entries = Vec::with_capacity(n);
+            visit_validated(source, dim, n, &mut |coords, id| {
+                entries.push(LeafEntry::new(Point::new(coords.to_vec()), ObjectId(id)));
+                Ok(())
+            })?;
             tree.bulk_build_from_entries(entries, opts.order, opts.placement)?;
             return Ok((tree, ExternalBuildReport::default()));
         }
@@ -324,29 +351,11 @@ struct BuildCtx<'a, T: PageStore> {
     jobs: usize,
     leaf_cap: usize,
     min_leaf: usize,
+    /// The disk the next scratch extent goes to.
     next_disk: u32,
+    /// Pages spilled and not yet read back.
     live_pages: u64,
     report: ExternalBuildReport,
-}
-
-impl<T: PageStore> BuildCtx<'_, T> {
-    fn alloc_scratch(&mut self) -> Result<PageId> {
-        // Scratch pages round-robin across the scratch store's disks so
-        // spill bandwidth also spreads over the array.
-        let disk = DiskId(self.next_disk % self.scratch.num_disks());
-        self.next_disk = self.next_disk.wrapping_add(1);
-        let page = self.scratch.allocate(disk)?;
-        self.report.spilled_pages += 1;
-        self.live_pages += 1;
-        self.report.peak_scratch_pages = self.report.peak_scratch_pages.max(self.live_pages);
-        Ok(page)
-    }
-
-    fn free_scratch(&mut self, page: PageId) -> Result<()> {
-        self.scratch.free(page)?;
-        self.live_pages -= 1;
-        Ok(())
-    }
 }
 
 /// Input to one external sort: the original source (first axis) or a
@@ -444,9 +453,19 @@ impl RunBuf {
     }
 }
 
-/// Packs records into scratch pages; no record straddles a page.
+/// Pages per scratch extent — the unit a run is written and read back
+/// in. 8, 16 and 32 build in the same time; the final merge holds
+/// `merge_fanin` extents at once, so the smallest of them it is.
+const EXTENT_PAGES: usize = 8;
+
+/// Packs records into scratch pages — no record straddles a page — and
+/// writes them an extent at a time from one reused buffer.
+#[derive(Default)]
 struct SpillWriter {
+    /// The extent being filled, pages at a stride of the page size.
     buf: Vec<u8>,
+    /// Records in the page being filled.
+    in_page: usize,
     pages: Vec<PageId>,
     n: usize,
 }
@@ -454,9 +473,8 @@ struct SpillWriter {
 impl SpillWriter {
     fn new<T: PageStore>(ctx: &BuildCtx<'_, T>) -> Self {
         Self {
-            buf: Vec::with_capacity(ctx.per_page * ctx.rec_size),
-            pages: Vec::new(),
-            n: 0,
+            buf: Vec::with_capacity(EXTENT_PAGES * ctx.scratch.page_size()),
+            ..Self::default()
         }
     }
 
@@ -475,27 +493,50 @@ impl SpillWriter {
             self.buf.extend_from_slice(&c.to_bits().to_le_bytes());
         }
         self.n += 1;
-        if self.buf.len() + ctx.rec_size > ctx.per_page * ctx.rec_size {
+        self.in_page += 1;
+        if self.in_page == ctx.per_page {
+            self.end_page(ctx)?;
+        }
+        Ok(())
+    }
+
+    /// Closes the page being filled — zero pad to the stride — and
+    /// writes the extent out once it is full.
+    fn end_page<T: PageStore>(&mut self, ctx: &mut BuildCtx<'_, T>) -> Result<()> {
+        let stride = ctx.scratch.page_size();
+        self.in_page = 0;
+        self.buf.resize(self.buf.len().next_multiple_of(stride), 0);
+        ctx.report.spilled_pages += 1;
+        ctx.live_pages += 1;
+        ctx.report.peak_scratch_pages = ctx.report.peak_scratch_pages.max(ctx.live_pages);
+        if self.buf.len() == EXTENT_PAGES * stride {
             self.flush(ctx)?;
         }
         Ok(())
     }
 
+    /// Writes the buffered pages as one extent: all on one disk, so fresh
+    /// slots are neighbours in its file, and extents round-robin over the
+    /// scratch disks so spill bandwidth still spreads over the array.
     fn flush<T: PageStore>(&mut self, ctx: &mut BuildCtx<'_, T>) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+        let disk = DiskId(ctx.next_disk % ctx.scratch.num_disks());
+        ctx.next_disk = ctx.next_disk.wrapping_add(1);
+        let first = self.pages.len();
+        for _ in 0..self.buf.len() / ctx.scratch.page_size() {
+            self.pages.push(ctx.scratch.allocate(disk)?);
         }
-        let page = ctx.alloc_scratch()?;
-        // Hand the full buffer over and start the next page at capacity.
-        let next = Vec::with_capacity(ctx.per_page * ctx.rec_size);
-        let full = std::mem::replace(&mut self.buf, next);
-        ctx.scratch.write(page, Bytes::from(full))?;
-        self.pages.push(page);
+        ctx.scratch.write_pages(&self.pages[first..], &self.buf)?;
+        self.buf.clear();
         Ok(())
     }
 
     fn finish<T: PageStore>(mut self, ctx: &mut BuildCtx<'_, T>) -> Result<Spill> {
-        self.flush(ctx)?;
+        if self.in_page > 0 {
+            self.end_page(ctx)?;
+        }
+        if !self.buf.is_empty() {
+            self.flush(ctx)?;
+        }
         Ok(Spill {
             pages: self.pages,
             n: self.n,
@@ -504,11 +545,14 @@ impl SpillWriter {
     }
 }
 
-/// Streams a [`Spill`]'s records back, freeing each scratch page as it
-/// is exhausted.
+/// Streams a [`Spill`]'s records back through one reused extent buffer,
+/// freeing each extent's scratch pages as it is read.
+#[derive(Default)]
 struct SpillReader {
-    pages: std::vec::IntoIter<PageId>,
-    buf: Bytes,
+    pages: Vec<PageId>,
+    /// Pages read so far.
+    read: usize,
+    buf: Vec<u8>,
     off: usize,
     in_page: usize,
     remaining: usize,
@@ -517,11 +561,9 @@ struct SpillReader {
 impl SpillReader {
     fn new(spill: Spill) -> Self {
         Self {
-            pages: spill.pages.into_iter(),
-            buf: Bytes::new(),
-            off: 0,
-            in_page: 0,
+            pages: spill.pages,
             remaining: spill.n,
+            ..Self::default()
         }
     }
 
@@ -531,18 +573,28 @@ impl SpillReader {
             return Ok(false);
         }
         if self.in_page == 0 {
-            let page = self.pages.next().ok_or_else(|| {
-                RStarError::InvalidBuild("spill run shorter than its record count".into())
-            })?;
-            self.buf = ctx.scratch.read(page)?;
-            ctx.free_scratch(page)?;
-            self.in_page = self.remaining.min(ctx.per_page);
-            if self.buf.len() < self.in_page * ctx.rec_size {
-                return Err(RStarError::InvalidBuild(
-                    "truncated spill page in scratch store".into(),
-                ));
+            let stride = ctx.scratch.page_size();
+            self.off = self.off.next_multiple_of(stride);
+            if self.off == self.buf.len() {
+                let end = (self.read + EXTENT_PAGES).min(self.pages.len());
+                let extent = &self.pages[self.read..end];
+                ctx.scratch.read_pages(extent, &mut self.buf)?;
+                if extent.is_empty() || self.buf.len() != extent.len() * stride {
+                    return Err(RStarError::InvalidBuild(
+                        "spill run shorter than its record count".into(),
+                    ));
+                }
+                // Last page first: a store that recycles slots
+                // last-freed-first hands them to the next extent in
+                // ascending order, neighbours again.
+                for &page in extent.iter().rev() {
+                    ctx.scratch.free(page)?;
+                }
+                self.read = end;
+                self.off = 0;
             }
-            self.off = 0;
+            ctx.live_pages -= 1;
+            self.in_page = self.remaining.min(ctx.per_page);
         }
         let b = &self.buf[self.off..self.off + ctx.rec_size];
         rec.key = u128::from_le_bytes(b[0..16].try_into().expect("sized slice"));
@@ -568,43 +620,39 @@ fn length_mismatch(expected: usize, got: usize) -> RStarError {
     ))
 }
 
-/// Collects and validates a whole source (the no-spill path).
-fn collect_validated(source: &dyn PointSource, dim: usize, n: usize) -> Result<Vec<LeafEntry>> {
-    let mut entries = Vec::with_capacity(n);
-    for (p, id) in source.iter() {
-        validate_point(&p, dim)?;
-        entries.push(LeafEntry::new(p, ObjectId(id)));
-        if entries.len() > n {
-            return Err(length_mismatch(n, entries.len()));
+/// One validated pass over `source`, which must yield exactly `n` points.
+fn visit_validated(
+    source: &dyn PointSource,
+    dim: usize,
+    n: usize,
+    f: &mut dyn FnMut(&[f64], u64) -> Result<()>,
+) -> Result<()> {
+    let mut seen = 0usize;
+    source.visit(&mut |coords, id| {
+        validate_coords(coords, dim)?;
+        seen += 1;
+        if seen > n {
+            return Err(length_mismatch(n, seen));
         }
+        f(coords, id)
+    })?;
+    if seen != n {
+        return Err(length_mismatch(n, seen));
     }
-    if entries.len() != n {
-        return Err(length_mismatch(n, entries.len()));
-    }
-    Ok(entries)
+    Ok(())
 }
 
 /// The coordinate bounds of a source (validating pass for curve keys).
 fn source_bounds(source: &dyn PointSource, dim: usize, n: usize) -> Result<(Vec<f64>, Vec<f64>)> {
     let mut lo = vec![f64::INFINITY; dim];
     let mut hi = vec![f64::NEG_INFINITY; dim];
-    let mut count = 0usize;
-    for (p, _) in source.iter() {
-        validate_point(&p, dim)?;
-        for d in 0..dim {
-            let c = p.coord(d);
-            if c < lo[d] {
-                lo[d] = c;
-            }
-            if c > hi[d] {
-                hi[d] = c;
-            }
+    visit_validated(source, dim, n, &mut |coords, _| {
+        for (d, &c) in coords.iter().enumerate() {
+            lo[d] = lo[d].min(c);
+            hi[d] = hi[d].max(c);
         }
-        count += 1;
-    }
-    if count != n {
-        return Err(length_mismatch(n, count));
-    }
+        Ok(())
+    })?;
     Ok((lo, hi))
 }
 
@@ -659,18 +707,10 @@ fn form_runs<T: PageStore>(
     };
     match input {
         Input::Source(source) => {
-            let mut seq = 0u64;
-            for (p, id) in source.iter() {
-                validate_point(&p, dim)?;
-                add(ctx, seq, id, p.coords())?;
-                seq += 1;
-                if seq as usize > n {
-                    return Err(length_mismatch(n, seq as usize));
-                }
-            }
-            if seq as usize != n {
-                return Err(length_mismatch(n, seq as usize));
-            }
+            let mut seq = 0u64..;
+            visit_validated(source, dim, n, &mut |coords, id| {
+                add(ctx, seq.next().expect("unbounded"), id, coords)
+            })?;
         }
         Input::Spill(spill) => {
             let mut r = SpillReader::new(spill);
@@ -788,31 +828,47 @@ impl MergeStream {
         }
     }
 
-    /// Pulls the next `len` records as leaf entries onto `out`.
-    fn take_entries<T: PageStore>(
+    /// Replaces `batch` with the next `len` records.
+    fn take_batch<T: PageStore>(
         &mut self,
         ctx: &mut BuildCtx<'_, T>,
         len: usize,
-        out: &mut Vec<LeafEntry>,
+        batch: &mut Batch,
     ) -> Result<()> {
-        for _ in 0..len {
+        batch.items.clear();
+        batch.coords.clear();
+        for i in 0..len {
             let rec = self.take(ctx)?;
-            out.push(LeafEntry::new(
-                Point::new(rec.coords.clone()),
-                ObjectId(rec.id),
-            ));
+            batch.items.push((rec.id, i as u32));
+            batch.coords.extend_from_slice(&rec.coords);
         }
         Ok(())
     }
 }
 
-/// Emits one packed leaf and records its parent entry.
+/// Records on their way into leaves: `(id, position in coords)` items a
+/// tiler may reorder, over one flat coordinate arena it need not touch.
+#[derive(Default)]
+struct Batch {
+    items: Vec<(u64, u32)>,
+    coords: Vec<f64>,
+}
+
+/// Emits `batch.items[tile]` as one packed leaf and records its parent
+/// entry.
 fn emit_leaf<S: PageStore>(
     writer: &mut LevelWriter<'_, S>,
     parents: &mut Vec<InternalEntry>,
-    tile: &[LeafEntry],
+    dim: usize,
+    batch: &Batch,
+    tile: Range<usize>,
 ) -> Result<()> {
-    let node = Node::from_leaf_entries(tile);
+    let mut coords = Vec::with_capacity(tile.len() * dim);
+    for &(_, i) in &batch.items[tile.clone()] {
+        coords.extend_from_slice(&batch.coords[i as usize * dim..][..dim]);
+    }
+    let ids = batch.items[tile].iter().map(|item| item.0).collect();
+    let node = Node::leaf_from_flat(dim, coords.into_boxed_slice(), ids);
     let mbr = node
         .mbr()
         .ok_or_else(|| RStarError::InvalidBuild("empty leaf tile".into()))?;
@@ -840,14 +896,15 @@ fn str_build<S: PageStore, T: PageStore>(
     if axis + 1 >= dim {
         return stream_leaves(ctx, writer, parents, sorted, n);
     }
-    let mut items: Vec<LeafEntry> = Vec::new();
+    let mut batch = Batch::default();
     for slab in str_slabs(n, cap, min, dim, axis) {
         let len = slab.len();
         if len <= ctx.run_cap {
-            items.clear();
-            sorted.take_entries(ctx, len, &mut items)?;
-            for tile in str_tile(&mut items, cap, min, dim, axis + 1, &leaf_key) {
-                emit_leaf(writer, parents, &items[tile])?;
+            sorted.take_batch(ctx, len, &mut batch)?;
+            let arena = &batch.coords;
+            let key = |item: &(u64, u32), axis: usize| arena[item.1 as usize * dim + axis];
+            for tile in str_tile(&mut batch.items, cap, min, dim, axis + 1, &key) {
+                emit_leaf(writer, parents, dim, &batch, tile)?;
             }
         } else {
             // Retag `seq` with the record's position in this axis's
@@ -874,11 +931,10 @@ fn stream_leaves<S: PageStore, T: PageStore>(
     mut sorted: MergeStream,
     n: usize,
 ) -> Result<()> {
-    let mut tile: Vec<LeafEntry> = Vec::with_capacity(ctx.leaf_cap);
+    let mut batch = Batch::default();
     for group in chunk_balanced(n, ctx.leaf_cap, ctx.min_leaf) {
-        tile.clear();
-        sorted.take_entries(ctx, group.len(), &mut tile)?;
-        emit_leaf(writer, parents, &tile)?;
+        sorted.take_batch(ctx, group.len(), &mut batch)?;
+        emit_leaf(writer, parents, ctx.dim, &batch, 0..group.len())?;
     }
     Ok(())
 }

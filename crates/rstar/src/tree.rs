@@ -35,6 +35,9 @@ pub enum RStarError {
     /// A bulk-build invariant was violated (empty slab, non-finite
     /// coordinate, malformed run file); the build aborts cleanly.
     InvalidBuild(String),
+    /// A [`crate::PointSource`] failed mid-pass; the error is its own and
+    /// displays as itself.
+    Source(Box<dyn std::error::Error + Send + Sync>),
 }
 
 impl From<StorageError> for RStarError {
@@ -64,6 +67,7 @@ impl std::fmt::Display for RStarError {
                 write!(f, "{order} packing does not support {dim}-d data")
             }
             RStarError::InvalidBuild(msg) => write!(f, "invalid bulk build: {msg}"),
+            RStarError::Source(e) => e.fmt(f),
         }
     }
 }

@@ -14,9 +14,12 @@
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{
-    ExternalBuildOptions, Node, PackingOrder, PlacementMode, RStarConfig, RStarTree, SliceSource,
+    ExternalBuildOptions, ExternalBuildReport, Node, PackingOrder, PlacementMode, PointSource,
+    RStarConfig, RStarError, RStarTree, SliceSource,
 };
-use sqda_storage::{ArrayStore, NodeCache, PageId, PageStore};
+use sqda_storage::{
+    ArrayStore, Bytes, DiskId, FileStore, IoStats, NodeCache, PageId, PageStore, Placement,
+};
 use std::sync::Arc;
 
 const DISKS: u32 = 8;
@@ -388,4 +391,277 @@ fn spill_accounting_is_pinned() {
         }
     }
     assert_eq!(sort_spill(N, 512, 64, per_page), (1, 146));
+}
+
+/// Forwards only the methods [`PageStore`] requires — what a counting
+/// decorator outside this workspace implements — so `write_pages` and
+/// `read_pages` are the trait's per-page loops.
+struct RequiredOnly<S>(S);
+
+impl<S: PageStore> PageStore for RequiredOnly<S> {
+    fn num_disks(&self) -> u32 {
+        self.0.num_disks()
+    }
+    fn num_cylinders(&self) -> u32 {
+        self.0.num_cylinders()
+    }
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn allocate(&self, disk: DiskId) -> sqda_storage::Result<PageId> {
+        self.0.allocate(disk)
+    }
+    fn write(&self, page: PageId, data: Bytes) -> sqda_storage::Result<()> {
+        self.0.write(page, data)
+    }
+    fn read(&self, page: PageId) -> sqda_storage::Result<Bytes> {
+        self.0.read(page)
+    }
+    fn free(&self, page: PageId) -> sqda_storage::Result<()> {
+        self.0.free(page)
+    }
+    fn placement(&self, page: PageId) -> sqda_storage::Result<Placement> {
+        self.0.placement(page)
+    }
+    fn stats(&self) -> IoStats {
+        self.0.stats()
+    }
+    fn reset_stats(&self) {
+        self.0.reset_stats()
+    }
+    fn pages_per_disk(&self) -> Vec<usize> {
+        self.0.pages_per_disk()
+    }
+}
+
+/// Deterministic, duplicate-free points of any dimensionality.
+fn points_nd(n: usize, dim: usize) -> Vec<(Point, u64)> {
+    const STEPS: [usize; 4] = [7919, 104_729, 1_299_709, 15_485_863];
+    (0..n)
+        .map(|i| {
+            let coords = (0..dim).map(|d| ((i * STEPS[d]) % 6007) as f64 * 0.37);
+            (Point::new(coords.collect()), i as u64)
+        })
+        .collect()
+}
+
+/// What an external build into file stores leaves behind.
+#[derive(Debug, PartialEq)]
+struct FileBuild {
+    report: ExternalBuildReport,
+    /// `disk*.sqda` then `meta.sqda`, byte for byte.
+    files: Vec<Vec<u8>>,
+    scratch_io: (u64, u64),
+    scratch_calls: u64,
+}
+
+fn file_build(
+    name: &str,
+    pts: &[(Point, u64)],
+    dim: usize,
+    run_capacity: usize,
+    required_only: bool,
+) -> FileBuild {
+    let dir = std::env::temp_dir().join(format!("sqda-extbuild-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dest = FileStore::create(&dir, DISKS, 1449, PAGE, 42).unwrap();
+    let scratch = FileStore::create(&dir.join("scratch"), DISKS, 1449, PAGE, 7).unwrap();
+    let opts = ExternalBuildOptions {
+        run_capacity,
+        merge_fanin: 3,
+        ..ExternalBuildOptions::default()
+    };
+    let config = RStarConfig::with_page_size(dim, PAGE);
+    let source = SliceSource::new(pts);
+    let (report, scratch) = if required_only {
+        let (dest, scratch) = (
+            Arc::new(RequiredOnly(dest)),
+            Arc::new(RequiredOnly(scratch)),
+        );
+        let built = RStarTree::bulk_load_external_stats(
+            Arc::clone(&dest),
+            config,
+            Box::new(ProximityIndex),
+            &source,
+            &scratch,
+            &opts,
+        );
+        let (tree, report) = built.unwrap();
+        tree.store().0.sync().unwrap();
+        drop(tree);
+        (report, Arc::into_inner(scratch).unwrap().0)
+    } else {
+        let (dest, scratch) = (Arc::new(dest), Arc::new(scratch));
+        let built = RStarTree::bulk_load_external_stats(
+            Arc::clone(&dest),
+            config,
+            Box::new(ProximityIndex),
+            &source,
+            &scratch,
+            &opts,
+        );
+        let (tree, report) = built.unwrap();
+        tree.store().sync().unwrap();
+        drop(tree);
+        (report, Arc::into_inner(scratch).unwrap())
+    };
+    // Nothing outlives the build, and every page spilled came back once.
+    assert_eq!(scratch.pages_per_disk().iter().sum::<usize>(), 0, "{name}");
+    let io = scratch.stats();
+    let files = (0..DISKS)
+        .map(|d| format!("disk{d:04}.sqda"))
+        .chain(["meta.sqda".to_string()])
+        .map(|f| std::fs::read(dir.join(f)).unwrap())
+        .collect();
+    let scratch_calls = scratch.io_calls();
+    std::fs::remove_dir_all(&dir).unwrap();
+    FileBuild {
+        report,
+        files,
+        scratch_io: (io.writes, io.reads),
+        scratch_calls,
+    }
+}
+
+#[test]
+fn extent_io_builds_what_a_per_page_store_builds() {
+    // 2-d records are 48 bytes, 21 to a page with 16 bytes of pad, so an
+    // extent of 8 pages is 168 records: runs of 84 stop short of one
+    // extent, runs of 336 are exactly two, runs of 400 end mid-extent and
+    // mid-page. 4-d records are 64 bytes and fill the page with no pad.
+    for (name, dim, n, run_capacity) in [
+        ("short", 2, 3000, 84),
+        ("exact", 2, 3360, 336),
+        ("ragged", 2, 3000, 400),
+        ("nopad", 4, 4000, 256),
+    ] {
+        let pts = points_nd(n, dim);
+        let extents = file_build(name, &pts, dim, run_capacity, false);
+        let per_page = file_build(&format!("{name}-pp"), &pts, dim, run_capacity, true);
+        assert!(extents.report.runs > 3, "{name}: {:?}", extents.report);
+        assert!(
+            extents.report.merge_passes >= 2,
+            "{name}: {:?}",
+            extents.report
+        );
+        let spilled = extents.report.spilled_pages;
+        assert_eq!(extents.scratch_io, (spilled, spilled), "{name}");
+        // Same tree, same report, same page tallies; only the number of
+        // file calls under the scratch pages differs.
+        assert_eq!(per_page.scratch_calls, 2 * spilled, "{name}");
+        assert!(extents.scratch_calls < spilled, "{name}: {extents:?}");
+        assert_eq!(
+            FileBuild {
+                scratch_calls: per_page.scratch_calls,
+                ..extents
+            },
+            per_page,
+            "{name}"
+        );
+    }
+}
+
+/// Yields the first `fail_at` points, then fails with its own error.
+struct FailingSource<'a> {
+    points: &'a [(Point, u64)],
+    fail_at: usize,
+}
+
+#[derive(Debug)]
+struct RowError(usize);
+
+impl std::fmt::Display for RowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "input went away at row {}", self.0)
+    }
+}
+
+impl std::error::Error for RowError {}
+
+impl PointSource for FailingSource<'_> {
+    fn len(&self) -> u64 {
+        self.points.len() as u64
+    }
+    fn dim(&self) -> usize {
+        2
+    }
+    fn visit(
+        &self,
+        f: &mut dyn FnMut(&[f64], u64) -> Result<(), RStarError>,
+    ) -> Result<(), RStarError> {
+        for (p, id) in &self.points[..self.fail_at] {
+            f(p.coords(), *id)?;
+        }
+        Err(RStarError::Source(Box::new(RowError(self.fail_at))))
+    }
+}
+
+#[test]
+fn a_failing_source_surfaces_its_own_error() {
+    let pts = points();
+    // Mid-run, mid-spill, and on the curve orders' bounds pass.
+    for (order, fail_at) in [
+        (PackingOrder::Str, 100),
+        (PackingOrder::Str, 1700),
+        (PackingOrder::Hilbert, 1700),
+    ] {
+        let opts = ExternalBuildOptions {
+            run_capacity: 256,
+            order,
+            ..ExternalBuildOptions::default()
+        };
+        let source = FailingSource {
+            points: &pts,
+            fail_at,
+        };
+        let err = RStarTree::bulk_load_external(
+            store(42),
+            RStarConfig::with_page_size(2, PAGE),
+            Box::new(ProximityIndex),
+            &source,
+            &store(7),
+            &opts,
+        )
+        .err()
+        .expect("the build must fail");
+        assert_eq!(err.to_string(), format!("input went away at row {fail_at}"));
+        let RStarError::Source(inner) = err else {
+            panic!("{order:?}: not the source's error: {err:?}");
+        };
+        assert_eq!(inner.downcast_ref::<RowError>().map(|e| e.0), Some(fail_at));
+    }
+    // A source that merely stops early is still the builder's to report.
+    let short = SliceSource::new(&pts[..N - 1]);
+    struct Lying<'a>(SliceSource<'a>);
+    impl PointSource for Lying<'_> {
+        fn len(&self) -> u64 {
+            self.0.len() + 1
+        }
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn visit(
+            &self,
+            f: &mut dyn FnMut(&[f64], u64) -> Result<(), RStarError>,
+        ) -> Result<(), RStarError> {
+            self.0.visit(f)
+        }
+    }
+    let err = RStarTree::bulk_load_external(
+        store(42),
+        RStarConfig::with_page_size(2, PAGE),
+        Box::new(ProximityIndex),
+        &Lying(short),
+        &store(7),
+        &ExternalBuildOptions {
+            run_capacity: 256,
+            ..ExternalBuildOptions::default()
+        },
+    )
+    .err()
+    .expect("the build must fail");
+    assert!(
+        matches!(&err, RStarError::InvalidBuild(m) if m.contains("promised 3000")),
+        "{err}"
+    );
 }

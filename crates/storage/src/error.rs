@@ -25,6 +25,13 @@ pub enum StorageError {
     },
     /// A page was read before ever being written.
     UninitializedPage(PageId),
+    /// An extent's buffer is not one whole page per page id.
+    ExtentLength {
+        /// Pages in the extent.
+        pages: usize,
+        /// Bytes supplied.
+        len: usize,
+    },
     /// The page contents failed to decode (corrupt or wrong codec version).
     CorruptPage {
         /// The page that failed to decode.
@@ -60,6 +67,9 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::UninitializedPage(p) => {
                 write!(f, "page {p} was allocated but never written")
+            }
+            StorageError::ExtentLength { pages, len } => {
+                write!(f, "extent of {pages} whole pages given {len} bytes")
             }
             StorageError::CorruptPage { page, detail } => {
                 write!(f, "page {page} is corrupt: {detail}")

@@ -28,7 +28,7 @@
 //! [`crate::ThreadedFileBackend`] decides, per read, whether a hand-off
 //! to a disk worker can buy anything.
 
-use crate::store::Counters;
+use crate::store::{check_extent, Counters};
 use crate::{DiskId, IoStats, PageId, PageStore, Placement, Result, StorageError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::RwLock;
@@ -37,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const META_MAGIC: &[u8; 4] = b"SQDA";
 const META_VERSION: u8 = 1;
@@ -179,6 +179,24 @@ struct Meta {
     rng: StdRng,
 }
 
+impl Meta {
+    /// The `(disk, slot)` of every page of an extent, under the caller's
+    /// one lock; `written` also requires each to have been written.
+    fn locate_extent(&self, pages: &[PageId], written: bool) -> Result<Vec<(usize, u64)>> {
+        let locate = |&page: &PageId| {
+            let info = self.slots.get(page.as_raw() as usize);
+            let info = info
+                .and_then(|s| s.as_ref())
+                .ok_or(StorageError::PageNotFound(page))?;
+            if written && info.len == NEVER_WRITTEN {
+                return Err(StorageError::UninitializedPage(page));
+            }
+            Ok((info.placement.disk.index(), info.slot))
+        };
+        pages.iter().map(locate).collect()
+    }
+}
+
 /// A persistent page store over one file per disk, with positional
 /// (`pread`-style) I/O so concurrent readers never contend on a lock.
 pub struct FileStore {
@@ -191,6 +209,9 @@ pub struct FileStore {
     files: Vec<File>,
     meta: RwLock<Meta>,
     counters: Counters,
+    /// Page transfers that shared a neighbour's positional call (see
+    /// [`FileStore::io_calls`]).
+    coalesced: AtomicU64,
     /// Cleared the first time the platform or the filesystem refuses a
     /// non-blocking read outright, so that costs one failed syscall per
     /// store, not one per read.
@@ -296,6 +317,7 @@ impl FileStore {
                 rng: StdRng::seed_from_u64(seed),
             }),
             counters: Counters::new(num_disks),
+            coalesced: AtomicU64::new(0),
             nowait: AtomicBool::new(true),
         };
         store.sync()?;
@@ -422,6 +444,7 @@ impl FileStore {
                 rng: StdRng::seed_from_u64(rng_seed),
             }),
             counters: Counters::new(num_disks),
+            coalesced: AtomicU64::new(0),
             nowait: AtomicBool::new(true),
         })
     }
@@ -533,6 +556,57 @@ impl FileStore {
         self.nowait.load(Ordering::Relaxed)
     }
 
+    /// Positional file calls (`pread`/`pwrite`) behind the page reads and
+    /// writes tallied since the last [`PageStore::reset_stats`]: one per
+    /// page, less the pages of an extent that rode in a neighbour's call.
+    /// Exact and repeatable for a fixed sequence of operations.
+    pub fn io_calls(&self) -> u64 {
+        let io = self.stats();
+        io.reads + io.writes - self.coalesced.load(Ordering::Relaxed)
+    }
+
+    /// Lays down one whole, already padded slot per page from `slots`,
+    /// recording `len` as each page's stored length: all of the pages are
+    /// marked written, or on error none is.
+    fn write_slots(&self, pages: &[PageId], slots: &[u8], len: u32) -> Result<()> {
+        let mut meta = self.meta.write();
+        let at = meta.locate_extent(pages, false)?;
+        for &page in pages {
+            let info = meta.slots[page.as_raw() as usize].as_mut();
+            info.expect("located above").len = len;
+        }
+        drop(meta);
+        self.for_each_run(pages, &at, Counters::tally_write, |file, bytes, offset| {
+            write_all_at(file, &slots[bytes], offset)
+        })
+    }
+
+    /// Moves an extent located at `at`: one `io(file, byte range of the
+    /// extent buffer, file offset)` per maximal run of pages in consecutive
+    /// slots of one disk, each page tallied, and what the runs saved over
+    /// one call per page counted for [`FileStore::io_calls`].
+    fn for_each_run(
+        &self,
+        pages: &[PageId],
+        at: &[(usize, u64)],
+        tally: fn(&Counters, usize),
+        mut io: impl FnMut(&File, std::ops::Range<usize>, u64) -> std::io::Result<()>,
+    ) -> Result<()> {
+        let ps = self.page_size;
+        let mut i = 0;
+        while i < at.len() {
+            let (disk, slot) = at[i];
+            let neighbours = at[i..].iter().zip(slot..);
+            let run = neighbours.take_while(|&(&a, s)| a == (disk, s)).count();
+            io(&self.files[disk], i * ps..(i + run) * ps, slot * ps as u64)
+                .map_err(|e| Self::io_err(e, pages[i]))?;
+            (0..run).for_each(|_| tally(&self.counters, disk));
+            self.coalesced.fetch_add(run as u64 - 1, Ordering::Relaxed);
+            i += run;
+        }
+        Ok(())
+    }
+
     /// Flushes every disk file and asks the OS to drop its cached pages
     /// (`posix_fadvise(DONTNEED)`), so the next reads come from the
     /// device — what an honest cold measurement needs. Advisory: a
@@ -595,26 +669,11 @@ impl PageStore for FileStore {
                 page_size: self.page_size,
             });
         }
-        let (disk, offset) = {
-            let mut meta = self.meta.write();
-            let info = meta
-                .slots
-                .get_mut(page.as_raw() as usize)
-                .and_then(|s| s.as_mut())
-                .ok_or(StorageError::PageNotFound(page))?;
-            info.len = data.len() as u32;
-            (
-                info.placement.disk.index(),
-                info.slot * self.page_size as u64,
-            )
-        };
         // One write of the whole slot, payload then zeros: slots never
         // overlap and a shorter rewrite leaves no stale tail behind.
         let mut slot = vec![0u8; self.page_size];
         slot[..data.len()].copy_from_slice(&data);
-        write_all_at(&self.files[disk], &slot, offset).map_err(|e| Self::io_err(e, page))?;
-        self.counters.tally_write(disk);
-        Ok(())
+        self.write_slots(&[page], &slot, data.len() as u32)
     }
 
     fn read(&self, page: PageId) -> Result<Bytes> {
@@ -657,10 +716,27 @@ impl PageStore for FileStore {
 
     fn reset_stats(&self) {
         self.counters.reset();
+        self.coalesced.store(0, Ordering::Relaxed);
     }
 
     fn pages_per_disk(&self) -> Vec<usize> {
         self.meta.read().live.clone()
+    }
+
+    fn write_pages(&self, pages: &[PageId], data: &[u8]) -> Result<()> {
+        check_extent(pages, data, self.page_size)?;
+        self.write_slots(pages, data, self.page_size as u32)
+    }
+
+    fn read_pages(&self, pages: &[PageId], out: &mut Vec<u8>) -> Result<()> {
+        let ps = self.page_size;
+        let at = self.meta.read().locate_extent(pages, true)?;
+        out.clear();
+        out.resize(pages.len() * ps, 0);
+        // Whole slots: `write` zero-pads each to the page size on disk.
+        self.for_each_run(pages, &at, Counters::tally_read, |file, bytes, offset| {
+            read_exact_at(file, &mut out[bytes], offset)
+        })
     }
 }
 
@@ -872,6 +948,230 @@ mod tests {
         s.write(p, Bytes::from_static(b"z")).unwrap();
         assert_eq!((len("disk0000.sqda"), len("disk0001.sqda")), (192, 256));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Forwards the required methods only, so the extent methods are the
+    /// trait's per-page loops: the reference `FileStore`'s own are held to.
+    struct PerPage(FileStore);
+
+    impl PageStore for PerPage {
+        fn num_disks(&self) -> u32 {
+            self.0.num_disks()
+        }
+        fn num_cylinders(&self) -> u32 {
+            self.0.num_cylinders()
+        }
+        fn page_size(&self) -> usize {
+            self.0.page_size()
+        }
+        fn allocate(&self, disk: DiskId) -> Result<PageId> {
+            self.0.allocate(disk)
+        }
+        fn write(&self, page: PageId, data: Bytes) -> Result<()> {
+            self.0.write(page, data)
+        }
+        fn read(&self, page: PageId) -> Result<Bytes> {
+            self.0.read(page)
+        }
+        fn free(&self, page: PageId) -> Result<()> {
+            self.0.free(page)
+        }
+        fn placement(&self, page: PageId) -> Result<Placement> {
+            self.0.placement(page)
+        }
+        fn stats(&self) -> IoStats {
+            self.0.stats()
+        }
+        fn reset_stats(&self) {
+            self.0.reset_stats()
+        }
+    }
+
+    /// `n` pages of recognisable bytes, page `i` filled with `tag + i`.
+    fn extent_bytes(n: usize, page_size: usize, tag: u8) -> Vec<u8> {
+        (0..n * page_size)
+            .map(|b| tag.wrapping_add((b / page_size) as u8))
+            .collect()
+    }
+
+    /// Writes then reads `pages` as one extent on both stores; both must
+    /// return the same bytes and agree on `IoStats`.
+    fn roundtrip_both(ext: &FileStore, per_page: &PerPage, pages: &[PageId], tag: u8) {
+        let data = extent_bytes(pages.len(), ext.page_size(), tag);
+        let (mut a, mut b) = (Vec::new(), vec![9u8; 3]);
+        for (store, out) in [(ext as &dyn PageStore, &mut a), (per_page, &mut b)] {
+            store.write_pages(pages, &data).unwrap();
+            store.read_pages(pages, out).unwrap();
+        }
+        assert_eq!(a, data);
+        assert_eq!(b, data);
+        assert_eq!(ext.stats(), per_page.stats());
+    }
+
+    #[test]
+    fn extent_io_matches_the_per_page_loops() {
+        let (dir_a, dir_b) = (tmpdir("extent-a"), tmpdir("extent-b"));
+        let ext = FileStore::create(&dir_a, 3, 10, 32, 5).unwrap();
+        let per_page = PerPage(FileStore::create(&dir_b, 3, 10, 32, 5).unwrap());
+        let alloc = |disk: u32, n: usize| -> Vec<PageId> {
+            (0..n)
+                .map(|_| {
+                    let page = ext.allocate(DiskId(disk)).unwrap();
+                    assert_eq!(per_page.allocate(DiskId(disk)).unwrap(), page);
+                    page
+                })
+                .collect()
+        };
+        let free = |pages: &mut dyn Iterator<Item = &PageId>| {
+            for &page in pages {
+                ext.free(page).unwrap();
+                per_page.free(page).unwrap();
+            }
+        };
+        let calls = |f: &dyn Fn()| {
+            let before = ext.io_calls();
+            f();
+            ext.io_calls() - before
+        };
+
+        // Fresh consecutive slots on one disk: one call each way, where
+        // the per-page store makes sixteen.
+        let fresh = alloc(0, 8);
+        assert_eq!(calls(&|| roundtrip_both(&ext, &per_page, &fresh, 1)), 2);
+        assert_eq!(per_page.0.io_calls(), 16);
+        assert_eq!(ext.stats().writes_per_disk, vec![8, 0, 0]);
+
+        // A single page.
+        assert_eq!(
+            calls(&|| roundtrip_both(&ext, &per_page, &fresh[3..4], 40)),
+            2
+        );
+
+        // Pages spread over several disks: a run per change of disk.
+        let spread: Vec<PageId> = (0..6).flat_map(|i| alloc(i % 3, 1)).collect();
+        assert_eq!(calls(&|| roundtrip_both(&ext, &per_page, &spread, 60)), 12);
+        // Two disks' neighbours in one list: two runs.
+        let two: Vec<PageId> = [alloc(1, 3), alloc(2, 3)].concat();
+        assert_eq!(calls(&|| roundtrip_both(&ext, &per_page, &two, 80)), 4);
+
+        // Recycled slots come back last-freed-first: an extent freed last
+        // page first is handed out ascending, one run again; freed in page
+        // order it comes back descending, no two neighbours in a row.
+        free(&mut fresh.iter().rev());
+        let ascending = alloc(0, 8);
+        assert_eq!(
+            calls(&|| roundtrip_both(&ext, &per_page, &ascending, 100)),
+            2
+        );
+        free(&mut ascending.iter());
+        let descending = alloc(0, 8);
+        assert_eq!(
+            calls(&|| roundtrip_both(&ext, &per_page, &descending, 120)),
+            16
+        );
+        // Fragmented: slots 7, 5, 3, 1 freed, so six pages take 1, 3, 5, 7
+        // and the fresh 10, 11 (`spread` holds 8 and 9) — four lone pages
+        // and a run of two.
+        free(&mut descending.iter().step_by(2));
+        let fragmented = alloc(0, 6);
+        assert_eq!(
+            calls(&|| roundtrip_both(&ext, &per_page, &fragmented, 140)),
+            10
+        );
+
+        // A short page laid down by `write` reads back zero-padded.
+        let short = alloc(1, 2);
+        for store in [&ext as &dyn PageStore, &per_page] {
+            store.write(short[0], Bytes::from_static(b"short")).unwrap();
+            store.write(short[1], Bytes::from(vec![7u8; 32])).unwrap();
+            let mut out = Vec::new();
+            store.read_pages(&short, &mut out).unwrap();
+            let mut want = vec![0u8; 64];
+            want[..5].copy_from_slice(b"short");
+            want[32..].fill(7);
+            assert_eq!(out, want);
+        }
+        assert_eq!(ext.stats(), per_page.stats());
+
+        // The same typed errors.
+        let blank = alloc(2, 2);
+        let unknown = PageId::from_raw(9_999);
+        let data = extent_bytes(2, 32, 0);
+        for store in [&ext as &dyn PageStore, &per_page] {
+            let mut out = Vec::new();
+            assert_eq!(
+                store.read_pages(&[fresh[0], unknown], &mut out),
+                Err(StorageError::PageNotFound(unknown))
+            );
+            assert_eq!(
+                store.read_pages(&[short[0], blank[0]], &mut out),
+                Err(StorageError::UninitializedPage(blank[0]))
+            );
+            assert_eq!(
+                store.write_pages(&[unknown, blank[1]], &data),
+                Err(StorageError::PageNotFound(unknown))
+            );
+            for len in [0, 33, 63, 65] {
+                assert_eq!(
+                    store.write_pages(&blank, &data.repeat(2)[..len]),
+                    Err(StorageError::ExtentLength { pages: 2, len })
+                );
+            }
+            store.write_pages(&[], &[]).unwrap();
+            store.read_pages(&[], &mut out).unwrap();
+            assert!(out.is_empty());
+        }
+        // Where the loop would have written the pages before the bad one,
+        // the extent write touches nothing.
+        assert_eq!(
+            ext.write_pages(&[blank[1], unknown], &data),
+            Err(StorageError::PageNotFound(unknown))
+        );
+        assert_eq!(
+            ext.read(blank[1]),
+            Err(StorageError::UninitializedPage(blank[1]))
+        );
+
+        // Byte for byte the same files.
+        for d in 0..3 {
+            let name = format!("disk{d:04}.sqda");
+            assert_eq!(
+                std::fs::read(dir_a.join(&name)).unwrap(),
+                std::fs::read(dir_b.join(&name)).unwrap(),
+                "{name}"
+            );
+        }
+        ext.reset_stats();
+        assert_eq!(ext.io_calls(), 0);
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    #[test]
+    fn array_store_moves_extents_through_the_default_loops() {
+        let s = crate::ArrayStore::with_page_size(2, 10, 16, 3);
+        let pages: Vec<PageId> = (0..4).map(|i| s.allocate(DiskId(i % 2)).unwrap()).collect();
+        let data = extent_bytes(4, 16, 200);
+        s.write_pages(&pages, &data).unwrap();
+        let mut out = vec![1u8; 5];
+        s.read_pages(&pages, &mut out).unwrap();
+        assert_eq!(out, data);
+        let st = s.stats();
+        assert_eq!((st.writes, st.reads), (4, 4));
+        assert_eq!(st.reads_per_disk, vec![2, 2]);
+        // A page written short is padded; errors are the per-page ones.
+        s.write(pages[1], Bytes::from_static(b"ab")).unwrap();
+        s.read_pages(&pages[1..2], &mut out).unwrap();
+        assert_eq!(out, [b"ab".as_slice(), &[0u8; 14]].concat());
+        let blank = s.allocate(DiskId(0)).unwrap();
+        assert_eq!(
+            s.read_pages(&[pages[0], blank], &mut out),
+            Err(StorageError::UninitializedPage(blank))
+        );
+        assert_eq!(
+            s.write_pages(&pages, &data[1..]),
+            Err(StorageError::ExtentLength { pages: 4, len: 63 })
+        );
     }
 
     #[test]

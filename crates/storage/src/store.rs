@@ -123,6 +123,44 @@ pub trait PageStore: Send + Sync {
     fn pages_per_disk(&self) -> Vec<usize> {
         vec![0; self.num_disks() as usize]
     }
+
+    /// Writes an *extent*: `data` holds one whole page per entry of
+    /// `pages`, page `i` at `i × page_size`. Counts as `pages.len()`
+    /// writes. The default is a loop over [`write`](Self::write); a store
+    /// that can move neighbouring pages in one transfer overrides it. On
+    /// error, which of the pages were written is unspecified.
+    fn write_pages(&self, pages: &[PageId], data: &[u8]) -> Result<()> {
+        let page_size = self.page_size();
+        check_extent(pages, data, page_size)?;
+        for (&page, chunk) in pages.iter().zip(data.chunks_exact(page_size)) {
+            self.write(page, Bytes::copy_from_slice(chunk))?;
+        }
+        Ok(())
+    }
+
+    /// Reads an extent into `out`, resized to `pages.len() × page_size`:
+    /// page `i` at `i × page_size`, a page written short padded with
+    /// zeros. Counts as `pages.len()` reads.
+    fn read_pages(&self, pages: &[PageId], out: &mut Vec<u8>) -> Result<()> {
+        let page_size = self.page_size();
+        out.clear();
+        out.resize(pages.len() * page_size, 0);
+        for (&page, slot) in pages.iter().zip(out.chunks_exact_mut(page_size)) {
+            let data = self.read(page)?;
+            slot[..data.len()].copy_from_slice(&data);
+        }
+        Ok(())
+    }
+}
+
+/// An extent buffer must hold exactly one page per page id.
+pub(crate) fn check_extent(pages: &[PageId], data: &[u8], page_size: usize) -> Result<()> {
+    let (pages, len) = (pages.len(), data.len());
+    if len == pages * page_size {
+        Ok(())
+    } else {
+        Err(StorageError::ExtentLength { pages, len })
+    }
 }
 
 struct Slot {
