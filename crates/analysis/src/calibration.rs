@@ -27,6 +27,7 @@ use crate::DiskServiceModel;
 use sqda_obs::json::{self, ObjWriter, Value};
 use sqda_obs::Event;
 use sqda_simkernel::SystemParams;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version pinned into `calibration.json` so readers can reject files
@@ -206,19 +207,39 @@ impl DeviceCalibration {
         store_dir.join("calibration.json")
     }
 
-    /// Writes `calibration.json` (trailing newline, overwriting).
+    /// Writes `calibration.json` (trailing newline, overwriting) the way
+    /// the store's superblock is written: to `<path>.tmp`, synced, then
+    /// renamed over `path`. A crash leaves the old file or the new one,
+    /// never a torn one.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json() + "\n")
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all((self.to_json() + "\n").as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(tmp, path)?;
+        // The rename is an entry in the directory: make that durable too.
+        #[cfg(unix)]
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::File::open(dir)?.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Reads and parses a calibration file.
     ///
     /// # Errors
     ///
-    /// Returns a message when the file is unreadable or malformed.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(text.trim_end())
+    /// The read's own error when the file cannot be read, and
+    /// [`ErrorKind::InvalidData`](std::io::ErrorKind::InvalidData) when
+    /// it is not a calibration this version reads — a truncated file
+    /// included. The message names the file.
+    pub fn load(path: &Path) -> std::io::Result<Self> {
+        let named = |kind, detail: &dyn std::fmt::Display| {
+            std::io::Error::new(kind, format!("{}: {detail}", path.display()))
+        };
+        let text = std::fs::read_to_string(path).map_err(|e| named(e.kind(), &e))?;
+        Self::from_json(text.trim_end()).map_err(|e| named(std::io::ErrorKind::InvalidData, &e))
     }
 }
 
@@ -339,6 +360,60 @@ mod tests {
         cal.save(&path).unwrap();
         assert_eq!(DeviceCalibration::load(&path).unwrap(), cal);
         std::fs::remove_dir_all(&dir).ok();
-        assert!(DeviceCalibration::load(&path).is_err());
+        let gone = DeviceCalibration::load(&path).unwrap_err();
+        assert_eq!(gone.kind(), std::io::ErrorKind::NotFound);
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sqda-cal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn fitted(samples: u64) -> DeviceCalibration {
+        DeviceCalibration {
+            samples,
+            mean_seek_s: 0.004,
+            mean_rotation_s: 0.007,
+            fixed_s: 0.002,
+            source: "live".to_string(),
+        }
+    }
+
+    #[test]
+    fn save_over_an_existing_file_replaces_it_and_leaves_no_temp() {
+        let dir = scratch_dir("replace");
+        let path = DeviceCalibration::path_for(&dir);
+        fitted(1).save(&path).unwrap();
+        fitted(2).save(&path).unwrap();
+        assert_eq!(DeviceCalibration::load(&path).unwrap(), fitted(2));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["calibration.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_file_is_a_typed_load_error() {
+        let dir = scratch_dir("truncated");
+        let path = DeviceCalibration::path_for(&dir);
+        fitted(3).save(&path).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        // Every proper prefix short of the closing brace: what a torn
+        // plain write could have left behind.
+        let body = whole.len() - "}\n".len();
+        for cut in 0..body {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            match DeviceCalibration::load(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    assert!(e.to_string().starts_with(&path.display().to_string()));
+                }
+                other => panic!("{cut} of {} bytes: {other:?}", whole.len()),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

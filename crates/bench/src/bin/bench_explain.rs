@@ -4,12 +4,13 @@
 //! model), swept over k, plus a replayed device calibration fitted from
 //! a recorded simulated run of the same tree.
 //!
-//! The node-access residuals are deterministic (the engine performs the
-//! same logical work as the executor, pinned by the backend-parity
-//! test), so `mean_observed_accesses` and `mean_abs_residual_accesses`
-//! are regression-gated: a drift between model and implementation fails
-//! CI. Wall-clock latencies depend on the host and stay
-//! `Direction::Info`.
+//! The node-access residuals are deterministic: the store is read back
+//! moments after it was written, so the OS serves every read from memory,
+//! and the engine's CRSS then does the logical executor's work at one
+//! branch per round (pinned by the backend-parity test). So
+//! `mean_observed_accesses` and `mean_abs_residual_accesses` are
+//! regression-gated: a drift between model and implementation fails CI.
+//! Wall-clock latencies depend on the host and stay `Direction::Info`.
 //!
 //! Emits `bench_explain.csv` plus `BENCH_explain.json` under `--out`
 //! (default `results/`).

@@ -21,6 +21,9 @@
 //!   `QUERY` calls) over a 100 000-point STR-packed tree that is entirely
 //!   in the decoded-node cache: wall time, and what it asks of the
 //!   allocator (counted by this bin's `#[global_allocator]`; exact);
+//! * `crss_hot_nodes_per_query`, `crss_hot_rounds_per_query` — that
+//!   query's nodes and fetch rounds (exact). Every read is free, so CRSS
+//!   takes one branch per round and the two are equal;
 //! * `telemetry_ns` — what the live telemetry plane charges: per
 //!   `observe_query` fold, per histogram observe under seven writer
 //!   threads, per flight-ring push, and per Prometheus render of a plane
@@ -394,18 +397,20 @@ fn main() {
         })
         .collect();
     let serve_all = || {
-        let mut nodes = 0.0;
+        let (mut nodes, mut rounds) = (0.0, 0.0);
         for w in &served_queries {
             let report = engine.run(AlgorithmKind::Crss, w, 1).expect("hot query");
             assert_eq!((report.failed, report.answers[0].len()), (0, K));
             nodes += report.mean_nodes_per_query;
+            rounds += report.mean_batches_per_query;
         }
-        nodes / served_queries.len() as f64
+        let n = served_queries.len() as f64;
+        (nodes / n, rounds / n)
     };
     serve_all();
     serve_all();
     let counted_from = (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
-    let crss_nodes_per_query = serve_all();
+    let (crss_nodes_per_query, crss_rounds_per_query) = serve_all();
     let per_query = |total: u64| total as f64 / served_queries.len() as f64;
     let allocs_per_query = per_query(ALLOCS.load(Relaxed) - counted_from.0);
     let bytes_per_query = per_query(ALLOC_BYTES.load(Relaxed) - counted_from.1);
@@ -429,8 +434,9 @@ fn main() {
         batch_report.sharing_factor()
     );
     println!(
-        "  crss_hot_query_ns          {crss_hot_query_ns:.1} ({crss_nodes_per_query:.2} nodes, \
-         {allocs_per_query:.2} allocations, {bytes_per_query:.1} bytes per query)"
+        "  crss_hot_query_ns          {crss_hot_query_ns:.1} ({crss_nodes_per_query:.2} nodes in \
+         {crss_rounds_per_query:.2} rounds, {allocs_per_query:.2} allocations, \
+         {bytes_per_query:.1} bytes per query)"
     );
     for (op, samples) in &telemetry {
         println!("  telemetry_ns {op:<29} {:.1}", median(samples.clone()));
@@ -489,6 +495,7 @@ fn main() {
          \"batch_knn_rounds\": {},\n  \
          \"crss_hot_query_ns\": {crss_hot_query_ns:.1},\n  \
          \"crss_hot_nodes_per_query\": {crss_nodes_per_query:.2},\n  \
+         \"crss_hot_rounds_per_query\": {crss_rounds_per_query:.2},\n  \
          \"allocs_per_query\": {allocs_per_query:.2},\n  \
          \"bytes_per_query\": {bytes_per_query:.1},\n  \
          \"telemetry_ns\": {{{telemetry_block}}}\n}}\n",
@@ -578,6 +585,7 @@ fn main() {
         ("allocs_per_query", allocs_per_query),
         ("bytes_per_query", bytes_per_query),
         ("crss_hot_nodes_per_query", crss_nodes_per_query),
+        ("crss_hot_rounds_per_query", crss_rounds_per_query),
     ] {
         let summary = MetricSummary::from_samples(&[exact]);
         report.metric_dir(name, &[], summary, Direction::Lower);

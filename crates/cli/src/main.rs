@@ -84,7 +84,8 @@ COMMANDS:
      EXPLAIN <x,y,...> <k> [algo] -> one-line JSON introspection record
      PING -> PONG   STATS -> counters   QUIT / SHUTDOWN -> BYE
      METRICS -> Prometheus text exposition, read until the '# EOF' line
-     DUMP-TRACE <file> -> write the flight-recorder ring as a trace file)
+     DUMP-TRACE <name> -> write the flight-recorder ring as the trace
+                          file <store>/trace/<name> (a bare file name))
   (--flight-cap arms a bounded in-memory ring of engine events for
    DUMP-TRACE; --slow-query-ms / --slow-query-log append a JSONL
    breakdown per query at or over the threshold; --trace implies a

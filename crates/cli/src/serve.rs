@@ -67,8 +67,9 @@
 //! <- # HELP sqda_queries_started_total ...
 //!    ...
 //!    # EOF
-//! -> DUMP-TRACE <path>   (write the flight-recorder ring as a trace file)
-//! <- OK trace events=<n> path=<path>
+//! -> DUMP-TRACE <name>   (write the flight-recorder ring as a trace file
+//!                         <store>/trace/<name>; a bare file name only)
+//! <- OK trace events=<n> path=<store>/trace/<name>
 //! -> QUIT          (close this connection)
 //! <- BYE
 //! -> SHUTDOWN      (stop the whole server)
@@ -94,7 +95,7 @@
 //! breakdown line for every query at or over the threshold.
 
 use crate::args::{parse_query_point, Args};
-use crate::commands::{algo_by_name, open_tree};
+use crate::commands::{algo_by_name, calibrated_params, open_tree};
 use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfile};
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::Point;
@@ -106,6 +107,7 @@ use sqda_storage::{
 };
 use std::collections::HashMap;
 use std::error::Error;
+use std::ffi::OsStr;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -243,29 +245,15 @@ pub fn serve(args: &Args) -> CmdResult {
     // `calibration.json` beside the store (disable with --uncalibrated).
     let base_params = SystemParams::with_disks(tree.store().num_disks());
     let calibration_path = DeviceCalibration::path_for(Path::new(&store_dir));
-    let calibration = if uncalibrated || !calibration_path.exists() {
-        None
-    } else {
-        match DeviceCalibration::load(&calibration_path) {
-            Ok(cal) => {
-                println!(
-                    "calibration: {} ({} samples, {})",
-                    calibration_path.display(),
-                    cal.samples,
-                    cal.source
-                );
-                Some(cal)
-            }
-            Err(e) => {
-                eprintln!("warning: ignoring calibration: {e}");
-                None
-            }
-        }
-    };
-    let params = calibration
-        .as_ref()
-        .map(|cal| cal.apply(&base_params))
-        .unwrap_or_else(|| base_params.clone());
+    let (params, calibration) = calibrated_params(&store_dir, tree.store().num_disks(), args);
+    if let Some(cal) = &calibration {
+        println!(
+            "calibration: {} ({} samples, {})",
+            calibration_path.display(),
+            cal.samples,
+            cal.source
+        );
+    }
     let explain = ExplainContext::measure(&tree, params, calibration.is_some());
 
     let listener = TcpListener::bind(("127.0.0.1", port))?;
@@ -523,6 +511,16 @@ fn no_more<'a>(mut words: impl Iterator<Item = &'a str>) -> Result<(), String> {
     }
 }
 
+/// `name` if it is a bare file name: no `/`, not `.` or `..`, not empty,
+/// no NUL. `DUMP-TRACE` writes under `<store>/trace/`, and a client names
+/// a file there, not a place.
+fn bare_file_name(name: &str) -> Result<&str, String> {
+    if name.contains('\0') || Path::new(name).file_name() != Some(OsStr::new(name)) {
+        return Err(format!("DUMP-TRACE takes a bare file name, not {name:?}"));
+    }
+    Ok(name)
+}
+
 /// Appends `answers` as `<id>:<dist>` items with `sep` between them.
 fn write_neighbors(out: &mut String, answers: &[Neighbor], sep: char) {
     for (i, n) in answers.iter().enumerate() {
@@ -622,16 +620,21 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             out.push_str(live.prometheus(Some(&io), inline_reads).trim_end());
         }
         Some("DUMP-TRACE") => {
-            let path = words.next().ok_or("usage: DUMP-TRACE <path>")?;
+            let name = words.next().ok_or("usage: DUMP-TRACE <file name>")?;
             no_more(words)?;
+            let dir = engine.access_method().store().dir().join("trace");
+            let path = dir.join(bare_file_name(name)?);
             let live = engine.telemetry().ok_or("telemetry disabled")?;
             let flight = live
                 .flight()
                 .ok_or("flight recorder disabled (serve --flight-cap <n>)")?;
             let events = flight.drain();
-            let doc = trace_document(Path::new(path), &events, live.num_disks(), 1);
-            std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = write!(out, "OK trace events={} path={path}", events.len());
+            let doc = trace_document(&path, &events, live.num_disks(), 1);
+            let shown = path.display();
+            std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(&path, doc))
+                .map_err(|e| format!("cannot write {shown}: {e}"))?;
+            let _ = write!(out, "OK trace events={} path={shown}", events.len());
         }
         Some("QUERY") => {
             let mut req = parse_knn(words, "QUERY <x,y,...> <k> [algo]", false, dim)?;
@@ -948,7 +951,7 @@ mod tests {
     #[test]
     fn metrics_trace_and_slow_log_over_loopback() {
         let dir = build_store("metrics");
-        let trace_path = dir.join("flight.json");
+        let trace_path = dir.join("trace").join("flight.json");
         let slow_path = dir.join("slow.jsonl");
         let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -994,14 +997,13 @@ mod tests {
             // The connection survives a multi-line reply.
             assert_eq!(request_line(&mut a, &mut ra, "PING"), "PONG");
 
-            // DUMP-TRACE writes a Perfetto document from the flight ring.
-            let reply = request_line(
-                &mut a,
-                &mut ra,
-                &format!("DUMP-TRACE {}", trace_path.display()),
-            );
+            // DUMP-TRACE writes a Perfetto document from the flight ring,
+            // under the store's trace directory.
+            let reply = request_line(&mut a, &mut ra, "DUMP-TRACE flight.json");
             assert!(reply.starts_with("OK trace events="), "{reply}");
             assert!(!reply.starts_with("OK trace events=0 "), "{reply}");
+            let shown = format!(" path={}", trace_path.display());
+            assert!(reply.ends_with(&shown), "{reply}");
 
             assert_eq!(request_line(&mut a, &mut ra, "SHUTDOWN"), "BYE");
             server.join().unwrap().unwrap();
@@ -1234,6 +1236,64 @@ mod tests {
             assert!(0 < found && found < MAX_K, "{found}");
             assert_eq!(ask("QUERY 1e150,-1e150 2").split(' ').nth(1), Some("2"));
         });
+    }
+
+    #[test]
+    fn dump_trace_writes_only_under_the_store() {
+        let dir = build_store("trace-names");
+        let outside = dir.parent().unwrap().join("sqda-serve-escaped.json");
+        let _ = std::fs::remove_file(&outside);
+        let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()).with_flight_recorder(64));
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                run_server(
+                    &tree,
+                    BackendKind::File,
+                    listener,
+                    live.clone(),
+                    test_context(&tree),
+                )
+            });
+            let (mut c, mut rc) = connect(addr);
+            let escape = format!("DUMP-TRACE {}", outside.display());
+            for request in [
+                escape.as_str(),
+                "DUMP-TRACE ../sqda-serve-escaped.json",
+                "DUMP-TRACE ..",
+                "DUMP-TRACE .",
+                "DUMP-TRACE trace/x.json",
+                "DUMP-TRACE x.json/",
+                "DUMP-TRACE x\0.json",
+            ] {
+                let reply = request_line(&mut c, &mut rc, request);
+                assert!(reply.starts_with("ERR "), "{request:?}: {reply}");
+            }
+            let usage = request_line(&mut c, &mut rc, "DUMP-TRACE");
+            assert!(usage.starts_with("ERR usage: "), "{usage}");
+            // A bare name still works, and the reply gives the full path.
+            let reply = request_line(&mut c, &mut rc, "DUMP-TRACE ok.json");
+            let want = dir.join("trace").join("ok.json");
+            assert!(
+                reply.ends_with(&format!(" path={}", want.display())),
+                "{reply}"
+            );
+            assert_eq!(request_line(&mut c, &mut rc, "SHUTDOWN"), "BYE");
+            server.join().unwrap().unwrap();
+        });
+        assert!(
+            !outside.exists(),
+            "a refused name wrote {}",
+            outside.display()
+        );
+        let written: Vec<_> = std::fs::read_dir(dir.join("trace"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(written, ["ok.json"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -70,6 +70,17 @@ pub trait SimilaritySearch {
     /// The algorithm's display name.
     fn name(&self) -> &'static str;
 
+    /// How many pages the executor's next round can read in parallel, as
+    /// the round just read showed it: the array's disk count when that
+    /// round waited on a disk, 1 when memory served it and a wider round
+    /// would cost CPU without overlapping anything. Called before
+    /// [`SimilaritySearch::on_fetched`] builds the next fetch list; it
+    /// holds until called again, and an executor that never calls it
+    /// leaves the algorithm as constructed. Only CRSS, whose activation
+    /// list exists to buy parallelism, listens (the default ignores it),
+    /// and answers never depend on it.
+    fn set_width(&mut self, _width: usize) {}
+
     /// Internal telemetry after the last processed batch, for tracing.
     /// Queried only when recording is enabled; `None` (the default)
     /// means the algorithm has nothing distinctive to report.

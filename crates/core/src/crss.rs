@@ -18,7 +18,11 @@
 //!   run.
 //! * The activation list is bounded: at least enough branches to
 //!   guarantee `k` objects (`l`), at most one page per disk (`u`), so
-//!   parallelism is exploited without flooding the array.
+//!   parallelism is exploited without flooding the array. An executor
+//!   can narrow it per round ([`SimilaritySearch::set_width`]): the real
+//!   engine does when a round's pages came from memory, where parallel
+//!   reads overlap nothing. The simulator models every read as a disk
+//!   access and never narrows.
 //!
 //! Operating modes (per the paper's pseudo-code): ADAPTIVE from the root
 //! until the leaf level is first reached (threshold adapts per level),
@@ -53,6 +57,9 @@ pub struct Crss {
     k: usize,
     /// Activation upper bound `u` = number of disks in the array.
     u: usize,
+    /// The executor's last word on how many pages a round can read in
+    /// parallel; activation lists hold at most `min(width, u)`.
+    width: usize,
     root: PageId,
     /// Current squared threshold distance `D_th²` (only ever shrinks).
     d_th_sq: f64,
@@ -103,6 +110,7 @@ impl Crss {
             query,
             k,
             u,
+            width: u,
             root: am.root_page(),
             d_th_sq: f64::INFINITY,
             mode: Mode::Adaptive,
@@ -130,8 +138,8 @@ impl Crss {
     /// the activated ones become the next fetch list, the saved ones stay
     /// as the stack's top run. Returns the number of survivors.
     fn reduce(&mut self, base: usize) -> usize {
-        let s = &mut self.s;
-        let survivors = reduce_candidates(&mut s.cands, base, self.d_th_sq, self.u, &mut s.pages);
+        let (s, u) = (&mut self.s, self.u.min(self.width));
+        let survivors = reduce_candidates(&mut s.cands, base, self.d_th_sq, u, &mut s.pages);
         if s.cands.len() > base {
             s.runs.push(base);
         }
@@ -218,6 +226,10 @@ impl SimilaritySearch for Crss {
 
     fn name(&self) -> &'static str {
         "CRSS"
+    }
+
+    fn set_width(&mut self, width: usize) {
+        self.width = width.max(1);
     }
 
     fn progress(&self) -> Option<AlgoProgress> {

@@ -66,6 +66,8 @@ pub struct RealTimeReport {
     pub max_response_s: f64,
     /// Mean nodes fetched per completed query.
     pub mean_nodes_per_query: f64,
+    /// Mean fetch rounds (batches) per completed query.
+    pub mean_batches_per_query: f64,
     /// Response time of every completed query, in workload index order.
     pub responses: Vec<f64>,
     /// The k-NN answers of every query, in workload index order
@@ -117,8 +119,9 @@ fn observation(
 }
 
 /// Reusable buffers of [`fetch_round`]; after a round, `nodes` holds its
-/// decoded nodes in request order and `misses` the pages the backend
-/// read.
+/// decoded nodes in request order, `misses` the pages the backend read
+/// and `waited` whether any of those reads waited on a disk
+/// ([`ReadCompletion::waited`]).
 #[derive(Default)]
 pub(crate) struct Round {
     /// `(page, position in the request)` of every miss, sorted, so a
@@ -126,6 +129,7 @@ pub(crate) struct Round {
     slots: Vec<(PageId, usize)>,
     pub(crate) misses: Vec<PageId>,
     pub(crate) nodes: Vec<Option<IndexNode>>,
+    pub(crate) waited: bool,
 }
 
 impl Round {
@@ -151,6 +155,7 @@ pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
     round.slots.clear();
     round.misses.clear();
     round.nodes.clear();
+    round.waited = false;
     for (at, &page) in pages.iter().enumerate() {
         let node = am.cached_index_node(page)?;
         if node.is_none() {
@@ -169,6 +174,7 @@ pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
             .recv()
             .map_err(|_| QueryError::Invariant("I/O backend dropped a batch mid-flight".into()))?;
         on_read(&completion);
+        round.waited |= completion.waited;
         let page = completion.page;
         let node = am.decode_index_node(page, completion.result?)?;
         let awaited = round.slots.binary_search_by_key(&page, |&(p, _)| p);
@@ -342,11 +348,12 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         let mut responses = Vec::new();
         let mut answers = vec![Vec::new(); workload.queries.len()];
         let mut failures = Vec::new();
-        let mut total_nodes = 0u64;
+        let (mut total_nodes, mut total_batches) = (0u64, 0u64);
         let mut book = |outcome: SessionOutcome| match outcome.result {
             Ok(done) => {
                 responses.push(done.response_ns as f64 / 1e9);
                 total_nodes += done.run.nodes_visited;
+                total_batches += done.run.batches;
                 answers[outcome.index as usize] = done.run.results;
             }
             Err(e) => failures.push((outcome.index, e)),
@@ -438,6 +445,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             p99_response_s: percentile(&sorted, 0.99),
             max_response_s: sorted.last().copied().unwrap_or(0.0),
             mean_nodes_per_query: per(total_nodes as f64, completed),
+            mean_batches_per_query: per(total_batches as f64, completed),
             responses,
             answers,
             failures,
@@ -571,7 +579,9 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     /// Drives one session from arrival to completion or abort: the
     /// simulator's Fetch/BusDone/CpuDone cycle with the event queue
     /// replaced by real completion delivery, one [`fetch_round`] per
-    /// batch. A failed read or decode aborts the session — narrated, so
+    /// batch, and between rounds the algorithm's width
+    /// ([`SimilaritySearch::set_width`]) from where the round's reads
+    /// were served. A failed read or decode aborts the session — narrated, so
     /// the stream's `query_arrive` is closed — and surfaces as the
     /// query's typed error. `explain`, when given, collects what only an
     /// EXPLAIN record reports (per-level accesses, batch sizes, the
@@ -587,6 +597,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         mut explain: Option<&mut QueryExplain>,
     ) -> Result<CompletedSession, QueryError> {
         let (nar, cpu) = (&mut worker.nar, worker.id);
+        let disks = self.am.num_disks() as usize;
         let Pooled { scratch, round } = &mut worker.pooled;
         scratch.batch.clear();
         let buffer = std::mem::take(&mut scratch.batch);
@@ -633,6 +644,10 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                     x.cache_misses += round.misses.len() as u64;
                     x.cache_hits += (pages.len() - round.misses.len()) as u64;
                 }
+                // The array's parallelism is bought per round, and only
+                // while reads wait on disks: a round memory served says
+                // the next one would overlap nothing.
+                session.set_width(if round.waited { disks } else { 1 });
                 for (&page, node) in pages.iter().zip(round.drain()) {
                     session.deliver(nar, page, node, |_, elapsed_ns| CpuCharge {
                         cpu,

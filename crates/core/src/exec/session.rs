@@ -388,6 +388,13 @@ impl<'a> Session<'a> {
         });
     }
 
+    /// Tells the algorithm how many pages the next round can read in
+    /// parallel ([`SimilaritySearch::set_width`]); call it before the
+    /// round's nodes are delivered.
+    pub(crate) fn set_width(&mut self, width: usize) {
+        self.algo.set_width(width);
+    }
+
     /// Hands one fetched node to the session, in request order. On the
     /// batch's last page the algorithm runs over the whole batch, its
     /// next step becomes pending, and `charge` — given the instructions

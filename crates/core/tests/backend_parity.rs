@@ -1,17 +1,27 @@
 //! Execution-backend equivalence: the same persisted tree and query set
-//! must yield byte-identical k-NN answers and identical `IoStats`
-//! (reads, per-disk breakdown, cache hits) under the logical executor,
-//! the simulated engine, and the real-clock engine.
+//! must yield byte-identical k-NN answers under the logical executor,
+//! the simulated engine and the real-clock engine, in every mode.
 //!
-//! This is the contract that makes wall-clock measurements from
-//! `sqda serve` / `bench_serve` comparable to the simulator's
-//! predictions: the engines may disagree about *time*, never about
-//! *work* — which pages are read, from which disks, and which of those
-//! reads the shared node cache absorbs.
+//! *Work* — which pages are read, from which disks, and which of those
+//! reads the shared node cache absorbs (`IoStats`) — is a deterministic
+//! function of where reads were served. The logical executor and the
+//! simulator treat every read as a disk access. The real engine narrows
+//! CRSS to one branch per round after a round that memory served, since
+//! parallel reads from memory overlap nothing. So:
+//!
+//! * BBSS, FPSS and WOPTSS do the same work under every executor;
+//! * real CRSS whose every read is served from memory does the logical
+//!   executor's work at activation bound 1;
+//! * real CRSS whose every read waits on a disk does the simulator's.
+//!
+//! This is what makes wall-clock measurements from `sqda serve`
+//! comparable to the simulator's predictions: the engines may disagree
+//! about *time*, and about CRSS's width only where reads cost nothing.
 
 use sqda_core::{
-    exec::run_query, AccessMethod, AlgorithmKind, BatchResult, IndexNode, Neighbor, QueryError,
-    RealTimeEngine, RunOptions, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    exec::run_query, AccessMethod, AlgorithmKind, BatchResult, Crss, IndexNode, Neighbor,
+    QueryError, RealTimeEngine, RunOptions, SimilaritySearch, Simulation, Step, Workload,
+    WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_obs::{CollectingRecorder, Event, MetricsSnapshot};
@@ -56,14 +66,20 @@ fn build_store(dir: &Path) -> PageId {
     root
 }
 
-/// A fresh handle on the persisted tree with a cold, eviction-free node
-/// cache and zeroed I/O counters — each execution mode starts from the
-/// identical state.
-fn open_tree(dir: &Path, root: PageId) -> RStarTree<FileStore> {
+/// A fresh handle on the persisted tree with zeroed I/O counters and no
+/// node cache: every page a query wants reaches the store.
+fn attach(dir: &Path, root: PageId) -> RStarTree<FileStore> {
     let store = Arc::new(FileStore::open(dir).unwrap());
-    let mut tree = RStarTree::attach(store, config(), Box::new(ProximityIndex), root).unwrap();
-    tree.set_node_cache(Arc::new(NodeCache::<Node>::new(4096)));
+    let tree = RStarTree::attach(store, config(), Box::new(ProximityIndex), root).unwrap();
     tree.store().reset_stats();
+    tree
+}
+
+/// [`attach`] with a cold, eviction-free node cache — each execution
+/// mode starts from the identical state.
+fn open_tree(dir: &Path, root: PageId) -> RStarTree<FileStore> {
+    let mut tree = attach(dir, root);
+    tree.set_node_cache(Arc::new(NodeCache::<Node>::new(4096)));
     tree
 }
 
@@ -96,21 +112,53 @@ fn workload() -> Workload {
 struct ModeRun {
     answers: Vec<Vec<Neighbor>>,
     io: IoStats,
+    /// Backend reads that waited on a disk: the threaded backend's worker
+    /// reads, 0 where nothing decides (the logical executor, the
+    /// simulator, `InlineBackend`).
+    waited: u64,
 }
 
-fn run_logical(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRun {
+/// Whether two runs must have done the same work: always, but for CRSS
+/// only when no read of either waited on a disk (a CRSS run that had some
+/// reads wait did what its rounds' residency made of it).
+fn same_work_expected(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun) -> bool {
+    kind != AlgorithmKind::Crss || a.waited + b.waited == 0
+}
+
+/// The logical executor's run of `build`'s algorithm over every query.
+fn run_logical_with(
+    dir: &Path,
+    root: PageId,
+    build: impl Fn(&RStarTree<FileStore>, Point, usize) -> Box<dyn SimilaritySearch>,
+) -> ModeRun {
     let tree = open_tree(dir, root);
     let answers = queries()
         .into_iter()
         .map(|(point, k)| {
-            let mut algo = kind.build(&tree, point, k).unwrap();
-            run_query(&tree, algo.as_mut()).unwrap().results
+            run_query(&tree, build(&tree, point, k).as_mut())
+                .unwrap()
+                .results
         })
         .collect();
     ModeRun {
         answers,
         io: tree.io_stats(),
+        waited: 0,
     }
+}
+
+fn run_logical(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRun {
+    run_logical_with(dir, root, |tree, point, k| {
+        kind.build(tree, point, k).unwrap()
+    })
+}
+
+/// What real CRSS does when memory serves every read: the logical
+/// executor's CRSS at activation bound 1.
+fn run_logical_narrow(dir: &Path, root: PageId) -> ModeRun {
+    run_logical_with(dir, root, |tree, point, k| {
+        Box::new(Crss::with_activation_bound(tree, point, k, 1))
+    })
 }
 
 /// Stashes the inner algorithm's answers on `Done`; the simulated
@@ -143,15 +191,14 @@ impl SimilaritySearch for Spy {
     }
 }
 
-fn run_simulated(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRun {
-    let tree = open_tree(dir, root);
-    let sim = Simulation::new(&tree, SystemParams::with_disks(NUM_DISKS)).unwrap();
+fn run_simulated(tree: &RStarTree<FileStore>, kind: AlgorithmKind) -> ModeRun {
+    let sim = Simulation::new(tree, SystemParams::with_disks(NUM_DISKS)).unwrap();
     let sink: Arc<Mutex<BTreeMap<usize, Vec<Neighbor>>>> = Arc::default();
     let mut next_query = 0usize;
     let factory_sink = Arc::clone(&sink);
     let mut factory = |point, k| -> Box<dyn SimilaritySearch> {
         let spy = Spy {
-            inner: kind.build(&tree, point, k).unwrap(),
+            inner: kind.build(tree, point, k).unwrap(),
             query: next_query,
             sink: Arc::clone(&factory_sink),
         };
@@ -166,23 +213,39 @@ fn run_simulated(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRun {
     ModeRun {
         answers,
         io: tree.io_stats(),
+        waited: 0,
     }
 }
 
-fn run_real(dir: &Path, root: PageId, kind: AlgorithmKind, threaded: bool) -> ModeRun {
-    let tree = open_tree(dir, root);
-    let backend: Arc<dyn sqda_storage::IoBackend> = if threaded {
-        Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())))
-    } else {
-        Arc::new(InlineBackend::new(Arc::clone(tree.store())))
-    };
-    let engine = RealTimeEngine::new(&tree, backend).unwrap();
+/// The real-clock engine's run over `backend`, one worker; `waited` is
+/// left for the caller, who knows the backend's type.
+fn run_engine(
+    tree: &RStarTree<FileStore>,
+    backend: Arc<dyn IoBackend>,
+    kind: AlgorithmKind,
+) -> ModeRun {
+    let engine = RealTimeEngine::new(tree, backend).unwrap();
     let report = engine.run(kind, &workload(), 1).unwrap();
     assert_eq!(report.failed, 0, "{kind}");
     assert_eq!(report.completed, queries().len(), "{kind}");
     ModeRun {
         answers: report.answers,
         io: tree.io_stats(),
+        waited: 0,
+    }
+}
+
+fn run_real(dir: &Path, root: PageId, kind: AlgorithmKind, threaded: bool) -> ModeRun {
+    let tree = open_tree(dir, root);
+    if !threaded {
+        let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+        return run_engine(&tree, backend, kind);
+    }
+    let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
+    let run = run_engine(&tree, Arc::<ThreadedFileBackend>::clone(&backend), kind);
+    ModeRun {
+        waited: backend.worker_reads(),
+        ..run
     }
 }
 
@@ -206,7 +269,7 @@ fn run_real_observed(
         Arc::clone(tree.store()),
         observer,
     ));
-    let engine = RealTimeEngine::new(&tree, backend)
+    let engine = RealTimeEngine::new(&tree, Arc::<ThreadedFileBackend>::clone(&backend))
         .unwrap()
         .with_telemetry(Arc::clone(&live))
         .unwrap();
@@ -215,6 +278,7 @@ fn run_real_observed(
     let run = ModeRun {
         answers: report.answers.clone(),
         io: tree.io_stats(),
+        waited: backend.worker_reads(),
     };
     (run, live, report)
 }
@@ -241,6 +305,13 @@ fn assert_answers_identical(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what:
     }
 }
 
+/// [`assert_io_identical`] where [`same_work_expected`] says so.
+fn assert_work_identical(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what: &str) {
+    if same_work_expected(kind, a, b) {
+        assert_io_identical(kind, a, b, what);
+    }
+}
+
 fn assert_io_identical(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what: &str) {
     assert_eq!(a.io.reads, b.io.reads, "{kind} reads: {what}");
     assert_eq!(
@@ -258,14 +329,18 @@ fn assert_io_identical(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what: &str
 }
 
 /// The acceptance pin: logical, simulated, and real-clock execution
-/// agree bit-for-bit on answers and I/O work for all four algorithms.
+/// agree bit-for-bit on answers for all four algorithms, and on I/O work
+/// as the module docs state it: the simulator always does the logical
+/// executor's, and the real engine over the just-written store — whose
+/// pages the OS holds in memory — does it too, with CRSS at activation
+/// bound 1.
 #[test]
 fn three_execution_modes_agree_on_answers_and_io() {
     let dir = tmpdir("modes");
     let root = build_store(&dir);
     for kind in AlgorithmKind::ALL {
         let logical = run_logical(&dir, root, kind);
-        let simulated = run_simulated(&dir, root, kind);
+        let simulated = run_simulated(&open_tree(&dir, root), kind);
         let real = run_real(&dir, root, kind, true);
         assert!(
             logical.io.reads > 0 && logical.io.cache_hits > 0,
@@ -274,13 +349,66 @@ fn three_execution_modes_agree_on_answers_and_io() {
         assert_answers_identical(kind, &logical, &simulated, "logical vs simulated");
         assert_answers_identical(kind, &logical, &real, "logical vs real");
         assert_io_identical(kind, &logical, &simulated, "logical vs simulated");
-        assert_io_identical(kind, &logical, &real, "logical vs real");
+        let from_memory = match kind {
+            AlgorithmKind::Crss => run_logical_narrow(&dir, root),
+            _ => logical,
+        };
+        assert_work_identical(kind, &from_memory, &real, "logical vs real");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Both halves of CRSS's work contract, pinned without depending on the
+/// OS page cache: through an `InlineBackend` (every read served from
+/// memory) real CRSS does the logical executor's work at activation
+/// bound 1; behind a backend that reports every read as having waited on
+/// a disk, over a tree with no node cache to serve a round from memory,
+/// it does the simulator's. Answers are the same throughout, and the two
+/// halves are different work.
+#[test]
+fn crss_work_follows_where_reads_were_served() {
+    let dir = tmpdir("crss-width");
+    let root = build_store(&dir);
+    let kind = AlgorithmKind::Crss;
+    let narrow = run_logical_narrow(&dir, root);
+    let inline = run_real(&dir, root, kind, false);
+    assert_answers_identical(kind, &narrow, &inline, "bound 1 vs inline");
+    assert_io_identical(kind, &narrow, &inline, "bound 1 vs inline");
+    let wide = run_logical(&dir, root, kind);
+    assert_answers_identical(kind, &wide, &narrow, "bound u vs bound 1");
+    let touched = |run: &ModeRun| run.io.reads + run.io.cache_hits;
+    assert!(
+        touched(&wide) > touched(&narrow),
+        "narrowing must save work"
+    );
+
+    let simulated = run_simulated(&attach(&dir, root), kind);
+    let tree = attach(&dir, root);
+    let every_read_waited = Rewriting {
+        inner: InlineBackend::new(Arc::clone(tree.store())),
+        rewrite: |c: &mut ReadCompletion| c.waited = true,
+    };
+    let on_disks = run_engine(&tree, Arc::new(every_read_waited), kind);
+    assert!(on_disks.io.reads > 0 && on_disks.io.cache_hits == 0);
+    assert_answers_identical(kind, &wide, &on_disks, "bound u vs every read waited");
+    assert_answers_identical(
+        kind,
+        &simulated,
+        &on_disks,
+        "simulated vs every read waited",
+    );
+    assert_io_identical(
+        kind,
+        &simulated,
+        &on_disks,
+        "simulated vs every read waited",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The inline (synchronous) backend is work-equivalent to the threaded
-/// per-disk backend: same answers, same I/O statistics.
+/// per-disk backend over pages the OS holds: same answers, same I/O
+/// statistics.
 #[test]
 fn inline_and_threaded_backends_agree() {
     let dir = tmpdir("backends");
@@ -289,7 +417,7 @@ fn inline_and_threaded_backends_agree() {
         let inline = run_real(&dir, root, kind, false);
         let threaded = run_real(&dir, root, kind, true);
         assert_answers_identical(kind, &inline, &threaded, "inline vs threaded");
-        assert_io_identical(kind, &inline, &threaded, "inline vs threaded");
+        assert_work_identical(kind, &inline, &threaded, "inline vs threaded");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -306,7 +434,7 @@ fn telemetry_enabled_run_is_work_identical() {
         let bare = run_real(&dir, root, kind, true);
         let (observed, live, _) = run_real_observed(&dir, root, kind);
         assert_answers_identical(kind, &bare, &observed, "bare vs telemetry");
-        assert_io_identical(kind, &bare, &observed, "bare vs telemetry");
+        assert_work_identical(kind, &bare, &observed, "bare vs telemetry");
         // The registry saw every query and exactly the physical reads.
         assert_eq!(
             live.queries_completed.get(),
@@ -334,7 +462,8 @@ fn explain_enabled_run_is_work_identical() {
         let bare = run_real(&dir, root, kind, true);
         let tree = open_tree(&dir, root);
         let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
-        let engine = RealTimeEngine::new(&tree, backend).unwrap();
+        let engine =
+            RealTimeEngine::new(&tree, Arc::<ThreadedFileBackend>::clone(&backend)).unwrap();
         let mut answers = Vec::new();
         let mut explained_reads = vec![0u64; NUM_DISKS as usize];
         let mut explained_hits = 0u64;
@@ -366,9 +495,10 @@ fn explain_enabled_run_is_work_identical() {
         let explained = ModeRun {
             answers,
             io: tree.io_stats(),
+            waited: backend.worker_reads(),
         };
         assert_answers_identical(kind, &bare, &explained, "bare vs explain");
-        assert_io_identical(kind, &bare, &explained, "bare vs explain");
+        assert_work_identical(kind, &bare, &explained, "bare vs explain");
         assert_eq!(
             explained_reads, explained.io.reads_per_disk,
             "{kind}: per-query disk distributions must sum to the store's"
@@ -418,12 +548,13 @@ fn concurrent_real_sessions_preserve_answers() {
     let sequential = run_real(&dir, root, kind, true);
     let tree = open_tree(&dir, root);
     let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
-    let engine = RealTimeEngine::new(&tree, backend).unwrap();
+    let engine = RealTimeEngine::new(&tree, Arc::<ThreadedFileBackend>::clone(&backend)).unwrap();
     let report = engine.run(kind, &workload(), 4).unwrap();
     assert_eq!(report.failed, 0);
     let concurrent = ModeRun {
         answers: report.answers,
         io: tree.io_stats(),
+        waited: backend.worker_reads(),
     };
     assert_answers_identical(kind, &sequential, &concurrent, "sequential vs concurrent");
     std::fs::remove_dir_all(&dir).ok();
@@ -446,7 +577,8 @@ struct SpiedRun {
     run: ModeRun,
     mean_nodes: f64,
     reads: Vec<(u32, String)>,
-    /// Reads the backend served on the caller / handed to a worker.
+    /// Reads the backend served on the caller / handed to a worker (the
+    /// latter also `run.waited`).
     split: (u64, u64),
     /// Whether the store still attempts non-blocking reads and, for an
     /// evicted run, whether the eviction took (a RAM-backed filesystem
@@ -486,6 +618,7 @@ fn run_threaded_spied(dir: &Path, root: PageId, kind: AlgorithmKind, evict: bool
         run: ModeRun {
             answers: report.answers,
             io: tree.io_stats(),
+            waited: backend.worker_reads(),
         },
         mean_nodes: report.mean_nodes_per_query,
         reads,
@@ -494,10 +627,13 @@ fn run_threaded_spied(dir: &Path, root: PageId, kind: AlgorithmKind, evict: bool
     }
 }
 
-/// Where a read is served is the kernel's call and never changes the
-/// work: a run over resident pages, a run after the OS dropped them and
-/// a run through `InlineBackend` return the same answers, visit the same
-/// nodes and leave the same store `IoStats`, for all four algorithms.
+/// Where a read is served is the kernel's call and never changes an
+/// answer: a run over resident pages, a run after the OS dropped them
+/// and a run through `InlineBackend` return the same answers for all four
+/// algorithms. BBSS, FPSS and WOPTSS also visit the same nodes and leave
+/// the same store `IoStats` in all three. CRSS does the inline run's work
+/// wherever every read stayed in memory (`inline_reads == reads`); where
+/// some read waited on a disk, it widened the round after it.
 #[test]
 fn resident_evicted_and_inline_runs_agree() {
     let dir = tmpdir("residency");
@@ -508,7 +644,7 @@ fn resident_evicted_and_inline_runs_agree() {
         let evicted = run_threaded_spied(&dir, root, kind, true);
         for (what, spied) in [("resident", &resident), ("evicted", &evicted)] {
             assert_answers_identical(kind, &inline, &spied.run, what);
-            assert_io_identical(kind, &inline, &spied.run, what);
+            assert_work_identical(kind, &inline, &spied.run, what);
             // (WOPTSS's oracle pre-pass reads the store past the backend.)
             assert_eq!(
                 spied.split.0 + spied.split.1,
@@ -520,11 +656,13 @@ fn resident_evicted_and_inline_runs_agree() {
                 "{kind} {what}"
             );
         }
-        assert_eq!(
-            resident.mean_nodes.to_bits(),
-            evicted.mean_nodes.to_bits(),
-            "{kind}: nodes visited"
-        );
+        if same_work_expected(kind, &resident.run, &evicted.run) {
+            assert_eq!(
+                resident.mean_nodes.to_bits(),
+                evicted.mean_nodes.to_bits(),
+                "{kind}: nodes visited"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -602,19 +740,20 @@ fn lone_worker_runs_on_the_caller_with_identical_work() {
     let root = build_store(&dir);
     for kind in AlgorithmKind::ALL {
         let run = |concurrency: usize| {
-            let store = Arc::new(FileStore::open(&dir).unwrap());
-            let tree = RStarTree::attach(store, config(), Box::new(ProximityIndex), root).unwrap();
+            let tree = attach(&dir, root);
             let spy = ThreadSpy {
                 inner: &tree,
                 seen: Mutex::new(HashSet::new()),
             };
             let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
-            let engine = RealTimeEngine::new(&spy, backend).unwrap();
+            let engine =
+                RealTimeEngine::new(&spy, Arc::<ThreadedFileBackend>::clone(&backend)).unwrap();
             let report = engine.run(kind, &workload(), concurrency).unwrap();
             assert_eq!(report.failed, 0, "{kind} x{concurrency}");
             let run = ModeRun {
                 answers: report.answers,
                 io: tree.io_stats(),
+                waited: backend.worker_reads(),
             };
             (run, spy.seen.into_inner().unwrap())
         };
@@ -622,7 +761,7 @@ fn lone_worker_runs_on_the_caller_with_identical_work() {
         let (four, four_threads) = run(4);
         assert!(one.io.reads > 0, "{kind}: the runs must reach the backend");
         assert_answers_identical(kind, &one, &four, "1 worker vs 4");
-        assert_io_identical(kind, &one, &four, "1 worker vs 4");
+        assert_work_identical(kind, &one, &four, "1 worker vs 4");
         let caller = thread::current().id();
         assert_eq!(
             one_threads,
@@ -637,27 +776,25 @@ fn lone_worker_runs_on_the_caller_with_identical_work() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Serves every read through an [`InlineBackend`], then fails the ones
-/// that landed on `bad_disk` with a typed storage error — a disk that
-/// stopped answering under the real-clock engine.
-struct FailingBackend {
+/// Serves every read through an [`InlineBackend`], then hands each
+/// completion to `rewrite` before the engine sees it: a backend that
+/// reports what the test needs it to (a failed disk, a read that waited).
+struct Rewriting<F> {
     inner: InlineBackend<FileStore>,
-    bad_disk: u32,
+    rewrite: F,
 }
 
-impl IoBackend for FailingBackend {
+impl<F: Fn(&mut ReadCompletion) + Send + Sync> IoBackend for Rewriting<F> {
     fn submit_batch(&self, pages: &[PageId]) -> Receiver<ReadCompletion> {
         let (tx, rx) = channel();
         for mut completion in self.inner.submit_batch(pages) {
-            if completion.disk == self.bad_disk {
-                completion.result = Err(StorageError::PageNotFound(completion.page));
-            }
+            (self.rewrite)(&mut completion);
             tx.send(completion).unwrap();
         }
         rx
     }
     fn name(&self) -> &'static str {
-        "failing"
+        "rewriting"
     }
     fn num_disks(&self) -> u32 {
         self.inner.num_disks()
@@ -678,9 +815,14 @@ fn failed_real_queries_are_narrated_as_aborts() {
     // Not the root's disk: queries get under way, and those that never
     // need the bad disk complete.
     let root_disk = tree.store().placement(root).unwrap().disk.0;
-    let backend = Arc::new(FailingBackend {
+    let bad_disk = (root_disk + 1) % NUM_DISKS;
+    let backend = Arc::new(Rewriting {
         inner: InlineBackend::new(Arc::clone(tree.store())),
-        bad_disk: (root_disk + 1) % NUM_DISKS,
+        rewrite: move |c: &mut ReadCompletion| {
+            if c.disk == bad_disk {
+                c.result = Err(StorageError::PageNotFound(c.page));
+            }
+        },
     });
     let live = Arc::new(sqda_obs::LiveTelemetry::new(NUM_DISKS).with_flight_recorder(8192));
     let engine = RealTimeEngine::new(&tree, backend)

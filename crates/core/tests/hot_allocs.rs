@@ -109,8 +109,10 @@ fn hot_crss_query_allocates_only_what_its_reply_owns() {
         reads_before,
         "every node is resident"
     );
+    // Every read is a cache hit, so CRSS takes one branch per round; a
+    // query still reads more than one root-to-leaf path.
     assert!(
-        nodes / workloads.len() as f64 > 10.0,
+        nodes / workloads.len() as f64 > tree.height() as f64,
         "queries do real work"
     );
     println!("hot CRSS engine.run: at most {worst_allocs} allocations, {worst_bytes} bytes");

@@ -3,7 +3,8 @@
 //! invariants of each algorithm hold.
 
 use sqda_core::{
-    exec::run_query, mirror_partner, AlgorithmKind, RunOptions, Simulation, Workload, WorkloadQuery,
+    exec::run_query, mirror_partner, AccessMethod, AlgorithmKind, RunOptions, SimilaritySearch,
+    Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::prop::{self, check};
 use sqda_geom::{rng::Rng, Point};
@@ -105,6 +106,88 @@ fn structural_invariants() {
                     _ => {}
                 }
             }
+        },
+    );
+}
+
+/// Points on a half-unit lattice in [-8, 8]² (equal distances and exact
+/// duplicates are the rule), an off-lattice query, k, the disk count `u`
+/// and the seed of the executor's per-round widths.
+type NarrowedCase = (Vec<(f64, f64)>, (f64, f64), usize, u32, u64);
+
+fn narrowed_case(rng: &mut Rng, size: usize) -> NarrowedCase {
+    let n = prop::len(rng, size, 1..400);
+    let mut half = || rng.gen_range(-16..=16i32) as f64 / 2.0;
+    let points = (0..n).map(|_| (half(), half())).collect();
+    let q = (rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+    (
+        points,
+        q,
+        rng.gen_range(1..40),
+        rng.gen_range(1..=8u32),
+        rng.gen(),
+    )
+}
+
+/// The logical executor with the real engine's seam in it: before each
+/// batch is handed over, the algorithm is told a width from `width`, and
+/// the fetch list it answers with must fit in that width. Returns the
+/// answers and the nodes visited.
+fn run_narrowed(
+    am: &impl AccessMethod,
+    algo: &mut dyn SimilaritySearch,
+    mut width: impl FnMut() -> usize,
+) -> (Vec<sqda_core::Neighbor>, u64) {
+    let (mut nodes, mut batch) = (0, Vec::new());
+    let mut step = algo.start();
+    while let Step::Fetch(pages) = step {
+        nodes += pages.len() as u64;
+        for page in pages {
+            batch.push((page, am.read_index_node(page).unwrap()));
+        }
+        let w = width();
+        algo.set_width(w);
+        step = algo.on_fetched(&mut batch).next;
+        if let Step::Fetch(next) = &step {
+            assert!(next.len() <= w, "{} pages after width {w}", next.len());
+        }
+    }
+    (algo.results(), nodes)
+}
+
+/// CRSS stays exact whatever width an executor feeds it round by round:
+/// for a seeded arbitrary width in `1..=u` before every batch, it returns
+/// the brute-force answers bit for bit (`dist_sq` bits, object id
+/// breaking ties) and never visits fewer nodes than WOPTSS.
+#[test]
+fn crss_is_exact_under_any_width_sequence() {
+    check(
+        "crss_is_exact_under_any_width_sequence",
+        CASES,
+        narrowed_case,
+        |(points, (qx, qy), k, u, seed)| {
+            let tree = build(&points, u);
+            let q = Point::new(vec![qx, qy]);
+            let mut want: Vec<(u64, u64)> = points
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| (q.dist_sq(&Point::new(vec![x, y])).to_bits(), i as u64))
+                .collect();
+            // Non-negative doubles order as their bit patterns do.
+            want.sort_unstable();
+            want.truncate(k);
+            let mut widths = Rng::seed_from_u64(seed);
+            let mut crss = AlgorithmKind::Crss.build(&tree, q.clone(), k).unwrap();
+            let (answers, nodes) =
+                run_narrowed(&tree, crss.as_mut(), || widths.gen_range(1..=u as usize));
+            let got: Vec<(u64, u64)> = answers
+                .iter()
+                .map(|n| (n.dist_sq.to_bits(), n.object.0))
+                .collect();
+            assert_eq!(got, want, "u {u} k {k}");
+            let mut wopt = AlgorithmKind::Woptss.build(&tree, q, k).unwrap();
+            let floor = run_query(&tree, wopt.as_mut()).unwrap().nodes_visited;
+            assert!(nodes >= floor, "CRSS {nodes} nodes beat WOPTSS's {floor}");
         },
     );
 }

@@ -17,9 +17,10 @@
 //!   than the read.
 //!
 //! Completions are delivered over a channel, unordered; each carries its
-//! page id, physical placement, and wall-clock queue/service timings so
-//! the real-clock engine can emit the same observability events as the
-//! simulator.
+//! page id, physical placement, wall-clock queue/service timings so the
+//! real-clock engine can emit the same observability events as the
+//! simulator, and whether the read waited on a disk
+//! ([`ReadCompletion::waited`]).
 
 use crate::{Bytes, FileStore, PageId, PageStore, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +49,15 @@ pub struct ReadCompletion {
     /// read was submitted, this request excluded. Always 0 for a read
     /// served on the submitting thread — it waited in no queue.
     pub queue_depth: u32,
+    /// Whether the read waited on a disk: it was handed to its disk's
+    /// worker because it could not be served from memory without
+    /// blocking. `false` for every read served on the submitting thread —
+    /// all of an inline backend's, the threaded one's resident pages and
+    /// its refusals of unknown pages. This says where the read was
+    /// served, not how long it took, so it is the same on every run that
+    /// serves the same reads from the same places; the real-clock engine
+    /// sizes CRSS's next activation list by it.
+    pub waited: bool,
 }
 
 /// Observer of individual disk reads, called from whichever thread
@@ -141,6 +151,7 @@ impl<S: PageStore + ?Sized + Send + Sync> IoBackend for InlineBackend<S> {
                 queue_ns: 0,
                 service_ns,
                 queue_depth: 0,
+                waited: false,
             });
         }
         rx
@@ -236,6 +247,7 @@ impl ThreadedFileBackend {
                                 queue_ns,
                                 service_ns,
                                 queue_depth: req.queue_depth,
+                                waited: true,
                             });
                         }
                     })
@@ -297,6 +309,7 @@ impl IoBackend for ThreadedFileBackend {
                         queue_ns: 0,
                         service_ns,
                         queue_depth: 0,
+                        waited: false,
                     }
                 }
                 // Not served without blocking, whatever the reason: the
@@ -327,6 +340,7 @@ impl IoBackend for ThreadedFileBackend {
                     queue_ns: 0,
                     service_ns: 0,
                     queue_depth: 0,
+                    waited: false,
                 },
             };
             // A dropped receiver just discards the completion.
@@ -380,7 +394,7 @@ mod tests {
         for c in &out {
             let expect = store.read(c.page).unwrap();
             assert_eq!(c.result.as_ref().unwrap(), &expect);
-            assert_eq!(c.queue_ns, 0);
+            assert_eq!((c.queue_ns, c.waited), (0, false));
             assert_eq!(c.disk, store.placement(c.page).unwrap().disk.0);
         }
     }
@@ -425,6 +439,7 @@ mod tests {
         let backend = ThreadedFileBackend::new(Arc::clone(&store));
         let out = collect(backend.submit_batch(&[PageId::from_raw(99)]), 1);
         assert!(out[0].result.is_err());
+        assert!(!out[0].waited, "refused on the submitting thread");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -482,6 +497,8 @@ mod tests {
             stats.reads,
             "a read is tallied once, whichever side served it"
         );
+        let waited = out.iter().filter(|c| c.waited).count() as u64;
+        assert_eq!(waited, worker, "exactly the worker reads waited on a disk");
         for disk in 0..4 {
             assert_eq!(backend.queue_depth(disk), 0);
         }
@@ -538,6 +555,7 @@ mod tests {
         let backend = ThreadedFileBackend::new(Arc::clone(&store));
         let out = collect(backend.submit_batch(&[blank, cut]), 2);
         for c in &out {
+            assert!(c.waited, "a worker read waited on its disk");
             match (c.page == blank, c.result.as_ref().unwrap_err()) {
                 (true, StorageError::UninitializedPage(p)) => assert_eq!(*p, blank),
                 (false, StorageError::CorruptPage { page, detail }) => {

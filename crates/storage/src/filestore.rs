@@ -555,6 +555,11 @@ impl FileStore {
         self.nowait.load(Ordering::Relaxed)
     }
 
+    /// The directory holding the store's disk files and superblock.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
     /// Positional file calls (`pread`/`pwrite`) behind the page reads and
     /// writes tallied since the last [`PageStore::reset_stats`]: one per
     /// page, less the pages of an extent that rode in a neighbour's call.

@@ -19,9 +19,12 @@ for key in ('dim', 'page_size', 'objects', 'nodes', 'cache_pages', 'reps'):
 for key in ('decode_leaf_ns', 'decode_internal_ns',
             'warm_traversal_ns_per_node', 'knn_warm_ns_per_query',
             'batch_knn_b8_ns_per_query', 'crss_hot_query_ns',
-            'crss_hot_nodes_per_query'):
+            'crss_hot_nodes_per_query', 'crss_hot_rounds_per_query'):
     v = b[key]
     assert isinstance(v, (int, float)) and v > 0, (key, v)
+# Every read of the hot query is free, so CRSS activates one branch per
+# round: each round is exactly one page.
+assert b['crss_hot_nodes_per_query'] == b['crss_hot_rounds_per_query'], b
 # A hot CRSS query allocates what its reply owns and nothing else
 # (exact counts; core/tests/hot_allocs.rs pins the same).
 assert 0 < b['allocs_per_query'] <= 16, b['allocs_per_query']

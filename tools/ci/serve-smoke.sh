@@ -145,12 +145,16 @@ assert 'sqda_backend_inline_reads_total ' in text, text[:2000]
 open(f'{out}/metrics-scrape.txt', 'w').write(text + '\n')
 print('METRICS OK:', len(lines), 'lines,', len(hists), 'histogram series')
 
-# Flight-recorder export over the wire.
-dump = req(f'DUMP-TRACE {out}/flight-trace.json')
+# Flight-recorder export over the wire: a bare file name, written under
+# <store>/trace/ (a path is refused).
+assert req(f'DUMP-TRACE {out}/flight-trace.json').startswith('ERR'), 'path accepted'
+dump = req('DUMP-TRACE flight-trace.json')
 assert dump.startswith('OK trace events='), dump
 assert not dump.startswith('OK trace events=0 '), dump
+trace_file = dump.split(' path=', 1)[1]
+assert trace_file.endswith('/servestore/trace/flight-trace.json'), dump
 assert req('SHUTDOWN') == 'BYE'
-t = json.load(open(f'{out}/flight-trace.json'))
+t = json.load(open(trace_file))
 assert t['displayTimeUnit'] == 'ms'
 begins = sum(1 for e in t['traceEvents'] if e['ph'] == 'b')
 ends = sum(1 for e in t['traceEvents'] if e['ph'] == 'e')
