@@ -27,7 +27,6 @@ use crate::DiskServiceModel;
 use sqda_obs::json::{self, ObjWriter, Value};
 use sqda_obs::Event;
 use sqda_simkernel::SystemParams;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version pinned into `calibration.json` so readers can reject files
@@ -207,23 +206,11 @@ impl DeviceCalibration {
         store_dir.join("calibration.json")
     }
 
-    /// Writes `calibration.json` (trailing newline, overwriting) the way
-    /// the store's superblock is written: to `<path>.tmp`, synced, then
-    /// renamed over `path`. A crash leaves the old file or the new one,
-    /// never a torn one.
+    /// Writes `calibration.json` (trailing newline, overwriting) through
+    /// [`sqda_storage::write_file_atomic`]: a crash leaves the old file or
+    /// the new one, never a torn one.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all((self.to_json() + "\n").as_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(tmp, path)?;
-        // The rename is an entry in the directory: make that durable too.
-        #[cfg(unix)]
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::File::open(dir)?.sync_all()?;
-        }
-        Ok(())
+        sqda_storage::write_file_atomic(path, (self.to_json() + "\n").as_bytes())
     }
 
     /// Reads and parses a calibration file.

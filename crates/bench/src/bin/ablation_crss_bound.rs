@@ -65,7 +65,7 @@ fn main() {
                 .run_with(
                     &Workload::poisson(queries.clone(), k, lambda, rep_seed(1712, rep)),
                     rep_seed(1713, rep),
-                    RunOptions::factory("CRSS", &mut |point, kk| {
+                    RunOptions::factory("CRSS", &mut |_, point, kk| {
                         Box::new(Crss::with_activation_bound(&tree, point, kk, u))
                     }),
                 )

@@ -15,7 +15,7 @@ use sqda_core::AlgorithmKind;
 use sqda_datasets::california_like;
 use sqda_obs::MetricSummary;
 use sqda_rstar::decluster;
-use sqda_storage::PageStore;
+use sqda_storage::IoStats;
 
 fn main() {
     let opts = ExpOptions::from_args();
@@ -49,16 +49,25 @@ fn main() {
         let tree = build_tree_with(&dataset, 10, 1610, heuristic);
         let mut crss_resp = Vec::with_capacity(opts.reps);
         let mut fpss_resp = Vec::with_capacity(opts.reps);
+        // The cv accumulates over every replication's simulated reads: a
+        // placement property of the tree, not a per-rep random variable.
+        let mut reads = IoStats::default();
+        let mut simulated = |kind, queries, seed| {
+            let run = simulate(&tree, queries, k, 5.0, kind, seed);
+            let io = run.io_stats();
+            reads.reads += io.reads;
+            reads.reads_per_disk.resize(io.reads_per_disk.len(), 0);
+            for (total, r) in reads.reads_per_disk.iter_mut().zip(io.reads_per_disk) {
+                *total += r;
+            }
+            run.mean_response_s
+        };
         for (rep, queries) in query_sets.iter().enumerate().take(opts.reps) {
             let seed = rep_seed(1612, rep);
-            crss_resp
-                .push(simulate(&tree, queries, k, 5.0, AlgorithmKind::Crss, seed).mean_response_s);
-            fpss_resp
-                .push(simulate(&tree, queries, k, 5.0, AlgorithmKind::Fpss, seed).mean_response_s);
+            crss_resp.push(simulated(AlgorithmKind::Crss, queries, seed));
+            fpss_resp.push(simulated(AlgorithmKind::Fpss, queries, seed));
         }
-        // The cv accumulates over every replication's reads: a placement
-        // property of the tree, not a per-rep random variable.
-        let imbalance = tree.store().stats().read_imbalance();
+        let imbalance = reads.read_imbalance();
         let crss = MetricSummary::from_samples(&crss_resp);
         let fpss = MetricSummary::from_samples(&fpss_resp);
         let labels = |algo: &str| {

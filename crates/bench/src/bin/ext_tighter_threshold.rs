@@ -75,7 +75,9 @@ fn main() {
                     sim.run_with(
                         &w,
                         sim_seed,
-                        RunOptions::factory("CRSS", &mut |p, kk| Box::new(Crss::new(&tree, p, kk))),
+                        RunOptions::factory("CRSS", &mut |_, p, kk| {
+                            Box::new(Crss::new(&tree, p, kk))
+                        }),
                     )
                     .expect("simulation")
                     .mean_response_s,
@@ -84,7 +86,7 @@ fn main() {
                     sim.run_with(
                         &w,
                         sim_seed,
-                        RunOptions::factory("CRSS+mm", &mut |p, kk| {
+                        RunOptions::factory("CRSS+mm", &mut |_, p, kk| {
                             Box::new(Crss::new(&tree, p, kk).with_minmax_threshold())
                         }),
                     )

@@ -411,7 +411,7 @@ pub fn simulate_observed(
         recorder.events(),
         num_disks,
         num_cpus,
-        Some(&tree.io_stats()),
+        Some(&report.io_stats()),
         opts.trace.as_deref(),
         opts.metrics.as_deref(),
     )
@@ -751,6 +751,7 @@ mod tests {
             max_response_s: 4.0,
             p95_response_s: 4.0,
             mean_nodes_per_query: 0.0,
+            reads_per_disk: Vec::new(),
             mean_disk_utilization: 0.0,
             bus_utilization: 0.0,
             cpu_utilization: 0.0,

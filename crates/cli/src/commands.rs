@@ -267,7 +267,8 @@ pub fn build(args: &Args) -> CmdResult {
                 let _ = std::fs::remove_dir_all(&scratch_dir);
             }
             let disk_files = (0..disks).map(|d| format!("disk{d:04}.sqda"));
-            let sidecars = ["meta.sqda", "meta.sqda.tmp", "tree.meta"].map(String::from);
+            let sidecars =
+                ["meta.sqda", "meta.sqda.tmp", "tree.meta", "tree.meta.tmp"].map(String::from);
             for name in disk_files.chain(sidecars).filter(|_| store_made) {
                 let _ = std::fs::remove_file(dir.join(name));
             }
@@ -280,7 +281,9 @@ pub fn build(args: &Args) -> CmdResult {
 /// `simulate`: the trace file is Chrome/Perfetto `trace_event` JSON
 /// (raw JSONL event log instead when the path ends in `.jsonl`), the
 /// metrics file a JSON document with the [`MetricsSnapshot`] and the
-/// per-query [`sqda_obs::QueryProfile`]s.
+/// per-query [`sqda_obs::QueryProfile`]s. `io` is the simulated run's
+/// reads ([`sqda_core::SimulationReport::io_stats`]), not the store's:
+/// the simulator decodes each page once per run.
 fn write_observability(
     events: &[(u64, Event)],
     num_disks: u32,
@@ -337,7 +340,7 @@ pub fn query(args: &Args) -> CmdResult {
             recorder.events(),
             num_disks,
             num_cpus,
-            &tree.io_stats(),
+            &report.io_stats(),
             trace.as_deref(),
             metrics.as_deref(),
         )?;
@@ -474,7 +477,7 @@ pub fn simulate(args: &Args) -> CmdResult {
             recorder.events(),
             num_disks,
             num_cpus,
-            &tree.io_stats(),
+            &report.io_stats(),
             trace.as_deref(),
             metrics.as_deref(),
         )?;

@@ -78,7 +78,8 @@
 //!
 //! Any malformed request gets `ERR <detail>` and the connection stays
 //! open; blank lines are skipped. `k` above [`MAX_K`] is `ERR k too
-//! large` and a query coordinate beyond ±1e150 `ERR coordinate out of
+//! large`, a `BATCH` of more than [`MAX_BATCH`] points `ERR batch too
+//! large`, and a query coordinate beyond ±1e150 `ERR coordinate out of
 //! range` (its squared distances would overflow). Distances are
 //! Euclidean, printed with six decimals. `inline_reads` counts the reads the threaded backend
 //! served on the connection thread rather than a disk worker;
@@ -323,6 +324,12 @@ const MAX_LINE: usize = 64 * 1024;
 /// store. 65 536 neighbours is a 1.9 MB line.
 const MAX_K: usize = 65_536;
 
+/// Most points one `BATCH` may carry (`ERR batch too large` beyond).
+/// Each point is a query with its own best-k array and a share of every
+/// wavefront round: unbounded, the count is only capped by the line
+/// length, at thousands of queries in one request.
+const MAX_BATCH: usize = 1024;
+
 /// Pending reply bytes at which a pipelined burst is written out even
 /// though more requests are already buffered: bounds the reply buffer.
 const REPLY_FLUSH_BYTES: usize = 64 * 1024;
@@ -482,6 +489,9 @@ fn parse_knn<'a>(
     };
     let point = |part: &str| parse_query_point(part).map_err(|e| e.to_string());
     let points: Vec<Point> = if batch {
+        if coords.split(';').count() > MAX_BATCH {
+            return Err("batch too large".into());
+        }
         coords.split(';').map(point).collect::<Result<_, _>>()?
     } else {
         vec![point(coords)?]
@@ -1227,6 +1237,14 @@ mod tests {
             ] {
                 assert_eq!(ask(request), "ERR k too large", "{request}");
             }
+            // So is the number of points in a `BATCH`.
+            let batch = |points: usize| format!("BATCH {} 2", vec!["0.5,0.5"; points].join(";"));
+            assert_eq!(ask(&batch(MAX_BATCH + 1)), "ERR batch too large");
+            let widest = ask(&batch(MAX_BATCH));
+            assert!(
+                widest.starts_with(&format!("OK {MAX_BATCH} ")),
+                "{widest:.80}"
+            );
             // The largest legal `k` answers with everything there is.
             let everything = ask(&format!("QUERY 0.5,0.5 {MAX_K}"));
             let found: usize = everything

@@ -731,7 +731,7 @@ mod tests {
             }],
         };
         let sim = Simulation::new(&tree, SystemParams::with_disks(2)).unwrap();
-        let mut factory = |_, _| -> Box<dyn SimilaritySearch> { Box::new(EmptyFetcher) };
+        let mut factory = |_, _, _| -> Box<dyn SimilaritySearch> { Box::new(EmptyFetcher) };
         let options = RunOptions::factory("empty-fetcher", &mut factory);
         assert_invariant(
             sim.run_with(&workload, 1, options).unwrap_err(),

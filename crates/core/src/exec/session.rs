@@ -24,6 +24,7 @@ use sqda_rstar::Neighbor;
 use sqda_simkernel::{Cpu, Disk, SimTime};
 use sqda_storage::PageId;
 use std::collections::HashMap;
+use std::ops::DerefMut;
 
 /// The disk holding the replica of `disk`'s pages under shadowed
 /// (mirrored) operation, or `None` if the disk is unpaired.
@@ -243,8 +244,14 @@ pub(crate) struct DiskRead {
 }
 
 /// One in-flight query. Times are nanoseconds of the executor's clock.
-pub(crate) struct Session<'a> {
-    algo: &'a mut dyn SimilaritySearch,
+///
+/// `A` is how the session holds its algorithm: borrowed
+/// (`&mut dyn SimilaritySearch`) where the caller keeps it, as the
+/// logical and real-clock executors do, or owned
+/// (`Box<dyn SimilaritySearch>`) where the session lives and dies with
+/// it, as the simulator's do.
+pub(crate) struct Session<A> {
+    algo: A,
     /// Workload index: the id recorder streams know the query by.
     query: u32,
     /// The id the flight ring knows it by (`query` without one).
@@ -256,19 +263,18 @@ pub(crate) struct Session<'a> {
     pub(crate) nodes_visited: u64,
     max_batch: usize,
     cpu_instructions: u64,
-    /// Arrival-to-completion time, once [`Session::complete`] ran.
-    pub(crate) response_ns: Option<u64>,
-    /// Set by [`Session::abort`]; the scheduler drops the session's
-    /// remaining in-flight work from then on.
-    pub(crate) failed: bool,
     pub(crate) obs: SessionObs,
 }
 
-impl<'a> Session<'a> {
+impl<A> Session<A>
+where
+    A: DerefMut,
+    A::Target: SimilaritySearch,
+{
     /// A session for workload query `query`, staging fetched nodes in
     /// `fetched` (an empty buffer whose capacity is worth reusing).
     pub(crate) fn new(
-        algo: &'a mut dyn SimilaritySearch,
+        algo: A,
         query: u32,
         serving: u32,
         fetched: Vec<(PageId, IndexNode)>,
@@ -284,8 +290,6 @@ impl<'a> Session<'a> {
             nodes_visited: 0,
             max_batch: 0,
             cpu_instructions: 0,
-            response_ns: None,
-            failed: false,
             obs: SessionObs::default(),
         }
     }
@@ -473,7 +477,6 @@ impl<'a> Session<'a> {
     /// response time.
     pub(crate) fn complete(&mut self, nar: &mut Narrator<'_>) -> u64 {
         let response_ns = nar.clock.now_ns().saturating_sub(self.arrival_ns);
-        self.response_ns = Some(response_ns);
         let (nodes, obs) = (self.nodes_visited, self.obs);
         self.narrate(nar, |query| ObsEvent::QueryComplete {
             query,
@@ -492,25 +495,21 @@ impl<'a> Session<'a> {
         response_ns
     }
 
-    /// Frees the algorithm's working memory now instead of with the
-    /// algorithm: for a scheduler that keeps finished sessions until its
-    /// run ends (the simulator holds thousands, each with buffers grown to
-    /// its widest wavefront). The answers go with it.
-    pub(crate) fn retire(&mut self) {
-        if let Some(memory) = self.algo.working_memory() {
-            std::mem::take(memory);
-        }
-    }
-
-    /// What a completed session did. Its (drained) fetch buffer and the
-    /// algorithm's working memory go back to `scratch`, whence the next
-    /// session takes them.
-    pub(crate) fn finish(self, scratch: &mut crate::QueryScratch) -> QueryRun {
-        let results = self.algo.results();
+    /// Hands the session's (drained) fetch buffer and the algorithm's
+    /// working memory back to `scratch`, whence the next session takes
+    /// them; the algorithm is spent from then on.
+    pub(crate) fn recycle(&mut self, scratch: &mut crate::QueryScratch) {
         if let Some(memory) = self.algo.working_memory() {
             scratch.algo = std::mem::take(memory);
         }
-        scratch.batch = self.fetched;
+        scratch.batch = std::mem::take(&mut self.fetched);
+    }
+
+    /// What a completed session did; its buffers are
+    /// [recycled](Session::recycle) into `scratch`.
+    pub(crate) fn finish(mut self, scratch: &mut crate::QueryScratch) -> QueryRun {
+        let results = self.algo.results();
+        self.recycle(scratch);
         QueryRun {
             results,
             nodes_visited: self.nodes_visited,
@@ -520,12 +519,11 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The query gives up with a typed error: marks the session failed
-    /// and narrates `query_abort`, so every `query_arrive` in a stream
-    /// is closed by a completion or an abort. `disk` is the disk whose
-    /// read the query gave up on.
-    pub(crate) fn abort(&mut self, nar: &mut Narrator<'_>, disk: u16, attempts: u32) {
-        self.failed = true;
+    /// The query gives up with a typed error: narrates `query_abort`, so
+    /// every `query_arrive` in a stream is closed by a completion or an
+    /// abort. `disk` is the disk whose read the query gave up on. The
+    /// scheduler drops the session's in-flight work from then on.
+    pub(crate) fn abort(&self, nar: &mut Narrator<'_>, disk: u16, attempts: u32) {
         self.narrate(nar, |query| ObsEvent::QueryAbort {
             query,
             disk,

@@ -18,22 +18,35 @@
 //! [`NullRecorder`](sqda_obs::NullRecorder) nothing is built per event,
 //! and simulated timing is untouched either way (recording observes,
 //! never steers).
+//!
+//! Host work is kept to what the model needs. A run decodes each page
+//! at most once, into a run-local [`PageTable`] every delivery and
+//! every WOPTSS oracle reads through, so the access method's own I/O
+//! counters see one read per distinct page. The simulated reads are
+//! counted by the simulator ([`SimulationReport::reads_per_disk`]). A
+//! query's algorithm and session are built when it arrives and dropped
+//! when it completes, and the event queue holds only the events in
+//! flight: arrivals are merged in from the workload
+//! ([`ArrivalMerge`]) in the order pre-scheduling them gave.
 
 use super::clock::VirtualClock;
 use super::session::{
     least_busy_cpu, per, route_read, CpuCharge, DiskRead, Narrator, Route, Session,
 };
-use crate::access::AccessMethod;
+use crate::access::{AccessMethod, IndexNode};
 use crate::algo::{AlgorithmKind, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
+use crate::QueryScratch;
 use sqda_geom::Point;
 use sqda_obs::{Event as ObsEvent, Recorder};
 use sqda_simkernel::{
-    Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, RetryPolicy, SampleStats, SimTime,
-    SystemParams,
+    ArrivalMerge, Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, Popped, RetryPolicy,
+    SampleStats, SimTime, SystemParams,
 };
-use sqda_storage::PageId;
+use sqda_storage::{IoStats, PageId, PageIdHashBuilder, Placement};
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone)]
@@ -53,6 +66,11 @@ pub struct SimulationReport {
     pub p95_response_s: f64,
     /// Mean nodes fetched per query.
     pub mean_nodes_per_query: f64,
+    /// Simulated page reads by the disk each page is placed on: one per
+    /// read submitted to a disk, counted on the page's own disk even
+    /// when its shadow replica served it. The run's reads, which the
+    /// access method's store no longer sees one by one.
+    pub reads_per_disk: Vec<u64>,
     /// Mean utilization across disks over the simulated horizon.
     pub mean_disk_utilization: f64,
     /// Bus utilization over the simulated horizon.
@@ -79,7 +97,6 @@ pub struct SimulationReport {
 }
 
 enum Event {
-    Arrive(usize),
     DiskDone {
         q: usize,
         page: PageId,
@@ -100,8 +117,10 @@ enum Event {
     },
 }
 
-/// Produces one algorithm instance per workload query.
-pub type AlgoFactory<'a> = dyn FnMut(Point, usize) -> Box<dyn SimilaritySearch> + 'a;
+/// Produces the algorithm instance of one workload query, given its
+/// workload index, point and `k`. Called when that query arrives, so in
+/// arrival order.
+pub type AlgoFactory<'a> = dyn FnMut(usize, Point, usize) -> Box<dyn SimilaritySearch> + 'a;
 
 enum AlgoSource<'a> {
     Kind(AlgorithmKind),
@@ -278,7 +297,7 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
         &self,
         workload: &Workload,
         seed: u64,
-        mut options: RunOptions<'_>,
+        options: RunOptions<'_>,
     ) -> Result<SimulationReport, QueryError> {
         let no_faults = FaultPlan::none();
         let plan = options.plan.unwrap_or(&no_faults);
@@ -315,73 +334,143 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
             }
         }
 
-        // One algorithm instance per query. Oracle preparation (WOPTSS)
-        // happens here, outside simulated time, over one shared scratch:
-        // the precomputation reuses a single best-first heap.
-        let mut scratch = crate::QueryScratch::new();
-        let mut algos = Vec::with_capacity(workload.queries.len());
-        for wq in &workload.queries {
-            algos.push(match &mut options.algo {
-                AlgoSource::Kind(kind) => {
-                    kind.build_with(self.am, wq.point.clone(), wq.k, &mut scratch)?
-                }
-                AlgoSource::Factory(factory) => factory(wq.point.clone(), wq.k),
-            });
-        }
-        // Every query contributes one arrival event up front, so the
-        // workload size is a tight initial-capacity hint.
-        let mut events = EventQueue::with_capacity(workload.queries.len());
-        let mut sessions = Vec::with_capacity(algos.len());
-        for (q, (algo, wq)) in algos.iter_mut().zip(&workload.queries).enumerate() {
-            sessions.push(Session::new(algo.as_mut(), q as u32, q as u32, Vec::new()));
-            events.schedule(wq.arrival, Event::Arrive(q));
-        }
-
         // The virtual clock tracks the event being processed; the session
         // core reads it and recorder timestamps flow through it, exactly
         // as the real-clock engine stamps through its wall clock.
         let clock = VirtualClock::new();
+        let n = workload.queries.len();
         let mut run = Run {
-            am: self.am,
+            pages: PageTable::new(self.am),
             params: &self.params,
+            workload,
+            algo: options.algo,
+            scratch: QueryScratch::new(),
             rng: sqda_geom::rng::Rng::seed_from_u64(seed),
             disks,
             bus: Bus::new(self.params.bus_transfer()),
             cpus: (0..self.params.num_cpus.max(1))
                 .map(|_| Cpu::new(self.params.cpu_mips))
                 .collect(),
-            events,
-            sessions,
+            events: EventQueue::new(),
+            sessions: (0..n).map(|_| None).collect(),
             batch: Vec::new(),
             nar: Narrator::new(&clock, recorder, None, self.am.root_page()),
             faulted,
             retry: plan.retry(),
             degraded_reads: 0,
             read_retries: 0,
+            reads_per_disk: vec![0; self.params.num_disks as usize],
             failures: Vec::new(),
             response_times: SampleStats::new(),
+            responses: vec![None; n],
             total_nodes: 0,
             makespan: SimTime::ZERO,
         };
-        while let Some((now, event)) = run.events.pop() {
+        let mut arrivals = ArrivalMerge::new(workload.queries.iter().map(|wq| wq.arrival));
+        while let Some((now, next)) = arrivals.pop(&mut run.events) {
             clock.advance(now);
-            run.step(now, event)?;
+            match next {
+                Popped::Arrival(q) => run.arrive(now, q)?,
+                Popped::Event(event) => run.step(now, event)?,
+            }
         }
         Ok(run.report(options.name))
     }
 }
 
+impl SimulationReport {
+    /// The run's simulated reads as store accounting, for the metrics
+    /// sinks that fold an [`IoStats`]: reads and reads per disk, no
+    /// writes, no cache.
+    pub fn io_stats(&self) -> IoStats {
+        IoStats {
+            reads: self.reads_per_disk.iter().sum(),
+            reads_per_disk: self.reads_per_disk.clone(),
+            ..IoStats::default()
+        }
+    }
+}
+
+/// The pages one run has decoded, by page: the access method its
+/// deliveries and its WOPTSS oracles read through.
+///
+/// The tree is borrowed for the whole run and its pages are immutable
+/// meanwhile, so an entry never goes stale. A page is read from the
+/// underlying access method on its first visit only; the table holds
+/// at most the distinct pages the run visited (node handles, the nodes
+/// shared with any decoded-node cache) and goes with the run.
+struct PageTable<'t, A: ?Sized> {
+    am: &'t A,
+    nodes: Mutex<HashMap<PageId, IndexNode, PageIdHashBuilder>>,
+}
+
+impl<'t, A: AccessMethod + ?Sized> PageTable<'t, A> {
+    fn new(am: &'t A) -> Self {
+        Self {
+            am,
+            nodes: Mutex::default(),
+        }
+    }
+
+    /// `page`'s node, decoded on its first visit.
+    fn node(
+        am: &A,
+        nodes: &mut HashMap<PageId, IndexNode, PageIdHashBuilder>,
+        page: PageId,
+    ) -> Result<IndexNode, QueryError> {
+        if let Some(node) = nodes.get(&page) {
+            return Ok(node.clone());
+        }
+        let node = am.read_index_node(page)?;
+        nodes.insert(page, node.clone());
+        Ok(node)
+    }
+
+    /// [`AccessMethod::read_index_node`] through the table, without the
+    /// lock the shared path takes (the run owns the table).
+    fn read(&mut self, page: PageId) -> Result<IndexNode, QueryError> {
+        let nodes = self.nodes.get_mut().unwrap_or_else(PoisonError::into_inner);
+        Self::node(self.am, nodes, page)
+    }
+}
+
+impl<A: AccessMethod + ?Sized> AccessMethod for PageTable<'_, A> {
+    fn root_page(&self) -> PageId {
+        self.am.root_page()
+    }
+
+    fn num_disks(&self) -> u32 {
+        self.am.num_disks()
+    }
+
+    fn read_index_node(&self, page: PageId) -> Result<IndexNode, QueryError> {
+        let mut nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
+        Self::node(self.am, &mut nodes, page)
+    }
+
+    fn placement(&self, page: PageId) -> Result<Placement, QueryError> {
+        self.am.placement(page)
+    }
+}
+
 /// Everything one simulation run owns: the modelled array, the event
-/// queue, the query sessions and the run's tallies.
-struct Run<'a, A: AccessMethod + ?Sized> {
-    am: &'a A,
+/// queue, the sessions of the queries in flight and the run's tallies.
+struct Run<'a, 'o, A: AccessMethod + ?Sized> {
+    pages: PageTable<'a, A>,
     params: &'a SystemParams,
+    workload: &'a Workload,
+    algo: AlgoSource<'o>,
+    /// The working memory and fetch buffer a completed session hands to
+    /// the next query's.
+    scratch: QueryScratch,
     rng: sqda_geom::rng::Rng,
     disks: Vec<Disk>,
     bus: Bus,
     cpus: Vec<Cpu>,
     events: EventQueue<Event>,
-    sessions: Vec<Session<'a>>,
+    /// The session of every query in flight, by workload index: `None`
+    /// before it arrives and after it completes or aborts.
+    sessions: Vec<Option<Session<Box<dyn SimilaritySearch>>>>,
     /// The pages of the batch being issued (one buffer for every query).
     batch: Vec<PageId>,
     nar: Narrator<'a>,
@@ -389,8 +478,11 @@ struct Run<'a, A: AccessMethod + ?Sized> {
     retry: RetryPolicy,
     degraded_reads: u64,
     read_retries: u64,
+    reads_per_disk: Vec<u64>,
     failures: Vec<(u32, QueryError)>,
     response_times: SampleStats,
+    /// Response time of every completed query, by workload index.
+    responses: Vec<Option<f64>>,
     total_nodes: u64,
     makespan: SimTime,
 }
@@ -414,48 +506,67 @@ fn charge_cpu(
     }
 }
 
-impl<A: AccessMethod + ?Sized> Run<'_, A> {
-    /// Processes one popped event at its time `now`.
+impl<A: AccessMethod + ?Sized> Run<'_, '_, A> {
+    /// Query `q` enters the system at `now`. Per the paper it does so
+    /// immediately: it pays the fixed startup cost on the CPU, then
+    /// issues its first request (the root page). Its algorithm is built
+    /// here, outside simulated time — oracle preparation (WOPTSS)
+    /// included — over the run's scratch.
+    fn arrive(&mut self, now: SimTime, q: usize) -> Result<(), QueryError> {
+        let wq = &self.workload.queries[q];
+        let algo = match &mut self.algo {
+            AlgoSource::Kind(kind) => {
+                kind.build_with(&self.pages, wq.point.clone(), wq.k, &mut self.scratch)?
+            }
+            AlgoSource::Factory(factory) => factory(q, wq.point.clone(), wq.k),
+        };
+        self.scratch.batch.clear();
+        let fetched = std::mem::take(&mut self.scratch.batch);
+        let session = self.sessions[q].insert(Session::new(algo, q as u32, q as u32, fetched));
+        session.arrive(&mut self.nar);
+        let startup = self.params.query_startup();
+        let charge = charge_cpu(&mut self.cpus, &mut self.events, q, now, |cpu| {
+            cpu.submit_duration_detailed(now, startup)
+        });
+        session.cpu_slice(&mut self.nar, charge, 0);
+        Ok(())
+    }
+
+    /// Processes one popped event at its time `now`. Work still in
+    /// flight for a query that already aborted finds no session: a page
+    /// that was read is dropped instead of crossing the bus.
     fn step(&mut self, now: SimTime, event: Event) -> Result<(), QueryError> {
         match event {
-            Event::Arrive(q) => {
-                // Per the paper, a new query enters the system
-                // immediately; it pays the fixed startup cost on the
-                // CPU, then issues its first request (the root page).
-                self.sessions[q].arrive(&mut self.nar);
-                let startup = self.params.query_startup();
-                let charge = charge_cpu(&mut self.cpus, &mut self.events, q, now, |cpu| {
-                    cpu.submit_duration_detailed(now, startup)
-                });
-                self.sessions[q].cpu_slice(&mut self.nar, charge, 0);
-            }
-            Event::CpuDone { q } if !self.sessions[q].failed => {
+            Event::CpuDone { q } => {
+                let Some(session) = self.sessions[q].as_mut() else {
+                    return Ok(());
+                };
                 let mut batch = std::mem::take(&mut self.batch);
-                match self.sessions[q].next_batch(&mut self.nar, &mut batch)? {
-                    true => {
-                        for &page in &batch {
-                            self.dispatch_read(now, q, page, 1)?;
-                            if self.sessions[q].failed {
-                                break;
-                            }
+                if session.next_batch(&mut self.nar, &mut batch)? {
+                    for &page in &batch {
+                        self.dispatch_read(now, q, page, 1)?;
+                        if self.sessions[q].is_none() {
+                            break;
                         }
-                        self.batch = batch;
                     }
-                    false => {
-                        let session = &mut self.sessions[q];
-                        let response = SimTime::from_nanos(session.complete(&mut self.nar));
-                        self.response_times.push(response.as_secs_f64());
-                        self.total_nodes += session.nodes_visited;
-                        self.makespan = self.makespan.max(now);
-                        session.retire();
-                    }
+                    self.batch = batch;
+                } else {
+                    let response = SimTime::from_nanos(session.complete(&mut self.nar));
+                    self.response_times.push(response.as_secs_f64());
+                    self.responses[q] = Some(response.as_secs_f64());
+                    self.total_nodes += session.nodes_visited;
+                    self.makespan = self.makespan.max(now);
+                    session.recycle(&mut self.scratch);
+                    self.sessions[q] = None;
                 }
             }
-            Event::DiskDone { q, page } if !self.sessions[q].failed => {
+            Event::DiskDone { q, page } => {
+                let Some(session) = self.sessions[q].as_mut() else {
+                    return Ok(());
+                };
                 let (done, queue) = self.bus.submit_detailed(now);
                 self.events.schedule(done, Event::BusDone { q, page });
                 let (queue_ns, transfer_ns) = (queue.as_nanos(), (done - now - queue).as_nanos());
-                let session = &mut self.sessions[q];
                 session.obs.bus_queue_ns += queue_ns;
                 session.obs.bus_ns += transfer_ns;
                 session.narrate(&mut self.nar, |query| ObsEvent::BusTransfer {
@@ -464,21 +575,23 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
                     transfer_ns,
                 });
             }
-            Event::BusDone { q, page } if !self.sessions[q].failed => {
-                let node = self.am.read_index_node(page)?;
+            Event::BusDone { q, page } => {
+                let Some(session) = self.sessions[q].as_mut() else {
+                    return Ok(());
+                };
+                let node = self.pages.read(page)?;
                 let (cpus, events) = (&mut self.cpus, &mut self.events);
-                self.sessions[q].deliver(&mut self.nar, page, node, |instructions, _| {
+                session.deliver(&mut self.nar, page, node, |instructions, _| {
                     charge_cpu(cpus, events, q, now, |cpu| {
                         cpu.submit_detailed(now, instructions)
                     })
                 })?;
             }
-            Event::Retry { q, page, attempt } if !self.sessions[q].failed => {
-                self.dispatch_read(now, q, page, attempt)?;
+            Event::Retry { q, page, attempt } => {
+                if self.sessions[q].is_some() {
+                    self.dispatch_read(now, q, page, attempt)?;
+                }
             }
-            // Work still in flight for a query that already aborted: a
-            // page that was read is dropped instead of crossing the bus.
-            _ => {}
         }
         Ok(())
     }
@@ -496,10 +609,12 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
         page: PageId,
         attempt: u32,
     ) -> Result<(), QueryError> {
-        let placement = self.am.placement(page)?;
+        let placement = self.pages.placement(page)?;
         let primary = placement.disk.index();
         let mirrored = self.params.mirrored_reads;
-        let session = &mut self.sessions[q];
+        let Some(session) = self.sessions[q].as_mut() else {
+            return Ok(());
+        };
         let disk = match route_read(primary, now, &self.disks, mirrored, self.faulted) {
             Route::Serve(disk) => disk,
             Route::Degraded(replica) => {
@@ -520,6 +635,8 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
                 });
                 if attempt >= self.retry.max_attempts {
                     session.abort(&mut self.nar, primary as u16, attempt);
+                    session.recycle(&mut self.scratch);
+                    self.sessions[q] = None;
                     self.makespan = self.makespan.max(now);
                     self.failures.push((
                         q as u32,
@@ -540,6 +657,7 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
                 return Ok(());
             }
         };
+        self.reads_per_disk[primary] += 1;
         let detail = self.disks[disk].submit_detailed(now, placement.cylinder, &mut self.rng);
         self.events
             .schedule(detail.completion, Event::DiskDone { q, page });
@@ -559,19 +677,10 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
     /// Folds the finished run into its report.
     fn report(self, algorithm: &'static str) -> SimulationReport {
         debug_assert!(
-            self.sessions
-                .iter()
-                .all(|s| s.response_ns.is_some() || s.failed),
+            self.sessions.iter().all(Option::is_none),
             "all queries must complete or abort"
         );
-        let responses: Vec<f64> = self
-            .sessions
-            .iter()
-            .filter_map(|s| {
-                s.response_ns
-                    .map(|ns| SimTime::from_nanos(ns).as_secs_f64())
-            })
-            .collect();
+        let responses: Vec<f64> = self.responses.into_iter().flatten().collect();
         let completed = responses.len();
         let horizon = self.makespan;
         let summary = self.response_times.summary();
@@ -585,6 +694,7 @@ impl<A: AccessMethod + ?Sized> Run<'_, A> {
             max_response_s: summary.max,
             p95_response_s: summary.p95,
             mean_nodes_per_query: per(self.total_nodes as f64, completed),
+            reads_per_disk: self.reads_per_disk,
             mean_disk_utilization: per(disk_busy, self.disks.len()),
             bus_utilization: self.bus.utilization(horizon),
             cpu_utilization: per(cpu_busy, self.cpus.len()),

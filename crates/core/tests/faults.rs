@@ -172,17 +172,13 @@ fn run_spied(
 ) -> (sqda_core::SimulationReport, BTreeMap<usize, Vec<Neighbor>>) {
     let sink: Arc<Mutex<BTreeMap<usize, Vec<Neighbor>>>> = Arc::default();
     let sim = Simulation::new(tree, params).unwrap();
-    let mut next_query = 0usize;
     let factory_sink = Arc::clone(&sink);
-    let mut factory = |point, k| -> Box<dyn SimilaritySearch> {
-        let inner = kind.build(tree, point, k).unwrap();
-        let spy = Spy {
-            inner,
-            query: next_query,
+    let mut factory = |query, point, k| -> Box<dyn SimilaritySearch> {
+        Box::new(Spy {
+            inner: kind.build(tree, point, k).unwrap(),
+            query,
             sink: Arc::clone(&factory_sink),
-        };
-        next_query += 1;
-        Box::new(spy)
+        })
     };
     let options = RunOptions::factory(kind.name(), &mut factory).faults(plan);
     let report = sim.run_with(w, 5, options).unwrap();
@@ -213,6 +209,12 @@ fn killing_a_mirrored_disk_preserves_answers() {
         assert_eq!(degraded.failed, 0, "{kind}: mirrored loss must not abort");
         assert_eq!(degraded.completed, w.queries.len(), "{kind}");
         assert!(degraded.degraded_reads > 0, "{kind}: root reads redirect");
+        // Reads are counted on the disk each page is placed on, wherever
+        // the read was served: the same pages, the same counts.
+        assert_eq!(
+            degraded.reads_per_disk, baseline.reads_per_disk,
+            "{kind}: simulated reads by placement"
+        );
         assert_eq!(healthy.len(), survived.len(), "{kind}");
         for (q, want) in &healthy {
             let got = &survived[q];
@@ -399,8 +401,9 @@ fn mixed_level_batches_record_min_and_max_levels() {
     };
     let sim = Simulation::new(&tree, deterministic_params(2)).unwrap();
     let mut rec = CollectingRecorder::new();
-    let mut factory =
-        |_point, _k| -> Box<dyn SimilaritySearch> { Box::new(MixedFetcher { root, rounds: 0 }) };
+    let mut factory = |_q, _point, _k| -> Box<dyn SimilaritySearch> {
+        Box::new(MixedFetcher { root, rounds: 0 })
+    };
     let options = RunOptions::factory("mixed-fetcher", &mut factory);
     sim.run_with(&w, 1, options.recorded(&mut rec)).unwrap();
     let batches: Vec<(u16, u16, u32)> = rec

@@ -197,20 +197,28 @@ fn metrics_snapshot_folds_run_and_store() {
     let w = deterministic_workload();
     let sim = Simulation::new(&tree, deterministic_params(4)).unwrap();
     let mut rec = CollectingRecorder::new();
-    sim.run_recorded(AlgorithmKind::Fpss, &w, 1, &mut rec)
+    let report = sim
+        .run_recorded(AlgorithmKind::Fpss, &w, 1, &mut rec)
         .unwrap();
     let mut snap = MetricsSnapshot::from_events(rec.events());
-    snap.fold_io_stats(&tree.io_stats());
+    snap.fold_io_stats(&report.io_stats());
     assert_eq!(snap.queries_completed.0, 2);
     assert!(!snap.disks.is_empty());
     // FPSS over a round-robin declustered tree spreads requests; the
     // imbalance CV must be well below the all-on-one-disk regime.
     assert!(snap.load_imbalance() < 1.0, "CV {}", snap.load_imbalance());
-    // The store saw at least the simulator's reads (it also served the
-    // build), and the snapshot renders as valid JSON.
+    // The simulated work is the reads the disks served: unmirrored,
+    // each disk's narrated requests are exactly the reads counted on it,
+    // and the snapshot renders as valid JSON.
+    for (&disk, d) in &snap.disks {
+        assert_eq!(
+            d.requests.0, snap.store_reads_per_disk[disk as usize],
+            "disk {disk}"
+        );
+    }
     let timed: u64 = snap.disks.values().map(|d| d.requests.0).sum();
     let stored: u64 = snap.store_reads_per_disk.iter().sum();
-    assert!(stored >= timed);
+    assert_eq!(stored, timed);
     let doc = json::parse(&snap.to_json()).unwrap();
     assert_eq!(doc.get("queries_completed").unwrap().as_u64(), Some(2));
 }

@@ -7,7 +7,7 @@ use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{RStarConfig, RStarTree};
 use sqda_simkernel::SystemParams;
-use sqda_storage::ArrayStore;
+use sqda_storage::{ArrayStore, PageStore};
 use std::sync::Arc;
 
 fn build_tree(n: usize, dim: usize, disks: u32, fanout: usize, seed: u64) -> RStarTree<ArrayStore> {
@@ -44,6 +44,32 @@ fn all_queries_complete_for_every_algorithm() {
         assert!(report.mean_response_s > 0.0, "{kind}");
         assert!(report.mean_nodes_per_query >= 1.0, "{kind}");
         assert!(report.makespan_s > 0.0);
+    }
+}
+
+/// Host reads are not simulated reads: a run decodes each page once, so
+/// the store sees at most one read per distinct page (the WOPTSS oracle's
+/// included), while the simulator counts a read on its disk for every
+/// node every query fetched.
+#[test]
+fn a_run_reads_each_page_from_the_store_at_most_once() {
+    let tree = build_tree(3000, 2, 10, 16, 1);
+    let pages = tree.stats().unwrap().total_nodes();
+    let sim = Simulation::new(&tree, SystemParams::with_disks(10)).unwrap();
+    let w = Workload::poisson(queries(40, 2, 2), 10, 5.0, 3);
+    for kind in AlgorithmKind::ALL {
+        tree.store().reset_stats();
+        let report = sim.run(kind, &w, 99).unwrap();
+        let simulated = report.io_stats();
+        assert_eq!(simulated.reads_per_disk.len(), 10, "{kind}");
+        assert_eq!(
+            simulated.reads as f64,
+            report.mean_nodes_per_query * report.completed as f64,
+            "{kind}: one simulated read per node fetched"
+        );
+        let stored = tree.io_stats().reads;
+        assert!(0 < stored && stored <= pages, "{kind}: {stored} of {pages}");
+        assert!(stored < simulated.reads, "{kind}: pages are shared");
     }
 }
 

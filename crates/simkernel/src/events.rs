@@ -42,17 +42,8 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before the heap reallocates. Callers that know the initial event
-    /// population (e.g. one arrival per workload query) pre-size the heap
-    /// so the scheduling burst at simulation start does not grow it
-    /// repeatedly.
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            heap: BinaryHeap::with_capacity(capacity),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -114,6 +105,58 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// A fixed arrival schedule merged into an [`EventQueue`] at pop time
+/// instead of scheduled in it up front, so the heap holds only the
+/// events in flight.
+///
+/// The merge pops exactly what one queue would if arrival `i` (at
+/// `times[i]`) had been scheduled, in index order, before any other
+/// event: arrivals leave in `(time, index)` order, and an arrival wins a
+/// time tie against every queued event (the pre-scheduled arrivals held
+/// the lowest insertion numbers).
+pub struct ArrivalMerge {
+    /// `(time, index)` of every arrival, sorted.
+    order: Vec<(SimTime, usize)>,
+    next: usize,
+}
+
+/// What [`ArrivalMerge::pop`] delivers.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Popped<E> {
+    /// Arrival number `i` of the schedule.
+    Arrival(usize),
+    /// An event scheduled on the queue.
+    Event(E),
+}
+
+impl ArrivalMerge {
+    /// A merge of arrival `i` at `times[i]`, none of them popped yet.
+    pub fn new(times: impl IntoIterator<Item = SimTime>) -> Self {
+        let mut order: Vec<(SimTime, usize)> = times
+            .into_iter()
+            .enumerate()
+            .map(|(i, time)| (time, i))
+            .collect();
+        order.sort_unstable();
+        Self { order, next: 0 }
+    }
+
+    /// Pops the earliest of the next arrival and `queue`'s next event,
+    /// the arrival on a tie, advancing `queue`'s time to it.
+    pub fn pop<E>(&mut self, queue: &mut EventQueue<E>) -> Option<(SimTime, Popped<E>)> {
+        match self.order.get(self.next) {
+            Some(&(time, i)) if queue.peek_time().is_none_or(|next| time <= next) => {
+                self.next += 1;
+                queue.now = time;
+                Some((time, Popped::Arrival(i)))
+            }
+            _ => queue
+                .pop()
+                .map(|(time, event)| (time, Popped::Event(event))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,17 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(16);
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(SimTime::from_nanos(2), "b");
-        q.schedule(SimTime::from_nanos(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
     fn now_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(7), ());
@@ -179,6 +211,78 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    /// What one popped event makes the simulation schedule next: the
+    /// delays (possibly zero, for ties) of new events after it.
+    type Script = Vec<Vec<u64>>;
+
+    /// Drains a run whose `k`-th pop schedules events `script[k % len]`
+    /// later, through `pop`, until 200 have been scheduled; the arrivals
+    /// are labelled by index, the scheduled events by a counter.
+    fn drain(
+        script: &Script,
+        queue: &mut EventQueue<u64>,
+        mut pop: impl FnMut(&mut EventQueue<u64>) -> Option<(SimTime, Popped<u64>)>,
+    ) -> Vec<(SimTime, Popped<u64>)> {
+        let (mut popped, mut label) = (Vec::new(), 0);
+        while let Some((now, event)) = pop(queue) {
+            for &delay in &script[popped.len() % script.len()] {
+                if label < 200 {
+                    queue.schedule(now + SimTime::from_nanos(delay), label);
+                    label += 1;
+                }
+            }
+            popped.push((now, event));
+        }
+        popped
+    }
+
+    #[test]
+    fn arrival_merge_pops_what_one_queue_with_arrivals_first_pops() {
+        use sqda_geom::prop::{check, len};
+        // Arrival times from a small range (duplicates, out of index
+        // order); delays of 0 tie scheduled events with each other and,
+        // on a coarse grid, with arrivals.
+        let gen = |rng: &mut sqda_geom::rng::Rng, size: usize| {
+            let grid = rng.gen_range(1..=4u64);
+            let arrivals: Vec<u64> = (0..len(rng, size, 0..40))
+                .map(|_| rng.gen_range(0..=12u64) * grid)
+                .collect();
+            let script: Script = (0..len(rng, size, 1..8))
+                .map(|_| {
+                    let fan_out = [0, 0, 1, 1, 1, 2][rng.gen_range(0..6usize)];
+                    (0..fan_out)
+                        .map(|_| rng.gen_range(0..=3u64) * grid)
+                        .collect()
+                })
+                .collect();
+            (arrivals, script)
+        };
+        check(
+            "arrival_merge_matches_one_queue",
+            256,
+            gen,
+            |(arrivals, script)| {
+                // Reference: every arrival scheduled first, in index order.
+                // Arrival `i` is `u64::MAX - i`, a label no counter reaches.
+                let mut one = EventQueue::new();
+                for (i, &t) in arrivals.iter().enumerate() {
+                    one.schedule(SimTime::from_nanos(t), u64::MAX - i as u64);
+                }
+                let want = drain(&script, &mut one, |q| {
+                    let (time, e) = q.pop()?;
+                    let popped = match u64::MAX - e {
+                        i if i < arrivals.len() as u64 => Popped::Arrival(i as usize),
+                        _ => Popped::Event(e),
+                    };
+                    Some((time, popped))
+                });
+                let mut merge = ArrivalMerge::new(arrivals.iter().map(|&t| SimTime::from_nanos(t)));
+                let got = drain(&script, &mut EventQueue::new(), |q| merge.pop(q));
+                assert_eq!(got, want);
+            },
+        );
     }
 
     #[test]

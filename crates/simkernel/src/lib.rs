@@ -40,7 +40,7 @@ pub use arrivals::PoissonArrivals;
 pub use bus::Bus;
 pub use cpu::{cpu_instructions_for_batch, Cpu};
 pub use disk::{Disk, DiskParams, DiskServiceDetail};
-pub use events::EventQueue;
+pub use events::{ArrivalMerge, EventQueue, Popped};
 pub use fault::{DiskFault, DiskFaultProfile, FaultPlan, RetryPolicy};
 pub use params::SystemParams;
 pub use rng::SeedSequence;

@@ -33,7 +33,7 @@ use crate::store::{check_extent, Counters};
 use crate::{unpoison, DiskId, IoStats, PageId, PageStore, Placement, Result, StorageError};
 use sqda_geom::rng::Rng;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -473,11 +473,7 @@ impl FileStore {
                 }
             }
         }
-        let tmp = self.dir.join("meta.sqda.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-        std::fs::rename(tmp, self.dir.join("meta.sqda"))
+        crate::write_file_atomic(&self.dir.join("meta.sqda"), &buf)
     }
 
     fn io_err(e: std::io::Error, page: PageId) -> StorageError {

@@ -31,12 +31,33 @@ mod store;
 
 pub use backend::{InlineBackend, IoBackend, ReadCompletion, ReadObserver, ThreadedFileBackend};
 pub use bytes::{Bytes, BytesMut};
-pub use cache::{CacheStats, LruCache, NodeCache};
+pub use cache::{CacheStats, LruCache, NodeCache, PageIdHashBuilder};
 pub use error::{Result, StorageError};
 pub use filestore::FileStore;
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use placement::{DiskId, Placement};
 pub use store::{ArrayStore, IoStats, PageStore};
+
+/// Replaces the file at `path` with `bytes` so that a crash leaves the
+/// old file or the new one, never a torn one: writes `<path>.tmp`,
+/// syncs it, renames it over `path`, then syncs the directory, since the
+/// rename is an entry in it. A store's superblock (`meta.sqda`) and the
+/// small files beside it (`tree.meta`, `calibration.json`) are written
+/// this way.
+pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    #[cfg(unix)]
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
 
 /// A lock guard whatever the lock's poisoning. Every lock in the
 /// workspace takes this policy: a holder that panicked has already

@@ -83,6 +83,7 @@ assert batch.startswith('OK 2 fetches='), batch
 assert ' rounds=' in batch and ' wall_us=' in batch, batch
 assert ' q0=' + ','.join(solo.split()[2:]) in batch, (solo, batch)
 assert req('BATCH 0.5 5').startswith('ERR')
+assert req('BATCH ' + ';'.join(['0.5,0.5'] * 1025) + ' 5') == 'ERR batch too large'
 
 # Scrape METRICS (read until the "# EOF" terminator) and lint the
 # exposition: HELP/TYPE per sampled family, ascending le bounds with
