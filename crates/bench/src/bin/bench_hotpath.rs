@@ -31,15 +31,13 @@
 //!
 //! The trees are built deterministically (no RNG), so the byte layout
 //! under measurement is identical across runs and machines; only the
-//! timings vary. Accepts `--out <dir>` (default `results`), `--no-manifest`
-//! (suppress the provenance manifest and schema-v2 fragment; the legacy
-//! `BENCH_hotpath.json` is always written), `--reps <n>`, and — so it can
-//! run under `run_all_experiments` — ignores `--quick`, `--serial`, and
-//! `--warmup <f>`. Timings are reported in the fragment as informational
-//! metrics (machine-dependent, never compared across hosts); the batch
-//! traversal's fetch counters and the hot query's allocation counts are
-//! exact and Direction-tagged, so the regression gate catches a sharing,
-//! pruning or allocation regression numerically.
+//! timings vary. Accepts `--out <dir>` (default `results`), `--reps <n>`,
+//! and — so it can run under `run_all_experiments` — ignores `--quick`,
+//! `--serial`, and `--warmup <f>`. Timings are reported in the fragment
+//! as informational metrics (machine-dependent, never compared across
+//! hosts); the batch traversal's fetch counters and the hot query's
+//! allocation counts are exact and Direction-tagged, so the regression
+//! gate catches a sharing, pruning or allocation regression numerically.
 
 use sqda_bench::{
     report::{BinReport, Direction},
@@ -253,13 +251,11 @@ fn sample_pages(tree: &RStarTree<ArrayStore>) -> (PageId, Option<PageId>) {
 
 fn main() {
     let mut out_dir = PathBuf::from("results");
-    let mut manifest = true;
     let mut reps = DEFAULT_REPS;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_dir = PathBuf::from(args.next().expect("--out needs a directory")),
-            "--no-manifest" => manifest = false,
             "--reps" => {
                 reps = args
                     .next()
@@ -275,7 +271,7 @@ fn main() {
                 args.next().expect("--warmup needs a fraction");
             }
             other => panic!(
-                "unknown argument {other} (expected --out <dir> | --no-manifest | \
+                "unknown argument {other} (expected --out <dir> | \
                  --reps <n> | --quick | --serial | --warmup <f>)"
             ),
         }
@@ -516,7 +512,6 @@ fn main() {
         trace: None,
         metrics: None,
         reps,
-        manifest,
         warmup: 0.0,
     };
     let mut report = BinReport::new("bench_hotpath", &opts);

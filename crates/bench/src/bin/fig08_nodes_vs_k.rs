@@ -5,73 +5,37 @@
 //! k grows; CRSS overtakes it past a crossover; FPSS visits the most;
 //! WOPTSS is the floor.
 
-use sqda_bench::{
-    build_tree, f2, mean_nodes_with, rep_query_sets, report::BinReport, sweep_replicated_with,
-    ExpOptions, ResultsTable,
-};
-use sqda_core::{AlgorithmKind, QueryScratch};
+use sqda_bench::sweep::{AlgorithmKind, Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::{california_like, long_beach_like, CP_CARDINALITY, LB_CARDINALITY};
+
+const QUICK_KS: &[usize] = &[1, 100, 400, 700];
+const FULL_KS: &[usize] = &[1, 50, 100, 200, 300, 400, 500, 600, 700];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let ks: &[usize] = if opts.quick {
-        &[1, 100, 400, 700]
-    } else {
-        &[1, 50, 100, 200, 300, 400, 500, 600, 700]
-    };
-    let mut report = BinReport::new("fig08_nodes_vs_k", &opts);
-    report
-        .param("disks", 10)
-        .param("queries", opts.queries())
-        .master_seed(811);
+    let ks = if opts.quick { QUICK_KS } else { FULL_KS };
     let datasets = [
         california_like(opts.population(CP_CARDINALITY), 801),
         long_beach_like(opts.population(LB_CARDINALITY), 802),
     ];
-    for dataset in datasets {
-        let tree = build_tree(&dataset, 10, 810);
-        // Replication r samples an independent query set; set 0 is the
-        // historical one, so --reps 1 reproduces the single-run numbers.
-        let query_sets = rep_query_sets(&dataset, &opts, 811);
-        let mut table = ResultsTable::new(
-            format!(
-                "Figure 8 — visited nodes vs k (set: {}, n={}, disks: 10)",
-                dataset.name,
-                dataset.len()
-            ),
-            &["k", "BBSS", "FPSS", "CRSS", "WOPTSS"],
-        );
-        let points: Vec<(usize, AlgorithmKind)> = ks
-            .iter()
-            .flat_map(|&k| AlgorithmKind::ALL.map(|kind| (k, kind)))
-            .collect();
-        // One query scratch per sweep worker: heaps and batch buffers are
-        // allocated once per thread, not once per (k, algorithm, query).
-        let sums = sweep_replicated_with(
-            &points,
-            &opts,
-            QueryScratch::new,
-            |scratch, &(k, kind), rep| mean_nodes_with(&tree, &query_sets[rep], k, kind, scratch),
-        );
-        for (point, sum) in points.iter().zip(&sums) {
-            report.metric(
-                "mean_nodes",
-                &[
-                    ("dataset", dataset.name.clone()),
-                    ("k", point.0.to_string()),
-                    ("algorithm", point.1.name().to_string()),
-                ],
-                sum.summary,
-            );
+    let panels = datasets.map(|d| {
+        let setup = Setup::build(&d, 10, 810, 811, &opts);
+        let (name, n) = (&d.name, d.len());
+        Panel {
+            title: format!("Figure 8 — visited nodes vs k (set: {name}, n={n}, disks: 10)"),
+            csv: format!("fig08_{name}"),
+            rows: Vec::from_iter(ks.iter().map(|k| Row::new(&setup, *k, 0.0, &[name, k]))),
         }
-        let cells: Vec<String> = sums.iter().map(|s| f2(s.mean())).collect();
-        for (i, &k) in ks.iter().enumerate() {
-            let mut row = vec![k.to_string()];
-            row.extend_from_slice(&cells[i * 4..(i + 1) * 4]);
-            table.row(row);
-        }
-        table.print();
-        table.write_csv(&opts.out_dir, &format!("fig08_{}", dataset.name));
+    });
+    Sweep {
+        bench: "fig08_nodes_vs_k",
+        master_seed: 811,
+        params: &[("disks", &10)],
+        measure: Measure::Nodes,
+        columns: Columns::Means(AlgorithmKind::ALL),
+        labels: &["dataset", "k"],
+        keys: &["k"],
+        panels: panels.into(),
     }
-    report.finish(&opts);
+    .run(&opts);
 }

@@ -6,82 +6,39 @@
 //! descent degrades with k, and CRSS stays closest to the WOPTSS floor
 //! (ratios within a few percent).
 
-use sqda_bench::{
-    build_tree, mean_nodes_with, rep_query_sets, report::BinReport, sweep_replicated_with,
-    ExpOptions, ResultsTable,
-};
-use sqda_core::{AlgorithmKind, QueryScratch};
+use sqda_bench::sweep::{Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::{gaussian, uniform};
+
+const QUICK_KS: &[usize] = &[1, 200, 700];
+const FULL_KS: &[usize] = &[1, 50, 100, 200, 300, 400, 500, 600, 700];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let ks: &[usize] = if opts.quick {
-        &[1, 200, 700]
-    } else {
-        &[1, 50, 100, 200, 300, 400, 500, 600, 700]
-    };
-    let mut report = BinReport::new("fig09_nodes_10d", &opts);
-    report
-        .param("disks", 10)
-        .param("dim", 10)
-        .param("queries", opts.queries())
-        .master_seed(911);
+    let ks = if opts.quick { QUICK_KS } else { FULL_KS };
     let datasets = [
         gaussian(opts.population(60_030), 10, 901),
         uniform(opts.population(60_000), 10, 902),
     ];
-    for dataset in datasets {
-        let tree = build_tree(&dataset, 10, 910);
-        let query_sets = rep_query_sets(&dataset, &opts, 911);
-        let mut table = ResultsTable::new(
-            format!(
-                "Figure 9 — visited nodes normalized to WOPTSS (set: {}, n={}, 10-d, disks: 10)",
-                dataset.name,
-                dataset.len()
+    let panels = datasets.map(|d| {
+        let setup = Setup::build(&d, 10, 910, 911, &opts);
+        let (name, n) = (&d.name, d.len());
+        Panel {
+            title: format!(
+                "Figure 9 — visited nodes normalized to WOPTSS (set: {name}, n={n}, 10-d, disks: 10)"
             ),
-            &[
-                "k",
-                "BBSS/WOPTSS",
-                "FPSS/WOPTSS",
-                "CRSS/WOPTSS",
-                "WOPTSS(abs)",
-            ],
-        );
-        // WOPTSS is ALL's last element, so cells[i*4 + 3] is the
-        // normalizer for row i.
-        let points: Vec<(usize, AlgorithmKind)> = ks
-            .iter()
-            .flat_map(|&k| AlgorithmKind::ALL.map(|kind| (k, kind)))
-            .collect();
-        let sums = sweep_replicated_with(
-            &points,
-            &opts,
-            QueryScratch::new,
-            |scratch, &(k, kind), rep| mean_nodes_with(&tree, &query_sets[rep], k, kind, scratch),
-        );
-        for (point, sum) in points.iter().zip(&sums) {
-            report.metric(
-                "mean_nodes",
-                &[
-                    ("dataset", dataset.name.clone()),
-                    ("k", point.0.to_string()),
-                    ("algorithm", point.1.name().to_string()),
-                ],
-                sum.summary,
-            );
+            csv: format!("fig09_{name}"),
+            rows: Vec::from_iter(ks.iter().map(|k| Row::new(&setup, *k, 0.0, &[name, k]))),
         }
-        let cells: Vec<f64> = sums.iter().map(|s| s.mean()).collect();
-        for (i, &k) in ks.iter().enumerate() {
-            let wopt = cells[i * 4 + 3];
-            let mut row = vec![k.to_string()];
-            for nodes in &cells[i * 4..i * 4 + 3] {
-                row.push(format!("{:.4}", nodes / wopt));
-            }
-            row.push(format!("{wopt:.2}"));
-            table.row(row);
-        }
-        table.print();
-        table.write_csv(&opts.out_dir, &format!("fig09_{}", dataset.name));
+    });
+    Sweep {
+        bench: "fig09_nodes_10d",
+        master_seed: 911,
+        params: &[("disks", &10), ("dim", &10)],
+        measure: Measure::Nodes,
+        columns: Columns::OverWoptss,
+        labels: &["dataset", "k"],
+        keys: &["k"],
+        panels: panels.into(),
     }
-    report.finish(&opts);
+    .run(&opts);
 }

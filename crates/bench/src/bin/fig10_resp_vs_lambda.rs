@@ -7,102 +7,47 @@
 //! pages); for small loads and many disks it can be marginally better
 //! than CRSS, but degrades fastest as λ grows; WOPTSS is the floor.
 
-use sqda_bench::{
-    build_tree, f4, mean_response, rep_query_sets, rep_seed, report::BinReport, simulate_observed,
-    sweep_replicated, ExpOptions, ResultsTable,
-};
-use sqda_core::AlgorithmKind;
+use sqda_bench::sweep::{AlgorithmKind, Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::{california_like, long_beach_like, CP_CARDINALITY, LB_CARDINALITY};
+use std::iter::zip;
+
+/// Disks and k of the left (Long Beach) and right (California) graphs.
+const GRAPHS: [(u32, usize); 2] = [(5, 10), (10, 100)];
+/// Their λ values.
+const QUICK: [&[f64]; 2] = [&[1.0, 5.0, 10.0], &[1.0, 10.0, 20.0]];
+const FULL: [&[f64]; 2] = [
+    &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
+    &[1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0],
+];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    struct Config {
-        dataset: sqda_datasets::Dataset,
-        disks: u32,
-        k: usize,
-        lambdas: Vec<f64>,
-    }
-    let configs = [
-        Config {
-            dataset: long_beach_like(opts.population(LB_CARDINALITY), 1001),
-            disks: 5,
-            k: 10,
-            lambdas: if opts.quick {
-                vec![1.0, 5.0, 10.0]
-            } else {
-                vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-            },
-        },
-        Config {
-            dataset: california_like(opts.population(CP_CARDINALITY), 1002),
-            disks: 10,
-            k: 100,
-            lambdas: if opts.quick {
-                vec![1.0, 10.0, 20.0]
-            } else {
-                vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
-            },
-        },
+    let lambdas = if opts.quick { QUICK } else { FULL };
+    let datasets = [
+        long_beach_like(opts.population(LB_CARDINALITY), 1001),
+        california_like(opts.population(CP_CARDINALITY), 1002),
     ];
-    let mut report = BinReport::new("fig10_resp_vs_lambda", &opts);
-    report
-        .param("queries", opts.queries())
-        .param("sim_seed", 1012)
-        .master_seed(1011);
-    for cfg in configs {
-        let tree = build_tree(&cfg.dataset, cfg.disks, 1010);
-        let query_sets = rep_query_sets(&cfg.dataset, &opts, 1011);
-        let mut table = ResultsTable::new(
-            format!(
-                "Figure 10 — response time (s) vs λ (set: {}, n={}, disks: {}, k={})",
-                cfg.dataset.name,
-                cfg.dataset.len(),
-                cfg.disks,
-                cfg.k
+    let panels = zip(datasets, zip(GRAPHS, lambdas)).map(|(d, ((disks, k), lambdas))| {
+        let setup = Setup::build(&d, disks, 1010, 1011, &opts);
+        let (name, n) = (&d.name, d.len());
+        let row = |l: &f64| Row::new(&setup, k, *l, &[name, &disks, &k, l]);
+        Panel {
+            title: format!(
+                "Figure 10 — response time (s) vs λ (set: {name}, n={n}, disks: {disks}, k={k})"
             ),
-            &["lambda", "BBSS", "FPSS", "CRSS", "WOPTSS"],
-        );
-        let points: Vec<(f64, AlgorithmKind)> = cfg
-            .lambdas
-            .iter()
-            .flat_map(|&lambda| AlgorithmKind::ALL.map(|kind| (lambda, kind)))
-            .collect();
-        let sums = sweep_replicated(&points, &opts, |&(lambda, kind), rep| {
-            let r = simulate_observed(
-                &tree,
-                &query_sets[rep],
-                cfg.k,
-                lambda,
-                kind,
-                rep_seed(1012, rep),
-                &opts,
-            );
-            mean_response(&r, &opts)
-        });
-        for (point, sum) in points.iter().zip(&sums) {
-            report.metric(
-                "mean_response_s",
-                &[
-                    ("dataset", cfg.dataset.name.clone()),
-                    ("disks", cfg.disks.to_string()),
-                    ("k", cfg.k.to_string()),
-                    ("lambda", point.0.to_string()),
-                    ("algorithm", point.1.name().to_string()),
-                ],
-                sum.summary,
-            );
+            csv: format!("fig10_{name}_{disks}disks"),
+            rows: lambdas.iter().map(row).collect(),
         }
-        let cells: Vec<String> = sums.iter().map(|s| f4(s.mean())).collect();
-        for (i, &lambda) in cfg.lambdas.iter().enumerate() {
-            let mut row = vec![format!("{lambda}")];
-            row.extend_from_slice(&cells[i * 4..(i + 1) * 4]);
-            table.row(row);
-        }
-        table.print();
-        table.write_csv(
-            &opts.out_dir,
-            &format!("fig10_{}_{}disks", cfg.dataset.name, cfg.disks),
-        );
+    });
+    Sweep {
+        bench: "fig10_resp_vs_lambda",
+        master_seed: 1011,
+        params: &[],
+        measure: Measure::Response { sim_seed: 1012 },
+        columns: Columns::Means(AlgorithmKind::ALL),
+        labels: &["dataset", "disks", "k", "lambda"],
+        keys: &["lambda"],
+        panels: panels.collect(),
     }
-    report.finish(&opts);
+    .run(&opts);
 }

@@ -7,90 +7,40 @@
 //! floor. (FPSS is dropped from this figure in the paper due to its load
 //! sensitivity; we keep it in the CSV for completeness.)
 
-use sqda_bench::{
-    build_tree, f2, f4, mean_response, rep_query_sets, rep_seed, report::BinReport,
-    simulate_observed, sweep_replicated, ExpOptions, ResultsTable,
-};
-use sqda_core::AlgorithmKind;
+use sqda_bench::sweep::{Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::gaussian;
+use std::iter::zip;
+
+const QUICK_DISKS: &[u32] = &[5, 15, 30];
+const FULL_DISKS: &[u32] = &[5, 10, 15, 20, 25, 30];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let disk_counts: &[u32] = if opts.quick {
-        &[5, 15, 30]
-    } else {
-        &[5, 10, 15, 20, 25, 30]
-    };
-    let dataset = gaussian(opts.population(50_000), 5, 1101);
-    // Trees are built up front on the main thread (deterministic build
-    // log) and shared by both k sweeps and all workers.
-    let trees: Vec<_> = disk_counts
+    let disk_counts = if opts.quick { QUICK_DISKS } else { FULL_DISKS };
+    let d = gaussian(opts.population(50_000), 5, 1101);
+    let setups: Vec<_> = disk_counts
         .iter()
-        .map(|&disks| build_tree(&dataset, disks, 1110 + disks as u64))
+        .map(|&disks| Setup::build(&d, disks, 1110 + disks as u64, 1111, &opts))
         .collect();
-    let query_sets = rep_query_sets(&dataset, &opts, 1111);
-    let mut report = BinReport::new("fig11_resp_vs_disks", &opts);
-    report
-        .param("dataset", dataset.name.clone())
-        .param("lambda", 5)
-        .param("queries", opts.queries())
-        .param("sim_seed", 1112)
-        .master_seed(1111);
-    for k in [10usize, 100] {
-        let mut table = ResultsTable::new(
-            format!(
-                "Figure 11 — response time normalized to WOPTSS vs #disks (set: {}, n={}, 5-d, k={}, λ=5)",
-                dataset.name,
-                dataset.len(),
-                k
-            ),
-            &[
-                "disks",
-                "BBSS/WOPTSS",
-                "FPSS/WOPTSS",
-                "CRSS/WOPTSS",
-                "WOPTSS(s)",
-            ],
-        );
-        let points: Vec<(usize, AlgorithmKind)> = (0..trees.len())
-            .flat_map(|t| AlgorithmKind::ALL.map(|kind| (t, kind)))
-            .collect();
-        let sums = sweep_replicated(&points, &opts, |&(t, kind), rep| {
-            let r = simulate_observed(
-                &trees[t],
-                &query_sets[rep],
-                k,
-                5.0,
-                kind,
-                rep_seed(1112, rep),
-                &opts,
-            );
-            mean_response(&r, &opts)
-        });
-        for (point, sum) in points.iter().zip(&sums) {
-            report.metric(
-                "mean_response_s",
-                &[
-                    ("disks", disk_counts[point.0].to_string()),
-                    ("k", k.to_string()),
-                    ("algorithm", point.1.name().to_string()),
-                ],
-                sum.summary,
-            );
-        }
-        let cells: Vec<f64> = sums.iter().map(|s| s.mean()).collect();
-        for (t, &disks) in disk_counts.iter().enumerate() {
-            // WOPTSS is ALL's last element: the row's normalizer.
-            let wopt = cells[t * 4 + 3];
-            let mut row = vec![disks.to_string()];
-            for resp in &cells[t * 4..t * 4 + 3] {
-                row.push(f2(resp / wopt));
-            }
-            row.push(f4(wopt));
-            table.row(row);
-        }
-        table.print();
-        table.write_csv(&opts.out_dir, &format!("fig11_k{k}"));
+    let (name, n) = (&d.name, d.len());
+    let panels = [10usize, 100].map(|k| Panel {
+        title: format!(
+            "Figure 11 — response time normalized to WOPTSS vs #disks (set: {name}, n={n}, 5-d, k={k}, λ=5)"
+        ),
+        csv: format!("fig11_k{k}"),
+        rows: zip(&setups, disk_counts)
+            .map(|(s, disks)| Row::new(s, k, 5.0, &[disks, &k]))
+            .collect(),
+    });
+    Sweep {
+        bench: "fig11_resp_vs_disks",
+        master_seed: 1111,
+        params: &[("dataset", name), ("lambda", &5)],
+        measure: Measure::Response { sim_seed: 1112 },
+        columns: Columns::OverWoptss,
+        labels: &["disks", "k"],
+        keys: &["disks"],
+        panels: panels.into(),
     }
-    report.finish(&opts);
+    .run(&opts);
 }

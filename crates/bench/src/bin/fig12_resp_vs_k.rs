@@ -5,85 +5,34 @@
 //! Paper shape: CRSS is the best real algorithm across the whole k range,
 //! outperforming BBSS by 3–4×.
 
-use sqda_bench::{
-    build_tree, f2, f4, mean_response, rep_query_sets, rep_seed, report::BinReport,
-    simulate_observed, sweep_replicated, ExpOptions, ResultsTable,
-};
-use sqda_core::AlgorithmKind;
+use sqda_bench::sweep::{Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::uniform;
+
+const QUICK_KS: &[usize] = &[1, 40, 100];
+const FULL_KS: &[usize] = &[1, 10, 20, 40, 60, 80, 100];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let ks: &[usize] = if opts.quick {
-        &[1, 40, 100]
-    } else {
-        &[1, 10, 20, 40, 60, 80, 100]
-    };
-    let dataset = uniform(opts.population(80_000), 5, 1201);
-    let tree = build_tree(&dataset, 10, 1210);
-    let query_sets = rep_query_sets(&dataset, &opts, 1211);
-    let mut report = BinReport::new("fig12_resp_vs_k", &opts);
-    report
-        .param("dataset", dataset.name.clone())
-        .param("disks", 10)
-        .param("queries", opts.queries())
-        .param("sim_seed", 1212)
-        .master_seed(1211);
-    for lambda in [1.0f64, 20.0] {
-        let mut table = ResultsTable::new(
-            format!(
-                "Figure 12 — response time normalized to WOPTSS vs k (set: {}, n={}, 5-d, disks: 10, λ={lambda})",
-                dataset.name,
-                dataset.len()
-            ),
-            &[
-                "k",
-                "BBSS/WOPTSS",
-                "FPSS/WOPTSS",
-                "CRSS/WOPTSS",
-                "WOPTSS(s)",
-            ],
-        );
-        let points: Vec<(usize, AlgorithmKind)> = ks
-            .iter()
-            .flat_map(|&k| AlgorithmKind::ALL.map(|kind| (k, kind)))
-            .collect();
-        let sums = sweep_replicated(&points, &opts, |&(k, kind), rep| {
-            let r = simulate_observed(
-                &tree,
-                &query_sets[rep],
-                k,
-                lambda,
-                kind,
-                rep_seed(1212, rep),
-                &opts,
-            );
-            mean_response(&r, &opts)
-        });
-        for (point, sum) in points.iter().zip(&sums) {
-            report.metric(
-                "mean_response_s",
-                &[
-                    ("lambda", lambda.to_string()),
-                    ("k", point.0.to_string()),
-                    ("algorithm", point.1.name().to_string()),
-                ],
-                sum.summary,
-            );
-        }
-        let cells: Vec<f64> = sums.iter().map(|s| s.mean()).collect();
-        for (i, &k) in ks.iter().enumerate() {
-            // WOPTSS is ALL's last element: the row's normalizer.
-            let wopt = cells[i * 4 + 3];
-            let mut row = vec![k.to_string()];
-            for resp in &cells[i * 4..i * 4 + 3] {
-                row.push(f2(resp / wopt));
-            }
-            row.push(f4(wopt));
-            table.row(row);
-        }
-        table.print();
-        table.write_csv(&opts.out_dir, &format!("fig12_lambda{lambda}"));
+    let ks = if opts.quick { QUICK_KS } else { FULL_KS };
+    let d = uniform(opts.population(80_000), 5, 1201);
+    let setup = Setup::build(&d, 10, 1210, 1211, &opts);
+    let (name, n) = (&d.name, d.len());
+    let panels = [1.0f64, 20.0].map(|lambda| Panel {
+        title: format!(
+            "Figure 12 — response time normalized to WOPTSS vs k (set: {name}, n={n}, 5-d, disks: 10, λ={lambda})"
+        ),
+        csv: format!("fig12_lambda{lambda}"),
+        rows: Vec::from_iter(ks.iter().map(|k| Row::new(&setup, *k, lambda, &[&lambda, k]))),
+    });
+    Sweep {
+        bench: "fig12_resp_vs_k",
+        master_seed: 1211,
+        params: &[("dataset", name), ("disks", &10)],
+        measure: Measure::Response { sim_seed: 1212 },
+        columns: Columns::OverWoptss,
+        labels: &["lambda", "k"],
+        keys: &["k"],
+        panels: panels.into(),
     }
-    report.finish(&opts);
+    .run(&opts);
 }

@@ -14,18 +14,18 @@
 //!
 //! After the experiments the driver runs a small canonical simulation
 //! (all four algorithms, gaussian 2-d, 10 disks, λ = 5) and writes
-//! `<out>/BENCH_summary.json`. By default that file is the schema-v2
-//! unified summary: the legacy `experiments` / `headline` keys, plus a
-//! `benches` object merging every per-bin fragment the children wrote
-//! under `<out>/bench/` (each metric as mean ± 95% CI over `--reps`
-//! replications), plus the generator's `rng_fingerprint` as provenance. With
-//! `--no-manifest` the file keeps the exact pre-fragment legacy shape.
-//! With `--trace <file>` / `--metrics <file>` the canonical run is
-//! recorded through the observability layer (see `sqda-obs`): `--trace`
-//! emits Chrome/Perfetto `trace_event` JSON (or a raw JSONL event log if
-//! the path ends in `.jsonl`), `--metrics` a metrics snapshot +
-//! per-query profiles. These two flags are consumed here, not passed to
-//! children.
+//! `<out>/BENCH_summary.json`, the schema-v2 unified summary: the legacy
+//! `experiments` / `headline` keys, plus a `benches` object merging the
+//! fragment each experiment (and the headline run) wrote under
+//! `<out>/bench/` (each metric as mean ± 95% CI over `--reps`
+//! replications), plus the generator's `rng_fingerprint` as provenance.
+//! Any other file in that directory — say one left by an earlier run of a
+//! bin that no longer exists — stays out of the summary. With
+//! `--trace <file>` / `--metrics <file>` the canonical run is recorded
+//! through the observability layer (see `sqda-obs`): `--trace` emits
+//! Chrome/Perfetto `trace_event` JSON (or a raw JSONL event log if the
+//! path ends in `.jsonl`), `--metrics` a metrics snapshot + per-query
+//! profiles. These two flags are consumed here, not passed to children.
 
 use sqda_bench::{
     build_tree, mean_response, parallel_map, rep_seed, report::BinReport, simulate_observed,
@@ -57,7 +57,6 @@ const EXPERIMENTS: &[&str] = &[
     "ext_sstree",
     "analysis_validation",
     "fault_sweep",
-    "bench_serve",
     "bench_hotpath",
     "bench_scale",
     "bench_explain",
@@ -72,23 +71,15 @@ struct Finished {
     stderr: Vec<u8>,
 }
 
-/// Merges every fragment under `<out>/bench/` into one deterministic
-/// `"name":{fragment}` JSON object body, sorted by bench name. Fragments
-/// that fail to parse are skipped with a warning rather than corrupting
-/// the summary.
+/// Merges the fragments of [`EXPERIMENTS`] and the headline run from
+/// `<out>/bench/` into one deterministic `"name":{fragment}` JSON object
+/// body, sorted by bench name. Other files there are ignored; fragments
+/// that are missing or fail to parse are skipped with a warning rather
+/// than corrupting the summary.
 fn merge_fragments(out_dir: &Path) -> String {
     let dir = out_dir.join("bench");
-    let mut names: Vec<String> = match std::fs::read_dir(&dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.strip_suffix(".json").map(str::to_string)
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    names.sort();
+    let mut names: Vec<&str> = EXPERIMENTS.iter().copied().chain(["headline"]).collect();
+    names.sort_unstable();
     let mut body = String::from("{");
     let mut first = true;
     for name in names {
@@ -108,7 +99,7 @@ fn merge_fragments(out_dir: &Path) -> String {
             body.push(',');
         }
         first = false;
-        sqda_obs::json::write_str(&mut body, &name);
+        sqda_obs::json::write_str(&mut body, name);
         body.push(':');
         body.push_str(text.trim());
     }
@@ -119,17 +110,16 @@ fn merge_fragments(out_dir: &Path) -> String {
 fn main() {
     // Strip this driver's own flags (fan-out control and the
     // observability sinks, which belong to the canonical run below);
-    // everything else (--quick, --out <dir>, --reps <n>, --warmup <f>,
-    // --no-manifest) passes through to the children — the replication
-    // flags are additionally parsed here because the canonical headline
-    // run and the fragment merge honour them too.
+    // everything else (--quick, --out <dir>, --reps <n>, --warmup <f>)
+    // passes through to the children — the replication flags are
+    // additionally parsed here because the canonical headline run
+    // honours them too.
     let mut jobs = sqda_bench::default_jobs();
     let mut quick = false;
     let mut out_dir = PathBuf::from("results");
     let mut trace: Option<PathBuf> = None;
     let mut metrics: Option<PathBuf> = None;
     let mut reps = DEFAULT_REPS;
-    let mut manifest = true;
     let mut warmup = 0.0f64;
     let mut pass_through: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -160,10 +150,6 @@ fn main() {
                 assert!(reps > 0, "--reps needs a positive integer");
                 pass_through.push(a);
                 pass_through.push(n);
-            }
-            "--no-manifest" => {
-                manifest = false;
-                pass_through.push(a);
             }
             "--warmup" => {
                 let f = args.next().expect("--warmup needs a fraction");
@@ -234,7 +220,6 @@ fn main() {
         trace,
         metrics,
         reps,
-        manifest,
         warmup,
     };
     let dataset = sqda_datasets::gaussian(2000, 2, 4242);
@@ -301,26 +286,16 @@ fn main() {
             )
         })
         .collect();
-    let summary = if manifest {
-        format!(
-            "{{\"schema\":2,\"quick\":{quick},\"jobs\":{jobs},\"total_wall_s\":{total_wall_s:.3},\
-             \"reps\":{reps},\"warmup_fraction\":{warmup},\
-             \"rng_fingerprint\":\"{}\",\
-             \"experiments\":[{}],\"headline\":[{}],\"benches\":{}}}\n",
-            sqda_bench::report::rng_fingerprint(),
-            experiments_json.join(","),
-            headline.join(","),
-            merge_fragments(&out_dir)
-        )
-    } else {
-        // --no-manifest: the exact legacy summary shape, byte for byte.
-        format!(
-            "{{\"quick\":{quick},\"jobs\":{jobs},\"total_wall_s\":{total_wall_s:.3},\
-             \"experiments\":[{}],\"headline\":[{}]}}\n",
-            experiments_json.join(","),
-            headline.join(",")
-        )
-    };
+    let summary = format!(
+        "{{\"schema\":2,\"quick\":{quick},\"jobs\":{jobs},\"total_wall_s\":{total_wall_s:.3},\
+         \"reps\":{reps},\"warmup_fraction\":{warmup},\
+         \"rng_fingerprint\":\"{}\",\
+         \"experiments\":[{}],\"headline\":[{}],\"benches\":{}}}\n",
+        sqda_bench::report::rng_fingerprint(),
+        experiments_json.join(","),
+        headline.join(","),
+        merge_fragments(&out_dir)
+    );
     std::fs::create_dir_all(&out_dir).expect("create results dir");
     let summary_path = out_dir.join("BENCH_summary.json");
     std::fs::write(&summary_path, summary).expect("write BENCH_summary.json");
@@ -331,5 +306,35 @@ fn main() {
     } else {
         eprintln!("\nFAILED experiments: {failed:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqda_obs::json::Value;
+
+    #[test]
+    fn merge_fragments_leaves_out_stale_files() {
+        let out = std::env::temp_dir().join(format!("sqda_merge_test_{}", std::process::id()));
+        let dir = out.join("bench");
+        let _ = std::fs::remove_dir_all(&out);
+        std::fs::create_dir_all(&dir).expect("create bench dir");
+        for name in [
+            "fig08_nodes_vs_k",
+            "headline",
+            "bench_serve",
+            "scratch_probe",
+        ] {
+            let frag = format!("{{\"bench\":\"{name}\",\"metrics\":[]}}\n");
+            std::fs::write(dir.join(format!("{name}.json")), frag).expect("write fragment");
+        }
+        let Ok(Value::Obj(benches)) = parse(&merge_fragments(&out)) else {
+            panic!("merged body is not an object");
+        };
+        // A deleted bin's leftover and a foreign file stay out.
+        let names: Vec<&String> = benches.keys().collect();
+        assert_eq!(names, ["fig08_nodes_vs_k", "headline"]);
+        let _ = std::fs::remove_dir_all(&out);
     }
 }

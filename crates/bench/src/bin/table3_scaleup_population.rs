@@ -14,80 +14,32 @@
 //! BBSS on average; BBSS *degrades* as the system grows because it cannot
 //! use the added disks within a query.
 
-use sqda_bench::{
-    build_tree, f4, mean_response, rep_query_sets, rep_seed, report::BinReport, simulate_observed,
-    sweep_replicated, ExpOptions, ResultsTable,
-};
-use sqda_core::AlgorithmKind;
+use sqda_bench::sweep::{AlgorithmKind, Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::gaussian;
+use AlgorithmKind::{Bbss, Crss, Fpss, Woptss};
+
+const STEPS: [(usize, u32); 4] = [(10_000, 5), (20_000, 10), (40_000, 20), (80_000, 40)];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let steps: &[(usize, u32)] = &[(10_000, 5), (20_000, 10), (40_000, 20), (80_000, 40)];
-    let k = 20;
-    let lambda = 5.0;
-    let mut table = ResultsTable::new(
-        format!("Table 3 — scale-up with population (gaussian, 5-d, k={k}, λ={lambda})"),
-        &["population", "disks", "BBSS", "CRSS", "WOPTSS", "FPSS"],
-    );
-    const COLUMNS: [AlgorithmKind; 4] = [
-        AlgorithmKind::Bbss,
-        AlgorithmKind::Crss,
-        AlgorithmKind::Woptss,
-        AlgorithmKind::Fpss,
-    ];
-    let mut report = BinReport::new("table3_scaleup_population", &opts);
-    report
-        .param("k", k)
-        .param("lambda", lambda)
-        .param("queries", opts.queries())
-        .param("sim_seed", 1312)
-        .master_seed(1311);
-    // Trees are built up front on the main thread (deterministic build
-    // log); the simulation grid fans out over the workers.
-    let setups: Vec<_> = steps
-        .iter()
-        .map(|&(pop, disks)| {
-            let dataset = gaussian(opts.population(pop), 5, 1301 + pop as u64);
-            let tree = build_tree(&dataset, disks, 1310 + disks as u64);
-            let query_sets = rep_query_sets(&dataset, &opts, 1311);
-            (dataset, tree, query_sets)
-        })
-        .collect();
-    let points: Vec<(usize, AlgorithmKind)> = (0..setups.len())
-        .flat_map(|s| COLUMNS.map(|kind| (s, kind)))
-        .collect();
-    let sums = sweep_replicated(&points, &opts, |&(s, kind), rep| {
-        let (_, tree, query_sets) = &setups[s];
-        let r = simulate_observed(
-            tree,
-            &query_sets[rep],
-            k,
-            lambda,
-            kind,
-            rep_seed(1312, rep),
-            &opts,
-        );
-        mean_response(&r, &opts)
+    let rows = STEPS.map(|(pop, disks)| {
+        let d = gaussian(opts.population(pop), 5, 1301 + pop as u64);
+        let setup = Setup::build(&d, disks, 1310 + disks as u64, 1311, &opts);
+        Row::new(&setup, 20, 5.0, &[&d.len(), &disks])
     });
-    for (point, sum) in points.iter().zip(&sums) {
-        report.metric(
-            "mean_response_s",
-            &[
-                ("population", setups[point.0].0.len().to_string()),
-                ("disks", steps[point.0].1.to_string()),
-                ("algorithm", point.1.name().to_string()),
-            ],
-            sum.summary,
-        );
+    Sweep {
+        bench: "table3_scaleup_population",
+        master_seed: 1311,
+        params: &[("k", &20), ("lambda", &5)],
+        measure: Measure::Response { sim_seed: 1312 },
+        columns: Columns::Means([Bbss, Crss, Woptss, Fpss]),
+        labels: &["population", "disks"],
+        keys: &["population", "disks"],
+        panels: vec![Panel {
+            title: "Table 3 — scale-up with population (gaussian, 5-d, k=20, λ=5)".into(),
+            csv: "table3_scaleup_population".into(),
+            rows: rows.into(),
+        }],
     }
-    let cells: Vec<String> = sums.iter().map(|s| f4(s.mean())).collect();
-    for (s, &(_, disks)) in steps.iter().enumerate() {
-        let mut row = vec![setups[s].0.len().to_string(), disks.to_string()];
-        row.extend_from_slice(&cells[s * 4..(s + 1) * 4]);
-        table.row(row);
-    }
-    table.print();
-    table.write_csv(&opts.out_dir, "table3_scaleup_population");
-    report.finish(&opts);
+    .run(&opts);
 }

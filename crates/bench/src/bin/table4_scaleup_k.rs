@@ -12,84 +12,33 @@
 //!
 //! Paper shape: CRSS is stable and ~4× faster than BBSS on average.
 
-use sqda_bench::{
-    build_tree, f4, mean_response, rep_query_sets, rep_seed, report::BinReport, simulate_observed,
-    sweep_replicated, ExpOptions, ResultsTable,
-};
-use sqda_core::AlgorithmKind;
+use sqda_bench::sweep::{AlgorithmKind, Columns, ExpOptions, Measure, Panel, Row, Setup, Sweep};
 use sqda_datasets::gaussian;
+use AlgorithmKind::{Bbss, Crss, Fpss, Woptss};
+
+const STEPS: [(usize, u32); 4] = [(10, 5), (20, 10), (40, 20), (80, 40)];
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let steps: &[(usize, u32)] = &[(10, 5), (20, 10), (40, 20), (80, 40)];
-    let lambda = 5.0;
-    let dataset = gaussian(opts.population(80_000), 5, 1401);
-    let mut table = ResultsTable::new(
-        format!(
-            "Table 4 — scale-up with query size (gaussian, 5-d, n={}, λ={lambda})",
-            dataset.len()
-        ),
-        &["k", "disks", "BBSS", "CRSS", "WOPTSS", "FPSS"],
-    );
-    const COLUMNS: [AlgorithmKind; 4] = [
-        AlgorithmKind::Bbss,
-        AlgorithmKind::Crss,
-        AlgorithmKind::Woptss,
-        AlgorithmKind::Fpss,
-    ];
-    let mut report = BinReport::new("table4_scaleup_k", &opts);
-    report
-        .param("dataset", dataset.name.clone())
-        .param("population", dataset.len())
-        .param("lambda", lambda)
-        .param("queries", opts.queries())
-        .param("sim_seed", 1412)
-        .master_seed(1411);
-    // Trees are built up front on the main thread (deterministic build
-    // log); the simulation grid fans out over the workers.
-    let setups: Vec<_> = steps
-        .iter()
-        .map(|&(_, disks)| {
-            let tree = build_tree(&dataset, disks, 1410 + disks as u64);
-            let query_sets = rep_query_sets(&dataset, &opts, 1411);
-            (tree, query_sets)
-        })
-        .collect();
-    let points: Vec<(usize, AlgorithmKind)> = (0..setups.len())
-        .flat_map(|s| COLUMNS.map(|kind| (s, kind)))
-        .collect();
-    let sums = sweep_replicated(&points, &opts, |&(s, kind), rep| {
-        let (tree, query_sets) = &setups[s];
-        let k = steps[s].0;
-        let r = simulate_observed(
-            tree,
-            &query_sets[rep],
-            k,
-            lambda,
-            kind,
-            rep_seed(1412, rep),
-            &opts,
-        );
-        mean_response(&r, &opts)
+    let d = gaussian(opts.population(80_000), 5, 1401);
+    let rows = STEPS.map(|(k, disks)| {
+        let setup = Setup::build(&d, disks, 1410 + disks as u64, 1411, &opts);
+        Row::new(&setup, k, 5.0, &[&k, &disks])
     });
-    for (point, sum) in points.iter().zip(&sums) {
-        report.metric(
-            "mean_response_s",
-            &[
-                ("k", steps[point.0].0.to_string()),
-                ("disks", steps[point.0].1.to_string()),
-                ("algorithm", point.1.name().to_string()),
-            ],
-            sum.summary,
-        );
+    let n = d.len();
+    Sweep {
+        bench: "table4_scaleup_k",
+        master_seed: 1411,
+        params: &[("dataset", &d.name), ("population", &n), ("lambda", &5)],
+        measure: Measure::Response { sim_seed: 1412 },
+        columns: Columns::Means([Bbss, Crss, Woptss, Fpss]),
+        labels: &["k", "disks"],
+        keys: &["k", "disks"],
+        panels: vec![Panel {
+            title: format!("Table 4 — scale-up with query size (gaussian, 5-d, n={n}, λ=5)"),
+            csv: "table4_scaleup_k".into(),
+            rows: rows.into(),
+        }],
     }
-    let cells: Vec<String> = sums.iter().map(|s| f4(s.mean())).collect();
-    for (s, &(k, disks)) in steps.iter().enumerate() {
-        let mut row = vec![k.to_string(), disks.to_string()];
-        row.extend_from_slice(&cells[s * 4..(s + 1) * 4]);
-        table.row(row);
-    }
-    table.print();
-    table.write_csv(&opts.out_dir, "table4_scaleup_k");
-    report.finish(&opts);
+    .run(&opts);
 }

@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub mod report;
+pub mod sweep;
 
 /// Number of queries per measurement point (the paper executes 100
 /// queries and averages).
@@ -57,10 +58,6 @@ pub struct ExpOptions {
     /// 0 reuses the historical seed; `--reps 1` therefore reproduces the
     /// pre-replication single-run numbers exactly.
     pub reps: usize,
-    /// Whether to emit a `RunManifest` + `bench/<bin>.json` summary
-    /// fragment next to the CSVs (`--no-manifest` disables; together
-    /// with `--reps 1` that is the byte-identical legacy mode).
-    pub manifest: bool,
     /// Fraction of each response-time series (in arrival order) deleted
     /// as warm-up before averaging (default 0 = keep everything).
     pub warmup: f64,
@@ -68,12 +65,10 @@ pub struct ExpOptions {
 
 impl ExpOptions {
     /// Reads `--quick`, `--out <dir>`, `--jobs <n>`, `--serial`,
-    /// `--trace <file>`, `--metrics <file>`, `--reps <n>`,
-    /// `--no-manifest` and `--warmup <fraction>` from `std::env::args`.
-    /// `--jobs` defaults to the machine's available parallelism;
-    /// `--serial` is shorthand for `--jobs 1`. `--reps 1 --no-manifest`
-    /// is the legacy mode whose outputs are byte-identical to the
-    /// pre-replication harness.
+    /// `--trace <file>`, `--metrics <file>`, `--reps <n>` and
+    /// `--warmup <fraction>` from `std::env::args`. `--jobs` defaults to
+    /// the machine's available parallelism; `--serial` is shorthand for
+    /// `--jobs 1`.
     pub fn from_args() -> Self {
         let mut quick = false;
         let mut out_dir = PathBuf::from("results");
@@ -81,7 +76,6 @@ impl ExpOptions {
         let mut trace = None;
         let mut metrics = None;
         let mut reps = DEFAULT_REPS;
-        let mut manifest = true;
         let mut warmup = 0.0f64;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -113,7 +107,6 @@ impl ExpOptions {
                         .expect("--reps needs a positive integer");
                     assert!(reps > 0, "--reps needs a positive integer");
                 }
-                "--no-manifest" => manifest = false,
                 "--warmup" => {
                     warmup = args
                         .next()
@@ -129,7 +122,7 @@ impl ExpOptions {
                     "unknown argument {other} \
                      (expected --quick / --out <dir> / --jobs <n> / --serial \
                       / --trace <file> / --metrics <file> / --reps <n> \
-                      / --no-manifest / --warmup <fraction>)"
+                      / --warmup <fraction>)"
                 ),
             }
         }
@@ -140,7 +133,6 @@ impl ExpOptions {
             trace,
             metrics,
             reps,
-            manifest,
             warmup,
         }
     }
@@ -531,10 +523,10 @@ pub struct ResultsTable {
 
 impl ResultsTable {
     /// Creates a table with a title and column names.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, header: &[impl AsRef<str>]) -> Self {
         Self {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -677,7 +669,6 @@ mod tests {
             trace: None,
             metrics: None,
             reps,
-            manifest: false,
             warmup: 0.0,
         }
     }

@@ -3,7 +3,7 @@
 //! Each bin builds one [`BinReport`]: the full parameter set, the master
 //! seed and derived replication seeds, and a list of headline metrics as
 //! `mean ± 95% CI` over replications. `finish` writes two files next to
-//! the CSVs (both suppressed by `--no-manifest`):
+//! the CSVs:
 //!
 //! * `<out>/<bench>.manifest.json` — the [`RunManifest`] provenance
 //!   record (git sha, seeds, parameters, wall-clock);
@@ -172,12 +172,9 @@ impl BinReport {
         w.finish()
     }
 
-    /// Writes the manifest and the summary fragment, honouring
-    /// `--no-manifest`. Returns the fragment path when written.
-    pub fn finish(&mut self, opts: &ExpOptions) -> Option<PathBuf> {
-        if !opts.manifest {
-            return None;
-        }
+    /// Writes the manifest and the summary fragment; returns the
+    /// fragment's path.
+    pub fn finish(&mut self, opts: &ExpOptions) -> PathBuf {
         self.manifest.wall_s = self.started.elapsed().as_secs_f64();
         self.manifest
             .write(&opts.out_dir)
@@ -187,7 +184,7 @@ impl BinReport {
         let path = dir.join(format!("{}.json", self.bench));
         std::fs::write(&path, self.fragment_json() + "\n").expect("write summary fragment");
         eprintln!("  wrote {}", path.display());
-        Some(path)
+        path
     }
 }
 
@@ -550,7 +547,6 @@ mod tests {
             trace: None,
             metrics: None,
             reps: 3,
-            manifest: true,
             warmup: 0.1,
         };
         let mut report = BinReport::new("unit_fragment", &opts);
@@ -560,7 +556,7 @@ mod tests {
             &[("algorithm", "CRSS".to_string())],
             MetricSummary::from_samples(&[0.1, 0.11, 0.12]),
         );
-        let frag = report.finish(&opts).expect("fragment written");
+        let frag = report.finish(&opts);
         let text = std::fs::read_to_string(&frag).expect("fragment readable");
         let v = parse(text.trim()).expect("fragment parses");
         assert_eq!(v.get("schema").and_then(|s| s.as_u64()), Some(2));
@@ -575,14 +571,6 @@ mod tests {
         let metrics = v.get("metrics").and_then(|m| m.as_arr()).expect("metrics");
         assert_eq!(metrics.len(), 1);
         assert!(dir.join("unit_fragment.manifest.json").exists());
-        // Legacy mode writes nothing.
-        let legacy = ExpOptions {
-            manifest: false,
-            ..opts
-        };
-        let mut quiet = BinReport::new("unit_fragment_legacy", &legacy);
-        assert!(quiet.finish(&legacy).is_none());
-        assert!(!dir.join("unit_fragment_legacy.manifest.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

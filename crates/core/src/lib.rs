@@ -35,7 +35,7 @@
 //! * the [real-clock engine](exec::RealTimeEngine) — the same sessions
 //!   against real files through a batched
 //!   [`IoBackend`](sqda_storage::IoBackend), reporting wall-clock
-//!   latencies (`sqda serve`, `bench_serve`).
+//!   latencies (`sqda serve`).
 //!
 //! # Example: one query, four algorithms
 //!

@@ -47,4 +47,4 @@ pub use metrics::{Counter, DiskMetrics, Gauge, Histogram, MetricsSnapshot};
 pub use perfetto::chrome_trace;
 pub use profile::{query_profiles, Breakdown, CrssPoint, QueryProfile};
 pub use sink::{metrics_document, trace_document, write_observability};
-pub use stats::{batch_means, truncate_warmup, MetricSummary, OnlineMoments};
+pub use stats::{truncate_warmup, MetricSummary};

@@ -1,5 +1,5 @@
-//! Replication statistics: online moments, confidence intervals, and
-//! warm-up truncation for the experiment suite.
+//! Replication statistics: moments, confidence intervals, and warm-up
+//! truncation for the experiment suite.
 //!
 //! The paper's Section 4 numbers are means over stochastic simulations
 //! (Poisson arrivals, seeded declustering, random query points). One run
@@ -7,148 +7,15 @@
 //! independent RNG stream each — into `mean ± 95% CI` summaries that the
 //! bench bins write through `bench::report`.
 //!
-//! Moments use Welford's online update and Chan's pairwise merge, so the
-//! accumulators stay accurate for adversarial series (large mean, small
-//! variance) and can be combined across parallel sweep workers without a
-//! second pass over raw samples.
+//! Moments use Welford's online update, so they stay accurate for
+//! adversarial series (large mean, small variance).
 //!
 //! Open-system response-time experiments additionally need warm-up
 //! handling: the first arrivals see an empty disk array and bias the
 //! steady-state mean downward. [`truncate_warmup`] implements
-//! fixed-fraction initial deletion (in arrival order), and
-//! [`batch_means`] the classical batch-means reduction.
+//! fixed-fraction initial deletion (in arrival order).
 
 use crate::json::ObjWriter;
-
-/// Welford/Chan online accumulator for count, mean, variance, min, max.
-///
-/// Unlike `sqda_simkernel::SampleStats` this does not retain samples, so
-/// it is O(1) space and suited to long replicated sweeps; percentiles are
-/// not available.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineMoments {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineMoments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one observation in (Welford's update).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Combines two accumulators (Chan's parallel update); exact in the
-    /// same error model as sequential pushes, with no pass over samples.
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        self.mean += delta * nb / n;
-        self.m2 += other.m2 + delta * delta * na * nb / n;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations folded in.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n−1 denominator); 0 with < 2 observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            // Analytically non-negative; clamp rounding residue.
-            self.m2.max(0.0) / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation; 0 with < 2 observations.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Half-width of the 95% confidence interval for the mean under the
-    /// normal approximation (`1.96·s/√n`); 0 with < 2 observations.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation; 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Freezes the accumulator into a [`MetricSummary`].
-    pub fn summary(&self) -> MetricSummary {
-        MetricSummary {
-            count: self.count,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            ci95_half_width: self.ci95_half_width(),
-            min: self.min(),
-            max: self.max(),
-        }
-    }
-}
 
 /// Frozen `mean ± CI` summary of one metric over N replications, as it
 /// appears in `BENCH_summary.json` schema v2.
@@ -169,13 +36,45 @@ pub struct MetricSummary {
 }
 
 impl MetricSummary {
-    /// Summarizes a slice of per-replication values.
+    /// Summarizes a slice of per-replication values with Welford's
+    /// online update, which stays accurate for adversarial series (large
+    /// mean, small variance). The CI half-width is the normal
+    /// approximation `1.96·s/√n`; spread and CI are 0 with fewer than two
+    /// values, and everything is 0 for none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is NaN.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut m = OnlineMoments::new();
-        for &s in samples {
-            m.push(s);
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (0.0f64, 0.0f64);
+        for (i, &x) in samples.iter().enumerate() {
+            assert!(!x.is_nan(), "NaN observation");
+            (min, max) = if i == 0 {
+                (x, x)
+            } else {
+                (min.min(x), max.max(x))
+            };
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
         }
-        m.summary()
+        let n = samples.len() as u64;
+        let (std_dev, ci95_half_width) = if n < 2 {
+            (0.0, 0.0)
+        } else {
+            // Analytically non-negative; clamp rounding residue.
+            let std_dev = (f64::max(m2, 0.0) / (n - 1) as f64).sqrt();
+            (std_dev, 1.96 * std_dev / (n as f64).sqrt())
+        };
+        Self {
+            count: n,
+            mean,
+            std_dev,
+            ci95_half_width,
+            min,
+            max,
+        }
     }
 
     /// Appends this summary's fields to an in-progress JSON object.
@@ -227,32 +126,6 @@ pub fn truncate_warmup(samples: &[f64], fraction: f64) -> &[f64] {
     &samples[drop.min(samples.len())..]
 }
 
-/// Reduces an arrival-ordered series to `batches` batch means (equal
-/// contiguous batches; a non-divisible tail is folded into the last
-/// batch). Batch means are far closer to independent than raw
-/// autocorrelated response times, so CIs over them are honest.
-///
-/// Returns an empty vector when `batches == 0` or there are fewer
-/// samples than batches.
-pub fn batch_means(samples: &[f64], batches: usize) -> Vec<f64> {
-    if batches == 0 || samples.len() < batches {
-        return Vec::new();
-    }
-    let base = samples.len() / batches;
-    let mut out = Vec::with_capacity(batches);
-    for b in 0..batches {
-        let start = b * base;
-        let end = if b + 1 == batches {
-            samples.len()
-        } else {
-            start + base
-        };
-        let chunk = &samples[start..end];
-        out.push(chunk.iter().sum::<f64>() / chunk.len() as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,30 +165,19 @@ mod tests {
 
     #[test]
     fn moments_match_closed_form() {
-        let mut m = OnlineMoments::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.push(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.std_dev() - 2.138_089_935).abs() < 1e-8);
-        assert_eq!(m.min(), 2.0);
-        assert_eq!(m.max(), 9.0);
-        let s = m.summary();
-        assert_eq!(
-            s,
-            MetricSummary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        );
+        let s = MetricSummary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert_eq!(s.count, 8);
+        assert!((s.mean - 5.0).abs() < 1e-12);
+        assert!((s.std_dev - 2.138_089_935).abs() < 1e-8);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
         assert!((s.ci95_half_width - 1.96 * s.std_dev / 8f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton_are_defined() {
-        let empty = OnlineMoments::new();
-        assert_eq!(empty.summary(), MetricSummary::default());
-        let mut one = OnlineMoments::new();
-        one.push(3.5);
-        let s = one.summary();
+        assert_eq!(MetricSummary::from_samples(&[]), MetricSummary::default());
+        let s = MetricSummary::from_samples(&[3.5]);
         assert_eq!(
             (s.count, s.mean, s.std_dev, s.ci95_half_width),
             (1, 3.5, 0.0, 0.0)
@@ -324,46 +186,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential_and_is_stable() {
+    fn variance_survives_a_large_mean() {
+        // N(1e8, 1): a naive sum-of-squares variance cancels to noise here.
         let mut rng = stream(7);
         let xs: Vec<f64> = (0..501).map(|_| 1.0e8 + normal(&mut rng)).collect();
-        let mut whole = OnlineMoments::new();
-        let mut parts = [
-            OnlineMoments::new(),
-            OnlineMoments::new(),
-            OnlineMoments::new(),
-        ];
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            parts[i % 3].push(x);
-        }
-        let mut merged = OnlineMoments::new();
-        for p in &parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-6);
-        assert!((merged.std_dev() - whole.std_dev()).abs() < 1e-6);
-        assert!(merged.std_dev() > 0.5, "variance collapsed at large mean");
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
+        let s = MetricSummary::from_samples(&xs);
+        assert!((s.mean - 1.0e8).abs() < 0.2, "mean {}", s.mean);
+        assert!((s.std_dev - 1.0).abs() < 0.15, "std_dev {}", s.std_dev);
+        assert_eq!(s.min, xs.iter().copied().fold(f64::INFINITY, f64::min));
+        assert_eq!(s.max, xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    }
+
+    /// How many of 1000 replicated experiments of 40 draws each have a
+    /// 95% CI containing `truth`.
+    fn coverage(truth: f64, mut draw: impl FnMut() -> f64) -> usize {
+        (0..1000)
+            .filter(|_| {
+                let xs: Vec<f64> = (0..40).map(|_| draw()).collect();
+                let s = MetricSummary::from_samples(&xs);
+                (s.mean - truth).abs() <= s.ci95_half_width
+            })
+            .count()
     }
 
     #[test]
     fn ci_covers_true_mean_for_normal_samples() {
-        // 1000 replicated "experiments" of 40 N(10, 2²) samples each:
-        // the 95% CI must contain the true mean in ~95% of trials.
+        // N(10, 2²) samples: the 95% CI must contain the true mean in
+        // ~95% of trials.
         let mut rng = stream(42);
-        let mut covered = 0;
-        for _ in 0..1000 {
-            let mut m = OnlineMoments::new();
-            for _ in 0..40 {
-                m.push(10.0 + 2.0 * normal(&mut rng));
-            }
-            if (m.mean() - 10.0).abs() <= m.ci95_half_width() {
-                covered += 1;
-            }
-        }
+        let covered = coverage(10.0, || 10.0 + 2.0 * normal(&mut rng));
         assert!(
             (920..=980).contains(&covered),
             "normal CI coverage {covered}/1000, expected ≈950"
@@ -376,16 +227,7 @@ mod tests {
         // The normal approximation under-covers slightly at n=40; accept
         // a wider band but still centred near 95%.
         let mut rng = stream(4242);
-        let mut covered = 0;
-        for _ in 0..1000 {
-            let mut m = OnlineMoments::new();
-            for _ in 0..40 {
-                m.push(exponential(&mut rng));
-            }
-            if (m.mean() - 1.0).abs() <= m.ci95_half_width() {
-                covered += 1;
-            }
-        }
+        let covered = coverage(1.0, || exponential(&mut rng));
         assert!(
             (890..=975).contains(&covered),
             "exponential CI coverage {covered}/1000, expected ≈930–950"
@@ -434,18 +276,6 @@ mod tests {
         assert_eq!(truncate_warmup(&[], 0.5), &[] as &[f64]);
         // ⌊4·0.2⌋ = 0: small series are kept whole.
         assert_eq!(truncate_warmup(&v, 0.2), &v);
-    }
-
-    #[test]
-    fn batch_means_reduction() {
-        let v: Vec<f64> = (1..=10).map(|x| x as f64).collect();
-        assert_eq!(batch_means(&v, 2), vec![3.0, 8.0]);
-        // Non-divisible tail folds into the last batch.
-        assert_eq!(batch_means(&v, 3), vec![2.0, 5.0, 8.5]);
-        assert_eq!(batch_means(&v, 0), Vec::<f64>::new());
-        assert_eq!(batch_means(&v[..2], 3), Vec::<f64>::new());
-        let overall: f64 = batch_means(&v, 5).iter().sum::<f64>() / 5.0;
-        assert!((overall - 5.5).abs() < 1e-12);
     }
 
     #[test]

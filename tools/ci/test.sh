@@ -24,6 +24,10 @@ r = sys.argv[1]
 s = json.load(open(f'{r}/BENCH_summary.json'))
 assert all(e['ok'] for e in s['experiments']), s['experiments']
 assert s['headline'], s
+# Exactly one fragment per experiment plus the headline run: a missing
+# fragment, or a stale one that made it into the merge, fails here.
+names = {e['name'] for e in s['experiments']} | {'headline'}
+assert set(s['benches']) == names, sorted(set(s['benches']) ^ names)
 
 b = json.load(open(f'{r}/BENCH_fault.json'))
 assert b['bench'] == 'fault_sweep', b
@@ -38,14 +42,6 @@ degraded = [p for p in pts if p['failed_disks'] == worst]
 assert all(p['aborted'] == 0 and p['completed'] > 0 for p in degraded), degraded
 assert sum(p['degraded_reads'] for p in degraded) > 0, degraded
 print('BENCH_fault OK:', len(pts), 'points, worst case', worst, 'failed disks')
-
-b = json.load(open(f'{r}/BENCH_serve.json'))
-assert b['bench'] == 'bench_serve', b
-pts = b['points']
-assert pts and all(p['completed'] > 0 and p['qps'] > 0 for p in pts), pts
-assert all(p['p50_response_s'] <= p['p99_response_s'] for p in pts), pts
-assert all(p['sim_mean_response_s'] > 0 for p in pts), pts
-print('BENCH_serve OK:', len(pts), 'concurrency points')
 
 b = json.load(open(f'{r}/BENCH_explain.json'))
 assert b['bench'] == 'bench_explain', b
