@@ -40,32 +40,17 @@ fn main() {
     let mut scale: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let value = args
+            .next()
+            .unwrap_or_else(|| fail(&format!("{a} needs a value")));
         match a.as_str() {
-            "--current" => {
-                current = PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| fail("--current needs a path")),
-                )
-            }
-            "--baseline" => {
-                baseline = PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| fail("--baseline needs a path")),
-                )
-            }
-            "--scale" => {
-                scale = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| fail("--scale needs a path")),
-                ))
-            }
+            "--current" => current = value.into(),
+            "--baseline" => baseline = value.into(),
+            "--scale" => scale = Some(value.into()),
             "--rel-threshold" => {
-                rel_threshold = args
-                    .next()
-                    .unwrap_or_else(|| fail("--rel-threshold needs a fraction"))
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rel-threshold needs a fraction"));
+                rel_threshold = value.parse().unwrap_or(-1.0);
                 if !(0.0..=10.0).contains(&rel_threshold) {
-                    fail("--rel-threshold out of range");
+                    fail("--rel-threshold needs a fraction in [0, 10]");
                 }
             }
             other => fail(&format!("unknown argument {other:?}")),

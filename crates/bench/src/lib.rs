@@ -1,28 +1,25 @@
-//! Shared harness for the experiment binaries.
+//! Shared harness of the `experiment` binary.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the
-//! paper. They share this harness: dataset → declustered tree → query
-//! batch → (logical node counts | simulated response times) → printed
-//! table + CSV under `results/`.
+//! Every experiment regenerates one figure or table of the paper, or one
+//! ablation or extension of it. They share this harness: dataset →
+//! declustered tree → replicated query sets → the [`sweep`] driver's
+//! grid of (logical node counts | simulated response times) → printed
+//! table + CSV under `results/` and a [`report`] fragment.
 //!
-//! All binaries accept `--quick` to run a scaled-down configuration
+//! Every experiment accepts `--quick` to run a scaled-down configuration
 //! (smaller populations, fewer queries) with the same code paths — used
 //! by CI and the smoke tests; the default configuration is paper scale.
 
-use sqda_core::{
-    exec::run_query_with, AlgorithmKind, QueryScratch, RunOptions, Simulation, SimulationReport,
-    Workload,
-};
+use sqda_core::SimulationReport;
 use sqda_datasets::Dataset;
 use sqda_geom::Point;
-use sqda_obs::{truncate_warmup, MetricSummary};
-use sqda_rstar::decluster::ProximityIndex;
+use sqda_obs::truncate_warmup;
 use sqda_rstar::{Declusterer, RStarConfig, RStarTree};
-use sqda_simkernel::{FaultPlan, SeedSequence, SystemParams};
+use sqda_simkernel::SeedSequence;
 use sqda_storage::{ArrayStore, PageStore};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,102 +35,105 @@ pub const QUERIES_PER_POINT: usize = 100;
 /// override with `--reps`.
 pub const DEFAULT_REPS: usize = 5;
 
-/// Parses the common command-line flags of the experiment binaries.
+/// The `experiment` binary's command line: an experiment name and the
+/// flags every experiment shares.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
+    /// The experiment to run (the one positional argument; empty if none).
+    pub name: String,
     /// Scale down populations/queries for a fast smoke run.
     pub quick: bool,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
     /// Worker threads for [`parallel_map`] sweeps (1 = serial).
     pub jobs: usize,
-    /// Trace sink for the first simulated configuration (see
-    /// [`simulate_observed`]): Chrome/Perfetto `trace_event` JSON, or a
-    /// raw JSONL event log if the path ends in `.jsonl`.
+    /// Trace sink for the sweep's first simulated grid point at
+    /// replication 0: Chrome/Perfetto `trace_event` JSON, or a raw JSONL
+    /// event log if the path ends in `.jsonl`.
     pub trace: Option<PathBuf>,
-    /// Metrics sink for the first simulated configuration: JSON
+    /// Metrics sink for that same run: JSON
     /// [`sqda_obs::MetricsSnapshot`] + per-query profiles.
     pub metrics: Option<PathBuf>,
-    /// Independent replications per data point (default 5). Replication
-    /// 0 reuses the historical seed; `--reps 1` therefore reproduces the
-    /// pre-replication single-run numbers exactly.
-    pub reps: usize,
+    /// Independent replications per data point, if `--reps` was given
+    /// (see [`Self::reps`]).
+    pub reps: Option<usize>,
     /// Fraction of each response-time series (in arrival order) deleted
     /// as warm-up before averaging (default 0 = keep everything).
     pub warmup: f64,
 }
 
+impl Default for ExpOptions {
+    fn default() -> Self {
+        Self {
+            name: String::new(),
+            quick: false,
+            out_dir: PathBuf::from("results"),
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            trace: None,
+            metrics: None,
+            reps: None,
+            warmup: 0.0,
+        }
+    }
+}
+
 impl ExpOptions {
-    /// Reads `--quick`, `--out <dir>`, `--jobs <n>`, `--serial`,
-    /// `--trace <file>`, `--metrics <file>`, `--reps <n>` and
-    /// `--warmup <fraction>` from `std::env::args`. `--jobs` defaults to
-    /// the machine's available parallelism; `--serial` is shorthand for
-    /// `--jobs 1`.
+    /// Reads the experiment name and `--quick`, `--out <dir>`,
+    /// `--jobs <n>`, `--serial`, `--trace <file>`, `--metrics <file>`,
+    /// `--reps <n>` and `--warmup <fraction>` from `std::env::args`.
+    /// `--jobs` defaults to the machine's available parallelism (one
+    /// worker per core);
+    /// `--serial` is shorthand for `--jobs 1`.
     pub fn from_args() -> Self {
-        let mut quick = false;
-        let mut out_dir = PathBuf::from("results");
-        let mut jobs = default_jobs();
-        let mut trace = None;
-        let mut metrics = None;
-        let mut reps = DEFAULT_REPS;
-        let mut warmup = 0.0f64;
+        let mut o = Self::default();
         let mut args = std::env::args().skip(1);
+        let positive = |v: String, flag: &str| -> usize {
+            let n = v.parse().unwrap_or(0);
+            assert!(n > 0, "{flag} needs a positive integer");
+            n
+        };
         while let Some(a) = args.next() {
+            let mut value = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
             match a.as_str() {
-                "--quick" => quick = true,
-                "--out" => {
-                    out_dir = PathBuf::from(args.next().expect("--out needs a directory"));
-                }
-                "--jobs" => {
-                    jobs = args
-                        .next()
-                        .expect("--jobs needs a count")
-                        .parse()
-                        .expect("--jobs needs a positive integer");
-                    assert!(jobs > 0, "--jobs needs a positive integer");
-                }
-                "--serial" => jobs = 1,
-                "--trace" => {
-                    trace = Some(PathBuf::from(args.next().expect("--trace needs a file")));
-                }
-                "--metrics" => {
-                    metrics = Some(PathBuf::from(args.next().expect("--metrics needs a file")));
-                }
-                "--reps" => {
-                    reps = args
-                        .next()
-                        .expect("--reps needs a count")
-                        .parse()
-                        .expect("--reps needs a positive integer");
-                    assert!(reps > 0, "--reps needs a positive integer");
-                }
+                "--quick" => o.quick = true,
+                "--serial" => o.jobs = 1,
+                "--out" => o.out_dir = value().into(),
+                "--trace" => o.trace = Some(value().into()),
+                "--metrics" => o.metrics = Some(value().into()),
+                "--jobs" => o.jobs = positive(value(), "--jobs"),
+                "--reps" => o.reps = Some(positive(value(), "--reps")),
                 "--warmup" => {
-                    warmup = args
-                        .next()
-                        .expect("--warmup needs a fraction")
-                        .parse()
-                        .expect("--warmup needs a fraction in [0,1)");
+                    o.warmup = value().parse().unwrap_or(-1.0);
                     assert!(
-                        (0.0..1.0).contains(&warmup),
+                        (0.0..1.0).contains(&o.warmup),
                         "--warmup needs a fraction in [0,1)"
                     );
                 }
+                name if o.name.is_empty() && !name.starts_with('-') => o.name = a.clone(),
                 other => panic!(
-                    "unknown argument {other} \
-                     (expected --quick / --out <dir> / --jobs <n> / --serial \
-                      / --trace <file> / --metrics <file> / --reps <n> \
-                      / --warmup <fraction>)"
+                    "unexpected argument {other} (expected <experiment> --quick \
+                     / --out <dir> / --jobs <n> / --serial / --trace <file> \
+                     / --metrics <file> / --reps <n> / --warmup <fraction>)"
                 ),
             }
         }
-        Self {
-            quick,
-            out_dir,
-            jobs,
-            trace,
-            metrics,
-            reps,
-            warmup,
+        o
+    }
+
+    /// Independent replications per data point: `--reps`, else
+    /// [`DEFAULT_REPS`]. Replication 0 reuses the historical seed;
+    /// `--reps 1` therefore reproduces the pre-replication single-run
+    /// numbers exactly.
+    pub fn reps(&self) -> usize {
+        self.reps.unwrap_or(DEFAULT_REPS)
+    }
+
+    /// `quick` under `--quick`, else `full`.
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
         }
     }
 
@@ -156,41 +156,20 @@ impl ExpOptions {
     }
 }
 
-/// Default worker count for sweep fan-out: one per available core.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Fans `f` over `items` across `jobs` scoped worker threads, returning
 /// the results **in input order** regardless of completion order.
 ///
+/// `make_state` runs once on each worker thread (once total on the
+/// serial path) and the state is handed mutably to every item that
+/// worker claims — how sweeps thread one reusable
+/// [`sqda_core::QueryScratch`] per worker through thousands of queries.
 /// Workers claim items through a shared atomic cursor (work stealing at
-/// item granularity), so an expensive (algorithm × parameter × seed)
-/// point does not stall the whole sweep behind a fixed chunking. With
-/// `jobs == 1` (or a single item) the closure runs on the caller's
-/// thread — the serial path is byte-identical, which is what the
-/// experiment binaries' `--serial` flag relies on.
+/// item granularity), so an expensive point does not stall the whole
+/// sweep behind a fixed chunking. With `jobs == 1` (or a single item)
+/// the closure runs on the caller's thread.
 ///
 /// Panics in `f` propagate to the caller once all workers have stopped.
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, jobs, || (), |_, item| f(item))
-}
-
-/// [`parallel_map`] with per-worker state: `make_state` runs once on each
-/// worker thread (once total on the serial path) and the state is handed
-/// mutably to every item that worker claims. This is how sweeps thread a
-/// reusable [`sqda_core::QueryScratch`] through thousands of queries —
-/// one heap + batch buffer per worker, zero cross-thread sharing — while
-/// keeping the result order and the `jobs == 1` byte-identical serial
-/// path of `parallel_map`.
-pub fn parallel_map_with<T, St, R, M, F>(items: &[T], jobs: usize, make_state: M, f: F) -> Vec<R>
+pub fn parallel_map<T, St, R, M, F>(items: &[T], jobs: usize, make_state: M, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -230,51 +209,73 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Page size used by the 2-d experiments: 1 KiB, matching the late-90s
-/// hardware the paper models (the striping unit is one disk block; the
-/// HP-C2200A era block is far below today's 4 KiB default). This yields
-/// 2-d fan-outs of ~21/42 (internal/leaf) — trees of height 4 for the
-/// paper's populations, which is where the paper's BBSS-vs-CRSS node
-/// crossover (Figure 8) manifests.
-pub const EXPERIMENT_PAGE_SIZE: usize = 1024;
+/// Replicated sweep: runs `f(state, item, rep)` for every item and
+/// replication `0..opts.reps()`, fanned over `opts.jobs` workers at
+/// (item × rep) granularity with per-worker state as in
+/// [`parallel_map`], and returns each item's results in replication
+/// order (items in input order).
+pub fn sweep_replicated<T, St, R, M, F>(
+    items: &[T],
+    opts: &ExpOptions,
+    make_state: M,
+    f: F,
+) -> Vec<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    M: Fn() -> St + Sync,
+    F: Fn(&mut St, &T, usize) -> R + Sync,
+{
+    let reps = opts.reps();
+    let grid: Vec<(usize, usize)> = (0..items.len())
+        .flat_map(|i| (0..reps).map(move |r| (i, r)))
+        .collect();
+    let mut values = parallel_map(&grid, opts.jobs, make_state, |state, &(i, r)| {
+        f(state, &items[i], r)
+    })
+    .into_iter();
+    (0..items.len())
+        .map(|_| values.by_ref().take(reps).collect())
+        .collect()
+}
 
-/// Page size per dimensionality. Higher-dimensional entries are ~2.5–5×
-/// larger, so the same physical block would hold single-digit fan-outs
-/// and produce degenerate trees whose every query touches thousands of
-/// pages — a regime where λ = 5 queries/s cannot reach steady state on
-/// any algorithm. 4 KiB pages restore the fan-outs (5-d: 42/85, 10-d:
-/// 23/46) that make the paper's response-time magnitudes (0.1–3 s)
-/// attainable.
+/// Page size per dimensionality.
+///
+/// The 2-d experiments use 1 KiB, matching the late-90s hardware the
+/// paper models (the striping unit is one disk block; the HP-C2200A era
+/// block is far below today's 4 KiB default). This yields 2-d fan-outs
+/// of ~21/42 (internal/leaf) — trees of height 4 for the paper's
+/// populations, which is where the paper's BBSS-vs-CRSS node crossover
+/// (Figure 8) manifests.
+///
+/// Higher-dimensional entries are ~2.5–5× larger, so the same physical
+/// block would hold single-digit fan-outs and produce degenerate trees
+/// whose every query touches thousands of pages — a regime where λ = 5
+/// queries/s cannot reach steady state on any algorithm. 4 KiB pages
+/// restore the fan-outs (5-d: 42/85, 10-d: 23/46) that make the paper's
+/// response-time magnitudes (0.1–3 s) attainable.
 pub fn experiment_page_size(dim: usize) -> usize {
     if dim <= 2 {
-        EXPERIMENT_PAGE_SIZE
+        1024
     } else {
         4096
     }
 }
 
-/// Builds a declustered tree from a dataset with the paper's default
-/// Proximity-Index heuristic.
-pub fn build_tree(dataset: &Dataset, disks: u32, seed: u64) -> RStarTree<ArrayStore> {
-    build_tree_with(dataset, disks, seed, Box::new(ProximityIndex))
-}
-
-/// Builds a declustered tree with an explicit heuristic.
-pub fn build_tree_with(
+/// Builds a declustered tree from a dataset by incremental insertion,
+/// with `config` adjusting the experiment's page-size default.
+pub fn build_tree(
     dataset: &Dataset,
     disks: u32,
     seed: u64,
     declusterer: Box<dyn Declusterer>,
+    config: impl FnOnce(RStarConfig) -> RStarConfig,
 ) -> RStarTree<ArrayStore> {
     let start = Instant::now();
     let page_size = experiment_page_size(dataset.dim);
     let store = Arc::new(ArrayStore::with_page_size(disks, 1449, page_size, seed));
-    let mut tree = RStarTree::create(
-        store,
-        RStarConfig::with_page_size(dataset.dim, page_size),
-        declusterer,
-    )
-    .expect("tree creation");
+    let config = config(RStarConfig::with_page_size(dataset.dim, page_size));
+    let mut tree = RStarTree::create(store, config, declusterer).expect("tree creation");
     for (i, p) in dataset.points.iter().enumerate() {
         tree.insert(p.clone(), i as u64).expect("insert");
     }
@@ -291,135 +292,6 @@ pub fn build_tree_with(
     tree
 }
 
-/// Mean visited nodes per query for one algorithm (logical executor).
-pub fn mean_nodes(
-    tree: &RStarTree<ArrayStore>,
-    queries: &[Point],
-    k: usize,
-    kind: AlgorithmKind,
-) -> f64 {
-    let mut scratch = QueryScratch::new();
-    mean_nodes_with(tree, queries, k, kind, &mut scratch)
-}
-
-/// [`mean_nodes`] over a reusable [`QueryScratch`]: a sweep hands each
-/// worker one scratch (via [`parallel_map_with`]) so the best-first heap
-/// and batch buffer are allocated once per worker, not once per query.
-pub fn mean_nodes_with(
-    tree: &RStarTree<ArrayStore>,
-    queries: &[Point],
-    k: usize,
-    kind: AlgorithmKind,
-    scratch: &mut QueryScratch,
-) -> f64 {
-    let mut total = 0u64;
-    for q in queries {
-        let mut algo = kind
-            .build_with(tree, q.clone(), k, scratch)
-            .expect("algorithm");
-        let run = run_query_with(tree, algo.as_mut(), scratch).expect("query");
-        total += run.nodes_visited;
-    }
-    total as f64 / queries.len() as f64
-}
-
-/// Runs the simulated executor for one algorithm over a Poisson workload.
-pub fn simulate(
-    tree: &RStarTree<ArrayStore>,
-    queries: &[Point],
-    k: usize,
-    lambda: f64,
-    kind: AlgorithmKind,
-    seed: u64,
-) -> SimulationReport {
-    let params = SystemParams::with_disks(tree.store().num_disks());
-    let sim = Simulation::new(tree, params).expect("simulation");
-    let workload = Workload::poisson(queries.to_vec(), k, lambda, seed);
-    sim.run(kind, &workload, seed ^ 0x5eed).expect("simulation")
-}
-
-/// [`simulate`] on a shadowed (mirrored) array under a fault plan.
-///
-/// Mirrored reads are what make degraded service possible at all — a
-/// failed disk's pages survive on its shadow partner — so this helper
-/// turns them on unconditionally; with the empty plan it is exactly
-/// [`simulate`] with `mirrored_reads: true`. Per-query `Unavailable`
-/// failures land in the report's `failures`/`failed` fields rather
-/// than failing the run.
-pub fn simulate_faulted(
-    tree: &RStarTree<ArrayStore>,
-    queries: &[Point],
-    k: usize,
-    lambda: f64,
-    kind: AlgorithmKind,
-    seed: u64,
-    plan: &FaultPlan,
-) -> SimulationReport {
-    let mut params = SystemParams::with_disks(tree.store().num_disks());
-    params.mirrored_reads = true;
-    let sim = Simulation::new(tree, params).expect("simulation");
-    let workload = Workload::poisson(queries.to_vec(), k, lambda, seed);
-    sim.run_with(
-        &workload,
-        seed ^ 0x5eed,
-        RunOptions::kind(kind).faults(plan),
-    )
-    .expect("simulation")
-}
-
-/// Whether [`simulate_observed`] has already written its one trace this
-/// process (sweeps call it once per configuration; only the first is
-/// recorded so the sink files are not silently overwritten).
-static OBSERVED: AtomicBool = AtomicBool::new(false);
-
-/// [`simulate`], wired to the `--trace` / `--metrics` sinks: the first
-/// call in the process with either path set records the run through a
-/// [`sqda_obs::CollectingRecorder`] and writes the requested files;
-/// every other call (and every call without sink paths) is byte-for-byte
-/// [`simulate`]. Recording does not perturb the simulated timing, so a
-/// sweep's numbers are identical with and without the flags.
-pub fn simulate_observed(
-    tree: &RStarTree<ArrayStore>,
-    queries: &[Point],
-    k: usize,
-    lambda: f64,
-    kind: AlgorithmKind,
-    seed: u64,
-    opts: &ExpOptions,
-) -> SimulationReport {
-    let wants_sinks = opts.trace.is_some() || opts.metrics.is_some();
-    if !wants_sinks || OBSERVED.swap(true, Ordering::SeqCst) {
-        return simulate(tree, queries, k, lambda, kind, seed);
-    }
-    let params = SystemParams::with_disks(tree.store().num_disks());
-    let (num_disks, num_cpus) = (params.num_disks, params.num_cpus);
-    let sim = Simulation::new(tree, params).expect("simulation");
-    let workload = Workload::poisson(queries.to_vec(), k, lambda, seed);
-    let mut recorder = sqda_obs::CollectingRecorder::default();
-    let report = sim
-        .run_recorded(kind, &workload, seed ^ 0x5eed, &mut recorder)
-        .expect("simulation");
-    sqda_obs::write_observability(
-        recorder.events(),
-        num_disks,
-        num_cpus,
-        Some(&report.io_stats()),
-        opts.trace.as_deref(),
-        opts.metrics.as_deref(),
-    )
-    .expect("write trace/metrics sinks");
-    for (label, path) in [("trace", &opts.trace), ("metrics", &opts.metrics)] {
-        if let Some(path) = path {
-            eprintln!(
-                "  wrote {label} of {} λ={lambda} k={k} to {}",
-                kind.name(),
-                path.display()
-            );
-        }
-    }
-    report
-}
-
 /// Seed for replication `rep` of a measurement whose historical
 /// single-run seed was `legacy`. Replication 0 **is** the legacy seed
 /// (so `--reps 1` runs draw exactly the pre-replication numbers);
@@ -432,7 +304,7 @@ pub fn rep_seed(legacy: u64, rep: usize) -> u64 {
 /// [`rep_seed`]`(legacy_seed, r)`, so set 0 is the historical set and
 /// the others are independent draws from the same dataset.
 pub fn rep_query_sets(dataset: &Dataset, opts: &ExpOptions, legacy_seed: u64) -> Vec<Vec<Point>> {
-    (0..opts.reps.max(1))
+    (0..opts.reps())
         .map(|r| dataset.sample_queries(opts.queries(), rep_seed(legacy_seed, r)))
         .collect()
 }
@@ -451,67 +323,6 @@ pub fn mean_response(report: &SimulationReport, opts: &ExpOptions) -> f64 {
     } else {
         kept.iter().sum::<f64>() / kept.len() as f64
     }
-}
-
-/// Per-data-point result of a replicated sweep: the raw value of every
-/// replication plus their `mean ± CI` summary.
-#[derive(Debug, Clone)]
-pub struct RepSummary {
-    /// One value per replication, in replication order.
-    pub values: Vec<f64>,
-    /// Moments over the replications.
-    pub summary: MetricSummary,
-}
-
-impl RepSummary {
-    /// Mean over replications — what the legacy CSV columns carry.
-    pub fn mean(&self) -> f64 {
-        self.summary.mean
-    }
-}
-
-/// Replicated sweep: runs `f(item, rep)` for every item and replication
-/// `0..opts.reps`, fanned over `opts.jobs` workers at (item × rep)
-/// granularity, and folds each item's replications into a [`RepSummary`]
-/// (input order preserved).
-///
-/// With `--reps 1` the call sequence is identical to mapping `f(item,
-/// 0)` over the items — the legacy single-run sweep.
-pub fn sweep_replicated<T, F>(items: &[T], opts: &ExpOptions, f: F) -> Vec<RepSummary>
-where
-    T: Sync,
-    F: Fn(&T, usize) -> f64 + Sync,
-{
-    sweep_replicated_with(items, opts, || (), |_, item, rep| f(item, rep))
-}
-
-/// [`sweep_replicated`] with per-worker scratch state (the replicated
-/// analogue of [`parallel_map_with`]).
-pub fn sweep_replicated_with<T, St, M, F>(
-    items: &[T],
-    opts: &ExpOptions,
-    make_state: M,
-    f: F,
-) -> Vec<RepSummary>
-where
-    T: Sync,
-    M: Fn() -> St + Sync,
-    F: Fn(&mut St, &T, usize) -> f64 + Sync,
-{
-    let reps = opts.reps.max(1);
-    let grid: Vec<(usize, usize)> = (0..items.len())
-        .flat_map(|i| (0..reps).map(move |r| (i, r)))
-        .collect();
-    let values = parallel_map_with(&grid, opts.jobs, make_state, |state, &(i, r)| {
-        f(state, &items[i], r)
-    });
-    values
-        .chunks(reps)
-        .map(|vals| RepSummary {
-            values: vals.to_vec(),
-            summary: MetricSummary::from_samples(vals),
-        })
-        .collect()
 }
 
 /// A printed + CSV'd results table.
@@ -542,29 +353,18 @@ impl ResultsTable {
         println!("\n== {} ==", self.title);
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, v) in row.iter().enumerate() {
-                widths[i] = widths[i].max(v.len());
+            for (w, v) in widths.iter_mut().zip(row) {
+                *w = (*w).max(v.len());
             }
         }
-        let print_row = |cells: &[String]| {
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        for cells in [&self.header, &rule].into_iter().chain(&self.rows) {
             let line: Vec<String> = cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
+                .zip(&widths)
+                .map(|(c, &w)| format!("{c:>w$}"))
                 .collect();
             println!("  {}", line.join("  "));
-        };
-        print_row(&self.header);
-        println!(
-            "  {}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            print_row(row);
         }
     }
 
@@ -594,13 +394,14 @@ pub fn f4(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqda_obs::MetricSummary;
 
     #[test]
     fn parallel_map_preserves_input_order() {
         let items: Vec<u64> = (0..137).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [1, 2, 3, 8, 64] {
-            let got = parallel_map(&items, jobs, |x| x * x);
+            let got = parallel_map(&items, jobs, || (), |_, x| x * x);
             assert_eq!(got, expect, "jobs={jobs}");
         }
     }
@@ -610,20 +411,30 @@ mod tests {
         // Uneven per-item cost exercises the work-stealing cursor: late
         // items finish before early ones, yet output order must hold.
         let items: Vec<usize> = (0..24).collect();
-        let serial = parallel_map(&items, 1, |&i| {
-            let mut acc = 0u64;
-            for j in 0..(24 - i) * 10_000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(j as u64);
-            }
-            (i, acc)
-        });
-        let fanned = parallel_map(&items, 4, |&i| {
-            let mut acc = 0u64;
-            for j in 0..(24 - i) * 10_000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(j as u64);
-            }
-            (i, acc)
-        });
+        let serial = parallel_map(
+            &items,
+            1,
+            || (),
+            |_, &i| {
+                let mut acc = 0u64;
+                for j in 0..(24 - i) * 10_000 {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(j as u64);
+                }
+                (i, acc)
+            },
+        );
+        let fanned = parallel_map(
+            &items,
+            4,
+            || (),
+            |_, &i| {
+                let mut acc = 0u64;
+                for j in 0..(24 - i) * 10_000 {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(j as u64);
+                }
+                (i, acc)
+            },
+        );
         assert_eq!(serial, fanned);
     }
 
@@ -633,7 +444,7 @@ mod tests {
         // cover every item exactly once and results stay in input order.
         let items: Vec<u64> = (0..61).collect();
         for jobs in [1, 3, 8] {
-            let got = parallel_map_with(
+            let got = parallel_map(
                 &items,
                 jobs,
                 || 0u64,
@@ -657,19 +468,16 @@ mod tests {
     #[test]
     fn parallel_map_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 8, |x| *x).is_empty());
-        assert_eq!(parallel_map(&[7u32], 8, |x| x + 1), vec![8]);
+        assert!(parallel_map(&empty, 8, || (), |_, x| *x).is_empty());
+        assert_eq!(parallel_map(&[7u32], 8, || (), |_, x| x + 1), vec![8]);
     }
 
     fn opts_with(reps: usize, jobs: usize) -> ExpOptions {
         ExpOptions {
             quick: true,
-            out_dir: PathBuf::from("results"),
             jobs,
-            trace: None,
-            metrics: None,
-            reps,
-            warmup: 0.0,
+            reps: Some(reps),
+            ..ExpOptions::default()
         }
     }
 
@@ -688,26 +496,27 @@ mod tests {
     #[test]
     fn sweep_replicated_folds_reps_in_order() {
         let items = [10.0f64, 20.0, 30.0];
-        let got = sweep_replicated(&items, &opts_with(3, 1), |&x, rep| x + rep as f64);
+        let add = |_: &mut (), &x: &f64, rep: usize| x + rep as f64;
+        let got = sweep_replicated(&items, &opts_with(3, 1), || (), add);
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0].values, vec![10.0, 11.0, 12.0]);
-        assert_eq!(got[2].values, vec![30.0, 31.0, 32.0]);
-        assert!((got[1].mean() - 21.0).abs() < 1e-12);
-        assert_eq!(got[1].summary.count, 3);
+        assert_eq!(got[0], vec![10.0, 11.0, 12.0]);
+        assert_eq!(got[2], vec![30.0, 31.0, 32.0]);
+        let summary = MetricSummary::from_samples(&got[1]);
+        assert!((summary.mean - 21.0).abs() < 1e-12);
+        assert_eq!(summary.count, 3);
         // Parallel fan-out produces the same per-item replication values.
-        let fanned = sweep_replicated(&items, &opts_with(3, 4), |&x, rep| x + rep as f64);
-        for (a, b) in got.iter().zip(&fanned) {
-            assert_eq!(a.values, b.values);
-        }
+        assert_eq!(sweep_replicated(&items, &opts_with(3, 4), || (), add), got);
         // reps == 1 degenerates to the single-run sweep.
-        let single = sweep_replicated(&items, &opts_with(1, 1), |&x, rep| {
-            assert_eq!(rep, 0);
-            x
-        });
-        assert_eq!(
-            single.iter().map(RepSummary::mean).collect::<Vec<_>>(),
-            items
+        let single = sweep_replicated(
+            &items,
+            &opts_with(1, 1),
+            || (),
+            |_, &x, rep| {
+                assert_eq!(rep, 0);
+                x
+            },
         );
+        assert_eq!(single, items.map(|x| vec![x]));
     }
 
     #[test]
@@ -717,15 +526,21 @@ mod tests {
         // fragment serializations of the same sweep must agree exactly.
         let opts = opts_with(4, 2);
         let run = || {
-            let sums = sweep_replicated(&[1u64, 2, 3], &opts, |&item, rep| {
-                // Seed-dependent deterministic "measurement".
-                let s = rep_seed(item * 1000, rep);
-                (s % 1_000_003) as f64 / 1_000_003.0
-            });
+            let sums = sweep_replicated(
+                &[1u64, 2, 3],
+                &opts,
+                || (),
+                |_, &item, rep| {
+                    // Seed-dependent deterministic "measurement".
+                    let s = rep_seed(item * 1000, rep);
+                    (s % 1_000_003) as f64 / 1_000_003.0
+                },
+            );
             let mut report = report::BinReport::new("determinism_probe", &opts);
             report.master_seed(1000);
             for (i, s) in sums.iter().enumerate() {
-                report.metric("metric", &[("item", i.to_string())], s.summary);
+                let labels = [("item", i.to_string())];
+                report.metric("metric", &labels, s, report::Direction::Lower);
             }
             report.fragment_json()
         };

@@ -1,6 +1,6 @@
-//! The unified reporting API every experiment bin writes through.
+//! The unified reporting API every experiment writes through.
 //!
-//! Each bin builds one [`BinReport`]: the full parameter set, the master
+//! Each experiment builds one [`BinReport`]: the full parameter set, the master
 //! seed and derived replication seeds, and a list of headline metrics as
 //! `mean ± 95% CI` over replications. `finish` writes two files next to
 //! the CSVs:
@@ -8,7 +8,7 @@
 //! * `<out>/<bench>.manifest.json` — the [`RunManifest`] provenance
 //!   record (git sha, seeds, parameters, wall-clock);
 //! * `<out>/bench/<bench>.json` — a schema-v2 summary *fragment* that
-//!   `run_all_experiments` merges into `results/BENCH_summary.json`.
+//!   `experiment all` merges into `results/BENCH_summary.json`.
 //!
 //! [`compare_summaries`] implements the noise-aware regression rule used
 //! by the `check_regression` bin: a metric only counts as regressed when
@@ -62,7 +62,7 @@ struct MetricPoint {
     summary: MetricSummary,
 }
 
-/// Collects one experiment bin's provenance and headline metrics.
+/// Collects one experiment's provenance and headline metrics.
 pub struct BinReport {
     bench: String,
     manifest: RunManifest,
@@ -78,14 +78,14 @@ impl BinReport {
     pub fn new(bench: &str, opts: &ExpOptions) -> Self {
         let mut manifest = RunManifest::new(bench);
         manifest.crate_version = env!("CARGO_PKG_VERSION").to_string();
-        manifest.reps = opts.reps as u32;
+        manifest.reps = opts.reps() as u32;
         manifest.warmup_fraction = opts.warmup;
         Self {
             bench: bench.to_string(),
             manifest,
             metrics: Vec::new(),
             quick: opts.quick,
-            reps: opts.reps,
+            reps: opts.reps(),
             warmup: opts.warmup,
             started: Instant::now(),
         }
@@ -109,20 +109,18 @@ impl BinReport {
         self
     }
 
-    /// Adds one headline metric (lower-is-better) with its labels, e.g.
-    /// `report.metric("mean_response_s", &[("algorithm", "CRSS".into())], s)`.
-    pub fn metric(&mut self, name: &str, labels: &[(&str, String)], summary: MetricSummary) {
-        self.metric_dir(name, labels, summary, Direction::Lower);
-    }
-
-    /// [`Self::metric`] with an explicit regression [`Direction`].
-    pub fn metric_dir(
+    /// Adds one headline metric — its samples (one per replication, or
+    /// the one exact value) summarized as mean ± CI — with its labels and
+    /// regression [`Direction`], e.g. `report.metric("mean_response_s",
+    /// &[("algorithm", "CRSS".into())], &responses, Direction::Lower)`.
+    pub fn metric(
         &mut self,
         name: &str,
         labels: &[(&str, String)],
-        summary: MetricSummary,
+        samples: &[f64],
         direction: Direction,
     ) {
+        let summary = MetricSummary::from_samples(samples);
         self.metrics.push(MetricPoint {
             name: name.to_string(),
             labels: labels
@@ -544,17 +542,18 @@ mod tests {
             quick: true,
             out_dir: dir.clone(),
             jobs: 1,
-            trace: None,
-            metrics: None,
-            reps: 3,
+            reps: Some(3),
             warmup: 0.1,
+            ..ExpOptions::default()
         };
         let mut report = BinReport::new("unit_fragment", &opts);
         report.param("disks", 10).master_seed(4242);
+        let labels = [("algorithm", "CRSS".to_string())];
         report.metric(
             "mean_response_s",
-            &[("algorithm", "CRSS".to_string())],
-            MetricSummary::from_samples(&[0.1, 0.11, 0.12]),
+            &labels,
+            &[0.1, 0.11, 0.12],
+            Direction::Lower,
         );
         let frag = report.finish(&opts);
         let text = std::fs::read_to_string(&frag).expect("fragment readable");

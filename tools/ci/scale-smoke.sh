@@ -1,7 +1,7 @@
 #!/bin/bash
-# CI `scale-smoke`: external-build equivalence tests, a streamed CSV
-# build under a 1 GiB address-space limit, and bench_scale's JSON
-# checked. Outputs: target/ci/scale-smoke.
+# CI `scale-smoke`: external-build equivalence tests and a streamed CSV
+# build under a 1 GiB address-space limit (`experiment bench_scale`'s
+# JSON is checked by tools/ci/test.sh). Outputs: target/ci/scale-smoke.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 OUT=target/ci/scale-smoke
@@ -25,36 +25,3 @@ grep -q 'external build:' "$OUT/scalebuild.log"
 test ! -e "$OUT/scalestore/scratch"
 "$SQDA" query --store "$OUT/scalestore" --point 0.5,0.5 --k 10 | tee "$OUT/scalequery.log"
 grep -q 'found 10 neighbours' "$OUT/scalequery.log"
-
-cargo run --release -p sqda-bench --bin bench_scale -- --quick --out "$OUT/scale"
-python3 - "$OUT/scale/BENCH_scale.json" <<'PY'
-import json, sys
-b = json.load(open(sys.argv[1]))
-assert b['bench'] == 'bench_scale', b
-cfg = b['config']
-for key in ('disks', 'k', 'dim', 'page_size', 'run_capacity', 'cache_bytes', 'queries'):
-    assert isinstance(cfg[key], int) and cfg[key] > 0, (key, cfg)
-pts = b['points']
-assert len(pts) >= 2, pts
-ns = [p['n'] for p in pts]
-assert ns == sorted(ns) and len(set(ns)) == len(ns), ns
-for p in pts:
-    # Every scale point must actually have gone out of core.
-    assert p['runs'] > 1 and p['spilled_pages'] > 0, p
-    assert p['merge_passes'] >= 1, p
-    assert 0 < p['peak_scratch_pages'] <= p['spilled_pages'], p
-    # Positional file calls: at least one per node written, and well
-    # under one per page moved.
-    assert p['nodes'] < p['io_calls'] < p['nodes'] + p['spilled_pages'], p
-    assert abs(p['io_calls_per_point'] - p['io_calls'] / p['n']) < 1e-4, p
-    assert p['build_s'] > 0 and p['height'] >= 2, p
-    for key in ('cold_mean_s', 'cold_p95_s', 'warm_mean_s', 'warm_p95_s',
-                'cold_reads_per_query'):
-        assert p[key] > 0, (key, p)
-    assert 0 < p['warm_cache_hit_ratio'] <= 1, p
-    assert 0.5 < p['avg_fill'] <= 1.0, p
-# The largest scale again under the builder's default options.
-d = b['default_options']
-assert d['n'] == ns[-1] and d['build_s'] > 0 and d['run_capacity'] > 0, d
-print('BENCH_scale OK:', [(p['n'], round(p['build_s'], 2)) for p in pts])
-PY
