@@ -6,7 +6,7 @@ use sqda_analysis::{
     estimate_response, expected_knn_accesses, expected_range_accesses, DeviceCalibration,
     DiskServiceModel, QueryIoProfile, TreeProfile,
 };
-use sqda_core::{exec::run_query, AlgorithmKind, Simulation, Workload};
+use sqda_core::{exec::run_query, AlgorithmKind, RangeSearch, Simulation, Workload};
 use sqda_datasets::uniform;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{RStarConfig, RStarTree};
@@ -34,7 +34,8 @@ fn range_access_estimate_matches_measurement() {
         tree.store().reset_stats();
         use sqda_storage::PageStore;
         for q in &queries {
-            tree.range_query(q, radius).unwrap();
+            let mut search = RangeSearch::new(&tree, q.clone(), radius);
+            run_query(&tree, &mut search).unwrap();
         }
         let measured = tree.store().stats().reads as f64 / queries.len() as f64;
         let estimated = expected_range_accesses(&profile, radius);

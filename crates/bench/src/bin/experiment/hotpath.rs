@@ -8,8 +8,9 @@
 //! * `warm_traversal_ns_per_node` — full-tree DFS through `read_node`
 //!   with every page resident in the decoded-node cache (an `Arc` clone
 //!   per node, no entry copies);
-//! * `knn_warm_ns_per_query` — end-to-end k-NN with a reused
-//!   [`BestFirstScratch`] over a warm cache;
+//! * `knn_warm_ns_per_query` — end-to-end best-first k-NN
+//!   ([`best_first_knn_with`]) with a reused [`QueryScratch`] over a warm
+//!   cache;
 //! * `kernel` — ns/entry for the batched `dist_sq`, MINDIST and
 //!   three-metric rectangle kernels at dims 2, 3, 5 and 8 (const-generic
 //!   bodies) and 10 (runtime `dim`), batch sizes 1/8/64 (one entry, a
@@ -43,12 +44,12 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions,
 };
-use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
+use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine, Workload};
 use sqda_geom::{kernel, Point};
 use sqda_obs::metrics::TIME_MS_BOUNDS;
 use sqda_obs::{Event, LiveHistogram, LiveTelemetry, QueryObservation};
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{codec, knn_with_scratch, BestFirstScratch, RStarConfig, RStarTree};
+use sqda_rstar::{codec, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, InlineBackend, NodeCache, PageId, PageStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -290,12 +291,12 @@ pub fn run(opts: &ExpOptions) {
             ])
         })
         .collect();
-    let mut scratch = BestFirstScratch::new();
+    let mut scratch = QueryScratch::new();
     for q in &queries {
-        knn_with_scratch(&tree, q, K, &mut scratch).expect("knn"); // warm
+        best_first_knn_with(&tree, q, K, &mut scratch).expect("knn"); // warm
     }
     let knn_reps = sample_ns(reps, queries.len(), queries.len(), |i| {
-        let (out, _) = knn_with_scratch(&tree, &queries[i], K, &mut scratch).expect("knn");
+        let out = best_first_knn_with(&tree, &queries[i], K, &mut scratch).expect("knn");
         black_box(out.len());
     });
     let knn_warm_ns_per_query = median(knn_reps.clone());

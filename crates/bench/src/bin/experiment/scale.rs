@@ -27,11 +27,12 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions, ResultsTable,
 };
+use sqda_core::{best_first_knn, Neighbor};
 use sqda_datasets::uniform_stream;
 use sqda_geom::Point;
 use sqda_obs::stats::percentile;
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{ExternalBuildOptions, FnSource, Neighbor, Node, RStarConfig, RStarTree};
+use sqda_rstar::{ExternalBuildOptions, FnSource, Node, RStarConfig, RStarTree};
 use sqda_storage::{FileStore, NodeCache};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,7 +56,7 @@ fn knn_pass(tree: &RStarTree<FileStore>, queries: &[Point]) -> (Vec<f64>, Vec<Ve
     let mut answers = Vec::with_capacity(queries.len());
     for q in queries {
         let t = Instant::now();
-        let a = tree.knn(q, K).expect("knn");
+        let a = best_first_knn(tree, q, K).expect("knn");
         lat.push(t.elapsed().as_secs_f64());
         answers.push(a);
     }
@@ -205,7 +206,7 @@ pub fn run(opts: &ExpOptions) {
             )
             .expect("in-memory build");
             for (q, external) in queries.iter().zip(&cold_answers) {
-                let want = ram_tree.knn(q, K).expect("reference knn");
+                let want = best_first_knn(&ram_tree, q, K).expect("reference knn");
                 assert_same_answer(external, &want, "external build changed an answer");
             }
             let _ = std::fs::remove_dir_all(&ram_dir);

@@ -1,12 +1,14 @@
 //! The CLI command handlers.
 
-use crate::args::{parse_point, parse_query_point, Args};
+use crate::args::{parse_query_point, Args};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
-use sqda_core::{exec::run_query, AlgorithmKind, RealTimeEngine, RunOptions, Simulation, Workload};
+use sqda_core::{
+    exec::run_query, AlgorithmKind, RangeSearch, RealTimeEngine, RunOptions, Simulation, Workload,
+};
 use sqda_datasets::{CsvRows, Dataset};
 use sqda_geom::Point;
-use sqda_obs::{metrics_document, trace_document, CollectingRecorder, Event, Prediction};
+use sqda_obs::{CollectingRecorder, Event, Prediction};
 use sqda_rstar::decluster::{
     AreaBalance, DataBalance, Declusterer, ProximityIndex, RandomAssign, RoundRobin,
 };
@@ -278,12 +280,9 @@ pub fn build(args: &Args) -> CmdResult {
 }
 
 /// Writes the `--trace` / `--metrics` sinks shared by `query` and
-/// `simulate`: the trace file is Chrome/Perfetto `trace_event` JSON
-/// (raw JSONL event log instead when the path ends in `.jsonl`), the
-/// metrics file a JSON document with the [`MetricsSnapshot`] and the
-/// per-query [`sqda_obs::QueryProfile`]s. `io` is the simulated run's
-/// reads ([`sqda_core::SimulationReport::io_stats`]), not the store's:
-/// the simulator decodes each page once per run.
+/// `simulate` ([`sqda_obs::write_observability`]) and names them. `io` is
+/// the simulated run's reads ([`sqda_core::SimulationReport::io_stats`]),
+/// not the store's: the simulator decodes each page once per run.
 fn write_observability(
     events: &[(u64, Event)],
     num_disks: u32,
@@ -292,22 +291,40 @@ fn write_observability(
     trace: Option<&str>,
     metrics: Option<&str>,
 ) -> CmdResult {
+    let (trace_path, metrics_path) = (trace.map(Path::new), metrics.map(Path::new));
+    sqda_obs::write_observability(
+        events,
+        num_disks,
+        num_cpus,
+        Some(io),
+        trace_path,
+        metrics_path,
+    )?;
     if let Some(path) = trace {
-        let body = trace_document(Path::new(path), events, num_disks, num_cpus);
-        std::fs::write(path, body)?;
         println!("trace written    : {path} ({} events)", events.len());
     }
     if let Some(path) = metrics {
-        std::fs::write(path, metrics_document(events, Some(io)))?;
         println!("metrics written  : {path}");
     }
     Ok(())
 }
 
+/// Parses `--point` as a query point of the tree's dimensionality.
+fn query_point<S: PageStore>(
+    args: &Args,
+    tree: &RStarTree<S>,
+) -> Result<Point, Box<dyn Error + Send + Sync>> {
+    let point = parse_query_point(args.required("point")?)?;
+    if point.dim() != tree.dim() {
+        return Err(format!("query dim {} but tree dim {}", point.dim(), tree.dim()).into());
+    }
+    Ok(point)
+}
+
 /// `sqda query`
 pub fn query(args: &Args) -> CmdResult {
     let (tree, _) = open_tree(args.required("store")?)?;
-    let point = parse_query_point(args.required("point")?)?;
+    let point = query_point(args, &tree)?;
     let k: usize = args.get_or("k", 10)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
     let trace = args.get("trace").map(str::to_string);
@@ -348,13 +365,13 @@ pub fn query(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `sqda range`
+/// `sqda range`: every object within `--radius` of `--point`, nearest
+/// first.
 pub fn range(args: &Args) -> CmdResult {
     let (tree, _) = open_tree(args.required("store")?)?;
-    let coords = parse_point(args.required("point")?)?;
+    let point = query_point(args, &tree)?;
     let radius: f64 = args.required_parsed("radius")?;
-    let point = Point::try_new(coords)?;
-    let hits = tree.range_query(&point, radius)?;
+    let hits = run_query(&tree, &mut RangeSearch::new(&tree, point.clone(), radius))?.results;
     println!("{} objects within {radius} of {point}:", hits.len());
     for e in hits.iter().take(20) {
         println!("  {}  {}", e.object, e.point);
@@ -522,16 +539,13 @@ pub fn estimate(args: &Args) -> CmdResult {
 pub fn explain(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let (mut tree, _) = open_tree(&store_dir)?;
-    let point = parse_query_point(args.required("point")?)?;
+    let point = query_point(args, &tree)?;
     let k: usize = args.get_or("k", 10)?;
     let lambda: f64 = args.get_or("lambda", 1.0)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
     let cache: usize = args.get_or("cache", 4096)?;
     if cache > 0 {
         tree.set_node_cache(Arc::new(NodeCache::<Node>::new(cache)));
-    }
-    if point.dim() != tree.dim() {
-        return Err(format!("query dim {} but tree dim {}", point.dim(), tree.dim()).into());
     }
     let profile = TreeProfile::measure(&tree)?;
     let (params, calibration) = calibrated_params(&store_dir, tree.store().num_disks(), args);

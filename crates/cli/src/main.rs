@@ -74,7 +74,7 @@ COMMANDS:
    unless --uncalibrated is given.)
   serve      answer k-NN queries over TCP with the real-clock engine
              --store <dir> [--port <p>=0 (0 = ephemeral)]
-             [--backend file|inline=file] [--cache <pages>=4096]
+             [--backend file=file] [--cache <pages>=4096]
              [--cache-bytes <bytes>=0 (overrides --cache: hard byte cap)]
              [--flight-cap <events>=0] [--slow-query-ms <ms>]
              [--slow-query-log <file.jsonl>] [--uncalibrated]

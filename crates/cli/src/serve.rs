@@ -62,7 +62,7 @@
 //! <- STATS queries=<q> reads=<r> cache_hits=<h> cache_misses=<m>
 //!          cache_hit_ratio=<x> degraded_reads=<d> window_qps=<qps>
 //!          window_p50_ms=<p50> window_p99_ms=<p99> reads_per_disk=<a,b,...>
-//!          resident_bytes=<b> byte_budget=<b> [inline_reads=<n>]
+//!          resident_bytes=<b> byte_budget=<b> inline_reads=<n>
 //! -> METRICS       (Prometheus text exposition; read until the "# EOF" line)
 //! <- # HELP sqda_queries_started_total ...
 //!    ...
@@ -82,8 +82,7 @@
 //! large`, and a query coordinate beyond ±1e150 `ERR coordinate out of
 //! range` (its squared distances would overflow). Distances are
 //! Euclidean, printed with six decimals. `inline_reads` counts the reads the threaded backend
-//! served on the connection thread rather than a disk worker;
-//! `--backend inline` has no workers and omits it.
+//! served on the connection thread rather than a disk worker.
 //!
 //! # Telemetry
 //!
@@ -98,14 +97,13 @@
 use crate::args::{parse_query_point, Args};
 use crate::commands::{algo_by_name, calibrated_params, open_tree};
 use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfile};
+use sqda_core::Neighbor;
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::Point;
 use sqda_obs::{trace_document, LiveTelemetry, Prediction};
-use sqda_rstar::{Neighbor, Node, RStarTree};
+use sqda_rstar::{Node, RStarTree};
 use sqda_simkernel::SystemParams;
-use sqda_storage::{
-    FileStore, InlineBackend, IoBackend, NodeCache, PageStore, ReadObserver, ThreadedFileBackend,
-};
+use sqda_storage::{FileStore, IoBackend, NodeCache, PageStore, ReadObserver, ThreadedFileBackend};
 use std::collections::HashMap;
 use std::error::Error;
 use std::ffi::OsStr;
@@ -117,47 +115,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 type CmdResult = Result<(), Box<dyn Error + Send + Sync>>;
-
-/// Which [`IoBackend`] the server submits page reads through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Per-disk worker threads with positional reads ([`ThreadedFileBackend`]).
-    File,
-    /// Synchronous reads on the session thread ([`InlineBackend`]).
-    Inline,
-}
-
-impl BackendKind {
-    fn by_name(name: &str) -> Result<Self, Box<dyn Error + Send + Sync>> {
-        match name {
-            "file" | "threaded" => Ok(BackendKind::File),
-            "inline" => Ok(BackendKind::Inline),
-            other => Err(format!("unknown backend {other:?} (want file|inline)").into()),
-        }
-    }
-
-    /// The backend to submit through and, for `File`, the same backend
-    /// by its own type: it counts the reads it kept off its workers.
-    fn build(
-        self,
-        store: &Arc<FileStore>,
-        observer: Arc<dyn ReadObserver>,
-    ) -> (Arc<dyn IoBackend>, Option<Arc<ThreadedFileBackend>>) {
-        match self {
-            BackendKind::File => {
-                let threaded = Arc::new(ThreadedFileBackend::with_observer(
-                    Arc::clone(store),
-                    observer,
-                ));
-                (Arc::clone(&threaded) as _, Some(threaded))
-            }
-            BackendKind::Inline => (
-                Arc::new(InlineBackend::with_observer(Arc::clone(store), observer)),
-                None,
-            ),
-        }
-    }
-}
 
 /// Default flight-recorder ring capacity when `--trace` is given
 /// without an explicit `--flight-cap`.
@@ -201,7 +158,12 @@ impl ExplainContext {
 pub fn serve(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let port: u16 = args.get_or("port", 0)?;
-    let backend = BackendKind::by_name(args.get("backend").unwrap_or("file"))?;
+    // Reads go through the per-disk worker threads of a
+    // [`ThreadedFileBackend`]; `--backend file` names it.
+    match args.get("backend").unwrap_or("file") {
+        "file" => {}
+        other => return Err(format!("unknown backend {other:?} (want file)").into()),
+    }
     let cache: usize = args.get_or("cache", 4096)?;
     let cache_bytes: usize = args.get_or("cache-bytes", 0)?;
     let trace_path = args.get("trace").map(|s| s.to_string());
@@ -263,18 +225,14 @@ pub fn serve(args: &Args) -> CmdResult {
     // and the CI smoke job wait for; keep it first and flushed.
     println!("listening on {addr}");
     println!(
-        "store {store_dir}: {} objects, dim {}, page size {}, {} disks, backend {}",
+        "store {store_dir}: {} objects, dim {}, page size {}, {} disks, backend file",
         tree.num_objects(),
         meta.dim,
         meta.page_size,
         tree.store().num_disks(),
-        match backend {
-            BackendKind::File => "file",
-            BackendKind::Inline => "inline",
-        }
     );
     std::io::stdout().flush()?;
-    run_server(&tree, backend, listener, Arc::clone(&live), explain)?;
+    run_server(&tree, listener, Arc::clone(&live), explain)?;
 
     // Refit the device calibration from what the run's disk workers
     // actually measured, so the next serve (and `sqda simulate` /
@@ -337,9 +295,9 @@ const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 /// What every connection handler shares.
 struct Server<'a> {
     engine: RealTimeEngine<'a, RStarTree<FileStore>>,
-    /// The engine's backend when it is the threaded one (`STATS
-    /// inline_reads=`); `--backend inline` has no workers to spare.
-    threaded: Option<Arc<ThreadedFileBackend>>,
+    /// The engine's backend by its own type: it counts the reads it kept
+    /// off its workers (`STATS inline_reads=`).
+    threaded: Arc<ThreadedFileBackend>,
     explain: ExplainContext,
     /// Queries answered (`STATS queries=`).
     served: AtomicU64,
@@ -358,13 +316,16 @@ struct Server<'a> {
 /// trace and metrics sinks after shutdown.
 pub fn run_server(
     tree: &RStarTree<FileStore>,
-    backend: BackendKind,
     listener: TcpListener,
     live: Arc<LiveTelemetry>,
     explain: ExplainContext,
 ) -> CmdResult {
     let observer: Arc<dyn ReadObserver> = Arc::clone(&live) as _;
-    let (io, threaded) = backend.build(tree.store(), observer);
+    let threaded = Arc::new(ThreadedFileBackend::with_observer(
+        Arc::clone(tree.store()),
+        observer,
+    ));
+    let io: Arc<dyn IoBackend> = threaded.clone();
     let server = Server {
         engine: RealTimeEngine::new(tree, io)?.with_telemetry(live)?,
         threaded,
@@ -616,9 +577,7 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
                 " resident_bytes={} byte_budget={}",
                 io.cache_resident_bytes, io.cache_byte_budget
             );
-            if let Some(threaded) = threaded {
-                let _ = write!(out, " inline_reads={}", threaded.inline_reads());
-            }
+            let _ = write!(out, " inline_reads={}", threaded.inline_reads());
         }
         Some("METRICS") => {
             let live = engine.telemetry().ok_or("telemetry disabled")?;
@@ -626,7 +585,7 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             let io = engine.access_method().io_stats();
             // Multi-line reply; the final "# EOF" line doubles as the
             // exposition-format terminator and the protocol terminator.
-            let inline_reads = threaded.as_ref().map(|t| t.inline_reads());
+            let inline_reads = Some(threaded.inline_reads());
             out.push_str(live.prometheus(Some(&io), inline_reads).trim_end());
         }
         Some("DUMP-TRACE") => {
@@ -780,20 +739,12 @@ mod tests {
     fn serves_queries_over_tcp_until_shutdown() {
         let dir = build_store("tcp");
         let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
-        let expected = tree.knn(&Point::new(vec![5.0, 5.0]), 3).unwrap();
+        let expected = sqda_core::best_first_knn(&tree, &Point::new(vec![5.0, 5.0]), 3).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
         std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                run_server(
-                    &tree,
-                    BackendKind::File,
-                    listener,
-                    live.clone(),
-                    test_context(&tree),
-                )
-            });
+            let server = s.spawn(|| run_server(&tree, listener, live.clone(), test_context(&tree)));
 
             let mut a = TcpStream::connect(addr).unwrap();
             let mut ra = BufReader::new(a.try_clone().unwrap());
@@ -895,53 +846,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn batch_replies_identical_across_backends() {
-        // The BATCH verb routes its wavefront reads through the engine's
-        // I/O backend; completions arrive in finish order over the
-        // threaded backend, request order inline. The replies must be
-        // byte-identical either way (modulo the wall-clock field).
-        let dir = build_store("batch-backends");
-        let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
-        let strip_wall = |reply: &str| -> String {
-            reply
-                .split_whitespace()
-                .filter(|w| !w.starts_with("wall_us="))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let mut replies: Vec<Vec<String>> = Vec::new();
-        for kind in [BackendKind::File, BackendKind::Inline] {
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
-            std::thread::scope(|s| {
-                let server = s
-                    .spawn(|| run_server(&tree, kind, listener, live.clone(), test_context(&tree)));
-                let mut a = TcpStream::connect(addr).unwrap();
-                let mut ra = BufReader::new(a.try_clone().unwrap());
-                let mut lines = Vec::new();
-                for req in [
-                    "BATCH 5.0,5.0;1.0,2.0;18.0,12.0 4",
-                    "BATCH 0.0,0.0;0.1,0.1;9.0,9.0;3.0,7.0 7",
-                    "BATCH 5.0,5.0 1",
-                ] {
-                    let reply = request_line(&mut a, &mut ra, req);
-                    assert!(reply.starts_with("OK "), "{reply}");
-                    lines.push(strip_wall(&reply));
-                }
-                replies.push(lines);
-                assert_eq!(request_line(&mut a, &mut ra, "SHUTDOWN"), "BYE");
-                server.join().unwrap().unwrap();
-            });
-        }
-        assert_eq!(
-            replies[0], replies[1],
-            "threaded and inline backends must answer BATCH identically"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Reads a multi-line `METRICS` reply up to and including the
     /// `# EOF` terminator line.
     fn request_metrics(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
@@ -974,15 +878,7 @@ mod tests {
                 .unwrap(),
         );
         std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                run_server(
-                    &tree,
-                    BackendKind::File,
-                    listener,
-                    live.clone(),
-                    test_context(&tree),
-                )
-            });
+            let server = s.spawn(|| run_server(&tree, listener, live.clone(), test_context(&tree)));
 
             let mut a = TcpStream::connect(addr).unwrap();
             let mut ra = BufReader::new(a.try_clone().unwrap());
@@ -1055,15 +951,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
         std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                run_server(
-                    &tree,
-                    BackendKind::File,
-                    listener,
-                    live.clone(),
-                    test_context(&tree),
-                )
-            });
+            let server = s.spawn(|| run_server(&tree, listener, live.clone(), test_context(&tree)));
             // A failed client assertion must still stop the server, or
             // the scope would wait for it forever.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(addr)));
@@ -1162,7 +1050,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let ctx = test_context(&tree);
-                let result = run_server(&tree, BackendKind::File, listener, live.clone(), ctx);
+                let result = run_server(&tree, listener, live.clone(), ctx);
                 done_tx.send(result.is_ok()).unwrap();
             });
             let (mut idle, mut r_idle) = connect(addr);
@@ -1266,15 +1154,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()).with_flight_recorder(64));
         std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                run_server(
-                    &tree,
-                    BackendKind::File,
-                    listener,
-                    live.clone(),
-                    test_context(&tree),
-                )
-            });
+            let server = s.spawn(|| run_server(&tree, listener, live.clone(), test_context(&tree)));
             let (mut c, mut rc) = connect(addr);
             let escape = format!("DUMP-TRACE {}", outside.display());
             for request in [
@@ -1312,13 +1192,5 @@ mod tests {
             .collect();
         assert_eq!(written, ["ok.json"]);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn backend_kind_parses() {
-        assert_eq!(BackendKind::by_name("file").unwrap(), BackendKind::File);
-        assert_eq!(BackendKind::by_name("threaded").unwrap(), BackendKind::File);
-        assert_eq!(BackendKind::by_name("inline").unwrap(), BackendKind::Inline);
-        assert!(BackendKind::by_name("ramdisk").is_err());
     }
 }

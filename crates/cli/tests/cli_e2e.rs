@@ -203,6 +203,39 @@ fn helpful_errors() {
     assert!(!o.status.success());
     let help = sqda(&["help"]);
     assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE"));
+
+    // A point of the wrong dimensionality is refused with both
+    // dimensions named, by every command that searches, never a panic.
+    let dir = workdir("wrong-dim");
+    let (csv, store) = (dir.join("points.csv"), dir.join("store"));
+    let csv = csv.to_str().unwrap();
+    let store = store.to_str().unwrap();
+    stdout(&sqda(&[
+        "generate", "--kind", "uniform", "--n", "300", "--out", csv,
+    ]));
+    stdout(&sqda(&[
+        "build", "--input", csv, "--store", store, "--disks", "4",
+    ]));
+    for point in ["0.5,0.5,0.5", "0.5"] {
+        let dim = point.split(',').count();
+        for args in [
+            vec!["query", "--store", store, "--point", point],
+            vec![
+                "range", "--store", store, "--point", point, "--radius", "0.1",
+            ],
+            vec!["explain", "--store", store, "--point", point],
+        ] {
+            let o = sqda(&args);
+            assert!(!o.status.success(), "{args:?}");
+            let err = String::from_utf8_lossy(&o.stderr);
+            assert!(
+                err.contains(&format!("query dim {dim} but tree dim 2")),
+                "{args:?}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

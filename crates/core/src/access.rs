@@ -24,10 +24,12 @@
 //! copies nothing. Access methods with another node form pack theirs into
 //! the same blocks per conversion.
 
+use crate::best_first::QueueItem;
 use crate::error::QueryError;
 use sqda_geom::{kernel, Point, Region};
 use sqda_rstar::Node;
 use sqda_storage::{PageId, Placement};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A decoded leaf: `len` data points of dimension `dim` stored
@@ -321,6 +323,22 @@ impl IndexNode {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Why a query point `q` cannot be searched in this node: its
+    /// dimensionality differs from the node's. `None` when it fits, and
+    /// for an empty node with no dimensionality to compare.
+    pub(crate) fn dim_mismatch(&self, q: &[f64]) -> Option<String> {
+        let dim = match self {
+            IndexNode::Leaf(b) => b.dim(),
+            IndexNode::Internal(b) => b.dim(),
+        };
+        (dim != 0 && dim != q.len()).then(|| {
+            format!(
+                "query point has {} dimensions but the tree has {dim}",
+                q.len()
+            )
+        })
+    }
 }
 
 /// A declustered hierarchical index the similarity-search algorithms can
@@ -416,8 +434,9 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
 /// (it carries no query state between runs).
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Heap storage for [`best_first_knn_with`] (and the WOPTSS oracle).
-    pub best_first: sqda_rstar::BestFirstScratch,
+    /// The priority heap of [`crate::best_first_knn_with`] (and the
+    /// WOPTSS oracle).
+    pub(crate) heap: BinaryHeap<QueueItem>,
     /// Staging buffer for fetched `(page, node)` batches; executors fill
     /// it, algorithms drain it in place.
     pub batch: Vec<(PageId, IndexNode)>,
@@ -436,61 +455,6 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Generic best-first k-NN over any access method (Hjaltason–Samet).
-/// Used as the WOPTSS oracle and for ground truth; visits nodes in
-/// increasing `D_min` order.
-///
-/// Delegates to the engine in `sqda_rstar::best_first_search` — the same
-/// heap and tie-breaking the native R\*-tree search uses, with node
-/// expansion routed through [`AccessMethod::read_index_node`] and the
-/// per-node distances computed by the batch kernels.
-pub fn best_first_knn(
-    am: &(impl AccessMethod + ?Sized),
-    center: &Point,
-    k: usize,
-) -> Result<Vec<sqda_rstar::Neighbor>, QueryError> {
-    let mut scratch = QueryScratch::new();
-    best_first_knn_with(am, center, k, &mut scratch)
-}
-
-/// [`best_first_knn`] over a caller-supplied [`QueryScratch`], reusing its
-/// priority heap and distance buffer across queries.
-pub fn best_first_knn_with(
-    am: &(impl AccessMethod + ?Sized),
-    center: &Point,
-    k: usize,
-    scratch: &mut QueryScratch,
-) -> Result<Vec<sqda_rstar::Neighbor>, QueryError> {
-    let dists = &mut scratch.dists;
-    let (out, _nodes_read) = sqda_rstar::best_first_search_with(
-        &mut scratch.best_first,
-        am.root_page(),
-        k,
-        |page, frontier| {
-            match am.read_index_node(page)? {
-                IndexNode::Leaf(leaf) => {
-                    leaf.dist_sq_into(center.coords(), dists);
-                    for (i, (coords, id)) in leaf.iter().enumerate() {
-                        frontier.push_object(
-                            sqda_rstar::ObjectId(id),
-                            Point::from(coords),
-                            dists[i],
-                        );
-                    }
-                }
-                IndexNode::Internal(block) => {
-                    block.min_dist_sq_into(center.coords(), dists);
-                    for (i, &d) in dists.iter().enumerate() {
-                        frontier.push_node(block.child(i), d);
-                    }
-                }
-            }
-            Ok::<(), QueryError>(())
-        },
-    )?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -523,14 +487,15 @@ mod tests {
             assert_eq!(block.dim(), 2);
             assert_eq!(block.children().count(), block.len());
         }
-        // Generic best-first equals the tree's own knn.
+        // Best-first over the view equals a brute-force scan.
         let q = Point::new(vec![5.0, 5.0]);
-        let generic = best_first_knn(&tree, &q, 7).unwrap();
-        let native = tree.knn(&q, 7).unwrap();
-        assert_eq!(generic.len(), native.len());
-        for (g, n) in generic.iter().zip(native.iter()) {
-            assert_eq!(g.dist_sq, n.dist_sq);
-        }
+        let got = crate::best_first_knn(&tree, &q, 7).unwrap();
+        let mut want: Vec<f64> = (0..40u64)
+            .map(|i| q.dist_sq(&Point::new(vec![i as f64, (i * 3 % 11) as f64])))
+            .collect();
+        want.sort_by(f64::total_cmp);
+        let got: Vec<f64> = got.iter().map(|n| n.dist_sq).collect();
+        assert_eq!(got, want[..7]);
     }
 
     #[test]

@@ -5,10 +5,28 @@ use crate::access::{AccessMethod, IndexNode, InternalBlock, LeafBlock, QueryScra
 use crate::error::QueryError;
 use crate::threshold::Candidate;
 use sqda_geom::Point;
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::ObjectId;
 use sqda_storage::PageId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// One k-NN answer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Neighbor {
+    /// The object found.
+    pub object: ObjectId,
+    /// Its point.
+    pub point: Point,
+    /// Squared Euclidean distance from the query point.
+    pub dist_sq: f64,
+}
+
+impl Neighbor {
+    /// Euclidean distance from the query point.
+    pub fn dist(&self) -> f64 {
+        self.dist_sq.sqrt()
+    }
+}
 
 /// What a similarity-search algorithm wants to do next.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,6 +36,10 @@ pub enum Step {
     Fetch(Vec<PageId>),
     /// The k best answers are final.
     Done,
+    /// The query cannot run over this tree (its point has another
+    /// dimensionality); the executor fails it with
+    /// [`QueryError::Invariant`] carrying this message.
+    Invalid(String),
 }
 
 /// Outcome of processing one batch of fetched nodes.

@@ -20,12 +20,11 @@
 //! read).
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{push_candidates, scan_leaf, KBest};
+use crate::algo::{push_candidates, scan_leaf, KBest, Neighbor};
 use crate::error::QueryError;
 use crate::exec::{fetch_round, Round};
 use crate::threshold::{lemma1_threshold_sq, Candidate};
 use sqda_geom::Point;
-use sqda_rstar::Neighbor;
 use sqda_storage::{IoBackend, PageId};
 use std::collections::BTreeMap;
 

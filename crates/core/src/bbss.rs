@@ -7,9 +7,8 @@
 //! no intra-query parallelism — the paper's motivation for CRSS.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
+use crate::algo::{scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step};
 use sqda_geom::Point;
-use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 

@@ -32,11 +32,11 @@
 
 use crate::access::{AccessMethod, IndexNode};
 use crate::algo::{
-    push_candidates, scan_leaf, AlgoProgress, AlgoScratch, BatchResult, SimilaritySearch, Step,
+    push_candidates, scan_leaf, AlgoProgress, AlgoScratch, BatchResult, Neighbor, SimilaritySearch,
+    Step,
 };
 use crate::threshold::{lemma1_threshold_sq, minmax_threshold_sq, reduce_candidates};
 use sqda_geom::Point;
-use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 

@@ -23,7 +23,7 @@
 use super::clock::WallClock;
 use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session, SessionObs};
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{AlgorithmKind, SimilaritySearch};
+use crate::algo::{AlgorithmKind, Neighbor, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
 use sqda_obs::stats::percentile;
@@ -31,7 +31,6 @@ use sqda_obs::{
     CollectingRecorder, LiveTelemetry, NullRecorder, Prediction, QueryExplain, QueryObservation,
     Recorder,
 };
-use sqda_rstar::Neighbor;
 use sqda_storage::{IoBackend, PageId, ReadCompletion};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

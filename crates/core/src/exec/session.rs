@@ -17,10 +17,9 @@
 
 use super::clock::EngineClock;
 use crate::access::IndexNode;
-use crate::algo::{AlgoProgress, SimilaritySearch, Step};
+use crate::algo::{AlgoProgress, Neighbor, SimilaritySearch, Step};
 use crate::error::QueryError;
 use sqda_obs::{Event as ObsEvent, LiveTelemetry, Recorder};
-use sqda_rstar::Neighbor;
 use sqda_simkernel::{Cpu, Disk, SimTime};
 use sqda_storage::PageId;
 use std::collections::HashMap;
@@ -334,8 +333,10 @@ where
             .pending
             .take()
             .ok_or_else(|| QueryError::Invariant(format!("query {q} has no pending step")))?;
-        let Step::Fetch(pages) = step else {
-            return Ok(false);
+        let pages = match step {
+            Step::Fetch(pages) => pages,
+            Step::Done => return Ok(false),
+            Step::Invalid(msg) => return Err(QueryError::Invariant(msg)),
         };
         if pages.is_empty() {
             return Err(QueryError::Invariant(format!(

@@ -39,10 +39,11 @@ use crate::error::QueryError;
 use crate::workload::Workload;
 use crate::QueryScratch;
 use sqda_geom::Point;
+use sqda_obs::stats::{nearest_rank, MetricSummary};
 use sqda_obs::{Event as ObsEvent, Recorder};
 use sqda_simkernel::{
-    ArrivalMerge, Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, Popped, RetryPolicy,
-    SampleStats, SimTime, SystemParams,
+    ArrivalMerge, Bus, Cpu, Disk, DiskFault, EventQueue, FaultPlan, Popped, RetryPolicy, SimTime,
+    SystemParams,
 };
 use sqda_storage::{IoStats, PageId, PageIdHashBuilder, Placement};
 use std::collections::HashMap;
@@ -361,7 +362,7 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
             read_retries: 0,
             reads_per_disk: vec![0; self.params.num_disks as usize],
             failures: Vec::new(),
-            response_times: SampleStats::new(),
+            response_times: Vec::new(),
             responses: vec![None; n],
             total_nodes: 0,
             makespan: SimTime::ZERO,
@@ -480,7 +481,9 @@ struct Run<'a, 'o, A: AccessMethod + ?Sized> {
     read_retries: u64,
     reads_per_disk: Vec<u64>,
     failures: Vec<(u32, QueryError)>,
-    response_times: SampleStats,
+    /// Response time of every completed query, in completion order (the
+    /// order the summary's running moments fold them in).
+    response_times: Vec<f64>,
     /// Response time of every completed query, by workload index.
     responses: Vec<Option<f64>>,
     total_nodes: u64,
@@ -675,7 +678,7 @@ impl<A: AccessMethod + ?Sized> Run<'_, '_, A> {
     }
 
     /// Folds the finished run into its report.
-    fn report(self, algorithm: &'static str) -> SimulationReport {
+    fn report(mut self, algorithm: &'static str) -> SimulationReport {
         debug_assert!(
             self.sessions.iter().all(Option::is_none),
             "all queries must complete or abort"
@@ -683,7 +686,9 @@ impl<A: AccessMethod + ?Sized> Run<'_, '_, A> {
         let responses: Vec<f64> = self.responses.into_iter().flatten().collect();
         let completed = responses.len();
         let horizon = self.makespan;
-        let summary = self.response_times.summary();
+        let summary = MetricSummary::from_samples(&self.response_times);
+        self.response_times.sort_by(f64::total_cmp);
+        let p95_response_s = nearest_rank(&self.response_times, 0.95);
         let disk_busy: f64 = self.disks.iter().map(|d| d.utilization(horizon)).sum();
         let cpu_busy: f64 = self.cpus.iter().map(|c| c.utilization(horizon)).sum();
         SimulationReport {
@@ -692,7 +697,7 @@ impl<A: AccessMethod + ?Sized> Run<'_, '_, A> {
             mean_response_s: summary.mean,
             std_response_s: summary.std_dev,
             max_response_s: summary.max,
-            p95_response_s: summary.p95,
+            p95_response_s,
             mean_nodes_per_query: per(self.total_nodes as f64, completed),
             reads_per_disk: self.reads_per_disk,
             mean_disk_utilization: per(disk_busy, self.disks.len()),

@@ -9,10 +9,11 @@
 //! weakness the experiments expose under load.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{push_candidates, scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
+use crate::algo::{
+    push_candidates, scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step,
+};
 use crate::threshold::lemma1_threshold_sq;
 use sqda_geom::Point;
-use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 

@@ -66,6 +66,7 @@ pub mod access;
 pub mod algo;
 pub mod batch;
 mod bbss;
+mod best_first;
 mod crss;
 pub mod error;
 pub mod exec;
@@ -75,23 +76,21 @@ pub mod threshold;
 mod woptss;
 pub mod workload;
 
-pub use access::{
-    best_first_knn, best_first_knn_with, AccessMethod, IndexNode, InternalBlock, LeafBlock,
-    QueryScratch,
-};
+pub use access::{AccessMethod, IndexNode, InternalBlock, LeafBlock, QueryScratch};
+pub use algo::{AlgoProgress, AlgorithmKind, BatchResult, KBest, Neighbor, SimilaritySearch, Step};
 pub use batch::{batch_knn, batch_knn_with, BatchKnnReport, BatchScratch};
-pub use error::QueryError;
-// Re-exported so access-method crates can type their answers without a
-// direct dependency on the R*-tree crate.
-pub use algo::{AlgoProgress, AlgorithmKind, BatchResult, KBest, SimilaritySearch, Step};
 pub use bbss::Bbss;
+pub use best_first::{best_first_knn, best_first_knn_with};
 pub use crss::Crss;
+pub use error::QueryError;
 pub use exec::{
     mirror_partner, run_query, run_query_with, QueryRun, RealTimeEngine, RealTimeReport,
     RunOptions, Simulation, SimulationReport,
 };
 pub use fpss::Fpss;
 pub use range::RangeSearch;
-pub use sqda_rstar::{Neighbor, ObjectId};
+// Re-exported so access-method crates can type their answers without a
+// direct dependency on the R*-tree crate.
+pub use sqda_rstar::ObjectId;
 pub use woptss::Woptss;
 pub use workload::{Workload, WorkloadQuery};

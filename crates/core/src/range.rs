@@ -9,9 +9,9 @@
 //! algorithms.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{BatchResult, SimilaritySearch, Step};
+use crate::algo::{BatchResult, Neighbor, SimilaritySearch, Step};
 use sqda_geom::{Point, Sphere};
-use sqda_rstar::{Neighbor, ObjectId};
+use sqda_rstar::ObjectId;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 
@@ -19,7 +19,8 @@ use sqda_storage::PageId;
 ///
 /// Implements [`SimilaritySearch`] for executor compatibility; its
 /// "results" are every qualifying object, sorted by distance (there is no
-/// `k`).
+/// `k`). A center whose dimensionality differs from the tree's fails the
+/// query with [`crate::QueryError::Invariant`] once the root is read.
 pub struct RangeSearch {
     sphere: Sphere,
     root: PageId,
@@ -51,6 +52,13 @@ impl SimilaritySearch for RangeSearch {
         let mut scanned = 0u64;
         let mut pages = Vec::new();
         for (_, node) in nodes.drain(..) {
+            if let Some(msg) = node.dim_mismatch(self.sphere.center().coords()) {
+                // Dropping the drain empties the rest of the batch.
+                return BatchResult {
+                    next: Step::Invalid(msg),
+                    cpu_instructions: 0,
+                };
+            }
             match node {
                 IndexNode::Leaf(leaf) => {
                     scanned += leaf.len() as u64;
@@ -142,11 +150,13 @@ mod tests {
         for radius in [0.0, 0.5, 2.0, 20.0] {
             let mut rs = RangeSearch::new(&tree, center.clone(), radius);
             let run = run_query(&tree, &mut rs).unwrap();
-            let want = points.iter().filter(|p| center.dist(p) <= radius).count();
-            assert_eq!(run.results.len(), want, "radius {radius}");
-            // Agrees with the tree's own sequential implementation.
-            let seq = tree.range_query(&center, radius).unwrap();
-            assert_eq!(run.results.len(), seq.len());
+            // The same objects as a sequential scan of every point.
+            let want: Vec<u64> = (0..points.len() as u64)
+                .filter(|&i| center.dist_sq(&points[i as usize]) <= radius * radius)
+                .collect();
+            let mut got: Vec<u64> = run.results.iter().map(|n| n.object.0).collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "radius {radius}");
         }
     }
 
@@ -160,6 +170,22 @@ mod tests {
         // Results sorted by distance.
         for w in run.results.windows(2) {
             assert!(w[0].dist_sq <= w[1].dist_sq);
+        }
+    }
+
+    #[test]
+    fn wrong_dimension_is_a_typed_error() {
+        use crate::{best_first_knn, QueryError};
+        let (tree, _) = build(300, 34);
+        for dim in [1, 3] {
+            let center = Point::splat(dim, 5.0);
+            let want = format!("query point has {dim} dimensions but the tree has 2");
+            let typed = |e: &QueryError| matches!(e, QueryError::Invariant(m) if *m == want);
+            let mut rs = RangeSearch::new(&tree, center.clone(), 1.0);
+            let err = run_query(&tree, &mut rs).unwrap_err();
+            assert!(typed(&err), "{err}");
+            let err = best_first_knn(&tree, &center, 5).unwrap_err();
+            assert!(typed(&err), "{err}");
         }
     }
 

@@ -10,11 +10,11 @@
 //! node count and response time are the lower bounds the real algorithms
 //! are measured against (Theorem 2 shows none of them attains it).
 
-use crate::access::{best_first_knn_with, AccessMethod, IndexNode, QueryScratch};
-use crate::algo::{scan_leaf, AlgoScratch, BatchResult, SimilaritySearch, Step};
+use crate::access::{AccessMethod, IndexNode, QueryScratch};
+use crate::algo::{scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step};
+use crate::best_first::best_first_knn_with;
 use crate::error::QueryError;
 use sqda_geom::Point;
-use sqda_rstar::Neighbor;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
 

@@ -23,9 +23,9 @@
 //! about *time*, and about CRSS's width only where reads cost nothing.
 
 use sqda_core::{
-    exec::run_query, AccessMethod, AlgorithmKind, BatchResult, Crss, IndexNode, Neighbor,
-    QueryError, RealTimeEngine, RunOptions, SimilaritySearch, Simulation, Step, Workload,
-    WorkloadQuery,
+    batch_knn_with, exec::run_query, AccessMethod, AlgorithmKind, BatchResult, BatchScratch, Crss,
+    IndexNode, Neighbor, QueryError, RealTimeEngine, RunOptions, SimilaritySearch, Simulation,
+    Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_obs::{CollectingRecorder, Event, MetricsSnapshot};
@@ -483,6 +483,44 @@ fn inline_and_threaded_backends_agree() {
         let threaded = run_real(&dir, root, kind, true);
         assert_answers_identical(kind, &inline, &threaded, "inline vs threaded");
         assert_work_identical(kind, &inline, &threaded, "inline vs threaded");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shared-traversal batch (`BATCH`) answers alike over both backends:
+/// each wavefront round's reads complete in request order inline and in
+/// finish order over the threaded backend (on its workers once the OS
+/// has dropped the pages), and `batch_knn_with` re-assembles them into
+/// the same answers and counters.
+#[test]
+fn batch_replies_identical_across_backends() {
+    let dir = tmpdir("batch-backends");
+    let root = build_store(&dir);
+    let points: Vec<Point> = queries().into_iter().map(|(p, _)| p).collect();
+    let batch = |threaded: bool, k: usize| {
+        let tree = attach(&dir, root);
+        let store = Arc::clone(tree.store());
+        let backend: Arc<dyn IoBackend> = if threaded {
+            store.evict_from_os_cache().unwrap();
+            Arc::new(ThreadedFileBackend::new(store))
+        } else {
+            Arc::new(InlineBackend::new(store))
+        };
+        let mut scratch = BatchScratch::new();
+        batch_knn_with(&tree, Some(backend.as_ref()), &points, k, &mut scratch).unwrap()
+    };
+    for k in [1, 4, 7] {
+        let (inline, threaded) = (batch(false, k), batch(true, k));
+        assert_eq!(
+            (inline.unique_fetches, inline.total_interest, inline.rounds),
+            (
+                threaded.unique_fetches,
+                threaded.total_interest,
+                threaded.rounds
+            ),
+            "k={k}"
+        );
+        assert_eq!(inline.answers, threaded.answers, "k={k}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -97,8 +97,8 @@ impl MetricSummary {
 
 /// Linear-interpolated percentile (`q` in `[0, 1]`) of an
 /// ascending-sorted sample; 0 when empty. The convention of `STATS`'
-/// windowed percentiles and of `RealTimeReport`; the simulator's
-/// `SampleStats::percentile` is nearest-rank instead.
+/// windowed percentiles and of `RealTimeReport`; the simulator reports
+/// [`nearest_rank`] instead.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -111,6 +111,18 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     } else {
         sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
     }
+}
+
+/// Nearest-rank percentile (`q` in `[0, 1]`) of an ascending-sorted
+/// sample: the smallest sample with at least a `q` share of the sample
+/// at or below it; 0 when empty. The simulator's `p95_response_s`, which
+/// the simulator goldens and `results/*.csv` pin.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 /// Drops the warm-up prefix of an arrival-ordered series: the first
@@ -130,6 +142,69 @@ pub fn truncate_warmup(samples: &[f64], fraction: f64) -> &[f64] {
 mod tests {
     use super::*;
     use sqda_geom::rng::{Rng, GOLDEN_GAMMA};
+
+    #[test]
+    fn percentiles_nearest_rank() {
+        let s: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&s, 0.5), 50.0);
+        assert_eq!(nearest_rank(&s, 0.95), 95.0);
+        assert_eq!(nearest_rank(&s, 1.0), 100.0);
+        assert_eq!(nearest_rank(&s, 0.0), 1.0);
+        // A rank between samples rounds up, never interpolates.
+        assert_eq!(nearest_rank(&[1.0, 2.0, 3.0, 4.0], 0.6), 3.0);
+    }
+
+    #[test]
+    fn empty_stats_are_zero() {
+        assert_eq!(nearest_rank(&[], 0.95), 0.0);
+        assert_eq!(MetricSummary::from_samples(&[]), MetricSummary::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_sample_rejected() {
+        MetricSummary::from_samples(&[1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn ci_shrinks_with_samples() {
+        let small: Vec<f64> = (0..10).map(|i| f64::from(i % 5)).collect();
+        let large: Vec<f64> = (0..1000).map(|i| f64::from(i % 5)).collect();
+        assert!(
+            MetricSummary::from_samples(&large).ci95_half_width
+                < MetricSummary::from_samples(&small).ci95_half_width
+        );
+    }
+
+    #[test]
+    fn welford_survives_large_mean_small_variance() {
+        // Samples around 1e9 with unit-scale spread: the naive
+        // E[x²] − E[x]² formulation loses all significant digits here
+        // (1e18 − 1e18); Welford keeps ~12. The inputs are only
+        // representable to ~1.2e-7 at this magnitude, so 1e-6 is the best
+        // agreement any algorithm can reach.
+        let xs: Vec<f64> = (1..=10).map(|i| 1.0e9 + f64::from(i) / 10.0).collect();
+        let s = MetricSummary::from_samples(&xs);
+        let true_std = 0.302_765_035_409_749_6; // std of 0.1..=1.0 step 0.1
+        assert!((s.mean - (1.0e9 + 0.55)).abs() < 1e-6, "mean {}", s.mean);
+        assert!((s.std_dev - true_std).abs() < 1e-6, "std {}", s.std_dev);
+    }
+
+    #[test]
+    fn summary_matches_individual_accessors() {
+        // The one Welford pass agrees with a separate pass per field.
+        let xs: Vec<f64> = (1..=100).map(|i| f64::from(i * 37 % 101)).collect();
+        let s = MetricSummary::from_samples(&xs);
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        assert_eq!(s.count, 100);
+        assert!((s.mean - mean).abs() < 1e-12, "mean {}", s.mean);
+        assert!((s.std_dev - var.sqrt()).abs() < 1e-12, "std {}", s.std_dev);
+        assert_eq!(s.min, xs.iter().copied().fold(f64::INFINITY, f64::min));
+        assert_eq!(s.max, xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        assert_eq!(s.ci95_half_width, 1.96 * s.std_dev / n.sqrt());
+    }
 
     #[test]
     fn percentile_interpolates() {

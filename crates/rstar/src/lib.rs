@@ -22,7 +22,9 @@
 //! [`sqda_storage::PageStore`] abstraction in a compact binary format, so
 //! the same tree can be driven by the logical executor (counting node
 //! accesses) or by the event-driven disk-array simulator (measuring
-//! response times).
+//! response times). This crate builds and maintains the tree; every
+//! search over it — k-NN, best-first and range — is `sqda-core`'s, which
+//! reads the nodes through its `AccessMethod` view.
 //!
 //! # Example
 //!
@@ -43,8 +45,8 @@
 //!     let y = (i % 61) as f64;
 //!     tree.insert(Point::new(vec![x, y]), i).unwrap();
 //! }
-//! let nearest = tree.knn(&Point::new(vec![5.0, 5.0]), 3).unwrap();
-//! assert_eq!(nearest.len(), 3);
+//! assert_eq!(tree.num_objects(), 1000);
+//! assert!(tree.validate().unwrap().is_ok());
 //! ```
 
 mod bulk;
@@ -56,7 +58,6 @@ pub mod entry;
 pub mod external;
 mod insert;
 pub mod node;
-pub mod query;
 pub mod sfc;
 mod split;
 pub mod split_policy;
@@ -69,10 +70,6 @@ pub use decluster::Declusterer;
 pub use entry::{InternalEntry, LeafEntry, ObjectId};
 pub use external::{ExternalBuildOptions, ExternalBuildReport, FnSource, PointSource, SliceSource};
 pub use node::{InternalRef, Node, NodeMut};
-pub use query::knn::{
-    best_first_search, best_first_search_with, knn_with_scratch, knn_with_stats, BestFirstScratch,
-    Frontier, Neighbor,
-};
 pub use split_policy::SplitPolicy;
 pub use tree::{RStarError, RStarTree, TreeStats};
 pub use validate::ValidationError;

@@ -1,10 +1,10 @@
 //! The declustered R\*-tree.
 
+use crate::codec;
 use crate::config::RStarConfig;
 use crate::decluster::{DeclusterContext, Declusterer};
 use crate::entry::{LeafEntry, ObjectId};
 use crate::node::Node;
-use crate::{codec, query};
 use sqda_geom::{GeomError, Point, Rect};
 use sqda_storage::{Bytes, DiskId, IoStats, NodeCache, PageId, PageStore, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -357,58 +357,6 @@ impl<S: PageStore> RStarTree<S> {
             });
         }
         crate::delete::delete_object(self, point, ObjectId(object))
-    }
-
-    /// Returns all objects within `radius` of `center` (a similarity
-    /// *range* query, Definition 1 of the paper).
-    pub fn range_query(&self, center: &Point, radius: f64) -> Result<Vec<LeafEntry>> {
-        if center.dim() != self.config.dim {
-            return Err(RStarError::DimensionMismatch {
-                expected: self.config.dim,
-                got: center.dim(),
-            });
-        }
-        query::range::range_query(self, center, radius)
-    }
-
-    /// Returns all objects whose point lies in `window`.
-    pub fn window_query(&self, window: &Rect) -> Result<Vec<LeafEntry>> {
-        if window.dim() != self.config.dim {
-            return Err(RStarError::DimensionMismatch {
-                expected: self.config.dim,
-                got: window.dim(),
-            });
-        }
-        query::range::window_query(self, window)
-    }
-
-    /// Returns the `k` nearest neighbours of `center` using the optimal
-    /// sequential best-first search (Hjaltason & Samet style). This is the
-    /// library-quality single-disk algorithm; the disk-array algorithms
-    /// (BBSS/FPSS/CRSS/WOPTSS) live in `sqda-core`.
-    pub fn knn(&self, center: &Point, k: usize) -> Result<Vec<query::knn::Neighbor>> {
-        if center.dim() != self.config.dim {
-            return Err(RStarError::DimensionMismatch {
-                expected: self.config.dim,
-                got: center.dim(),
-            });
-        }
-        query::knn::knn(self, center, k)
-    }
-
-    /// Returns a lazy stream of neighbours in increasing distance order —
-    /// best-first search that reads nodes only as the iterator advances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `center`'s dimensionality differs from the tree's.
-    pub fn nn_iter(&self, center: Point) -> query::knn::NnIter<'_, S> {
-        assert_eq!(
-            center.dim(),
-            self.config.dim,
-            "query dimensionality mismatch"
-        );
-        query::knn::NnIter::new(self, center)
     }
 
     /// Gathers summary statistics by traversing the whole tree.

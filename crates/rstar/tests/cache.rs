@@ -2,6 +2,7 @@
 //! are identical with and without it, and a warm cache eliminates
 //! physical reads (and decodes) for repeated queries.
 
+use sqda_core::best_first_knn;
 use sqda_geom::prop::{self, check};
 use sqda_geom::{rng::Rng, Point};
 use sqda_rstar::decluster::ProximityIndex;
@@ -40,14 +41,14 @@ fn warm_cache_serves_repeated_queries_without_io() {
     tree.store().reset_stats();
 
     let q = Point::new(vec![18.0, 26.0]);
-    let first = tree.knn(&q, 10).unwrap();
+    let first = best_first_knn(&tree, &q, 10).unwrap();
     let cold = tree.io_stats();
     assert!(cold.reads > 0, "cold query must hit the disks");
     assert_eq!(cold.cache_hits, 0);
     assert_eq!(cold.cache_misses, cold.reads);
 
     for _ in 0..10 {
-        let again = tree.knn(&q, 10).unwrap();
+        let again = best_first_knn(&tree, &q, 10).unwrap();
         assert_eq!(again, first);
     }
     let warm = tree.io_stats();
@@ -70,10 +71,10 @@ fn writes_invalidate_cached_nodes() {
     // dataset only holds non-negative coordinates, so before the insert
     // the nearest neighbour of (-1, -1) is some pre-existing object.
     let q = Point::new(vec![-1.0, -1.0]);
-    let before = tree.knn(&q, 1).unwrap();
+    let before = best_first_knn(&tree, &q, 1).unwrap();
     assert_ne!(before[0].object.0, 10_000);
     tree.insert(Point::new(vec![-1.0, -1.0]), 10_000).unwrap();
-    let after = tree.knn(&q, 1).unwrap();
+    let after = best_first_knn(&tree, &q, 1).unwrap();
     // The freshly inserted point now sits exactly on the query; a stale
     // cached leaf would still answer with the old neighbour.
     assert_eq!(after[0].object.0, 10_000);
@@ -149,8 +150,8 @@ fn cached_knn_matches_uncached() {
             cached.set_node_cache(Arc::new(NodeCache::new(capacity)));
             for &(x, y) in &queries {
                 let q = Point::new(vec![x, y]);
-                let a = plain.knn(&q, k).unwrap();
-                let b = cached.knn(&q, k).unwrap();
+                let a = best_first_knn(&plain, &q, k).unwrap();
+                let b = best_first_knn(&cached, &q, k).unwrap();
                 assert_eq!(a.len(), b.len());
                 for (u, v) in a.iter().zip(b.iter()) {
                     assert_eq!(u.dist_sq, v.dist_sq);

@@ -11,6 +11,7 @@
 //! (up to the array width). A third test holds a byte-budgeted node
 //! cache to its hard cap while a k-NN sweep churns it.
 
+use sqda_core::best_first_knn;
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{
@@ -197,7 +198,7 @@ fn byte_budget_cache_holds_its_cap_during_knn_sweep() {
             ((i * 53) % 4001) as f64 * 0.37,
             ((i * 31) % 3989) as f64 * 0.61,
         ]);
-        let neighbors = tree.knn(&q, 10).unwrap();
+        let neighbors = best_first_knn(&tree, &q, 10).unwrap();
         assert_eq!(neighbors.len(), 10);
         let stats = cache.stats();
         assert!(

@@ -9,6 +9,7 @@
 //! Any drift in traversal order, metric arithmetic or cache accounting
 //! shows up here as a changed constant.
 
+use sqda_core::best_first_knn;
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{RStarConfig, RStarTree};
@@ -57,7 +58,7 @@ fn knn_results_and_io_stats_are_pinned() {
             (i * 53 % 101) as f64 * 9.0,
             (i * 31 % 97) as f64 * 4.7,
         ]);
-        let neighbors = tree.knn(&q, K).unwrap();
+        let neighbors = best_first_knn(&tree, &q, K).unwrap();
         assert_eq!(neighbors.len(), K);
         for n in &neighbors {
             hash = fnv1a(&n.object.0.to_le_bytes(), hash);

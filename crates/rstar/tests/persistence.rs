@@ -1,6 +1,7 @@
 //! The R\*-tree over a persistent file-backed store: the index survives a
 //! store close/reopen cycle with all invariants and answers intact.
 
+use sqda_core::best_first_knn;
 use sqda_geom::rng::Rng;
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
@@ -54,7 +55,7 @@ fn tree_survives_reopen() {
 
     // Queries over the reopened tree match brute force.
     let q = Point::new(vec![50.0, 50.0]);
-    let got = tree.knn(&q, 10).unwrap();
+    let got = best_first_knn(&tree, &q, 10).unwrap();
     let mut want: Vec<f64> = points.iter().map(|p| q.dist_sq(p)).collect();
     want.sort_by(|a, b| a.partial_cmp(b).unwrap());
     for (g, w) in got.iter().zip(want.iter()) {

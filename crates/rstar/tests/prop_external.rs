@@ -4,6 +4,7 @@
 //! the same answers as brute force regardless of how many runs the
 //! build spilled.
 
+use sqda_core::best_first_knn;
 use sqda_geom::prop::{self, check};
 use sqda_geom::{rng::Rng, Point};
 use sqda_rstar::decluster::ProximityIndex;
@@ -144,7 +145,7 @@ fn external_tree_answers_like_brute_force() {
             tree.validate().unwrap().unwrap();
             assert_eq!(tree.num_objects() as usize, pts.len());
 
-            let got = tree.knn(&q, k).unwrap();
+            let got = best_first_knn(&tree, &q, k).unwrap();
             let mut want: Vec<f64> = pts.iter().map(|(p, _)| q.dist_sq(p)).collect();
             want.sort_by(|a, b| a.partial_cmp(b).unwrap());
             want.truncate(k);

@@ -1,6 +1,7 @@
 //! Property-based tests: for arbitrary insert/delete workloads the tree
 //! keeps its invariants and answers queries exactly like brute force.
 
+use sqda_core::{best_first_knn, exec::run_query, Neighbor, QueryError, RangeSearch};
 use sqda_geom::prop::{self, check};
 use sqda_geom::{rng::Rng, Point};
 use sqda_rstar::decluster::ProximityIndex;
@@ -8,6 +9,15 @@ use sqda_rstar::{RStarConfig, RStarTree};
 use sqda_storage::ArrayStore;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Every object within `radius` of `q`, by core's range search.
+fn range(
+    tree: &RStarTree<ArrayStore>,
+    q: &Point,
+    radius: f64,
+) -> Result<Vec<Neighbor>, QueryError> {
+    run_query(tree, &mut RangeSearch::new(tree, q.clone(), radius)).map(|run| run.results)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -87,7 +97,7 @@ fn knn_equals_brute_force() {
     let gen = |rng: &mut Rng, size| (ops_and_query(rng, size), rng.gen_range(1..20usize));
     check("knn_equals_brute_force", CASES, gen, |((ops, q), k)| {
         let (tree, live) = build(&ops, 5);
-        let got = tree.knn(&q, k).unwrap();
+        let got = best_first_knn(&tree, &q, k).unwrap();
         let mut want: Vec<f64> = live.iter().map(|(p, _)| q.dist_sq(p)).collect();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         want.truncate(k);
@@ -108,8 +118,7 @@ fn range_equals_brute_force() {
         gen,
         |((ops, q), radius)| {
             let (tree, live) = build(&ops, 6);
-            let got: HashSet<u64> = tree
-                .range_query(&q, radius)
+            let got: HashSet<u64> = range(&tree, &q, radius)
                 .unwrap()
                 .into_iter()
                 .map(|e| e.object.0)
@@ -131,7 +140,7 @@ fn no_lost_objects() {
     check("no_lost_objects", CASES, gen, |ops| {
         let (tree, live) = build(&ops, 4);
         for (p, id) in &live {
-            let hits = tree.range_query(p, 1e-9).unwrap();
+            let hits = range(&tree, p, 1e-9).unwrap();
             assert!(hits.iter().any(|e| e.object.0 == *id), "object {id} lost");
         }
     });

@@ -1,8 +1,9 @@
 //! End-to-end tests of the R\*-tree: insertion, queries, deletion, and
 //! structural invariants, against brute-force ground truth.
 
+use sqda_core::{best_first_knn, exec::run_query, Neighbor, QueryError, RangeSearch};
 use sqda_geom::rng::Rng;
-use sqda_geom::{Point, Rect};
+use sqda_geom::Point;
 use sqda_rstar::decluster::{ProximityIndex, RoundRobin};
 use sqda_rstar::{RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, PageStore};
@@ -23,6 +24,15 @@ fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
     (0..n)
         .map(|_| Point::new((0..dim).map(|_| rng.gen_range(0.0..100.0)).collect()))
         .collect()
+}
+
+/// Every object within `radius` of `q`, by core's range search.
+fn range(
+    tree: &RStarTree<ArrayStore>,
+    q: &Point,
+    radius: f64,
+) -> Result<Vec<Neighbor>, QueryError> {
+    run_query(tree, &mut RangeSearch::new(tree, q.clone(), radius)).map(|run| run.results)
 }
 
 fn brute_knn(points: &[Point], q: &Point, k: usize) -> Vec<(usize, f64)> {
@@ -77,7 +87,7 @@ fn knn_matches_brute_force_2d() {
     for _ in 0..20 {
         let q = Point::new(vec![rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
         for k in [1, 5, 17] {
-            let got = tree.knn(&q, k).unwrap();
+            let got = best_first_knn(&tree, &q, k).unwrap();
             let want = brute_knn(&points, &q, k);
             assert_eq!(got.len(), k);
             for (g, (_, wd)) in got.iter().zip(want.iter()) {
@@ -101,7 +111,7 @@ fn knn_matches_brute_force_high_dim() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
     let q = Point::splat(dim, 50.0);
-    let got = tree.knn(&q, 25).unwrap();
+    let got = best_first_knn(&tree, &q, 25).unwrap();
     let want = brute_knn(&points, &q, 25);
     for (g, (_, wd)) in got.iter().zip(want.iter()) {
         assert!((g.dist_sq - wd).abs() < 1e-9);
@@ -119,16 +129,17 @@ fn knn_k_larger_than_population() {
     for (i, p) in points.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
-    let got = tree.knn(&Point::splat(2, 0.0), 50).unwrap();
+    let got = best_first_knn(&tree, &Point::splat(2, 0.0), 50).unwrap();
     assert_eq!(got.len(), 10, "k > n returns all objects");
 }
 
 #[test]
 fn knn_on_empty_tree() {
     let tree = new_tree(3, None);
-    assert!(tree.knn(&Point::splat(3, 0.0), 5).unwrap().is_empty());
-    assert!(tree
-        .range_query(&Point::splat(3, 0.0), 10.0)
+    assert!(best_first_knn(&tree, &Point::splat(3, 0.0), 5)
+        .unwrap()
+        .is_empty());
+    assert!(range(&tree, &Point::splat(3, 0.0), 10.0)
         .unwrap()
         .is_empty());
 }
@@ -142,8 +153,7 @@ fn range_query_matches_brute_force() {
     }
     let q = Point::new(vec![40.0, 60.0]);
     for radius in [0.5, 5.0, 20.0, 200.0] {
-        let got: HashSet<u64> = tree
-            .range_query(&q, radius)
+        let got: HashSet<u64> = range(&tree, &q, radius)
             .unwrap()
             .into_iter()
             .map(|e| e.object.0)
@@ -159,29 +169,6 @@ fn range_query_matches_brute_force() {
 }
 
 #[test]
-fn window_query_matches_brute_force() {
-    let mut tree = new_tree(2, None);
-    let points = random_points(600, 2, 7);
-    for (i, p) in points.iter().enumerate() {
-        tree.insert(p.clone(), i as u64).unwrap();
-    }
-    let window = Rect::new(vec![20.0, 30.0], vec![50.0, 80.0]).unwrap();
-    let got: HashSet<u64> = tree
-        .window_query(&window)
-        .unwrap()
-        .into_iter()
-        .map(|e| e.object.0)
-        .collect();
-    let want: HashSet<u64> = points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| window.contains_point(p))
-        .map(|(i, _)| i as u64)
-        .collect();
-    assert_eq!(got, want);
-}
-
-#[test]
 fn duplicate_points_are_kept_separately() {
     let mut tree = new_tree(2, Some(4));
     let p = Point::new(vec![1.0, 1.0]);
@@ -189,7 +176,7 @@ fn duplicate_points_are_kept_separately() {
         tree.insert(p.clone(), i).unwrap();
     }
     tree.validate().unwrap().unwrap();
-    let got = tree.knn(&p, 50).unwrap();
+    let got = best_first_knn(&tree, &p, 50).unwrap();
     assert_eq!(got.len(), 50);
     let ids: HashSet<u64> = got.iter().map(|n| n.object.0).collect();
     assert_eq!(ids.len(), 50);
@@ -212,8 +199,7 @@ fn delete_removes_and_keeps_invariants() {
     assert_eq!(tree.num_objects(), 200);
     // Deleted points are gone; others remain.
     for (i, p) in points.iter().enumerate() {
-        let found = tree
-            .range_query(p, 1e-9)
+        let found = range(&tree, p, 1e-9)
             .unwrap()
             .iter()
             .any(|e| e.object.0 == i as u64);
@@ -241,7 +227,10 @@ fn delete_everything_then_reinsert() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
     tree.validate().unwrap().unwrap();
-    assert_eq!(tree.knn(&points[0], 1).unwrap()[0].dist_sq, 0.0);
+    assert_eq!(
+        best_first_knn(&tree, &points[0], 1).unwrap()[0].dist_sq,
+        0.0
+    );
 }
 
 #[test]
@@ -271,7 +260,7 @@ fn mixed_workload_stays_valid() {
     // Final brute-force check on kNN.
     let q = Point::splat(3, 25.0);
     let points: Vec<Point> = live.iter().map(|(p, _)| p.clone()).collect();
-    let got = tree.knn(&q, 10).unwrap();
+    let got = best_first_knn(&tree, &q, 10).unwrap();
     let want = brute_knn(&points, &q, 10);
     for (g, (_, wd)) in got.iter().zip(want.iter()) {
         assert!((g.dist_sq - wd).abs() < 1e-9);
@@ -283,8 +272,8 @@ fn dimension_mismatch_is_rejected() {
     let mut tree = new_tree(2, None);
     let p3 = Point::splat(3, 1.0);
     assert!(tree.insert(p3.clone(), 0).is_err());
-    assert!(tree.knn(&p3, 1).is_err());
-    assert!(tree.range_query(&p3, 1.0).is_err());
+    assert!(best_first_knn(&tree, &p3, 1).is_err());
+    assert!(range(&tree, &p3, 1.0).is_err());
     assert!(tree.delete(&p3, 0).is_err());
 }
 
@@ -337,36 +326,4 @@ fn stats_level_structure() {
     assert_eq!(stats.nodes_per_level[stats.height as usize - 1], 1);
     // Leaves outnumber every other level.
     assert!(stats.nodes_per_level[0] >= *stats.nodes_per_level.last().unwrap());
-}
-
-#[test]
-fn nn_iter_streams_in_distance_order() {
-    let mut tree = new_tree(2, Some(8));
-    let points = random_points(600, 2, 40);
-    for (i, p) in points.iter().enumerate() {
-        tree.insert(p.clone(), i as u64).unwrap();
-    }
-    let q = Point::new(vec![50.0, 50.0]);
-    // The stream equals full brute-force ordering, lazily.
-    let want = brute_knn(&points, &q, 600);
-    let mut count = 0;
-    let mut prev = 0.0f64;
-    for (got, (_, wd)) in tree.nn_iter(q.clone()).zip(want.iter()) {
-        let got = got.unwrap();
-        assert!((got.dist_sq - wd).abs() < 1e-9);
-        assert!(got.dist_sq >= prev);
-        prev = got.dist_sq;
-        count += 1;
-    }
-    assert_eq!(count, 600);
-    // Early termination is cheap: taking 3 reads few nodes.
-    let first3: Vec<_> = tree.nn_iter(q).take(3).collect();
-    assert_eq!(first3.len(), 3);
-}
-
-#[test]
-#[should_panic(expected = "dimensionality mismatch")]
-fn nn_iter_rejects_wrong_dimension() {
-    let tree = new_tree(2, None);
-    let _ = tree.nn_iter(Point::splat(3, 0.0));
 }

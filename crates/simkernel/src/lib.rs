@@ -44,5 +44,5 @@ pub use events::{ArrivalMerge, EventQueue, Popped};
 pub use fault::{DiskFault, DiskFaultProfile, FaultPlan, RetryPolicy};
 pub use params::SystemParams;
 pub use rng::SeedSequence;
-pub use stats::{SampleStats, StatsSummary, UtilizationTracker};
+pub use stats::UtilizationTracker;
 pub use time::SimTime;

@@ -437,15 +437,6 @@ impl<S: PageStore> SsTree<S> {
         Ok(())
     }
 
-    /// k nearest neighbours through the generic best-first search.
-    pub fn knn(
-        &self,
-        center: &Point,
-        k: usize,
-    ) -> std::result::Result<Vec<sqda_core::Neighbor>, sqda_core::QueryError> {
-        sqda_core::best_first_knn(self, center, k)
-    }
-
     /// Validates structural invariants.
     pub fn validate(&self) -> Result<std::result::Result<(), crate::SsValidationError>> {
         crate::validate::validate(self)

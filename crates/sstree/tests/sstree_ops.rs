@@ -1,7 +1,9 @@
 //! SS-tree end-to-end: structural invariants, exact answers under all
 //! four similarity-search algorithms, and parity with the R\*-tree.
 
-use sqda_core::{exec::run_query, AlgorithmKind, Simulation, Workload};
+use sqda_core::{
+    best_first_knn, exec::run_query, AlgorithmKind, QueryError, RangeSearch, Simulation, Workload,
+};
 use sqda_geom::rng::Rng;
 use sqda_geom::Point;
 use sqda_simkernel::SystemParams;
@@ -56,7 +58,7 @@ fn knn_matches_brute_force() {
     for _ in 0..10 {
         let q = Point::new((0..3).map(|_| rng.gen_range(0.0..100.0)).collect());
         for k in [1usize, 7, 40] {
-            let got = tree.knn(&q, k).unwrap();
+            let got = best_first_knn(&tree, &q, k).unwrap();
             let want = brute(&points, &q, k);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
@@ -150,8 +152,8 @@ fn sstree_parity_with_rstar_answers() {
         rs.insert(p.clone(), i as u64).unwrap();
     }
     let q = Point::splat(3, 42.0);
-    let a = ss.knn(&q, 20).unwrap();
-    let b = rs.knn(&q, 20).unwrap();
+    let a = best_first_knn(&ss, &q, 20).unwrap();
+    let b = best_first_knn(&rs, &q, 20).unwrap();
     for (x, y) in a.iter().zip(b.iter()) {
         assert!((x.dist_sq - y.dist_sq).abs() < 1e-9);
     }
@@ -165,6 +167,29 @@ fn dimension_mismatch_rejected() {
 }
 
 #[test]
+fn wrong_dimension_queries_are_typed_errors() {
+    // Core's best-first and range search find the mismatch on the
+    // SS-tree's root, sphere directory and leaf alike, before any panic.
+    for (n, fanout) in [(5, 8), (300, 8)] {
+        let tree = build(&random_points(n, 2, 16), 2, 4, fanout);
+        for dim in [1, 3] {
+            let q = Point::splat(dim, 50.0);
+            let want = format!("query point has {dim} dimensions but the tree has 2");
+            let err = best_first_knn(&tree, &q, 5).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Invariant(m) if *m == want),
+                "{err}"
+            );
+            let err = run_query(&tree, &mut RangeSearch::new(&tree, q, 10.0)).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Invariant(m) if *m == want),
+                "{err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn duplicate_points() {
     let store = Arc::new(ArrayStore::new(4, 100, 2));
     let mut tree = SsTree::create(store, SsConfig::new(2).with_max_entries(6)).unwrap();
@@ -172,6 +197,6 @@ fn duplicate_points() {
         tree.insert(Point::new(vec![1.0, 1.0]), i).unwrap();
     }
     tree.validate().unwrap().unwrap();
-    let got = tree.knn(&Point::new(vec![1.0, 1.0]), 100).unwrap();
+    let got = best_first_knn(&tree, &Point::new(vec![1.0, 1.0]), 100).unwrap();
     assert_eq!(got.len(), 100);
 }

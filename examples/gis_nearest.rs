@@ -14,6 +14,7 @@
 //! cargo run --release --example gis_nearest
 //! ```
 
+use sqda::core::RangeSearch;
 use sqda::prelude::*;
 use sqda_datasets::california_like;
 use std::sync::Arc;
@@ -37,9 +38,12 @@ fn main() {
 
     // Range queries with guessed radii: the ε-guessing problem.
     println!("\nrange queries around {here}:");
+    let range = |eps: f64| {
+        let mut search = RangeSearch::new(&tree, here.clone(), eps);
+        run_query(&tree, &mut search).expect("range query").results
+    };
     for eps in [0.001, 0.005, 0.02, 0.1] {
-        let hits = tree.range_query(&here, eps).expect("range query");
-        println!("  ε = {eps:<6} → {:>6} places", hits.len());
+        println!("  ε = {eps:<6} → {:>6} places", range(eps).len());
     }
 
     // The k-NN query answers directly, no ε needed.
@@ -65,7 +69,7 @@ fn main() {
     // exact radius returns the same set — this is what WOPTSS assumes it
     // knows in advance.
     let dk = run.results.last().expect("k answers").dist();
-    let exact = tree.range_query(&here, dk).expect("range query");
+    let exact = range(dk);
     assert!(exact.len() >= k);
     println!(
         "\nrange query with the oracle radius ε = D_k = {dk:.5} → {} places",

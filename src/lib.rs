@@ -56,12 +56,12 @@ pub use sqda_storage as storage;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use sqda_core::{
-        exec::run_query, AlgorithmKind, Crss, Simulation, SimulationReport, Workload,
+        exec::run_query, AlgorithmKind, Crss, Neighbor, Simulation, SimulationReport, Workload,
     };
     pub use sqda_datasets::Dataset;
     pub use sqda_geom::{Point, Rect, Sphere};
     pub use sqda_rstar::decluster::ProximityIndex;
-    pub use sqda_rstar::{Neighbor, RStarConfig, RStarTree};
+    pub use sqda_rstar::{RStarConfig, RStarTree};
     pub use sqda_simkernel::SystemParams;
     pub use sqda_storage::{ArrayStore, PageStore};
 }

@@ -2,7 +2,7 @@
 //! declustered R*-tree on a simulated array → all four algorithms → both
 //! executors.
 
-use sqda::core::exec::QueryRun;
+use sqda::core::{best_first_knn, exec::QueryRun};
 use sqda::datasets::{california_like, gaussian, long_beach_like, uniform};
 use sqda::prelude::*;
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn sequential_knn_agrees_with_parallel_algorithms() {
     let dataset = gaussian(4000, 4, 5);
     let tree = index(&dataset, 8);
     for q in dataset.sample_queries(8, 6) {
-        let seq = tree.knn(&q, 15).unwrap();
+        let seq = best_first_knn(&tree, &q, 15).unwrap();
         let par = run(&tree, &q, 15, AlgorithmKind::Crss).results;
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(par.iter()) {
