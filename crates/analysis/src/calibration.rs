@@ -50,15 +50,6 @@ pub struct DeviceCalibration {
 }
 
 impl DeviceCalibration {
-    /// The fitted terms as a [`DiskServiceModel`].
-    pub fn service_model(&self) -> DiskServiceModel {
-        DiskServiceModel {
-            mean_seek_s: self.mean_seek_s,
-            mean_rotation_s: self.mean_rotation_s,
-            fixed_s: self.fixed_s,
-        }
-    }
-
     /// Fitted mean total service time per request.
     pub fn mean_service_s(&self) -> f64 {
         self.mean_seek_s + self.mean_rotation_s + self.fixed_s

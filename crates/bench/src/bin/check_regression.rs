@@ -5,19 +5,20 @@
 //! relative change clears `--rel-threshold` (default 5%). Point-estimate
 //! jitter inside overlapping bands never fails.
 //!
-//! `--scale <BENCH_scale.json>` adds the external build's scaling band:
-//! the build time per point at the largest population may be at most
-//! 1.5× that at the smallest, so a super-linear term cannot come back
-//! unnoticed (the build was 3.8× before it was made linear) — and its
-//! file-call budget: no build in that file may make more than half a
-//! positional call per page it moved (it made one before scratch I/O
+//! `--scale <file>` adds the external build's scaling band, read from
+//! `experiment bench_scale`'s fragment or from a summary holding it under
+//! `benches`: the build time per point at the largest population may be
+//! at most 1.5× that at the smallest, so a super-linear term cannot come
+//! back unnoticed (the build was 3.8× before it was made linear) — and
+//! its file-call budget: no build in that sweep may make more than half
+//! a positional call per page it moved (it made one before scratch I/O
 //! went by extents; the count is exact, so there is no band).
 //!
 //! ```text
 //! check_regression [--current results/BENCH_summary.json]
 //!                  [--baseline results/BASELINE.json]
 //!                  [--rel-threshold 0.05]
-//!                  [--scale results/BENCH_scale.json]
+//!                  [--scale results/bench/bench_scale.json]
 //! ```
 //!
 //! Exit status: 0 clean, 1 findings (regressions or missing metrics),

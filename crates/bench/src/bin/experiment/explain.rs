@@ -12,8 +12,9 @@
 //! regression-gated: a drift between model and implementation fails CI.
 //! Wall-clock latencies depend on the host and stay `Direction::Info`.
 //!
-//! Emits `bench_explain.csv` plus `BENCH_explain.json` under `--out`
-//! (default `results/`).
+//! Emits `bench_explain.csv` and the fragment `bench/bench_explain.json`
+//! under `--out` (default `results/`); the fitted calibration's terms go
+//! into the fragment as `Info` metrics.
 
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
 use sqda_bench::{
@@ -90,13 +91,15 @@ pub fn run(opts: &ExpOptions) {
         .param("queries", opts.queries())
         .master_seed(4603);
     if let Some(cal) = &calibration {
-        let service_ms = cal.mean_service_s() * 1e3;
-        report.metric(
-            "calibration_mean_service_ms",
-            &[],
-            &[service_ms],
-            Direction::Info,
-        );
+        for (name, value) in [
+            ("calibration_mean_service_ms", cal.mean_service_s() * 1e3),
+            ("calibration_samples", cal.samples as f64),
+            ("calibration_mean_seek_ms", cal.mean_seek_s * 1e3),
+            ("calibration_mean_rotation_ms", cal.mean_rotation_s * 1e3),
+            ("calibration_fixed_ms", cal.fixed_s * 1e3),
+        ] {
+            report.metric(name, &[], &[value], Direction::Info);
+        }
     }
 
     let backend = Arc::new(ThreadedFileBackend::new(store.clone()));
@@ -120,8 +123,6 @@ pub fn run(opts: &ExpOptions) {
             "observed_ms",
         ],
     );
-    let mut json_points: Vec<String> = Vec::new();
-    let mut sample: Option<String> = None;
     for &k in ks {
         let p = predict_knn(&profile, &params, tree.height(), k, LAMBDA)
             .expect("non-degenerate data space");
@@ -146,9 +147,6 @@ pub fn run(opts: &ExpOptions) {
                 acc += rec.nodes as f64;
                 resid += rec.residual_accesses().expect("prediction attached").abs();
                 ms += rec.response_ms;
-                if sample.is_none() {
-                    sample = Some(rec.to_json());
-                }
             }
             let n = qs.len() as f64;
             obs_acc_reps.push(acc / n);
@@ -171,11 +169,6 @@ pub fn run(opts: &ExpOptions) {
         ] {
             report.metric(name, &labels, samples, direction);
         }
-        let pred_ms_str = if pred.response_ms.is_finite() {
-            format!("{:.4}", pred.response_ms)
-        } else {
-            "null".to_string()
-        };
         table.row(vec![
             k.to_string(),
             f2(pred.accesses),
@@ -189,44 +182,9 @@ pub fn run(opts: &ExpOptions) {
             },
             format!("{:.4}", obs_ms.mean),
         ]);
-        json_points.push(format!(
-            "{{\"k\":{k},\"predicted_accesses\":{:.4},\"observed_accesses\":{:.4},\
-             \"mean_abs_residual_accesses\":{:.4},\"predicted_batches\":{:.4},\
-             \"utilization\":{:.6},\"predicted_response_ms\":{pred_ms_str},\
-             \"observed_response_ms\":{:.4}}}",
-            pred.accesses,
-            observed.mean,
-            residual.mean,
-            pred.batches,
-            pred.utilization,
-            obs_ms.mean
-        ));
     }
     table.print();
     table.write_csv(&opts.out_dir, "bench_explain");
-
-    std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
-    let path = opts.out_dir.join("BENCH_explain.json");
-    let cal_json = calibration
-        .as_ref()
-        .map(DeviceCalibration::to_json)
-        .unwrap_or_else(|| "null".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"bench_explain\",\n  \"config\": {{\n    \
-         \"disks\": {DISKS},\n    \"algorithm\": \"{}\",\n    \
-         \"page_size\": {page_size},\n    \"population\": {},\n    \
-         \"queries\": {},\n    \"lambda\": {LAMBDA},\n    \"reps\": {}\n  }},\n  \
-         \"calibration\": {cal_json},\n  \"sample\": {},\n  \
-         \"points\": [\n    {}\n  ]\n}}\n",
-        KIND.name(),
-        dataset.len(),
-        opts.queries(),
-        opts.reps(),
-        sample.unwrap_or_else(|| "null".into()),
-        json_points.join(",\n    ")
-    );
-    std::fs::write(&path, json).expect("write BENCH_explain.json");
-    eprintln!("  wrote {}", path.display());
     report.finish(opts);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,8 @@
 //! `experiment bench_hotpath`: quantifies the zero-copy node read path and
 //! the batched distance kernels.
 //!
-//! Medians, written to `results/BENCH_hotpath.json`:
+//! Per-rep samples, written to its fragment `bench/bench_hotpath.json`
+//! (each figure the mean ± CI of its samples):
 //!
 //! * `decode_leaf_ns` / `decode_internal_ns` — one full-page node decode
 //!   (the flat layout turns this into two allocations);
@@ -11,12 +12,12 @@
 //! * `knn_warm_ns_per_query` — end-to-end best-first k-NN
 //!   ([`best_first_knn_with`]) with a reused [`QueryScratch`] over a warm
 //!   cache;
-//! * `kernel` — ns/entry for the batched `dist_sq`, MINDIST and
+//! * `kernel_ns_per_entry` — ns/entry for the batched `dist_sq`, MINDIST and
 //!   three-metric rectangle kernels at dims 2, 3, 5 and 8 (const-generic
 //!   bodies) and 10 (runtime `dim`), batch sizes 1/8/64 (one entry, a
 //!   small node, a large fanout);
-//! * `batch_knn_b8_ns_per_query` — shared-traversal batch k-NN, plus its
-//!   deterministic fetch-sharing counters;
+//! * `batch_knn_ns_per_query` — shared-traversal k-NN of a batch of 8,
+//!   plus its deterministic fetch-sharing counters;
 //! * `crss_hot_query_ns`, `allocs_per_query`, `bytes_per_query` — one
 //!   `RealTimeEngine::run` of a CRSS k-NN query (what `sqda serve`'s
 //!   `QUERY` calls) over a 100 000-point STR-packed tree that is entirely
@@ -102,11 +103,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    sqda_obs::stats::percentile(&xs, 0.5)
-}
 
 /// The timing loop every section uses: `reps` samples, each the
 /// nanoseconds per unit of work of `calls` back-to-back `f(i)` (over
@@ -258,11 +254,10 @@ fn sample_pages(tree: &RStarTree<ArrayStore>) -> (PageId, Option<PageId>) {
 /// Runs the measurements (see the module docs).
 pub fn run(opts: &ExpOptions) {
     let reps = opts.reps.unwrap_or(DEFAULT_REPS);
-    let out_dir = &opts.out_dir;
     let tree = build_tree();
     let dim = tree.dim();
 
-    // Decode: median ns per decode_node call on a full page.
+    // Decode: ns per decode_node call on a full page.
     let (leaf_page, internal_page) = sample_pages(&tree);
     let time_decode = |page: PageId| -> Vec<f64> {
         let bytes = tree.store().read(page).expect("read page");
@@ -271,16 +266,13 @@ pub fn run(opts: &ExpOptions) {
         })
     };
     let decode_leaf_reps = time_decode(leaf_page);
-    let decode_leaf_ns = median(decode_leaf_reps.clone());
     let decode_internal_reps = internal_page.map(time_decode).unwrap_or_default();
-    let decode_internal_ns = median(decode_internal_reps.clone());
 
     // Warm-cache traversal: ns per node over the whole tree.
     let node_count = traverse(&tree); // warms the cache
     let traversal_reps = sample_ns(reps, 1, node_count as usize, |_| {
         black_box(traverse(&tree));
     });
-    let warm_traversal_ns_per_node = median(traversal_reps.clone());
 
     // Warm end-to-end k-NN with a reused scratch heap.
     let queries: Vec<Point> = (0..KNN_QUERIES)
@@ -299,12 +291,10 @@ pub fn run(opts: &ExpOptions) {
         let out = best_first_knn_with(&tree, &queries[i], K, &mut scratch).expect("knn");
         black_box(out.len());
     });
-    let knn_warm_ns_per_query = median(knn_reps.clone());
 
     // Kernel section: ns/entry for the batched dist_sq and MINDIST
     // kernels, over deterministic synthetic entries. Each sample times
     // enough calls to make one rep ≥ tens of microseconds.
-    let mut kernel_medians: Vec<(usize, usize, [f64; 3])> = Vec::new(); // (dim, batch, per KERNELS)
     let mut kernel_samples: Vec<(usize, usize, &'static str, Vec<f64>)> = Vec::new();
     for &kdim in &KERNEL_DIMS {
         let q: Vec<f64> = (0..kdim).map(|d| d as f64 * 0.7 + 0.1).collect();
@@ -333,7 +323,6 @@ pub fn run(opts: &ExpOptions) {
                     kernel::batch_rect_metrics(q, &rects, d_min, d_mm, d_max)
                 }),
             ];
-            kernel_medians.push((kdim, batch, samples.clone().map(median)));
             for (name, samples) in KERNELS.into_iter().zip(samples) {
                 kernel_samples.push((kdim, batch, name, samples));
             }
@@ -359,7 +348,6 @@ pub fn run(opts: &ExpOptions) {
             .expect("batch");
         black_box(r.answers.len());
     });
-    let batch_knn_ns_per_query = median(batch_reps.clone());
 
     // One served CRSS query, hot: `engine.run` on a single-query
     // workload, as `QUERY` calls it, every node a cache hit. Two settling
@@ -397,70 +385,11 @@ pub fn run(opts: &ExpOptions) {
     let crss_reps = sample_ns(reps, 1, served_queries.len(), |_| {
         black_box(serve_all());
     });
-    let crss_hot_query_ns = median(crss_reps.clone());
 
     let telemetry = telemetry_costs(reps);
 
-    std::fs::create_dir_all(out_dir).expect("create results dir");
-    let path = out_dir.join("BENCH_hotpath.json");
-    // Per-kernel nested block: {"dim2": {"b1": x, "b8": y, "b64": z}, ...}.
-    let kernel_block = |select: usize| -> String {
-        let mut s = String::from("{");
-        for (di, &kdim) in KERNEL_DIMS.iter().enumerate() {
-            if di > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"dim{kdim}\": {{"));
-            let mut first = true;
-            for m in kernel_medians.iter().filter(|m| m.0 == kdim) {
-                if !first {
-                    s.push_str(", ");
-                }
-                first = false;
-                s.push_str(&format!("\"b{}\": {:.2}", m.1, m.2[select]));
-            }
-            s.push('}');
-        }
-        s.push('}');
-        s
-    };
-    let [kernel_dist, kernel_mindist, kernel_metrics] = [0, 1, 2].map(kernel_block);
-    let telemetry_block = telemetry
-        .iter()
-        .map(|(op, samples)| format!("\"{op}\": {:.1}", median(samples.clone())))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"config\": {{\n    \"dim\": {dim},\n    \
-         \"page_size\": 1024,\n    \"objects\": {OBJECTS},\n    \"nodes\": {node_count},\n    \
-         \"cache_pages\": 8192,\n    \"reps\": {reps}\n  }},\n  \
-         \"decode_leaf_ns\": {decode_leaf_ns:.1},\n  \
-         \"decode_internal_ns\": {decode_internal_ns:.1},\n  \
-         \"warm_traversal_ns_per_node\": {warm_traversal_ns_per_node:.1},\n  \
-         \"knn_warm_ns_per_query\": {knn_warm_ns_per_query:.1},\n  \
-         \"kernel_ns_per_entry\": {{\n    \
-         \"dist_sq\": {kernel_dist},\n    \
-         \"min_dist\": {kernel_mindist},\n    \
-         \"rect_metrics\": {kernel_metrics}\n  }},\n  \
-         \"batch_knn_b{BATCH_B}_ns_per_query\": {batch_knn_ns_per_query:.1},\n  \
-         \"batch_knn_unique_fetches\": {},\n  \
-         \"batch_knn_total_interest\": {},\n  \
-         \"batch_knn_rounds\": {},\n  \
-         \"crss_hot_query_ns\": {crss_hot_query_ns:.1},\n  \
-         \"crss_hot_nodes_per_query\": {crss_nodes_per_query:.2},\n  \
-         \"crss_hot_rounds_per_query\": {crss_rounds_per_query:.2},\n  \
-         \"allocs_per_query\": {allocs_per_query:.2},\n  \
-         \"bytes_per_query\": {bytes_per_query:.1},\n  \
-         \"telemetry_ns\": {{{telemetry_block}}}\n}}\n",
-        batch_report.unique_fetches, batch_report.total_interest, batch_report.rounds
-    );
-    // The medians, for the log.
-    print!("hot-path medians over {reps} reps: {json}");
-    std::fs::write(&path, json).expect("write BENCH_hotpath.json");
-    eprintln!("  wrote {}", path.display());
-
     // Provenance manifest + schema-v2 fragment. Timings are Info-only
-    // (nanosecond medians are machine facts, not regression targets);
+    // (nanosecond means are machine facts, not regression targets);
     // the batch traversal's fetch counters are exact over the
     // deterministic tree and query set, so they carry real directions
     // and the regression gate compares them numerically.

@@ -16,11 +16,13 @@
 //!
 //! After the experiments `all` runs a small canonical simulation (all
 //! four algorithms, gaussian 2-d, 10 disks, λ = 5) and writes
-//! `<out>/BENCH_summary.json`, the schema-v2 unified summary: the legacy
-//! `experiments` / `headline` keys, plus a `benches` object merging the
-//! fragment each experiment (and the headline run) wrote under
-//! `<out>/bench/` (each metric as mean ± 95% CI over `--reps`
-//! replications), plus the generator's `rng_fingerprint` as provenance.
+//! `<out>/BENCH_summary.json`, the schema-v2 unified summary: the run's
+//! options and each experiment's exit status and wall time under
+//! `experiments`, a `benches` object merging the fragment each
+//! experiment (and the headline run) wrote under `<out>/bench/` (each
+//! metric as mean ± 95% CI over `--reps` replications), and the
+//! generator's `rng_fingerprint` as provenance. It is the only
+//! `BENCH_*.json` a run writes.
 //! Any other file in that directory — say one left by an earlier run of
 //! an experiment that no longer exists — stays out of the summary. With
 //! `--trace <file>` / `--metrics <file>` the canonical run is recorded
@@ -169,7 +171,7 @@ fn all(opts: &ExpOptions) {
     let setup = Setup::build(&dataset, 10, 4243, 4244, &demo);
     let cols = AlgorithmKind::ALL
         .map(|a| Col::run(a, Measure::Response(Seeds::One(4245))).label("algorithm", a));
-    let grid = Panel {
+    Panel {
         title: format!(
             "headline (set: {}, n=2000, disks: 10, k=10, λ=5)",
             dataset.name
@@ -181,24 +183,6 @@ fn all(opts: &ExpOptions) {
         rows: vec![Row::new(&setup, 10, 5.0, &[])],
     }
     .run("headline", 4244, &demo);
-    // Replication 0 is the legacy canonical run.
-    let headline: Vec<String> = grid[0][0]
-        .iter()
-        .map(|s| {
-            let r = s.sim();
-            format!(
-                "{{\"algorithm\":\"{}\",\"mean_response_s\":{:.6},\"p95_response_s\":{:.6},\
-                 \"mean_nodes_per_query\":{:.2},\"mean_disk_utilization\":{:.4},\
-                 \"sim_wall_s\":{:.4}}}",
-                r.algorithm,
-                r.mean_response_s,
-                r.p95_response_s,
-                r.mean_nodes_per_query,
-                r.mean_disk_utilization,
-                s.wall_s
-            )
-        })
-        .collect();
 
     let experiments_json: Vec<String> = runs
         .iter()
@@ -211,14 +195,13 @@ fn all(opts: &ExpOptions) {
         "{{\"schema\":2,\"quick\":{},\"jobs\":{},\"total_wall_s\":{total_wall_s:.3},\
          \"reps\":{},\"warmup_fraction\":{},\
          \"rng_fingerprint\":\"{}\",\
-         \"experiments\":[{}],\"headline\":[{}],\"benches\":{}}}\n",
+         \"experiments\":[{}],\"benches\":{}}}\n",
         opts.quick,
         opts.jobs,
         opts.reps(),
         opts.warmup,
         sqda_bench::report::rng_fingerprint(),
         experiments_json.join(","),
-        headline.join(","),
         merge_fragments(&opts.out_dir)
     );
     let summary_path = opts.out_dir.join("BENCH_summary.json");

@@ -477,11 +477,12 @@ pub fn analysis_validation(opts: &ExpOptions) {
 /// every replica is gone abort with a typed `Unavailable` error and are
 /// counted in the `aborted` column, not averaged into response times.
 ///
-/// Besides `fault_sweep.csv`, writes `BENCH_fault.json` under `--out`:
-/// replication 0 (the master stream) of every point, so its counters
-/// stay exact integers; replicated means with confidence intervals go to
-/// the fragment.
+/// Each algorithm's aborted, completed and degraded-read counts go to
+/// the fragment from replication 0 (the master stream), as exact
+/// integers; response times are replicated means with confidence
+/// intervals.
 pub fn fault_sweep(opts: &ExpOptions) {
+    type Count = fn(&SimulationReport) -> f64;
     let counts: &[usize] = opts.pick(&[0, 2, 4], &[0, 1, 2, 3, 4]);
     let d = gaussian(opts.population(20_000), 2, 1301);
     let setup = Setup::build(&d, 10, 1302, 1303, opts);
@@ -499,14 +500,17 @@ pub fn fault_sweep(opts: &ExpOptions) {
                 .label("algorithm", a)
                 .show(format!("{a}(s)"), f4),
         );
-        let aborted = Col::info(move |_, s| s[0][2 * i].sim().failed as f64);
-        cols.push(
-            aborted
-                .label("algorithm", a)
-                .metric("aborted_queries", Info),
-        );
+        let counters: [(_, Count); 3] = [
+            ("aborted_queries", |r| r.failed as f64),
+            ("completed", |r| r.completed as f64),
+            ("degraded_reads", |r| r.degraded_reads as f64),
+        ];
+        for (name, count) in counters {
+            let counter = Col::info(move |_, s| count(s[0][4 * i].sim()));
+            cols.push(counter.label("algorithm", a).metric(name, Info));
+        }
     }
-    let rep0 = |count: fn(&SimulationReport) -> f64| {
+    let rep0 = |count: Count| {
         move |_: &[f64], s: &[Vec<Sample>]| {
             s[0].iter().filter_map(|c| c.sim.as_ref()).map(count).sum()
         }
@@ -525,36 +529,5 @@ pub fn fault_sweep(opts: &ExpOptions) {
         cols,
         rows: rows.collect(),
     };
-    let grid = panel.run("fault_sweep", 1303, opts);
-
-    let mut points = Vec::new();
-    for (count, row) in counts.iter().zip(&grid) {
-        for r in row[0].iter().filter_map(|c| c.sim.as_ref()) {
-            points.push(format!(
-                "{{\"failed_disks\":{count},\"algorithm\":\"{}\",\
-                 \"mean_response_s\":{:.6},\"p95_response_s\":{:.6},\
-                 \"completed\":{},\"aborted\":{},\
-                 \"degraded_reads\":{},\"read_retries\":{}}}",
-                r.algorithm,
-                r.mean_response_s,
-                r.p95_response_s,
-                r.completed,
-                r.failed,
-                r.degraded_reads,
-                r.read_retries
-            ));
-        }
-    }
-    let path = opts.out_dir.join("BENCH_fault.json");
-    let json = format!(
-        "{{\n  \"bench\": \"fault_sweep\",\n  \"config\": {{\n    \
-         \"disks\": 10,\n    \"k\": 10,\n    \"lambda\": 5,\n    \
-         \"population\": {},\n    \"queries\": {},\n    \"mirrored_reads\": true\n  }},\n  \
-         \"points\": [\n    {}\n  ]\n}}\n",
-        d.len(),
-        opts.queries(),
-        points.join(",\n    ")
-    );
-    std::fs::write(&path, json).expect("write BENCH_fault.json");
-    eprintln!("  wrote {}", path.display());
+    panel.run("fault_sweep", 1303, opts);
 }

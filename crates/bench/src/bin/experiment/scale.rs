@@ -17,10 +17,14 @@
 //! Wall-clock numbers are `Direction::Info` (host-dependent); the
 //! deterministic shape of the build and the traversal — spilled pages,
 //! cold reads per query, warm-cache hit ratio, average node fill — are
-//! gated through `check_regression`.
+//! gated through `check_regression`. Runs, merge passes, peak scratch,
+//! node count and height are recorded as `Info`, and so is the largest
+//! scale rebuilt under the builder's default options (its metrics carry
+//! a `run_capacity` label besides `n`); `check_regression --scale` reads
+//! the fragment for the build's scaling band and file-call budget.
 //!
-//! Emits `bench_scale.csv` plus `BENCH_scale.json` under `--out`
-//! (default `results/`).
+//! Emits `bench_scale.csv` and the fragment `bench/bench_scale.json`
+//! under `--out` (default `results/`).
 
 use sqda_bench::{
     experiment_page_size, f2, f4,
@@ -118,7 +122,6 @@ pub fn run(opts: &ExpOptions) {
             "avg_fill",
         ],
     );
-    let mut json_points: Vec<String> = Vec::new();
 
     // One external build of the first `n` streamed points into a fresh
     // store under `root`; the scratch store is gone when it returns.
@@ -252,29 +255,18 @@ pub fn run(opts: &ExpOptions) {
             ("cold_reads_per_query", cold_reads, Direction::Lower),
             ("warm_cache_hit_ratio", warm_hit_ratio, Direction::Higher),
             ("avg_fill", stats.avg_fill, Direction::Higher),
+            ("runs", build.runs as f64, Direction::Info),
+            ("merge_passes", build.merge_passes as f64, Direction::Info),
+            (
+                "peak_scratch_pages",
+                build.peak_scratch_pages as f64,
+                Direction::Info,
+            ),
+            ("nodes", stats.total_nodes() as f64, Direction::Info),
+            ("height", tree.height() as f64, Direction::Info),
         ] {
             report.metric(name, &labels, &[value], direction);
         }
-        json_points.push(format!(
-            "{{\"n\":{n},\"build_s\":{build_s:.3},\"runs\":{},\"merge_passes\":{},\
-             \"spilled_pages\":{},\"peak_scratch_pages\":{},\
-             \"io_calls\":{io_calls},\"io_calls_per_point\":{:.5},\
-             \"cold_mean_s\":{cold_mean:.6},\"cold_p95_s\":{:.6},\
-             \"warm_mean_s\":{warm_mean:.6},\"warm_p95_s\":{:.6},\
-             \"cold_reads_per_query\":{cold_reads:.3},\
-             \"warm_cache_hit_ratio\":{warm_hit_ratio:.4},\
-             \"avg_fill\":{:.4},\"height\":{},\"nodes\":{}}}",
-            build.runs,
-            build.merge_passes,
-            build.spilled_pages,
-            build.peak_scratch_pages,
-            io_calls as f64 / n as f64,
-            percentile(&cold, 0.95),
-            percentile(&warm, 0.95),
-            stats.avg_fill,
-            tree.height(),
-            stats.total_nodes(),
-        ));
         drop(tree);
         let _ = std::fs::remove_dir_all(&dest_dir);
     }
@@ -286,31 +278,23 @@ pub fn run(opts: &ExpOptions) {
     let (tree, build, build_s, io_calls, dest_dir) = build_tree(n, &defaults);
     drop(tree);
     let _ = std::fs::remove_dir_all(&dest_dir);
-    let default_options = format!(
-        "{{\"n\":{n},\"run_capacity\":{},\"build_s\":{build_s:.3},\"runs\":{},\
-         \"merge_passes\":{},\"spilled_pages\":{},\"peak_scratch_pages\":{},\
-         \"io_calls\":{io_calls}}}",
-        defaults.run_capacity,
-        build.runs,
-        build.merge_passes,
-        build.spilled_pages,
-        build.peak_scratch_pages
-    );
+    let labels = [
+        ("n", n.to_string()),
+        ("run_capacity", defaults.run_capacity.to_string()),
+    ];
+    for (name, value) in [
+        ("build_wall_s", build_s),
+        ("runs", build.runs as f64),
+        ("merge_passes", build.merge_passes as f64),
+        ("spilled_pages", build.spilled_pages as f64),
+        ("peak_scratch_pages", build.peak_scratch_pages as f64),
+        ("io_calls", io_calls as f64),
+    ] {
+        report.metric(name, &labels, &[value], Direction::Info);
+    }
 
     table.print();
     table.write_csv(&opts.out_dir, "bench_scale");
-    std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
-    let path = opts.out_dir.join("BENCH_scale.json");
-    let json = format!(
-        "{{\n  \"bench\": \"bench_scale\",\n  \"config\": {{\n    \
-         \"disks\": {DISKS},\n    \"k\": {K},\n    \"dim\": {DIM},\n    \
-         \"page_size\": {page_size},\n    \"run_capacity\": {RUN_CAPACITY},\n    \
-         \"cache_bytes\": {CACHE_BYTES},\n    \"queries\": {n_queries}\n  }},\n  \
-         \"points\": [\n    {}\n  ],\n  \"default_options\": {default_options}\n}}\n",
-        json_points.join(",\n    ")
-    );
-    std::fs::write(&path, json).expect("write BENCH_scale.json");
-    eprintln!("  wrote {}", path.display());
     report.finish(opts);
     std::fs::remove_dir_all(&root).ok();
 }

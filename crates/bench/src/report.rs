@@ -19,7 +19,7 @@
 use crate::ExpOptions;
 use sqda_obs::json::{parse, u64_array, ObjWriter, Value};
 use sqda_obs::{MetricSummary, RunManifest};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -380,38 +380,53 @@ pub fn compare_summary_text(
     compare_summaries(&cur, &base, rel_threshold)
 }
 
-/// Most a point may cost at the largest scale of `BENCH_scale.json`,
-/// as a multiple of what it costs at the smallest.
+/// Most a point may cost at the largest scale `bench_scale` builds, as a
+/// multiple of what it costs at the smallest.
 pub const BUILD_SCALING_BAND: f64 = 1.5;
 
-/// Most positional file calls a build in `BENCH_scale.json` may make, as
-/// a share of one call per page moved (what the build cost before
-/// scratch I/O went by extents). The count repeats exactly: no band.
+/// Most positional file calls a `bench_scale` build may make, as a share
+/// of one call per page moved (what the build cost before scratch I/O
+/// went by extents). The count repeats exactly: no band.
 pub const IO_CALL_SHARE_LIMIT: f64 = 0.5;
 
-/// The external build's figures from `BENCH_scale.json` text:
+/// The external build's figures from `bench_scale`'s fragment text, or
+/// from a summary's `benches.bench_scale`, over the points of its sweep
+/// (metrics labelled by `n` alone; the default-options rebuild, which
+/// also carries `run_capacity`, stays out):
 ///
-/// * scaling — `build_s / n` at the largest `n` over `build_s / n` at the
-///   smallest. About 1 for a linear build (the merge's `log n` shows as a
-///   few percent); a quadratic term in it grows with `n` and is what
+/// * scaling — `build_wall_s / n` at the largest `n` over the same at the
+///   smallest. About 1 for a linear build (the merge's `log n` shows as
+///   a few percent); a quadratic term in it grows with `n` and is what
 ///   [`BUILD_SCALING_BAND`] is there to catch.
 /// * file-call share — the worst point's `io_calls` over its pages moved
 ///   (every node written once, every spilled page written and read back),
 ///   held under [`IO_CALL_SHARE_LIMIT`].
 pub fn build_scaling(scale_json: &str) -> Result<(f64, f64), String> {
     let doc = parse(scale_json.trim()).map_err(|e| format!("scale results: {e}"))?;
-    let points = doc.get("points").and_then(|p| p.as_arr()).unwrap_or(&[]);
-    let figures = |p: &Value| {
-        let field = |name: &str| p.get(name)?.as_f64();
-        let n = field("n").filter(|n| *n > 0.0)?;
-        let pages = field("nodes")? + 2.0 * field("spilled_pages")?;
-        Some((n, field("build_s")? / n, field("io_calls")? / pages))
+    let frag = doc.get("benches").and_then(|b| b.get("bench_scale"));
+    let metrics = frag.unwrap_or(&doc).get("metrics").and_then(|m| m.as_arr());
+    let mut points: BTreeMap<u64, HashMap<&str, f64>> = BTreeMap::new();
+    for m in metrics.unwrap_or(&[]) {
+        let n = match m.get("labels") {
+            Some(Value::Obj(labels)) if labels.len() == 1 => labels.get("n"),
+            _ => None,
+        };
+        let n = n.and_then(|n| n.as_str()?.parse::<u64>().ok());
+        let name = m.get("name").and_then(|v| v.as_str());
+        let mean = m.get("mean").and_then(|v| v.as_f64());
+        if let (Some(n @ 1..), Some(name), Some(mean)) = (n, name, mean) {
+            points.entry(n).or_default().insert(name, mean);
+        }
+    }
+    let figures = |(&n, p): (&u64, &HashMap<&str, f64>)| {
+        let field = |name: &str| p.get(name).copied();
+        let (n, pages) = (n as f64, field("nodes")? + 2.0 * field("spilled_pages")?);
+        Some((n, field("build_wall_s")? / n, field("io_calls")? / pages))
     };
-    let mut costs = points
+    let costs = points
         .iter()
-        .map(|p| figures(p).ok_or("a point lacks \"n\", \"build_s\", \"io_calls\" or a page count"))
+        .map(|p| figures(p).ok_or("a point lacks \"build_wall_s\", \"io_calls\" or a page count"))
         .collect::<Result<Vec<_>, _>>()?;
-    costs.sort_by(|a, b| a.0.total_cmp(&b.0));
     let share = costs.iter().map(|c| c.2).fold(0.0, f64::max);
     match (costs.first(), costs.last()) {
         (Some(small), Some(large)) if small.0 < large.0 && small.1 > 0.0 => {
@@ -427,13 +442,30 @@ mod tests {
 
     #[test]
     fn build_scaling_is_per_point_cost_largest_over_smallest() {
-        let scale = |small_s: f64, large_s: f64| {
+        let metric = |name: &str, labels: &str, mean: f64| {
             format!(
-                "{{\"bench\":\"bench_scale\",\"points\":[\
-                 {{\"n\":10000000,\"build_s\":{large_s},\"nodes\":250000,\
-                 \"spilled_pages\":900000,\"io_calls\":512500}},\
-                 {{\"n\":1000000,\"build_s\":{small_s},\"nodes\":25000,\
-                 \"spilled_pages\":50000,\"io_calls\":37500}}]}}"
+                "{{\"name\":\"{name}\",\"labels\":{{{labels}}},\"direction\":\"info\",\
+                 \"count\":1,\"mean\":{mean},\"std_dev\":0,\"ci95\":0,\"min\":0,\"max\":0}}"
+            )
+        };
+        let scale = |small_s: f64, large_s: f64| {
+            let mut metrics = Vec::new();
+            for (n, build_s, nodes, spilled, io_calls) in [
+                (10_000_000, large_s, 250_000, 900_000, 512_500),
+                (1_000_000, small_s, 25_000, 50_000, 37_500),
+            ] {
+                let labels = format!("\"n\":\"{n}\"");
+                metrics.push(metric("build_wall_s", &labels, build_s));
+                metrics.push(metric("nodes", &labels, nodes as f64));
+                metrics.push(metric("spilled_pages", &labels, spilled as f64));
+                metrics.push(metric("io_calls", &labels, io_calls as f64));
+            }
+            // The default-options rebuild is not a point of the sweep.
+            let rebuild = "\"n\":\"10000000\",\"run_capacity\":\"262144\"";
+            metrics.push(metric("build_wall_s", rebuild, 1e6));
+            format!(
+                "{{\"schema\":2,\"bench\":\"bench_scale\",\"metrics\":[{}]}}",
+                metrics.join(",")
             )
         };
         // The committed parent figures: 37.6x the time for 10x the data.
@@ -444,8 +476,12 @@ mod tests {
         assert!((share - 0.3).abs() < 1e-9 && share <= IO_CALL_SHARE_LIMIT);
         let (linear, _) = build_scaling(&scale(1.0, 11.0)).expect("scaling");
         assert!((linear - 1.1).abs() < 1e-9 && linear <= BUILD_SCALING_BAND);
-        assert!(build_scaling("{\"points\":[{\"n\":5,\"build_s\":1}]}").is_err());
-        let per_page = scale(1.0, 11.0).replace("37500", "125000");
+        // A summary carries the same fragment under `benches`.
+        let summary = format!("{{\"benches\":{{\"bench_scale\":{}}}}}", scale(1.0, 11.0));
+        assert_eq!(build_scaling(&summary).expect("scaling").0, linear);
+        let one_point = metric("build_wall_s", "\"n\":\"5\"", 1.0);
+        assert!(build_scaling(&format!("{{\"metrics\":[{one_point}]}}")).is_err());
+        let per_page = scale(1.0, 11.0).replace("\"mean\":37500", "\"mean\":125000");
         assert_eq!(build_scaling(&per_page).expect("scaling").1, 1.0);
     }
 

@@ -158,6 +158,24 @@ impl Args {
 /// candidates tie, and a k-NN "answer" would be k arbitrary objects.
 pub const MAX_QUERY_COORD: f64 = 1e150;
 
+/// `value`, the parsed `--name`, if `valid`; else a
+/// [`ArgsError::BadValue`] saying what it `must` be — for values that
+/// parse but mean nothing, such as a zero `--k` or a NaN `--lambda`.
+pub fn checked<T: std::fmt::Display>(
+    name: &str,
+    value: T,
+    must: &str,
+    valid: impl FnOnce(&T) -> bool,
+) -> Result<T, ArgsError> {
+    if valid(&value) {
+        return Ok(value);
+    }
+    Err(ArgsError::BadValue {
+        option: name.into(),
+        detail: format!("must be {must}, got {value}"),
+    })
+}
+
 /// Parses a query point ("1.0,2.5,-3"): finite coordinates, none beyond
 /// [`MAX_QUERY_COORD`] in magnitude. The error's text is what the caller
 /// reports (`ERR coordinate out of range` on the wire).

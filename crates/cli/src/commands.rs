@@ -1,6 +1,6 @@
 //! The CLI command handlers.
 
-use crate::args::{parse_query_point, Args};
+use crate::args::{checked, parse_query_point, Args, ArgsError};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
 use sqda_core::{
@@ -321,11 +321,24 @@ fn query_point<S: PageStore>(
     Ok(point)
 }
 
+/// `--k`: neighbours per query (default 10), at least one.
+fn k_arg(args: &Args) -> Result<usize, ArgsError> {
+    checked("k", args.get_or("k", 10)?, "at least 1", |k| *k > 0)
+}
+
+/// `--lambda`: a Poisson arrival rate, positive and finite.
+fn lambda_arg(args: &Args, default: f64) -> Result<f64, ArgsError> {
+    let lambda = args.get_or("lambda", default)?;
+    checked("lambda", lambda, "a positive, finite rate", |l| {
+        *l > 0.0 && l.is_finite()
+    })
+}
+
 /// `sqda query`
 pub fn query(args: &Args) -> CmdResult {
     let (tree, _) = open_tree(args.required("store")?)?;
     let point = query_point(args, &tree)?;
-    let k: usize = args.get_or("k", 10)?;
+    let k = k_arg(args)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
     let trace = args.get("trace").map(str::to_string);
     let metrics = args.get("metrics").map(str::to_string);
@@ -370,7 +383,8 @@ pub fn query(args: &Args) -> CmdResult {
 pub fn range(args: &Args) -> CmdResult {
     let (tree, _) = open_tree(args.required("store")?)?;
     let point = query_point(args, &tree)?;
-    let radius: f64 = args.required_parsed("radius")?;
+    let radius = args.required_parsed("radius")?;
+    let radius = checked("radius", radius, "a non-negative distance", |r| *r >= 0.0)?;
     let hits = run_query(&tree, &mut RangeSearch::new(&tree, point.clone(), radius))?.results;
     println!("{} objects within {radius} of {point}:", hits.len());
     for e in hits.iter().take(20) {
@@ -406,8 +420,8 @@ pub fn stats(args: &Args) -> CmdResult {
 pub fn simulate(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let (tree, _) = open_tree(&store_dir)?;
-    let k: usize = args.get_or("k", 10)?;
-    let lambda: f64 = args.get_or("lambda", 5.0)?;
+    let k = k_arg(args)?;
+    let lambda = lambda_arg(args, 5.0)?;
     let num_queries: usize = args.get_or("queries", 100)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
@@ -431,13 +445,13 @@ pub fn simulate(args: &Args) -> CmdResult {
     // the plan is empty and the run is byte-identical to fault-free.
     let fail_disks: usize = args.get_or("fail-disks", 0)?;
     let fail_at: f64 = args.get_or("fail-at", 0.0)?;
+    let fail_at = checked("fail-at", fail_at, "a non-negative time", |t| {
+        *t >= 0.0 && t.is_finite()
+    })?;
     if fail_disks > num_disks as usize {
         return Err(
             format!("--fail-disks {fail_disks} exceeds the array's {num_disks} disks").into(),
         );
-    }
-    if !fail_at.is_finite() || fail_at < 0.0 {
-        return Err(format!("--fail-at must be a non-negative time, got {fail_at}").into());
     }
     let plan = FaultPlan::fail_disks(
         fail_disks,
@@ -506,8 +520,8 @@ pub fn simulate(args: &Args) -> CmdResult {
 pub fn estimate(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let (tree, _) = open_tree(&store_dir)?;
-    let k: usize = args.get_or("k", 10)?;
-    let lambda: f64 = args.get_or("lambda", 5.0)?;
+    let k = k_arg(args)?;
+    let lambda = lambda_arg(args, 5.0)?;
     let profile = TreeProfile::measure(&tree)?;
     let (params, calibration) = calibrated_params(&store_dir, tree.store().num_disks(), args);
     let Some(p) = predict_knn(&profile, &params, tree.height(), k, lambda) else {
@@ -540,8 +554,8 @@ pub fn explain(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?.to_string();
     let (mut tree, _) = open_tree(&store_dir)?;
     let point = query_point(args, &tree)?;
-    let k: usize = args.get_or("k", 10)?;
-    let lambda: f64 = args.get_or("lambda", 1.0)?;
+    let k = k_arg(args)?;
+    let lambda = lambda_arg(args, 1.0)?;
     let kind = algo_by_name(args.get("algo").unwrap_or("crss"))?;
     let cache: usize = args.get_or("cache", 4096)?;
     if cache > 0 {

@@ -1,7 +1,8 @@
 //! `sqda report` — renders a results directory into one self-contained
-//! HTML dashboard: per-figure curves with 95% CI bands, the fault-sweep
-//! and hot-path trends, headline stat tiles, and run provenance
-//! (manifests), with zero external assets.
+//! HTML dashboard: per-figure curves with 95% CI bands, headline and
+//! hot-path stat tiles, the query-introspection curves, and run
+//! provenance (manifests), with zero external assets. Every figure comes
+//! from the schema-v2 fragments (the summary's `benches` and `bench/`).
 //!
 //! The page embeds all its data in a single
 //! `<script id="sqda-data" type="application/json">` block, built here
@@ -106,9 +107,6 @@ fn csv_to_json(name: &str, text: &str) -> String {
 /// bytes are reproducible.
 pub fn build_data_json(dir: &Path) -> Result<String, Box<dyn Error + Send + Sync>> {
     let summary = read_valid_json(&dir.join("BENCH_summary.json"));
-    let fault = read_valid_json(&dir.join("BENCH_fault.json"));
-    let hotpath = read_valid_json(&dir.join("BENCH_hotpath.json"));
-    let explain = read_valid_json(&dir.join("BENCH_explain.json"));
 
     // Standalone schema-v2 fragments; the dashboard overlays them on the
     // summary's merged `benches` object (same content when both exist).
@@ -159,9 +157,6 @@ pub fn build_data_json(dir: &Path) -> Result<String, Box<dyn Error + Send + Sync
     w.field_raw("fragments", &fragments);
     w.field_raw("manifests", &manifests);
     w.field_raw("csvs", &csvs);
-    w.field_raw("fault", fault.as_deref().unwrap_or("null"));
-    w.field_raw("hotpath", hotpath.as_deref().unwrap_or("null"));
-    w.field_raw("explain", explain.as_deref().unwrap_or("null"));
     Ok(w.finish())
 }
 
@@ -486,25 +481,33 @@ if (s) {
   app.appendChild(el("p", "sub", bits.join(" · ")));
 }
 
-// headline stat tiles
-if (s && Array.isArray(s.headline) && s.headline.length) {
-  app.appendChild(el("h2", "", "Headline — canonical run, mean response (s)"));
+// every bench's fragment: the summary's merged `benches`, overlaid by
+// the standalone files under bench/
+const benches = Object.assign({}, (s && s.benches) || {}, DATA.fragments || {});
+const metricsOf = (bench, name) =>
+  ((benches[bench] && benches[bench].metrics) || []).filter(m => m.name === name);
+// One stat tile per [label, metric]: its mean, and its CI when replicated.
+function tileRow(items) {
   const tiles = el("div", "tiles");
-  const benches = Object.assign({}, s.benches || {}, DATA.fragments || {});
-  const hl = (benches.headline && benches.headline.metrics) || [];
-  for (const h of s.headline) {
+  for (const [lbl, m] of items) {
+    if (!m) continue;
     const t = el("div", "tile");
-    t.appendChild(el("div", "lbl", h.algorithm));
-    t.appendChild(el("div", "val", fmt(h.mean_response_s)));
-    const m = hl.find(x => x.labels && x.labels.algorithm === h.algorithm);
-    if (m && m.ci95) t.appendChild(el("div", "ci", `mean ${fmt(m.mean)} ± ${fmt(m.ci95)} (n=${m.count})`));
+    t.appendChild(el("div", "lbl", lbl));
+    t.appendChild(el("div", "val", fmt(m.mean)));
+    if (m.ci95) t.appendChild(el("div", "ci", `± ${fmt(m.ci95)} (n=${m.count})`));
     tiles.appendChild(t);
   }
   app.appendChild(tiles);
 }
 
+// headline stat tiles
+const headline = metricsOf("headline", "mean_response_s");
+if (headline.length) {
+  app.appendChild(el("h2", "", "Headline — canonical run, mean response (s)"));
+  tileRow(headline.map(m => [m.labels.algorithm, m]));
+}
+
 // per-bench curves with CI bands
-const benches = Object.assign({}, (s && s.benches) || {}, DATA.fragments || {});
 const names = Object.keys(benches).sort();
 const allCharts = [];
 for (const b of names) allCharts.push(...chartsFromFragment(b, benches[b]));
@@ -515,62 +518,31 @@ if (allCharts.length) {
   app.appendChild(grid);
 }
 
-// fault sweep (legacy BENCH_fault.json): exact rep-0 counters
-if (DATA.fault && Array.isArray(DATA.fault.points) && DATA.fault.points.length) {
-  app.appendChild(el("h2", "", "Fault sweep — response vs failed disks (replication 0)"));
-  const series = new Map();
-  for (const p of DATA.fault.points) {
-    if (!series.has(p.algorithm)) series.set(p.algorithm, []);
-    series.get(p.algorithm).push({ x: p.failed_disks, y: p.mean_response_s, ci: 0 });
-  }
-  for (const sp of series.values()) sp.sort((a, b) => a.x - b.x);
-  const grid = el("div", "grid2");
-  grid.appendChild(chartCard({ bench: "fault_sweep", metric: "mean_response_s",
-    facet: "", xKey: "failed", series }));
-  app.appendChild(grid);
-}
-
 // hot-path tiles
-if (DATA.hotpath) {
-  app.appendChild(el("h2", "", "Hot path — node read/decode medians (ns)"));
-  const tiles = el("div", "tiles");
-  for (const k of ["decode_leaf_ns", "decode_internal_ns",
-                   "warm_traversal_ns_per_node", "knn_warm_ns_per_query"]) {
-    if (DATA.hotpath[k] === undefined) continue;
-    const t = el("div", "tile");
-    t.appendChild(el("div", "lbl", k));
-    t.appendChild(el("div", "val", fmt(DATA.hotpath[k])));
-    tiles.appendChild(t);
-  }
-  app.appendChild(tiles);
+const hotpath = ["decode_leaf_ns", "decode_internal_ns", "warm_traversal_ns_per_node",
+                 "knn_warm_ns_per_query"].map(k => [k, metricsOf("bench_hotpath", k)[0]]);
+if (hotpath.some(([, m]) => m)) {
+  app.appendChild(el("h2", "", "Hot path — node read/decode means (ns)"));
+  tileRow(hotpath);
 }
 
 // query introspection: predicted vs observed per-query work, device
 // calibration fitted from the replayed trace
-if (DATA.explain && Array.isArray(DATA.explain.points) && DATA.explain.points.length) {
+const curve = name => metricsOf("bench_explain", name)
+  .map(m => ({ x: parseFloat(m.labels.k), y: m.mean, ci: m.ci95 || 0 }))
+  .sort((a, b) => a.x - b.x);
+if (curve("mean_observed_accesses").length) {
   app.appendChild(el("h2", "", "Query introspection — analytical model vs observed execution"));
-  if (DATA.explain.calibration) {
-    const c = DATA.explain.calibration;
-    const tiles = el("div", "tiles");
-    for (const [lbl, v] of [["calibrated seek (ms)", c.mean_seek_s * 1e3],
-                            ["calibrated rotation (ms)", c.mean_rotation_s * 1e3],
-                            ["fixed service (ms)", c.fixed_s * 1e3],
-                            ["calibration samples", c.samples]]) {
-      const t = el("div", "tile");
-      t.appendChild(el("div", "lbl", lbl));
-      t.appendChild(el("div", "val", fmt(v)));
-      tiles.appendChild(t);
-    }
-    app.appendChild(tiles);
+  const cal = name => metricsOf("bench_explain", name)[0];
+  if (cal("calibration_samples")) {
+    tileRow([["calibrated seek (ms)", cal("calibration_mean_seek_ms")],
+             ["calibrated rotation (ms)", cal("calibration_mean_rotation_ms")],
+             ["fixed service (ms)", cal("calibration_fixed_ms")],
+             ["calibration samples", cal("calibration_samples")]]);
   }
-  const acc = new Map([["predicted", []], ["observed", []]]);
-  const resid = new Map([["abs residual", []]]);
-  for (const p of DATA.explain.points) {
-    acc.get("predicted").push({ x: p.k, y: p.predicted_accesses, ci: 0 });
-    acc.get("observed").push({ x: p.k, y: p.observed_accesses, ci: 0 });
-    resid.get("abs residual").push({ x: p.k, y: p.mean_abs_residual_accesses, ci: 0 });
-  }
-  for (const m of [acc, resid]) for (const sp of m.values()) sp.sort((a, b) => a.x - b.x);
+  const acc = new Map([["predicted", curve("predicted_accesses")],
+                       ["observed", curve("mean_observed_accesses")]]);
+  const resid = new Map([["abs residual", curve("mean_abs_residual_accesses")]]);
   const grid = el("div", "grid2");
   grid.appendChild(chartCard({ bench: "bench_explain", metric: "node_accesses",
     facet: "", xKey: "k", series: acc }));
@@ -690,8 +662,7 @@ mod tests {
              \"params\":{{\"disks\":\"2\",\"k\":\"1\"}},\"wall_s\":0.25,\
              \"created_unix\":1700000000}}}},\
              \"csvs\":[{{\"name\":\"fig99_demo\",\"columns\":[\"k\",\"BBSS\",\"CRSS\"],\
-             \"rows\":[[\"1\",\"0.10\",\"0.05\"],[\"10\",\"0.20\",\"0.08\"]]}}],\
-             \"fault\":null,\"hotpath\":null,\"explain\":null}}",
+             \"rows\":[[\"1\",\"0.10\",\"0.05\"],[\"10\",\"0.20\",\"0.08\"]]}}]}}",
             dir.display()
         );
         assert_eq!(data, golden);

@@ -94,7 +94,7 @@
 //! Perfetto trace; `--slow-query-ms` / `--slow-query-log` append a JSONL
 //! breakdown line for every query at or over the threshold.
 
-use crate::args::{parse_query_point, Args};
+use crate::args::{checked, parse_query_point, Args};
 use crate::commands::{algo_by_name, calibrated_params, open_tree};
 use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfile};
 use sqda_core::Neighbor;
@@ -176,9 +176,14 @@ pub fn serve(args: &Args) -> CmdResult {
             0
         },
     )?;
-    let slow_ms: Option<f64> = match args.get("slow-query-ms") {
+    let slow_ms = match args.get("slow-query-ms") {
         None => None,
-        Some(v) => Some(v.parse().map_err(|e| format!("bad --slow-query-ms: {e}"))?),
+        Some(_) => Some(checked(
+            "slow-query-ms",
+            args.required_parsed("slow-query-ms")?,
+            "a non-negative time",
+            |ms: &f64| *ms >= 0.0,
+        )?),
     };
     let slow_log_path = args.get("slow-query-log").map(|s| s.to_string());
     let uncalibrated = args.flag("uncalibrated");

@@ -235,6 +235,36 @@ fn helpful_errors() {
             assert!(!err.contains("panicked"), "{args:?}: {err}");
         }
     }
+
+    // A number that parses but means nothing is refused with the flag
+    // named, never a panic (exit 101) or a silently wrong run.
+    let p = ["--point", "0.5,0.5"];
+    for (flag, value, command, extra) in [
+        ("lambda", "0", "simulate", &[][..]),
+        ("lambda", "NaN", "simulate", &[]),
+        ("k", "0", "simulate", &[]),
+        ("k", "0", "query", &p),
+        ("k", "0", "explain", &p),
+        ("lambda", "-1", "estimate", &[]),
+        ("lambda", "NaN", "estimate", &[]),
+        ("lambda", "NaN", "explain", &p),
+        ("radius", "-1", "range", &p),
+        ("radius", "NaN", "range", &p),
+        ("slow-query-ms", "NaN", "serve", &["--port", "0"]),
+        ("slow-query-ms", "-1", "serve", &["--port", "0"]),
+    ] {
+        let flag = format!("--{flag}");
+        let mut args = vec![command, "--store", store, &flag, value];
+        args.extend(extra);
+        let o = sqda(&args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.contains(&format!("error: bad value for {flag}")),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -308,6 +308,28 @@ impl AlgoScratch {
     }
 }
 
+/// The [`Step::Invalid`] that ends a query whose point does not fit the
+/// tree: checked on the root, which every algorithm reads first and
+/// alone, so one page-id compare per batch. Empties the batch when it
+/// fires; `None` for any other batch and for a point that fits. (WOPTSS
+/// needs no check: its oracle's best-first search refuses the point
+/// before the query starts.)
+pub(crate) fn invalid_root(
+    nodes: &mut Vec<(PageId, IndexNode)>,
+    root: PageId,
+    q: &[f64],
+) -> Option<BatchResult> {
+    let msg = match nodes.first() {
+        Some((page, node)) if *page == root => node.dim_mismatch(q)?,
+        _ => return None,
+    };
+    nodes.clear();
+    Some(BatchResult {
+        next: Step::Invalid(msg),
+        cpu_instructions: 0,
+    })
+}
+
 /// The UPDATE step all algorithms share: one batch-kernel call over the
 /// leaf, then every entry within the current `D_k` is offered (an offer
 /// past `D_k` is a no-op; ties must still be offered for the object-id

@@ -7,7 +7,9 @@
 //! no intra-query parallelism — the paper's motivation for CRSS.
 
 use crate::access::{AccessMethod, IndexNode};
-use crate::algo::{scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step};
+use crate::algo::{
+    invalid_root, scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step,
+};
 use sqda_geom::Point;
 use sqda_simkernel::cpu_instructions_for_batch;
 use sqda_storage::PageId;
@@ -60,6 +62,9 @@ impl SimilaritySearch for Bbss {
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
+        if let Some(invalid) = invalid_root(nodes, self.root, self.query.coords()) {
+            return invalid;
+        }
         debug_assert_eq!(nodes.len(), 1, "BBSS fetches one node at a time");
         let mut scanned = 0u64;
         let mut sorted = 0u64;

@@ -32,8 +32,8 @@
 
 use crate::access::{AccessMethod, IndexNode};
 use crate::algo::{
-    push_candidates, scan_leaf, AlgoProgress, AlgoScratch, BatchResult, Neighbor, SimilaritySearch,
-    Step,
+    invalid_root, push_candidates, scan_leaf, AlgoProgress, AlgoScratch, BatchResult, Neighbor,
+    SimilaritySearch, Step,
 };
 use crate::threshold::{lemma1_threshold_sq, minmax_threshold_sq, reduce_candidates};
 use sqda_geom::Point;
@@ -175,6 +175,9 @@ impl SimilaritySearch for Crss {
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
+        if let Some(invalid) = invalid_root(nodes, self.root, self.query.coords()) {
+            return invalid;
+        }
         let mut scanned = 0u64;
         let mut sorted = 0u64;
         let q = self.query.coords();

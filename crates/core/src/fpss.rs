@@ -10,7 +10,8 @@
 
 use crate::access::{AccessMethod, IndexNode};
 use crate::algo::{
-    push_candidates, scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step,
+    invalid_root, push_candidates, scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch,
+    Step,
 };
 use crate::threshold::lemma1_threshold_sq;
 use sqda_geom::Point;
@@ -57,6 +58,9 @@ impl SimilaritySearch for Fpss {
     }
 
     fn on_fetched(&mut self, nodes: &mut Vec<(PageId, IndexNode)>) -> BatchResult {
+        if let Some(invalid) = invalid_root(nodes, self.root, self.query.coords()) {
+            return invalid;
+        }
         let mut scanned = 0u64;
         let (q, s) = (self.query.coords(), &mut self.s);
         s.cands.clear();

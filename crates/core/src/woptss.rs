@@ -63,12 +63,6 @@ impl Woptss {
             s: std::mem::take(&mut scratch.algo).for_query(k),
         })
     }
-
-    /// The oracle radius (squared). Exposed for experiments that need the
-    /// answer sphere (e.g. plotting pruning effectiveness).
-    pub fn oracle_radius_sq(&self) -> f64 {
-        self.dk_sq
-    }
 }
 
 impl SimilaritySearch for Woptss {

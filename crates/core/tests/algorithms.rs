@@ -260,3 +260,40 @@ fn results_sorted_by_distance() {
         }
     }
 }
+
+/// A query point of the wrong dimensionality is a typed
+/// `QueryError::Invariant` from every algorithm under every executor —
+/// found on the root, before any kernel reads the point — never a panic
+/// or an answer.
+#[test]
+fn wrong_dimension_is_a_typed_error_everywhere() {
+    use sqda_core::{QueryError, RealTimeEngine, Simulation, Workload};
+    use sqda_simkernel::SystemParams;
+    use sqda_storage::InlineBackend;
+
+    let tree = build_tree(&random_points(300, 2, 91), 2, 4, 8);
+    let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+    let engine = RealTimeEngine::new(&tree, backend).unwrap();
+    let sim = Simulation::new(&tree, SystemParams::with_disks(4)).unwrap();
+    for dim in [1, 3] {
+        let point = Point::splat(dim, 0.5);
+        let want = format!("query point has {dim} dimensions but the tree has 2");
+        let check = |e: QueryError, executor: &str, kind: AlgorithmKind| match e {
+            QueryError::Invariant(msg) => assert_eq!(msg, want, "{executor} {kind}"),
+            other => panic!("{executor} {kind}: expected Invariant, got {other:?}"),
+        };
+        for kind in AlgorithmKind::ALL {
+            let logical = kind
+                .build(&tree, point.clone(), 5)
+                .and_then(|mut algo| run_query(&tree, algo.as_mut()));
+            check(logical.unwrap_err(), "logical", kind);
+
+            let workload = Workload::single(point.clone(), 5);
+            check(sim.run(kind, &workload, 7).unwrap_err(), "simulated", kind);
+
+            let mut real = engine.run(kind, &workload, 1).unwrap();
+            assert_eq!((real.completed, real.failed), (0, 1), "real-clock {kind}");
+            check(real.failures.remove(0).1, "real-clock", kind);
+        }
+    }
+}

@@ -29,16 +29,6 @@ impl Sphere {
         }
     }
 
-    /// Creates a sphere from its center and squared radius.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius_sq` is negative.
-    pub fn from_radius_sq(center: Point, radius_sq: f64) -> Self {
-        assert!(radius_sq >= 0.0, "squared radius must be non-negative");
-        Self { center, radius_sq }
-    }
-
     /// The center of the sphere.
     #[inline]
     pub fn center(&self) -> &Point {

@@ -6,9 +6,8 @@
 //! (fixed field order, shortest float repr), so a deterministic run
 //! produces byte-identical logs — the golden-file tests depend on this.
 
-use crate::event::{Event, Recorder};
+use crate::event::Event;
 use crate::json::ObjWriter;
-use std::io::Write;
 
 /// Renders one event as its canonical JSONL line (no trailing newline).
 pub fn event_to_json(ts_ns: u64, event: &Event) -> String {
@@ -175,56 +174,6 @@ pub fn events_to_jsonl(events: &[(u64, Event)]) -> String {
     out
 }
 
-/// A [`Recorder`] that streams events as JSONL to any writer (a file,
-/// a `Vec<u8>`, ...). Each event is rendered and written immediately;
-/// buffering policy is the writer's.
-pub struct JsonlRecorder<W: Write> {
-    writer: W,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> JsonlRecorder<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            error: None,
-        }
-    }
-
-    /// Flushes and returns the writer; surfaces any deferred I/O error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write error encountered while recording, or the
-    /// flush error.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> Recorder for JsonlRecorder<W> {
-    fn record(&mut self, ts_ns: u64, event: Event) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = event_to_json(ts_ns, &event);
-        if let Err(e) = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-        {
-            // Recording must never fail the simulation; the error is
-            // surfaced when the caller finishes the sink.
-            self.error = Some(e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,23 +302,5 @@ mod tests {
         let v = parse(lines[5]).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("query_abort"));
         assert_eq!(v.get("attempts").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn jsonl_recorder_streams_to_writer() {
-        let mut rec = JsonlRecorder::new(Vec::<u8>::new());
-        rec.record(1, Event::QueryArrive { query: 7 });
-        rec.record(
-            2,
-            Event::BusTransfer {
-                query: 7,
-                queue_ns: 5,
-                transfer_ns: 6,
-            },
-        );
-        let bytes = rec.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("{\"ts\":1,\"type\":\"query_arrive\",\"query\":7}\n"));
     }
 }

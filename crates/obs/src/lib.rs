@@ -4,11 +4,11 @@
 //! a [`Recorder`] seam the executor emits structured [`Event`]s through,
 //! plus sinks and post-run folds:
 //!
-//! * [`jsonl`] — streaming JSONL event log ([`JsonlRecorder`]);
+//! * [`jsonl`] — JSONL event log ([`events_to_jsonl`]);
 //! * [`perfetto`] — Chrome `trace_event` export ([`perfetto::chrome_trace`]),
 //!   loadable at <https://ui.perfetto.dev>: one track per disk / bus / CPU,
 //!   one async span per query;
-//! * [`metrics`] — counters, gauges, fixed-bucket histograms and the
+//! * [`metrics`] — counters, fixed-bucket histograms and the
 //!   [`MetricsSnapshot`] (per-disk time-in-queue and queue-depth
 //!   histograms, load imbalance, cache behaviour folded from the store's
 //!   `IoStats`);
@@ -37,13 +37,13 @@ pub mod stats;
 
 pub use event::{CollectingRecorder, Event, NullRecorder, QueryId, Recorder};
 pub use explain::{Prediction, QueryExplain};
-pub use jsonl::{event_to_json, events_to_jsonl, JsonlRecorder};
+pub use jsonl::{event_to_json, events_to_jsonl};
 pub use live::{
-    FlightRecorder, LiveCounter, LiveGauge, LiveHistogram, LiveTelemetry, QueryObservation,
-    SlowQueryLog, WindowStats,
+    FlightRecorder, LiveCounter, LiveHistogram, LiveTelemetry, QueryObservation, SlowQueryLog,
+    WindowStats,
 };
 pub use manifest::{discover_git_sha, RunManifest};
-pub use metrics::{Counter, DiskMetrics, Gauge, Histogram, MetricsSnapshot};
+pub use metrics::{Counter, DiskMetrics, Histogram, MetricsSnapshot};
 pub use perfetto::chrome_trace;
 pub use profile::{query_profiles, Breakdown, CrssPoint, QueryProfile};
 pub use sink::{metrics_document, trace_document, write_observability};

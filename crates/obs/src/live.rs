@@ -9,7 +9,6 @@
 //! provides that plane:
 //!
 //! * [`LiveCounter`] — a wait-free atomic monotone counter;
-//! * [`LiveGauge`] — an atomic `f64` point-in-time value;
 //! * [`LiveHistogram`] — a sharded atomic histogram over the same
 //!   static log-spaced bucket bounds as [`Histogram`]; `observe` is
 //!   wait-free on the bucket/count increments (plain `fetch_add`) and
@@ -43,7 +42,7 @@ use crate::metrics::{
 use crate::stats::percentile;
 use std::cell::UnsafeCell;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -131,36 +130,6 @@ impl LiveCounter {
     /// Snapshot into the post-hoc vocabulary.
     pub fn snapshot(&self) -> Counter {
         Counter(self.get())
-    }
-}
-
-/// An atomic `f64` point-in-time value (last write wins) — the live
-/// twin of [`Gauge`](crate::Gauge).
-#[derive(Debug)]
-pub struct LiveGauge(AtomicU64);
-
-impl Default for LiveGauge {
-    fn default() -> Self {
-        Self(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl LiveGauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -506,7 +475,6 @@ pub struct QueryObservation<'a> {
 /// mutex — the *only* lock in the live plane — paid exclusively by
 /// queries that already exceeded the threshold.
 pub struct SlowQueryLog {
-    path: PathBuf,
     file: Mutex<std::fs::File>,
 }
 
@@ -514,29 +482,14 @@ impl SlowQueryLog {
     /// Creates (truncates) the log at `path`.
     pub fn create(path: &Path) -> std::io::Result<Self> {
         Ok(Self {
-            path: path.to_path_buf(),
             file: Mutex::new(std::fs::File::create(path)?),
         })
     }
 
-    /// Where the log lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Renders one observation as its JSONL line (without newline).
-    pub fn line(ts_ns: u64, o: &QueryObservation<'_>) -> String {
-        Self::line_with_explain(ts_ns, o, None)
-    }
-
-    /// Like [`Self::line`], with the query's rendered
-    /// [`QueryExplain`](crate::explain::QueryExplain) JSON embedded
-    /// under an `explain` key when available.
-    pub fn line_with_explain(
-        ts_ns: u64,
-        o: &QueryObservation<'_>,
-        explain: Option<&str>,
-    ) -> String {
+    /// Appends one observation's line, with the query's rendered
+    /// [`QueryExplain`](crate::explain::QueryExplain) JSON embedded under
+    /// an `explain` key when available.
+    fn append(&self, ts_ns: u64, o: &QueryObservation<'_>, explain: Option<&str>) {
         let mut w = ObjWriter::new();
         w.field_u64("ts_ns", ts_ns);
         w.field_u64("query", o.query as u64);
@@ -553,11 +506,7 @@ impl SlowQueryLog {
         if let Some(explain) = explain {
             w.field_raw("explain", explain);
         }
-        w.finish()
-    }
-
-    fn append(&self, ts_ns: u64, o: &QueryObservation<'_>, explain: Option<&str>) {
-        let line = Self::line_with_explain(ts_ns, o, explain);
+        let line = w.finish();
         if let Ok(mut file) = self.file.lock() {
             // Telemetry must never fail the query: drop the line on I/O
             // errors rather than surface them into the serving path.
@@ -681,15 +630,6 @@ impl LiveTelemetry {
     /// (0 disables it again).
     pub fn with_flight_recorder(mut self, capacity: usize) -> Self {
         self.flight = (capacity > 0).then(|| FlightRecorder::new(capacity));
-        self
-    }
-
-    /// Overrides the sliding window (length and retained completions).
-    /// The model-residual windows follow the same bounds.
-    pub fn with_window(mut self, capacity: usize, window_ns: u64) -> Self {
-        self.window = WindowRing::new(capacity, window_ns);
-        self.residual_accesses = WindowRing::new(capacity, window_ns);
-        self.residual_latency = WindowRing::new(capacity, window_ns);
         self
     }
 
@@ -889,16 +829,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let c = LiveCounter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.snapshot(), Counter(5));
-        let g = LiveGauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(3.25);
-        assert_eq!(g.get(), 3.25);
     }
 
     #[test]

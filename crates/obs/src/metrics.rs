@@ -1,10 +1,9 @@
-//! Metrics registry: counters, gauges and fixed-bucket histograms, plus
-//! the [`MetricsSnapshot`] folded from a recorded event stream.
+//! Metrics registry: counters and fixed-bucket histograms, plus the
+//! [`MetricsSnapshot`] folded from a recorded event stream.
 //!
 //! The histograms use fixed, pre-declared bucket upper bounds (in
 //! milliseconds for time distributions) rather than adaptive binning, so
-//! snapshots from different runs are directly comparable and merging is
-//! a per-bucket add.
+//! snapshots from different runs are directly comparable.
 
 use crate::event::Event;
 use crate::json::{f64_array, u64_array, ObjWriter};
@@ -19,17 +18,6 @@ impl Counter {
     /// Adds `n` to the count.
     pub fn add(&mut self, n: u64) {
         self.0 += n;
-    }
-}
-
-/// A point-in-time value (last write wins).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(pub f64);
-
-impl Gauge {
-    /// Overwrites the value.
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
     }
 }
 
@@ -184,22 +172,6 @@ impl Histogram {
             self.bounds[hi_bucket].min(self.max)
         };
         (lower, upper)
-    }
-
-    /// Adds another histogram's observations into this one. Panics if
-    /// the bucket bounds differ — merging across schemas is a bug.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            std::ptr::eq(self.bounds, other.bounds) || self.bounds == other.bounds,
-            "histogram bound mismatch"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     fn to_json(&self) -> String {
@@ -478,18 +450,6 @@ mod tests {
         assert_eq!(h.max(), 9_999.0);
         assert_eq!(h.buckets()[0], 1);
         assert_eq!(h.buckets()[TIME_MS_BOUNDS.len()], 1);
-        let mut h2 = Histogram::new(TIME_MS_BOUNDS);
-        h2.observe(0.005);
-        h.merge(&h2);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.buckets()[0], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram bound mismatch")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut h = Histogram::new(TIME_MS_BOUNDS);
-        h.merge(&Histogram::new(DEPTH_BOUNDS));
     }
 
     fn disk_event(disk: u16, queue_ns: u64) -> (u64, Event) {

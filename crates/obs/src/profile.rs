@@ -184,16 +184,6 @@ pub fn query_profiles(events: &[(u64, Event)]) -> Vec<QueryProfile> {
     map.into_values().collect()
 }
 
-/// Renders profiles as a JSONL document (one profile per line).
-pub fn profiles_to_jsonl(profiles: &[QueryProfile]) -> String {
-    let mut out = String::new();
-    for p in profiles {
-        out.push_str(&p.to_json());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +265,5 @@ mod tests {
         let levels = doc.get("nodes_per_level").unwrap().as_arr().unwrap();
         assert_eq!(levels.len(), 3);
         assert!(doc.get("crss").is_some());
-        let jsonl = profiles_to_jsonl(&profiles);
-        assert_eq!(jsonl.lines().count(), 1);
     }
 }

@@ -67,11 +67,6 @@ impl DiskParams {
         }
     }
 
-    /// Average rotational latency (half a revolution).
-    pub fn avg_rotational_latency_s(&self) -> f64 {
-        self.revolution_time_s / 2.0
-    }
-
     /// A worst-case bound on one request's service time (full-stroke seek,
     /// full revolution, transfer, overhead).
     pub fn max_service_time_s(&self) -> f64 {

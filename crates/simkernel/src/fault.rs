@@ -333,11 +333,6 @@ impl DiskFaultProfile {
             .filter(|&&(from, until, _)| at >= from && at < until)
             .fold(SimTime::ZERO, |acc, &(_, _, e)| acc + e)
     }
-
-    /// Fail-stop windows `(at, recovers_at)`, in plan order.
-    pub fn fail_windows(&self) -> &[(SimTime, Option<SimTime>)] {
-        &self.fail
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 #!/bin/bash
 # CI `scale-smoke`: external-build equivalence tests and a streamed CSV
 # build under a 1 GiB address-space limit (`experiment bench_scale`'s
-# JSON is checked by tools/ci/test.sh). Outputs: target/ci/scale-smoke.
+# fragment, `benches.bench_scale` of the quick sweep's summary, is
+# checked by tools/ci/test.sh). Outputs: target/ci/scale-smoke.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 OUT=target/ci/scale-smoke

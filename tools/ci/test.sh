@@ -2,11 +2,12 @@
 # CI `test`: the tier-1 line, locked and offline under an empty
 # CARGO_HOME (so it passes only while the workspace takes no registry
 # crate), then code lines per crate, one quick experiment sweep (5
-# replications per data point) with its JSON checked — the hot-path
-# counters, the external build's scale points, the fault sweep and the
-# explain records — gated against the committed baseline with
-# noise-aware bands and the build's scaling band and file-call budget,
-# and rendered as the HTML dashboard, then a degraded-mode CLI run.
+# replications per data point) with its summary checked — the fault
+# sweep, the explain records, the hot-path counters and the external
+# build's scale points, all read from the schema-v2 fragments under
+# `benches` — gated against the committed baseline with noise-aware
+# bands and the build's scaling band and file-call budget, and rendered
+# as the HTML dashboard, then a degraded-mode CLI run.
 # Outputs: target/ci/test (the sweep and dashboard in target/ci/test/results).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
@@ -23,106 +24,111 @@ R="$OUT/results"
 target/release/experiment all --quick --out "$R" \
   --trace "$R/demo_trace.json" --metrics "$R/demo_metrics.json"
 python3 - "$R" <<'PY'
-import json, sys
+import glob, json, os, sys
 r = sys.argv[1]
 
+# The summary is the one results document: no side files, no legacy
+# headline array beside the headline fragment.
+docs = sorted(os.path.basename(p) for p in glob.glob(f'{r}/BENCH_*.json'))
+assert docs == ['BENCH_summary.json'], docs
 s = json.load(open(f'{r}/BENCH_summary.json'))
+assert 'headline' not in s, sorted(s)
 assert all(e['ok'] for e in s['experiments']), s['experiments']
-assert s['headline'], s
 # Exactly one fragment per experiment plus the headline run: a missing
 # fragment, or a stale one that made it into the merge, fails here.
 names = {e['name'] for e in s['experiments']} | {'headline'}
 assert set(s['benches']) == names, sorted(set(s['benches']) ^ names)
 
-b = json.load(open(f'{r}/BENCH_fault.json'))
-assert b['bench'] == 'fault_sweep', b
-assert b['config']['mirrored_reads'] is True
-pts = b['points']
-assert {p['algorithm'] for p in pts} == {'BBSS', 'FPSS', 'CRSS', 'WOPTSS'}
-healthy = [p for p in pts if p['failed_disks'] == 0]
-assert healthy and all(p['degraded_reads'] == 0 and p['aborted'] == 0 for p in healthy), healthy
-worst = max(p['failed_disks'] for p in pts)
-degraded = [p for p in pts if p['failed_disks'] == worst]
+def metrics(bench):
+    # {name: {labels (sorted tuple): mean}} of one bench's fragment.
+    out = {}
+    for m in s['benches'][bench]['metrics']:
+        out.setdefault(m['name'], {})[tuple(sorted(m['labels'].items()))] = m['mean']
+    return out
+
+def params(bench):
+    return json.load(open(f'{r}/{bench}.manifest.json'))['params']
+
+hl = metrics('headline')['mean_response_s']
+assert {dict(l)['algorithm'] for l in hl} == {'BBSS', 'FPSS', 'CRSS', 'WOPTSS'}, hl
+assert all(v > 0 for v in hl.values()), hl
+
+# Fault sweep, replication 0's exact counters per (failed, algorithm).
+f = metrics('fault_sweep')
+points = {l: (dict(l), v) for l, v in f['completed'].items()}
+assert {p['algorithm'] for p, _ in points.values()} == {'BBSS', 'FPSS', 'CRSS', 'WOPTSS'}
+assert set(f['aborted_queries']) == set(f['degraded_reads']) == set(points)
+healthy = [l for l, (p, _) in points.items() if p['failed'] == '0']
+assert healthy and all(f['degraded_reads'][l] == 0 and f['aborted_queries'][l] == 0
+                       for l in healthy), healthy
+worst = max(int(p['failed']) for p, _ in points.values())
+degraded = [l for l, (p, _) in points.items() if int(p['failed']) == worst]
 # Mirrored array: reads degrade to the shadow partner, nothing aborts.
-assert all(p['aborted'] == 0 and p['completed'] > 0 for p in degraded), degraded
-assert sum(p['degraded_reads'] for p in degraded) > 0, degraded
-print('BENCH_fault OK:', len(pts), 'points, worst case', worst, 'failed disks')
+assert all(f['aborted_queries'][l] == 0 and f['completed'][l] > 0 for l in degraded), degraded
+assert sum(f['degraded_reads'][l] for l in degraded) > 0, degraded
+print('fault_sweep OK:', len(points), 'points, worst case', worst, 'failed disks')
 
-b = json.load(open(f'{r}/BENCH_explain.json'))
-assert b['bench'] == 'bench_explain', b
-pts = b['points']
-assert pts, b
-ks = [p['k'] for p in pts]
-assert ks == sorted(ks) and len(set(ks)) == len(ks), ks
-for p in pts:
-    assert p['predicted_accesses'] > 0 and p['observed_accesses'] > 0, p
-    assert p['mean_abs_residual_accesses'] >= 0, p
-    assert p['observed_response_ms'] > 0, p
-cal = b['calibration']
-assert cal['schema'] == 1 and cal['source'] == 'trace', cal
-assert cal['samples'] > 0 and cal['mean_service_s'] > 0, cal
-s = b['sample']
-for key in ('algo', 'observed_accesses', 'predicted_accesses',
-            'residual_accesses', 'level_accesses', 'reads_per_disk'):
-    assert key in s, (key, s)
-print('BENCH_explain OK:', len(pts), 'k points,', cal['samples'], 'calibration samples')
-PY
+e = metrics('bench_explain')
+ks = sorted(int(dict(l)['k']) for l in e['mean_observed_accesses'])
+assert len(ks) >= 2 and len(set(ks)) == len(ks), ks
+for k in ks:
+    l = (('k', str(k)),)
+    assert e['predicted_accesses'][l] > 0 and e['mean_observed_accesses'][l] > 0, k
+    assert e['mean_abs_residual_accesses'][l] >= 0, k
+    assert e['mean_observed_response_ms'][l] > 0, k
+samples = e['calibration_samples'][()]
+assert samples > 0 and e['calibration_mean_service_ms'][()] > 0, e
+for term in ('calibration_mean_seek_ms', 'calibration_mean_rotation_ms', 'calibration_fixed_ms'):
+    assert e[term][()] >= 0, (term, e[term])
+print('bench_explain OK:', len(ks), 'k points,', samples, 'calibration samples')
 
-python3 - "$R/BENCH_hotpath.json" <<'PY'
-import json, sys
-b = json.load(open(sys.argv[1]))
-assert b['bench'] == 'hotpath', b
-cfg = b['config']
-for key in ('dim', 'page_size', 'objects', 'nodes', 'cache_pages', 'reps'):
-    assert isinstance(cfg[key], int) and cfg[key] > 0, (key, cfg)
+h = {name: v.get((), v) for name, v in metrics('bench_hotpath').items()}
+cfg = params('bench_hotpath')
+for key in ('dim', 'page_size', 'objects', 'nodes', 'cache_pages'):
+    assert int(cfg[key]) > 0, (key, cfg)
+assert s['benches']['bench_hotpath']['reps'] > 0
 for key in ('decode_leaf_ns', 'decode_internal_ns',
             'warm_traversal_ns_per_node', 'knn_warm_ns_per_query',
-            'batch_knn_b8_ns_per_query', 'crss_hot_query_ns',
+            'batch_knn_ns_per_query', 'crss_hot_query_ns',
             'crss_hot_nodes_per_query', 'crss_hot_rounds_per_query'):
-    v = b[key]
-    assert isinstance(v, (int, float)) and v > 0, (key, v)
+    assert h[key] > 0, (key, h[key])
 # Every read of the hot query is free, so CRSS activates one branch per
 # round: each round is exactly one page.
-assert b['crss_hot_nodes_per_query'] == b['crss_hot_rounds_per_query'], b
+assert h['crss_hot_nodes_per_query'] == h['crss_hot_rounds_per_query'], h
 # A hot CRSS query allocates what its reply owns and nothing else
 # (exact counts; core/tests/hot_allocs.rs pins the same).
-assert 0 < b['allocs_per_query'] <= 16, b['allocs_per_query']
-assert 0 < b['bytes_per_query'] <= 4096, b['bytes_per_query']
-# Kernel section: ns/entry for the three kernels at every specialised
-# dimensionality measured and at dim 10 (runtime `dim`), all three
-# batch sizes; batching a full node must not be slower per entry than
-# one-at-a-time calls.
-kern = b['kernel_ns_per_entry']
+assert 0 < h['allocs_per_query'] <= 16, h['allocs_per_query']
+assert 0 < h['bytes_per_query'] <= 4096, h['bytes_per_query']
+# Kernel section: ns/entry (mean of the per-rep samples) for the three
+# kernels at every specialised dimensionality measured and at dim 10
+# (runtime `dim`), all three batch sizes; batching a full node must not
+# be slower per entry than one-at-a-time calls.
+kern = {tuple(v for _, v in l): m for l, m in h['kernel_ns_per_entry'].items()}
 for kernel in ('dist_sq', 'min_dist', 'rect_metrics'):
-    for dim in ('dim2', 'dim3', 'dim5', 'dim8', 'dim10'):
-        cell = kern[kernel][dim]
-        for batch in ('b1', 'b8', 'b64'):
-            assert cell[batch] > 0, (kernel, dim, batch, cell)
-        assert cell['b64'] <= cell['b1'], (kernel, dim, cell)
+    for dim in ('2', '3', '5', '8', '10'):
+        cell = {b: kern[(b, dim, kernel)] for b in ('1', '8', '64')}
+        assert all(v > 0 for v in cell.values()), (kernel, dim, cell)
+        assert cell['64'] <= cell['1'], (kernel, dim, cell)
 # The telemetry plane's per-event costs (DESIGN.md's overhead contract).
-tel = b['telemetry_ns']
+tel = {dict(l)['op']: v for l, v in h['telemetry_ns'].items()}
 for op in ('observe_query', 'histogram_observe_contended', 'flight_record',
            'prometheus_render'):
     assert tel[op] > 0, (op, tel)
 # The shared-traversal counters are exact over the deterministic tree:
-# 8 clustered queries must share fetches.
-assert b['batch_knn_unique_fetches'] < b['batch_knn_total_interest'], b
-assert b['batch_knn_rounds'] >= 2, b
-print('BENCH_hotpath OK:', b)
-PY
+# 8 clustered queries must share fetches (total interest over unique
+# fetches above 1).
+assert h['batch_knn_sharing_factor'] > 1, h
+assert h['batch_knn_rounds'] >= 2, h
+print('bench_hotpath OK:', {k: v for k, v in h.items() if not isinstance(v, dict)})
 
-python3 - "$R/BENCH_scale.json" <<'PY'
-import json, sys
-b = json.load(open(sys.argv[1]))
-assert b['bench'] == 'bench_scale', b
-cfg = b['config']
-for key in ('disks', 'k', 'dim', 'page_size', 'run_capacity', 'cache_bytes', 'queries'):
-    assert isinstance(cfg[key], int) and cfg[key] > 0, (key, cfg)
-pts = b['points']
-assert len(pts) >= 2, pts
-ns = [p['n'] for p in pts]
-assert ns == sorted(ns) and len(set(ns)) == len(ns), ns
-for p in pts:
+b = metrics('bench_scale')
+cfg = params('bench_scale')
+for key in ('disks', 'k', 'page_size', 'run_capacity', 'cache_bytes', 'queries'):
+    assert int(cfg[key]) > 0, (key, cfg)
+ns = sorted(int(dict(l)['n']) for l in b['build_wall_s'] if len(l) == 1)
+assert len(ns) >= 2 and len(set(ns)) == len(ns), ns
+for n in ns:
+    p = {name: v[(('n', str(n)),)] for name, v in b.items() if (('n', str(n)),) in v}
     # Every scale point must actually have gone out of core.
     assert p['runs'] > 1 and p['spilled_pages'] > 0, p
     assert p['merge_passes'] >= 1, p
@@ -130,17 +136,18 @@ for p in pts:
     # Positional file calls: at least one per node written, and well
     # under one per page moved.
     assert p['nodes'] < p['io_calls'] < p['nodes'] + p['spilled_pages'], p
-    assert abs(p['io_calls_per_point'] - p['io_calls'] / p['n']) < 1e-4, p
-    assert p['build_s'] > 0 and p['height'] >= 2, p
-    for key in ('cold_mean_s', 'cold_p95_s', 'warm_mean_s', 'warm_p95_s',
-                'cold_reads_per_query'):
+    assert p['build_wall_s'] > 0 and p['height'] >= 2, p
+    for key in ('cold_knn_mean_s', 'warm_knn_mean_s', 'cold_reads_per_query'):
         assert p[key] > 0, (key, p)
     assert 0 < p['warm_cache_hit_ratio'] <= 1, p
     assert 0.5 < p['avg_fill'] <= 1.0, p
 # The largest scale again under the builder's default options.
-d = b['default_options']
-assert d['n'] == ns[-1] and d['build_s'] > 0 and d['run_capacity'] > 0, d
-print('BENCH_scale OK:', [(p['n'], round(p['build_s'], 2)) for p in pts])
+rebuild = [dict(l) for l in b['build_wall_s'] if len(l) == 2]
+assert len(rebuild) == 1, rebuild
+d = rebuild[0]
+assert int(d['n']) == ns[-1] and int(d['run_capacity']) > 0, d
+assert b['build_wall_s'][tuple(sorted(d.items()))] > 0, d
+print('bench_scale OK:', [(n, round(b['build_wall_s'][(('n', str(n)),)], 2)) for n in ns])
 PY
 
 # The sweep against the committed baseline, with the committed
@@ -148,9 +155,9 @@ PY
 # whose file-call count is exact (FileStore::io_calls), so that gate has
 # no band: scratch runs must go by extents, not page by page.
 target/release/check_regression --current "$R/BENCH_summary.json" \
-  --baseline results/BASELINE.json --scale results/BENCH_scale.json
+  --baseline results/BASELINE.json --scale results/bench/bench_scale.json
 target/release/check_regression --current "$R/BENCH_summary.json" \
-  --baseline results/BASELINE.json --scale "$R/BENCH_scale.json"
+  --baseline results/BASELINE.json --scale "$R/BENCH_summary.json"
 target/release/sqda report --results-dir "$R" --out "$R/report.html"
 
 # Degraded mode through the CLI: fail-stop two disks, reads go to the shadows.
