@@ -34,6 +34,8 @@
 //! — the accuracy class such closed forms are known to achieve on
 //! low-dimensional data.
 
+#![forbid(unsafe_code)]
+
 mod calibration;
 mod predict;
 mod profile;

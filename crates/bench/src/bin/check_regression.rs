@@ -24,6 +24,8 @@
 //! Exit status: 0 clean, 1 findings (regressions or missing metrics),
 //! 2 usage/parse errors.
 
+#![forbid(unsafe_code)]
+
 use sqda_bench::report::{
     build_scaling, compare_summary_text, FindingKind, BUILD_SCALING_BAND, IO_CALL_SHARE_LIMIT,
 };

@@ -27,9 +27,10 @@
 //!   query's nodes and fetch rounds (exact). Every read is free, so CRSS
 //!   takes one branch per round and the two are equal;
 //! * `telemetry_ns` — what the live telemetry plane charges: per
-//!   `observe_query` fold, per histogram observe under seven writer
-//!   threads, per flight-ring push, and per Prometheus render of a plane
-//!   that has seen 10 000 queries (off the query path).
+//!   `observe_query` fold, alone and while seven writer threads fold
+//!   queries into the same registry, per flight-recorder push, and per
+//!   Prometheus render of a plane that has seen 10 000 queries (off the
+//!   query path).
 //!
 //! The trees are built deterministically (no RNG), so the byte layout
 //! under measurement is identical across runs and machines; only the
@@ -47,8 +48,7 @@ use sqda_bench::{
 };
 use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine, Workload};
 use sqda_geom::{kernel, Point};
-use sqda_obs::metrics::TIME_MS_BOUNDS;
-use sqda_obs::{Event, LiveHistogram, LiveTelemetry, QueryObservation};
+use sqda_obs::{Event, LiveTelemetry, QueryObservation};
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{codec, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, InlineBackend, NodeCache, PageId, PageStore};
@@ -173,28 +173,26 @@ fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
 
     let live = LiveTelemetry::new(8);
     let observe_query = sample_ns(reps, 20_000, 20_000, |i| {
-        live.observe_query(black_box(&observation(i)))
+        live.observe_query(black_box(&observation(i)), None)
     });
 
-    // Seven writer threads hammer the sharded histogram while this one
-    // observes: what a serving thread pays while others record.
-    let hist = LiveHistogram::new(TIME_MS_BOUNDS);
+    // Seven writer threads fold queries into the registry while this one
+    // does: what a serving thread pays while others complete queries.
+    let shared = LiveTelemetry::new(8);
     let stop = AtomicBool::new(false);
     let contended = std::thread::scope(|s| {
         for t in 0..7 {
-            let (hist, stop) = (&hist, &stop);
+            let (shared, stop) = (&shared, &stop);
             s.spawn(move || {
-                let mut v = 0.1 + t as f64;
+                let mut i = t;
                 while !stop.load(Relaxed) {
-                    v = (v * 1.3) % 4000.0;
-                    hist.observe(v);
+                    shared.observe_query(&observation(i), None);
+                    i += 7;
                 }
             });
         }
-        let mut v = 0.013f64;
-        let samples = sample_ns(reps, 20_000, 20_000, |_| {
-            v = (v * 1.7) % 4000.0;
-            hist.observe(black_box(v));
+        let samples = sample_ns(reps, 20_000, 20_000, |i| {
+            shared.observe_query(black_box(&observation(i)), None)
         });
         stop.store(true, Relaxed);
         samples
@@ -209,7 +207,7 @@ fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
     for i in 0..10_000 {
         loaded.begin_query();
         loaded.observe_disk_read((i % 8) as u32, 300_000, 1_200_000, (i % 5) as u32);
-        loaded.observe_query(&observation(i));
+        loaded.observe_query(&observation(i), None);
     }
     let render = sample_ns(reps, 20, 20, |_| {
         black_box(loaded.prometheus(None, None).len());
@@ -217,7 +215,7 @@ fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
 
     vec![
         ("observe_query", observe_query),
-        ("histogram_observe_contended", contended),
+        ("observe_query_contended", contended),
         ("flight_record", flight_record),
         ("prometheus_render", render),
     ]

@@ -65,7 +65,7 @@ fn knn_pass(tree: &RStarTree<FileStore>, queries: &[Point]) -> (Vec<f64>, Vec<Ve
         answers.push(a);
     }
     let mut sorted = lat;
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    sorted.sort_by(f64::total_cmp);
     (sorted, answers)
 }
 

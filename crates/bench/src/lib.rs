@@ -10,6 +10,8 @@
 //! (smaller populations, fewer queries) with the same code paths — used
 //! by CI and the smoke tests; the default configuration is paper scale.
 
+#![forbid(unsafe_code)]
+
 use sqda_core::SimulationReport;
 use sqda_datasets::Dataset;
 use sqda_geom::Point;

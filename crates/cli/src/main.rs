@@ -13,6 +13,8 @@
 //! sqda report   --results-dir results --out report.html
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod meta;

@@ -88,8 +88,8 @@
 //!
 //! Every server carries a [`LiveTelemetry`] registry: the engine feeds
 //! per-query component breakdowns and the I/O backend feeds per-disk
-//! service times through the `ReadObserver` seam, all lock-free on the
-//! query path. `--flight-cap` (or `--trace`) arms the bounded
+//! service times through the `ReadObserver` seam, each update cheap on
+//! the query path. `--flight-cap` (or `--trace`) arms the bounded
 //! flight-recorder ring that `DUMP-TRACE` and `--trace` export as a
 //! Perfetto trace; `--slow-query-ms` / `--slow-query-log` append a JSONL
 //! breakdown line for every query at or over the threshold.
@@ -244,8 +244,9 @@ pub fn serve(args: &Args) -> CmdResult {
     // `sqda explain` against this store) predicts with observed service
     // times. Skipped when no reads were served.
     if !uncalibrated {
-        let requests: u64 = live.disks().iter().map(|d| d.requests.get()).sum();
-        let busy_ns: u64 = live.disks().iter().map(|d| d.busy_ns.get()).sum();
+        let disks = live.snapshot().disks;
+        let requests: u64 = disks.values().map(|d| d.requests.0).sum();
+        let busy_ns: u64 = disks.values().map(|d| d.busy_ns.0).sum();
         let reference = DiskServiceModel::from_params(&base_params.disk);
         if let Some(cal) = DeviceCalibration::fit_from_totals(requests, busy_ns, &reference) {
             cal.save(&calibration_path)?;
@@ -563,14 +564,11 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             };
             let _ = write!(out, " cache_hit_ratio={ratio:.4}");
             if let Some(live) = engine.telemetry() {
-                let w = live.window_stats();
+                let (w, degraded_reads) = live.stats();
                 let _ = write!(
                     out,
                     " degraded_reads={} window_qps={:.3} window_p50_ms={:.3} window_p99_ms={:.3}",
-                    live.degraded_reads.get(),
-                    w.qps,
-                    w.p50_ms,
-                    w.p99_ms
+                    degraded_reads, w.qps, w.p50_ms, w.p99_ms
                 );
             }
             out.push_str(" reads_per_disk=");

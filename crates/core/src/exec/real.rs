@@ -422,9 +422,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         // served request) are as they stand.
         let mut sorted = std::borrow::Cow::from(&responses[..]);
         if completed > 1 {
-            sorted
-                .to_mut()
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+            sorted.to_mut().sort_by(f64::total_cmp);
         }
         Ok(RealTimeReport {
             algorithm: kind.name(),
@@ -564,7 +562,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         });
         if let Some(live) = live {
             let json = record.as_ref().map(|r| r.to_json());
-            live.observe_query_explained(&seen, json.as_deref());
+            live.observe_query(&seen, json.as_deref());
             if let Some(accesses) = record.as_ref().and_then(|r| r.residual_accesses()) {
                 // Saturated predictions have no latency residual; NaN is
                 // dropped by the window, the access residual still lands.
@@ -609,7 +607,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         let mut rounds = || -> Result<(), QueryError> {
             while session.next_batch(nar, pages)? {
                 if let Some(live) = &self.live {
-                    live.batch_size.observe(pages.len() as f64);
+                    live.observe_batch(pages.len());
                 }
                 if let Some(x) = explain.as_deref_mut() {
                     x.batch_sizes.push(pages.len() as u32);

@@ -62,6 +62,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod algo;
 pub mod batch;

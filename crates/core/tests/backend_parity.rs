@@ -539,13 +539,12 @@ fn telemetry_enabled_run_is_work_identical() {
         assert_answers_identical(kind, &bare, &observed, "bare vs telemetry");
         assert_work_identical(kind, &bare, &observed, "bare vs telemetry");
         // The registry saw every query and exactly the physical reads.
-        assert_eq!(
-            live.queries_completed.get(),
-            queries().len() as u64,
-            "{kind}"
-        );
-        assert_eq!(live.queries_failed.get(), 0, "{kind}");
-        let observed_reads: Vec<u64> = live.disks().iter().map(|d| d.requests.get()).collect();
+        let snap = live.snapshot();
+        assert_eq!(snap.queries_completed.0, queries().len() as u64, "{kind}");
+        assert_eq!(snap.queries_aborted.0, 0, "{kind}");
+        let observed_reads: Vec<u64> = (0..NUM_DISKS as u16)
+            .map(|d| snap.disks.get(&d).map_or(0, |d| d.requests.0))
+            .collect();
         assert_eq!(observed_reads, observed.io.reads_per_disk, "{kind}");
         assert!(live.flight().unwrap().recorded() > 0, "{kind}");
     }
@@ -623,7 +622,7 @@ fn live_histogram_brackets_report_percentiles() {
     let dir = tmpdir("percentiles");
     let root = build_store(&dir);
     let (_, live, report) = run_real_observed(&dir, root, AlgorithmKind::Crss);
-    let hist = live.response_ms.snapshot();
+    let hist = live.snapshot().response_ms;
     assert_eq!(hist.count(), report.completed as u64);
     for (q, exact_s) in [
         (0.5, report.p50_response_s),
@@ -953,6 +952,6 @@ fn failed_real_queries_are_narrated_as_aborts() {
     }
     let snapshot = MetricsSnapshot::from_events(recorder.events());
     assert_eq!(snapshot.queries_aborted.0, report.failed as u64);
-    assert_eq!(live.queries_failed.get(), report.failed as u64);
+    assert_eq!(live.snapshot().queries_aborted.0, report.failed as u64);
     std::fs::remove_dir_all(&dir).ok();
 }

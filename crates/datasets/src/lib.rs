@@ -21,6 +21,8 @@
 //! practice, and what makes k-NN experiments meaningful on skewed data):
 //! see [`Dataset::sample_queries`].
 
+#![forbid(unsafe_code)]
+
 mod csv;
 mod dataset;
 mod generators;

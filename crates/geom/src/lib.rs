@@ -26,6 +26,8 @@
 //! assert!(r.min_max_dist_sq(&p) >= r.min_dist_sq(&p));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod kernel;
 mod point;
 pub mod prop;

@@ -20,6 +20,7 @@
 //! byte-identical simulation results — recording observes, never steers.
 //! JSON is written and parsed by the dependency-free [`json`] module.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
@@ -38,10 +39,7 @@ pub mod stats;
 pub use event::{CollectingRecorder, Event, NullRecorder, QueryId, Recorder};
 pub use explain::{Prediction, QueryExplain};
 pub use jsonl::{event_to_json, events_to_jsonl};
-pub use live::{
-    FlightRecorder, LiveCounter, LiveHistogram, LiveTelemetry, QueryObservation, SlowQueryLog,
-    WindowStats,
-};
+pub use live::{FlightRecorder, LiveTelemetry, QueryObservation, WindowStats};
 pub use manifest::{discover_git_sha, RunManifest};
 pub use metrics::{Counter, DiskMetrics, Histogram, MetricsSnapshot};
 pub use perfetto::chrome_trace;

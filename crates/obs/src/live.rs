@@ -1,328 +1,128 @@
-//! The live telemetry plane: sharded, lock-free metrics a serving
-//! process mutates on its query hot path and scrapes while running.
+//! The live telemetry plane: the metrics a serving process updates on its
+//! query path and scrapes while running.
 //!
 //! The post-hoc [`Recorder`](crate::Recorder) seam of this crate is
 //! single-threaded (`&mut dyn Recorder`) and only yields numbers after a
-//! run ends; a TCP server answering queries from a worker pool needs the
-//! opposite: shared, always-on registries that many threads update
-//! concurrently and any thread can snapshot at any moment. This module
-//! provides that plane:
+//! run ends; a TCP server answering queries needs shared, always-on
+//! registries that its connection and disk-worker threads update and any
+//! thread can snapshot at any moment. This module provides that plane:
 //!
-//! * [`LiveCounter`] — a wait-free atomic monotone counter;
-//! * [`LiveHistogram`] — a sharded atomic histogram over the same
-//!   static log-spaced bucket bounds as [`Histogram`]; `observe` is
-//!   wait-free on the bucket/count increments (plain `fetch_add`) and
-//!   lock-free on the sum/min/max (CAS loops), and `snapshot()` merges
-//!   the shards into an ordinary [`Histogram`] — observed from N
-//!   threads it aggregates to exactly what the single-threaded
-//!   histogram fed the same values would hold;
-//! * [`WindowRing`] — a bounded ring of recent `(timestamp, value)`
-//!   completions for rolling qps and windowed percentiles;
-//! * [`FlightRecorder`] — a bounded ring of recent obs [`Event`]s (the
+//! * [`LiveTelemetry`] — the registry: query counters, the response-time
+//!   and per-component distributions, per-disk service metrics, a sliding
+//!   window for rolling qps and windowed percentiles, and the drift
+//!   windows of the model residuals, all plain data behind one mutex. It
+//!   snapshots into the existing [`MetricsSnapshot`] vocabulary and
+//!   renders Prometheus text via [`prometheus`](crate::prometheus);
+//! * [`FlightRecorder`] — a bounded queue of recent obs [`Event`]s (the
 //!   "flight recorder"): always recording, drained on demand into a
 //!   Perfetto trace without ever growing;
-//! * [`SlowQueryLog`] — an append-only JSONL log of queries that ran
-//!   over a threshold, with the full per-component breakdown;
-//! * [`LiveTelemetry`] — the registry bundling all of the above for the
-//!   serving stack, snapshotting into the existing [`MetricsSnapshot`]
-//!   vocabulary and rendering Prometheus text via
-//!   [`prometheus`](crate::prometheus).
+//! * the slow-query log — an append-only JSONL file of queries that ran
+//!   over a threshold, with the full per-component breakdown.
 //!
-//! Overhead contract: nothing in the query path takes a lock. The rings
-//! use per-slot sequence stamps (writers never wait; a reader that
-//! catches a slot mid-write discards it), and the only mutex in the
-//! module guards the slow-query log file — paid exclusively by queries
-//! that already blew the latency threshold.
+//! Overhead contract: an update takes the registry's lock once and does
+//! a few integer adds and bucket searches under it (a disk's first read
+//! also inserts its entry); nothing under the lock sorts, formats, does
+//! I/O or calls out of this crate. A scrape copies under the lock and
+//! sorts, computes percentiles and formats after releasing it, so it
+//! reads one consistent state and holds writers off only for the copy.
+//! The flight recorder and the slow-query log each have their own lock;
+//! the log's file is written after the registry's lock is released, and
+//! only by queries that already blew the threshold.
 
 use crate::event::Event;
 use crate::json::ObjWriter;
-use crate::metrics::{
-    Counter, DiskMetrics, Histogram, MetricsSnapshot, DEPTH_BOUNDS, TIME_MS_BOUNDS,
-};
+use crate::metrics::{DiskMetrics, Histogram, MetricsSnapshot, TIME_MS_BOUNDS};
 use crate::stats::percentile;
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Number of shards per [`LiveHistogram`]: enough that a worker pool of
-/// typical width rarely collides on a cache line, small enough that
-/// snapshot merges stay trivial.
-const HIST_SHARDS: usize = 8;
-
-/// A process-wide small integer identifying the calling thread, used to
-/// spread threads across histogram shards. Assigned round-robin on
-/// first use per thread, so a steady worker pool maps to distinct
-/// shards whenever it is no wider than the shard count.
-fn thread_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SLOT.with(|s| *s)
+/// Locks `m`, recovering the guard if a holder panicked: every update
+/// leaves the data valid (counts and buckets only ever grow), and
+/// telemetry must never fail a query.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Adds `v` to an atomic `f64` stored as bits (CAS loop; lock-free).
-fn f64_fetch_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
+/// Sliding-window length: one minute.
+pub const DEFAULT_WINDOW_NS: u64 = 60_000_000_000;
+
+/// Completions (and residuals) a window retains for its percentiles.
+pub const DEFAULT_WINDOW_CAP: usize = 8192;
+
+/// The last `capacity` items pushed, oldest first, and the count of every
+/// item ever pushed.
+struct Bounded<T> {
+    items: VecDeque<T>,
+    capacity: usize,
+    pushed: u64,
 }
 
-/// Lowers an atomic `f64` minimum to `v` if smaller (CAS loop).
-fn f64_fetch_min(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while v < f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Raises an atomic `f64` maximum to `v` if larger (CAS loop).
-fn f64_fetch_max(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while v > f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// A wait-free monotone event count shared across threads — the live
-/// twin of [`Counter`].
-#[derive(Debug, Default)]
-pub struct LiveCounter(AtomicU64);
-
-impl LiveCounter {
-    /// An empty counter.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot into the post-hoc vocabulary.
-    pub fn snapshot(&self) -> Counter {
-        Counter(self.get())
-    }
-}
-
-/// One histogram shard, padded to its own cache line so concurrent
-/// writers on different shards never false-share.
-#[repr(align(64))]
-struct HistShard {
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl HistShard {
-    fn new(n_buckets: usize) -> Self {
+impl<T> Bounded<T> {
+    fn new(capacity: usize) -> Self {
         Self {
-            buckets: (0..n_buckets).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-}
-
-/// A sharded atomic histogram over the same static bucket bounds as
-/// [`Histogram`]. Threads observe into the shard indexed by their
-/// [`thread_slot`]; `snapshot()` merges the shards into an ordinary
-/// [`Histogram`] whose buckets, count and extrema are exactly what a
-/// single-threaded histogram fed the same values would hold (the sum
-/// too whenever the values are exactly representable, e.g. integers —
-/// f64 addition is order-sensitive only through rounding).
-pub struct LiveHistogram {
-    bounds: &'static [f64],
-    shards: Box<[HistShard]>,
-}
-
-impl LiveHistogram {
-    /// An empty histogram over `bounds` (see [`TIME_MS_BOUNDS`],
-    /// [`DEPTH_BOUNDS`]).
-    pub fn new(bounds: &'static [f64]) -> Self {
-        Self {
-            bounds,
-            shards: (0..HIST_SHARDS)
-                .map(|_| HistShard::new(bounds.len() + 1))
-                .collect(),
+            items: VecDeque::with_capacity(capacity),
+            capacity,
+            pushed: 0,
         }
     }
 
-    /// Records one observation. Bucket and count updates are single
-    /// `fetch_add`s (wait-free); sum/min/max are CAS loops (lock-free).
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        // Same bucket rule as `Histogram::observe`: first inclusive
-        // upper bound that fits, overflow bucket otherwise.
-        let idx = self
-            .bounds
+    /// Appends `item`, dropping the oldest once full.
+    fn push(&mut self, item: T) {
+        if self.items.len() == self.capacity {
+            self.items.pop_front();
+        }
+        self.items.push_back(item);
+        self.pushed += 1;
+    }
+}
+
+/// A window of `(completion timestamp ns, value)` samples.
+type Window = Bounded<(u64, f64)>;
+
+impl Window {
+    /// Copies out the values inside the window ending at `now_ns`, with
+    /// the span in ns their rate covers. The span is the effective
+    /// window: while the run is younger than the window (`now_ns` counts
+    /// from registry creation) it is the run's age, and once the queue
+    /// dropped samples it reaches back only to the oldest one retained —
+    /// never over uncovered time.
+    fn recent(&self, now_ns: u64) -> (Vec<f64>, u64) {
+        let floor = now_ns.saturating_sub(DEFAULT_WINDOW_NS);
+        let mut oldest = now_ns;
+        let values = self
+            .items
             .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        let shard = &self.shards[thread_slot() % HIST_SHARDS];
-        shard.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        f64_fetch_add(&shard.sum_bits, v);
-        f64_fetch_min(&shard.min_bits, v);
-        f64_fetch_max(&shard.max_bits, v);
-    }
-
-    /// Total observations across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Merges the shards into a plain [`Histogram`] snapshot.
-    pub fn snapshot(&self) -> Histogram {
-        let mut buckets = vec![0u64; self.bounds.len() + 1];
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for shard in &self.shards {
-            for (acc, b) in buckets.iter_mut().zip(shard.buckets.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            count += shard.count.load(Ordering::Relaxed);
-            sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-            min = min.min(f64::from_bits(shard.min_bits.load(Ordering::Relaxed)));
-            max = max.max(f64::from_bits(shard.max_bits.load(Ordering::Relaxed)));
-        }
-        Histogram::from_raw(self.bounds, buckets, count, sum, min, max)
+            .filter(|&&(ts, _)| ts >= floor && ts <= now_ns)
+            .map(|&(ts, v)| {
+                oldest = oldest.min(ts);
+                v
+            })
+            .collect();
+        let span_ns = if self.pushed > self.capacity as u64 {
+            now_ns.saturating_sub(oldest)
+        } else {
+            DEFAULT_WINDOW_NS.min(now_ns)
+        };
+        (values, span_ns.max(1))
     }
 }
 
-/// One slot of a sequence-stamped ring: the generation stamp brackets
-/// the payload write so readers can detect (and discard) a slot caught
-/// mid-update without writers ever waiting.
-struct SeqCell<T> {
-    seq: AtomicU64,
-    data: UnsafeCell<T>,
-}
-
-// Readers only dereference the cell between matching even sequence
-// stamps; a racing writer makes the stamps differ and the read is
-// discarded, so a torn value is never *used*. Payloads are plain-scalar
-// `Copy` types.
-unsafe impl<T: Copy + Send> Sync for SeqCell<T> {}
-
-/// A bounded, lock-free multi-producer ring buffer of `Copy` records;
-/// new records overwrite the oldest. Writers claim globally unique
-/// indices with one `fetch_add` and never wait; `snapshot` returns the
-/// most recent records best-effort (slots being overwritten during the
-/// read are skipped). Built for telemetry: losing a record under
-/// extreme contention is acceptable, blocking the hot path is not.
-pub struct Ring<T: Copy> {
-    slots: Box<[SeqCell<T>]>,
-    head: AtomicU64,
-}
-
-impl<T: Copy + Send> Ring<T> {
-    /// A ring of `capacity` slots primed with `placeholder` (never
-    /// surfaced: unwritten slots keep sequence 0, which matches no
-    /// generation).
-    pub fn new(capacity: usize, placeholder: T) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self {
-            slots: (0..capacity)
-                .map(|_| SeqCell {
-                    seq: AtomicU64::new(0),
-                    data: UnsafeCell::new(placeholder),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-        }
+/// Mean of `values`, 0 when empty (the residual gauges' idle reading).
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
     }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total records ever pushed (≥ the number still resident).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Appends a record, overwriting the oldest once full.
-    pub fn push(&self, value: T) {
-        let i = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(i % self.slots.len() as u64) as usize];
-        // Odd stamp = write in progress; final stamp encodes the
-        // generation, so a reader knows *which* record it saw.
-        slot.seq.store(2 * i + 1, Ordering::Release);
-        unsafe { std::ptr::write_volatile(slot.data.get(), value) };
-        slot.seq.store(2 * i + 2, Ordering::Release);
-    }
-
-    /// The resident records, oldest first, skipping any slot a writer
-    /// held mid-update at read time.
-    pub fn snapshot(&self) -> Vec<T> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let mut out = Vec::with_capacity(head.min(cap) as usize);
-        for i in head.saturating_sub(cap)..head {
-            let slot = &self.slots[(i % cap) as usize];
-            let want = 2 * i + 2;
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue; // torn or already overwritten
-            }
-            let value = unsafe { std::ptr::read_volatile(slot.data.get()) };
-            if slot.seq.load(Ordering::Acquire) == want {
-                out.push(value);
-            }
-        }
-        out
-    }
-}
-
-/// Sliding-window aggregation over recent query completions: rolling
-/// qps and windowed latency percentiles, computed from a bounded
-/// [`Ring`] of `(completion timestamp ns, response ms)` pairs.
-pub struct WindowRing {
-    ring: Ring<(u64, f64)>,
-    window_ns: u64,
 }
 
 /// What the sliding window knows right now.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
-    /// Completions inside the window (bounded by the ring capacity).
+    /// Completions inside the window (bounded by the window capacity).
     pub samples: u64,
     /// Completions per second over the effective window.
     pub qps: f64,
@@ -334,72 +134,16 @@ pub struct WindowStats {
     pub p99_ms: f64,
 }
 
-impl WindowRing {
-    /// A window of `window_ns` over at most `capacity` completions.
-    pub fn new(capacity: usize, window_ns: u64) -> Self {
+impl WindowStats {
+    /// Aggregates what [`Window::recent`] copied out.
+    fn of((mut values, span_ns): (Vec<f64>, u64)) -> Self {
+        if values.is_empty() {
+            return Self::default();
+        }
+        values.sort_by(f64::total_cmp);
         Self {
-            ring: Ring::new(capacity, (0u64, 0f64)),
-            window_ns,
-        }
-    }
-
-    /// Records one completion at `ts_ns` with response `value_ms`.
-    pub fn record(&self, ts_ns: u64, value_ms: f64) {
-        self.ring.push((ts_ns, value_ms));
-    }
-
-    /// The window length in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
-    /// Mean of the values within the window ending at `now_ns`, or
-    /// `None` when the window is empty. Used for the model-residual
-    /// gauges, where a mean is the drift signal of interest.
-    pub fn mean(&self, now_ns: u64) -> Option<f64> {
-        let floor = now_ns.saturating_sub(self.window_ns);
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for (ts, v) in self.ring.snapshot() {
-            if ts >= floor && ts <= now_ns {
-                sum += v;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
-
-    /// Aggregates the completions within the window ending at `now_ns`.
-    ///
-    /// qps uses the *effective* window: when the run is younger than
-    /// the window (`now_ns` counts from registry creation) the rate
-    /// divides by the elapsed run time, and when the ring wrapped
-    /// inside the window it divides by the span back to the oldest
-    /// resident completion — never by uncovered time.
-    pub fn stats(&self, now_ns: u64) -> WindowStats {
-        let floor = now_ns.saturating_sub(self.window_ns);
-        let mut in_window: Vec<(u64, f64)> = self
-            .ring
-            .snapshot()
-            .into_iter()
-            .filter(|&(ts, _)| ts >= floor && ts <= now_ns)
-            .collect();
-        if in_window.is_empty() {
-            return WindowStats::default();
-        }
-        let oldest = in_window.iter().map(|&(ts, _)| ts).min().unwrap_or(floor);
-        let wrapped = self.ring.pushed() > self.ring.capacity() as u64;
-        let span_ns = if wrapped {
-            now_ns.saturating_sub(oldest).max(1)
-        } else {
-            self.window_ns.min(now_ns).max(1)
-        };
-        let samples = in_window.len() as u64;
-        let mut values: Vec<f64> = in_window.drain(..).map(|(_, v)| v).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite response times"));
-        WindowStats {
-            samples,
-            qps: samples as f64 / (span_ns as f64 / 1e9),
+            samples: values.len() as u64,
+            qps: values.len() as f64 / (span_ns as f64 / 1e9),
             p50_ms: percentile(&values, 0.50),
             p95_ms: percentile(&values, 0.95),
             p99_ms: percentile(&values, 0.99),
@@ -407,35 +151,32 @@ impl WindowRing {
     }
 }
 
-/// A bounded ring of recent obs [`Event`]s, always recording while the
-/// server runs; `drain` snapshots it into timestamp order for Perfetto
+/// A bounded queue of recent obs [`Event`]s, always recording while the
+/// server runs; `drain` copies it into timestamp order for Perfetto
 /// export (`DUMP-TRACE`).
 pub struct FlightRecorder {
-    ring: Ring<(u64, Event)>,
+    events: Mutex<Bounded<(u64, Event)>>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the last `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
-            ring: Ring::new(capacity, (0, Event::QueryArrive { query: 0 })),
+            events: Mutex::new(Bounded::new(capacity)),
         }
     }
 
-    /// Records one event stamped `ts_ns`.
-    #[inline]
-    pub fn record(&self, ts_ns: u64, event: Event) {
-        self.ring.push((ts_ns, event));
+    fn record(&self, ts_ns: u64, event: Event) {
+        lock(&self.events).push((ts_ns, event));
     }
 
     /// Total events ever recorded (retention is bounded by capacity).
     pub fn recorded(&self) -> u64 {
-        self.ring.pushed()
+        lock(&self.events).pushed
     }
 
-    /// The resident events in timestamp order.
+    /// The retained events in timestamp order.
     pub fn drain(&self) -> Vec<(u64, Event)> {
-        let mut events = self.ring.snapshot();
+        let mut events: Vec<_> = lock(&self.events).items.iter().copied().collect();
         events.sort_by_key(|&(ts, _)| ts);
         events
     }
@@ -469,157 +210,119 @@ pub struct QueryObservation<'a> {
     pub failed: bool,
 }
 
-/// The append-only JSONL log of over-threshold queries. One line per
-/// slow query: serving id, algorithm, k, answer count, and the full
-/// per-component response-time breakdown. The file handle is behind a
-/// mutex — the *only* lock in the live plane — paid exclusively by
-/// queries that already exceeded the threshold.
-pub struct SlowQueryLog {
-    file: Mutex<std::fs::File>,
+/// One slow-query log line: serving id, algorithm, k, answer count, the
+/// full per-component response-time breakdown, and the query's rendered
+/// [`QueryExplain`](crate::explain::QueryExplain) JSON under an `explain`
+/// key when available.
+fn slow_line(ts_ns: u64, o: &QueryObservation<'_>, explain: Option<&str>) -> String {
+    let mut w = ObjWriter::new();
+    w.field_u64("ts_ns", ts_ns);
+    w.field_u64("query", o.query as u64);
+    w.field_str("algo", o.algo);
+    w.field_u64("k", o.k as u64);
+    w.field_u64("answers", o.answers as u64);
+    w.field_u64("nodes", o.nodes);
+    w.field_u64("batches", o.batches as u64);
+    w.field_f64("response_ms", o.response_ns as f64 / 1e6);
+    w.field_f64("disk_queue_ms", o.disk_queue_ns as f64 / 1e6);
+    w.field_f64("disk_service_ms", o.disk_service_ns as f64 / 1e6);
+    w.field_f64("cpu_ms", o.cpu_ns as f64 / 1e6);
+    w.field_bool("failed", o.failed);
+    if let Some(explain) = explain {
+        w.field_raw("explain", explain);
+    }
+    w.finish()
 }
 
-impl SlowQueryLog {
-    /// Creates (truncates) the log at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self {
-            file: Mutex::new(std::fs::File::create(path)?),
-        })
-    }
-
-    /// Appends one observation's line, with the query's rendered
-    /// [`QueryExplain`](crate::explain::QueryExplain) JSON embedded under
-    /// an `explain` key when available.
-    fn append(&self, ts_ns: u64, o: &QueryObservation<'_>, explain: Option<&str>) {
-        let mut w = ObjWriter::new();
-        w.field_u64("ts_ns", ts_ns);
-        w.field_u64("query", o.query as u64);
-        w.field_str("algo", o.algo);
-        w.field_u64("k", o.k as u64);
-        w.field_u64("answers", o.answers as u64);
-        w.field_u64("nodes", o.nodes);
-        w.field_u64("batches", o.batches as u64);
-        w.field_f64("response_ms", o.response_ns as f64 / 1e6);
-        w.field_f64("disk_queue_ms", o.disk_queue_ns as f64 / 1e6);
-        w.field_f64("disk_service_ms", o.disk_service_ns as f64 / 1e6);
-        w.field_f64("cpu_ms", o.cpu_ns as f64 / 1e6);
-        w.field_bool("failed", o.failed);
-        if let Some(explain) = explain {
-            w.field_raw("explain", explain);
-        }
-        let line = w.finish();
-        if let Ok(mut file) = self.file.lock() {
-            // Telemetry must never fail the query: drop the line on I/O
-            // errors rather than surface them into the serving path.
-            let _ = writeln!(file, "{line}");
-        }
-    }
-}
-
-/// Per-disk live metrics, fed by the I/O backend's worker threads.
-pub struct LiveDisk {
-    /// Reads served.
-    pub requests: LiveCounter,
-    /// Cumulative service (busy) time, ns — utilization numerator.
-    pub busy_ns: LiveCounter,
+/// The per-disk figures only the live plane keeps; reads, busy time and
+/// the queue-time and depth distributions are the snapshot's
+/// [`DiskMetrics`].
+#[derive(Clone)]
+pub(crate) struct LiveDisk {
     /// Cumulative time requests waited in this disk's queue, ns.
-    pub queue_ns: LiveCounter,
+    pub(crate) queue_ns: u64,
     /// Queue depth seen by the most recent submission (gauge).
-    pub depth: AtomicU64,
-    /// Distribution of per-read time-in-queue, ms.
-    pub queue_time_ms: LiveHistogram,
+    pub(crate) depth: u32,
     /// Distribution of per-read service time, ms.
-    pub service_ms: LiveHistogram,
-    /// Distribution of queue depth at submission.
-    pub queue_depth: LiveHistogram,
+    pub(crate) service_ms: Histogram,
 }
 
-impl LiveDisk {
-    fn new() -> Self {
-        Self {
-            requests: LiveCounter::new(),
-            busy_ns: LiveCounter::new(),
-            queue_ns: LiveCounter::new(),
-            depth: AtomicU64::new(0),
-            queue_time_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            service_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            queue_depth: LiveHistogram::new(DEPTH_BOUNDS),
-        }
-    }
+/// The registry's counts and distributions: what a scrape copies whole.
+#[derive(Clone)]
+pub(crate) struct Books {
+    /// Arrivals, completions, aborts, degraded reads, the response-time
+    /// and batch-size distributions and the per-disk [`DiskMetrics`] of
+    /// every disk that served a read.
+    pub(crate) metrics: MetricsSnapshot,
+    /// Completed queries over the slow-query threshold.
+    pub(crate) slow_queries: u64,
+    /// Per-query total time-in-disk-queue distribution, ms.
+    pub(crate) disk_queue_ms: Histogram,
+    /// Per-query total disk service time distribution, ms.
+    pub(crate) disk_service_ms: Histogram,
+    /// Per-query total CPU time distribution, ms.
+    pub(crate) cpu_ms: Histogram,
+    /// One entry per disk of the array.
+    pub(crate) disks: Vec<LiveDisk>,
+}
 
-    /// Fraction of `elapsed_ns` this disk spent servicing reads.
-    pub fn utilization(&self, elapsed_ns: u64) -> f64 {
-        if elapsed_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns.get() as f64 / elapsed_ns as f64
-        }
-    }
+/// Everything behind the registry's lock.
+struct State {
+    books: Books,
+    window: Window,
+    residual_accesses: Window,
+    residual_latency: Window,
+}
+
+/// One consistent copy of the registry, taken by a scrape.
+pub(crate) struct Scrape {
+    /// Nanoseconds since the registry was created, at the copy.
+    pub(crate) uptime_ns: u64,
+    pub(crate) books: Books,
+    pub(crate) window: WindowStats,
+    /// Windowed mean observed-minus-predicted node accesses.
+    pub(crate) residual_accesses: f64,
+    /// Windowed mean observed-minus-predicted response time, ms.
+    pub(crate) residual_latency_ms: f64,
 }
 
 /// The live registry for the serving stack: query counters and latency
 /// distributions, per-query component breakdowns, per-disk service
 /// metrics, a sliding window, a flight recorder and the slow-query log,
-/// all shared (`&self` everywhere) and lock-free on the query path.
+/// all shared (`&self` everywhere).
 pub struct LiveTelemetry {
     started: Instant,
-    next_query: AtomicU64,
-    /// Queries picked up by a worker.
-    pub queries_started: LiveCounter,
-    /// Queries that completed with an answer.
-    pub queries_completed: LiveCounter,
-    /// Queries that aborted with a typed error.
-    pub queries_failed: LiveCounter,
-    /// Completed queries that exceeded the slow-query threshold.
-    pub slow_queries: LiveCounter,
-    /// Reads served by a shadow replica (degraded mode).
-    pub degraded_reads: LiveCounter,
-    /// Response-time distribution, ms.
-    pub response_ms: LiveHistogram,
-    /// Per-query total time-in-disk-queue distribution, ms.
-    pub disk_queue_ms: LiveHistogram,
-    /// Per-query total disk service time distribution, ms.
-    pub disk_service_ms: LiveHistogram,
-    /// Per-query total CPU time distribution, ms.
-    pub cpu_ms: LiveHistogram,
-    /// Fetch-batch size distribution.
-    pub batch_size: LiveHistogram,
-    disks: Box<[LiveDisk]>,
-    window: WindowRing,
-    residual_accesses: WindowRing,
-    residual_latency: WindowRing,
+    state: Mutex<State>,
     flight: Option<FlightRecorder>,
-    slow_log: Option<SlowQueryLog>,
+    slow_log: Option<Mutex<std::fs::File>>,
     slow_threshold_ns: u64,
 }
-
-/// Default sliding-window length: one minute.
-pub const DEFAULT_WINDOW_NS: u64 = 60_000_000_000;
-
-/// Default window ring capacity (completions retained for windowed
-/// percentiles).
-pub const DEFAULT_WINDOW_CAP: usize = 8192;
 
 impl LiveTelemetry {
     /// A registry for an array of `num_disks` disks, with a one-minute
     /// sliding window and no flight recorder or slow-query log.
     pub fn new(num_disks: u32) -> Self {
+        let disk = LiveDisk {
+            queue_ns: 0,
+            depth: 0,
+            service_ms: Histogram::new(TIME_MS_BOUNDS),
+        };
+        let books = Books {
+            metrics: MetricsSnapshot::new(),
+            slow_queries: 0,
+            disk_queue_ms: Histogram::new(TIME_MS_BOUNDS),
+            disk_service_ms: Histogram::new(TIME_MS_BOUNDS),
+            cpu_ms: Histogram::new(TIME_MS_BOUNDS),
+            disks: vec![disk; num_disks as usize],
+        };
         Self {
             started: Instant::now(),
-            next_query: AtomicU64::new(0),
-            queries_started: LiveCounter::new(),
-            queries_completed: LiveCounter::new(),
-            queries_failed: LiveCounter::new(),
-            slow_queries: LiveCounter::new(),
-            degraded_reads: LiveCounter::new(),
-            response_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            disk_queue_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            disk_service_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            cpu_ms: LiveHistogram::new(TIME_MS_BOUNDS),
-            batch_size: LiveHistogram::new(DEPTH_BOUNDS),
-            disks: (0..num_disks).map(|_| LiveDisk::new()).collect(),
-            window: WindowRing::new(DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_NS),
-            residual_accesses: WindowRing::new(DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_NS),
-            residual_latency: WindowRing::new(DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_NS),
+            state: Mutex::new(State {
+                books,
+                window: Window::new(DEFAULT_WINDOW_CAP),
+                residual_accesses: Window::new(DEFAULT_WINDOW_CAP),
+                residual_latency: Window::new(DEFAULT_WINDOW_CAP),
+            }),
             flight: None,
             slow_log: None,
             slow_threshold_ns: u64::MAX,
@@ -634,21 +337,17 @@ impl LiveTelemetry {
     }
 
     /// Enables the slow-query log: completions at or over
-    /// `threshold_ms` append a JSONL breakdown line to `path`.
+    /// `threshold_ms` append a JSONL breakdown line to `path` (created,
+    /// or truncated).
     pub fn with_slow_query_log(mut self, path: &Path, threshold_ms: f64) -> std::io::Result<Self> {
-        self.slow_log = Some(SlowQueryLog::create(path)?);
+        self.slow_log = Some(Mutex::new(std::fs::File::create(path)?));
         self.slow_threshold_ns = (threshold_ms.max(0.0) * 1e6) as u64;
         Ok(self)
     }
 
     /// Disks in the observed array.
     pub fn num_disks(&self) -> u32 {
-        self.disks.len() as u32
-    }
-
-    /// Per-disk live metrics.
-    pub fn disks(&self) -> &[LiveDisk] {
-        &self.disks
+        lock(&self.state).books.disks.len() as u32
     }
 
     /// Nanoseconds since the registry was created (the timestamp base
@@ -668,22 +367,12 @@ impl LiveTelemetry {
         self.flight.as_ref()
     }
 
-    /// The slow-query log, if enabled.
-    pub fn slow_log(&self) -> Option<&SlowQueryLog> {
-        self.slow_log.as_ref()
-    }
-
     /// Assigns the next global serving query id and counts the pickup.
     pub fn begin_query(&self) -> u32 {
-        self.queries_started.inc();
-        self.next_query.fetch_add(1, Ordering::Relaxed) as u32
-    }
-
-    /// Queries currently in flight (started minus finished).
-    pub fn inflight(&self) -> u64 {
-        self.queries_started
-            .get()
-            .saturating_sub(self.queries_completed.get() + self.queries_failed.get())
+        let mut s = lock(&self.state);
+        let arrived = &mut s.books.metrics.queries_arrived;
+        arrived.add(1);
+        (arrived.0 - 1) as u32
     }
 
     /// Records one event into the flight recorder (no-op when the
@@ -695,35 +384,42 @@ impl LiveTelemetry {
         }
     }
 
-    /// Feeds one finished query into every live aggregate: counters,
-    /// latency/component histograms, the sliding window, and — when the
-    /// query ran over the threshold — the slow-query log.
-    pub fn observe_query(&self, o: &QueryObservation<'_>) {
-        self.observe_query_explained(o, None);
+    /// Feeds the size of one fetch batch into the batch-size
+    /// distribution.
+    pub fn observe_batch(&self, pages: usize) {
+        (lock(&self.state).books.metrics.batch_size).observe(pages as f64);
     }
 
-    /// [`Self::observe_query`] with the query's rendered
-    /// [`QueryExplain`](crate::explain::QueryExplain) JSON attached:
-    /// when the query lands in the slow-query log, the record is
-    /// embedded in its line under an `explain` key.
-    pub fn observe_query_explained(&self, o: &QueryObservation<'_>, explain_json: Option<&str>) {
-        if o.failed {
-            self.queries_failed.inc();
-            return;
-        }
-        self.queries_completed.inc();
-        let response_ms = o.response_ns as f64 / 1e6;
-        self.response_ms.observe(response_ms);
-        self.disk_queue_ms.observe(o.disk_queue_ns as f64 / 1e6);
-        self.disk_service_ms.observe(o.disk_service_ns as f64 / 1e6);
-        self.cpu_ms.observe(o.cpu_ns as f64 / 1e6);
+    /// Feeds one finished query into every live aggregate: counters,
+    /// latency/component histograms, the sliding window, and — when the
+    /// query ran over the threshold — the slow-query log, whose line
+    /// embeds `explain` (the query's rendered
+    /// [`QueryExplain`](crate::explain::QueryExplain) JSON) when given.
+    pub fn observe_query(&self, o: &QueryObservation<'_>, explain: Option<&str>) {
         let now = self.now_ns();
-        self.window.record(now, response_ms);
-        if o.response_ns >= self.slow_threshold_ns {
-            self.slow_queries.inc();
-            if let Some(log) = &self.slow_log {
-                log.append(now, o, explain_json);
+        let response_ms = o.response_ns as f64 / 1e6;
+        let slow = {
+            let mut s = lock(&self.state);
+            let b = &mut s.books;
+            if o.failed {
+                b.metrics.queries_aborted.add(1);
+                return;
             }
+            b.metrics.queries_completed.add(1);
+            b.metrics.response_ms.observe(response_ms);
+            b.disk_queue_ms.observe(o.disk_queue_ns as f64 / 1e6);
+            b.disk_service_ms.observe(o.disk_service_ns as f64 / 1e6);
+            b.cpu_ms.observe(o.cpu_ns as f64 / 1e6);
+            let slow = o.response_ns >= self.slow_threshold_ns;
+            b.slow_queries += slow as u64;
+            s.window.push((now, response_ms));
+            slow
+        };
+        if let Some(file) = self.slow_log.as_ref().filter(|_| slow) {
+            let line = slow_line(now, o, explain);
+            // Telemetry must never fail the query: drop the line on I/O
+            // errors rather than surface them into the serving path.
+            let _ = writeln!(lock(file), "{line}");
         }
     }
 
@@ -733,69 +429,84 @@ impl LiveTelemetry {
     /// skipped.
     pub fn observe_residual(&self, accesses: f64, latency_ms: f64) {
         let now = self.now_ns();
+        let mut s = lock(&self.state);
         if accesses.is_finite() {
-            self.residual_accesses.record(now, accesses);
+            s.residual_accesses.push((now, accesses));
         }
         if latency_ms.is_finite() {
-            self.residual_latency.record(now, latency_ms);
+            s.residual_latency.push((now, latency_ms));
         }
-    }
-
-    /// Windowed mean observed-minus-predicted node accesses (0 when no
-    /// residuals were observed in the window).
-    pub fn residual_accesses_mean(&self) -> f64 {
-        self.residual_accesses.mean(self.now_ns()).unwrap_or(0.0)
-    }
-
-    /// Windowed mean observed-minus-predicted response time, ms (0
-    /// when no residuals were observed in the window).
-    pub fn residual_latency_mean_ms(&self) -> f64 {
-        self.residual_latency.mean(self.now_ns()).unwrap_or(0.0)
     }
 
     /// Feeds one disk read (called from the I/O backend's worker
     /// threads through the `ReadObserver` seam).
     pub fn observe_disk_read(&self, disk: u32, queue_ns: u64, service_ns: u64, queue_depth: u32) {
-        let Some(d) = self.disks.get(disk as usize) else {
+        let mut s = lock(&self.state);
+        let b = &mut s.books;
+        let Some(live) = b.disks.get_mut(disk as usize) else {
             return;
         };
-        d.requests.inc();
+        live.queue_ns += queue_ns;
+        live.depth = queue_depth;
+        live.service_ms.observe(service_ns as f64 / 1e6);
+        let d = b
+            .metrics
+            .disks
+            .entry(disk as u16)
+            .or_insert_with(DiskMetrics::new);
+        d.requests.add(1);
         d.busy_ns.add(service_ns);
-        d.queue_ns.add(queue_ns);
-        d.depth.store(queue_depth as u64, Ordering::Relaxed);
         d.queue_time_ms.observe(queue_ns as f64 / 1e6);
-        d.service_ms.observe(service_ns as f64 / 1e6);
         d.queue_depth.observe(queue_depth as f64);
     }
 
     /// Current sliding-window aggregates.
     pub fn window_stats(&self) -> WindowStats {
-        self.window.stats(self.now_ns())
+        self.stats().0
+    }
+
+    /// What `STATS` reports of the registry, read under one lock: the
+    /// sliding-window aggregates and the degraded-read count.
+    pub fn stats(&self) -> (WindowStats, u64) {
+        let (recent, degraded_reads) = {
+            let s = lock(&self.state);
+            (
+                s.window.recent(self.now_ns()),
+                s.books.metrics.degraded_reads.0,
+            )
+        };
+        (WindowStats::of(recent), degraded_reads)
     }
 
     /// Snapshots the live registries into the post-hoc
     /// [`MetricsSnapshot`] vocabulary (cache behaviour is the store's;
-    /// fold an `IoStats` in afterwards like any other snapshot).
+    /// fold an `IoStats` in afterwards like any other snapshot). Disks
+    /// that served no read are absent.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        snap.queries_arrived = self.queries_started.snapshot();
-        snap.queries_completed = self.queries_completed.snapshot();
-        snap.queries_aborted = self.queries_failed.snapshot();
-        snap.degraded_reads = self.degraded_reads.snapshot();
-        snap.response_ms = self.response_ms.snapshot();
-        snap.batch_size = self.batch_size.snapshot();
-        for (i, d) in self.disks.iter().enumerate() {
-            if d.requests.get() == 0 {
-                continue;
-            }
-            let mut dm = DiskMetrics::new();
-            dm.requests = d.requests.snapshot();
-            dm.busy_ns = d.busy_ns.snapshot();
-            dm.queue_time_ms = d.queue_time_ms.snapshot();
-            dm.queue_depth = d.queue_depth.snapshot();
-            snap.disks.insert(i as u16, dm);
+        lock(&self.state).books.metrics.clone()
+    }
+
+    /// Copies the whole registry under one lock, then aggregates the
+    /// windows after releasing it.
+    pub(crate) fn scrape(&self) -> Scrape {
+        let (uptime_ns, books, window, accesses, latency) = {
+            let s = lock(&self.state);
+            let now = self.now_ns();
+            (
+                now,
+                s.books.clone(),
+                s.window.recent(now),
+                s.residual_accesses.recent(now),
+                s.residual_latency.recent(now),
+            )
+        };
+        Scrape {
+            uptime_ns,
+            books,
+            window: WindowStats::of(window),
+            residual_accesses: mean(&accesses.0),
+            residual_latency_ms: mean(&latency.0),
         }
-        snap
     }
 
     /// Renders the whole registry as Prometheus text exposition, with
@@ -828,69 +539,80 @@ impl sqda_storage::ReadObserver for LiveTelemetry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_roundtrip() {
-        let c = LiveCounter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.snapshot(), Counter(5));
+    fn observation(query: u32, response_ns: u64) -> QueryObservation<'static> {
+        QueryObservation {
+            query,
+            algo: "CRSS",
+            k: 5,
+            answers: 5,
+            nodes: 7,
+            batches: 2,
+            response_ns,
+            disk_queue_ns: 1_000_000,
+            disk_service_ns: 2_500_000,
+            cpu_ns: 300_000,
+            failed: false,
+        }
     }
 
-    #[test]
-    fn live_histogram_matches_sequential() {
-        let live = LiveHistogram::new(TIME_MS_BOUNDS);
-        let mut plain = Histogram::new(TIME_MS_BOUNDS);
-        for v in [0.005, 0.5, 7.0, 9999.0, 42.0] {
-            live.observe(v);
-            plain.observe(v);
-        }
-        assert_eq!(live.snapshot(), plain);
-        assert_eq!(live.count(), 5);
+    fn arrive(query: u32) -> Event {
+        Event::QueryArrive { query }
     }
 
     #[test]
     fn ring_keeps_latest_and_survives_wrap() {
-        let ring = Ring::new(4, 0u64);
+        let f = FlightRecorder::new(4);
         for i in 1..=10u64 {
-            ring.push(i);
+            f.record(i, arrive(i as u32));
         }
-        assert_eq!(ring.snapshot(), vec![7, 8, 9, 10]);
-        assert_eq!(ring.pushed(), 10);
-        assert_eq!(ring.capacity(), 4);
+        let kept: Vec<u64> = f.drain().iter().map(|&(ts, _)| ts).collect();
+        assert_eq!(kept, vec![7, 8, 9, 10]);
+        assert_eq!(f.recorded(), 10);
     }
 
     #[test]
     fn ring_empty_and_partial() {
-        let ring = Ring::new(8, 0u64);
-        assert!(ring.snapshot().is_empty());
-        ring.push(3);
-        ring.push(4);
-        assert_eq!(ring.snapshot(), vec![3, 4]);
+        let f = FlightRecorder::new(8);
+        assert!(f.drain().is_empty());
+        f.record(3, arrive(3));
+        f.record(4, arrive(4));
+        assert_eq!(f.drain(), vec![(3, arrive(3)), (4, arrive(4))]);
     }
 
     #[test]
     fn window_stats_rate_and_percentiles() {
-        let w = WindowRing::new(64, 10_000_000_000); // 10 s window
-                                                     // 20 completions, one per 100 ms, responses 1..=20 ms.
+        let mut w = Window::new(DEFAULT_WINDOW_CAP);
+        // 20 completions, one per 100 ms, responses 1..=20 ms.
         for i in 0..20u64 {
-            w.record(i * 100_000_000, (i + 1) as f64);
+            w.push((i * 100_000_000, (i + 1) as f64));
         }
-        let s = w.stats(1_900_000_000);
+        let s = WindowStats::of(w.recent(1_900_000_000));
         assert_eq!(s.samples, 20);
         // Run (1.9 s) younger than the window: qps over the covered span.
         assert!((s.qps - 20.0 / 1.9).abs() < 1e-6, "qps = {}", s.qps);
         assert!((s.p50_ms - 10.5).abs() < 1e-9);
         assert!(s.p95_ms > s.p50_ms && s.p99_ms >= s.p95_ms);
         // Far in the future: everything aged out.
-        assert_eq!(w.stats(100_000_000_000).samples, 0);
+        assert_eq!(WindowStats::of(w.recent(100_000_000_000)).samples, 0);
+
+        // Once samples were dropped, qps divides by the span back to the
+        // oldest one retained: 10 more at 1 ms steps from 2 s.
+        let mut w = Window::new(DEFAULT_WINDOW_CAP);
+        for i in 0..DEFAULT_WINDOW_CAP as u64 + 10 {
+            w.push((2_000_000_000 + i * 1_000_000, 1.0));
+        }
+        let now = 2_000_000_000 + (DEFAULT_WINDOW_CAP as u64 + 9) * 1_000_000;
+        let s = WindowStats::of(w.recent(now));
+        assert_eq!(s.samples, DEFAULT_WINDOW_CAP as u64);
+        let span_s = (DEFAULT_WINDOW_CAP as f64 - 1.0) * 1e-3;
+        assert!((s.qps - DEFAULT_WINDOW_CAP as f64 / span_s).abs() < 1e-6);
     }
 
     #[test]
     fn flight_recorder_drains_in_timestamp_order() {
         let f = FlightRecorder::new(8);
-        f.record(5, Event::QueryArrive { query: 1 });
-        f.record(2, Event::QueryArrive { query: 0 });
+        f.record(5, arrive(1));
+        f.record(2, arrive(0));
         f.record(
             9,
             Event::QueryComplete {
@@ -920,38 +642,20 @@ mod tests {
         let q0 = t.begin_query();
         let q1 = t.begin_query();
         assert_eq!((q0, q1), (0, 1));
-        assert_eq!(t.inflight(), 2);
+        let text = t.prometheus(None, None);
+        assert!(text.contains("\nsqda_inflight_queries 2\n"), "{text}");
         t.observe_disk_read(0, 1_000_000, 2_000_000, 3);
         t.observe_disk_read(1, 0, 500_000, 0);
-        t.observe_query(&QueryObservation {
-            query: q0,
-            algo: "CRSS",
-            k: 5,
-            answers: 5,
-            nodes: 7,
-            batches: 2,
-            response_ns: 4_000_000,
-            disk_queue_ns: 1_000_000,
-            disk_service_ns: 2_500_000,
-            cpu_ns: 300_000,
-            failed: false,
-        });
-        t.observe_query(&QueryObservation {
-            query: q1,
-            algo: "CRSS",
-            k: 5,
-            answers: 0,
-            nodes: 0,
-            batches: 0,
-            response_ns: 0,
-            disk_queue_ns: 0,
-            disk_service_ns: 0,
-            cpu_ns: 0,
-            failed: true,
-        });
-        assert_eq!(t.inflight(), 0);
-        assert_eq!(t.queries_completed.get(), 1);
-        assert_eq!(t.queries_failed.get(), 1);
+        t.observe_disk_read(2, 0, 500_000, 0); // no such disk: ignored
+        t.observe_query(&observation(q0, 4_000_000), None);
+        t.observe_query(
+            &QueryObservation {
+                answers: 0,
+                failed: true,
+                ..observation(q1, 0)
+            },
+            None,
+        );
         let snap = t.snapshot();
         assert_eq!(snap.queries_arrived.0, 2);
         assert_eq!(snap.queries_completed.0, 1);
@@ -963,8 +667,19 @@ mod tests {
         let ws = t.window_stats();
         assert_eq!(ws.samples, 1);
         assert!((ws.p50_ms - 4.0).abs() < 1e-9);
-        assert_eq!(t.disks()[0].depth.load(Ordering::Relaxed), 3);
-        assert!(t.disks()[0].utilization(4_000_000) > 0.0);
+        let scrape = t.scrape();
+        assert_eq!(scrape.books.disks[0].depth, 3);
+        assert_eq!(scrape.books.disks[0].queue_ns, 1_000_000);
+        assert_eq!(scrape.books.cpu_ms.count(), 1);
+        let text = t.prometheus(None, None);
+        assert!(text.contains("\nsqda_inflight_queries 0\n"), "{text}");
+        let utilization: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("sqda_disk_utilization{disk=\"0\"} "))
+            .expect("disk 0 utilization sample")
+            .parse()
+            .unwrap();
+        assert!(utilization > 0.0, "{utilization}");
     }
 
     #[test]
@@ -976,17 +691,9 @@ mod tests {
             .with_slow_query_log(&path, 2.0)
             .unwrap();
         let fast = QueryObservation {
-            query: 0,
             algo: "BBSS",
-            k: 3,
             answers: 3,
-            nodes: 4,
-            batches: 1,
-            response_ns: 1_000_000, // 1 ms < 2 ms threshold
-            disk_queue_ns: 0,
-            disk_service_ns: 800_000,
-            cpu_ns: 100_000,
-            failed: false,
+            ..observation(0, 1_000_000) // 1 ms < 2 ms threshold
         };
         let slow = QueryObservation {
             query: 1,
@@ -995,9 +702,9 @@ mod tests {
         };
         t.begin_query();
         t.begin_query();
-        t.observe_query(&fast);
-        t.observe_query(&slow);
-        assert_eq!(t.slow_queries.get(), 1);
+        t.observe_query(&fast, None);
+        t.observe_query(&slow, None);
+        assert_eq!(t.scrape().books.slow_queries, 1);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1);
@@ -1012,14 +719,18 @@ mod tests {
     #[test]
     fn residual_windows_track_drift_means() {
         let t = LiveTelemetry::new(1);
-        assert_eq!(t.residual_accesses_mean(), 0.0);
-        assert_eq!(t.residual_latency_mean_ms(), 0.0);
+        let means = |t: &LiveTelemetry| {
+            let s = t.scrape();
+            (s.residual_accesses, s.residual_latency_ms)
+        };
+        assert_eq!(means(&t), (0.0, 0.0));
         t.observe_residual(2.0, 0.5);
         t.observe_residual(4.0, 1.5);
         // Non-finite components are dropped, not recorded as zeros.
         t.observe_residual(f64::NAN, f64::INFINITY);
-        assert!((t.residual_accesses_mean() - 3.0).abs() < 1e-9);
-        assert!((t.residual_latency_mean_ms() - 1.0).abs() < 1e-9);
+        let (accesses, latency) = means(&t);
+        assert!((accesses - 3.0).abs() < 1e-9);
+        assert!((latency - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1031,20 +742,8 @@ mod tests {
             .with_slow_query_log(&path, 0.0)
             .unwrap();
         t.begin_query();
-        t.observe_query_explained(
-            &QueryObservation {
-                query: 0,
-                algo: "CRSS",
-                k: 2,
-                answers: 2,
-                nodes: 3,
-                batches: 1,
-                response_ns: 2_000_000,
-                disk_queue_ns: 0,
-                disk_service_ns: 1_000_000,
-                cpu_ns: 100_000,
-                failed: false,
-            },
+        t.observe_query(
+            &observation(0, 2_000_000),
             Some(r#"{"observed_accesses":3}"#),
         );
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1056,13 +755,13 @@ mod tests {
 
     #[test]
     fn concurrent_histogram_observers_merge_exactly() {
-        let live = std::sync::Arc::new(LiveHistogram::new(TIME_MS_BOUNDS));
+        let t = LiveTelemetry::new(1);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let live = std::sync::Arc::clone(&live);
+            for w in 0..4u64 {
+                let t = &t;
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        live.observe((t * 1000 + i) as f64 / 10.0);
+                        t.observe_query(&observation(0, (w * 1000 + i) * 100_000), None);
                     }
                 });
             }
@@ -1071,9 +770,46 @@ mod tests {
         for v in 0..4000u64 {
             plain.observe(v as f64 / 10.0);
         }
-        let snap = live.snapshot();
+        let snap = t.snapshot().response_ms;
         assert_eq!(snap.count(), plain.count());
         assert_eq!(snap.buckets(), plain.buckets());
         assert_eq!(snap.max(), plain.max());
+    }
+
+    /// A scrape reads one state: however it interleaves with writers, the
+    /// completion counter and the response histogram it renders agree.
+    #[test]
+    fn scrape_racing_writers_reads_one_state() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let t = LiveTelemetry::new(1);
+        let finished = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(5);
+        let agree = |t: &LiveTelemetry| {
+            let text = t.prometheus(None, None);
+            let value = |name: &str| {
+                let line = text.lines().find(|l| l.starts_with(name)).unwrap();
+                line.rsplit_once(' ').unwrap().1.to_string()
+            };
+            let completed = value("sqda_queries_completed_total ");
+            assert_eq!(completed, value("sqda_response_ms_count "));
+            completed
+        };
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let (t, barrier, finished) = (&t, &barrier, &finished);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..10_000u64 {
+                        t.observe_query(&observation(0, (w + i) * 10_000), None);
+                    }
+                    finished.fetch_add(1, SeqCst);
+                });
+            }
+            barrier.wait();
+            while finished.load(SeqCst) < 4 {
+                agree(&t);
+            }
+        });
+        assert_eq!(agree(&t), "40000");
     }
 }

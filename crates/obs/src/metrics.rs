@@ -75,28 +75,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Assembles a histogram from already-aggregated parts (the
-    /// snapshot path of the live atomic histograms, which count into
-    /// identical buckets and merge shard-by-shard).
-    pub(crate) fn from_raw(
-        bounds: &'static [f64],
-        buckets: Vec<u64>,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Self {
-        assert_eq!(buckets.len(), bounds.len() + 1, "bucket/bound mismatch");
-        Self {
-            bounds,
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -15,8 +15,8 @@
 //! `_count` equal to the `+Inf` bucket, `_sum` present for every
 //! histogram, and the trailing `# EOF`.
 
-use crate::live::LiveTelemetry;
-use crate::metrics::Histogram;
+use crate::live::{LiveDisk, LiveTelemetry, Scrape};
+use crate::metrics::{DiskMetrics, Histogram};
 use sqda_storage::IoStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,7 +61,7 @@ fn histogram_family(
     out: &mut String,
     name: &str,
     help: &str,
-    series: &[(Vec<(&'static str, String)>, Histogram)],
+    series: &[(Vec<(&'static str, String)>, &Histogram)],
 ) {
     header(out, name, help, "histogram");
     for (labels, h) in series {
@@ -85,46 +85,55 @@ fn histogram_family(
 
 /// Renders the whole live registry (and, when given, the store's
 /// [`IoStats`] and the backend's inline-read count) as Prometheus text
-/// exposition terminated by `# EOF`.
+/// exposition terminated by `# EOF`. The registry's figures come from one
+/// [`LiveTelemetry::scrape`], so they all describe one moment.
 pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>) -> String {
     let mut out = String::new();
-    let uptime_ns = t.now_ns();
+    let Scrape {
+        uptime_ns,
+        books,
+        window: w,
+        residual_accesses,
+        residual_latency_ms,
+    } = t.scrape();
+    let m = &books.metrics;
 
     counter_u64(
         &mut out,
         &format!("{PREFIX}_queries_started_total"),
         "Queries picked up by a worker.",
-        t.queries_started.get(),
+        m.queries_arrived.0,
     );
     counter_u64(
         &mut out,
         &format!("{PREFIX}_queries_completed_total"),
         "Queries that completed with an answer.",
-        t.queries_completed.get(),
+        m.queries_completed.0,
     );
     counter_u64(
         &mut out,
         &format!("{PREFIX}_queries_failed_total"),
         "Queries that aborted with a typed error.",
-        t.queries_failed.get(),
+        m.queries_aborted.0,
     );
     counter_u64(
         &mut out,
         &format!("{PREFIX}_slow_queries_total"),
         "Completed queries over the slow-query threshold.",
-        t.slow_queries.get(),
+        books.slow_queries,
     );
     counter_u64(
         &mut out,
         &format!("{PREFIX}_degraded_reads_total"),
         "Reads served by a shadow replica while a primary was failed.",
-        t.degraded_reads.get(),
+        m.degraded_reads.0,
     );
+    let finished = m.queries_completed.0 + m.queries_aborted.0;
     gauge_f64(
         &mut out,
         &format!("{PREFIX}_inflight_queries"),
         "Queries currently being served.",
-        t.inflight() as f64,
+        m.queries_arrived.0.saturating_sub(finished) as f64,
     );
     gauge_f64(
         &mut out,
@@ -133,7 +142,6 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>
         uptime_ns as f64 / 1e9,
     );
 
-    let w = t.window_stats();
     gauge_f64(
         &mut out,
         &format!("{PREFIX}_window_qps"),
@@ -162,134 +170,97 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>
         &mut out,
         &format!("{PREFIX}_model_residual_accesses"),
         "Windowed mean observed-minus-predicted node accesses.",
-        t.residual_accesses_mean(),
+        residual_accesses,
     );
     gauge_f64(
         &mut out,
         &format!("{PREFIX}_model_residual_latency"),
         "Windowed mean observed-minus-predicted response time, ms.",
-        t.residual_latency_mean_ms(),
+        residual_latency_ms,
     );
 
-    histogram_family(
-        &mut out,
-        &format!("{PREFIX}_response_ms"),
-        "Query response time, ms.",
-        &[(vec![], t.response_ms.snapshot())],
-    );
-    histogram_family(
-        &mut out,
-        &format!("{PREFIX}_query_disk_queue_ms"),
-        "Per-query total time requests waited in disk queues, ms.",
-        &[(vec![], t.disk_queue_ms.snapshot())],
-    );
-    histogram_family(
-        &mut out,
-        &format!("{PREFIX}_query_disk_service_ms"),
-        "Per-query total disk service time, ms.",
-        &[(vec![], t.disk_service_ms.snapshot())],
-    );
-    histogram_family(
-        &mut out,
-        &format!("{PREFIX}_query_cpu_ms"),
-        "Per-query total CPU time, ms.",
-        &[(vec![], t.cpu_ms.snapshot())],
-    );
-    histogram_family(
-        &mut out,
-        &format!("{PREFIX}_batch_size"),
-        "Pages per fetch batch.",
-        &[(vec![], t.batch_size.snapshot())],
-    );
+    for (name, help, h) in [
+        ("response_ms", "Query response time, ms.", &m.response_ms),
+        (
+            "query_disk_queue_ms",
+            "Per-query total time requests waited in disk queues, ms.",
+            &books.disk_queue_ms,
+        ),
+        (
+            "query_disk_service_ms",
+            "Per-query total disk service time, ms.",
+            &books.disk_service_ms,
+        ),
+        (
+            "query_cpu_ms",
+            "Per-query total CPU time, ms.",
+            &books.cpu_ms,
+        ),
+        ("batch_size", "Pages per fetch batch.", &m.batch_size),
+    ] {
+        histogram_family(&mut out, &format!("{PREFIX}_{name}"), help, &[(vec![], h)]);
+    }
 
-    // Per-disk families, one series per disk labeled disk="i".
-    let disks = t.disks();
+    // Per-disk families, one series per disk labeled disk="i"; a disk
+    // that served no read has no snapshot entry and reads as empty.
+    let empty = DiskMetrics::new();
+    let disks: Vec<(&LiveDisk, &DiskMetrics)> = (books.disks.iter().enumerate())
+        .map(|(i, live)| (live, m.disks.get(&(i as u16)).unwrap_or(&empty)))
+        .collect();
     let label = |i: usize| vec![("disk", i.to_string())];
-    {
-        let name = format!("{PREFIX}_disk_reads_total");
-        header(
-            &mut out,
-            &name,
-            "Reads served by this disk's worker.",
-            "counter",
-        );
-        for (i, d) in disks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                labels_to_string(&label(i)),
-                d.requests.get()
-            );
+    let per_disk = |out: &mut String,
+                    name: &str,
+                    help: &str,
+                    kind: &str,
+                    v: &dyn Fn(&LiveDisk, &DiskMetrics) -> String| {
+        let name = format!("{PREFIX}_{name}");
+        header(out, &name, help, kind);
+        for (i, (live, d)) in disks.iter().enumerate() {
+            let _ = writeln!(out, "{name}{} {}", labels_to_string(&label(i)), v(live, d));
         }
-    }
-    {
-        let name = format!("{PREFIX}_disk_busy_seconds_total");
-        header(
-            &mut out,
-            &name,
-            "Cumulative read service time on this disk, seconds.",
-            "counter",
-        );
-        for (i, d) in disks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                labels_to_string(&label(i)),
-                d.busy_ns.get() as f64 / 1e9
-            );
-        }
-    }
-    {
-        let name = format!("{PREFIX}_disk_queue_seconds_total");
-        header(
-            &mut out,
-            &name,
-            "Cumulative time requests waited in this disk's queue, seconds.",
-            "counter",
-        );
-        for (i, d) in disks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                labels_to_string(&label(i)),
-                d.queue_ns.get() as f64 / 1e9
-            );
-        }
-    }
-    {
-        let name = format!("{PREFIX}_disk_queue_depth");
-        header(
-            &mut out,
-            &name,
-            "Queue depth seen by the most recent submission.",
-            "gauge",
-        );
-        for (i, d) in disks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                labels_to_string(&label(i)),
-                d.depth.load(std::sync::atomic::Ordering::Relaxed)
-            );
-        }
-    }
-    {
-        let name = format!("{PREFIX}_disk_utilization");
-        header(
-            &mut out,
-            &name,
-            "Fraction of uptime this disk spent servicing reads.",
-            "gauge",
-        );
-        for (i, d) in disks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                labels_to_string(&label(i)),
-                d.utilization(uptime_ns)
-            );
-        }
-    }
+    };
+    per_disk(
+        &mut out,
+        "disk_reads_total",
+        "Reads served by this disk's worker.",
+        "counter",
+        &|_, d| d.requests.0.to_string(),
+    );
+    per_disk(
+        &mut out,
+        "disk_busy_seconds_total",
+        "Cumulative read service time on this disk, seconds.",
+        "counter",
+        &|_, d| (d.busy_ns.0 as f64 / 1e9).to_string(),
+    );
+    per_disk(
+        &mut out,
+        "disk_queue_seconds_total",
+        "Cumulative time requests waited in this disk's queue, seconds.",
+        "counter",
+        &|live, _| (live.queue_ns as f64 / 1e9).to_string(),
+    );
+    per_disk(
+        &mut out,
+        "disk_queue_depth",
+        "Queue depth seen by the most recent submission.",
+        "gauge",
+        &|live, _| live.depth.to_string(),
+    );
+    per_disk(
+        &mut out,
+        "disk_utilization",
+        "Fraction of uptime this disk spent servicing reads.",
+        "gauge",
+        &|_, d| {
+            let busy = if uptime_ns == 0 {
+                0.0
+            } else {
+                d.busy_ns.0 as f64 / uptime_ns as f64
+            };
+            busy.to_string()
+        },
+    );
     histogram_family(
         &mut out,
         &format!("{PREFIX}_disk_service_time_ms"),
@@ -297,7 +268,7 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>
         &disks
             .iter()
             .enumerate()
-            .map(|(i, d)| (label(i), d.service_ms.snapshot()))
+            .map(|(i, (live, _))| (label(i), &live.service_ms))
             .collect::<Vec<_>>(),
     );
     histogram_family(
@@ -307,7 +278,7 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>
         &disks
             .iter()
             .enumerate()
-            .map(|(i, d)| (label(i), d.queue_time_ms.snapshot()))
+            .map(|(i, (_, d))| (label(i), &d.queue_time_ms))
             .collect::<Vec<_>>(),
     );
 
@@ -566,19 +537,22 @@ mod tests {
             let id = t.begin_query();
             assert_eq!(id, q);
             t.observe_disk_read(q % 2, 200_000, 1_500_000, q);
-            t.observe_query(&QueryObservation {
-                query: id,
-                algo: "CRSS",
-                k: 10,
-                answers: 10,
-                nodes: 12,
-                batches: 3,
-                response_ns: (q as u64 + 1) * 2_000_000,
-                disk_queue_ns: 200_000,
-                disk_service_ns: 1_500_000,
-                cpu_ns: 90_000,
-                failed: false,
-            });
+            t.observe_query(
+                &QueryObservation {
+                    query: id,
+                    algo: "CRSS",
+                    k: 10,
+                    answers: 10,
+                    nodes: 12,
+                    batches: 3,
+                    response_ns: (q as u64 + 1) * 2_000_000,
+                    disk_queue_ns: 200_000,
+                    disk_service_ns: 1_500_000,
+                    cpu_ns: 90_000,
+                    failed: false,
+                },
+                None,
+            );
         }
         t
     }
@@ -625,19 +599,22 @@ mod tests {
         for q in 0..2u32 {
             let id = t.begin_query();
             t.observe_disk_read(0, 250_000, 1_000_000, q);
-            t.observe_query(&QueryObservation {
-                query: id,
-                algo: "CRSS",
-                k: 5,
-                answers: 5,
-                nodes: 8,
-                batches: 2,
-                response_ns: (q as u64 + 1) * 4_000_000,
-                disk_queue_ns: 250_000,
-                disk_service_ns: 1_000_000,
-                cpu_ns: 50_000,
-                failed: false,
-            });
+            t.observe_query(
+                &QueryObservation {
+                    query: id,
+                    algo: "CRSS",
+                    k: 5,
+                    answers: 5,
+                    nodes: 8,
+                    batches: 2,
+                    response_ns: (q as u64 + 1) * 4_000_000,
+                    disk_queue_ns: 250_000,
+                    disk_service_ns: 1_000_000,
+                    cpu_ns: 50_000,
+                    failed: false,
+                },
+                None,
+            );
         }
         let wall = [
             "sqda_uptime_seconds ",
@@ -700,21 +677,24 @@ h_count 9
         let samples: Vec<f64> = (1..=100).map(|i| i as f64 * 0.7).collect();
         for (i, &s) in samples.iter().enumerate() {
             t.begin_query();
-            t.observe_query(&QueryObservation {
-                query: i as u32,
-                algo: "CRSS",
-                k: 1,
-                answers: 1,
-                nodes: 1,
-                batches: 1,
-                response_ns: (s * 1e6) as u64,
-                disk_queue_ns: 0,
-                disk_service_ns: 0,
-                cpu_ns: 0,
-                failed: false,
-            });
+            t.observe_query(
+                &QueryObservation {
+                    query: i as u32,
+                    algo: "CRSS",
+                    k: 1,
+                    answers: 1,
+                    nodes: 1,
+                    batches: 1,
+                    response_ns: (s * 1e6) as u64,
+                    disk_queue_ns: 0,
+                    disk_service_ns: 0,
+                    cpu_ns: 0,
+                    failed: false,
+                },
+                None,
+            );
         }
-        let hist = t.response_ms.snapshot();
+        let hist = t.snapshot().response_ms;
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.5, 0.95, 0.99] {

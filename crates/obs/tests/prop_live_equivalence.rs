@@ -1,33 +1,87 @@
-//! Property: the sharded lock-free [`LiveHistogram`] is *exactly*
-//! equivalent to the single-threaded [`Histogram`] — not statistically,
-//! byte-for-byte. Any partition of a sample set across any number of
-//! writer threads must snapshot to the same bucket counts, count, sum,
-//! min and max as observing the samples sequentially.
+//! Property: the live registry folds observations fed from any number of
+//! threads into *exactly* what the sequential feed gives — not
+//! statistically, byte-for-byte. Any partition of a set of finished
+//! queries and disk reads across writer threads must snapshot to the same
+//! counters and the same histogram buckets, counts, sums, minima and
+//! maxima, and render the same Prometheus text.
 //!
-//! Samples are drawn integer-valued so floating-point addition is exact
-//! under every summation order; with that, `Histogram`'s derived
-//! `PartialEq` pins the whole snapshot.
+//! Observations are drawn integer-valued in ms so floating-point addition
+//! is exact under every summation order; with that, the snapshot's JSON
+//! and the exposition pin the whole registry.
 
 use sqda_geom::prop::{self, check};
 use sqda_geom::rng::Rng;
-use sqda_obs::metrics::{Histogram, DEPTH_BOUNDS, TIME_MS_BOUNDS};
-use sqda_obs::{LiveCounter, LiveHistogram};
-use std::sync::Arc;
+use sqda_obs::{LiveTelemetry, QueryObservation};
+use std::sync::Mutex;
 
-/// Observes `chunks` of samples from one thread per chunk.
-fn observe_threaded(bounds: &'static [f64], chunks: &[Vec<f64>]) -> Histogram {
-    let live = Arc::new(LiveHistogram::new(bounds));
+const DISKS: u32 = 3;
+const MS: u64 = 1_000_000;
+
+/// One draw fed to the registry: even draws are finished queries, odd
+/// ones disk reads. Times span every `TIME_MS_BOUNDS` bucket including
+/// the overflow bucket (the bounds top out at 5000 ms), depths every
+/// `DEPTH_BOUNDS` bucket.
+fn feed(t: &LiveTelemetry, v: u64) {
+    let (v, query) = (v / 2, v.is_multiple_of(2));
+    if query {
+        t.observe_query(
+            &QueryObservation {
+                query: 0,
+                algo: "CRSS",
+                k: 10,
+                answers: 10,
+                nodes: v % 40,
+                batches: (v % 9) as u32,
+                response_ns: (v % 6000) * MS,
+                disk_queue_ns: (v / 7 % 300) * MS,
+                disk_service_ns: (v / 3 % 2000) * MS,
+                cpu_ns: (v % 11) * MS,
+                failed: false,
+            },
+            None,
+        );
+    } else {
+        let depth = (v / 5 % 200) as u32;
+        t.observe_disk_read(
+            (v % DISKS as u64) as u32,
+            (v / 3 % 60) * MS,
+            (v % 5500) * MS,
+            depth,
+        );
+    }
+}
+
+/// A registry fed `chunks`, one writer thread per chunk.
+fn fed(chunks: &[&[u64]]) -> LiveTelemetry {
+    let t = LiveTelemetry::new(DISKS);
     std::thread::scope(|s| {
         for chunk in chunks {
-            let live = Arc::clone(&live);
-            s.spawn(move || {
-                for &v in chunk {
-                    live.observe(v);
-                }
-            });
+            let t = &t;
+            s.spawn(move || chunk.iter().for_each(|&v| feed(t, v)));
         }
     });
-    live.snapshot()
+    t
+}
+
+/// The registry's snapshot JSON and its Prometheus text, with the lines
+/// that depend on the wall clock or on which read came last (the depth
+/// gauge) blanked.
+fn rendered(t: &LiveTelemetry) -> (String, String) {
+    let varying = [
+        "sqda_uptime_seconds ",
+        "sqda_window_qps ",
+        "sqda_disk_utilization{",
+        "sqda_disk_queue_depth{",
+    ];
+    let text = t
+        .prometheus(None, None)
+        .lines()
+        .map(|l| match l.rsplit_once(' ') {
+            Some((head, _)) if varying.iter().any(|p| l.starts_with(p)) => format!("{head} -\n"),
+            _ => format!("{l}\n"),
+        })
+        .collect();
+    (t.snapshot().to_json(), text)
 }
 
 const CASES: u32 = 64;
@@ -47,24 +101,21 @@ fn draws(
 
 #[test]
 fn threaded_histogram_equals_sequential() {
-    let gen = |rng: &mut Rng, size| draws(rng, size, 1..800, 6_000_000, 1..8);
+    let gen = |rng: &mut Rng, size| draws(rng, size, 1..800, 1_000_000, 1..8);
     check(
         "threaded_histogram_equals_sequential",
         CASES,
         gen,
         |(samples, threads)| {
-            // Integer-valued ms samples spanning every TIME_MS_BOUNDS
-            // bucket including the overflow bucket (bounds top out at 5000).
-            let samples: Vec<f64> = samples.iter().map(|&v| (v / 1000) as f64).collect();
-            let mut reference = Histogram::new(TIME_MS_BOUNDS);
-            for &v in &samples {
-                reference.observe(v);
-            }
-            let chunk = samples.len().div_ceil(threads);
-            let chunks: Vec<Vec<f64>> = samples.chunks(chunk).map(<[f64]>::to_vec).collect();
-            let live = observe_threaded(TIME_MS_BOUNDS, &chunks);
-            assert_eq!(&live, &reference);
-            assert_eq!(live.count(), samples.len() as u64);
+            let sequential = LiveTelemetry::new(DISKS);
+            samples.iter().for_each(|&v| feed(&sequential, v));
+            let chunks: Vec<&[u64]> = samples.chunks(samples.len().div_ceil(threads)).collect();
+            let threaded = fed(&chunks);
+            assert_eq!(rendered(&threaded), rendered(&sequential));
+            assert_eq!(
+                threaded.snapshot().response_ms,
+                sequential.snapshot().response_ms
+            );
         },
     );
 }
@@ -77,14 +128,11 @@ fn partitioning_is_irrelevant() {
         CASES,
         gen,
         |(samples, split)| {
-            // The same samples under two different thread partitions agree
-            // with each other (depth-style small-integer values).
-            let samples: Vec<f64> = samples.iter().map(|&v| v as f64).collect();
-            let one = observe_threaded(DEPTH_BOUNDS, std::slice::from_ref(&samples));
-            let chunk = samples.len().div_ceil(split);
-            let chunks: Vec<Vec<f64>> = samples.chunks(chunk).map(<[f64]>::to_vec).collect();
-            let many = observe_threaded(DEPTH_BOUNDS, &chunks);
-            assert_eq!(one, many);
+            // The same draws under two different thread partitions agree
+            // with each other (small values: many equal observations).
+            let one = fed(&[&samples]);
+            let chunks: Vec<&[u64]> = samples.chunks(samples.len().div_ceil(split)).collect();
+            assert_eq!(rendered(&fed(&chunks)), rendered(&one));
         },
     );
 }
@@ -97,19 +145,28 @@ fn concurrent_counter_adds_are_lossless() {
         CASES,
         gen,
         |(adds, threads)| {
-            let counter = Arc::new(LiveCounter::new());
-            let chunk = adds.len().div_ceil(threads);
+            let t = LiveTelemetry::new(1);
+            let ids = Mutex::new(Vec::new());
             std::thread::scope(|s| {
-                for ch in adds.chunks(chunk) {
-                    let counter = Arc::clone(&counter);
+                for ch in adds.chunks(adds.len().div_ceil(threads)) {
+                    let (t, ids) = (&t, &ids);
                     s.spawn(move || {
                         for &n in ch {
-                            counter.add(n);
+                            let id = t.begin_query();
+                            t.observe_disk_read(0, 0, n, 0);
+                            ids.lock().unwrap().push(id);
                         }
                     });
                 }
             });
-            assert_eq!(counter.get(), adds.iter().sum::<u64>());
+            let snap = t.snapshot();
+            assert_eq!(snap.disks[&0].busy_ns.0, adds.iter().sum::<u64>());
+            assert_eq!(snap.disks[&0].requests.0, adds.len() as u64);
+            assert_eq!(snap.queries_arrived.0, adds.len() as u64);
+            // Every pickup got its own serving id.
+            let mut ids = ids.into_inner().unwrap();
+            ids.sort_unstable();
+            assert!(ids.iter().enumerate().all(|(i, &id)| id == i as u32));
         },
     );
 }

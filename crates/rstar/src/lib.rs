@@ -49,6 +49,8 @@
 //! assert!(tree.validate().unwrap().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bulk;
 pub mod codec;
 pub mod config;

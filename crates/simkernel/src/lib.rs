@@ -25,6 +25,8 @@
 //! similarity queries. `sqda-core` drives it by scheduling events for each
 //! query's state machine.
 
+#![forbid(unsafe_code)]
+
 mod arrivals;
 mod bus;
 mod cpu;

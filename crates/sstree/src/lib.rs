@@ -37,6 +37,8 @@
 //! assert_eq!(run.results.len(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod codec;
 mod node;
 mod tree;

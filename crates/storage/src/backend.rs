@@ -67,8 +67,8 @@ pub struct ReadCompletion {
 /// This is the seam the live telemetry plane (in `sqda-obs`, which
 /// *depends on* this crate) hooks into: the backend stays free of any
 /// metrics vocabulary, the observer stays free of I/O. Implementations
-/// must be cheap and lock-free — the call sits on the disk workers'
-/// service path and on the query's own.
+/// must be cheap — the call sits on the disk workers' service path and
+/// on the query's own.
 pub trait ReadObserver: Send + Sync {
     /// One read finished on `disk`: it waited `queue_ns` behind
     /// `queue_depth` earlier requests (both 0 when it was served on the

@@ -43,6 +43,8 @@
 //! assert_eq!(run.results.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sqda_analysis as analysis;
 pub use sqda_core as core;
 pub use sqda_datasets as datasets;

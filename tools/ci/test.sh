@@ -111,7 +111,7 @@ for kernel in ('dist_sq', 'min_dist', 'rect_metrics'):
         assert cell['64'] <= cell['1'], (kernel, dim, cell)
 # The telemetry plane's per-event costs (DESIGN.md's overhead contract).
 tel = {dict(l)['op']: v for l, v in h['telemetry_ns'].items()}
-for op in ('observe_query', 'histogram_observe_contended', 'flight_record',
+for op in ('observe_query', 'observe_query_contended', 'flight_record',
            'prometheus_render'):
     assert tel[op] > 0, (op, tel)
 # The shared-traversal counters are exact over the deterministic tree:
