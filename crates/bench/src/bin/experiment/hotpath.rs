@@ -26,6 +26,12 @@
 //! * `crss_hot_nodes_per_query`, `crss_hot_rounds_per_query` — that
 //!   query's nodes and fetch rounds (exact). Every read is free, so CRSS
 //!   takes one branch per round and the two are equal;
+//! * `insert_ns_per_object` — one object inserted into the tree every
+//!   other section reads (the paper's one-at-a-time construction, 2 000
+//!   objects, timed per whole build), and `insert_reads_per_object`,
+//!   `insert_writes_per_object`, `insert_allocs_per_object` — the store
+//!   reads and writes and the allocations one such build makes per
+//!   object (exact);
 //! * `telemetry_ns` — what the live telemetry plane charges: per
 //!   `observe_query` fold, alone and while seven writer threads fold
 //!   queries into the same registry, per flight-recorder push, and per
@@ -38,9 +44,10 @@
 //! <n>` (default 30); the measurement set is fixed whatever `--quick`,
 //! `--jobs` or `--warmup` say. Timings are reported in the fragment
 //! as informational metrics (machine-dependent, never compared across
-//! hosts); the batch traversal's fetch counters and the hot query's
-//! allocation counts are exact and Direction-tagged, so the regression
-//! gate catches a sharing, pruning or allocation regression numerically.
+//! hosts); the batch traversal's fetch counters, the hot query's
+//! allocation counts and the insert's reads, writes and allocations are
+//! exact and Direction-tagged, so the regression gate catches a sharing,
+//! pruning, allocation or re-read regression numerically.
 
 use sqda_bench::{
     report::{BinReport, Direction},
@@ -117,6 +124,7 @@ fn sample_ns(reps: usize, calls: usize, units: usize, mut f: impl FnMut(usize)) 
         .collect()
 }
 
+/// The tree every section but the hot query reads, built by insertion.
 fn build_tree() -> RStarTree<ArrayStore> {
     let store = Arc::new(ArrayStore::with_page_size(10, 1449, 1024, 1));
     let mut tree = RStarTree::create(
@@ -131,7 +139,6 @@ fn build_tree() -> RStarTree<ArrayStore> {
         tree.insert(Point::new(vec![x, y]), i as u64)
             .expect("insert");
     }
-    tree.set_node_cache(Arc::new(NodeCache::new(8192)));
     tree
 }
 
@@ -252,7 +259,20 @@ fn sample_pages(tree: &RStarTree<ArrayStore>) -> (PageId, Option<PageId>) {
 /// Runs the measurements (see the module docs).
 pub fn run(opts: &ExpOptions) {
     let reps = opts.reps.unwrap_or(DEFAULT_REPS);
-    let tree = build_tree();
+
+    // Insertion: one counted build (store I/O and allocations, exact),
+    // then `reps` timed ones.
+    COUNTING.store(true, Relaxed);
+    let allocs_from = ALLOCS.load(Relaxed);
+    let mut tree = build_tree();
+    COUNTING.store(false, Relaxed);
+    let per_object = |total: u64| total as f64 / OBJECTS as f64;
+    let insert_allocs = per_object(ALLOCS.load(Relaxed) - allocs_from);
+    let insert_io = tree.store().stats();
+    let insert_reps = sample_ns(reps, 1, OBJECTS, |_| {
+        black_box(build_tree());
+    });
+    tree.set_node_cache(Arc::new(NodeCache::new(8192)));
     let dim = tree.dim();
 
     // Decode: ns per decode_node call on a full page.
@@ -412,6 +432,7 @@ pub fn run(opts: &ExpOptions) {
         ("knn_warm_ns_per_query", &knn_reps),
         ("batch_knn_ns_per_query", &batch_reps),
         ("crss_hot_query_ns", &crss_reps),
+        ("insert_ns_per_object", &insert_reps),
     ] {
         if !reps.is_empty() {
             report.metric(name, &[], reps, Direction::Info);
@@ -461,6 +482,17 @@ pub fn run(opts: &ExpOptions) {
             crss_rounds_per_query,
             Direction::Lower,
         ),
+        (
+            "insert_reads_per_object",
+            per_object(insert_io.reads),
+            Direction::Lower,
+        ),
+        (
+            "insert_writes_per_object",
+            per_object(insert_io.writes),
+            Direction::Lower,
+        ),
+        ("insert_allocs_per_object", insert_allocs, Direction::Lower),
     ] {
         report.metric(name, &[], &[exact], direction);
     }

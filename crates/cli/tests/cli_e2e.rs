@@ -360,3 +360,33 @@ fn failed_build_leaves_nothing_to_trip_over() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn non_finite_row_fails_an_incremental_build_cleanly() {
+    // An incremental build (the default) refuses a `nan` row with a typed
+    // error instead of panicking in a split, and so takes back the store
+    // it started, as the bulk builders do.
+    let dir = workdir("nan-row");
+    let csv = dir.join("points.csv");
+    let mut rows: Vec<String> = (0..3000)
+        .map(|i| format!("{},{}", (i * 37 % 3001) as f64 / 3001.0, i as f64 / 3000.0))
+        .collect();
+    rows[1500] = "nan,0.5".to_string();
+    std::fs::write(&csv, rows.join("\n") + "\n").unwrap();
+    for mode in [&[][..], &["--bulk"][..], &["--external"][..]] {
+        let store = dir.join("store");
+        let mut args = vec!["build", "--input", csv.to_str().unwrap(), "--store"];
+        args.extend([store.to_str().unwrap(), "--page-size", "1024"]);
+        args.extend(mode);
+        let o = sqda(&args);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{mode:?}: {err}");
+        assert!(err.contains("non-finite coordinate"), "{mode:?}: {err}");
+        assert!(!err.contains("panicked"), "{mode:?}: {err}");
+        assert!(
+            !store.exists(),
+            "{mode:?}: a half-written store was left behind"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

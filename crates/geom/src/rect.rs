@@ -148,11 +148,7 @@ impl Rect {
 
     /// The n-dimensional volume (area in 2-d).
     pub fn area(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| h - l)
-            .product()
+        self.as_ref().area()
     }
 
     /// The margin: the sum of the side lengths over all dimensions.
@@ -204,17 +200,7 @@ impl Rect {
 
     /// The volume of the intersection with `other`, 0 if disjoint.
     pub fn intersection_area(&self, other: &Rect) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        let mut v = 1.0;
-        for d in 0..self.dim() {
-            let lo = self.lo[d].max(other.lo[d]);
-            let hi = self.hi[d].min(other.hi[d]);
-            if lo >= hi {
-                return 0.0;
-            }
-            v *= hi - lo;
-        }
-        v
+        self.as_ref().intersection_area(other.as_ref())
     }
 
     /// The smallest MBR enclosing both `self` and `other`.
@@ -251,7 +237,7 @@ impl Rect {
 
     /// The increase in volume needed to enclose `other`.
     pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
+        self.as_ref().enlargement(other.as_ref())
     }
 
     /// Builds the smallest MBR enclosing all `rects`.

@@ -72,6 +72,41 @@ impl<'a> RectRef<'a> {
         )
     }
 
+    /// The n-dimensional volume (area in 2-d).
+    pub fn area(&self) -> f64 {
+        self.lo
+            .iter()
+            .zip(self.hi.iter())
+            .map(|(l, h)| h - l)
+            .product()
+    }
+
+    /// The volume of the intersection with `other`, 0 if disjoint.
+    pub fn intersection_area(&self, other: RectRef<'_>) -> f64 {
+        debug_assert_eq!(self.dim(), other.dim());
+        let mut v = 1.0;
+        for d in 0..self.dim() {
+            let lo = self.lo[d].max(other.lo[d]);
+            let hi = self.hi[d].min(other.hi[d]);
+            if lo >= hi {
+                return 0.0;
+            }
+            v *= hi - lo;
+        }
+        v
+    }
+
+    /// The increase in volume needed to enclose `other`: the volume of
+    /// the enclosing MBR (taken corner by corner with `min`/`max`, as
+    /// [`Rect::union`] does, but never built) less this one's.
+    pub fn enlargement(&self, other: RectRef<'_>) -> f64 {
+        debug_assert_eq!(self.dim(), other.dim());
+        let union: f64 = (0..self.dim())
+            .map(|d| self.hi[d].max(other.hi[d]) - self.lo[d].min(other.lo[d]))
+            .product();
+        union - self.area()
+    }
+
     /// Returns `true` if the point (given as a coordinate slice) lies
     /// inside the rectangle, boundary included.
     #[inline]

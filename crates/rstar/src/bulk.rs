@@ -336,7 +336,7 @@ pub(crate) fn validate_coords(coords: &[f64], dim: usize) -> Result<()> {
     }
     match coords.iter().find(|c| !c.is_finite()) {
         Some(c) => Err(RStarError::InvalidBuild(format!(
-            "non-finite coordinate {c} in bulk input"
+            "non-finite coordinate {c}"
         ))),
         None => Ok(()),
     }

@@ -1,11 +1,12 @@
 //! Deletion: FindLeaf + CondenseTree with orphan reinsertion.
 
 use crate::entry::{LeafEntry, ObjectId};
-use crate::insert::{insert_at_level, propagate_up, EntryToInsert};
-use crate::node::{Node, NodeMut};
+use crate::insert::{insert_at_level, write_path, EntryToInsert, PathStep};
+use crate::node::Node;
 use crate::tree::{RStarTree, Result};
 use sqda_geom::Point;
 use sqda_storage::{PageId, PageStore};
+use std::sync::Arc;
 
 /// Deletes one `(point, object)` pair. Returns `false` if not present.
 pub(crate) fn delete_object<S: PageStore>(
@@ -14,76 +15,55 @@ pub(crate) fn delete_object<S: PageStore>(
     object: ObjectId,
 ) -> Result<bool> {
     // FindLeaf: DFS into every subtree whose MBR contains the point.
-    let Some(path) = find_leaf(tree, tree.root, point, object)? else {
+    let Some(mut path) = find_leaf(tree, point, object)? else {
         return Ok(false);
     };
 
     // Remove the entry from the leaf.
-    let leaf_page = path.last().expect("path reaches a leaf").0;
-    let mut leaf = tree.read_node(leaf_page)?.to_mut();
-    match &mut leaf {
-        NodeMut::Leaf { entries } => {
-            let idx = entries
-                .iter()
-                .position(|e| e.object == object && e.point == *point)
-                .expect("find_leaf located the entry");
-            entries.remove(idx);
-        }
-        NodeMut::Internal { .. } => unreachable!("path ends at a leaf"),
-    }
-    tree.write_node(leaf_page, &leaf.freeze())?;
+    let leaf = &path.last().expect("path reaches a leaf").node;
+    let idx = leaf
+        .leaf_iter()
+        .position(|(c, o)| o == object && c == point.coords())
+        .expect("find_leaf located the entry");
+    let mut node = leaf.removed(idx);
 
     // CondenseTree: walk upward; underfull non-root nodes are dissolved
-    // and their entries reinserted.
+    // and their entries reinserted. `node` is the edited tail of `path`.
     let mut orphans: Vec<(u32, EntryToInsert)> = Vec::new();
-    let mut path = path;
     loop {
-        let (page, _) = *path.last().expect("path non-empty");
-        let node = tree.read_node(page)?;
-        let is_root = page == tree.root;
         let min = if node.is_leaf() {
             tree.config.min_leaf_entries()
         } else {
             tree.config.min_internal_entries()
         };
-        if !is_root && node.len() < min {
-            // Dissolve: remove from parent, orphan the entries.
-            let level = node.level();
-            if node.is_leaf() {
-                orphans.extend(
-                    node.leaf_entries_vec()
-                        .into_iter()
-                        .map(|e| (level, EntryToInsert::Leaf(e))),
-                );
-            } else {
-                orphans.extend(
-                    node.internal_entries_vec()
-                        .into_iter()
-                        .map(|e| (level, EntryToInsert::Internal(e))),
-                );
-            }
-            let (_, idx_opt) = path.pop().expect("non-root has a parent step");
-            let idx = idx_opt.expect("non-root step has parent index");
-            let parent_page = path.last().expect("parent exists").0;
-            let mut parent = tree.read_node(parent_page)?.to_mut();
-            match &mut parent {
-                NodeMut::Internal { entries, .. } => {
-                    entries.remove(idx);
-                }
-                NodeMut::Leaf { .. } => unreachable!("parents are internal"),
-            }
-            tree.write_node(parent_page, &parent.freeze())?;
-            tree.free_node(page)?;
-            // Parent indices of deeper path steps are now stale, but the
-            // loop only ever looks at the tail of the path, which we just
-            // rebuilt. Continue condensing at the parent.
-            continue;
+        if path.len() == 1 || node.len() >= min {
+            // Healthy (or the root): write it, refresh ancestors' MBRs
+            // and counts.
+            write_path(tree, &path, node)?;
+            break;
         }
-        // Node is healthy (or root): refresh ancestors' MBRs/counts.
-        if !is_root {
-            propagate_up(tree, &path)?;
+        // Dissolve: orphan the entries, remove the node from its parent.
+        let step = path.pop().expect("non-root has a parent step");
+        tree.write_node(step.page, &node)?;
+        let level = node.level();
+        if node.is_leaf() {
+            orphans.extend(
+                node.leaf_entries_vec()
+                    .into_iter()
+                    .map(|e| (level, EntryToInsert::Leaf(e))),
+            );
+        } else {
+            orphans.extend(
+                node.internal_entries_vec()
+                    .into_iter()
+                    .map(|e| (level, EntryToInsert::Internal(e))),
+            );
         }
-        break;
+        let idx = step
+            .index_in_parent
+            .expect("non-root step has parent index");
+        node = path.last().expect("parent exists").node.removed(idx);
+        tree.free_node(step.page)?;
     }
 
     // Shrink the root while it is an internal node with a single child.
@@ -158,47 +138,45 @@ fn collect_and_free_subtree<S: PageStore>(
     Ok(out)
 }
 
-/// A root-to-leaf path as `(page, index_in_parent)` steps.
-type LeafPath = Vec<(PageId, Option<usize>)>;
-
-/// DFS for the leaf containing `(point, object)`. Returns the path from
-/// root to leaf.
+/// DFS from the root for the leaf containing `(point, object)`. Returns
+/// the root-to-leaf path, each node as read.
 fn find_leaf<S: PageStore>(
     tree: &RStarTree<S>,
-    page: PageId,
     point: &Point,
     object: ObjectId,
-) -> Result<Option<LeafPath>> {
+) -> Result<Option<Vec<PathStep>>> {
     fn rec<S: PageStore>(
         tree: &RStarTree<S>,
-        page: PageId,
         point: &Point,
         object: ObjectId,
-        path: &mut Vec<(PageId, Option<usize>)>,
+        path: &mut Vec<PathStep>,
     ) -> Result<bool> {
-        let node = tree.read_node(page)?;
+        let node = Arc::clone(&path.last().expect("path is non-empty").node);
         if node.is_leaf() {
-            Ok(node
+            return Ok(node
                 .leaf_iter()
-                .any(|(c, o)| o == object && c == point.coords()))
-        } else {
-            for (i, e) in node.internal_iter().enumerate() {
-                if e.mbr.contains_coords(point.coords()) {
-                    path.push((e.child, Some(i)));
-                    if rec(tree, e.child, point, object, path)? {
-                        return Ok(true);
-                    }
-                    path.pop();
-                }
-            }
-            Ok(false)
+                .any(|(c, o)| o == object && c == point.coords()));
         }
+        for (i, e) in node.internal_iter().enumerate() {
+            if e.mbr.contains_coords(point.coords()) {
+                path.push(PathStep {
+                    page: e.child,
+                    index_in_parent: Some(i),
+                    node: tree.read_node(e.child)?,
+                });
+                if rec(tree, point, object, path)? {
+                    return Ok(true);
+                }
+                path.pop();
+            }
+        }
+        Ok(false)
     }
 
-    let mut path = vec![(page, None)];
-    if rec(tree, page, point, object, &mut path)? {
-        Ok(Some(path))
-    } else {
-        Ok(None)
-    }
+    let mut path = vec![PathStep {
+        page: tree.root,
+        index_in_parent: None,
+        node: tree.read_node(tree.root)?,
+    }];
+    Ok(rec(tree, point, object, &mut path)?.then_some(path))
 }

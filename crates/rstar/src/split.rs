@@ -134,11 +134,12 @@ pub fn reinsert_victims(mbrs: &[Rect], p: usize) -> Vec<usize> {
     assert!(p < mbrs.len(), "cannot evict {p} of {} entries", mbrs.len());
     let node_mbr = Rect::union_all(mbrs.iter()).expect("non-empty node");
     let center = node_mbr.center();
+    // Each entry's distance once, not once per comparison.
+    let dist: Vec<f64> = mbrs.iter().map(|r| r.center().dist_sq(&center)).collect();
     let mut idx: Vec<usize> = (0..mbrs.len()).collect();
     idx.sort_by(|&a, &b| {
-        let da = mbrs[a].center().dist_sq(&center);
-        let db = mbrs[b].center().dist_sq(&center);
-        db.partial_cmp(&da)
+        dist[b]
+            .partial_cmp(&dist[a])
             .expect("finite coordinates")
             .then(a.cmp(&b))
     });

@@ -32,8 +32,9 @@ pub enum RStarError {
         /// The offending dimensionality.
         dim: usize,
     },
-    /// A bulk-build invariant was violated (empty slab, non-finite
-    /// coordinate, malformed run file); the build aborts cleanly.
+    /// A build invariant was violated (a non-finite coordinate, inserted
+    /// or in bulk input; an empty slab; a malformed run file); the build
+    /// aborts cleanly.
     InvalidBuild(String),
     /// A [`crate::PointSource`] failed mid-pass; the error is its own and
     /// displays as itself.
@@ -66,7 +67,7 @@ impl std::fmt::Display for RStarError {
             RStarError::UnsupportedPacking { order, dim } => {
                 write!(f, "{order} packing does not support {dim}-d data")
             }
-            RStarError::InvalidBuild(msg) => write!(f, "invalid bulk build: {msg}"),
+            RStarError::InvalidBuild(msg) => write!(f, "invalid build: {msg}"),
             RStarError::Source(e) => e.fmt(f),
         }
     }
@@ -338,24 +339,19 @@ impl<S: PageStore> RStarTree<S> {
     }
 
     /// Inserts a point with its object id.
+    ///
+    /// A point of the wrong dimensionality or with a non-finite
+    /// coordinate is refused before any page is touched: a NaN would
+    /// poison the MBR of every node on its path.
     pub fn insert(&mut self, point: Point, object: u64) -> Result<()> {
-        if point.dim() != self.config.dim {
-            return Err(RStarError::DimensionMismatch {
-                expected: self.config.dim,
-                got: point.dim(),
-            });
-        }
+        crate::bulk::validate_coords(point.coords(), self.config.dim)?;
         crate::insert::insert_object(self, LeafEntry::new(point, ObjectId(object)))
     }
 
     /// Deletes a point/object pair. Returns `true` if it was present.
+    /// Refuses the point as [`Self::insert`] does.
     pub fn delete(&mut self, point: &Point, object: u64) -> Result<bool> {
-        if point.dim() != self.config.dim {
-            return Err(RStarError::DimensionMismatch {
-                expected: self.config.dim,
-                got: point.dim(),
-            });
-        }
+        crate::bulk::validate_coords(point.coords(), self.config.dim)?;
         crate::delete::delete_object(self, point, ObjectId(object))
     }
 

@@ -278,6 +278,35 @@ fn dimension_mismatch_is_rejected() {
 }
 
 #[test]
+fn non_finite_points_are_refused_without_touching_a_page() {
+    // A root leaf too small to split (where a NaN used to be stored
+    // silently) and a tree of height > 1 (where it used to panic in the
+    // split).
+    for n in [3, 500] {
+        let mut tree = new_tree(2, Some(8));
+        let points = random_points(n, 2, 21);
+        for (i, p) in points.iter().enumerate() {
+            tree.insert(p.clone(), i as u64).unwrap();
+        }
+        let writes = tree.store().stats().writes;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let p = Point::new(vec![bad, 0.5]);
+            let err = tree.insert(p.clone(), 999).unwrap_err();
+            assert!(err.to_string().contains("non-finite coordinate"), "{err}");
+            assert!(tree.delete(&p, 999).is_err());
+        }
+        assert_eq!(tree.store().stats().writes, writes, "a refused point wrote");
+        assert!(tree.validate().unwrap().is_ok());
+        for (i, p) in random_points(50, 2, 22).into_iter().enumerate() {
+            tree.insert(p, (n + i) as u64).unwrap();
+        }
+        assert_eq!(tree.num_objects(), n as u64 + 50);
+        assert!(tree.delete(&points[0], 0).unwrap());
+        assert!(tree.validate().unwrap().is_ok());
+    }
+}
+
+#[test]
 fn declustering_distributes_pages() {
     let store = Arc::new(ArrayStore::new(10, 1449, 5));
     let mut tree = RStarTree::create(

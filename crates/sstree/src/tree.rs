@@ -294,13 +294,17 @@ impl<S: PageStore> SsTree<S> {
         Ok(self.store.allocate(DiskId(best as u32))?)
     }
 
-    /// Inserts a point.
+    /// Inserts a point. A point of the wrong dimensionality or with a
+    /// non-finite coordinate is refused before any page is touched.
     pub fn insert(&mut self, point: Point, object: u64) -> Result<()> {
         if point.dim() != self.config.dim {
             return Err(SsError::DimensionMismatch {
                 expected: self.config.dim,
                 got: point.dim(),
             });
+        }
+        if point.coords().iter().any(|c| !c.is_finite()) {
+            return Err(GeomError::NonFiniteCoordinate.into());
         }
         // Descend by nearest centroid, recording the path. The descent
         // only reads, so it borrows the shared cached nodes.

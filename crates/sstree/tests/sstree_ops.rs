@@ -44,6 +44,20 @@ fn insert_and_validate() {
 }
 
 #[test]
+fn non_finite_points_are_refused_without_touching_a_page() {
+    let points = random_points(300, 2, 4);
+    let mut tree = build(&points, 2, 4, 8);
+    let writes = tree.io_stats().writes;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(tree.insert(Point::new(vec![bad, 0.5]), 999).is_err());
+    }
+    assert_eq!(tree.io_stats().writes, writes);
+    assert_eq!(tree.num_objects(), 300);
+    tree.insert(Point::new(vec![0.5, 0.5]), 300).unwrap();
+    assert!(tree.validate().unwrap().is_ok());
+}
+
+#[test]
 fn validate_high_dimensional() {
     let points = random_points(1500, 8, 2);
     let tree = build(&points, 8, 4, 12);

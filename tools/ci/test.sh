@@ -119,6 +119,12 @@ for op in ('observe_query', 'observe_query_contended', 'flight_record',
 # fetches above 1).
 assert h['batch_knn_sharing_factor'] > 1, h
 assert h['batch_knn_rounds'] >= 2, h
+# Insertion, the paper's construction: the timed build and the exact
+# store reads, writes and allocations per object that check_regression
+# compares against the baseline.
+for key in ('insert_ns_per_object', 'insert_reads_per_object',
+            'insert_writes_per_object', 'insert_allocs_per_object'):
+    assert h[key] > 0, (key, h[key])
 print('bench_hotpath OK:', {k: v for k, v in h.items() if not isinstance(v, dict)})
 
 b = metrics('bench_scale')
