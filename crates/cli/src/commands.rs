@@ -93,7 +93,7 @@ pub(crate) fn open_tree(
     let store = Arc::new(FileStore::open(dir)?);
     let tree = RStarTree::attach(
         store,
-        RStarConfig::with_page_size(meta.dim, meta.page_size),
+        RStarConfig::try_with_page_size(meta.dim, meta.page_size)?,
         Box::new(ProximityIndex),
         PageId::from_raw(meta.root),
     )?;
@@ -193,9 +193,9 @@ pub fn build(args: &Args) -> CmdResult {
                 return Err("input dataset is empty".into());
             }
             let source = CsvSource { input, len, dim };
+            let config = RStarConfig::try_with_page_size(dim, page_size)?.with_split_policy(split);
             let store = Arc::new(FileStore::create(dir, disks, 1449, page_size, seed)?);
             store_made = true;
-            let config = RStarConfig::with_page_size(dim, page_size).with_split_policy(split);
             let scratch = FileStore::create(&scratch_dir, disks, 1449, page_size, seed)?;
             let opts = ExternalBuildOptions {
                 run_capacity,
@@ -222,10 +222,10 @@ pub fn build(args: &Args) -> CmdResult {
             if dataset.is_empty() {
                 return Err("input dataset is empty".into());
             }
+            let dim = dataset.dim;
+            let config = RStarConfig::try_with_page_size(dim, page_size)?.with_split_policy(split);
             let store = Arc::new(FileStore::create(dir, disks, 1449, page_size, seed)?);
             store_made = true;
-            let dim = dataset.dim;
-            let config = RStarConfig::with_page_size(dim, page_size).with_split_policy(split);
             let points = dataset.points.into_iter().zip(0u64..);
             let tree = if bulk {
                 RStarTree::bulk_load(store.clone(), config, declusterer, points.collect())?

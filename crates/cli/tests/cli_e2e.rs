@@ -390,3 +390,62 @@ fn non_finite_row_fails_an_incremental_build_cleanly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unbuildable_trees_are_typed_errors() {
+    // Pages too small for a node, no disks, no page size, and a sidecar
+    // describing a tree its pages cannot hold: each fails with exit 1 and
+    // a message, never a panic, and a failed build leaves no store.
+    let dir = workdir("unbuildable");
+    let small = dir.join("small.csv");
+    std::fs::write(&small, "0.1,0.2\n0.3,0.4\n0.5,0.6\n").unwrap();
+    let wide = dir.join("wide.csv");
+    let row = |i: usize| (0..300).map(move |d| format!("{}", (i + d) as f64 / 1000.0));
+    let rows: Vec<String> = (0..5)
+        .map(|i| row(i).collect::<Vec<_>>().join(","))
+        .collect();
+    std::fs::write(&wide, rows.join("\n") + "\n").unwrap();
+    let store = dir.join("store");
+    let (small, wide, s) = (
+        small.to_str().unwrap(),
+        wide.to_str().unwrap(),
+        store.to_str().unwrap(),
+    );
+    let fits = "too small for";
+    for (args, want) in [
+        (&["--input", small, "--page-size", "64"][..], fits),
+        (&["--input", small, "--page-size", "64", "--bulk"], fits),
+        (&["--input", small, "--page-size", "64", "--external"], fits),
+        (&["--input", wide], "too small for 300-d nodes"),
+        (&["--input", wide, "--bulk"], fits),
+        (&["--input", wide, "--external"], fits),
+        (&["--input", small, "--page-size", "0"], fits),
+        (&["--input", small, "--disks", "0"], "a store needs"),
+    ] {
+        let mut argv = vec!["build", "--store", s];
+        argv.extend(args);
+        let o = sqda(&argv);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{argv:?}: {err}");
+        assert!(err.contains(want), "{argv:?}: {err}");
+        assert!(!err.contains("panicked"), "{argv:?}: {err}");
+        assert!(!store.exists(), "{argv:?} left a store behind");
+    }
+
+    stdout(&sqda(&["build", "--input", small, "--store", s]));
+    let meta = store.join("tree.meta");
+    let good = std::fs::read_to_string(&meta).unwrap();
+    for (from, to) in [("page_size=4096", "page_size=64"), ("dim=2", "dim=300")] {
+        std::fs::write(&meta, good.replace(from, to)).unwrap();
+        for command in [&["stats"][..], &["query", "--point", "0.5,0.5", "--k", "1"]] {
+            let mut argv = vec![command[0], "--store", s];
+            argv.extend(&command[1..]);
+            let o = sqda(&argv);
+            let err = String::from_utf8_lossy(&o.stderr);
+            assert_eq!(o.status.code(), Some(1), "{to} {argv:?}: {err}");
+            assert!(err.contains("too small for"), "{to} {argv:?}: {err}");
+            assert!(!err.contains("panicked"), "{to} {argv:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,8 +7,9 @@
 //! [`IndexNode`]s — leaves of data points and directories of
 //! count-annotated bounding regions — so any hierarchical, declustered
 //! access method that can serve this view runs BBSS, FPSS, CRSS and
-//! WOPTSS unchanged. `sqda-rstar` (rectangles) and `sqda-sstree`
-//! (spheres) both implement it.
+//! WOPTSS unchanged. Both of `sqda-rstar`'s paged trees — the R\*-tree
+//! (rectangles) and the SS-tree (spheres) — implement it, through one
+//! impl over `sqda_rstar::PagedTree`.
 //!
 //! Nodes are stored **flat**: one contiguous coordinate block per node
 //! plus one integer block (object ids, or `[child, count]` pairs) — the
@@ -18,16 +19,15 @@
 //! allocations and the hot paths compute whole-node distance vectors in
 //! one call.
 //!
-//! An [`IndexNode`] over an R\*-tree is a **handle** on the decoded node
-//! itself (`Arc<Node>`), the same one the tree's decoded-node cache
-//! holds: serving a node from the cache is one reference-count bump and
-//! copies nothing. Access methods with another node form pack theirs into
-//! the same blocks per conversion.
+//! An [`IndexNode`] is a **handle** on the decoded node itself
+//! (`Arc<Node>`), the same one the tree's decoded-node cache holds:
+//! serving a node from the cache is one reference-count bump and copies
+//! nothing, for either tree.
 
 use crate::best_first::QueueItem;
 use crate::error::QueryError;
 use sqda_geom::{kernel, Point, Region};
-use sqda_rstar::Node;
+use sqda_rstar::{Bound, Node, PagedTree};
 use sqda_storage::{PageId, Placement};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -38,18 +38,6 @@ use std::sync::Arc;
 pub struct LeafBlock(Arc<Node>);
 
 impl LeafBlock {
-    /// Builds a leaf block from flat storage. `coords` holds the points
-    /// back-to-back (entry `i` at `[i*dim .. (i+1)*dim]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coords.len() != dim * ids.len()`, or if `dim == 0`
-    /// while entries are present (only an empty node has no
-    /// dimensionality to take from its entries).
-    pub fn new(dim: usize, coords: Box<[f64]>, ids: Box<[u64]>) -> Self {
-        Self(Arc::new(Node::leaf_from_flat(dim, coords, ids)))
-    }
-
     /// Number of data points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -123,66 +111,34 @@ impl LeafBlock {
 ///
 /// A node's entries are homogeneous (R\*-trees bound with rectangles,
 /// SS-trees with spheres), so one discriminant per node suffices and the
-/// coordinate blocks stay contiguous for the batch kernels.
+/// coordinate blocks stay contiguous for the batch kernels. Either way
+/// the node is read in place and its payload is the links.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InternalBlock(Directory);
 
 #[derive(Debug, Clone, PartialEq)]
 enum Directory {
-    /// An R\*-tree directory node read in place: entry `i`'s MBR occupies
-    /// `[i*2*dim .. (i+1)*2*dim]` of its coordinate block — `dim` low
-    /// coordinates then `dim` high — and its payload is the links.
+    /// Entry `i`'s MBR occupies `[i*2*dim .. (i+1)*2*dim]` of the
+    /// coordinate block — `dim` low coordinates then `dim` high.
     Rects(Arc<Node>),
-    /// Bounding spheres: entry `i`'s center at `[i*dim .. (i+1)*dim]` of
-    /// `centers`, radius in `radii[i]`.
-    Spheres {
-        dim: usize,
-        centers: Box<[f64]>,
-        radii: Box<[f64]>,
-        links: Box<[u64]>,
-    },
+    /// Entry `i`'s sphere occupies `[i*(dim+1) .. (i+1)*(dim+1)]` — `dim`
+    /// center coordinates then the radius.
+    Spheres(Arc<Node>),
 }
 
 impl InternalBlock {
-    /// Builds a sphere-bounded directory from flat storage: entry `i`'s
-    /// child page and subtree count are `links[2 * i]` and
-    /// `links[2 * i + 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches, or if `dim == 0` while entries are
-    /// present.
-    pub fn from_spheres(
-        dim: usize,
-        centers: Box<[f64]>,
-        radii: Box<[f64]>,
-        links: Box<[u64]>,
-    ) -> Self {
-        assert!(
-            dim > 0 || links.is_empty(),
-            "non-empty node needs dimensions"
-        );
-        assert_eq!(centers.len(), dim * radii.len(), "center block length");
-        assert_eq!(
-            links.len(),
-            2 * radii.len(),
-            "one [child, count] pair per entry"
-        );
-        Self(Directory::Spheres {
-            dim,
-            centers,
-            radii,
-            links,
-        })
+    /// The node the directory reads in place.
+    #[inline]
+    fn node(&self) -> &Node {
+        match &self.0 {
+            Directory::Rects(node) | Directory::Spheres(node) => node,
+        }
     }
 
     /// The `[child, count]` pairs, entry after entry.
     #[inline]
     fn links(&self) -> &[u64] {
-        match &self.0 {
-            Directory::Rects(node) => node.payload(),
-            Directory::Spheres { links, .. } => links,
-        }
+        self.node().payload()
     }
 
     /// Number of directory entries.
@@ -200,10 +156,7 @@ impl InternalBlock {
     /// Region dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
-        match &self.0 {
-            Directory::Rects(node) => node.dim(),
-            Directory::Spheres { dim, .. } => *dim,
-        }
+        self.node().dim()
     }
 
     /// Child page of entry `i`.
@@ -236,12 +189,10 @@ impl InternalBlock {
     pub fn region(&self, i: usize) -> Region {
         match &self.0 {
             Directory::Rects(node) => Region::Rect(node.internal_rect(i).to_rect()),
-            Directory::Spheres {
-                dim,
-                centers,
-                radii,
-                ..
-            } => Region::sphere(Point::from(&centers[i * dim..(i + 1) * dim]), radii[i]),
+            Directory::Spheres(node) => {
+                let (center, radius) = node.entry(i).0.split_at(node.dim());
+                Region::sphere(Point::from(center), radius[0])
+            }
         }
     }
 
@@ -259,9 +210,7 @@ impl InternalBlock {
         }
         match &self.0 {
             Directory::Rects(node) => kernel::batch_min_dist_sq(q, node.coords(), out),
-            Directory::Spheres { centers, radii, .. } => {
-                kernel::batch_sphere_min_dist_sq(q, centers, radii, out)
-            }
+            Directory::Spheres(node) => kernel::batch_sphere_min_dist_sq(q, node.coords(), out),
         }
     }
 
@@ -289,8 +238,8 @@ impl InternalBlock {
             Directory::Rects(node) => {
                 kernel::batch_rect_metrics(q, node.coords(), d_min, d_mm, d_max)
             }
-            Directory::Spheres { centers, radii, .. } => {
-                kernel::batch_sphere_metrics(q, centers, radii, d_min, d_mm, d_max)
+            Directory::Spheres(node) => {
+                kernel::batch_sphere_metrics(q, node.coords(), d_min, d_mm, d_max)
             }
         }
     }
@@ -384,8 +333,7 @@ pub trait AccessMethod: Send + Sync {
 
 /// The one place an R\*-tree node becomes the algorithms' view of it:
 /// the view *is* the shared node, whose flat blocks the kernels read in
-/// place. (`sqda-sstree` provides the analogous impl for its sphere
-/// nodes.)
+/// place.
 impl From<Arc<Node>> for IndexNode {
     fn from(node: Arc<Node>) -> Self {
         if node.is_leaf() {
@@ -396,9 +344,22 @@ impl From<Arc<Node>> for IndexNode {
     }
 }
 
-impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
+impl IndexNode {
+    /// The algorithms' view of a node of a `B`-bounded tree: a sphere
+    /// directory for the SS-tree, else as [`From<Arc<Node>>`]. `B` is a
+    /// type parameter, so the choice is made at compile time.
+    fn of<B: Bound>(node: Arc<Node>) -> Self {
+        if B::SPHERES && !node.is_leaf() {
+            IndexNode::Internal(InternalBlock(Directory::Spheres(node)))
+        } else {
+            node.into()
+        }
+    }
+}
+
+impl<S: sqda_storage::PageStore, B: Bound> AccessMethod for PagedTree<S, B> {
     fn root_page(&self) -> PageId {
-        sqda_rstar::RStarTree::root_page(self)
+        PagedTree::root_page(self)
     }
 
     fn num_disks(&self) -> u32 {
@@ -406,7 +367,7 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
     }
 
     fn read_index_node(&self, page: PageId) -> Result<IndexNode, QueryError> {
-        Ok(self.read_node(page)?.into())
+        Ok(IndexNode::of::<B>(self.read_node(page)?))
     }
 
     fn placement(&self, page: PageId) -> Result<Placement, QueryError> {
@@ -414,7 +375,7 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
     }
 
     fn cached_index_node(&self, page: PageId) -> Result<Option<IndexNode>, QueryError> {
-        Ok(self.cached_node(page).map(IndexNode::from))
+        Ok(self.cached_node(page).map(IndexNode::of::<B>))
     }
 
     fn decode_index_node(
@@ -422,7 +383,7 @@ impl<S: sqda_storage::PageStore> AccessMethod for sqda_rstar::RStarTree<S> {
         page: PageId,
         bytes: sqda_storage::Bytes,
     ) -> Result<IndexNode, QueryError> {
-        Ok(self.decode_node_bytes(page, bytes)?.into())
+        Ok(IndexNode::of::<B>(self.decode_node_bytes(page, bytes)?))
     }
 }
 

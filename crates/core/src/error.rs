@@ -3,9 +3,9 @@
 //! Everything that crosses the [`crate::AccessMethod`] / executor seam —
 //! the four algorithms, the logical executor and the event-driven
 //! simulator — fails with [`QueryError`], replacing the former
-//! `Box<dyn Error>` alias. Access-method crates convert their own error
-//! types via `From` impls (`sqda-rstar` here, `sqda-sstree` in its own
-//! crate), so `?` works across the boundary without boxing.
+//! `Box<dyn Error>` alias. Both access methods are `sqda-rstar`'s paged
+//! trees and fail with its one error type, converted here via `From`, so
+//! `?` works across the boundary without boxing.
 
 use sqda_rstar::RStarError;
 use sqda_storage::{PageId, StorageError};
@@ -90,6 +90,7 @@ impl From<RStarError> for QueryError {
             | RStarError::UnsupportedPacking { .. }
             | RStarError::InvalidBuild(_)
             | RStarError::Source(_) => QueryError::Invariant(e.to_string()),
+            RStarError::NodeDoesNotFit { .. } => QueryError::Config(e.to_string()),
         }
     }
 }

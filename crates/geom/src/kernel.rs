@@ -307,43 +307,31 @@ fn rect_metrics_each<const D: usize>(
     }
 }
 
-/// Sphere MINDIST² from `q` to every entry of flat `centers` (stride
-/// `dim`) with per-entry `radii`.
-pub fn batch_sphere_min_dist_sq(q: &[f64], centers: &[f64], radii: &[f64], out: &mut Vec<f64>) {
-    batch_dist_sq(q, centers, out);
-    debug_assert_eq!(out.len(), radii.len(), "radius per center required");
-    for (o, &r) in out.iter_mut().zip(radii.iter()) {
-        let d = o.sqrt() - r;
-        *o = if d <= 0.0 { 0.0 } else { d * d };
+/// Sphere MINDIST² from `q` to every entry of a flat sphere buffer
+/// (`entries × (dim + 1)`, each entry `center[0..dim]` then the radius).
+pub fn batch_sphere_min_dist_sq(q: &[f64], spheres: &[f64], out: &mut Vec<f64>) {
+    prep_out(out, entries(spheres, q.len() + 1).len());
+    for (s, o) in entries(spheres, q.len() + 1).zip(out.iter_mut()) {
+        *o = sphere_min_dist_sq(&s[..q.len()], s[q.len()], q);
     }
 }
 
-/// Sphere D_max² (= MINMAXDIST²) from `q` to every entry.
-pub fn batch_sphere_max_dist_sq(q: &[f64], centers: &[f64], radii: &[f64], out: &mut Vec<f64>) {
-    batch_dist_sq(q, centers, out);
-    debug_assert_eq!(out.len(), radii.len(), "radius per center required");
-    for (o, &r) in out.iter_mut().zip(radii.iter()) {
-        let d = o.sqrt() + r;
-        *o = d * d;
-    }
-}
-
-/// All three sphere metrics for every entry (`D_mm = D_max` for
-/// spheres).
+/// All three sphere metrics for every entry of a flat sphere buffer
+/// (`D_mm = D_max` for spheres).
 pub fn batch_sphere_metrics(
     q: &[f64],
-    centers: &[f64],
-    radii: &[f64],
+    spheres: &[f64],
     d_min: &mut Vec<f64>,
     d_mm: &mut Vec<f64>,
     d_max: &mut Vec<f64>,
 ) {
-    batch_dist_sq(q, centers, d_min);
-    debug_assert_eq!(d_min.len(), radii.len(), "radius per center required");
-    prep_out(d_mm, d_min.len());
-    prep_out(d_max, d_min.len());
-    for (i, &r) in radii.iter().enumerate() {
-        let dist = d_min[i].sqrt();
+    let n = entries(spheres, q.len() + 1).len();
+    prep_out(d_min, n);
+    prep_out(d_mm, n);
+    prep_out(d_max, n);
+    for (i, s) in entries(spheres, q.len() + 1).enumerate() {
+        let (center, r) = (&s[..q.len()], s[q.len()]);
+        let dist = dist_sq(center, q).sqrt();
         let near = dist - r;
         d_min[i] = if near <= 0.0 { 0.0 } else { near * near };
         let far = dist + r;
@@ -468,10 +456,16 @@ mod tests {
             let q: Vec<f64> = (0..dim).map(|_| coord(&mut rng)).collect();
             let centers: Vec<f64> = (0..n * dim).map(|_| coord(&mut rng)).collect();
             let radii: Vec<f64> = (0..n).map(|_| coord(&mut rng).abs()).collect();
+            let spheres: Vec<f64> = centers
+                .chunks_exact(dim)
+                .zip(&radii)
+                .flat_map(|(c, r)| c.iter().chain([r]).copied())
+                .collect();
             let (mut o_min, mut o_mm, mut o_max) = (Vec::new(), Vec::new(), Vec::new());
-            batch_sphere_metrics(&q, &centers, &radii, &mut o_min, &mut o_mm, &mut o_max);
+            batch_sphere_metrics(&q, &spheres, &mut o_min, &mut o_mm, &mut o_max);
             let mut solo = Vec::new();
-            batch_sphere_min_dist_sq(&q, &centers, &radii, &mut solo);
+            batch_sphere_min_dist_sq(&q, &spheres, &mut solo);
+            assert_eq!((o_min.len(), solo.len()), (n, n));
             for i in 0..n {
                 let c = &centers[i * dim..(i + 1) * dim];
                 assert_eq!(

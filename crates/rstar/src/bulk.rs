@@ -14,7 +14,8 @@
 
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
 use crate::node::Node;
-use crate::tree::{RStarError, RStarTree, Result};
+use crate::tree::{RStarError, Result};
+use crate::RStarTree;
 use crate::{Declusterer, RStarConfig};
 use sqda_geom::{Point, Rect};
 use sqda_storage::{DiskId, PageId, PageStore};
@@ -133,7 +134,10 @@ impl<'a, S: PageStore> LevelWriter<'a, S> {
         }
         .min(WINDOW);
         let window = &self.recent[self.recent.len() - siblings..];
-        let page = self.tree.allocate_declustered(&mbr, window)?;
+        let page = self
+            .tree
+            .store
+            .allocate(self.tree.declustered_disk(&mbr, window))?;
         self.tree.write_node(page, node)?;
         let disk = self.tree.store.placement(page)?.disk;
         if self.recent.len() == 2 * WINDOW {
@@ -229,7 +233,7 @@ impl<S: PageStore> RStarTree<S> {
         let num_objects = entries.len() as u64;
         let dim = self.config.dim;
         let leaf_cap = self.config.max_leaf_entries;
-        let min_leaf = self.config.min_leaf_entries();
+        let min_leaf = self.config.min_entries(true);
         let tiles = match order {
             PackingOrder::Str => str_tile(&mut entries, leaf_cap, min_leaf, dim, 0, &leaf_key),
             PackingOrder::Morton | PackingOrder::Hilbert => {
@@ -273,7 +277,7 @@ impl<S: PageStore> RStarTree<S> {
         let dim = self.config.dim;
         loop {
             let cap = self.config.max_internal_entries;
-            let min = self.config.min_internal_entries();
+            let min = self.config.min_entries(false);
             // STR re-tiles each directory level; curve packing keeps the
             // children's curve order and cuts it into consecutive runs.
             let tiles = match order {

@@ -1,10 +1,10 @@
-//! Binary on-page node format.
+//! Binary on-page node format, shared by both trees.
 //!
 //! Every node is serialized into one fixed-size page:
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  "RSTN"
+//! 0       4     magic  ("RSTN" for the R*-tree, "SSTN" for the SS-tree)
 //! 4       1     format version (1)
 //! 5       1     node type (0 = leaf, 1 = internal)
 //! 6       2     dimensionality
@@ -13,31 +13,31 @@
 //! 16      ...   entries
 //! ```
 //!
-//! Internal entry: `2·dim` little-endian `f64` MBR corners (lo then hi),
-//! `u64` child page id, `u64` subtree object count.
+//! Internal entry: the bound's little-endian `f64` words — `2·dim` MBR
+//! corners (lo then hi) for the R\*-tree, `dim` center coordinates then
+//! the radius for the SS-tree — then the `u64` child page id and the
+//! `u64` subtree object count.
 //! Leaf entry: `dim` `f64` coordinates, `u64` object id.
 //!
 //! The in-memory [`Node`] mirrors this layout (one flat coordinate
 //! buffer, one payload buffer), so decoding a page is two allocations
-//! regardless of how many entries it holds. The bytes themselves are
-//! unchanged from the entry-vector era — pages written by either code
-//! path are interchangeable.
+//! regardless of how many entries it holds.
 
 use crate::node::Node;
-use sqda_geom::GeomError;
+use crate::{Bound, Rects};
 use sqda_storage::{Bytes, BytesMut, PageId, StorageError};
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_SIZE: usize = 16;
 
-const MAGIC: &[u8; 4] = b"RSTN";
 const VERSION: u8 = 1;
 const TYPE_LEAF: u8 = 0;
 const TYPE_INTERNAL: u8 = 1;
 
-/// Bytes one internal entry occupies for dimensionality `dim`.
-pub const fn internal_entry_size(dim: usize) -> usize {
-    2 * dim * 8 + 8 + 8
+/// Bytes one internal entry of a `B`-bounded tree occupies for
+/// dimensionality `dim`.
+pub fn internal_entry_size<B: Bound>(dim: usize) -> usize {
+    (B::words(dim) + 2) * 8
 }
 
 /// Bytes one leaf entry occupies for dimensionality `dim`.
@@ -45,13 +45,23 @@ pub const fn leaf_entry_size(dim: usize) -> usize {
     dim * 8 + 8
 }
 
-/// Serializes a node into page bytes.
+/// Serializes an R\*-tree node into page bytes; see [`encode`].
+pub fn encode_node(node: &Node, dim: usize) -> Bytes {
+    encode::<Rects>(node, dim)
+}
+
+/// Deserializes R\*-tree page bytes into a node; see [`decode`].
+pub fn decode_node(data: Bytes, dim: usize, page: PageId) -> Result<Node, StorageError> {
+    decode::<Rects>(data, dim, page)
+}
+
+/// Serializes a node of a `B`-bounded tree into page bytes.
 ///
 /// # Panics
 ///
 /// Panics if the node's dimensionality disagrees with `dim` — that is a
 /// programming error upstream, not a recoverable condition.
-pub fn encode_node(node: &Node, dim: usize) -> Bytes {
+pub fn encode<B: Bound>(node: &Node, dim: usize) -> Bytes {
     let n = node.len();
     assert!(
         node.is_empty() || node.dim() == dim,
@@ -61,33 +71,18 @@ pub fn encode_node(node: &Node, dim: usize) -> Bytes {
     let (ty, body) = if node.is_leaf() {
         (TYPE_LEAF, n * leaf_entry_size(dim))
     } else {
-        (TYPE_INTERNAL, n * internal_entry_size(dim))
+        (TYPE_INTERNAL, n * internal_entry_size::<B>(dim))
     };
     let mut buf = BytesMut::with_capacity(HEADER_SIZE + body);
-    buf.put_slice(MAGIC);
+    buf.put_slice(B::MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(ty);
     buf.put_u16_le(dim as u16);
     buf.put_u32_le(node.level());
     buf.put_u32_le(n as u32);
-    if node.is_leaf() {
-        for (coords, object) in node.leaf_iter() {
-            for c in coords {
-                buf.put_f64_le(*c);
-            }
-            buf.put_u64_le(object.0);
-        }
-    } else {
-        for e in node.internal_iter() {
-            for c in e.mbr.lo() {
-                buf.put_f64_le(*c);
-            }
-            for c in e.mbr.hi() {
-                buf.put_f64_le(*c);
-            }
-            buf.put_u64_le(e.child.as_raw());
-            buf.put_u64_le(e.count);
-        }
+    for (coords, payload) in node.entries() {
+        coords.iter().for_each(|c| buf.put_f64_le(*c));
+        payload.iter().for_each(|w| buf.put_u64_le(*w));
     }
     buf.freeze()
 }
@@ -97,20 +92,6 @@ fn corrupt(page: PageId, detail: impl Into<String>) -> StorageError {
         page,
         detail: detail.into(),
     }
-}
-
-/// Validates one decoded MBR (corner pair) with the same rules — and the
-/// same error values — as `Rect::new`, without building a `Rect`.
-fn validate_mbr(lo: &[f64], hi: &[f64]) -> Result<(), GeomError> {
-    if lo.iter().chain(hi.iter()).any(|c| !c.is_finite()) {
-        return Err(GeomError::NonFiniteCoordinate);
-    }
-    for (dim, (l, h)) in lo.iter().zip(hi.iter()).enumerate() {
-        if l > h {
-            return Err(GeomError::InvertedCorners { dim });
-        }
-    }
-    Ok(())
 }
 
 /// Words `skip .. skip + take` of every `per`-word entry of `body`, in
@@ -139,18 +120,18 @@ fn gather<T>(
         .collect()
 }
 
-/// Deserializes page bytes into a node.
+/// Deserializes page bytes of a `B`-bounded tree into a node.
 ///
 /// `page` is used only for error reporting. Validates magic, version,
-/// dimensionality and length; internal MBRs are additionally checked for
-/// finiteness and corner ordering, exactly as before the flat layout.
-pub fn decode_node(mut data: Bytes, dim: usize, page: PageId) -> Result<Node, StorageError> {
+/// dimensionality, level and length; every internal entry's bound is
+/// additionally checked by [`Bound::check`].
+pub fn decode<B: Bound>(mut data: Bytes, dim: usize, page: PageId) -> Result<Node, StorageError> {
     if data.len() < HEADER_SIZE {
         return Err(corrupt(page, format!("short page: {} bytes", data.len())));
     }
     let mut magic = [0u8; 4];
     data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &magic != B::MAGIC {
         return Err(corrupt(page, "bad magic"));
     }
     let version = data.get_u8();
@@ -167,43 +148,34 @@ pub fn decode_node(mut data: Bytes, dim: usize, page: PageId) -> Result<Node, St
     }
     let level = data.get_u32_le();
     let n = data.get_u32_le() as usize;
-    match ty {
-        TYPE_LEAF => {
-            if level != 0 {
-                return Err(corrupt(page, format!("leaf with level {level}")));
-            }
-            if data.len() < n * leaf_entry_size(dim) {
-                return Err(corrupt(page, "truncated leaf entries"));
-            }
-            let body = &data[..n * leaf_entry_size(dim)];
-            let coords = gather(body, dim + 1, 0, dim, f64::from_bits);
-            let payload = gather(body, dim + 1, dim, 1, |id| id);
-            Ok(Node::from_raw_parts(0, dim as u32, coords, payload))
-        }
-        TYPE_INTERNAL => {
-            if level == 0 {
-                return Err(corrupt(page, "internal node with level 0"));
-            }
-            if data.len() < n * internal_entry_size(dim) {
-                return Err(corrupt(page, "truncated internal entries"));
-            }
-            let body = &data[..n * internal_entry_size(dim)];
-            let coords = gather(body, 2 * dim + 2, 0, 2 * dim, f64::from_bits);
-            let payload = gather(body, 2 * dim + 2, 2 * dim, 2, |word| word);
-            for mbr in coords.chunks_exact((2 * dim).max(1)) {
-                let (lo, hi) = mbr.split_at(dim);
-                validate_mbr(lo, hi).map_err(|e| corrupt(page, format!("bad MBR: {e}")))?;
-            }
-            Ok(Node::from_raw_parts(level, dim as u32, coords, payload))
-        }
-        other => Err(corrupt(page, format!("unknown node type {other}"))),
+    let (words, links) = match ty {
+        TYPE_LEAF if level != 0 => return Err(corrupt(page, format!("leaf with level {level}"))),
+        TYPE_INTERNAL if level == 0 => return Err(corrupt(page, "internal node with level 0")),
+        TYPE_LEAF => (dim, 1),
+        TYPE_INTERNAL => (B::words(dim), 2),
+        other => return Err(corrupt(page, format!("unknown node type {other}"))),
+    };
+    let size = n * (words + links) * 8;
+    if data.len() < size {
+        let kind = if ty == TYPE_LEAF { "leaf" } else { "internal" };
+        return Err(corrupt(page, format!("truncated {kind} entries")));
     }
+    let body = &data[..size];
+    let coords = gather(body, words + links, 0, words, f64::from_bits);
+    let payload = gather(body, words + links, words, links, |word| word);
+    if ty == TYPE_INTERNAL {
+        for bound in coords.chunks_exact(words.max(1)) {
+            B::check(bound).map_err(|detail| corrupt(page, detail))?;
+        }
+    }
+    Ok(Node::from_raw_parts(level, dim as u32, coords, payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::{InternalEntry, LeafEntry, ObjectId};
+    use crate::Spheres;
     use sqda_geom::{Point, Rect};
 
     fn page() -> PageId {
@@ -278,7 +250,7 @@ mod tests {
         let node = sample_internal(dim, 10);
         assert_eq!(
             encode_node(&node, dim).len(),
-            HEADER_SIZE + 10 * internal_entry_size(dim)
+            HEADER_SIZE + 10 * internal_entry_size::<Rects>(dim)
         );
     }
 
@@ -344,6 +316,53 @@ mod tests {
         b[HEADER_SIZE..HEADER_SIZE + 8].copy_from_slice(&1e9f64.to_le_bytes());
         let err = decode_node(Bytes::from(b), 2, page()).unwrap_err();
         assert!(err.to_string().contains("bad MBR"), "{err}");
+    }
+
+    /// A sphere-bounded directory node: entry `i` centered at
+    /// `(i·d)_d`, radius `i / 2`.
+    fn sample_spheres(dim: usize, n: usize) -> Node {
+        let coords: Vec<f64> = (0..n)
+            .flat_map(|i| {
+                (0..dim)
+                    .map(move |d| (i * d) as f64)
+                    .chain([i as f64 * 0.5])
+            })
+            .collect();
+        let payload: Vec<u64> = (0..n as u64).flat_map(|i| [10 + i, 3 * (i + 1)]).collect();
+        Node::from_raw_parts(2, dim as u32, coords.into(), payload.into())
+    }
+
+    #[test]
+    fn roundtrip_both_kinds() {
+        // The SS-tree's pages: its own magic, its sphere entries.
+        for dim in [1usize, 2, 5, 10] {
+            let leaf = sample_leaf(dim, 9);
+            let bytes = encode::<Spheres>(&leaf, dim);
+            assert_eq!(&bytes[..4], b"SSTN");
+            assert_eq!(decode::<Spheres>(bytes, dim, page()).unwrap(), leaf);
+            let internal = sample_spheres(dim, 5);
+            let bytes = encode::<Spheres>(&internal, dim);
+            assert_eq!(bytes.len(), HEADER_SIZE + 5 * (dim * 8 + 24));
+            assert_eq!(decode::<Spheres>(bytes, dim, page()).unwrap(), internal);
+        }
+    }
+
+    #[test]
+    fn rejects_corruption() {
+        // Each tree refuses the other's pages.
+        let leaf = encode_node(&sample_leaf(2, 1), 2);
+        assert!(decode::<Spheres>(leaf, 2, page()).is_err());
+        let good = encode::<Spheres>(&sample_spheres(2, 2), 2);
+        assert!(decode_node(good.clone(), 2, page()).is_err());
+        assert!(decode::<Spheres>(good.clone(), 3, page()).is_err());
+        assert!(decode::<Spheres>(good.slice(0..10), 2, page()).is_err());
+        // Negative radius: entry 1 follows entry 0 (3 + 2 words), its
+        // radius its 2 coordinates.
+        let at = HEADER_SIZE + (3 + 2) * 8 + 2 * 8;
+        let mut bytes = good.to_vec();
+        bytes[at..at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        let err = decode::<Spheres>(Bytes::from(bytes), 2, page()).unwrap_err();
+        assert!(err.to_string().contains("bad radius"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Tree configuration and node-capacity computation.
+//! Tree configuration and node-capacity computation, shared by both
+//! trees.
 
 use crate::codec;
 use crate::split_policy::SplitPolicy;
+use crate::tree::{Bound, RStarError};
+use crate::Rects;
 
-/// Configuration of an R\*-tree.
+/// Configuration of a paged tree whose directory entries are `B` bounds.
 ///
 /// Node capacities are derived from the page size and dimensionality so
 /// that every node fits in exactly one disk page, but they can be
 /// overridden (smaller) to force deep trees in tests.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RStarConfig {
+pub struct TreeConfig<B> {
     /// Dimensionality of the indexed points.
     pub dim: usize,
     /// Page size the nodes must fit in, bytes.
@@ -18,15 +21,20 @@ pub struct RStarConfig {
     pub max_internal_entries: usize,
     /// Maximum entries in a leaf node.
     pub max_leaf_entries: usize,
-    /// Minimum fill fraction (R\*: 40%).
-    pub min_fill_fraction: f64,
-    /// Fraction of entries removed on forced reinsertion (R\*: 30%).
-    pub reinsert_fraction: f64,
-    /// Which algorithm splits overflowing nodes (default: the R\* split).
-    pub split_policy: SplitPolicy,
+    /// The bound, with its own settings (the R\*-tree's split policy).
+    pub(crate) bound: B,
 }
 
-impl RStarConfig {
+/// Minimum fill fraction, 40% in both the R\*-tree and the SS-tree.
+const MIN_FILL: f64 = 0.4;
+
+/// Fraction of an R\*-tree node's entries forced reinsertion evicts.
+const REINSERT: f64 = 0.3;
+
+/// Configuration of an R\*-tree.
+pub type RStarConfig = TreeConfig<Rects>;
+
+impl<B: Bound> TreeConfig<B> {
     /// Creates a configuration for `dim`-dimensional points with the
     /// default 4 KiB page size.
     ///
@@ -39,29 +47,32 @@ impl RStarConfig {
     }
 
     /// Creates a configuration with an explicit page size.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`]; [`Self::try_with_page_size`] reports the same
+    /// cases as an error.
     pub fn with_page_size(dim: usize, page_size: usize) -> Self {
-        assert!(dim > 0, "dimensionality must be positive");
-        let max_internal = (page_size - codec::HEADER_SIZE) / codec::internal_entry_size(dim);
-        let max_leaf = (page_size - codec::HEADER_SIZE) / codec::leaf_entry_size(dim);
-        assert!(
-            max_internal >= 4 && max_leaf >= 4,
-            "page size {page_size} too small for {dim}-d nodes"
-        );
-        Self {
+        Self::try_with_page_size(dim, page_size).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a configuration with an explicit page size, or
+    /// [`RStarError::NodeDoesNotFit`] when `dim` is 0 or a page cannot
+    /// hold 4 entries of either node kind.
+    pub fn try_with_page_size(dim: usize, page_size: usize) -> Result<Self, RStarError> {
+        let fit = |entry: usize| page_size.saturating_sub(codec::HEADER_SIZE) / entry;
+        let max_internal = fit(codec::internal_entry_size::<B>(dim));
+        let max_leaf = fit(codec::leaf_entry_size(dim));
+        if dim == 0 || max_internal < 4 || max_leaf < 4 {
+            return Err(RStarError::NodeDoesNotFit { dim, page_size });
+        }
+        Ok(Self {
             dim,
             page_size,
             max_internal_entries: max_internal,
             max_leaf_entries: max_leaf,
-            min_fill_fraction: 0.4,
-            reinsert_fraction: 0.3,
-            split_policy: SplitPolicy::default(),
-        }
-    }
-
-    /// Selects the node-split policy (default: [`SplitPolicy::RStar`]).
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
-        self
+            bound: B::default(),
+        })
     }
 
     /// Caps both node capacities at `max` (for tests that need deep trees
@@ -70,7 +81,7 @@ impl RStarConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `max < 4`: R\*-tree splits need at least 4 entries.
+    /// Panics if `max < 4`: splits need at least 4 entries.
     pub fn with_max_entries(mut self, max: usize) -> Self {
         assert!(max >= 4, "nodes need at least 4 entries to split");
         self.max_internal_entries = self.max_internal_entries.min(max);
@@ -78,25 +89,33 @@ impl RStarConfig {
         self
     }
 
-    /// Minimum entries in an internal node.
-    pub fn min_internal_entries(&self) -> usize {
-        min_fill(self.max_internal_entries, self.min_fill_fraction)
+    /// Most entries a leaf (`leaf`) or an internal node may hold.
+    pub fn max_entries(&self, leaf: bool) -> usize {
+        if leaf {
+            self.max_leaf_entries
+        } else {
+            self.max_internal_entries
+        }
     }
 
-    /// Minimum entries in a leaf node.
-    pub fn min_leaf_entries(&self) -> usize {
-        min_fill(self.max_leaf_entries, self.min_fill_fraction)
+    /// Fewest entries a leaf (`leaf`) or an internal node below the root
+    /// may hold.
+    pub fn min_entries(&self, leaf: bool) -> usize {
+        min_fill(self.max_entries(leaf), MIN_FILL)
+    }
+}
+
+impl RStarConfig {
+    /// Selects the node-split policy (default: [`SplitPolicy::RStar`]).
+    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
+        self.bound.split_policy = policy;
+        self
     }
 
-    /// Number of entries evicted by forced reinsertion of an internal
-    /// node.
-    pub fn internal_reinsert_count(&self) -> usize {
-        reinsert_count(self.max_internal_entries, self.reinsert_fraction)
-    }
-
-    /// Number of entries evicted by forced reinsertion of a leaf node.
-    pub fn leaf_reinsert_count(&self) -> usize {
-        reinsert_count(self.max_leaf_entries, self.reinsert_fraction)
+    /// Number of entries forced reinsertion evicts from a leaf (`leaf`)
+    /// or an internal node.
+    pub fn reinsert_count(&self, leaf: bool) -> usize {
+        evict_count(self.max_entries(leaf), REINSERT)
     }
 }
 
@@ -106,7 +125,7 @@ fn min_fill(max: usize, fraction: f64) -> usize {
     (((max as f64) * fraction).round() as usize).clamp(2, max / 2)
 }
 
-fn reinsert_count(max: usize, fraction: f64) -> usize {
+fn evict_count(max: usize, fraction: f64) -> usize {
     // At least 1, and leave at least min_fill entries in the node.
     (((max as f64) * fraction).round() as usize).clamp(1, max.saturating_sub(2))
 }
@@ -122,8 +141,8 @@ mod tests {
         assert_eq!(c.max_internal_entries, 85);
         // leaf entry: 2*8 + 8 = 24; (4096-16)/24 = 170
         assert_eq!(c.max_leaf_entries, 170);
-        assert_eq!(c.min_internal_entries(), 34);
-        assert_eq!(c.min_leaf_entries(), 68);
+        assert_eq!(c.min_entries(false), 34);
+        assert_eq!(c.min_entries(true), 68);
     }
 
     #[test]
@@ -140,8 +159,8 @@ mod tests {
         let c = RStarConfig::new(2).with_max_entries(4);
         assert_eq!(c.max_internal_entries, 4);
         assert_eq!(c.max_leaf_entries, 4);
-        assert_eq!(c.min_internal_entries(), 2);
-        assert_eq!(c.leaf_reinsert_count(), 1);
+        assert_eq!(c.min_entries(false), 2);
+        assert_eq!(c.reinsert_count(true), 1);
     }
 
     #[test]
@@ -157,6 +176,22 @@ mod tests {
     }
 
     #[test]
+    fn unfit_pages_are_typed_errors() {
+        for (dim, page_size) in [(10, 64), (300, 4096), (2, 0), (0, 4096)] {
+            let err = RStarConfig::try_with_page_size(dim, page_size).unwrap_err();
+            assert!(
+                matches!(err, RStarError::NodeDoesNotFit { dim: d, page_size: p } if (d, p) == (dim, page_size)),
+                "{err}"
+            );
+        }
+        // Sphere entries are narrower: a page too small for a 10-d
+        // R*-tree directory holds an SS-tree's.
+        assert!(RStarConfig::try_with_page_size(10, 719).is_err());
+        let ss = crate::SsConfig::try_with_page_size(10, 719).unwrap();
+        assert_eq!((ss.max_internal_entries, ss.max_leaf_entries), (6, 7));
+    }
+
+    #[test]
     fn min_fill_leaves_room_for_split() {
         for max in [4usize, 5, 10, 23, 85, 170] {
             let m = min_fill(max, 0.4);
@@ -169,7 +204,7 @@ mod tests {
     #[test]
     fn reinsert_count_reasonable() {
         let c = RStarConfig::new(2);
-        let p = c.leaf_reinsert_count();
+        let p = c.reinsert_count(true);
         assert_eq!(p, (170.0f64 * 0.3).round() as usize);
         assert!(p < c.max_leaf_entries);
     }

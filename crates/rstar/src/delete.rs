@@ -1,9 +1,10 @@
 //! Deletion: FindLeaf + CondenseTree with orphan reinsertion.
 
-use crate::entry::{LeafEntry, ObjectId};
-use crate::insert::{insert_at_level, write_path, EntryToInsert, PathStep};
+use crate::entry::ObjectId;
+use crate::insert::{insert_at_level, write_path, PathStep};
 use crate::node::Node;
-use crate::tree::{RStarTree, Result};
+use crate::tree::Result;
+use crate::RStarTree;
 use sqda_geom::Point;
 use sqda_storage::{PageId, PageStore};
 use std::sync::Arc;
@@ -29,40 +30,22 @@ pub(crate) fn delete_object<S: PageStore>(
 
     // CondenseTree: walk upward; underfull non-root nodes are dissolved
     // and their entries reinserted. `node` is the edited tail of `path`.
-    let mut orphans: Vec<(u32, EntryToInsert)> = Vec::new();
+    let mut dissolved: Vec<Node> = Vec::new();
     loop {
-        let min = if node.is_leaf() {
-            tree.config.min_leaf_entries()
-        } else {
-            tree.config.min_internal_entries()
-        };
-        if path.len() == 1 || node.len() >= min {
+        if path.len() == 1 || node.len() >= tree.config.min_entries(node.is_leaf()) {
             // Healthy (or the root): write it, refresh ancestors' MBRs
             // and counts.
             write_path(tree, &path, node)?;
             break;
         }
-        // Dissolve: orphan the entries, remove the node from its parent.
+        // Dissolve: orphan the entries, remove the node from its parent
+        // and free its page (unwritten: nothing reads it again).
         let step = path.pop().expect("non-root has a parent step");
-        tree.write_node(step.page, &node)?;
-        let level = node.level();
-        if node.is_leaf() {
-            orphans.extend(
-                node.leaf_entries_vec()
-                    .into_iter()
-                    .map(|e| (level, EntryToInsert::Leaf(e))),
-            );
-        } else {
-            orphans.extend(
-                node.internal_entries_vec()
-                    .into_iter()
-                    .map(|e| (level, EntryToInsert::Internal(e))),
-            );
-        }
         let idx = step
             .index_in_parent
             .expect("non-root step has parent index");
-        node = path.last().expect("parent exists").node.removed(idx);
+        let parent = path.last().expect("parent exists").node.removed(idx);
+        dissolved.push(std::mem::replace(&mut node, parent));
         tree.free_node(step.page)?;
     }
 
@@ -91,27 +74,26 @@ pub(crate) fn delete_object<S: PageStore>(
     // Reinsert orphans at their original levels. Entries from a dissolved
     // node at level L must land in a node at level L again. Forced
     // reinsertion stays enabled per reinsert (fresh overflow budget), as
-    // each orphan is an independent logical insertion.
-    // Reinsert shallow (leaf) entries last so the tree has regained
-    // height before internal orphans need deep targets.
-    orphans.sort_by_key(|(level, _)| std::cmp::Reverse(*level));
-    for (level, entry) in orphans {
-        if level > tree.root_level() {
-            // The tree shrank below the orphan's level; its subtree cannot
-            // be grafted back as a single entry. Flatten it to leaf
-            // entries and reinsert those.
-            if let EntryToInsert::Internal(e) = entry {
-                let leaves = collect_and_free_subtree(tree, e.child)?;
-                for le in leaves {
-                    let mut overflow_done = vec![false; tree.height as usize];
-                    insert_at_level(tree, EntryToInsert::Leaf(le), 0, &mut overflow_done)?;
+    // each orphan is an independent logical insertion. Nodes dissolved
+    // higher up are reinserted first, so the tree has regained height
+    // before internal orphans need deep targets.
+    for orphans in dissolved.iter().rev() {
+        let level = orphans.level();
+        for i in 0..orphans.len() {
+            if level > tree.root_level() {
+                // The tree shrank below the orphan's level; its subtree
+                // cannot be grafted back as a single entry. Flatten it to
+                // leaf entries and reinsert those.
+                for leaf in collect_and_free_subtree(tree, orphans.internal_child(i))? {
+                    for j in 0..leaf.len() {
+                        let mut overflow_done = vec![false; tree.height as usize];
+                        insert_at_level(tree, leaf.entry(j), 0, &mut overflow_done)?;
+                    }
                 }
             } else {
-                unreachable!("leaf orphans always fit (level 0)");
+                let mut overflow_done = vec![false; tree.height as usize];
+                insert_at_level(tree, orphans.entry(i), level, &mut overflow_done)?;
             }
-        } else {
-            let mut overflow_done = vec![false; tree.height as usize];
-            insert_at_level(tree, entry, level, &mut overflow_done)?;
         }
     }
 
@@ -119,21 +101,22 @@ pub(crate) fn delete_object<S: PageStore>(
     Ok(true)
 }
 
-/// Collects all leaf entries under `page`, freeing the subtree's pages.
+/// Collects all leaves under `page`, freeing the subtree's pages.
 fn collect_and_free_subtree<S: PageStore>(
     tree: &RStarTree<S>,
     page: PageId,
-) -> Result<Vec<LeafEntry>> {
+) -> Result<Vec<Arc<Node>>> {
     let mut out = Vec::new();
     let mut stack = vec![page];
     while let Some(p) = stack.pop() {
         let node = tree.read_node(p)?;
-        if node.is_leaf() {
-            out.extend(node.leaf_iter().map(|(c, o)| LeafEntry::new(c.into(), o)));
-        } else {
-            stack.extend(node.internal_iter().map(|e| e.child));
+        if !node.is_leaf() {
+            stack.extend(node.children());
         }
         tree.free_node(p)?;
+        if node.is_leaf() {
+            out.push(node);
+        }
     }
     Ok(out)
 }

@@ -55,25 +55,11 @@ impl LeafEntry {
     pub fn new(point: Point, object: ObjectId) -> Self {
         Self { point, object }
     }
-
-    /// The degenerate MBR of the point (used by split/reinsert code that
-    /// treats both entry kinds uniformly).
-    pub fn mbr(&self) -> Rect {
-        Rect::from_point(&self.point)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn leaf_entry_mbr_is_degenerate() {
-        let e = LeafEntry::new(Point::new(vec![1.0, 2.0]), ObjectId(7));
-        let m = e.mbr();
-        assert_eq!(m.lo(), &[1.0, 2.0]);
-        assert_eq!(m.hi(), &[1.0, 2.0]);
-    }
 
     #[test]
     fn object_id_display() {

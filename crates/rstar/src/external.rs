@@ -77,7 +77,8 @@ use crate::bulk::{
 };
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
 use crate::node::Node;
-use crate::tree::{RStarError, RStarTree, Result};
+use crate::tree::{RStarError, Result};
+use crate::RStarTree;
 use crate::{Declusterer, PackingOrder, RStarConfig};
 use sqda_geom::Point;
 use sqda_storage::{DiskId, PageId, PageStore};
@@ -298,7 +299,7 @@ impl<S: PageStore> RStarTree<S> {
             fanin: opts.merge_fanin.max(2),
             jobs: opts.jobs.max(1),
             leaf_cap,
-            min_leaf: tree.config.min_leaf_entries(),
+            min_leaf: tree.config.min_entries(true),
             next_disk: 0,
             live_pages: 0,
             report: ExternalBuildReport::default(),
@@ -868,7 +869,7 @@ fn emit_leaf<S: PageStore>(
         coords.extend_from_slice(&batch.coords[i as usize * dim..][..dim]);
     }
     let ids = batch.items[tile].iter().map(|item| item.0).collect();
-    let node = Node::leaf_from_flat(dim, coords.into_boxed_slice(), ids);
+    let node = Node::from_raw_parts(0, dim as u32, coords.into(), ids);
     let mbr = node
         .mbr()
         .ok_or_else(|| RStarError::InvalidBuild("empty leaf tile".into()))?;

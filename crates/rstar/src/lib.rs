@@ -26,6 +26,13 @@
 //! search over it — k-NN, best-first and range — is `sqda-core`'s, which
 //! reads the nodes through its `AccessMethod` view.
 //!
+//! The tree is one instance of a paged-tree shell, [`PagedTree`]: pages,
+//! codec framing, the decoded-node cache, insertion and validation are
+//! written once and parameterised by a [`Bound`] — how a directory entry
+//! bounds its subtree, and the descent, split and placement rules that
+//! follow. [`Rects`] makes it the R\*-tree ([`RStarTree`]); [`Spheres`]
+//! makes it the SS-tree ([`SsTree`], which `sqda-sstree` names).
+//!
 //! # Example
 //!
 //! ```
@@ -60,18 +67,22 @@ pub mod entry;
 pub mod external;
 mod insert;
 pub mod node;
+mod rects;
 pub mod sfc;
+mod spheres;
 mod split;
 pub mod split_policy;
 pub mod tree;
 pub mod validate;
 
 pub use bulk::{PackingOrder, PlacementMode};
-pub use config::RStarConfig;
+pub use config::{RStarConfig, TreeConfig};
 pub use decluster::Declusterer;
 pub use entry::{InternalEntry, LeafEntry, ObjectId};
 pub use external::{ExternalBuildOptions, ExternalBuildReport, FnSource, PointSource, SliceSource};
-pub use node::{InternalRef, Node, NodeMut};
+pub use node::{InternalRef, Node};
+pub use rects::{RStarTree, Rects};
+pub use spheres::{Spheres, SsConfig, SsTree};
 pub use split_policy::SplitPolicy;
-pub use tree::{RStarError, RStarTree, TreeStats};
+pub use tree::{Bound, PagedTree, RStarError, TreeStats};
 pub use validate::ValidationError;

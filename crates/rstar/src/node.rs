@@ -1,39 +1,42 @@
 //! Tree nodes, stored in a flat cache-friendly layout.
 //!
-//! A node used to be an enum of entry vectors, where every entry owned
-//! two heap-allocated corner slices — decoding a 170-entry leaf cost
-//! hundreds of small allocations. The flat layout keeps all coordinates
-//! of a node in **one** contiguous `f64` buffer and all integer payload
-//! (object ids, or child/count pairs) in one `u64` buffer, so decoding a
-//! page is exactly two allocations and a traversal walks a single cache
-//! stream. Entries are exposed through borrowed views
-//! ([`sqda_geom::RectRef`], coordinate slices, [`InternalRef`]).
+//! A node keeps all coordinates of its entries in **one** contiguous
+//! `f64` buffer and all integer payload (object ids, or child/count
+//! pairs) in one `u64` buffer, so decoding a page is exactly two
+//! allocations and a traversal walks a single cache stream. Entries are
+//! exposed through borrowed views ([`Node::entry`], and for the
+//! R\*-tree's rectangles [`sqda_geom::RectRef`] and [`InternalRef`]).
+//!
+//! Both trees share the node: a directory entry's coordinate words are
+//! its bound, which the tree's [`crate::Bound`] lays out — `2 * dim`
+//! corners (low then high) for the R\*-tree, `dim` center coordinates
+//! then the radius for the SS-tree. Leaves are alike in both.
 //!
 //! Mutation is not cold: the paper builds its tree by inserting objects
 //! one at a time, and every insert rewrites its whole root-to-leaf path
 //! (each entry carries its subtree count) — 7 page writes per insert on
-//! the 62 173-point, 1 KiB-page benchmark tree. So the edits an insert
-//! makes on every node of its path are flat too: appending an entry
-//! ([`Node::pushed`]), dropping one ([`Node::removed`]) and setting one
-//! entry's MBR and count ([`Node::set_internal`]) each copy the two
-//! buffers once. Only overflow treatment (forced reinsertion, splits)
-//! thaws into the entry-vector form [`NodeMut`], edits, and
-//! [`NodeMut::freeze`]s back.
+//! the 62 173-point, 1 KiB-page benchmark tree. So every edit is flat:
+//! appending an entry ([`Node::pushed`]), dropping one
+//! ([`Node::removed`]), setting one entry's bound and count
+//! ([`Node::set_internal`]) and picking entries by index for a split or
+//! a forced reinsertion ([`Node::picked`]) each copy the two buffers
+//! once.
 
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
-use sqda_geom::{Point, Rect, RectRef};
+use sqda_geom::{Rect, RectRef};
 use sqda_storage::PageId;
 
-/// One R\*-tree node. Each node occupies exactly one disk page.
+/// One tree node, of either tree. Each node occupies exactly one disk
+/// page.
 ///
 /// `level` is 0 for leaves and increases towards the root; the paper's
 /// CRSS algorithm switches between its ADAPTIVE/NORMAL/UPDATE modes based
 /// on whether the nodes just fetched are leaves.
 ///
 /// Layout: leaves store `dim` coordinates and one payload word (the
-/// object id) per entry; internal nodes store `2 * dim` coordinates (low
-/// corner then high corner) and two payload words (child page, subtree
-/// count) per entry.
+/// object id) per entry; internal nodes store their bound's words (the
+/// R\*-tree's `2 * dim`: low corner then high corner) and two payload
+/// words (child page, subtree count) per entry.
 #[derive(Debug, Clone)]
 pub struct Node {
     level: u32,
@@ -44,7 +47,7 @@ pub struct Node {
     payload: Box<[u64]>,
 }
 
-/// A borrowed view of one internal-node entry.
+/// A borrowed view of one R\*-tree internal-node entry.
 #[derive(Debug, Clone, Copy)]
 pub struct InternalRef<'a> {
     /// The child subtree's MBR.
@@ -106,57 +109,28 @@ impl Node {
     }
 
     /// Assembles a node directly from its flat buffers (the codec's
-    /// decode path — two allocations, no per-entry work).
-    ///
-    /// For a leaf (`level == 0`): `coords.len() == n * dim`,
-    /// `payload.len() == n`. For an internal node: `coords.len() ==
-    /// n * 2 * dim`, `payload.len() == 2 * n`.
+    /// decode path — two allocations, no per-entry work): `n` entries of
+    /// `coords.len() / n` coordinate words and `payload.len() / n`
+    /// payload words each (one object id per leaf entry, a child page and
+    /// a subtree count per directory entry).
     pub(crate) fn from_raw_parts(
         level: u32,
         dim: u32,
         coords: Box<[f64]>,
         payload: Box<[u64]>,
     ) -> Self {
-        let node = Node {
+        Node {
             level,
             dim,
             coords,
             payload,
-        };
-        debug_assert_eq!(node.coords.len(), node.len() * node.entry_stride());
-        node
-    }
-
-    /// Builds a leaf from flat storage: `coords` holds the points
-    /// back-to-back (entry `i` at `[i*dim .. (i+1)*dim]`), `objects` their
-    /// ids. For access methods that keep another node form and pack it
-    /// into this one for the search algorithms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coords.len() != dim * objects.len()`, or if `dim == 0`
-    /// while entries are present.
-    pub fn leaf_from_flat(dim: usize, coords: Box<[f64]>, objects: Box<[u64]>) -> Self {
-        assert!(
-            dim > 0 || objects.is_empty(),
-            "non-empty leaf needs dimensions"
-        );
-        assert_eq!(
-            coords.len(),
-            dim * objects.len(),
-            "coords/ids length mismatch"
-        );
-        Self::from_raw_parts(0, dim as u32, coords, objects)
-    }
-
-    #[inline]
-    fn entry_stride(&self) -> usize {
-        let d = self.dim as usize;
-        if self.is_leaf() {
-            d
-        } else {
-            2 * d
         }
+    }
+
+    /// Coordinate words per entry (0 for an empty node).
+    #[inline]
+    fn stride(&self) -> usize {
+        self.coords.len() / self.len().max(1)
     }
 
     /// The node's level (0 = leaf).
@@ -238,7 +212,7 @@ impl Node {
         ObjectId(self.payload[i])
     }
 
-    /// A borrowed MBR view of the `i`-th internal entry.
+    /// A borrowed MBR view of the `i`-th internal entry of an R\*-tree node.
     #[inline]
     pub fn internal_rect(&self, i: usize) -> RectRef<'_> {
         debug_assert!(!self.is_leaf());
@@ -280,7 +254,7 @@ impl Node {
             .map(|(c, &o)| (c, ObjectId(o)))
     }
 
-    /// Iterates the internal entries as borrowed views.
+    /// Iterates an R\*-tree node's internal entries as borrowed views.
     ///
     /// # Panics
     ///
@@ -299,18 +273,28 @@ impl Node {
             })
     }
 
-    /// The MBR enclosing all entries; `None` for an empty node.
+    /// The MBR enclosing all entries of an R\*-tree node; `None` for an
+    /// empty node.
     pub fn mbr(&self) -> Option<Rect> {
+        let words = self.mbr_words()?;
+        let (lo, hi) = words.split_at(self.dim());
+        // Coordinates were validated when the node was built or decoded.
+        Some(Rect::new_unchecked(lo.to_vec(), hi.to_vec()))
+    }
+
+    /// [`Node::mbr`] as one buffer of bound words: the low corner, then
+    /// the high one.
+    pub(crate) fn mbr_words(&self) -> Option<Vec<f64>> {
         if self.is_empty() {
             return None;
         }
         let d = self.dim as usize;
-        let stride = self.entry_stride();
+        let stride = self.stride();
         // Fold with the same comparison-based min/max as
         // `Rect::union_in_place`, so the result is bit-identical to the
         // old per-entry union chain.
-        let mut lo = self.coords[..d].to_vec();
-        let mut hi = self.coords[stride - d..stride].to_vec();
+        let mut words = [&self.coords[..d], &self.coords[stride - d..stride]].concat();
+        let (lo, hi) = words.split_at_mut(d);
         for chunk in self.coords.chunks_exact(stride).skip(1) {
             for k in 0..d {
                 if chunk[k] < lo[k] {
@@ -321,9 +305,7 @@ impl Node {
                 }
             }
         }
-        // Coordinates were validated when the node was built/decoded; the
-        // old leaf path likewise never re-validated.
-        Some(Rect::new_unchecked(lo, hi))
+        Some(words)
     }
 
     /// Total number of data objects under this node (the subtree count
@@ -336,66 +318,77 @@ impl Node {
         }
     }
 
-    /// A copy with one more entry at the end: `corners` are its
-    /// coordinates in layout order (the point, or the low then the high
-    /// corner), `payload` its words (the object id, or child and count).
-    /// An empty leaf takes its dimensionality from the entry.
-    pub(crate) fn pushed(&self, corners: &[&[f64]], payload: &[u64]) -> Node {
-        let dim = corners[0].len();
-        debug_assert!(self.is_empty() || dim == self.dim(), "mixed dimensionality");
-        let mut coords = Vec::with_capacity(self.coords.len() + corners.len() * dim);
-        coords.extend_from_slice(&self.coords);
-        corners.iter().for_each(|c| coords.extend_from_slice(c));
+    /// The `i`-th entry's coordinate words (a point, or a directory
+    /// entry's bound) and payload words (its object id, or its child page
+    /// and subtree count).
+    #[inline]
+    pub fn entry(&self, i: usize) -> (&[f64], &[u64]) {
+        let (c, w) = (self.stride(), self.payload.len() / self.len());
+        (
+            &self.coords[i * c..(i + 1) * c],
+            &self.payload[i * w..(i + 1) * w],
+        )
+    }
+
+    /// Every entry's coordinate and payload words, as [`Node::entry`]
+    /// gives them, in order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&[f64], &[u64])> + '_ {
+        let w = self.payload.len() / self.len().max(1);
+        let chunks = self.coords.chunks_exact(self.stride().max(1));
+        chunks.zip(self.payload.chunks_exact(w.max(1)))
+    }
+
+    /// The child pages of a directory node, in entry order.
+    pub fn children(&self) -> impl Iterator<Item = PageId> + '_ {
+        debug_assert!(!self.is_leaf());
+        self.payload
+            .iter()
+            .step_by(2)
+            .map(|&raw| PageId::from_raw(raw))
+    }
+
+    /// A copy with one more entry at the end, given by its coordinate and
+    /// payload words as [`Node::entry`] returns them. An empty leaf takes
+    /// its dimensionality from the entry.
+    pub(crate) fn pushed(&self, coords: &[f64], payload: &[u64]) -> Node {
+        let dim = if self.is_empty() {
+            coords.len() as u32
+        } else {
+            self.dim
+        };
+        let coords = [&self.coords[..], coords].concat();
         let words = [&self.payload[..], payload].concat();
-        Node::from_raw_parts(self.level, dim as u32, coords.into(), words.into())
+        Node::from_raw_parts(self.level, dim, coords.into(), words.into())
     }
 
     /// A copy without entry `i`; the entries after it move up one place,
     /// as [`Vec::remove`] would move them.
     pub(crate) fn removed(&self, i: usize) -> Node {
-        let (c, w) = (self.entry_stride(), self.payload.len() / self.len());
+        let (c, w) = (self.stride(), self.payload.len() / self.len());
         let coords = [&self.coords[..i * c], &self.coords[(i + 1) * c..]].concat();
         let payload = [&self.payload[..i * w], &self.payload[(i + 1) * w..]].concat();
         Node::from_raw_parts(self.level, self.dim, coords.into(), payload.into())
     }
 
-    /// Sets the `i`-th internal entry's MBR and subtree count; its child
-    /// stays.
-    pub(crate) fn set_internal(&mut self, i: usize, mbr: &Rect, count: u64) {
-        debug_assert!(!self.is_leaf());
-        let d = self.dim as usize;
-        let base = i * 2 * d;
-        self.coords[base..base + d].copy_from_slice(mbr.lo());
-        self.coords[base + d..base + 2 * d].copy_from_slice(mbr.hi());
-        self.payload[2 * i + 1] = count;
-    }
-
-    /// The leaf entries as owned structs.
-    pub fn leaf_entries_vec(&self) -> Vec<LeafEntry> {
-        self.leaf_iter()
-            .map(|(c, o)| LeafEntry::new(Point::from(c), o))
-            .collect()
-    }
-
-    /// The internal entries as owned structs.
-    pub fn internal_entries_vec(&self) -> Vec<InternalEntry> {
-        self.internal_iter()
-            .map(|e| InternalEntry::new(e.mbr.to_rect(), e.child, e.count))
-            .collect()
-    }
-
-    /// Thaws the node into its editable entry-vector form.
-    pub fn to_mut(&self) -> NodeMut {
-        if self.is_leaf() {
-            NodeMut::Leaf {
-                entries: self.leaf_entries_vec(),
-            }
-        } else {
-            NodeMut::Internal {
-                level: self.level,
-                entries: self.internal_entries_vec(),
-            }
+    /// The entries at `indices`, in that order, as a node of this level.
+    pub(crate) fn picked(&self, indices: &[usize]) -> Node {
+        let mut coords = Vec::with_capacity(indices.len() * self.stride());
+        let mut payload = Vec::with_capacity(self.payload.len());
+        for &i in indices {
+            let (c, w) = self.entry(i);
+            coords.extend_from_slice(c);
+            payload.extend_from_slice(w);
         }
+        Node::from_raw_parts(self.level, self.dim, coords.into(), payload.into())
+    }
+
+    /// Sets the `i`-th directory entry's bound words and subtree count;
+    /// its child stays.
+    pub(crate) fn set_internal(&mut self, i: usize, bound: &[f64], count: u64) {
+        debug_assert!(!self.is_leaf());
+        let w = bound.len();
+        self.coords[i * w..(i + 1) * w].copy_from_slice(bound);
+        self.payload[2 * i + 1] = count;
     }
 }
 
@@ -408,99 +401,23 @@ impl PartialEq for Node {
     }
 }
 
-/// The editable (entry-vector) form of a [`Node`], used by overflow
-/// treatment (forced reinsertion and splits). [`NodeMut::freeze`]
-/// converts back to the flat layout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeMut {
-    /// An internal (directory) node at level ≥ 1.
-    Internal {
-        /// Height of this node above the leaf level (≥ 1).
-        level: u32,
-        /// Child entries.
-        entries: Vec<InternalEntry>,
-    },
-    /// A leaf node (level 0) holding data points.
-    Leaf {
-        /// Data entries.
-        entries: Vec<LeafEntry>,
-    },
-}
-
-impl NodeMut {
-    /// The node's level (0 = leaf).
-    pub fn level(&self) -> u32 {
-        match self {
-            NodeMut::Internal { level, .. } => *level,
-            NodeMut::Leaf { .. } => 0,
-        }
-    }
-
-    /// `true` for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, NodeMut::Leaf { .. })
-    }
-
-    /// Number of entries in the node.
-    pub fn len(&self) -> usize {
-        match self {
-            NodeMut::Internal { entries, .. } => entries.len(),
-            NodeMut::Leaf { entries } => entries.len(),
-        }
-    }
-
-    /// `true` when the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The MBR enclosing all entries; `None` for an empty node.
-    pub fn mbr(&self) -> Option<Rect> {
-        match self {
-            NodeMut::Internal { entries, .. } => Rect::union_all(entries.iter().map(|e| &e.mbr)),
-            NodeMut::Leaf { entries } => {
-                let mut it = entries.iter();
-                let first = Rect::from_point(&it.next()?.point);
-                Some(it.fold(first, |mut acc, e| {
-                    acc.union_in_place(&Rect::from_point(&e.point));
-                    acc
-                }))
-            }
-        }
-    }
-
-    /// Total number of data objects under this node.
-    pub fn object_count(&self) -> u64 {
-        match self {
-            NodeMut::Internal { entries, .. } => entries.iter().map(|e| e.count).sum(),
-            NodeMut::Leaf { entries } => entries.len() as u64,
-        }
-    }
-
-    /// Converts back into the flat query layout.
-    pub fn freeze(self) -> Node {
-        match self {
-            NodeMut::Internal { level, entries } => Node::from_internal_entries(level, &entries),
-            NodeMut::Leaf { entries } => Node::from_leaf_entries(&entries),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::ObjectId;
+    use crate::{Bound, Spheres};
     use sqda_geom::Point;
     use sqda_storage::PageId;
 
+    fn leaf_entries(points: &[(f64, f64)]) -> Vec<LeafEntry> {
+        (0..)
+            .zip(points)
+            .map(|(i, (x, y))| LeafEntry::new(Point::new(vec![*x, *y]), ObjectId(i)))
+            .collect()
+    }
+
     fn leaf_with(points: &[(f64, f64)]) -> Node {
-        Node::from_leaf_entries(
-            &points
-                .iter()
-                .enumerate()
-                .map(|(i, (x, y))| LeafEntry::new(Point::new(vec![*x, *y]), ObjectId(i as u64)))
-                .collect::<Vec<_>>(),
-        )
+        Node::from_leaf_entries(&leaf_entries(points))
     }
 
     #[test]
@@ -557,49 +474,39 @@ mod tests {
     }
 
     #[test]
-    fn thaw_edit_freeze_roundtrip() {
-        let n = leaf_with(&[(0.0, 0.0), (2.0, 3.0)]);
-        let mut m = n.to_mut();
-        match &mut m {
-            NodeMut::Leaf { entries } => {
-                entries.push(LeafEntry::new(Point::new(vec![5.0, 5.0]), ObjectId(9)))
-            }
-            NodeMut::Internal { .. } => unreachable!(),
-        }
-        let frozen = m.freeze();
-        assert_eq!(frozen.len(), 3);
-        assert_eq!(frozen.leaf_object(2), ObjectId(9));
-        assert_eq!(frozen.leaf_point(2), &[5.0, 5.0]);
-        // An untouched thaw/freeze cycle is the identity.
-        assert_eq!(n.to_mut().freeze(), n);
-    }
-
-    #[test]
     fn flat_edits_match_thaw_edit_freeze() {
-        let leaf = leaf_with(&[(0.0, 0.0), (2.0, 3.0), (-1.0, 1.0)]);
-        let thawed = |n: &Node, edit: &dyn Fn(&mut Vec<LeafEntry>)| match n.to_mut() {
-            NodeMut::Leaf { mut entries } => {
-                edit(&mut entries);
-                NodeMut::Leaf { entries }.freeze()
-            }
-            NodeMut::Internal { .. } => unreachable!(),
+        // Each flat edit equals editing the entry vector and rebuilding.
+        let points = [(0.0, 0.0), (2.0, 3.0), (-1.0, 1.0)];
+        let leaf = leaf_with(&points);
+        let entries = leaf_entries(&points);
+        let edited = |edit: &dyn Fn(&mut Vec<LeafEntry>)| {
+            let mut v = entries.clone();
+            edit(&mut v);
+            Node::from_leaf_entries(&v)
         };
         let e = LeafEntry::new(Point::new(vec![5.0, -5.0]), ObjectId(9));
-        let pushed = leaf.pushed(&[e.point.coords()], &[9]);
-        assert_eq!(pushed, thawed(&leaf, &|v| v.push(e.clone())));
+        let pushed = leaf.pushed(e.point.coords(), &[9]);
+        assert_eq!(pushed, edited(&|v| v.push(e.clone())));
         for i in 0..3 {
-            assert_eq!(leaf.removed(i), thawed(&leaf, &|v| drop(v.remove(i))));
+            assert_eq!(leaf.removed(i), edited(&|v| drop(v.remove(i))));
         }
-        let first = Node::empty_leaf().pushed(&[e.point.coords()], &[9]);
+        let pick = [2, 0];
+        assert_eq!(
+            leaf.picked(&pick),
+            Node::from_leaf_entries(&pick.map(|i| entries[i].clone()))
+        );
+        assert_eq!(leaf.entry(1), (&[2.0, 3.0][..], &[1][..]));
+        let first = Node::empty_leaf().pushed(e.point.coords(), &[9]);
         assert_eq!((first.dim(), first.leaf_point(0)), (2, &[5.0, -5.0][..]));
 
         let r = |x: f64| Rect::new(vec![x, x], vec![x + 1.0, x + 2.0]).unwrap();
+        let words = |x: f64| [r(x).lo(), r(x).hi()].concat();
         let entries: Vec<_> = (0..3)
             .map(|i| InternalEntry::new(r(i as f64), PageId::from_raw(i), 10 + i))
             .collect();
         let node = Node::from_internal_entries(2, &entries);
-        let mut edited = node.pushed(&[r(7.0).lo(), r(7.0).hi()], &[7, 70]);
-        edited.set_internal(1, &r(-4.0), 99);
+        let mut edited = node.pushed(&words(7.0), &[7, 70]);
+        edited.set_internal(1, &words(-4.0), 99);
         let mut expect = entries.clone();
         expect[1] = InternalEntry::new(r(-4.0), PageId::from_raw(1), 99);
         expect.push(InternalEntry::new(r(7.0), PageId::from_raw(7), 70));
@@ -608,6 +515,50 @@ mod tests {
             node.removed(0),
             Node::from_internal_entries(2, &entries[1..])
         );
+        assert_eq!(
+            node.picked(&[1]),
+            Node::from_internal_entries(2, &entries[1..2])
+        );
+        assert_eq!(node.entry(2), (&words(2.0)[..], &[2, 12][..]));
+        assert!(node.children().eq((0..3).map(PageId::from_raw)));
+    }
+
+    /// A sphere-bounded directory node over `(center, radius, count)`s.
+    fn sphere_node(entries: &[(&[f64], f64, u64)]) -> Node {
+        let coords: Vec<f64> = entries
+            .iter()
+            .flat_map(|(c, r, _)| c.iter().copied().chain([*r]))
+            .collect();
+        let payload: Vec<u64> = (0..).zip(entries).flat_map(|(i, e)| [i, e.2]).collect();
+        let dim = entries[0].0.len() as u32;
+        Node::from_raw_parts(1, dim, coords.into(), payload.into())
+    }
+
+    #[test]
+    fn leaf_bounding_sphere() {
+        let node = leaf_with(&[(0.0, 0.0), (2.0, 0.0)]);
+        assert_eq!(Spheres::bound(&node), vec![1.0, 0.0, 1.0]);
+        assert_eq!(node.object_count(), 2);
+        assert!(node.is_leaf());
+    }
+
+    #[test]
+    fn internal_weighted_centroid() {
+        let node = sphere_node(&[(&[0.0], 1.0, 3), (&[4.0], 0.5, 1)]);
+        // Weighted center: (3*0 + 1*4)/4 = 1; the radius covers both
+        // spheres: max(1+1, 3+0.5) = 3.5.
+        assert_eq!(Spheres::bound(&node), vec![1.0, 3.5]);
+        assert_eq!(node.object_count(), 4);
+        assert_eq!(node.level(), 1);
+        assert_eq!(node.entry(1), (&[4.0, 0.5][..], &[1, 1][..]));
+    }
+
+    #[test]
+    fn empty_node() {
+        let node = Node::empty_leaf();
+        assert!(node.is_empty());
+        assert_eq!(node.len(), 0);
+        assert_eq!(node.object_count(), 0);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! The declustered R\*-tree.
+//! The paged-tree shell both trees run on: one node per page, the
+//! decoded-node cache, I/O statistics, insertion, validation and the
+//! error type. What differs between the R\*-tree and the SS-tree is the
+//! [`Bound`] parameter: how a directory entry bounds its subtree, and
+//! the descent, split and placement rules that follow from it.
 
 use crate::codec;
-use crate::config::RStarConfig;
-use crate::decluster::{DeclusterContext, Declusterer};
-use crate::entry::{LeafEntry, ObjectId};
+use crate::config::TreeConfig;
 use crate::node::Node;
-use sqda_geom::{GeomError, Point, Rect};
+use sqda_geom::{GeomError, Point};
 use sqda_storage::{Bytes, DiskId, IoStats, NodeCache, PageId, PageStore, StorageError};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Errors from tree operations.
+/// Errors from tree operations (both trees).
 #[derive(Debug)]
 pub enum RStarError {
     /// Underlying storage failed.
@@ -39,6 +41,14 @@ pub enum RStarError {
     /// A [`crate::PointSource`] failed mid-pass; the error is its own and
     /// displays as itself.
     Source(Box<dyn std::error::Error + Send + Sync>),
+    /// No tree can be built on these pages: the dimensionality is 0, or a
+    /// page cannot hold 4 entries of a node.
+    NodeDoesNotFit {
+        /// The tree's dimensionality.
+        dim: usize,
+        /// The page size, bytes.
+        page_size: usize,
+    },
 }
 
 impl From<StorageError> for RStarError {
@@ -69,6 +79,13 @@ impl std::fmt::Display for RStarError {
             }
             RStarError::InvalidBuild(msg) => write!(f, "invalid build: {msg}"),
             RStarError::Source(e) => e.fmt(f),
+            RStarError::NodeDoesNotFit { dim: 0, .. } => {
+                write!(f, "dimensionality must be positive")
+            }
+            RStarError::NodeDoesNotFit { dim, page_size } => write!(
+                f,
+                "page size {page_size} too small for {dim}-d nodes of 4 entries"
+            ),
         }
     }
 }
@@ -100,15 +117,67 @@ impl TreeStats {
     }
 }
 
-/// A declustered R\*-tree over a disk-array page store.
+/// How a paged tree's directory entries bound their subtrees, and the
+/// rules that follow from the bound: which child an insert descends
+/// into, how an overflowing node splits, and which disk a new node goes
+/// to. [`crate::Rects`] makes the paged tree an R\*-tree,
+/// [`crate::Spheres`] an SS-tree.
+pub trait Bound: Copy + Default + std::fmt::Debug + PartialEq + Send + Sync + 'static {
+    /// What a tree keeps to place the nodes it splits off.
+    type Placer: Send + Sync;
+    /// The tree's name, as its `Debug` form prints it.
+    const NAME: &'static str;
+    /// The magic its pages start with.
+    const MAGIC: &'static [u8; 4];
+    /// `true` when a bound is a sphere (`dim` center words, then the
+    /// radius), `false` for a rectangle (`dim` low corner words, then
+    /// `dim` high): the search kernels differ.
+    const SPHERES: bool;
+
+    /// Coordinate words of one directory entry's bound.
+    fn words(dim: usize) -> usize;
+
+    /// Checks one decoded bound; the error is the corrupt page's detail.
+    fn check(bound: &[f64]) -> std::result::Result<(), String>;
+
+    /// The bound of every entry of a non-empty node: the words its parent
+    /// entry carries.
+    fn bound(node: &Node) -> Vec<f64>;
+
+    /// Whether a parent entry's `bound` is a valid bound of `child`.
+    fn covers(bound: &[f64], child: &Node) -> bool;
+
+    /// ChooseSubtree: the entry of the directory `node` an entry with
+    /// coordinate words `entry` (a point, or a bound) descends into.
+    fn choose_subtree(node: &Node, entry: &[f64]) -> usize;
+
+    /// Splits an overflowing node into the entries that keep its page and
+    /// those that move to a new one.
+    fn split(config: &TreeConfig<Self>, node: &Node) -> (Vec<usize>, Vec<usize>);
+
+    /// Forced reinsertion: the entries an overflowing node evicts,
+    /// farthest first, or `None` when the tree splits instead.
+    fn evict(config: &TreeConfig<Self>, node: &Node) -> Option<Vec<usize>>;
+
+    /// The disk a new node with `bound` goes to, among the entries of
+    /// `parent`; `None` for a new root and the halves of a root split.
+    fn place<S: PageStore>(
+        tree: &PagedTree<S, Self>,
+        bound: &[f64],
+        parent: Option<&Node>,
+    ) -> Result<DiskId>;
+}
+
+/// A declustered, count-augmented paged tree over a disk-array page
+/// store: [`crate::RStarTree`] or [`crate::SsTree`].
 ///
 /// Mutating operations (`insert`, `delete`) take `&mut self`; read-only
 /// queries take `&self` and can run concurrently through an `Arc` when the
 /// tree is not being mutated (the experiments build once, then query).
-pub struct RStarTree<S: PageStore> {
+pub struct PagedTree<S: PageStore, B: Bound> {
     pub(crate) store: Arc<S>,
-    pub(crate) config: RStarConfig,
-    pub(crate) declusterer: Box<dyn Declusterer>,
+    pub(crate) config: TreeConfig<B>,
+    pub(crate) placer: B::Placer,
     pub(crate) root: PageId,
     pub(crate) height: u32,
     pub(crate) num_objects: u64,
@@ -116,20 +185,19 @@ pub struct RStarTree<S: PageStore> {
     pub(crate) profile_reads: AtomicU64,
 }
 
-impl<S: PageStore> RStarTree<S> {
+impl<S: PageStore, B: Bound> PagedTree<S, B> {
     /// Creates an empty tree: a single empty leaf, placed on disk 0.
-    pub fn create(
+    pub(crate) fn create_with(
         store: Arc<S>,
-        config: RStarConfig,
-        declusterer: Box<dyn Declusterer>,
+        config: TreeConfig<B>,
+        placer: B::Placer,
     ) -> Result<Self> {
         let root = store.allocate(DiskId(0))?;
-        let leaf = Node::empty_leaf();
-        store.write(root, codec::encode_node(&leaf, config.dim))?;
+        store.write(root, codec::encode::<B>(&Node::empty_leaf(), config.dim))?;
         Ok(Self {
             store,
             config,
-            declusterer,
+            placer,
             root,
             height: 1,
             num_objects: 0,
@@ -142,24 +210,22 @@ impl<S: PageStore> RStarTree<S> {
     ///
     /// `root` is the root page id recorded by the caller (e.g. alongside
     /// a [`sqda_storage::FileStore`]'s superblock); height and object
-    /// count are recovered from the root node itself.
+    /// count are recovered from the root node itself. `placer` places
+    /// the nodes later inserts split off.
     pub fn attach(
         store: Arc<S>,
-        config: RStarConfig,
-        declusterer: Box<dyn Declusterer>,
+        config: TreeConfig<B>,
+        placer: B::Placer,
         root: PageId,
     ) -> Result<Self> {
-        let bytes = store.read(root)?;
-        let node = codec::decode_node(bytes, config.dim, root)?;
-        let height = node.level() + 1;
-        let num_objects = node.object_count();
+        let node = codec::decode::<B>(store.read(root)?, config.dim, root)?;
         Ok(Self {
             store,
             config,
-            declusterer,
+            placer,
             root,
-            height,
-            num_objects,
+            height: node.level() + 1,
+            num_objects: node.object_count(),
             cache: None,
             profile_reads: AtomicU64::new(0),
         })
@@ -191,7 +257,7 @@ impl<S: PageStore> RStarTree<S> {
     }
 
     /// The tree configuration.
-    pub fn config(&self) -> &RStarConfig {
+    pub fn config(&self) -> &TreeConfig<B> {
         &self.config
     }
 
@@ -243,11 +309,11 @@ impl<S: PageStore> RStarTree<S> {
         let dim = self.config.dim;
         match &self.cache {
             Some(cache) => cache.read_through(self.store.as_ref(), page, |bytes| {
-                codec::decode_node(bytes, dim, page).map_err(RStarError::from)
+                codec::decode::<B>(bytes, dim, page).map_err(RStarError::from)
             }),
             None => {
                 let bytes = self.store.read(page)?;
-                Ok(Arc::new(codec::decode_node(bytes, dim, page)?))
+                Ok(Arc::new(codec::decode::<B>(bytes, dim, page)?))
             }
         }
     }
@@ -277,7 +343,7 @@ impl<S: PageStore> RStarTree<S> {
     /// [`Self::cached_node`]. Together the pair is [`Self::read_node`]
     /// with the page read lifted out.
     pub fn decode_node_bytes(&self, page: PageId, bytes: Bytes) -> Result<Arc<Node>> {
-        let node = Arc::new(codec::decode_node(bytes, self.config.dim, page)?);
+        let node = Arc::new(codec::decode::<B>(bytes, self.config.dim, page)?);
         if let Some(cache) = &self.cache {
             cache.insert(page, Arc::clone(&node));
         }
@@ -288,7 +354,7 @@ impl<S: PageStore> RStarTree<S> {
     /// decode so readers never see a stale node.
     pub(crate) fn write_node(&self, page: PageId, node: &Node) -> Result<()> {
         self.store
-            .write(page, codec::encode_node(node, self.config.dim))?;
+            .write(page, codec::encode::<B>(node, self.config.dim))?;
         if let Some(cache) = &self.cache {
             cache.invalidate(page);
         }
@@ -304,35 +370,6 @@ impl<S: PageStore> RStarTree<S> {
         Ok(())
     }
 
-    /// Allocates a page for a newly split node, consulting the
-    /// declustering heuristic.
-    ///
-    /// `siblings` are the entries of the parent node (the nodes the new
-    /// node will compete with during queries), given as MBR + hosting
-    /// disk.
-    pub(crate) fn allocate_declustered(
-        &self,
-        new_mbr: &Rect,
-        siblings: &[(Rect, DiskId)],
-    ) -> Result<PageId> {
-        let pages_per_disk = self.pages_per_disk();
-        let ctx = DeclusterContext {
-            new_mbr,
-            siblings,
-            pages_per_disk: &pages_per_disk,
-            num_disks: self.store.num_disks(),
-        };
-        let disk = self.declusterer.assign_disk(&ctx);
-        Ok(self.store.allocate(disk)?)
-    }
-
-    /// Pages currently allocated per disk. Uses the store-wide counter,
-    /// which is equivalent to the tree's own page distribution when the
-    /// store is dedicated to one tree (the case in all experiments).
-    pub(crate) fn pages_per_disk(&self) -> Vec<usize> {
-        self.store.pages_per_disk()
-    }
-
     /// Validates the tree invariants; see [`crate::validate`].
     pub fn validate(&self) -> Result<std::result::Result<(), crate::ValidationError>> {
         crate::validate::validate(self)
@@ -342,17 +379,10 @@ impl<S: PageStore> RStarTree<S> {
     ///
     /// A point of the wrong dimensionality or with a non-finite
     /// coordinate is refused before any page is touched: a NaN would
-    /// poison the MBR of every node on its path.
+    /// poison the bound of every node on its path.
     pub fn insert(&mut self, point: Point, object: u64) -> Result<()> {
         crate::bulk::validate_coords(point.coords(), self.config.dim)?;
-        crate::insert::insert_object(self, LeafEntry::new(point, ObjectId(object)))
-    }
-
-    /// Deletes a point/object pair. Returns `true` if it was present.
-    /// Refuses the point as [`Self::insert`] does.
-    pub fn delete(&mut self, point: &Point, object: u64) -> Result<bool> {
-        crate::bulk::validate_coords(point.coords(), self.config.dim)?;
-        crate::delete::delete_object(self, point, ObjectId(object))
+        crate::insert::insert_object(self, point.coords(), object)
     }
 
     /// Gathers summary statistics by traversing the whole tree.
@@ -365,17 +395,12 @@ impl<S: PageStore> RStarTree<S> {
         while let Some(page) = stack.pop() {
             let node = self.read_node(page)?;
             nodes_per_level[node.level() as usize] += 1;
-            let cap = if node.is_leaf() {
-                self.config.max_leaf_entries
-            } else {
-                self.config.max_internal_entries
-            };
-            fill_sum += node.len() as f64 / cap as f64;
+            fill_sum += node.len() as f64 / self.config.max_entries(node.is_leaf()) as f64;
             node_count += 1;
             let placement = self.store.placement(page)?;
             pages_per_disk[placement.disk.index()] += 1;
             if !node.is_leaf() {
-                stack.extend(node.internal_iter().map(|e| e.child));
+                stack.extend(node.children());
             }
         }
         Ok(TreeStats {
@@ -392,14 +417,13 @@ impl<S: PageStore> RStarTree<S> {
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for RStarTree<S> {
+impl<S: PageStore, B: Bound> std::fmt::Debug for PagedTree<S, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RStarTree")
+        f.debug_struct(B::NAME)
             .field("dim", &self.config.dim)
             .field("height", &self.height)
             .field("num_objects", &self.num_objects)
             .field("root", &self.root)
-            .field("declusterer", &self.declusterer.name())
             .finish()
     }
 }

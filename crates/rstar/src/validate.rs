@@ -1,10 +1,12 @@
 //! Structural invariant checking.
 //!
-//! After any sequence of insertions and deletions a valid R\*-tree must
+//! After any sequence of insertions and deletions a valid tree must
 //! satisfy:
 //!
-//! 1. every internal entry's MBR equals the MBR of its child node
-//!    (tight bounding), and so transitively contains everything below;
+//! 1. every internal entry's bound is a valid bound of its child node
+//!    ([`crate::Bound::covers`]: the R\*-tree's MBR equals the child's,
+//!    tight; the SS-tree's sphere covers every point or sphere of the
+//!    child), and so transitively contains everything below;
 //! 2. every internal entry's object count equals the number of data
 //!    objects in the child subtree (the paper's count augmentation);
 //! 3. all leaves sit at level 0 and the level decreases by exactly one
@@ -16,14 +18,15 @@
 //!    entries.
 
 use crate::node::Node;
-use crate::tree::{RStarTree, Result};
+use crate::tree::{Bound, PagedTree, Result};
 use sqda_storage::{PageId, PageStore};
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidationError {
-    /// A parent entry's MBR is not the exact union of its child.
-    LooseMbr {
+    /// A parent entry's bound does not bound its child as the tree
+    /// requires.
+    BadBound {
         /// Page of the parent node.
         parent: PageId,
         /// Page of the child node.
@@ -86,8 +89,8 @@ pub enum ValidationError {
 impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ValidationError::LooseMbr { parent, child } => {
-                write!(f, "entry MBR in {parent} is not tight around {child}")
+            ValidationError::BadBound { parent, child } => {
+                write!(f, "entry bound in {parent} does not bound {child}")
             }
             ValidationError::WrongCount {
                 parent,
@@ -126,8 +129,8 @@ impl std::fmt::Display for ValidationError {
 }
 
 /// Validates all invariants; returns the first violation found.
-pub fn validate<S: PageStore>(
-    tree: &RStarTree<S>,
+pub fn validate<S: PageStore, B: Bound>(
+    tree: &PagedTree<S, B>,
 ) -> Result<std::result::Result<(), ValidationError>> {
     let root = tree.read_node(tree.root_page())?;
     if root.level() + 1 != tree.height() {
@@ -157,24 +160,17 @@ pub fn validate<S: PageStore>(
 
 /// Recursively checks one node; accumulates the objects seen into `total`
 /// and returns the subtree's object count on success.
-fn check_node<S: PageStore>(
-    tree: &RStarTree<S>,
+fn check_node<S: PageStore, B: Bound>(
+    tree: &PagedTree<S, B>,
     page: PageId,
     node: &Node,
     is_root: bool,
     total: &mut u64,
 ) -> Result<std::result::Result<u64, ValidationError>> {
-    let (min, max) = if node.is_leaf() {
-        (
-            tree.config().min_leaf_entries(),
-            tree.config().max_leaf_entries,
-        )
-    } else {
-        (
-            tree.config().min_internal_entries(),
-            tree.config().max_internal_entries,
-        )
-    };
+    let (min, max) = (
+        tree.config().min_entries(node.is_leaf()),
+        tree.config().max_entries(node.is_leaf()),
+    );
     if !is_root && (node.len() < min || node.len() > max) {
         return Ok(Err(ValidationError::BadFill {
             page,
@@ -197,8 +193,10 @@ fn check_node<S: PageStore>(
     } else {
         let level = node.level();
         let mut subtree_total = 0u64;
-        for e in node.internal_iter() {
-            let child = tree.read_node(e.child)?;
+        for i in 0..node.len() {
+            let (bound, link) = node.entry(i);
+            let (child_page, count) = (PageId::from_raw(link[0]), link[1]);
+            let child = tree.read_node(child_page)?;
             if child.level() + 1 != level {
                 return Ok(Err(ValidationError::BrokenLevel {
                     parent: page,
@@ -206,22 +204,21 @@ fn check_node<S: PageStore>(
                     child_level: child.level(),
                 }));
             }
-            let child_mbr = child.mbr().expect("non-root nodes are non-empty");
-            if child_mbr.lo() != e.mbr.lo() || child_mbr.hi() != e.mbr.hi() {
-                return Ok(Err(ValidationError::LooseMbr {
+            if !B::covers(bound, &child) {
+                return Ok(Err(ValidationError::BadBound {
                     parent: page,
-                    child: e.child,
+                    child: child_page,
                 }));
             }
-            let child_count = match check_node(tree, e.child, &child, false, total)? {
+            let child_count = match check_node(tree, child_page, &child, false, total)? {
                 Ok(c) => c,
                 Err(err) => return Ok(Err(err)),
             };
-            if child_count != e.count {
+            if child_count != count {
                 return Ok(Err(ValidationError::WrongCount {
                     parent: page,
-                    child: e.child,
-                    recorded: e.count,
+                    child: child_page,
+                    recorded: count,
                     actual: child_count,
                 }));
             }

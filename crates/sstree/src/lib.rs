@@ -2,21 +2,25 @@
 //!
 //! The paper's concluding section lists "the application of the algorithm
 //! on other access methods for similarity search, like SS-tree, SR-tree,
-//! TV-tree and X-tree" as future work. This crate delivers the SS-tree
+//! TV-tree and X-tree" as future work. This crate names the SS-tree
 //! (White & Jain, ICDE'96): a height-balanced tree whose directory
 //! entries bound their subtrees with **spheres** (centroid + radius)
 //! instead of rectangles. Spheres have shorter diameters in high
 //! dimensions and store only `d + 1` scalars per region, doubling
 //! directory fan-out.
 //!
-//! Structure mirrors `sqda-rstar`: one node per page, per-entry subtree
-//! object counts (the modification CRSS relies on), pluggable
-//! declustering across the array's disks, and a compact binary codec.
-//! The tree implements [`sqda_core::AccessMethod`], so **BBSS, FPSS,
-//! CRSS and WOPTSS run over it unchanged** — with the caveat the
-//! geometry dictates: a bounding sphere offers no MINMAXDIST-style
-//! per-face guarantee, so the pessimistic metric degrades to `D_max`
-//! (see `sqda_geom::Region::min_max_dist_sq`).
+//! The tree is `sqda-rstar`'s paged tree with the sphere bound
+//! ([`Spheres`]): one node per page in the same flat layout and page
+//! framing (magic `SSTN`), per-entry subtree object counts (the
+//! modification CRSS relies on), the same decoded-node cache, I/O
+//! statistics, validator and error type. Only centroid descent, the
+//! variance split, sphere placement and sphere geometry are its own.
+//! The tree implements [`sqda_core::AccessMethod`] through the one impl
+//! both trees share, so **BBSS, FPSS, CRSS and WOPTSS run over it
+//! unchanged**, under every executor — with the caveat the geometry
+//! dictates: a bounding sphere offers no MINMAXDIST-style per-face
+//! guarantee, so the pessimistic metric degrades to `D_max` (see
+//! `sqda_geom::Region::min_max_dist_sq`).
 //!
 //! # Example
 //!
@@ -39,11 +43,4 @@
 
 #![forbid(unsafe_code)]
 
-mod codec;
-mod node;
-mod tree;
-mod validate;
-
-pub use node::{SsLeafEntry, SsNode, SsSphereEntry};
-pub use tree::{SsConfig, SsError, SsTree};
-pub use validate::SsValidationError;
+pub use sqda_rstar::{Spheres, SsConfig, SsTree};

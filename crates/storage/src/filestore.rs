@@ -275,7 +275,8 @@ impl<'a> MetaReader<'a> {
 
 impl FileStore {
     /// Creates a fresh store in `dir` (created if missing; must not
-    /// already hold a store).
+    /// already hold a store). Zero disks, cylinders or page size are an
+    /// `InvalidInput` error, before anything is created.
     pub fn create(
         dir: &Path,
         num_disks: u32,
@@ -283,7 +284,15 @@ impl FileStore {
         page_size: usize,
         seed: u64,
     ) -> std::io::Result<Self> {
-        assert!(num_disks > 0 && num_cylinders > 0 && page_size > 0);
+        if num_disks == 0 || num_cylinders == 0 || page_size == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "a store needs disks, cylinders and a page size; got {num_disks} disks, \
+                     {num_cylinders} cylinders, {page_size}-byte pages"
+                ),
+            ));
+        }
         std::fs::create_dir_all(dir)?;
         if dir.join("meta.sqda").exists() {
             return Err(std::io::Error::new(
@@ -749,6 +758,16 @@ mod tests {
             std::env::temp_dir().join(format!("sqda-filestore-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn empty_geometries_are_refused_before_anything_is_made() {
+        let dir = tmpdir("empty-geometry");
+        for (disks, cylinders, page_size) in [(0, 100, 256), (3, 0, 256), (3, 100, 0)] {
+            let err = FileStore::create(&dir, disks, cylinders, page_size, 1).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(!dir.exists());
+        }
     }
 
     #[test]

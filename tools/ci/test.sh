@@ -1,8 +1,9 @@
 #!/bin/bash
 # CI `test`: the tier-1 line, locked and offline under an empty
 # CARGO_HOME (so it passes only while the workspace takes no registry
-# crate), then code lines per crate, one quick experiment sweep (5
-# replications per data point) with its summary checked — the fault
+# crate), then the tree property tests at 500 cases each, code lines per
+# crate, one quick experiment sweep (5 replications per data point)
+# with its summary checked — the fault
 # sweep, the explain records, the hot-path counters and the external
 # build's scale points, all read from the schema-v2 fragments under
 # `benches` — gated against the committed baseline with noise-aware
@@ -17,6 +18,12 @@ mkdir -p "$OUT/cargo-home"
 
 CARGO_HOME="$PWD/$OUT/cargo-home" cargo build --release --locked --offline &&
   CARGO_HOME="$PWD/$OUT/cargo-home" cargo test -q --locked --offline
+
+# The tree properties again at 500 cases each: both trees run on one
+# paged-tree shell, so its insertion, codec and validator are drawn
+# harder than one tier-1 pass draws them.
+SQDA_PROP_CASES=500 CARGO_HOME="$PWD/$OUT/cargo-home" cargo test -q --locked --offline \
+  -p sqda-rstar -p sqda-sstree --test prop_tree --test prop_codec --test prop_sstree
 
 tools/loc.sh
 
