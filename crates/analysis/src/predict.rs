@@ -26,6 +26,19 @@ pub struct QueryPrediction {
     pub response_s: Option<f64>,
 }
 
+impl From<QueryPrediction> for sqda_obs::Prediction {
+    /// The record an introspected query carries: the response in ms,
+    /// infinite when the model says the array saturates.
+    fn from(p: QueryPrediction) -> Self {
+        Self {
+            accesses: p.accesses,
+            batches: p.batches,
+            utilization: p.utilization,
+            response_ms: p.response_s.map_or(f64::INFINITY, |r| r * 1e3),
+        }
+    }
+}
+
 /// Predicts a k-NN query on the profiled tree under `params` at arrival
 /// rate `lambda` (> 0) per second. `height` is the tree height in
 /// levels, the floor on the number of fetch rounds. `None` for a
@@ -117,5 +130,18 @@ mod tests {
         let p = predict_knn(&profile(), &SystemParams::with_disks(1), 2, 100, 500.0).unwrap();
         assert!(p.utilization >= 1.0);
         assert_eq!(p.response_s, None);
+        // An introspected query records the saturation as an infinite
+        // response; a stable prediction converts seconds to ms.
+        let saturated = sqda_obs::Prediction::from(p.clone());
+        assert_eq!(saturated.response_ms, f64::INFINITY);
+        assert_eq!(
+            (saturated.accesses, saturated.utilization),
+            (p.accesses, p.utilization)
+        );
+        let stable = QueryPrediction {
+            response_s: Some(0.25),
+            ..p
+        };
+        assert_eq!(sqda_obs::Prediction::from(stable).response_ms, 250.0);
     }
 }

@@ -126,12 +126,7 @@ pub fn run(opts: &ExpOptions) {
     for &k in ks {
         let p = predict_knn(&profile, &params, tree.height(), k, LAMBDA)
             .expect("non-degenerate data space");
-        let pred = Prediction {
-            accesses: p.accesses,
-            batches: p.batches,
-            utilization: p.utilization,
-            response_ms: p.response_s.map(|r| r * 1e3).unwrap_or(f64::INFINITY),
-        };
+        let pred = Prediction::from(p);
         let mut obs_acc_reps = Vec::new();
         let mut abs_resid_reps = Vec::new();
         let mut obs_ms_reps = Vec::new();

@@ -35,6 +35,7 @@ mod more;
 mod paper;
 mod scale;
 
+use sqda_bench::claims::{self, Section};
 use sqda_bench::sweep::{AlgorithmKind, Col, Measure, Panel, Row, Seeds, Setup};
 use sqda_bench::{parallel_map, ExpOptions};
 use sqda_obs::json::parse;
@@ -72,20 +73,44 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
 
 fn main() {
     let opts = ExpOptions::from_args();
-    if opts.name == "all" {
-        return all(&opts);
+    match opts.name.as_str() {
+        "all" => return all(&opts),
+        "report" => return report(&opts),
+        _ => {}
     }
     let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == opts.name) else {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         eprintln!(
             "usage: experiment <name> [--quick] [--out <dir>] [--jobs <n> | --serial] \
              [--reps <n>] [--warmup <fraction>] [--trace <file>] [--metrics <file>]\n\
-             experiments: all {}",
+             experiments: all report {}",
             names.join(" ")
         );
         std::process::exit(2);
     };
     run(&opts);
+}
+
+/// `experiment report [--quick] [--out <dir>]`: `<dir>/REPORT.md` from
+/// the CSVs in `<dir>`; exits 1 when a claim required at that scale
+/// fails.
+fn report(opts: &ExpOptions) {
+    let sections: Vec<&Section> = paper::SECTIONS.iter().chain(&more::SECTIONS).collect();
+    let path = opts.out_dir.join("REPORT.md");
+    let written = claims::report(&sections, &opts.out_dir, opts.quick).and_then(|(md, ok)| {
+        std::fs::write(&path, md).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok(ok)
+    });
+    let failure = match written {
+        Ok(true) => return eprintln!("  wrote {}", path.display()),
+        Ok(false) => format!(
+            "a claim required at this scale fails: see {}",
+            path.display()
+        ),
+        Err(e) => e,
+    };
+    eprintln!("experiment report: {failure}");
+    std::process::exit(1);
 }
 
 /// Merges the fragments of [`EXPERIMENTS`] and the headline run from
@@ -220,6 +245,19 @@ fn all(opts: &ExpOptions) {
 mod tests {
     use super::*;
     use sqda_obs::json::Value;
+
+    #[test]
+    fn committed_report_regenerates_from_the_committed_csvs() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let sections: Vec<&Section> = paper::SECTIONS.iter().chain(&more::SECTIONS).collect();
+        let (md, ok) = claims::report(&sections, &results, false).expect("report");
+        let committed = std::fs::read_to_string(results.join("REPORT.md")).expect("REPORT.md");
+        assert!(
+            md == committed,
+            "results/REPORT.md is stale: run `experiment report`"
+        );
+        assert!(ok, "a full-scale claim fails on the committed results");
+    }
 
     #[test]
     fn merge_fragments_leaves_out_stale_files() {

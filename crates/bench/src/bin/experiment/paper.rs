@@ -1,5 +1,8 @@
-//! The paper's Section 4 evidence: Figures 8–12 and Tables 3–5.
+//! The paper's Section 4 evidence: Figures 8–12 and Tables 3–5, and
+//! what the reproduction claims of each, as checks over the CSVs these
+//! sweeps write (`experiment report`).
 
+use sqda_bench::claims::{Claim, Need::*, Rows::*, Section, Stat::*};
 use sqda_bench::sweep::*;
 use sqda_core::exec::run_query;
 use sqda_datasets::{california_like, gaussian, long_beach_like, uniform};
@@ -8,6 +11,19 @@ use std::iter::{once, zip};
 use AlgorithmKind::{Bbss, Crss, Fpss, Woptss};
 use Measure::{Nodes, Response};
 use Seeds::One;
+
+/// The sections of `REPORT.md` these sweeps feed, in the paper's order.
+pub const SECTIONS: [Section; 8] = [FIG08, FIG09, FIG10, FIG11, FIG12, TABLE3, TABLE4, TABLE5];
+
+const ALGOS: &[&str] = &["BBSS", "FPSS", "CRSS", "WOPTSS"];
+
+#[rustfmt::skip]
+const FIG08: Section = Section { title: "Figure 8 — visited nodes vs k (2-d, 10 disks)",
+    paper: "BBSS fetches the fewest nodes at small k and deteriorates as k grows; CRSS overtakes it past a crossover at k ≈ 300–400 on California Places (about 10–55 nodes for k ≤ 700); FPSS fetches the most; WOPTSS is the floor.",
+    csvs: &["fig08_california-like", "fig08_long-beach-like"], claims: &[
+        Claim { need: Full, csv: "fig08_california-like", rows: All, stat: FirstAtLeast("BBSS", "CRSS"), within: (200.0, 450.0), what: "first k at which BBSS visits at least CRSS's nodes", paper: "k ≈ 300–400" },
+        Claim { need: Quick, csv: "fig08_long-beach-like", rows: All, stat: FirstAtLeast("BBSS", "CRSS"), within: (50.0, 700.0), what: "first k at which BBSS visits at least CRSS's nodes", paper: "BBSS best at small k, CRSS past a crossover" },
+ ] };
 
 /// Figure 8: number of visited nodes vs. query size (k = 1..700) on the
 /// 2-d real-data stand-ins (California Places, Long Beach), 10 disks.
@@ -44,6 +60,14 @@ pub fn fig08(opts: &ExpOptions) {
     .run(opts);
 }
 
+#[rustfmt::skip]
+const FIG09: Section = Section { title: "Figure 9 — visited nodes normalized to WOPTSS (10-d, 10 disks)",
+    paper: "every ratio lies in a narrow band (y-axis about 0.96–1.14); CRSS sits below BBSS; higher dimensionality hurts BBSS's branch selection.",
+    csvs: &["fig09_gaussian-10d", "fig09_uniform-10d"], claims: &[
+        Claim { need: Quick, csv: "fig09_gaussian-10d", rows: From(50.0), stat: Values(&["BBSS/WOPTSS", "CRSS/WOPTSS"]), within: (0.96, 1.14), what: "BBSS and CRSS over WOPTSS for k ≥ 50", paper: "0.96–1.14" },
+        Claim { need: Quick, csv: "fig09_uniform-10d", rows: From(50.0), stat: Values(&["BBSS/WOPTSS", "CRSS/WOPTSS"]), within: (0.96, 1.14), what: "BBSS and CRSS over WOPTSS for k ≥ 50", paper: "0.96–1.14" },
+ ] };
+
 /// Figure 9: visited nodes normalized to WOPTSS vs. k on 10-d gaussian
 /// and uniform data, 10 disks.
 ///
@@ -76,6 +100,17 @@ pub fn fig09(opts: &ExpOptions) {
     }
     .run(opts);
 }
+
+#[rustfmt::skip]
+const FIG10: Section = Section { title: "Figure 10 — response time (s) vs arrival rate λ",
+    paper: "left (Long Beach, 5 disks, k = 10, λ = 1–10): 0.06–0.16 s, FPSS the most load-sensitive, CRSS ahead of BBSS throughout; right (California Places, 10 disks, k = 100, λ = 1–20): FPSS marginally better than CRSS at small load, then degrades fastest; BBSS worst at low load; WOPTSS the floor.",
+    csvs: &["fig10_long-beach-like_5disks", "fig10_california-like_10disks"], claims: &[
+        Claim { need: Quick, csv: "fig10_long-beach-like_5disks", rows: All, stat: Steepest("FPSS", ALGOS), within: (1.0, f64::INFINITY), what: "FPSS's rise over λ over the next-steepest algorithm's", paper: "FPSS the most load-sensitive" },
+        Claim { need: Quick, csv: "fig10_long-beach-like_5disks", rows: All, stat: Floor("WOPTSS", ALGOS), within: (1.0, f64::INFINITY), what: "fastest other algorithm over WOPTSS, every λ", paper: "WOPTSS the floor" },
+        Claim { need: Quick, csv: "fig10_california-like_10disks", rows: All, stat: Steepest("FPSS", ALGOS), within: (1.0, f64::INFINITY), what: "FPSS's rise over λ over the next-steepest algorithm's", paper: "FPSS the most load-sensitive" },
+        Claim { need: Quick, csv: "fig10_california-like_10disks", rows: All, stat: Floor("WOPTSS", ALGOS), within: (1.0, f64::INFINITY), what: "fastest other algorithm over WOPTSS, every λ", paper: "WOPTSS the floor" },
+        Claim { need: Deviation, csv: "fig10_long-beach-like_5disks", rows: At(10.0), stat: Ratio("CRSS", "BBSS"), within: (0.0, 1.0), what: "CRSS over BBSS at λ = 10", paper: "CRSS ahead of BBSS" },
+ ] };
 
 /// Figure 10: mean response time (s) vs. query arrival rate λ.
 ///
@@ -123,6 +158,14 @@ pub fn fig10(opts: &ExpOptions) {
     .run(opts);
 }
 
+#[rustfmt::skip]
+const FIG11: Section = Section { title: "Figure 11 — response time normalized to WOPTSS vs #disks (5-d, λ = 5)",
+    paper: "CRSS is 2–4× faster than BBSS and about 2× WOPTSS (\"two times slower than the optimal on average\"), and exploits added disks best; FPSS is left out of the figure for its load sensitivity.",
+    csvs: &["fig11_k10", "fig11_k100"], claims: &[
+        Claim { need: Full, csv: "fig11_k10", rows: All, stat: LastOverFirst("CRSS/WOPTSS"), within: (0.0, 1.0), what: "CRSS/WOPTSS at 30 disks over at 5", paper: "CRSS gains most from added disks" },
+        Claim { need: Quick, csv: "fig11_k100", rows: All, stat: LastOverFirst("CRSS/WOPTSS"), within: (0.0, 1.0), what: "CRSS/WOPTSS at 30 disks over at 5", paper: "CRSS gains most from added disks" },
+ ] };
+
 /// Figure 11: response time normalized to WOPTSS vs. number of disks
 /// (5-d gaussian, λ = 5, k = 10 and k = 100).
 ///
@@ -156,6 +199,14 @@ pub fn fig11(opts: &ExpOptions) {
     .run(opts);
 }
 
+#[rustfmt::skip]
+const FIG12: Section = Section { title: "Figure 12 — response time normalized to WOPTSS vs k (5-d, 10 disks)",
+    paper: "CRSS is the fastest across the k range, 3–4× faster than BBSS, at λ = 1 and at λ = 20.",
+    csvs: &["fig12_lambda1", "fig12_lambda20"], claims: &[
+        Claim { need: Quick, csv: "fig12_lambda1", rows: From(10.0), stat: Ratio("BBSS/WOPTSS", "CRSS/WOPTSS"), within: (2.0, 6.0), what: "BBSS over CRSS for k ≥ 10, λ = 1", paper: "3–4×" },
+        Claim { need: Deviation, csv: "fig12_lambda20", rows: From(10.0), stat: Ratio("BBSS/WOPTSS", "CRSS/WOPTSS"), within: (2.0, 6.0), what: "BBSS over CRSS for k ≥ 10, λ = 20", paper: "3–4×" },
+ ] };
+
 /// Figure 12: response time normalized to WOPTSS vs. k (5-d uniform,
 /// 10 disks, λ = 1 and λ = 20).
 ///
@@ -183,6 +234,16 @@ pub fn fig12(opts: &ExpOptions) {
     }
     .run(opts);
 }
+
+#[rustfmt::skip]
+const TABLE3: Section = Section { title: "Table 3 — scale-up with population (gaussian 5-d, k = 20, λ = 5)",
+    paper: "population and disks grow together; CRSS stays flat and is about 4× faster than BBSS, which degrades as the system grows (printed seconds in the claims).",
+    csvs: &["table3_scaleup_population"], claims: &[
+        Claim { need: Full, csv: "table3_scaleup_population", rows: Nth(0), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[0.76, 0.47, 0.23]), within: (1.0 / 1.5, 1.5), what: "row 1 (10k points, 5 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "0.76 / 0.47 / 0.23 s" },
+        Claim { need: Full, csv: "table3_scaleup_population", rows: Nth(1), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[0.74, 0.28, 0.15]), within: (1.0 / 1.5, 1.5), what: "row 2 (20k points, 10 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "0.74 / 0.28 / 0.15 s" },
+        Claim { need: Full, csv: "table3_scaleup_population", rows: Nth(2), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[1.07, 0.29, 0.15]), within: (1.0 / 1.5, 1.5), what: "row 3 (40k points, 20 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "1.07 / 0.29 / 0.15 s" },
+        Claim { need: Full, csv: "table3_scaleup_population", rows: Nth(3), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[1.59, 0.33, 0.16]), within: (1.0 / 1.5, 1.5), what: "row 4 (80k points, 40 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "1.59 / 0.33 / 0.16 s" },
+ ] };
 
 /// Table 3: scalability with respect to population growth — response
 /// time (s) as population and disks grow together (10 000 points on 5
@@ -214,6 +275,16 @@ pub fn table3(opts: &ExpOptions) {
     .run("table3_scaleup_population", 1311, opts);
 }
 
+#[rustfmt::skip]
+const TABLE4: Section = Section { title: "Table 4 — scale-up with query size (gaussian 5-d, 80k points, λ = 5)",
+    paper: "k and disks grow together; CRSS's response grows slowest with k (printed seconds in the claims).",
+    csvs: &["table4_scaleup_k"], claims: &[
+        Claim { need: Deviation, csv: "table4_scaleup_k", rows: Nth(0), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[2.48, 1.30, 0.48]), within: (1.0 / 3.0, 3.0), what: "row 1 (k = 10, 5 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "2.48 / 1.30 / 0.48 s" },
+        Claim { need: Full, csv: "table4_scaleup_k", rows: Nth(1), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[2.14, 0.32, 0.19]), within: (1.0 / 3.0, 3.0), what: "row 2 (k = 20, 10 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "2.14 / 0.32 / 0.19 s" },
+        Claim { need: Full, csv: "table4_scaleup_k", rows: Nth(2), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[2.37, 0.55, 0.28]), within: (1.0 / 3.0, 3.0), what: "row 3 (k = 40, 20 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "2.37 / 0.55 / 0.28 s" },
+        Claim { need: Full, csv: "table4_scaleup_k", rows: Nth(3), stat: Printed(&["BBSS", "CRSS", "WOPTSS"], &[2.95, 0.40, 0.21]), within: (1.0 / 3.0, 3.0), what: "row 4 (k = 80, 40 disks): BBSS, CRSS, WOPTSS over the paper's", paper: "2.95 / 0.40 / 0.21 s" },
+ ] };
+
 /// Table 4: scalability with respect to query size — k and the disks
 /// grow together (k = 10 on 5 disks up to k = 80 on 40; gaussian, 5-d,
 /// λ = 5).
@@ -237,6 +308,11 @@ pub fn table4(opts: &ExpOptions) {
     }
     .run("table4_scaleup_k", 1411, opts);
 }
+
+#[rustfmt::skip]
+const TABLE5: Section = Section { title: "Table 5 — qualitative comparison",
+    paper: "✓ for good performance. BBSS: disk accesses and inter-query parallelism. FPSS: intra-query parallelism, inter-query parallelism limited. CRSS and WOPTSS: every characteristic. Here each ✓ is awarded from measurements (`table5_measurements.csv`), not transcribed.",
+    csvs: &["table5_summary", "table5_measurements"], claims: &[] };
 
 /// Table 5: qualitative comparison of the algorithms — derived from
 /// fresh measurements rather than transcribed.

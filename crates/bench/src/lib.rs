@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+pub mod claims;
 pub mod report;
 pub mod sweep;
 
@@ -112,11 +113,7 @@ impl ExpOptions {
                     );
                 }
                 name if o.name.is_empty() && !name.starts_with('-') => o.name = a.clone(),
-                other => panic!(
-                    "unexpected argument {other} (expected <experiment> --quick \
-                     / --out <dir> / --jobs <n> / --serial / --trace <file> \
-                     / --metrics <file> / --reps <n> / --warmup <fraction>)"
-                ),
+                other => panic!("unexpected argument {other}; `experiment` alone lists the usage"),
             }
         }
         o

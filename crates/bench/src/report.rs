@@ -68,8 +68,6 @@ pub struct BinReport {
     manifest: RunManifest,
     metrics: Vec<MetricPoint>,
     quick: bool,
-    reps: usize,
-    warmup: f64,
     started: Instant,
 }
 
@@ -85,8 +83,6 @@ impl BinReport {
             manifest,
             metrics: Vec::new(),
             quick: opts.quick,
-            reps: opts.reps(),
-            warmup: opts.warmup,
             started: Instant::now(),
         }
     }
@@ -103,7 +99,7 @@ impl BinReport {
     /// storing the per-replication seed list.
     pub fn master_seed(&mut self, seed: u64) -> &mut Self {
         self.manifest.master_seed = seed;
-        self.manifest.rep_seeds = (0..self.reps.max(1))
+        self.manifest.rep_seeds = (0..self.manifest.reps.max(1) as usize)
             .map(|r| crate::rep_seed(seed, r))
             .collect();
         self
@@ -134,39 +130,29 @@ impl BinReport {
 
     /// Serializes the schema-v2 summary fragment (deterministic bytes).
     pub fn fragment_json(&self) -> String {
-        let mut metrics = String::from("[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                metrics.push(',');
+        let metric = |m: &MetricPoint| {
+            let mut labels = ObjWriter::new();
+            for (k, v) in &m.labels {
+                labels.field_str(k, v);
             }
-            let mut labels = String::from("{");
-            for (j, (k, v)) in m.labels.iter().enumerate() {
-                if j > 0 {
-                    labels.push(',');
-                }
-                sqda_obs::json::write_str(&mut labels, k);
-                labels.push(':');
-                sqda_obs::json::write_str(&mut labels, v);
-            }
-            labels.push('}');
             let mut w = ObjWriter::new();
             w.field_str("name", &m.name);
-            w.field_raw("labels", &labels);
+            w.field_raw("labels", &labels.finish());
             w.field_str("direction", m.direction.as_str());
             m.summary.write_fields(&mut w);
-            metrics.push_str(&w.finish());
-        }
-        metrics.push(']');
+            w.finish()
+        };
+        let metrics: Vec<String> = self.metrics.iter().map(metric).collect();
         let mut w = ObjWriter::new();
         w.field_u64("schema", 2);
         w.field_str("bench", &self.bench);
         w.field_bool("quick", self.quick);
-        w.field_u64("reps", self.reps as u64);
-        w.field_f64("warmup_fraction", self.warmup);
+        w.field_u64("reps", u64::from(self.manifest.reps));
+        w.field_f64("warmup_fraction", self.manifest.warmup_fraction);
         w.field_u64("master_seed", self.manifest.master_seed);
         w.field_raw("rep_seeds", &u64_array(&self.manifest.rep_seeds));
         w.field_str("rng_fingerprint", &rng_fingerprint());
-        w.field_raw("metrics", &metrics);
+        w.field_raw("metrics", &format!("[{}]", metrics.join(",")));
         w.finish()
     }
 

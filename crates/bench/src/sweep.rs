@@ -607,7 +607,7 @@ mod tests {
     use super::*;
     use sqda_core::exec::run_query;
     use sqda_obs::json::{parse, Value};
-    use sqda_sstree::{SsConfig, SsTree};
+    use sqda_rstar::{SsConfig, SsTree};
     use sqda_storage::{ArrayStore, PageStore};
     use std::path::{Path, PathBuf};
     use AlgorithmKind::{Bbss, Crss as CrssKind, Fpss, Woptss};

@@ -8,7 +8,7 @@ use sqda_core::{
 };
 use sqda_datasets::{CsvRows, Dataset};
 use sqda_geom::Point;
-use sqda_obs::{CollectingRecorder, Event, Prediction};
+use sqda_obs::{CollectingRecorder, Event};
 use sqda_rstar::decluster::{
     AreaBalance, DataBalance, Declusterer, ProximityIndex, RandomAssign, RoundRobin,
 };
@@ -563,12 +563,7 @@ pub fn explain(args: &Args) -> CmdResult {
     }
     let profile = TreeProfile::measure(&tree)?;
     let (params, calibration) = calibrated_params(&store_dir, tree.store().num_disks(), args);
-    let predicted = predict_knn(&profile, &params, tree.height(), k, lambda).map(|p| Prediction {
-        accesses: p.accesses,
-        batches: p.batches,
-        utilization: p.utilization,
-        response_ms: p.response_s.map(|r| r * 1e3).unwrap_or(f64::INFINITY),
-    });
+    let predicted = predict_knn(&profile, &params, tree.height(), k, lambda).map(Into::into);
     let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
     let engine = RealTimeEngine::new(&tree, backend)?;
     let (record, _) =

@@ -10,7 +10,6 @@
 //! sqda estimate --store ./mystore --k 10 --lambda 5
 //! sqda explain  --store ./mystore --point 0.42,0.37 --k 10
 //! sqda serve    --store ./mystore --port 7878
-//! sqda report   --results-dir results --out report.html
 //! ```
 
 #![forbid(unsafe_code)]
@@ -18,7 +17,6 @@
 mod args;
 mod commands;
 mod meta;
-mod report;
 mod serve;
 
 use args::Args;
@@ -95,10 +93,6 @@ COMMANDS:
    metrics snapshot at shutdown; at shutdown serve also refits device
    service terms from the live disk counters and writes
    <store>/calibration.json unless --uncalibrated.)
-  report     render a results directory as a self-contained HTML dashboard
-             (per-figure curves with 95% CI bands, fault-sweep and
-             hot-path trends, run manifests, raw tables)
-             [--results-dir <dir>=results] [--out <file>=report.html]
   help       this text
 ";
 
@@ -122,7 +116,6 @@ fn main() {
         "estimate" => commands::estimate(&args),
         "explain" => commands::explain(&args),
         "serve" => serve::serve(&args),
-        "report" => report::report(&args),
         other => {
             eprintln!("unknown command {other:?}\n");
             print!("{HELP}");

@@ -100,7 +100,7 @@ use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfil
 use sqda_core::Neighbor;
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::Point;
-use sqda_obs::{trace_document, LiveTelemetry, Prediction};
+use sqda_obs::{trace_document, LiveTelemetry};
 use sqda_rstar::{Node, RStarTree};
 use sqda_simkernel::SystemParams;
 use sqda_storage::{FileStore, IoBackend, NodeCache, PageStore, ReadObserver, ThreadedFileBackend};
@@ -637,14 +637,7 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
                 .unwrap_or(0.0)
                 .max(1.0);
             let predicted = explain.profile.as_ref().and_then(|profile| {
-                predict_knn(profile, &explain.params, explain.height, k, lambda).map(|p| {
-                    Prediction {
-                        accesses: p.accesses,
-                        batches: p.batches,
-                        utilization: p.utilization,
-                        response_ms: p.response_s.map(|r| r * 1e3).unwrap_or(f64::INFINITY),
-                    }
-                })
+                predict_knn(profile, &explain.params, explain.height, k, lambda).map(Into::into)
             });
             let (record, _) = engine
                 .explain_query(kind, point, k, lambda, explain.calibrated, predicted)

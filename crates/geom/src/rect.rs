@@ -156,7 +156,7 @@ impl Rect {
     /// The R\*-tree split algorithm selects the split axis by minimizing the
     /// margin sum of candidate distributions.
     pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
+        self.as_ref().margin()
     }
 
     /// Returns `true` if `self` and `other` intersect (share at least one

@@ -81,6 +81,11 @@ impl<'a> RectRef<'a> {
             .product()
     }
 
+    /// The margin: the sum of the side lengths over all dimensions.
+    pub fn margin(&self) -> f64 {
+        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
+    }
+
     /// The volume of the intersection with `other`, 0 if disjoint.
     pub fn intersection_area(&self, other: RectRef<'_>) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());

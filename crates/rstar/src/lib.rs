@@ -31,7 +31,7 @@
 //! written once and parameterised by a [`Bound`] — how a directory entry
 //! bounds its subtree, and the descent, split and placement rules that
 //! follow. [`Rects`] makes it the R\*-tree ([`RStarTree`]); [`Spheres`]
-//! makes it the SS-tree ([`SsTree`], which `sqda-sstree` names).
+//! makes it the SS-tree ([`SsTree`], see [`spheres`]).
 //!
 //! # Example
 //!
@@ -69,7 +69,7 @@ mod insert;
 pub mod node;
 mod rects;
 pub mod sfc;
-mod spheres;
+pub mod spheres;
 mod split;
 pub mod split_policy;
 pub mod tree;

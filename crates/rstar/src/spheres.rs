@@ -1,13 +1,47 @@
 //! The SS-tree's bound: spheres (White & Jain, ICDE'96).
 //!
-//! A directory entry bounds its subtree with the count-weighted centroid
-//! of its entries and the smallest radius around it that covers them.
-//! Spheres store `d + 1` words instead of the MBR's `2d`, so directory
-//! fan-out is nearly double the R\*-tree's at the same page size. An
-//! insert descends to the nearest centroid; an overflowing node splits
-//! along its dimension of greatest variance; a new node goes to the disk
-//! whose resident siblings its sphere overlaps least. Everything else —
-//! pages, cache, insertion, validation — is the shared paged tree.
+//! The paper's concluding section lists "the application of the algorithm
+//! on other access methods for similarity search, like SS-tree, SR-tree,
+//! TV-tree and X-tree" as future work. The SS-tree is a height-balanced
+//! tree whose directory entries bound their subtrees with **spheres**
+//! (centroid + radius) instead of rectangles. Spheres have shorter
+//! diameters in high dimensions and store `d + 1` words instead of the
+//! MBR's `2d`, so directory fan-out is nearly double the R\*-tree's at
+//! the same page size.
+//!
+//! A directory entry's sphere is the count-weighted centroid of its
+//! entries and the smallest radius around it that covers them. An insert
+//! descends to the nearest centroid; an overflowing node splits along its
+//! dimension of greatest variance; a new node goes to the disk whose
+//! resident siblings its sphere overlaps least. Everything else — one
+//! node per page in the same flat layout and page framing (magic
+//! `SSTN`), per-entry subtree object counts (the modification CRSS relies
+//! on), the decoded-node cache, insertion, I/O statistics and validation
+//! — is the shared paged tree. The tree implements
+//! `sqda_core::AccessMethod` through the one impl both trees share, so
+//! **BBSS, FPSS, CRSS and WOPTSS run over it unchanged**, under every
+//! executor — with the caveat the geometry dictates: a bounding sphere
+//! offers no MINMAXDIST-style per-face guarantee, so the pessimistic
+//! metric degrades to `D_max` (see `sqda_geom::Region::min_max_dist_sq`).
+//!
+//! # Example
+//!
+//! ```
+//! use sqda_rstar::{SsConfig, SsTree};
+//! use sqda_core::{AlgorithmKind, exec::run_query};
+//! use sqda_storage::ArrayStore;
+//! use sqda_geom::Point;
+//! use std::sync::Arc;
+//!
+//! let store = Arc::new(ArrayStore::new(4, 1449, 7));
+//! let mut tree = SsTree::create(store, SsConfig::new(2)).unwrap();
+//! for i in 0..500u64 {
+//!     tree.insert(Point::new(vec![(i % 23) as f64, (i % 17) as f64]), i).unwrap();
+//! }
+//! let mut crss = AlgorithmKind::Crss.build(&tree, Point::new(vec![4.0, 4.0]), 5).unwrap();
+//! let run = run_query(&tree, crss.as_mut()).unwrap();
+//! assert_eq!(run.results.len(), 5);
+//! ```
 
 use crate::config::TreeConfig;
 use crate::node::Node;

@@ -4,7 +4,7 @@
 //! The split operates on MBRs only and returns index groups, so the same
 //! code splits leaf and internal nodes.
 
-use sqda_geom::Rect;
+use sqda_geom::{Rect, RectRef};
 
 /// The outcome of a split: indices of the entries for each group.
 /// `group1` keeps the original page; `group2` moves to the new page.
@@ -39,7 +39,9 @@ pub fn rstar_split(mbrs: &[Rect], m: usize) -> SplitResult {
     let dim = mbrs[0].dim();
     let num_dists = total - 2 * m + 1;
 
-    let mut best_axis = 0usize;
+    let words = vec![0.0; 2 * dim * total];
+    let (pre, suf) = (words.clone(), words);
+    let mut boxes = PrefixSuffix { dim, pre, suf };
     let mut best_margin = f64::INFINITY;
     let mut best_axis_sorts: Option<[Vec<usize>; 2]> = None;
 
@@ -48,28 +50,27 @@ pub fn rstar_split(mbrs: &[Rect], m: usize) -> SplitResult {
         let sort_hi = sorted_indices(mbrs, |r| r.hi()[axis]);
         let mut margin_sum = 0.0;
         for sort in [&sort_lo, &sort_hi] {
-            let (prefix, suffix) = prefix_suffix_boxes(mbrs, sort);
+            boxes.fill(mbrs, sort);
             for k in 0..num_dists {
                 let split_at = m + k; // group1 = first m+k entries
-                margin_sum += prefix[split_at - 1].margin() + suffix[split_at].margin();
+                margin_sum += boxes.rect(&boxes.pre, split_at - 1).margin()
+                    + boxes.rect(&boxes.suf, split_at).margin();
             }
         }
         if margin_sum < best_margin {
             best_margin = margin_sum;
-            best_axis = axis;
             best_axis_sorts = Some([sort_lo, sort_hi]);
         }
     }
-    let _ = best_axis; // retained for debugging clarity
 
     let sorts = best_axis_sorts.expect("at least one axis");
     let mut best: Option<(f64, f64, usize, &Vec<usize>, usize)> = None;
     for sort in sorts.iter() {
-        let (prefix, suffix) = prefix_suffix_boxes(mbrs, sort);
+        boxes.fill(mbrs, sort);
         for k in 0..num_dists {
             let split_at = m + k;
-            let bb1 = &prefix[split_at - 1];
-            let bb2 = &suffix[split_at];
+            let bb1 = boxes.rect(&boxes.pre, split_at - 1);
+            let bb2 = boxes.rect(&boxes.suf, split_at);
             let overlap = bb1.intersection_area(bb2);
             let area = bb1.area() + bb2.area();
             // Balance criterion: distance from an even split (tie-break).
@@ -105,24 +106,48 @@ fn sorted_indices(mbrs: &[Rect], key: impl Fn(&Rect) -> f64) -> Vec<usize> {
     idx
 }
 
-/// For a sorted order, returns (`prefix[i]` = bb of entries `0..=i`,
-/// `suffix[i]` = bb of entries `i..`).
-fn prefix_suffix_boxes(mbrs: &[Rect], order: &[usize]) -> (Vec<Rect>, Vec<Rect>) {
-    let n = order.len();
-    let mut prefix = Vec::with_capacity(n);
-    let mut acc = mbrs[order[0]].clone();
-    prefix.push(acc.clone());
-    for &i in &order[1..] {
-        acc.union_in_place(&mbrs[i]);
-        prefix.push(acc.clone());
+/// The bounding boxes of every prefix and every suffix of one sorted
+/// order, as flat `lo ‖ hi` records of `2 · dim` words: record `i` of
+/// `pre` bounds entries `0..=i` of the order, of `suf` entries `i..`.
+/// Refilled for each order a split examines, never reallocated.
+struct PrefixSuffix {
+    dim: usize,
+    pre: Vec<f64>,
+    suf: Vec<f64>,
+}
+
+impl PrefixSuffix {
+    /// Refills both for `order`.
+    fn fill(&mut self, mbrs: &[Rect], order: &[usize]) {
+        let (d, n) = (self.dim, order.len());
+        for (buf, j) in [(&mut self.pre, 0), (&mut self.suf, n - 1)] {
+            buf[2 * d * j..][..d].copy_from_slice(mbrs[order[j]].lo());
+            buf[2 * d * j + d..][..d].copy_from_slice(mbrs[order[j]].hi());
+        }
+        for j in 1..n {
+            grow(&mut self.pre, d, j - 1, j, &mbrs[order[j]]);
+        }
+        for j in (0..n - 1).rev() {
+            grow(&mut self.suf, d, j + 1, j, &mbrs[order[j]]);
+        }
     }
-    let mut suffix = vec![mbrs[order[n - 1]].clone(); n];
-    for j in (0..n - 1).rev() {
-        let mut r = suffix[j + 1].clone();
-        r.union_in_place(&mbrs[order[j]]);
-        suffix[j] = r;
+
+    /// Record `i` of `buf` (`pre` or `suf`).
+    fn rect<'a>(&self, buf: &'a [f64], i: usize) -> RectRef<'a> {
+        let (lo, hi) = buf[2 * self.dim * i..][..2 * self.dim].split_at(self.dim);
+        RectRef::new(lo, hi)
     }
-    (prefix, suffix)
+}
+
+/// Sets record `to` of `buf` to record `from` grown to enclose `r`, as
+/// [`Rect::union_in_place`] grows a box.
+fn grow(buf: &mut [f64], dim: usize, from: usize, to: usize, r: &Rect) {
+    buf.copy_within(2 * dim * from..2 * dim * (from + 1), 2 * dim * to);
+    let (lo, hi) = buf[2 * dim * to..][..2 * dim].split_at_mut(dim);
+    for d in 0..dim {
+        lo[d] = if r.lo()[d] < lo[d] { r.lo()[d] } else { lo[d] };
+        hi[d] = if r.hi()[d] > hi[d] { r.hi()[d] } else { hi[d] };
+    }
 }
 
 /// Selects the entries to evict for R\* forced reinsertion: the `p`
@@ -298,14 +323,20 @@ mod tests {
     #[test]
     fn prefix_suffix_cover_everything() {
         let mbrs: Vec<Rect> = (0..6).map(|i| pt(i as f64, -(i as f64))).collect();
-        let order: Vec<usize> = (0..6).collect();
-        let (prefix, suffix) = prefix_suffix_boxes(&mbrs, &order);
-        let full = Rect::union_all(mbrs.iter()).unwrap();
-        assert_eq!(prefix[5], full);
-        assert_eq!(suffix[0], full);
-        for i in 0..6 {
-            assert!(full.contains_rect(&prefix[i]));
-            assert!(full.contains_rect(&suffix[i]));
+        let mut boxes = PrefixSuffix {
+            dim: 2,
+            pre: vec![0.0; 24],
+            suf: vec![0.0; 24],
+        };
+        // Every record is the union of its entries, for an order and its
+        // reverse filled into the same buffers.
+        for order in [vec![0, 1, 2, 3, 4, 5], vec![5, 3, 1, 0, 2, 4]] {
+            boxes.fill(&mbrs, &order);
+            for i in 0..6 {
+                let union = |ids: &[usize]| Rect::union_all(ids.iter().map(|&j| &mbrs[j])).unwrap();
+                assert_eq!(boxes.rect(&boxes.pre, i).to_rect(), union(&order[..=i]));
+                assert_eq!(boxes.rect(&boxes.suf, i).to_rect(), union(&order[i..]));
+            }
         }
     }
 }

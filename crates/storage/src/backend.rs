@@ -373,6 +373,43 @@ mod tests {
     use crate::{ArrayStore, DiskId, StorageError};
     use std::path::PathBuf;
 
+    /// Whether the OS page cache holds the first OS page of `store`'s
+    /// file for `disk` (where that disk's first page lives): `mincore`
+    /// over a read-only mapping, which asks without faulting anything
+    /// in, where a declined read would start read-ahead. `None` where
+    /// the platform cannot tell.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn first_page_cached(store: &FileStore, disk: u32) -> Option<bool> {
+        use std::os::fd::AsRawFd;
+        unsafe extern "C" {
+            fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+                -> *mut u8;
+            fn mincore(addr: *mut u8, len: usize, vec: *mut u8) -> i32;
+            fn munmap(addr: *mut u8, len: usize) -> i32;
+        }
+        let file = std::fs::File::open(store.dir().join(format!("disk{disk:04}.sqda"))).ok()?;
+        let mut resident = 0u8;
+        // SAFETY: a fresh one-page shared read-only mapping (PROT_READ,
+        // MAP_SHARED) placed by the kernel overlaps no Rust object and
+        // is never dereferenced; `mincore` writes one byte for that one
+        // page into `resident`; the mapping is unmapped before return.
+        let rc = unsafe {
+            let addr = mmap(std::ptr::null_mut(), 1, 1, 1, file.as_raw_fd(), 0);
+            if addr as isize == -1 {
+                return None;
+            }
+            let rc = mincore(addr, 1, &mut resident);
+            munmap(addr, 1);
+            rc
+        };
+        (rc == 0).then_some(resident & 1 == 1)
+    }
+
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    fn first_page_cached(_: &FileStore, _: u32) -> Option<bool> {
+        None
+    }
+
     fn collect(rx: Receiver<ReadCompletion>, n: usize) -> Vec<ReadCompletion> {
         let out: Vec<_> = rx.into_iter().collect();
         assert_eq!(out.len(), n, "one completion per submitted page");
@@ -455,14 +492,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threaded_backend_splits_a_half_evicted_batch() {
-        // Disks 0 and 1 resident, disks 2 and 3 dropped from the OS
-        // cache: one batch over all of them. What a caller sees must not
-        // depend on the split; which side served a read is asserted only
-        // where the filesystem lets both sides happen.
-        let dir = tmpdir("split");
-        let store = Arc::new(FileStore::create(&dir, 4, 100, 256, 2).unwrap());
+    /// How one half-evicted batch split.
+    struct Split {
+        /// The filesystem serves NOWAIT reads.
+        nowait: bool,
+        /// Per disk: its first page was out of the page cache at
+        /// submission.
+        cold: Vec<bool>,
+        /// Per disk: some read of it was served by its worker.
+        handed_off: Vec<bool>,
+        /// Reads served on the caller / by a worker.
+        inline: u64,
+        worker: u64,
+    }
+
+    /// Disks 0 and 1 resident, disks 2 and 3 dropped from the OS cache:
+    /// one batch over all of them, in `dir`. What a caller sees must not
+    /// depend on the split, and that is asserted here; the split itself
+    /// is returned.
+    fn half_evicted_batch(dir: &std::path::Path) -> Split {
+        let store = Arc::new(FileStore::create(dir, 4, 100, 256, 2).unwrap());
         let mut pages = Vec::new();
         for i in 0..32u64 {
             let p = store.allocate(DiskId((i % 4) as u32)).unwrap();
@@ -471,15 +520,25 @@ mod tests {
                 .unwrap();
             pages.push(p);
         }
-        store.evict_from_os_cache().unwrap();
+        // Eviction is advisory: a RAM-backed filesystem keeps every page
+        // and a loaded box may keep some, so it is repeated until the
+        // page cache says disks 2 and 3 went cold, or given up. Asking
+        // starts no read-ahead (a declined read would), and nothing
+        // touches disk 2's or 3's file again before the batch.
+        let cold = |d: usize| first_page_cached(&store, d as u32) == Some(false);
+        for _ in 0..10 {
+            store.evict_from_os_cache().unwrap();
+            if cold(2) && cold(3) {
+                break;
+            }
+        }
         for p in pages.iter().filter(|p| p.as_raw() % 4 < 2) {
             store.read(*p).unwrap(); // blocking read: resident again
         }
-        // Probe disk 3: declined with NOWAIT still on means the eviction
-        // took (it does not on a RAM-backed filesystem). Disk 2's file is
-        // left untouched, so its first page in the batch must block.
-        let evicted =
-            store.read_resident(pages[3]).unwrap().1.is_none() && store.nowait_supported();
+        // A resident page read with NOWAIT latches it off where the
+        // filesystem refuses it.
+        store.read_resident(pages[0]).unwrap();
+        let cold: Vec<bool> = (0..4).map(cold).collect();
         store.reset_stats();
 
         let spy = Arc::new(ThreadSpy::default());
@@ -506,35 +565,84 @@ mod tests {
             assert_eq!(c.result.as_ref().unwrap(), &store.read(c.page).unwrap());
             assert_eq!(c.disk, store.placement(c.page).unwrap().disk.0);
         }
-
         let spied = spy.0.lock().unwrap();
         assert_eq!(spied.len(), 32);
         let on_worker = |(disk, name): &(u32, String)| *name == format!("sqda-disk{disk}");
-        if evicted {
-            // Resident pages never left the caller; the first cold page
-            // of the batch (disk 2's) did.
-            assert!(spied.iter().all(|r| r.0 >= 2 || !on_worker(r)), "{spied:?}");
-            assert!(spied.iter().any(|r| r.0 == 2 && on_worker(r)), "{spied:?}");
-            assert!(
-                inline >= 16 && worker >= 1,
-                "inline {inline}, worker {worker}"
-            );
-        } else if store.nowait_supported() {
-            assert_eq!(
-                (inline, worker),
-                (32, 0),
-                "nothing evicted: nothing to hand off"
-            );
-        } else {
-            assert_eq!(
-                (inline, worker),
-                (0, 32),
-                "no NOWAIT: every read to a worker"
-            );
-        }
+        let handed_off = (0..4)
+            .map(|d| spied.iter().any(|r| r.0 == d && on_worker(r)))
+            .collect();
+        let nowait = store.nowait_supported();
         drop(spied);
         drop(backend);
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir).ok();
+        Split {
+            nowait,
+            cold,
+            handed_off,
+            inline,
+            worker,
+        }
+    }
+
+    #[test]
+    fn threaded_backend_splits_a_half_evicted_batch() {
+        // Which side served a read is asserted from each disk file's
+        // residency at submission. The kernel itself can serve a NOWAIT
+        // read of a page the page cache did not hold: the read starts
+        // read-ahead, and when that completes before the kernel checks
+        // the page again, the read succeeds (on a virtualised ext4 disk,
+        // about one such read in six, more under load). Disk 2's first
+        // page then stays with the caller through no choice of the
+        // backend's, so that batch is run again on a fresh store, after
+        // a growing pause; the fifth run must split as asserted.
+        for run in 1..=5 {
+            let Split {
+                nowait,
+                cold,
+                handed_off,
+                inline,
+                worker,
+            } = half_evicted_batch(&tmpdir(&format!("split{run}")));
+            if !nowait {
+                assert_eq!(
+                    (inline, worker),
+                    (0, 32),
+                    "no NOWAIT: every read to a worker"
+                );
+                return;
+            }
+            let raced = cold[2] && !handed_off[2];
+            if raced && run < 5 {
+                // Load comes in bursts: back off before the next run.
+                std::thread::sleep(std::time::Duration::from_millis(20 * run));
+                continue;
+            }
+            if cold[2] {
+                // The first cold page of the batch (disk 2's) left the
+                // caller.
+                assert!(handed_off[2], "{handed_off:?}");
+                assert!(
+                    inline >= 16 && worker >= 1,
+                    "inline {inline}, worker {worker}"
+                );
+            } else if !cold[3] {
+                assert_eq!(
+                    (inline, worker),
+                    (32, 0),
+                    "nothing evicted: nothing to hand off"
+                );
+            }
+            // A resident file (disks 0 and 1, read back) never left the
+            // caller.
+            assert!(!cold[0] && !cold[1], "disks 0 and 1 were read back");
+            for disk in 0..4 {
+                assert!(
+                    cold[disk] || !handed_off[disk],
+                    "disk {disk}: {handed_off:?}"
+                );
+            }
+            return;
+        }
     }
 
     #[test]

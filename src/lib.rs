@@ -11,13 +11,13 @@
 //! * [`geom`] — n-d points, MBRs, the `D_min`/`D_mm`/`D_max` metrics;
 //! * [`storage`] — paged storage with disk+cylinder placement;
 //! * [`simkernel`] — the event-driven disk-array simulator;
-//! * [`rstar`] — the declustered, count-augmented R\*-tree;
+//! * [`rstar`] — the declustered, count-augmented R\*-tree, and the
+//!   SS-tree (bounding spheres) on the same paged-tree shell, running
+//!   the same algorithms through the access-method abstraction;
 //! * [`core`] — the BBSS/FPSS/CRSS/WOPTSS algorithms and executors;
 //! * [`obs`] — simulation tracing: recorder seam, JSONL/Perfetto
 //!   exports, metrics snapshots and per-query profiles;
 //! * [`datasets`] — deterministic experiment data generators;
-//! * [`sstree`] — the SS-tree (bounding spheres), running the same
-//!   algorithms through the access-method abstraction;
 //! * [`analysis`] — analytical selectivity and response-time models.
 //!
 //! See the `examples/` directory for runnable walkthroughs and
@@ -52,7 +52,6 @@ pub use sqda_geom as geom;
 pub use sqda_obs as obs;
 pub use sqda_rstar as rstar;
 pub use sqda_simkernel as simkernel;
-pub use sqda_sstree as sstree;
 pub use sqda_storage as storage;
 
 /// One-stop imports for applications.
@@ -63,7 +62,7 @@ pub mod prelude {
     pub use sqda_datasets::Dataset;
     pub use sqda_geom::{Point, Rect, Sphere};
     pub use sqda_rstar::decluster::ProximityIndex;
-    pub use sqda_rstar::{RStarConfig, RStarTree};
+    pub use sqda_rstar::{RStarConfig, RStarTree, SsConfig, SsTree};
     pub use sqda_simkernel::SystemParams;
     pub use sqda_storage::{ArrayStore, PageStore};
 }

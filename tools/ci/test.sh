@@ -7,9 +7,11 @@
 # sweep, the explain records, the hot-path counters and the external
 # build's scale points, all read from the schema-v2 fragments under
 # `benches` — gated against the committed baseline with noise-aware
-# bands and the build's scaling band and file-call budget, and rendered
-# as the HTML dashboard, then a degraded-mode CLI run.
-# Outputs: target/ci/test (the sweep and dashboard in target/ci/test/results).
+# bands and the build's scaling band and file-call budget, with the
+# paper's claims checked over it (`experiment report --quick`) and the
+# committed `results/REPORT.md` regenerated from the committed CSVs, then
+# a degraded-mode CLI run.
+# Outputs: target/ci/test (the sweep and its REPORT.md in target/ci/test/results).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 OUT=target/ci/test
@@ -23,7 +25,7 @@ CARGO_HOME="$PWD/$OUT/cargo-home" cargo build --release --locked --offline &&
 # paged-tree shell, so its insertion, codec and validator are drawn
 # harder than one tier-1 pass draws them.
 SQDA_PROP_CASES=500 CARGO_HOME="$PWD/$OUT/cargo-home" cargo test -q --locked --offline \
-  -p sqda-rstar -p sqda-sstree --test prop_tree --test prop_codec --test prop_sstree
+  -p sqda-rstar --test prop_tree --test prop_codec --test prop_sstree
 
 tools/loc.sh
 
@@ -171,7 +173,14 @@ target/release/check_regression --current "$R/BENCH_summary.json" \
   --baseline results/BASELINE.json --scale results/bench/bench_scale.json
 target/release/check_regression --current "$R/BENCH_summary.json" \
   --baseline results/BASELINE.json --scale "$R/BENCH_summary.json"
-target/release/sqda report --results-dir "$R" --out "$R/report.html"
+
+# The paper's claims over the quick sweep: a claim required at quick
+# scale that fails exits non-zero. Then the committed report must be what
+# the committed CSVs render: a claim or renderer change that moves it
+# fails until `experiment report` is rerun and its output committed.
+target/release/experiment report --quick --out "$R"
+target/release/experiment report --out results
+git diff --exit-code results/REPORT.md
 
 # Degraded mode through the CLI: fail-stop two disks, reads go to the shadows.
 target/release/sqda generate --kind gaussian --n 2000 --out "$OUT/faultpts.csv"
