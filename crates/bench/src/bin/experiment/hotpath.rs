@@ -57,7 +57,7 @@ use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine
 use sqda_geom::{kernel, Point};
 use sqda_obs::{Event, LiveTelemetry, QueryObservation};
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{codec, RStarConfig, RStarTree};
+use sqda_rstar::{codec, PackingOrder, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, InlineBackend, NodeCache, PageId, PageStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -155,8 +155,14 @@ fn build_served_tree() -> RStarTree<ArrayStore> {
         .collect();
     let store = Arc::new(ArrayStore::with_page_size(8, 1449, 1024, 1));
     let config = RStarConfig::with_page_size(2, 1024);
-    let mut tree =
-        RStarTree::bulk_load(store, config, Box::new(ProximityIndex), points).expect("bulk load");
+    let mut tree = RStarTree::bulk_load(
+        store,
+        config,
+        Box::new(ProximityIndex),
+        points,
+        PackingOrder::Str,
+    )
+    .expect("bulk load");
     tree.set_node_cache(Arc::new(NodeCache::new(65_536)));
     tree
 }

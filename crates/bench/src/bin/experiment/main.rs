@@ -72,23 +72,33 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
 ];
 
 fn main() {
-    let opts = ExpOptions::from_args();
+    let opts = ExpOptions::from_args().unwrap_or_else(|e| usage(&e));
     match opts.name.as_str() {
         "all" => return all(&opts),
         "report" => return report(&opts),
         _ => {}
     }
     let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == opts.name) else {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!(
-            "usage: experiment <name> [--quick] [--out <dir>] [--jobs <n> | --serial] \
-             [--reps <n>] [--warmup <fraction>] [--trace <file>] [--metrics <file>]\n\
-             experiments: all report {}",
-            names.join(" ")
-        );
-        std::process::exit(2);
+        let problem = match opts.name.as_str() {
+            "" => "no experiment named".to_string(),
+            name => format!("no experiment {name:?}"),
+        };
+        usage(&problem)
     };
     run(&opts);
+}
+
+/// Prints `problem`, the usage and every experiment's name, and exits 2.
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "experiment: {problem}\n\
+         usage: experiment <name> [--quick] [--out <dir>] [--jobs <n> | --serial] \
+         [--reps <n>] [--warmup <fraction>] [--trace <file>] [--metrics <file>]\n\
+         experiments: all report {}",
+        names.join(" ")
+    );
+    std::process::exit(2);
 }
 
 /// `experiment report [--quick] [--out <dir>]`: `<dir>/REPORT.md` from

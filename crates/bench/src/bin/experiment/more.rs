@@ -34,7 +34,7 @@ fn bulk_tree(d: &Dataset, seed: u64, order: PackingOrder) -> RStarTree<ArrayStor
     let store = Arc::new(ArrayStore::with_page_size(10, 1449, page, seed));
     let points = d.points.iter().cloned().zip(0u64..).collect();
     let config = RStarConfig::with_page_size(d.dim, page);
-    let tree = RStarTree::bulk_load_ordered(store, config, Box::new(ProximityIndex), points, order)
+    let tree = RStarTree::bulk_load(store, config, Box::new(ProximityIndex), points, order)
         .expect("bulk load");
     tree.store().reset_stats();
     tree

@@ -36,7 +36,7 @@ use sqda_datasets::uniform_stream;
 use sqda_geom::Point;
 use sqda_obs::stats::percentile;
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{ExternalBuildOptions, FnSource, Node, RStarConfig, RStarTree};
+use sqda_rstar::{ExternalBuildOptions, FnSource, Node, PackingOrder, RStarConfig, RStarTree};
 use sqda_storage::{FileStore, NodeCache};
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,6 +206,7 @@ pub fn run(opts: &ExpOptions) {
                 RStarConfig::with_page_size(DIM, page_size),
                 Box::new(ProximityIndex),
                 points,
+                PackingOrder::Str,
             )
             .expect("in-memory build");
             for (q, external) in queries.iter().zip(&cold_answers) {

@@ -87,36 +87,40 @@ impl ExpOptions {
     /// `--jobs` defaults to the machine's available parallelism (one
     /// worker per core);
     /// `--serial` is shorthand for `--jobs 1`.
-    pub fn from_args() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A flag with a missing or meaningless value, an unknown flag or a
+    /// second positional argument, described in one line.
+    pub fn from_args() -> Result<Self, String> {
         let mut o = Self::default();
         let mut args = std::env::args().skip(1);
-        let positive = |v: String, flag: &str| -> usize {
-            let n = v.parse().unwrap_or(0);
-            assert!(n > 0, "{flag} needs a positive integer");
-            n
+        let positive = |v: String, flag: &str| match v.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{flag} needs a positive integer, not {v:?}")),
         };
         while let Some(a) = args.next() {
-            let mut value = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
+            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
                 "--quick" => o.quick = true,
                 "--serial" => o.jobs = 1,
-                "--out" => o.out_dir = value().into(),
-                "--trace" => o.trace = Some(value().into()),
-                "--metrics" => o.metrics = Some(value().into()),
-                "--jobs" => o.jobs = positive(value(), "--jobs"),
-                "--reps" => o.reps = Some(positive(value(), "--reps")),
+                "--out" => o.out_dir = value()?.into(),
+                "--trace" => o.trace = Some(value()?.into()),
+                "--metrics" => o.metrics = Some(value()?.into()),
+                "--jobs" => o.jobs = positive(value()?, "--jobs")?,
+                "--reps" => o.reps = Some(positive(value()?, "--reps")?),
                 "--warmup" => {
-                    o.warmup = value().parse().unwrap_or(-1.0);
-                    assert!(
-                        (0.0..1.0).contains(&o.warmup),
-                        "--warmup needs a fraction in [0,1)"
-                    );
+                    let v = value()?;
+                    o.warmup = match v.parse() {
+                        Ok(w) if (0.0..1.0).contains(&w) => w,
+                        _ => return Err(format!("--warmup needs a fraction in [0,1), not {v:?}")),
+                    };
                 }
                 name if o.name.is_empty() && !name.starts_with('-') => o.name = a.clone(),
-                other => panic!("unexpected argument {other}; `experiment` alone lists the usage"),
+                other => return Err(format!("unexpected argument {other:?}")),
             }
         }
-        o
+        Ok(o)
     }
 
     /// Independent replications per data point: `--reps`, else

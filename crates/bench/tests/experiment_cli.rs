@@ -1,6 +1,6 @@
 //! The `experiment` binary's command line: a missing or unknown
-//! experiment name is an error that lists the valid names and writes
-//! nothing; `experiment report` exits non-zero exactly when a claim
+//! experiment name, a flag without a meaningful value and an unknown
+//! flag all exit 2 with the usage and the valid names, writing nothing; `experiment report` exits non-zero exactly when a claim
 //! required at its scale fails.
 
 use std::path::{Path, PathBuf};
@@ -56,32 +56,47 @@ fn report_exits_non_zero_when_a_required_claim_fails() {
     );
 }
 
-#[test]
-fn experiment_without_a_known_name_fails_lists_the_names_and_writes_nothing() {
+/// Runs `experiment <args> --quick --out <fresh dir>` and asserts it
+/// exits 2 with the usage and every experiment's name on stderr, having
+/// printed and written nothing.
+fn assert_usage_error(args: &[&str]) {
     let out = std::env::temp_dir().join(format!("sqda_experiment_cli_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    for name in [&["no_such_experiment"][..], &[]] {
-        let run = Command::new(env!("CARGO_BIN_EXE_experiment"))
-            .args(name)
-            .args(["--quick", "--out"])
-            .arg(&out)
-            .output()
-            .expect("run experiment");
-        assert!(!run.status.success(), "{name:?} must fail");
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        for listed in [
-            "all",
-            "fig08_nodes_vs_k",
-            "table5_summary",
-            "fault_sweep",
-            "bench_explain",
-        ] {
-            assert!(
-                stderr.contains(listed),
-                "{name:?}: {listed} not named in {stderr}"
-            );
-        }
-        assert!(run.stdout.is_empty(), "{name:?} printed a table");
-        assert!(!out.exists(), "{name:?} wrote {}", out.display());
+    let run = Command::new(env!("CARGO_BIN_EXE_experiment"))
+        .args(args)
+        .args(["--quick", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run experiment");
+    assert_eq!(run.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    for listed in [
+        "usage: experiment <name>",
+        "all",
+        "fig08_nodes_vs_k",
+        "table5_summary",
+        "fault_sweep",
+        "bench_explain",
+    ] {
+        assert!(
+            stderr.contains(listed),
+            "{args:?}: {listed} not named in {stderr}"
+        );
     }
+    assert!(run.stdout.is_empty(), "{args:?} printed a table");
+    assert!(!out.exists(), "{args:?} wrote {}", out.display());
+}
+
+#[test]
+fn experiment_without_a_known_name_fails_lists_the_names_and_writes_nothing() {
+    assert_usage_error(&["no_such_experiment"]);
+    assert_usage_error(&[]);
+}
+
+#[test]
+fn experiment_with_a_bad_flag_prints_the_usage_and_exits_2() {
+    assert_usage_error(&["fig08_nodes_vs_k", "--jobs", "0"]);
+    assert_usage_error(&["fig08_nodes_vs_k", "--warmup", "2"]);
+    assert_usage_error(&["fig08_nodes_vs_k", "--no-such-flag"]);
 }

@@ -13,7 +13,8 @@ use sqda_rstar::decluster::{
     AreaBalance, DataBalance, Declusterer, ProximityIndex, RandomAssign, RoundRobin,
 };
 use sqda_rstar::{
-    ExternalBuildOptions, Node, PointSource, RStarConfig, RStarError, RStarTree, SplitPolicy,
+    ExternalBuildOptions, Node, PackingOrder, PointSource, RStarConfig, RStarError, RStarTree,
+    SplitPolicy,
 };
 use sqda_simkernel::{FaultPlan, SimTime, SystemParams};
 use sqda_storage::{FileStore, NodeCache, PageId, PageStore, ThreadedFileBackend};
@@ -228,7 +229,13 @@ pub fn build(args: &Args) -> CmdResult {
             store_made = true;
             let points = dataset.points.into_iter().zip(0u64..);
             let tree = if bulk {
-                RStarTree::bulk_load(store.clone(), config, declusterer, points.collect())?
+                RStarTree::bulk_load(
+                    store.clone(),
+                    config,
+                    declusterer,
+                    points.collect(),
+                    PackingOrder::Str,
+                )?
             } else {
                 let mut tree = RStarTree::create(store.clone(), config, declusterer)?;
                 for (p, id) in points {

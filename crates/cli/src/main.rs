@@ -82,6 +82,9 @@ COMMANDS:
   (line protocol, one reply per request line:
      QUERY <x,y,...> <k> [bbss|fpss|crss|woptss]  ->  OK <n> <id>:<dist>...
      EXPLAIN <x,y,...> <k> [algo] -> one-line JSON introspection record
+     BATCH <x,y;x,y;...> <k>  ->  OK <B> fetches=<unique>/<interest>
+                   rounds=<r> wall_us=<t> q0=<id>:<dist>,... q1=...
+                   (B <= 1024 queries through one shared traversal)
      PING -> PONG   STATS -> counters   QUIT / SHUTDOWN -> BYE
      METRICS -> Prometheus text exposition, read until the '# EOF' line
      DUMP-TRACE <name> -> write the flight-recorder ring as the trace

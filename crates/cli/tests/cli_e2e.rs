@@ -202,7 +202,21 @@ fn helpful_errors() {
     ]);
     assert!(!o.status.success());
     let help = sqda(&["help"]);
-    assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE"));
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("USAGE"));
+    // The help names every verb the server's `try_respond` answers.
+    let serve = include_str!("../src/serve.rs");
+    let respond = &serve[serve.find("fn try_respond").unwrap()..];
+    let respond = &respond[..respond.find("\n}\n").unwrap()];
+    let verbs: Vec<&str> = respond
+        .split("Some(\"")
+        .skip(1)
+        .filter_map(|arm| arm.split_once("\") =>").map(|(verb, _)| verb))
+        .collect();
+    assert!(verbs.len() >= 9, "{verbs:?}");
+    for verb in verbs {
+        assert!(help.contains(&format!("{verb} ")), "help omits {verb}");
+    }
 
     // A point of the wrong dimensionality is refused with both
     // dimensions named, by every command that searches, never a panic.

@@ -11,7 +11,7 @@
 use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, RealTimeEngine, Workload};
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
-use sqda_rstar::{RStarConfig, RStarTree};
+use sqda_rstar::{PackingOrder, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, InlineBackend, NodeCache};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,7 +68,14 @@ fn resident_tree() -> RStarTree<ArrayStore> {
         .collect();
     let store = Arc::new(ArrayStore::with_page_size(8, 1449, 1024, 1));
     let config = RStarConfig::with_page_size(2, 1024);
-    let mut tree = RStarTree::bulk_load(store, config, Box::new(ProximityIndex), points).unwrap();
+    let mut tree = RStarTree::bulk_load(
+        store,
+        config,
+        Box::new(ProximityIndex),
+        points,
+        PackingOrder::Str,
+    )
+    .unwrap();
     tree.set_node_cache(Arc::new(NodeCache::new(65_536)));
     tree
 }

@@ -77,17 +77,6 @@ impl Region {
             }
         }
     }
-
-    /// The smallest axis-aligned rectangle covering the region (used by
-    /// geometric declustering heuristics, which reason in boxes).
-    pub fn bounding_rect(&self) -> Rect {
-        match self {
-            Region::Rect(r) => r.clone(),
-            Region::Sphere { center, radius } => {
-                Rect::around(center, *radius).expect("sphere bounds are ordered")
-            }
-        }
-    }
 }
 
 impl From<Rect> for Region {
@@ -136,14 +125,6 @@ mod tests {
             assert!(s.min_dist_sq(&p) <= s.min_max_dist_sq(&p));
             assert!(s.min_max_dist_sq(&p) <= s.max_dist_sq(&p));
         }
-    }
-
-    #[test]
-    fn bounding_rect_of_sphere() {
-        let s = sphere(&[1.0, 2.0], 0.5);
-        let bb = s.bounding_rect();
-        assert_eq!(bb.lo(), &[0.5, 1.5]);
-        assert_eq!(bb.hi(), &[1.5, 2.5]);
     }
 
     #[test]

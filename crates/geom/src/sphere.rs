@@ -47,21 +47,6 @@ impl Sphere {
         self.radius_sq.sqrt()
     }
 
-    /// Shrinks the sphere to a new squared radius. Growing is rejected to
-    /// catch logic errors in pruning code: query spheres only ever shrink.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `radius_sq` exceeds the current one.
-    pub fn shrink_to_sq(&mut self, radius_sq: f64) {
-        debug_assert!(
-            radius_sq <= self.radius_sq,
-            "query spheres only shrink ({radius_sq} > {})",
-            self.radius_sq
-        );
-        self.radius_sq = radius_sq;
-    }
-
     /// Returns `true` if the point lies inside or on the sphere.
     #[inline]
     pub fn contains_point(&self, p: &Point) -> bool {
@@ -151,21 +136,6 @@ mod tests {
                 s.contains_point(&Point::new(p.to_vec()))
             );
         }
-    }
-
-    #[test]
-    fn shrink_only() {
-        let mut s = Sphere::new(Point::new(vec![0.0]), 4.0);
-        s.shrink_to_sq(9.0);
-        assert_eq!(s.radius(), 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn grow_panics_in_debug() {
-        let mut s = Sphere::new(Point::new(vec![0.0]), 1.0);
-        s.shrink_to_sq(100.0);
     }
 
     #[test]

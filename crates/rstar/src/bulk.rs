@@ -35,18 +35,19 @@ pub enum PackingOrder {
 }
 
 /// How bulk-written pages pick their sibling window for declustering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementMode {
+#[derive(Clone, Copy)]
+pub(crate) enum PlacementMode {
     /// Each page is declustered against a trailing window of the most
     /// recently written pages at its level (packing order is spatial
-    /// order, so recent = nearby) — the classic bulk-load placement.
-    #[default]
+    /// order, so recent = nearby) — the classic bulk-load placement, and
+    /// the in-memory builder's.
     Trailing,
     /// Pages are grouped by prospective parent (consecutive groups of
     /// the directory fan-out) and each page is declustered only against
     /// the members of its own group placed so far: the tiles of one
     /// parent land on distinct disks — one stripe — so a traversal that
-    /// expands a parent reads its children in parallel.
+    /// expands a parent reads its children in parallel. The external
+    /// builder's.
     SiblingStripe,
 }
 
@@ -168,28 +169,19 @@ fn parent_entries(nodes: &[Node], pages: &[PageId]) -> Result<Vec<InternalEntry>
 }
 
 impl<S: PageStore> RStarTree<S> {
-    /// Builds a tree from scratch by STR bulk loading.
+    /// Builds a tree from scratch by bulk loading in RAM, in the given
+    /// packing order: STR tiling, or a space-filling curve (Morton in any
+    /// dimension ≤ 8, Hilbert for 2-d). Curve packing sorts the input once
+    /// along the curve and cuts it into consecutive full leaves — the
+    /// Hilbert-packed R-tree construction.
     ///
-    /// Pages are placed on disks by the declustering heuristic, with the
-    /// tiles of one parent treated as siblings — spatially adjacent tiles
-    /// therefore land on different disks, just like incrementally split
-    /// nodes.
+    /// Each page is placed on a disk by the declustering heuristic against
+    /// a trailing window of the pages written just before it at its level
+    /// — its neighbours in packing order, whichever parent they end up
+    /// under. (The external builder stripes each parent's children
+    /// instead.)
     ///
     /// Returns an empty tree when `points` is empty.
-    pub fn bulk_load(
-        store: Arc<S>,
-        config: RStarConfig,
-        declusterer: Box<dyn Declusterer>,
-        points: Vec<(Point, u64)>,
-    ) -> Result<Self> {
-        Self::bulk_load_ordered(store, config, declusterer, points, PackingOrder::Str)
-    }
-
-    /// Bulk loads with an explicit packing order: STR tiling, or a
-    /// space-filling curve (Morton in any dimension ≤ 8, Hilbert for
-    /// 2-d). Curve packing sorts the input once along the curve and cuts
-    /// it into consecutive full leaves — the Hilbert-packed R-tree
-    /// construction.
     ///
     /// # Errors
     ///
@@ -199,7 +191,7 @@ impl<S: PageStore> RStarTree<S> {
     /// [`RStarError::DimensionMismatch`] for points of the wrong
     /// dimensionality, and [`RStarError::InvalidBuild`] for non-finite
     /// coordinates — all before any page is written.
-    pub fn bulk_load_ordered(
+    pub fn bulk_load(
         store: Arc<S>,
         config: RStarConfig,
         declusterer: Box<dyn Declusterer>,
@@ -483,6 +475,7 @@ mod tests {
             RStarConfig::new(dim).with_max_entries(fanout),
             Box::new(ProximityIndex),
             points(n, dim, seed),
+            PackingOrder::Str,
         )
         .unwrap()
     }
@@ -518,9 +511,14 @@ mod tests {
     #[test]
     fn bulk_load_empty() {
         let store = Arc::new(ArrayStore::new(2, 1449, 1));
-        let tree =
-            RStarTree::bulk_load(store, RStarConfig::new(3), Box::new(ProximityIndex), vec![])
-                .unwrap();
+        let tree = RStarTree::bulk_load(
+            store,
+            RStarConfig::new(3),
+            Box::new(ProximityIndex),
+            vec![],
+            PackingOrder::Str,
+        )
+        .unwrap();
         assert_eq!(tree.num_objects(), 0);
         assert_eq!(tree.height(), 1);
         assert!(scan_knn(&tree, &Point::splat(3, 0.0), 5).is_empty());
@@ -585,7 +583,7 @@ mod tests {
         for order in [PackingOrder::Morton, PackingOrder::Hilbert] {
             let pts = points(3000, 2, 21);
             let store = Arc::new(ArrayStore::new(6, 1449, 21));
-            let tree = RStarTree::bulk_load_ordered(
+            let tree = RStarTree::bulk_load(
                 store,
                 RStarConfig::new(2).with_max_entries(16),
                 Box::new(ProximityIndex),
@@ -610,7 +608,7 @@ mod tests {
     fn morton_packs_high_dimensional_data() {
         let pts = points(1500, 5, 22);
         let store = Arc::new(ArrayStore::new(4, 1449, 22));
-        let tree = RStarTree::bulk_load_ordered(
+        let tree = RStarTree::bulk_load(
             store,
             RStarConfig::new(5).with_max_entries(12),
             Box::new(ProximityIndex),
@@ -626,7 +624,7 @@ mod tests {
     fn hilbert_rejects_high_dimensions() {
         let pts = points(100, 3, 23);
         let store = Arc::new(ArrayStore::new(2, 1449, 23));
-        let err = RStarTree::bulk_load_ordered(
+        let err = RStarTree::bulk_load(
             store,
             RStarConfig::new(3).with_max_entries(8),
             Box::new(ProximityIndex),
@@ -650,7 +648,7 @@ mod tests {
     fn morton_rejects_too_many_dimensions() {
         let pts = points(100, 9, 24);
         let store = Arc::new(ArrayStore::new(2, 1449, 24));
-        let err = RStarTree::bulk_load_ordered(
+        let err = RStarTree::bulk_load(
             store,
             RStarConfig::new(9).with_max_entries(8),
             Box::new(ProximityIndex),
@@ -681,6 +679,7 @@ mod tests {
                 (Point::new(vec![1.0, 2.0]), 0),
                 (Point::new(vec![f64::NAN, 2.0]), 1),
             ],
+            PackingOrder::Str,
         )
         .unwrap_err();
         assert!(matches!(err, RStarError::InvalidBuild(_)), "{err}");
@@ -724,6 +723,7 @@ mod tests {
             RStarConfig::new(2),
             Box::new(ProximityIndex),
             vec![(Point::splat(3, 1.0), 0)],
+            PackingOrder::Str,
         );
         assert!(err.is_err());
     }

@@ -3,18 +3,18 @@
 //! [`RStarTree::bulk_load`] holds the whole dataset in RAM, sorts it,
 //! and packs leaves — fine at the paper's scales (tens of thousands of
 //! objects), hopeless at the 10M+ scales where declustering over a disk
-//! array actually pays off. This module builds the same tree while
+//! array actually pays off. This module builds an STR-packed tree while
 //! never holding more than `O(run_capacity × jobs)` points in memory:
 //!
 //! 1. **Run formation** — a [`PointSource`] *visits* the builder with
 //!    each point's coordinates as a borrowed slice (no per-point
 //!    allocation, and a source that fails mid-pass returns its own error
 //!    through the build as [`RStarError::Source`]). Points are validated,
-//!    tagged with a sort key (an STR axis coordinate mapped to its
-//!    order-preserving integer image, or a space-filling-curve key) and a
-//!    sequence number, and accumulate into bounded runs. Each run is
-//!    sorted in RAM (`--jobs` runs sort in parallel) and spilled as
-//!    fixed-size records through a caller-provided *scratch* page store.
+//!    tagged with a sort key (the STR axis coordinate mapped to its
+//!    order-preserving `u64` image) and a sequence number, and accumulate
+//!    into bounded runs. Each run is sorted in RAM (`--jobs` runs sort in
+//!    parallel) and spilled as fixed-size records through a
+//!    caller-provided *scratch* page store.
 //! 2. **K-way merge** — runs merge up to `merge_fanin` at a time on a
 //!    `(key, seq)` min-heap; because `seq` is the record's position in
 //!    the previous order, the merge reproduces a *stable* sort exactly.
@@ -29,10 +29,10 @@
 //!    and finished by the in-memory tiler; a larger one is spilled (with
 //!    `seq` retagged to its position) and sorted externally on the next
 //!    axis, the outer stream paused where the slab ended. On the last
-//!    axis, and for curve orders, the stream is cut straight into
-//!    leaves. Leaves are written through the same [`LevelWriter`] as the
-//!    in-memory builder; directory levels (a few hundred thousand
-//!    entries even at 10M objects) are built in memory.
+//!    axis the stream is cut straight into leaves. Leaves are written
+//!    through the same [`LevelWriter`] as the in-memory builder; directory
+//!    levels (a few hundred thousand entries even at 10M objects) are
+//!    built in memory.
 //!
 //! A 2-d input whose slabs fit a run is therefore written to scratch
 //! once at run formation and then only where a merge is written back —
@@ -40,19 +40,21 @@
 //! the data — and every step is `O(n log n)` or better: the build is
 //! linear in `n` to within the merge's `log`.
 //!
-//! Because runs spill through a **separate** scratch store, the
-//! destination store sees exactly the allocation/write sequence of the
-//! in-memory builder — under [`PlacementMode::Trailing`] the resulting
-//! tree is byte-identical to [`RStarTree::bulk_load_ordered`], spilling
-//! or not. [`PlacementMode::SiblingStripe`] instead declusters each
-//! prospective parent's tiles only against one another, striping
-//! siblings across distinct disks.
+//! Pages are placed by *sibling striping*: each page is declustered only
+//! against the already-placed members of its prospective parent group
+//! (consecutive groups of the directory fan-out), so one parent's
+//! children land on distinct disks and one activation round reads them
+//! in parallel. Because runs spill through a **separate** scratch store,
+//! the destination store sees the same allocation/write sequence whether
+//! or not the build spilled: an input of at most `run_capacity` points
+//! goes through the in-memory tiler, and any larger one writes the very
+//! same pages.
 //!
-//! Scratch record format: `[key: u128][seq: u64][id: u64][coords: dim × f64]`,
-//! little-endian, packed whole into scratch pages (no record straddles a
-//! page; the tail of a page is zero). On error, not-yet-freed scratch
-//! pages are simply abandoned — the scratch store is throwaway by
-//! contract.
+//! Scratch record format: `[key: u64][seq: u64][id: u64][coords: dim × f64]`
+//! (`24 + 8·dim` bytes), little-endian, packed whole into scratch pages
+//! (no record straddles a page; the tail of a page is zero). On error,
+//! not-yet-freed scratch pages are simply abandoned — the scratch store
+//! is throwaway by contract.
 //!
 //! Scratch I/O goes by **extents** of [`EXTENT_PAGES`] pages through
 //! [`PageStore::write_pages`] / [`PageStore::read_pages`]: a run's writer
@@ -72,8 +74,7 @@
 //! and consumed, not as they are allocated and freed.
 
 use crate::bulk::{
-    chunk_balanced, str_slabs, str_tile, validate_coords, validate_packing, LevelWriter,
-    PlacementMode,
+    chunk_balanced, str_slabs, str_tile, validate_coords, LevelWriter, PlacementMode,
 };
 use crate::entry::{InternalEntry, LeafEntry, ObjectId};
 use crate::node::Node;
@@ -87,11 +88,11 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A re-visitable stream of `(coordinates, object id)` pairs.
+/// A stream of `(coordinates, object id)` pairs.
 ///
-/// The builder makes multiple passes (curve orders need a bounds pass
-/// before the key pass), so [`PointSource::visit`] must present the same
-/// sequence every time it is called.
+/// A build makes one pass over it; [`PointSource::visit`] must present
+/// the same sequence every time it is called, so that one source can
+/// feed several builds.
 pub trait PointSource {
     /// Number of points every pass yields.
     fn len(&self) -> u64;
@@ -171,7 +172,7 @@ where
     }
 }
 
-/// Tuning knobs for [`RStarTree::bulk_load_external`].
+/// Tuning knobs for [`RStarTree::bulk_load_external_stats`].
 #[derive(Debug, Clone)]
 pub struct ExternalBuildOptions {
     /// Maximum points per sort run — the unit of resident memory.
@@ -184,12 +185,6 @@ pub struct ExternalBuildOptions {
     /// Sort-worker threads. Each holds one run, so resident memory is
     /// `O(run_capacity × jobs)`.
     pub jobs: usize,
-    /// Input linearization, as for [`RStarTree::bulk_load_ordered`].
-    pub order: PackingOrder,
-    /// Sibling-window policy for page placement. Defaults to
-    /// [`PlacementMode::SiblingStripe`]; use [`PlacementMode::Trailing`]
-    /// to reproduce the in-memory builder byte for byte.
-    pub placement: PlacementMode,
 }
 
 impl Default for ExternalBuildOptions {
@@ -198,8 +193,6 @@ impl Default for ExternalBuildOptions {
             run_capacity: 1 << 18,
             merge_fanin: 64,
             jobs: 1,
-            order: PackingOrder::Str,
-            placement: PlacementMode::SiblingStripe,
         }
     }
 }
@@ -227,32 +220,19 @@ pub struct ExternalBuildReport {
 }
 
 impl<S: PageStore> RStarTree<S> {
-    /// Builds a tree by streaming `source` through an external-memory
-    /// sort, holding at most `O(run_capacity × jobs)` points in RAM;
-    /// sort runs spill through the separate `scratch` store. See the
-    /// [module docs](self) for the pipeline and the equivalence
-    /// guarantee with the in-memory builder.
+    /// Builds an STR-packed, sibling-striped tree by streaming `source`
+    /// through an external-memory sort, holding at most
+    /// `O(run_capacity × jobs)` points in RAM; sort runs spill through the
+    /// separate `scratch` store. Returns the tree and the build's
+    /// [`ExternalBuildReport`]. See the [module docs](self) for the
+    /// pipeline and why spilling never changes the pages written.
     ///
     /// # Errors
     ///
-    /// As [`RStarTree::bulk_load_ordered`], plus
-    /// [`RStarError::InvalidBuild`] when the source yields a different
-    /// number of points than [`PointSource::len`] promises or the
-    /// scratch page size cannot hold a single record.
-    pub fn bulk_load_external<T: PageStore>(
-        store: Arc<S>,
-        config: RStarConfig,
-        declusterer: Box<dyn Declusterer>,
-        source: &dyn PointSource,
-        scratch: &Arc<T>,
-        opts: &ExternalBuildOptions,
-    ) -> Result<Self> {
-        Self::bulk_load_external_stats(store, config, declusterer, source, scratch, opts)
-            .map(|(tree, _)| tree)
-    }
-
-    /// [`RStarTree::bulk_load_external`], also returning the build's
-    /// [`ExternalBuildReport`].
+    /// As [`RStarTree::bulk_load`], plus [`RStarError::InvalidBuild`] when
+    /// the source yields a different number of points than
+    /// [`PointSource::len`] promises or the scratch page size cannot hold
+    /// a single record.
     pub fn bulk_load_external_stats<T: PageStore>(
         store: Arc<S>,
         config: RStarConfig,
@@ -261,7 +241,6 @@ impl<S: PageStore> RStarTree<S> {
         scratch: &Arc<T>,
         opts: &ExternalBuildOptions,
     ) -> Result<(Self, ExternalBuildReport)> {
-        validate_packing(opts.order, config.dim)?;
         let dim = config.dim;
         let mut tree = Self::create(store, config, declusterer)?;
         let n = source.len() as usize;
@@ -278,11 +257,11 @@ impl<S: PageStore> RStarTree<S> {
                 entries.push(LeafEntry::new(Point::new(coords.to_vec()), ObjectId(id)));
                 Ok(())
             })?;
-            tree.bulk_build_from_entries(entries, opts.order, opts.placement)?;
+            tree.bulk_build_from_entries(entries, PackingOrder::Str, PlacementMode::SiblingStripe)?;
             return Ok((tree, ExternalBuildReport::default()));
         }
 
-        let rec_size = 32 + dim * 8;
+        let rec_size = 24 + dim * 8;
         let per_page = scratch.page_size() / rec_size;
         if per_page == 0 {
             return Err(RStarError::InvalidBuild(format!(
@@ -305,37 +284,29 @@ impl<S: PageStore> RStarTree<S> {
             report: ExternalBuildReport::default(),
         };
 
-        let mut writer = LevelWriter::new(&tree, opts.placement);
+        let mut writer = LevelWriter::new(&tree, PlacementMode::SiblingStripe);
         let mut parents: Vec<InternalEntry> = Vec::new();
-        match opts.order {
-            PackingOrder::Str => {
-                str_build(
-                    &mut ctx,
-                    &mut writer,
-                    &mut parents,
-                    Input::Source(source),
-                    n,
-                    0,
-                )?;
-            }
-            PackingOrder::Morton | PackingOrder::Hilbert => {
-                let (lo, hi) = source_bounds(source, dim, n)?;
-                let key = match opts.order {
-                    PackingOrder::Morton => SortKey::Morton { lo: &lo, hi: &hi },
-                    PackingOrder::Hilbert => SortKey::Hilbert { lo: &lo, hi: &hi },
-                    PackingOrder::Str => unreachable!(),
-                };
-                let sorted = external_sort(&mut ctx, Input::Source(source), n, &key)?;
-                stream_leaves(&mut ctx, &mut writer, &mut parents, sorted, n)?;
-            }
-        }
+        str_build(
+            &mut ctx,
+            &mut writer,
+            &mut parents,
+            Input::Source(source),
+            n,
+            0,
+        )?;
         drop(writer);
 
         let report = ctx.report.clone();
         if parents.len() == 1 {
             tree.install_bulk_root(parents[0].child, 1, n as u64)?;
         } else {
-            tree.finish_bulk_from_entries(parents, 1, opts.order, n as u64, opts.placement)?;
+            tree.finish_bulk_from_entries(
+                parents,
+                1,
+                PackingOrder::Str,
+                n as u64,
+                PlacementMode::SiblingStripe,
+            )?;
         }
         Ok((tree, report))
     }
@@ -375,35 +346,9 @@ struct Spill {
     depth: u64,
 }
 
-/// The sort key of one pass, computed from a record's coordinates.
-enum SortKey<'k> {
-    /// The axis coordinate, mapped to its order-preserving `u64` image
-    /// (matches `f64::total_cmp`, hence the in-memory stable sort).
-    Axis(usize),
-    Morton {
-        lo: &'k [f64],
-        hi: &'k [f64],
-    },
-    Hilbert {
-        lo: &'k [f64],
-        hi: &'k [f64],
-    },
-}
-
-impl SortKey<'_> {
-    fn key_of(&self, coords: &[f64]) -> u128 {
-        match self {
-            SortKey::Axis(a) => u128::from(f64_order_key(coords[*a])),
-            SortKey::Morton { lo, hi } => crate::sfc::morton_key_slice(coords, lo, hi),
-            SortKey::Hilbert { lo, hi } => {
-                u128::from(crate::sfc::hilbert_key_2d_slice(coords, lo, hi))
-            }
-        }
-    }
-}
-
 /// Maps a float to a `u64` whose unsigned order equals IEEE-754
-/// `totalOrder` (what `f64::total_cmp` implements).
+/// `totalOrder` (what `f64::total_cmp` implements, hence the in-memory
+/// stable sort): the sort key of a record on the current axis.
 fn f64_order_key(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -416,7 +361,7 @@ fn f64_order_key(x: f64) -> u64 {
 /// One in-RAM record during streaming; `coords` is reused across reads.
 #[derive(Default, Clone)]
 struct Rec {
-    key: u128,
+    key: u64,
     seq: u64,
     id: u64,
     coords: Vec<f64>,
@@ -431,7 +376,7 @@ struct RunBuf {
 
 #[derive(Clone, Copy)]
 struct Head {
-    key: u128,
+    key: u64,
     seq: u64,
     id: u64,
     idx: u32,
@@ -447,7 +392,7 @@ impl RunBuf {
         }
     }
 
-    fn push(&mut self, key: u128, seq: u64, id: u64, coords: &[f64]) {
+    fn push(&mut self, key: u64, seq: u64, id: u64, coords: &[f64]) {
         let idx = self.heads.len() as u32;
         self.heads.push(Head { key, seq, id, idx });
         self.coords.extend_from_slice(coords);
@@ -482,7 +427,7 @@ impl SpillWriter {
     fn push<T: PageStore>(
         &mut self,
         ctx: &mut BuildCtx<'_, T>,
-        key: u128,
+        key: u64,
         seq: u64,
         id: u64,
         coords: &[f64],
@@ -598,16 +543,13 @@ impl SpillReader {
             self.in_page = self.remaining.min(ctx.per_page);
         }
         let b = &self.buf[self.off..self.off + ctx.rec_size];
-        rec.key = u128::from_le_bytes(b[0..16].try_into().expect("sized slice"));
-        rec.seq = u64::from_le_bytes(b[16..24].try_into().expect("sized slice"));
-        rec.id = u64::from_le_bytes(b[24..32].try_into().expect("sized slice"));
+        let word = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().expect("sized slice"));
+        rec.key = word(0);
+        rec.seq = word(8);
+        rec.id = word(16);
         rec.coords.clear();
-        for d in 0..ctx.dim {
-            let o = 32 + d * 8;
-            rec.coords.push(f64::from_bits(u64::from_le_bytes(
-                b[o..o + 8].try_into().expect("sized slice"),
-            )));
-        }
+        rec.coords
+            .extend((0..ctx.dim).map(|d| f64::from_bits(word(24 + d * 8))));
         self.off += ctx.rec_size;
         self.in_page -= 1;
         self.remaining -= 1;
@@ -643,27 +585,13 @@ fn visit_validated(
     Ok(())
 }
 
-/// The coordinate bounds of a source (validating pass for curve keys).
-fn source_bounds(source: &dyn PointSource, dim: usize, n: usize) -> Result<(Vec<f64>, Vec<f64>)> {
-    let mut lo = vec![f64::INFINITY; dim];
-    let mut hi = vec![f64::NEG_INFINITY; dim];
-    visit_validated(source, dim, n, &mut |coords, _| {
-        for (d, &c) in coords.iter().enumerate() {
-            lo[d] = lo[d].min(c);
-            hi[d] = hi[d].max(c);
-        }
-        Ok(())
-    })?;
-    Ok((lo, hi))
-}
-
-/// Run formation: streams `input` into bounded buffers, sorts each by
-/// `(key, seq)` (`jobs` at a time) and spills it as one run.
+/// Run formation: streams `input` into bounded buffers keyed on `axis`,
+/// sorts each by `(key, seq)` (`jobs` at a time) and spills it as one run.
 fn form_runs<T: PageStore>(
     ctx: &mut BuildCtx<'_, T>,
     input: Input<'_>,
     n: usize,
-    key: &SortKey<'_>,
+    axis: usize,
 ) -> Result<Vec<Spill>> {
     let mut runs: Vec<Spill> = Vec::new();
     let mut pending: Vec<RunBuf> = Vec::new();
@@ -694,7 +622,7 @@ fn form_runs<T: PageStore>(
         Ok(())
     };
     let mut add = |ctx: &mut BuildCtx<'_, T>, seq: u64, id: u64, coords: &[f64]| -> Result<()> {
-        cur.push(key.key_of(coords), seq, id, coords);
+        cur.push(f64_order_key(coords[axis]), seq, id, coords);
         if cur.heads.len() == ctx.run_cap {
             pending.push(std::mem::take(&mut cur));
             if pending.len() == ctx.jobs {
@@ -728,7 +656,7 @@ fn form_runs<T: PageStore>(
     Ok(runs)
 }
 
-/// External merge sort of `input` by `(key, seq)`: bounded sorted runs,
+/// External merge sort of `input` by `(axis key, seq)`: bounded sorted runs,
 /// k-way merges written back until at most `merge_fanin` runs are left,
 /// and the final merge of those as a stream the caller pulls from — the
 /// sorted order is never written out whole.
@@ -736,9 +664,9 @@ fn external_sort<T: PageStore>(
     ctx: &mut BuildCtx<'_, T>,
     input: Input<'_>,
     n: usize,
-    key: &SortKey<'_>,
+    axis: usize,
 ) -> Result<MergeStream> {
-    let mut runs = form_runs(ctx, input, n, key)?;
+    let mut runs = form_runs(ctx, input, n, axis)?;
     // Written back only until one heap can hold every run, oldest runs
     // first and no more of them than that takes; the last merge is the
     // returned stream itself. Which runs meet in which merge is free:
@@ -785,7 +713,7 @@ struct MergeStream {
     readers: Vec<SpillReader>,
     /// The current record of each reader.
     recs: Vec<Rec>,
-    heap: BinaryHeap<Reverse<(u128, u64, usize)>>,
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
     /// Whether the heap's top was already handed out by `take`.
     taken: bool,
 }
@@ -893,11 +821,16 @@ fn str_build<S: PageStore, T: PageStore>(
     axis: usize,
 ) -> Result<()> {
     let (dim, cap, min) = (ctx.dim, ctx.leaf_cap, ctx.min_leaf);
-    let mut sorted = external_sort(ctx, input, n, &SortKey::Axis(axis))?;
-    if axis + 1 >= dim {
-        return stream_leaves(ctx, writer, parents, sorted, n);
-    }
+    let mut sorted = external_sort(ctx, input, n, axis)?;
     let mut batch = Batch::default();
+    if axis + 1 >= dim {
+        // Last axis: cut the sorted stream straight into leaves.
+        for group in chunk_balanced(n, cap, min) {
+            sorted.take_batch(ctx, group.len(), &mut batch)?;
+            emit_leaf(writer, parents, dim, &batch, 0..group.len())?;
+        }
+        return Ok(());
+    }
     for slab in str_slabs(n, cap, min, dim, axis) {
         let len = slab.len();
         if len <= ctx.run_cap {
@@ -919,23 +852,6 @@ fn str_build<S: PageStore, T: PageStore>(
             let spill = w.finish(ctx)?;
             str_build(ctx, writer, parents, Input::Spill(spill), len, axis + 1)?;
         }
-    }
-    Ok(())
-}
-
-/// Cuts one fully sorted stream into consecutive leaves at
-/// [`chunk_balanced`]'s boundaries.
-fn stream_leaves<S: PageStore, T: PageStore>(
-    ctx: &mut BuildCtx<'_, T>,
-    writer: &mut LevelWriter<'_, S>,
-    parents: &mut Vec<InternalEntry>,
-    mut sorted: MergeStream,
-    n: usize,
-) -> Result<()> {
-    let mut batch = Batch::default();
-    for group in chunk_balanced(n, ctx.leaf_cap, ctx.min_leaf) {
-        sorted.take_batch(ctx, group.len(), &mut batch)?;
-        emit_leaf(writer, parents, ctx.dim, &batch, 0..group.len())?;
     }
     Ok(())
 }

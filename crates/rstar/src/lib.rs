@@ -75,7 +75,7 @@ pub mod split_policy;
 pub mod tree;
 pub mod validate;
 
-pub use bulk::{PackingOrder, PlacementMode};
+pub use bulk::PackingOrder;
 pub use config::{RStarConfig, TreeConfig};
 pub use decluster::Declusterer;
 pub use entry::{InternalEntry, LeafEntry, ObjectId};

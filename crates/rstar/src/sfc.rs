@@ -5,7 +5,7 @@
 //! the split-policy refinements of the R-tree family. Its essential
 //! ingredient — a total order on points that preserves spatial locality —
 //! is also the basis of curve-ordered tree packing, provided here as an
-//! alternative to STR bulk loading ([`crate::RStarTree::bulk_load_ordered`]).
+//! alternative to STR bulk loading ([`crate::RStarTree::bulk_load`]).
 
 use sqda_geom::Point;
 
@@ -30,12 +30,7 @@ fn quantize(value: f64, lo: f64, hi: f64) -> u64 {
 ///
 /// Panics if `dim > 8` (the key would overflow 128 bits).
 pub fn morton_key(point: &Point, lo: &[f64], hi: &[f64]) -> u128 {
-    morton_key_slice(point.coords(), lo, hi)
-}
-
-/// [`morton_key`] over a raw coordinate slice (the external builder's
-/// spill records carry bare coordinates, not [`Point`]s).
-pub(crate) fn morton_key_slice(coords: &[f64], lo: &[f64], hi: &[f64]) -> u128 {
+    let coords = point.coords();
     let dim = coords.len();
     assert!(dim <= 8, "Morton keys support up to 8 dimensions");
     let quantized: Vec<u64> = (0..dim)
@@ -57,11 +52,7 @@ pub(crate) fn morton_key_slice(coords: &[f64], lo: &[f64], hi: &[f64]) -> u128 {
 ///
 /// Panics unless the point is 2-dimensional.
 pub fn hilbert_key_2d(point: &Point, lo: &[f64], hi: &[f64]) -> u64 {
-    hilbert_key_2d_slice(point.coords(), lo, hi)
-}
-
-/// [`hilbert_key_2d`] over a raw coordinate slice.
-pub(crate) fn hilbert_key_2d_slice(coords: &[f64], lo: &[f64], hi: &[f64]) -> u64 {
+    let coords = point.coords();
     assert_eq!(coords.len(), 2, "Hilbert keys are 2-d only");
     let n: u64 = 1 << BITS;
     let mut x = quantize(coords[0], lo[0], hi[0]);

@@ -266,23 +266,12 @@ impl<S: PageStore, B: Bound> PagedTree<S, B> {
         &self.store
     }
 
-    /// Attaches a decoded-node cache; subsequent `read_node` calls that
-    /// hit it skip both the page read and the decode. The cache may be
-    /// shared with other trees over the same store (page ids are
-    /// store-wide). Builder-style variant of [`Self::set_node_cache`].
-    pub fn with_node_cache(mut self, cache: Arc<NodeCache<Node>>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches (or replaces) a decoded-node cache.
+    /// Attaches (or replaces) a decoded-node cache; subsequent
+    /// `read_node` calls that hit it skip both the page read and the
+    /// decode. The cache may be shared with other trees over the same
+    /// store (page ids are store-wide).
     pub fn set_node_cache(&mut self, cache: Arc<NodeCache<Node>>) {
         self.cache = Some(cache);
-    }
-
-    /// The attached decoded-node cache, if any.
-    pub fn node_cache(&self) -> Option<&Arc<NodeCache<Node>>> {
-        self.cache.as_ref()
     }
 
     /// Store I/O counters merged with the node-cache counters: the full

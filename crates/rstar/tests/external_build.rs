@@ -1,22 +1,22 @@
-//! Pins the out-of-core bulk builder against the in-memory one.
+//! Pins the out-of-core bulk builder against its own in-memory path.
 //!
-//! The external builder exists to change *how* the tree is built —
-//! bounded sort runs spilled through a scratch store instead of one
-//! in-RAM sort — never *what* gets built. Under
-//! [`PlacementMode::Trailing`] the contract is exact: same destination
-//! store seed, same packing order, same points ⇒ byte-identical pages
-//! on identical disks, even when the build is forced through many spill
-//! runs and multiple merge passes. `SiblingStripe` placement instead
-//! guarantees each prospective parent's children land on distinct disks
-//! (up to the array width). A third test holds a byte-budgeted node
-//! cache to its hard cap while a k-NN sweep churns it.
+//! The external builder spills bounded sort runs through a scratch store
+//! to change *how* the tree is built, never *what* gets built: same
+//! destination store seed, same points ⇒ byte-identical pages on
+//! identical disks whether the build spilled (many runs, multi-pass
+//! merges, slabs sorted again) or fitted one run and went through the
+//! in-memory tiler. The tiles are the in-memory [`RStarTree::bulk_load`]'s,
+//! in its order; only placement differs — sibling striping puts each
+//! prospective parent's children on distinct disks (up to the array
+//! width). Another test holds a byte-budgeted node cache to its hard cap
+//! while a k-NN sweep churns it.
 
 use sqda_core::best_first_knn;
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{
-    ExternalBuildOptions, ExternalBuildReport, Node, PackingOrder, PlacementMode, PointSource,
-    RStarConfig, RStarError, RStarTree, SliceSource,
+    ExternalBuildOptions, ExternalBuildReport, Node, PackingOrder, PointSource, RStarConfig,
+    RStarError, RStarTree, SliceSource,
 };
 use sqda_storage::{
     ArrayStore, Bytes, DiskId, FileStore, IoStats, NodeCache, PageId, PageStore, Placement,
@@ -42,7 +42,7 @@ fn store(seed: u64) -> Arc<ArrayStore> {
     Arc::new(ArrayStore::with_page_size(DISKS, 1449, PAGE, seed))
 }
 
-/// Breadth-first page walk from the root.
+/// Depth-first page walk from the root, last child first.
 fn walk(tree: &RStarTree<ArrayStore>) -> Vec<PageId> {
     let mut frontier = vec![tree.root_page()];
     let mut pages = Vec::new();
@@ -56,88 +56,108 @@ fn walk(tree: &RStarTree<ArrayStore>) -> Vec<PageId> {
     pages
 }
 
+fn assert_same_tree(a: &RStarTree<ArrayStore>, b: &RStarTree<ArrayStore>, what: &str) {
+    assert_eq!(a.root_page(), b.root_page(), "{what}");
+    assert_eq!(a.root_level(), b.root_level(), "{what}");
+    let pages = walk(a);
+    assert_eq!(pages, walk(b), "{what}: page graph differs");
+    for &page in &pages {
+        assert_eq!(
+            a.store().read(page).unwrap(),
+            b.store().read(page).unwrap(),
+            "{what}: page {page:?} bytes differ"
+        );
+        assert_eq!(
+            a.store().placement(page).unwrap().disk,
+            b.store().placement(page).unwrap().disk,
+            "{what}: page {page:?} placed on a different disk"
+        );
+    }
+}
+
+/// Leaf bytes in walk order: the tiling, blind to which pages and disks
+/// the nodes landed on.
+fn leaves(tree: &RStarTree<ArrayStore>) -> Vec<Bytes> {
+    walk(tree)
+        .into_iter()
+        .filter(|&page| tree.read_node(page).unwrap().is_leaf())
+        .map(|page| tree.store().read(page).unwrap())
+        .collect()
+}
+
+/// An external build of `source` into a fresh destination store,
+/// spilling through `scratch`.
+fn external(
+    source: &dyn PointSource,
+    dim: usize,
+    scratch: &Arc<ArrayStore>,
+    opts: ExternalBuildOptions,
+) -> Result<(RStarTree<ArrayStore>, ExternalBuildReport), RStarError> {
+    RStarTree::bulk_load_external_stats(
+        store(42),
+        RStarConfig::with_page_size(dim, PAGE),
+        Box::new(ProximityIndex),
+        source,
+        scratch,
+        &opts,
+    )
+}
+
+/// The reference build: a run capacity of at least `n` sends the whole
+/// input through the in-memory tiler, with no scratch traffic.
+fn unspilled(pts: &[(Point, u64)], dim: usize) -> RStarTree<ArrayStore> {
+    let opts = ExternalBuildOptions {
+        run_capacity: pts.len(),
+        ..ExternalBuildOptions::default()
+    };
+    let scratch = store(7);
+    let (tree, report) = external(&SliceSource::new(pts), dim, &scratch, opts).unwrap();
+    assert_eq!(report, ExternalBuildReport::default());
+    assert_eq!(scratch.stats().writes, 0);
+    tree
+}
+
 #[test]
 fn external_build_is_byte_identical_to_in_memory() {
     let pts = points();
-    for order in [
+    let mem_tree = unspilled(&pts, 2);
+
+    // Tiny runs and a narrow merge fan-in force real spills and at
+    // least one multi-pass merge; two jobs exercise parallel run
+    // formation.
+    let opts = ExternalBuildOptions {
+        run_capacity: 256,
+        merge_fanin: 3,
+        jobs: 2,
+    };
+    let (ext_tree, report) = external(&SliceSource::new(&pts), 2, &store(7), opts).unwrap();
+    assert!(report.runs > 1, "build never spilled a run");
+    assert!(report.spilled_pages > 0, "no scratch pages");
+    assert!(report.merge_passes >= 1, "merge never ran");
+    assert_same_tree(&mem_tree, &ext_tree, "runs of 256, fan-in 3");
+
+    // The tiles are the in-memory STR loader's, in the same order; its
+    // trailing-window placement only moves them to other pages.
+    let str_tree = RStarTree::bulk_load(
+        store(42),
+        RStarConfig::with_page_size(2, PAGE),
+        Box::new(ProximityIndex),
+        pts,
         PackingOrder::Str,
-        PackingOrder::Morton,
-        PackingOrder::Hilbert,
-    ] {
-        let mem_tree = RStarTree::bulk_load_ordered(
-            store(42),
-            RStarConfig::with_page_size(2, PAGE),
-            Box::new(ProximityIndex),
-            pts.clone(),
-            order,
-        )
-        .unwrap();
-
-        // Tiny runs and a narrow merge fan-in force real spills and at
-        // least one multi-pass merge; two jobs exercise parallel run
-        // formation.
-        let scratch = store(7);
-        let source = SliceSource::new(&pts);
-        let opts = ExternalBuildOptions {
-            run_capacity: 256,
-            merge_fanin: 3,
-            jobs: 2,
-            order,
-            placement: PlacementMode::Trailing,
-        };
-        let (ext_tree, report) = RStarTree::bulk_load_external_stats(
-            store(42),
-            RStarConfig::with_page_size(2, PAGE),
-            Box::new(ProximityIndex),
-            &source,
-            &scratch,
-            &opts,
-        )
-        .unwrap();
-
-        assert!(report.runs > 1, "{order:?}: build never spilled a run");
-        assert!(report.spilled_pages > 0, "{order:?}: no scratch pages");
-        assert!(report.merge_passes >= 1, "{order:?}: merge never ran");
-
-        assert_eq!(mem_tree.root_page(), ext_tree.root_page(), "{order:?}");
-        assert_eq!(mem_tree.root_level(), ext_tree.root_level(), "{order:?}");
-        let mem_pages = walk(&mem_tree);
-        let ext_pages = walk(&ext_tree);
-        assert_eq!(mem_pages, ext_pages, "{order:?}: page graph differs");
-        for &page in &mem_pages {
-            assert_eq!(
-                mem_tree.store().read(page).unwrap(),
-                ext_tree.store().read(page).unwrap(),
-                "{order:?}: page {page:?} bytes differ"
-            );
-            assert_eq!(
-                mem_tree.store().placement(page).unwrap().disk,
-                ext_tree.store().placement(page).unwrap().disk,
-                "{order:?}: page {page:?} placed on a different disk"
-            );
-        }
-    }
+    )
+    .unwrap();
+    assert_eq!(str_tree.root_level(), ext_tree.root_level());
+    assert_eq!(leaves(&str_tree), leaves(&ext_tree));
 }
 
 #[test]
 fn sibling_stripe_places_parent_groups_on_distinct_disks() {
     let pts = points();
-    let scratch = store(7);
-    let source = SliceSource::new(&pts);
     let opts = ExternalBuildOptions {
         run_capacity: 256,
-        placement: PlacementMode::SiblingStripe,
         ..ExternalBuildOptions::default()
     };
-    let tree = RStarTree::bulk_load_external(
-        store(42),
-        RStarConfig::with_page_size(2, PAGE),
-        Box::new(ProximityIndex),
-        &source,
-        &scratch,
-        &opts,
-    )
-    .unwrap();
+    let (tree, _) = external(&SliceSource::new(&pts), 2, &store(7), opts).unwrap();
 
     // Sibling striping works in stride-aligned groups of the directory
     // fan-out, in write order: within each group the declusterer's
@@ -184,7 +204,8 @@ fn byte_budget_cache_holds_its_cap_during_knn_sweep() {
         store(42),
         RStarConfig::with_page_size(2, PAGE),
         Box::new(ProximityIndex),
-        pts.clone(),
+        pts,
+        PackingOrder::Str,
     )
     .unwrap();
     // A budget of a handful of nodes, far below the tree's footprint,
@@ -227,25 +248,6 @@ fn points_3d(n: usize) -> Vec<(Point, u64)> {
         .collect()
 }
 
-fn assert_same_tree(a: &RStarTree<ArrayStore>, b: &RStarTree<ArrayStore>, what: &str) {
-    assert_eq!(a.root_page(), b.root_page(), "{what}");
-    assert_eq!(a.root_level(), b.root_level(), "{what}");
-    let pages = walk(a);
-    assert_eq!(pages, walk(b), "{what}: page graph differs");
-    for &page in &pages {
-        assert_eq!(
-            a.store().read(page).unwrap(),
-            b.store().read(page).unwrap(),
-            "{what}: page {page:?} bytes differ"
-        );
-        assert_eq!(
-            a.store().placement(page).unwrap().disk,
-            b.store().placement(page).unwrap().disk,
-            "{what}: page {page:?} placed on a different disk"
-        );
-    }
-}
-
 #[test]
 fn nested_external_sort_under_a_paused_stream_is_byte_identical() {
     // 6000 3-d points at 31 to a leaf: 194 leaves, so six first-axis
@@ -255,69 +257,31 @@ fn nested_external_sort_under_a_paused_stream_is_byte_identical() {
     // once more, down to the last axis.
     const N3: usize = 6000;
     let pts = points_3d(N3);
-    let config = || RStarConfig::with_page_size(3, PAGE);
     assert_eq!(
-        config().max_leaf_entries,
+        RStarConfig::with_page_size(3, PAGE).max_leaf_entries,
         31,
         "the slab sizes above assume it"
     );
-    for order in [
-        PackingOrder::Str,
-        PackingOrder::Morton,
-        PackingOrder::Hilbert,
-    ] {
-        let mem_tree = RStarTree::bulk_load_ordered(
-            store(42),
-            config(),
-            Box::new(ProximityIndex),
-            pts.clone(),
-            order,
-        );
-        for (run_capacity, merge_fanin) in [(256, 64), (256, 3), (100, 2)] {
-            let scratch = store(7);
-            let opts = ExternalBuildOptions {
-                run_capacity,
-                merge_fanin,
-                jobs: 1,
-                order,
-                placement: PlacementMode::Trailing,
-            };
-            let ext = RStarTree::bulk_load_external_stats(
-                store(42),
-                config(),
-                Box::new(ProximityIndex),
-                &SliceSource::new(&pts),
-                &scratch,
-                &opts,
-            );
-            let what = format!("{order:?}, runs of {run_capacity}, fan-in {merge_fanin}");
-            // Hilbert keys are 2-d only: both builders refuse alike.
-            let (Ok(mem_tree), Ok((ext_tree, report))) = (&mem_tree, &ext) else {
-                assert_eq!(
-                    order,
-                    PackingOrder::Hilbert,
-                    "{what}: {:?} / {:?}",
-                    mem_tree.as_ref().err(),
-                    ext.as_ref().err()
-                );
-                assert!(mem_tree.is_err() && ext.is_err(), "{what}");
-                continue;
-            };
-            assert_same_tree(mem_tree, ext_tree, &what);
-            let top_runs = N3.div_ceil(run_capacity) as u64;
-            if order == PackingOrder::Str {
-                assert!(report.runs > top_runs, "{what}: no nested sort ran");
-            } else {
-                assert_eq!(report.runs, top_runs, "{what}");
-            }
-            // Every scratch page written was read back exactly once and
-            // freed: nothing outlives the build.
-            let io = scratch.stats();
-            assert_eq!(io.writes, report.spilled_pages, "{what}");
-            assert_eq!(io.reads, report.spilled_pages, "{what}");
-            assert_eq!(scratch.allocated_pages(), 0, "{what}");
-            assert!(report.peak_scratch_pages <= report.spilled_pages, "{what}");
-        }
+    let mem_tree = unspilled(&pts, 3);
+    for (run_capacity, merge_fanin) in [(256, 64), (256, 3), (100, 2)] {
+        let scratch = store(7);
+        let opts = ExternalBuildOptions {
+            run_capacity,
+            merge_fanin,
+            jobs: 1,
+        };
+        let (ext_tree, report) = external(&SliceSource::new(&pts), 3, &scratch, opts).unwrap();
+        let what = format!("runs of {run_capacity}, fan-in {merge_fanin}");
+        assert_same_tree(&mem_tree, &ext_tree, &what);
+        let top_runs = N3.div_ceil(run_capacity) as u64;
+        assert!(report.runs > top_runs, "{what}: no nested sort ran");
+        // Every scratch page written was read back exactly once and
+        // freed: nothing outlives the build.
+        let io = scratch.stats();
+        assert_eq!(io.writes, report.spilled_pages, "{what}");
+        assert_eq!(io.reads, report.spilled_pages, "{what}");
+        assert_eq!(scratch.allocated_pages(), 0, "{what}");
+        assert!(report.peak_scratch_pages <= report.spilled_pages, "{what}");
     }
 }
 
@@ -350,48 +314,45 @@ fn spill_accounting_is_pinned() {
     // points, each of which fits a run of 512, so the one external sort
     // of six runs is all that ever spills.
     let pts = points();
-    let per_page = PAGE / (32 + 2 * 8);
+    // 40-byte records, 25 to a page.
+    let per_page = PAGE / (24 + 2 * 8);
     for (merge_fanin, passes) in [(64, 1), (4, 2), (2, 3)] {
-        for order in [PackingOrder::Str, PackingOrder::Morton] {
-            let (scratch, dest) = (store(7), store(42));
-            let opts = ExternalBuildOptions {
-                run_capacity: 512,
-                merge_fanin,
-                jobs: 1,
-                order,
-                placement: PlacementMode::Trailing,
-            };
-            let (tree, report) = RStarTree::bulk_load_external_stats(
-                Arc::clone(&dest),
-                RStarConfig::with_page_size(2, PAGE),
-                Box::new(ProximityIndex),
-                &SliceSource::new(&pts),
-                &scratch,
-                &opts,
-            )
-            .unwrap();
-            let what = format!("{order:?}, fan-in {merge_fanin}");
-            // The destination is written once per node (plus the empty
-            // root `create` lays down and the build replaces) and never
-            // read. Snapshot before `walk` reads it.
-            let dest_io = dest.stats();
-            assert_eq!(dest_io.reads, 0, "{what}");
-            assert_eq!(dest_io.writes, walk(&tree).len() as u64 + 1, "{what}");
+        let (scratch, dest) = (store(7), store(42));
+        let opts = ExternalBuildOptions {
+            run_capacity: 512,
+            merge_fanin,
+            jobs: 1,
+        };
+        let (tree, report) = RStarTree::bulk_load_external_stats(
+            Arc::clone(&dest),
+            RStarConfig::with_page_size(2, PAGE),
+            Box::new(ProximityIndex),
+            &SliceSource::new(&pts),
+            &scratch,
+            &opts,
+        )
+        .unwrap();
+        let what = format!("fan-in {merge_fanin}");
+        // The destination is written once per node (plus the empty root
+        // `create` lays down and the build replaces) and never read.
+        // Snapshot before `walk` reads it.
+        let dest_io = dest.stats();
+        assert_eq!(dest_io.reads, 0, "{what}");
+        assert_eq!(dest_io.writes, walk(&tree).len() as u64 + 1, "{what}");
 
-            let (want_passes, want_pages) = sort_spill(N, 512, merge_fanin, per_page);
-            assert_eq!(want_passes, passes, "{what}: the test's own arithmetic");
-            assert_eq!(report.runs, 6, "{what}");
-            assert_eq!(report.merge_passes, passes, "{what}");
-            // In particular: with fan-in 64 the 146 pages of run
-            // formation are all that is ever written — the merged order
-            // goes to the tiler, not back to scratch.
-            assert_eq!(report.spilled_pages, want_pages, "{what}");
-            let io = scratch.stats();
-            assert_eq!((io.writes, io.reads), (want_pages, want_pages), "{what}");
-            assert_eq!(scratch.allocated_pages(), 0, "{what}");
-        }
+        let (want_passes, want_pages) = sort_spill(N, 512, merge_fanin, per_page);
+        assert_eq!(want_passes, passes, "{what}: the test's own arithmetic");
+        assert_eq!(report.runs, 6, "{what}");
+        assert_eq!(report.merge_passes, passes, "{what}");
+        // In particular: with fan-in 64 the 123 pages of run formation
+        // are all that is ever written — the merged order goes to the
+        // tiler, not back to scratch.
+        assert_eq!(report.spilled_pages, want_pages, "{what}");
+        let io = scratch.stats();
+        assert_eq!((io.writes, io.reads), (want_pages, want_pages), "{what}");
+        assert_eq!(scratch.allocated_pages(), 0, "{what}");
     }
-    assert_eq!(sort_spill(N, 512, 64, per_page), (1, 146));
+    assert_eq!(sort_spill(N, 512, 64, per_page), (1, 123));
 }
 
 /// Forwards only the methods [`PageStore`] requires — what a counting
@@ -437,7 +398,7 @@ impl<S: PageStore> PageStore for RequiredOnly<S> {
 
 /// Deterministic, duplicate-free points of any dimensionality.
 fn points_nd(n: usize, dim: usize) -> Vec<(Point, u64)> {
-    const STEPS: [usize; 4] = [7919, 104_729, 1_299_709, 15_485_863];
+    const STEPS: [usize; 5] = [7919, 104_729, 1_299_709, 15_485_863, 179_424_673];
     (0..n)
         .map(|i| {
             let coords = (0..dim).map(|d| ((i * STEPS[d]) % 6007) as f64 * 0.37);
@@ -526,15 +487,15 @@ fn file_build(
 
 #[test]
 fn extent_io_builds_what_a_per_page_store_builds() {
-    // 2-d records are 48 bytes, 21 to a page with 16 bytes of pad, so an
-    // extent of 8 pages is 168 records: runs of 84 stop short of one
-    // extent, runs of 336 are exactly two, runs of 400 end mid-extent and
-    // mid-page. 4-d records are 64 bytes and fill the page with no pad.
+    // 2-d records are 40 bytes, 25 to a page with 24 bytes of pad, so an
+    // extent of 8 pages is 200 records: runs of 100 stop short of one
+    // extent, runs of 400 are exactly two, runs of 460 end mid-extent and
+    // mid-page. 5-d records are 64 bytes and fill the page with no pad.
     for (name, dim, n, run_capacity) in [
-        ("short", 2, 3000, 84),
-        ("exact", 2, 3360, 336),
-        ("ragged", 2, 3000, 400),
-        ("nopad", 4, 4000, 256),
+        ("short", 2, 3000, 100),
+        ("exact", 2, 3200, 400),
+        ("ragged", 2, 3000, 460),
+        ("nopad", 5, 4000, 256),
     ] {
         let pts = points_nd(n, dim);
         let extents = file_build(name, &pts, dim, run_capacity, false);
@@ -600,33 +561,22 @@ impl PointSource for FailingSource<'_> {
 #[test]
 fn a_failing_source_surfaces_its_own_error() {
     let pts = points();
-    // Mid-run, mid-spill, and on the curve orders' bounds pass.
-    for (order, fail_at) in [
-        (PackingOrder::Str, 100),
-        (PackingOrder::Str, 1700),
-        (PackingOrder::Hilbert, 1700),
-    ] {
+    // Mid-run, mid-spill, and on the unspilled path's collecting pass.
+    for (fail_at, run_capacity) in [(100, 256), (1700, 256), (1700, N)] {
         let opts = ExternalBuildOptions {
-            run_capacity: 256,
-            order,
+            run_capacity,
             ..ExternalBuildOptions::default()
         };
         let source = FailingSource {
             points: &pts,
             fail_at,
         };
-        let err = RStarTree::bulk_load_external(
-            store(42),
-            RStarConfig::with_page_size(2, PAGE),
-            Box::new(ProximityIndex),
-            &source,
-            &store(7),
-            &opts,
-        )
-        .expect_err("the build must fail");
+        let Err(err) = external(&source, 2, &store(7), opts) else {
+            panic!("the build must fail");
+        };
         assert_eq!(err.to_string(), format!("input went away at row {fail_at}"));
         let RStarError::Source(inner) = err else {
-            panic!("{order:?}: not the source's error: {err:?}");
+            panic!("runs of {run_capacity}: not the source's error: {err:?}");
         };
         assert_eq!(inner.downcast_ref::<RowError>().map(|e| e.0), Some(fail_at));
     }
@@ -647,18 +597,13 @@ fn a_failing_source_surfaces_its_own_error() {
             self.0.visit(f)
         }
     }
-    let err = RStarTree::bulk_load_external(
-        store(42),
-        RStarConfig::with_page_size(2, PAGE),
-        Box::new(ProximityIndex),
-        &Lying(short),
-        &store(7),
-        &ExternalBuildOptions {
-            run_capacity: 256,
-            ..ExternalBuildOptions::default()
-        },
-    )
-    .expect_err("the build must fail");
+    let opts = ExternalBuildOptions {
+        run_capacity: 256,
+        ..ExternalBuildOptions::default()
+    };
+    let Err(err) = external(&Lying(short), 2, &store(7), opts) else {
+        panic!("the build must fail");
+    };
     assert!(
         matches!(&err, RStarError::InvalidBuild(m) if m.contains("promised 3000")),
         "{err}"

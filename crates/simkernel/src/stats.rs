@@ -27,11 +27,6 @@ impl UtilizationTracker {
         self.busy += end - start;
     }
 
-    /// Total busy time.
-    pub fn total_busy(&self) -> SimTime {
-        self.busy
-    }
-
     /// Busy fraction of `[0, horizon]`; 0 for a zero horizon.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -51,7 +46,6 @@ mod tests {
         let mut u = UtilizationTracker::new();
         u.add_busy(SimTime::from_nanos(0), SimTime::from_nanos(50));
         u.add_busy(SimTime::from_nanos(80), SimTime::from_nanos(100));
-        assert_eq!(u.total_busy(), SimTime::from_nanos(70));
         assert!((u.utilization(SimTime::from_nanos(100)) - 0.7).abs() < 1e-12);
         assert_eq!(u.utilization(SimTime::ZERO), 0.0);
     }

@@ -77,11 +77,6 @@ impl Bytes {
     pub fn get_u64_le(&mut self) -> u64 {
         u64::from_le_bytes(self.take())
     }
-
-    /// Consumes a little-endian `f64`.
-    pub fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
 }
 
 impl Default for Bytes {

@@ -1,6 +1,7 @@
 #!/bin/bash
-# CI `scale-smoke`: external-build equivalence tests and a streamed CSV
-# build under a 1 GiB address-space limit (`experiment bench_scale`'s
+# CI `scale-smoke`: external-build equivalence tests, a streamed CSV
+# build under a 1 GiB address-space limit, byte for byte the same with
+# one sort worker as with two (`experiment bench_scale`'s
 # fragment, `benches.bench_scale` of the quick sweep's summary, is
 # checked by tools/ci/test.sh). Outputs: target/ci/scale-smoke.
 set -euo pipefail
@@ -24,5 +25,15 @@ SQDA=target/release/sqda
 )
 grep -q 'external build:' "$OUT/scalebuild.log"
 test ! -e "$OUT/scalestore/scratch"
+
+# Parallel run sorting changes how the runs are sorted, never the tree:
+# the same CSV built with one sort worker leaves every store file
+# byte-identical.
+"$SQDA" build --input "$OUT/scalepts.csv" --store "$OUT/scalestore-jobs1" --disks 8 \
+  --external --run-capacity 65536 --jobs 1 > "$OUT/scalebuild-jobs1.log"
+diff <(ls "$OUT/scalestore") <(ls "$OUT/scalestore-jobs1")
+for f in "$OUT"/scalestore/*; do
+  cmp "$f" "$OUT/scalestore-jobs1/$(basename "$f")"
+done
 "$SQDA" query --store "$OUT/scalestore" --point 0.5,0.5 --k 10 | tee "$OUT/scalequery.log"
 grep -q 'found 10 neighbours' "$OUT/scalequery.log"
