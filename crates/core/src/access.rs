@@ -398,6 +398,9 @@ pub struct QueryScratch {
     /// The priority heap of [`crate::best_first_knn_with`] (and the
     /// WOPTSS oracle).
     pub(crate) heap: BinaryHeap<QueueItem>,
+    /// The coordinates of the objects on that heap, leaf block after
+    /// leaf block.
+    pub(crate) points: Vec<f64>,
     /// Staging buffer for fetched `(page, node)` batches; executors fill
     /// it, algorithms drain it in place.
     pub batch: Vec<(PageId, IndexNode)>,

@@ -10,7 +10,9 @@
 //! The priority heap lives in a [`QueryScratch`], so a query-per-iteration
 //! workload (the paper's multi-user experiments sweep thousands of
 //! queries) reuses one heap allocation instead of growing a fresh one per
-//! query.
+//! query. So do the coordinates of the objects on the heap: each leaf's
+//! block is copied into one scratch buffer, an object item holds its
+//! offset there, and a [`Neighbor`] owns its point only once popped.
 
 use crate::access::{AccessMethod, IndexNode, QueryScratch};
 use crate::algo::Neighbor;
@@ -20,10 +22,11 @@ use sqda_rstar::ObjectId;
 use sqda_storage::PageId;
 use std::cmp::Ordering;
 
-/// Priority-queue element: either a node to expand or a candidate object.
+/// Priority-queue element: either a node to expand or a candidate object,
+/// whose point starts at `at` in the scratch coordinate buffer.
 pub(crate) enum QueueItem {
     Node { dist_sq: f64, page: PageId },
-    Object { dist_sq: f64, neighbor: Neighbor },
+    Object { dist_sq: f64, id: u64, at: usize },
 }
 
 impl QueueItem {
@@ -82,8 +85,9 @@ pub fn best_first_knn(
 }
 
 /// [`best_first_knn`] over a caller-supplied [`QueryScratch`], reusing its
-/// priority heap and distance buffer across queries. The heap is cleared
-/// on entry, so no state of a previous query leaks into this one.
+/// priority heap, coordinate and distance buffers across queries. They
+/// are cleared on entry, so no state of a previous query leaks into this
+/// one.
 pub fn best_first_knn_with(
     am: &(impl AccessMethod + ?Sized),
     center: &Point,
@@ -94,17 +98,27 @@ pub fn best_first_knn_with(
     if k == 0 {
         return Ok(out);
     }
-    let QueryScratch { heap, dists, .. } = scratch;
+    let QueryScratch {
+        heap,
+        points,
+        dists,
+        ..
+    } = scratch;
     let q = center.coords();
     heap.clear();
+    points.clear();
     heap.push(QueueItem::Node {
         dist_sq: 0.0,
         page: am.root_page(),
     });
     while let Some(item) = heap.pop() {
         match item {
-            QueueItem::Object { neighbor, .. } => {
-                out.push(neighbor);
+            QueueItem::Object { dist_sq, id, at } => {
+                out.push(Neighbor {
+                    object: ObjectId(id),
+                    point: Point::from(&points[at..at + q.len()]),
+                    dist_sq,
+                });
                 if out.len() == k {
                     break;
                 }
@@ -120,15 +134,13 @@ pub fn best_first_knn_with(
                 match node {
                     IndexNode::Leaf(leaf) => {
                         leaf.dist_sq_into(q, dists);
-                        for (i, (coords, id)) in leaf.iter().enumerate() {
-                            let dist_sq = dists[i];
+                        let first = points.len();
+                        points.extend_from_slice(leaf.coords());
+                        for (i, (&dist_sq, &id)) in dists.iter().zip(leaf.ids()).enumerate() {
                             heap.push(QueueItem::Object {
                                 dist_sq,
-                                neighbor: Neighbor {
-                                    object: ObjectId(id),
-                                    point: Point::from(coords),
-                                    dist_sq,
-                                },
+                                id,
+                                at: first + i * q.len(),
                             });
                         }
                     }

@@ -76,33 +76,6 @@ impl Rect {
         }
     }
 
-    /// Creates the bounding box of the sphere `center ± radius`, building
-    /// both corners in one pass directly into their final storage.
-    ///
-    /// Returns an error if a bound is non-finite (overflowing radius) or
-    /// if `radius` is negative (inverted corners).
-    pub fn around(center: &Point, radius: f64) -> Result<Self> {
-        let n = center.dim();
-        let mut lo = Vec::with_capacity(n);
-        let mut hi = Vec::with_capacity(n);
-        for (dim, c) in center.coords().iter().enumerate() {
-            let l = c - radius;
-            let h = c + radius;
-            if !l.is_finite() || !h.is_finite() {
-                return Err(GeomError::NonFiniteCoordinate);
-            }
-            if l > h {
-                return Err(GeomError::InvertedCorners { dim });
-            }
-            lo.push(l);
-            hi.push(h);
-        }
-        Ok(Self {
-            lo: lo.into_boxed_slice(),
-            hi: hi.into_boxed_slice(),
-        })
-    }
-
     /// A borrowed view of this rectangle; the metric implementations live
     /// on [`RectRef`] and `Rect` delegates, so owned and viewed corners
     /// give bit-identical distances.
@@ -318,34 +291,6 @@ mod tests {
         assert_eq!(Rect::new(vec![], vec![]), Err(GeomError::ZeroDimensional));
         assert_eq!(
             Rect::new(vec![f64::NAN], vec![1.0]),
-            Err(GeomError::NonFiniteCoordinate)
-        );
-    }
-
-    #[test]
-    fn around_builds_sphere_bounds() {
-        let c = Point::new(vec![1.0, -2.0, 0.5]);
-        let r = Rect::around(&c, 1.5).unwrap();
-        assert_eq!(r.lo(), &[-0.5, -3.5, -1.0]);
-        assert_eq!(r.hi(), &[2.5, -0.5, 2.0]);
-        // Zero radius degenerates to the center point.
-        let z = Rect::around(&c, 0.0).unwrap();
-        assert_eq!(z, Rect::from_point(&c));
-    }
-
-    #[test]
-    fn around_rejects_bad_radius() {
-        let c = Point::new(vec![0.0, 0.0]);
-        assert_eq!(
-            Rect::around(&c, -1.0),
-            Err(GeomError::InvertedCorners { dim: 0 })
-        );
-        assert_eq!(
-            Rect::around(&c, f64::INFINITY),
-            Err(GeomError::NonFiniteCoordinate)
-        );
-        assert_eq!(
-            Rect::around(&c, f64::NAN),
             Err(GeomError::NonFiniteCoordinate)
         );
     }

@@ -25,7 +25,7 @@
 
 use crate::node::Node;
 use crate::{Bound, Rects};
-use sqda_storage::{Bytes, BytesMut, PageId, StorageError};
+use sqda_storage::{Bytes, PageId, StorageError};
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_SIZE: usize = 16;
@@ -73,18 +73,25 @@ pub fn encode<B: Bound>(node: &Node, dim: usize) -> Bytes {
     } else {
         (TYPE_INTERNAL, n * internal_entry_size::<B>(dim))
     };
-    let mut buf = BytesMut::with_capacity(HEADER_SIZE + body);
-    buf.put_slice(B::MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(ty);
-    buf.put_u16_le(dim as u16);
-    buf.put_u32_le(node.level());
-    buf.put_u32_le(n as u32);
-    for (coords, payload) in node.entries() {
-        coords.iter().for_each(|c| buf.put_f64_le(*c));
-        payload.iter().for_each(|w| buf.put_u64_le(*w));
-    }
-    buf.freeze()
+    Bytes::filled(HEADER_SIZE + body, |buf| {
+        let (header, body) = buf.split_at_mut(HEADER_SIZE);
+        header[..4].copy_from_slice(B::MAGIC);
+        header[4] = VERSION;
+        header[5] = ty;
+        header[6..8].copy_from_slice(&(dim as u16).to_le_bytes());
+        header[8..12].copy_from_slice(&node.level().to_le_bytes());
+        header[12..].copy_from_slice(&(n as u32).to_le_bytes());
+        let mut words = body.chunks_exact_mut(8);
+        for (coords, payload) in node.entries() {
+            for (c, word) in coords.iter().zip(words.by_ref()) {
+                word.copy_from_slice(&c.to_le_bytes());
+            }
+            for (w, word) in payload.iter().zip(words.by_ref()) {
+                word.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+        debug_assert!(words.next().is_none(), "entries fill the page body");
+    })
 }
 
 fn corrupt(page: PageId, detail: impl Into<String>) -> StorageError {
@@ -95,8 +102,7 @@ fn corrupt(page: PageId, detail: impl Into<String>) -> StorageError {
 }
 
 /// Words `skip .. skip + take` of every `per`-word entry of `body`, in
-/// entry order, as one flat block. The iterator reports its exact length,
-/// so the block is allocated once, at its final size.
+/// entry order, as one flat block, allocated once at its final size.
 fn gather<T>(
     body: &[u8],
     per: usize,
@@ -104,20 +110,15 @@ fn gather<T>(
     take: usize,
     from_word: impl Fn(u64) -> T,
 ) -> Box<[T]> {
-    let (mut at, mut left) = (skip, take);
-    let next = || {
-        if left == 0 {
-            at += per - take;
-            left = take;
-        }
-        let word = body[8 * at..][..8].try_into().expect("eight bytes");
-        at += 1;
-        left -= 1;
-        from_word(u64::from_le_bytes(word))
-    };
-    std::iter::repeat_with(next)
-        .take(body.len() / (8 * per) * take)
-        .collect()
+    let mut out = Vec::with_capacity(body.len() / (8 * per) * take);
+    for entry in body.chunks_exact(8 * per) {
+        out.extend(
+            entry[8 * skip..8 * (skip + take)]
+                .chunks_exact(8)
+                .map(|word| from_word(u64::from_le_bytes(word.try_into().expect("eight bytes")))),
+        );
+    }
+    out.into_boxed_slice()
 }
 
 /// Deserializes page bytes of a `B`-bounded tree into a node.

@@ -10,6 +10,19 @@
 //! each ancestor from the child written just below it. On the
 //! 62 173-point, 1 KiB-page benchmark R\*-tree that is 7.03 page reads
 //! per insert for 7.06 writes.
+//!
+//! Where that build's time goes, with phase timers on (medians of 10
+//! builds on a 2-core VM; the rest is the leaf edit, splits, forced
+//! reinsertion and placement):
+//!
+//! | phase                      | full overlap rule, growing encode | branch and bound, one-buffer encode |
+//! |----------------------------|------:|------:|
+//! | ChooseSubtree              | 0.79 s | 0.23 s |
+//! | decode                     | 0.26 s | 0.19 s |
+//! | encode                     | 0.22 s | 0.15 s |
+//! | store reads and writes     | 0.10 s | 0.10 s |
+//! | ancestor copies in [`write_path`] | 0.03 s | 0.03 s |
+//! | whole insertion            | 1.88 s | 1.12 s |
 
 use crate::node::Node;
 use crate::tree::{Bound, PagedTree, Result};

@@ -1,12 +1,12 @@
 //! Page byte buffers: [`Bytes`], a cheaply cloneable window into a
 //! shared immutable buffer (what `PageStore` and `IoBackend` traffic in),
-//! and [`BytesMut`], the growable buffer a page or the superblock is
-//! encoded into. Both carry the little-endian reads and writes the node
-//! codecs and the superblock use; a `Bytes` read consumes from the front.
+//! with the little-endian reads the node codecs use; a read consumes
+//! from the front.
 //!
-//! Allocation is part of the contract: a frozen buffer is one
-//! `Arc<[u8]>` of exactly the encoded length, and the server's resident
-//! size follows how those blocks pack.
+//! Allocation is part of the contract: an encoded page
+//! ([`Bytes::filled`]) is one `Arc<[u8]>` of exactly the encoded length,
+//! written in place, and the server's resident size follows how those
+//! blocks pack.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -30,9 +30,25 @@ impl Bytes {
         Bytes::copy_from_slice(s)
     }
 
-    /// A buffer holding a copy of `s`.
+    /// A buffer holding a copy of `s`, in one allocation.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes {
+            data: Arc::from(s),
+            start: 0,
+            end: s.len(),
+        }
+    }
+
+    /// A buffer of `len` bytes, zeroed and then written in place by
+    /// `fill`: one allocation of exactly `len` bytes, no copy.
+    pub fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a new buffer has one owner"));
+        Bytes {
+            data,
+            start: 0,
+            end: len,
+        }
     }
 
     /// The sub-window `r` of this buffer, sharing its storage.
@@ -116,65 +132,3 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
-
-/// A growable byte buffer, frozen into [`Bytes`] once encoded.
-#[derive(Default)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// An empty buffer with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// The encoded bytes as one shared buffer.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-
-    /// Appends `src`.
-    pub fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `f64`.
-    pub fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}

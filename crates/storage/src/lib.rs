@@ -30,7 +30,7 @@ mod placement;
 mod store;
 
 pub use backend::{InlineBackend, IoBackend, ReadCompletion, ReadObserver, ThreadedFileBackend};
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::Bytes;
 pub use cache::{CacheStats, LruCache, NodeCache, PageIdHashBuilder};
 pub use error::{Result, StorageError};
 pub use filestore::FileStore;

@@ -23,9 +23,10 @@ CARGO_HOME="$PWD/$OUT/cargo-home" cargo build --release --locked --offline &&
 
 # The tree properties again at 500 cases each: both trees run on one
 # paged-tree shell, so its insertion, codec and validator are drawn
-# harder than one tier-1 pass draws them.
+# harder than one tier-1 pass draws them, and the R* ChooseSubtree's
+# branch and bound is held to the full rule.
 SQDA_PROP_CASES=500 CARGO_HOME="$PWD/$OUT/cargo-home" cargo test -q --locked --offline \
-  -p sqda-rstar --test prop_tree --test prop_codec --test prop_sstree
+  -p sqda-rstar --test prop_tree --test prop_codec --test prop_sstree --test prop_choose_subtree
 
 tools/loc.sh
 
