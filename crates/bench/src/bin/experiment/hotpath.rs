@@ -26,6 +26,10 @@
 //! * `crss_hot_nodes_per_query`, `crss_hot_rounds_per_query` — that
 //!   query's nodes and fetch rounds (exact). Every read is free, so CRSS
 //!   takes one branch per round and the two are equal;
+//! * `frontier_hot_query_ns`, `frontier_hot_nodes_per_query`,
+//!   `frontier_hot_rounds_per_query` — the same query through the
+//!   best-first frontier, `sqda serve`'s default: one page per round, and
+//!   exactly WOPTSS's nodes, so no more than CRSS's;
 //! * `insert_ns_per_object` — one object inserted into the tree every
 //!   other section reads (the paper's one-at-a-time construction, 2 000
 //!   objects, timed per whole build), and `insert_reads_per_object`,
@@ -386,10 +390,10 @@ pub fn run(opts: &ExpOptions) {
             Workload::single(Point::new(q), K)
         })
         .collect();
-    let serve_all = || {
+    let serve_all = |kind: AlgorithmKind| {
         let (mut nodes, mut rounds) = (0.0, 0.0);
         for w in &served_queries {
-            let report = engine.run(AlgorithmKind::Crss, w, 1).expect("hot query");
+            let report = engine.run(kind, w, 1).expect("hot query");
             assert_eq!((report.failed, report.answers[0].len()), (0, K));
             nodes += report.mean_nodes_per_query;
             rounds += report.mean_batches_per_query;
@@ -397,17 +401,21 @@ pub fn run(opts: &ExpOptions) {
         let n = served_queries.len() as f64;
         (nodes / n, rounds / n)
     };
-    serve_all();
-    serve_all();
+    serve_all(AlgorithmKind::Crss);
+    serve_all(AlgorithmKind::Crss);
     COUNTING.store(true, Relaxed);
     let counted_from = (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
-    let (crss_nodes_per_query, crss_rounds_per_query) = serve_all();
+    let (crss_nodes_per_query, crss_rounds_per_query) = serve_all(AlgorithmKind::Crss);
     COUNTING.store(false, Relaxed);
     let per_query = |total: u64| total as f64 / served_queries.len() as f64;
     let allocs_per_query = per_query(ALLOCS.load(Relaxed) - counted_from.0);
     let bytes_per_query = per_query(ALLOC_BYTES.load(Relaxed) - counted_from.1);
     let crss_reps = sample_ns(reps, 1, served_queries.len(), |_| {
-        black_box(serve_all());
+        black_box(serve_all(AlgorithmKind::Crss));
+    });
+    let (frontier_nodes_per_query, frontier_rounds_per_query) = serve_all(AlgorithmKind::Frontier);
+    let frontier_reps = sample_ns(reps, 1, served_queries.len(), |_| {
+        black_box(serve_all(AlgorithmKind::Frontier));
     });
 
     let telemetry = telemetry_costs(reps);
@@ -438,6 +446,7 @@ pub fn run(opts: &ExpOptions) {
         ("knn_warm_ns_per_query", &knn_reps),
         ("batch_knn_ns_per_query", &batch_reps),
         ("crss_hot_query_ns", &crss_reps),
+        ("frontier_hot_query_ns", &frontier_reps),
         ("insert_ns_per_object", &insert_reps),
     ] {
         if !reps.is_empty() {
@@ -486,6 +495,16 @@ pub fn run(opts: &ExpOptions) {
         (
             "crss_hot_rounds_per_query",
             crss_rounds_per_query,
+            Direction::Lower,
+        ),
+        (
+            "frontier_hot_nodes_per_query",
+            frontier_nodes_per_query,
+            Direction::Lower,
+        ),
+        (
+            "frontier_hot_rounds_per_query",
+            frontier_rounds_per_query,
             Direction::Lower,
         ),
         (

@@ -53,6 +53,7 @@ pub(crate) fn algo_by_name(name: &str) -> Result<AlgorithmKind, Box<dyn Error + 
         "fpss" => AlgorithmKind::Fpss,
         "crss" => AlgorithmKind::Crss,
         "woptss" => AlgorithmKind::Woptss,
+        "frontier" => AlgorithmKind::Frontier,
         other => return Err(format!("unknown algorithm {other:?}").into()),
     })
 }

@@ -40,7 +40,7 @@ COMMANDS:
    stays O(run-capacity x jobs) points regardless of input size.)
   query      k nearest neighbours
              --store <dir> --point <x,y,...> [--k <k>=10]
-             [--algo bbss|fpss|crss|woptss=crss] [--seed <s>=0]
+             [--algo bbss|fpss|crss|woptss|frontier=crss] [--seed <s>=0]
              [--trace <file>] [--metrics <file>]
   range      similarity range query
              --store <dir> --point <x,y,...> --radius <r>
@@ -67,7 +67,7 @@ COMMANDS:
              trajectory, per-disk reads, cache split and timings next
              to the analytical prediction and residuals
              --store <dir> --point <x,y,...> [--k <k>=10]
-             [--algo bbss|fpss|crss|woptss=crss] [--lambda <q/s>=1]
+             [--algo bbss|fpss|crss|woptss|frontier=crss] [--lambda <q/s>=1]
              [--cache <pages>=4096] [--uncalibrated]
   (simulate / estimate / explain load <store>/calibration.json when
    present — fitted device service terms written by a prior serve run —
@@ -80,8 +80,10 @@ COMMANDS:
              [--slow-query-log <file.jsonl>] [--uncalibrated]
              [--trace <file>] [--metrics <file>]
   (line protocol, one reply per request line:
-     QUERY <x,y,...> <k> [bbss|fpss|crss|woptss]  ->  OK <n> <id>:<dist>...
-     EXPLAIN <x,y,...> <k> [algo] -> one-line JSON introspection record
+     QUERY <x,y,...> <k> [bbss|fpss|crss|woptss|frontier=frontier]
+                   ->  OK <n> <id>:<dist>...
+     EXPLAIN <x,y,...> <k> [algo=frontier] -> one-line JSON introspection
+                   record
      BATCH <x,y;x,y;...> <k>  ->  OK <B> fetches=<unique>/<interest>
                    rounds=<r> wall_us=<t> q0=<id>:<dist>,... q1=...
                    (B <= 1024 queries through one shared traversal)

@@ -46,9 +46,9 @@
 //! (all replies are a single line except `METRICS`):
 //!
 //! ```text
-//! -> QUERY <x,y,...> <k> [bbss|fpss|crss|woptss]
+//! -> QUERY <x,y,...> <k> [bbss|fpss|crss|woptss|frontier]
 //! <- OK <n> <id>:<dist> <id>:<dist> ...
-//! -> EXPLAIN <x,y,...> <k> [bbss|fpss|crss|woptss]
+//! -> EXPLAIN <x,y,...> <k> [bbss|fpss|crss|woptss|frontier]
 //! <- {"query":...,"observed_accesses":...,"predicted_accesses":...,...}
 //!    (runs the query and returns its one-line JSON introspection
 //!    record: observed per-level/per-disk work and timing next to the
@@ -75,6 +75,11 @@
 //! -> SHUTDOWN      (stop the whole server)
 //! <- BYE
 //! ```
+//!
+//! A `QUERY` or `EXPLAIN` that names no algorithm runs `frontier`, the
+//! best-first frontier: every served read that memory answers narrows it
+//! to Hjaltason–Samet's one page per round, which visits exactly WOPTSS's
+//! nodes, where CRSS's width-1 threshold and candidate stack visit more.
 //!
 //! Any malformed request gets `ERR <detail>` and the connection stays
 //! open; blank lines are skipped. `k` above [`MAX_K`] is `ERR k too
@@ -470,7 +475,7 @@ fn parse_knn<'a>(
     };
     // `BATCH` names no algorithm: any word after its `k` is trailing.
     let kind = match if batch { None } else { words.next() } {
-        None => AlgorithmKind::Crss,
+        None => AlgorithmKind::Frontier,
         Some(name) => algo_by_name(name).map_err(|e| e.to_string())?,
     };
     no_more(words)?;
@@ -920,7 +925,7 @@ mod tests {
         let lines: Vec<&str> = slow.lines().collect();
         assert_eq!(lines.len(), 3, "{slow}");
         let first = sqda_obs::json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("algo").and_then(|v| v.as_str()), Some("CRSS"));
+        assert_eq!(first.get("algo").and_then(|v| v.as_str()), Some("FRONTIER"));
         assert!(first.get("response_ms").and_then(|v| v.as_f64()).is_some());
         assert!(first.get("explain").is_none(), "{slow}");
         // The explained query's entry embeds its full introspection

@@ -1,8 +1,9 @@
-//! The batch state-machine abstraction shared by all four algorithms,
+//! The batch state-machine abstraction shared by all the algorithms,
 //! and the per-query working memory they run on.
 
 use crate::access::{AccessMethod, IndexNode, InternalBlock, LeafBlock, QueryScratch};
 use crate::error::QueryError;
+use crate::frontier::FrontierEntry;
 use crate::threshold::Candidate;
 use sqda_geom::Point;
 use sqda_rstar::ObjectId;
@@ -98,9 +99,9 @@ pub trait SimilaritySearch {
     /// would cost CPU without overlapping anything. Called before
     /// [`SimilaritySearch::on_fetched`] builds the next fetch list; it
     /// holds until called again, and an executor that never calls it
-    /// leaves the algorithm as constructed. Only CRSS, whose activation
-    /// list exists to buy parallelism, listens (the default ignores it),
-    /// and answers never depend on it.
+    /// leaves the algorithm as constructed. CRSS, whose activation list
+    /// exists to buy parallelism, and the frontier, whose rounds do,
+    /// listen (the default ignores it); answers never depend on it.
     fn set_width(&mut self, _width: usize) {}
 
     /// Internal telemetry after the last processed batch, for tracing.
@@ -256,9 +257,9 @@ impl KBest {
 
 /// The working memory one query's algorithm runs on: the best-k array,
 /// the kernels' metric vectors, the candidate store with its run
-/// boundaries, BBSS's branch stack and a spare fetch list. It travels in a
-/// [`QueryScratch`]: [`AlgorithmKind::build_with`] moves it into the
-/// algorithm, the session moves it back
+/// boundaries, BBSS's branch stack, the frontier's heap and a spare fetch
+/// list. It travels in a [`QueryScratch`]: [`AlgorithmKind::build_with`]
+/// moves it into the algorithm, the session moves it back
 /// ([`SimilaritySearch::working_memory`]), so a stream of queries over one
 /// scratch re-fills the same buffers. Opaque outside the crate.
 #[derive(Debug, Default)]
@@ -276,6 +277,8 @@ pub struct AlgoScratch {
     pub(crate) prefix: Vec<(f64, u64)>,
     /// BBSS's DFS stack of `(D_min², page)`, most promising on top.
     pub(crate) branches: Vec<(f64, PageId)>,
+    /// The frontier's min-heap of unvisited directory entries.
+    pub(crate) frontier: BinaryHeap<FrontierEntry>,
     /// A page list to build the next [`Step::Fetch`] in.
     pub(crate) pages: Vec<PageId>,
 }
@@ -287,6 +290,7 @@ impl AlgoScratch {
         self.cands.clear();
         self.runs.clear();
         self.branches.clear();
+        self.frontier.clear();
         self
     }
 
@@ -359,7 +363,8 @@ pub(crate) fn push_candidates(
     );
 }
 
-/// Which of the four algorithms to instantiate.
+/// Which algorithm to instantiate: the paper's four, or the best-first
+/// frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Branch-and-bound (Roussopoulos et al.), depth-first.
@@ -370,6 +375,10 @@ pub enum AlgorithmKind {
     Crss,
     /// The weak-optimal oracle (requires precomputing the true `D_k`).
     Woptss,
+    /// Best-first frontier (Hjaltason–Samet at width 1); not one of the
+    /// paper's algorithms, so in neither [`AlgorithmKind::ALL`] nor
+    /// [`AlgorithmKind::REAL`]. `sqda serve`'s default.
+    Frontier,
 }
 
 impl AlgorithmKind {
@@ -395,6 +404,7 @@ impl AlgorithmKind {
             AlgorithmKind::Fpss => "FPSS",
             AlgorithmKind::Crss => "CRSS",
             AlgorithmKind::Woptss => "WOPTSS",
+            AlgorithmKind::Frontier => "FRONTIER",
         }
     }
 
@@ -434,6 +444,10 @@ impl AlgorithmKind {
                 Box::new(crate::Crss::over(am, query, k, u, memory()))
             }
             AlgorithmKind::Woptss => Box::new(crate::Woptss::new_with(am, query, k, scratch)?),
+            AlgorithmKind::Frontier => {
+                let u = am.num_disks() as usize;
+                Box::new(crate::Frontier::over(am, query, k, u, memory()))
+            }
         })
     }
 }
@@ -527,6 +541,7 @@ mod tests {
     #[test]
     fn algorithm_names() {
         assert_eq!(AlgorithmKind::Crss.to_string(), "CRSS");
+        assert_eq!(AlgorithmKind::Frontier.to_string(), "FRONTIER");
         assert_eq!(AlgorithmKind::ALL.len(), 4);
         assert_eq!(AlgorithmKind::REAL.len(), 3);
     }

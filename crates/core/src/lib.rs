@@ -23,6 +23,10 @@
 //!   intersecting the answer sphere: the lower bound every real algorithm
 //!   is measured against.
 //!
+//! Beside them, [`Frontier`] is Hjaltason–Samet's best-first search as
+//! a batch machine, rounds as wide as the executor says reads overlap:
+//! WOPTSS's nodes when reads are free, so `sqda serve` runs it by default.
+//!
 //! Algorithms are *batch state machines* ([`SimilaritySearch`]): they emit
 //! page-fetch batches and consume decoded nodes, so the same
 //! implementation runs under
@@ -73,6 +77,7 @@ mod crss;
 pub mod error;
 pub mod exec;
 mod fpss;
+mod frontier;
 mod range;
 pub mod threshold;
 mod woptss;
@@ -90,6 +95,7 @@ pub use exec::{
     RunOptions, Simulation, SimulationReport,
 };
 pub use fpss::Fpss;
+pub use frontier::Frontier;
 pub use range::RangeSearch;
 // Re-exported so access-method crates can type their answers without a
 // direct dependency on the R*-tree crate.

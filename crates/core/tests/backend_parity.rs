@@ -6,26 +6,27 @@
 //! reads the shared node cache absorbs (`IoStats`) — is a deterministic
 //! function of where reads were served. The logical executor and the
 //! simulator treat every read as a disk access. The real engine narrows
-//! CRSS to one branch per round after a round that memory served, since
-//! parallel reads from memory overlap nothing. The simulator decodes each
+//! CRSS and the best-first frontier to one branch per round after a round
+//! that memory served, since parallel reads from memory overlap nothing. The simulator decodes each
 //! page once per run, so its work is not what its store saw but the
 //! reads its disks served (`SimulationReport::reads_per_disk`): those are
 //! the logical executor's reads over a tree without a node cache, where
 //! every read reaches the store. So:
 //!
 //! * BBSS, FPSS and WOPTSS do the same work under every executor;
-//! * real CRSS whose every read is served from memory does the logical
-//!   executor's work at activation bound 1;
-//! * real CRSS whose every read waits on a disk does the simulator's.
+//! * real CRSS or frontier whose every read is served from memory does
+//!   the logical executor's work at activation bound 1;
+//! * real CRSS or frontier whose every read waits on a disk does the
+//!   simulator's.
 //!
 //! This is what makes wall-clock measurements from `sqda serve`
 //! comparable to the simulator's predictions: the engines may disagree
-//! about *time*, and about CRSS's width only where reads cost nothing.
+//! about *time*, and about a width only where reads cost nothing.
 
 use sqda_core::{
     batch_knn_with, exec::run_query, AccessMethod, AlgorithmKind, BatchResult, BatchScratch, Crss,
-    IndexNode, Neighbor, QueryError, RealTimeEngine, RunOptions, SimilaritySearch, Simulation,
-    Step, Workload, WorkloadQuery,
+    Frontier, IndexNode, Neighbor, QueryError, RealTimeEngine, RunOptions, SimilaritySearch,
+    Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_obs::{CollectingRecorder, Event, MetricsSnapshot};
@@ -44,6 +45,21 @@ use std::thread::{self, ThreadId};
 
 const NUM_DISKS: u32 = 4;
 const PAGE_SIZE: usize = 1024;
+
+/// The paper's four algorithms and the best-first frontier.
+const KINDS: [AlgorithmKind; 5] = [
+    AlgorithmKind::Bbss,
+    AlgorithmKind::Fpss,
+    AlgorithmKind::Crss,
+    AlgorithmKind::Woptss,
+    AlgorithmKind::Frontier,
+];
+
+/// Whether `kind` listens to the executor's width: its work then follows
+/// where each round's reads were served.
+fn listens_to_width(kind: AlgorithmKind) -> bool {
+    matches!(kind, AlgorithmKind::Crss | AlgorithmKind::Frontier)
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir =
@@ -123,10 +139,11 @@ struct ModeRun {
 }
 
 /// Whether two runs must have done the same work: always, but for CRSS
-/// only when no read of either waited on a disk (a CRSS run that had some
-/// reads wait did what its rounds' residency made of it).
+/// and the frontier only when no read of either waited on a disk (such a
+/// run that had some reads wait did what its rounds' residency made of
+/// it).
 fn same_work_expected(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun) -> bool {
-    kind != AlgorithmKind::Crss || a.waited + b.waited == 0
+    !listens_to_width(kind) || a.waited + b.waited == 0
 }
 
 /// The logical executor's run of `build`'s algorithm over every query.
@@ -188,11 +205,13 @@ fn run_logical_uncached(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRu
     }
 }
 
-/// What real CRSS does when memory serves every read: the logical
-/// executor's CRSS at activation bound 1.
-fn run_logical_narrow(dir: &Path, root: PageId) -> ModeRun {
-    run_logical_with(open_tree(dir, root), |tree, point, k| {
-        Box::new(Crss::with_activation_bound(tree, point, k, 1))
+/// What real CRSS or frontier does when memory serves every read: the
+/// logical executor's run at activation bound 1.
+fn run_logical_narrow(dir: &Path, root: PageId, kind: AlgorithmKind) -> ModeRun {
+    run_logical_with(open_tree(dir, root), |tree, point, k| match kind {
+        AlgorithmKind::Crss => Box::new(Crss::with_activation_bound(tree, point, k, 1)),
+        AlgorithmKind::Frontier => Box::new(Frontier::with_activation_bound(tree, point, k, 1)),
+        _ => unreachable!("{kind} ignores the width"),
     })
 }
 
@@ -368,16 +387,17 @@ fn assert_io_identical(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what: &str
 }
 
 /// The acceptance pin: logical, simulated, and real-clock execution
-/// agree bit-for-bit on answers for all four algorithms, and on I/O work
-/// as the module docs state it: the simulator's disks always serve the
-/// logical executor's reads, and the real engine over the just-written
-/// store — whose pages the OS holds in memory — does the logical
-/// executor's work too, with CRSS at activation bound 1.
+/// agree bit-for-bit on answers for all four algorithms and the frontier,
+/// and on I/O work as the module docs state it: the simulator's disks
+/// always serve the logical executor's reads, and the real engine over
+/// the just-written store — whose pages the OS holds in memory — does the
+/// logical executor's work too, with CRSS and the frontier at activation
+/// bound 1.
 #[test]
 fn three_execution_modes_agree_on_answers_and_io() {
     let dir = tmpdir("modes");
     let root = build_store(&dir);
-    for kind in AlgorithmKind::ALL {
+    for kind in KINDS {
         let logical = run_logical(&dir, root, kind);
         let simulated = run_simulated(&open_tree(&dir, root), kind);
         let real = run_real(&dir, root, kind, true);
@@ -393,9 +413,10 @@ fn three_execution_modes_agree_on_answers_and_io() {
             &simulated,
             "logical reads vs simulated disk reads",
         );
-        let from_memory = match kind {
-            AlgorithmKind::Crss => run_logical_narrow(&dir, root),
-            _ => logical,
+        let from_memory = if listens_to_width(kind) {
+            run_logical_narrow(&dir, root, kind)
+        } else {
+            logical
         };
         assert_work_identical(kind, &from_memory, &real, "logical vs real");
     }
@@ -415,7 +436,7 @@ fn factory_answers_land_on_their_queries_whatever_the_arrival_order() {
     for (i, wq) in reversed.queries.iter_mut().enumerate() {
         wq.arrival = SimTime::from_millis_f64(((n - 1 - i) / 2) as f64 * 5.0);
     }
-    for kind in AlgorithmKind::ALL {
+    for kind in KINDS {
         let logical = run_logical(&dir, root, kind);
         let simulated = run_simulated_on(&attach(&dir, root), kind, &reversed);
         assert_answers_identical(kind, &logical, &simulated, "reversed arrivals");
@@ -423,23 +444,29 @@ fn factory_answers_land_on_their_queries_whatever_the_arrival_order() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Both halves of CRSS's work contract, pinned without depending on the
-/// OS page cache: through an `InlineBackend` (every read served from
-/// memory) real CRSS does the logical executor's work at activation
-/// bound 1; behind a backend that reports every read as having waited on
-/// a disk, over a tree with no node cache to serve a round from memory,
-/// it does the simulator's. Answers are the same throughout, and the two
-/// halves are different work.
+/// Both halves of the work contract of CRSS and the frontier, pinned
+/// without depending on the OS page cache: through an `InlineBackend`
+/// (every read served from memory) the real run does the logical
+/// executor's work at activation bound 1; behind a backend that reports
+/// every read as having waited on a disk, over a tree with no node cache
+/// to serve a round from memory, it does the simulator's. Answers are the
+/// same throughout, and the two halves are different work.
 #[test]
 fn crss_work_follows_where_reads_were_served() {
     let dir = tmpdir("crss-width");
     let root = build_store(&dir);
-    let kind = AlgorithmKind::Crss;
-    let narrow = run_logical_narrow(&dir, root);
-    let inline = run_real(&dir, root, kind, false);
+    for kind in [AlgorithmKind::Crss, AlgorithmKind::Frontier] {
+        work_follows_where_reads_were_served(&dir, root, kind);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn work_follows_where_reads_were_served(dir: &Path, root: PageId, kind: AlgorithmKind) {
+    let narrow = run_logical_narrow(dir, root, kind);
+    let inline = run_real(dir, root, kind, false);
     assert_answers_identical(kind, &narrow, &inline, "bound 1 vs inline");
     assert_io_identical(kind, &narrow, &inline, "bound 1 vs inline");
-    let wide = run_logical(&dir, root, kind);
+    let wide = run_logical(dir, root, kind);
     assert_answers_identical(kind, &wide, &narrow, "bound u vs bound 1");
     let touched = |run: &ModeRun| run.io.reads + run.io.cache_hits;
     assert!(
@@ -447,8 +474,8 @@ fn crss_work_follows_where_reads_were_served() {
         "narrowing must save work"
     );
 
-    let simulated = run_simulated(&attach(&dir, root), kind);
-    let tree = attach(&dir, root);
+    let simulated = run_simulated(&attach(dir, root), kind);
+    let tree = attach(dir, root);
     let every_read_waited = Rewriting {
         inner: InlineBackend::new(Arc::clone(tree.store())),
         rewrite: |c: &mut ReadCompletion| c.waited = true,
@@ -468,7 +495,6 @@ fn crss_work_follows_where_reads_were_served() {
         &on_disks,
         "simulated vs every read waited",
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The inline (synchronous) backend is work-equivalent to the threaded
@@ -478,7 +504,11 @@ fn crss_work_follows_where_reads_were_served() {
 fn inline_and_threaded_backends_agree() {
     let dir = tmpdir("backends");
     let root = build_store(&dir);
-    for kind in [AlgorithmKind::Crss, AlgorithmKind::Bbss] {
+    for kind in [
+        AlgorithmKind::Crss,
+        AlgorithmKind::Bbss,
+        AlgorithmKind::Frontier,
+    ] {
         let inline = run_real(&dir, root, kind, false);
         let threaded = run_real(&dir, root, kind, true);
         assert_answers_identical(kind, &inline, &threaded, "inline vs threaded");
@@ -533,7 +563,11 @@ fn batch_replies_identical_across_backends() {
 fn telemetry_enabled_run_is_work_identical() {
     let dir = tmpdir("telemetry");
     let root = build_store(&dir);
-    for kind in [AlgorithmKind::Crss, AlgorithmKind::Bbss] {
+    for kind in [
+        AlgorithmKind::Crss,
+        AlgorithmKind::Bbss,
+        AlgorithmKind::Frontier,
+    ] {
         let bare = run_real(&dir, root, kind, true);
         let (observed, live, _) = run_real_observed(&dir, root, kind);
         assert_answers_identical(kind, &bare, &observed, "bare vs telemetry");
@@ -560,7 +594,11 @@ fn telemetry_enabled_run_is_work_identical() {
 fn explain_enabled_run_is_work_identical() {
     let dir = tmpdir("explain");
     let root = build_store(&dir);
-    for kind in [AlgorithmKind::Crss, AlgorithmKind::Bbss] {
+    for kind in [
+        AlgorithmKind::Crss,
+        AlgorithmKind::Bbss,
+        AlgorithmKind::Frontier,
+    ] {
         let bare = run_real(&dir, root, kind, true);
         let tree = open_tree(&dir, root);
         let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
@@ -732,15 +770,16 @@ fn run_threaded_spied(dir: &Path, root: PageId, kind: AlgorithmKind, evict: bool
 /// Where a read is served is the kernel's call and never changes an
 /// answer: a run over resident pages, a run after the OS dropped them
 /// and a run through `InlineBackend` return the same answers for all four
-/// algorithms. BBSS, FPSS and WOPTSS also visit the same nodes and leave
-/// the same store `IoStats` in all three. CRSS does the inline run's work
-/// wherever every read stayed in memory (`inline_reads == reads`); where
-/// some read waited on a disk, it widened the round after it.
+/// algorithms and the frontier. BBSS, FPSS and WOPTSS also visit the same
+/// nodes and leave the same store `IoStats` in all three. CRSS and the
+/// frontier do the inline run's work wherever every read stayed in memory
+/// (`inline_reads == reads`); where some read waited on a disk, they
+/// widened the round after it.
 #[test]
 fn resident_evicted_and_inline_runs_agree() {
     let dir = tmpdir("residency");
     let root = build_store(&dir);
-    for kind in AlgorithmKind::ALL {
+    for kind in KINDS {
         let inline = run_real(&dir, root, kind, false);
         let resident = run_threaded_spied(&dir, root, kind, false);
         let evicted = run_threaded_spied(&dir, root, kind, true);
@@ -840,7 +879,7 @@ impl AccessMethod for ThreadSpy<'_> {
 fn lone_worker_runs_on_the_caller_with_identical_work() {
     let dir = tmpdir("caller-thread");
     let root = build_store(&dir);
-    for kind in AlgorithmKind::ALL {
+    for kind in KINDS {
         let run = |concurrency: usize| {
             let tree = attach(&dir, root);
             let spy = ThreadSpy {

@@ -1,7 +1,8 @@
 //! The SS-tree under every executor: a tree on a `FileStore` with a node
 //! cache answers bit for bit alike under the logical executor, the
 //! simulator and the real-clock engine (inline and threaded backends),
-//! for all four algorithms, and does the same I/O work — the same page
+//! for all four algorithms and the best-first frontier, and does the same
+//! I/O work — the same page
 //! reads per disk and the same cache hits and misses.
 //!
 //! The real engine probes the cache itself and completes each miss from
@@ -9,11 +10,12 @@
 //! as it does under the logical executor. The work contract is the one
 //! `core/tests/backend_parity.rs` states for the R\*-tree: the simulator's
 //! disks serve the reads of a logical run without a cache, and real CRSS
-//! served from memory does logical CRSS's work at activation bound 1.
+//! or frontier served from memory does the logical run's work at
+//! activation bound 1.
 
 use sqda_core::{
-    exec::run_query, AlgorithmKind, BatchResult, Crss, IndexNode, Neighbor, RealTimeEngine,
-    RunOptions, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    exec::run_query, AlgorithmKind, BatchResult, Crss, Frontier, IndexNode, Neighbor,
+    RealTimeEngine, RunOptions, SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::rng::Rng;
 use sqda_geom::Point;
@@ -90,9 +92,12 @@ fn logical(kind: AlgorithmKind, cached: bool, bound: Option<usize>) -> ModeRun {
     let mut answers = Vec::new();
     for q in queries() {
         let before = tree.io_stats().reads_per_disk;
-        let mut algo: Box<dyn SimilaritySearch> = match bound {
-            Some(u) => Box::new(Crss::with_activation_bound(&tree, q, K, u)),
-            None => kind.build(&tree, q, K).unwrap(),
+        let mut algo: Box<dyn SimilaritySearch> = match (bound, kind) {
+            (Some(u), AlgorithmKind::Crss) => Box::new(Crss::with_activation_bound(&tree, q, K, u)),
+            (Some(u), AlgorithmKind::Frontier) => {
+                Box::new(Frontier::with_activation_bound(&tree, q, K, u))
+            }
+            _ => kind.build(&tree, q, K).unwrap(),
         };
         let after = tree.io_stats().reads_per_disk;
         for (o, (a, b)) in oracle.iter_mut().zip(after.iter().zip(before)) {
@@ -204,7 +209,10 @@ fn assert_same(kind: AlgorithmKind, a: &ModeRun, b: &ModeRun, what: &str) {
 
 #[test]
 fn sstree_answers_and_io_agree_across_executors() {
-    for kind in AlgorithmKind::ALL {
+    for kind in AlgorithmKind::ALL
+        .into_iter()
+        .chain([AlgorithmKind::Frontier])
+    {
         let cached = logical(kind, true, None);
         assert!(
             cached.io.reads > 0 && cached.io.cache_hits > 0,
@@ -217,7 +225,7 @@ fn sstree_answers_and_io_agree_across_executors() {
             "uncached logical vs simulated",
         );
         let from_memory = match kind {
-            AlgorithmKind::Crss => logical(kind, true, Some(1)),
+            AlgorithmKind::Crss | AlgorithmKind::Frontier => logical(kind, true, Some(1)),
             _ => cached,
         };
         for threaded in [false, true] {

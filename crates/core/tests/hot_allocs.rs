@@ -1,9 +1,9 @@
 //! What a cache-resident query costs the allocator, pinned exactly.
 //!
 //! A counting `#[global_allocator]` (per-thread counters, so the harness
-//! and other tests cannot leak into a measurement) brackets hot CRSS
-//! `engine.run` calls — the call `QUERY` makes — over a tree whose nodes
-//! are all in the decoded-node cache. Before the per-query scratch and
+//! and other tests cannot leak into a measurement) brackets hot CRSS and
+//! frontier `engine.run` calls — the call `QUERY` makes — over a tree
+//! whose nodes are all in the decoded-node cache, and a backend read. Before the per-query scratch and
 //! the shared node views one such call made 173 allocations and moved
 //! 72 KB on the benchmark store; what is left is what the reply owns: the
 //! report, the algorithm box, the query point and `k` answer points.
@@ -12,7 +12,7 @@ use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, RealTimeEngine, Workload
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{PackingOrder, RStarConfig, RStarTree};
-use sqda_storage::{ArrayStore, InlineBackend, NodeCache};
+use sqda_storage::{ArrayStore, Bytes, DiskId, FileStore, InlineBackend, NodeCache, PageStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -89,8 +89,9 @@ fn workloads() -> Vec<Workload> {
         .collect()
 }
 
-#[test]
-fn hot_crss_query_allocates_only_what_its_reply_owns() {
+/// Settles `kind` over the resident tree, then counts what each hot
+/// `engine.run` asks of the allocator.
+fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
     let tree = resident_tree();
     let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
     let engine = RealTimeEngine::new(&tree, backend).unwrap();
@@ -99,13 +100,13 @@ fn hot_crss_query_allocates_only_what_its_reply_owns() {
     // grows the engine's pooled scratch to its steady size.
     for _ in 0..2 {
         for w in &workloads {
-            assert_eq!(engine.run(AlgorithmKind::Crss, w, 1).unwrap().failed, 0);
+            assert_eq!(engine.run(kind, w, 1).unwrap().failed, 0);
         }
     }
     let reads_before = tree.io_stats().reads;
     let (mut worst_allocs, mut worst_bytes, mut nodes) = (0, 0, 0.0);
     for w in &workloads {
-        let (report, allocs, bytes) = counted(|| engine.run(AlgorithmKind::Crss, w, 1).unwrap());
+        let (report, allocs, bytes) = counted(|| engine.run(kind, w, 1).unwrap());
         assert_eq!(report.answers[0].len(), K);
         nodes += report.mean_nodes_per_query;
         worst_allocs = worst_allocs.max(allocs);
@@ -116,18 +117,54 @@ fn hot_crss_query_allocates_only_what_its_reply_owns() {
         reads_before,
         "every node is resident"
     );
-    // Every read is a cache hit, so CRSS takes one branch per round; a
-    // query still reads more than one root-to-leaf path.
+    // Every read is a cache hit, so the search takes one branch per
+    // round; a query still reads more than one root-to-leaf path.
     assert!(
         nodes / workloads.len() as f64 > tree.height() as f64,
         "queries do real work"
     );
-    println!("hot CRSS engine.run: at most {worst_allocs} allocations, {worst_bytes} bytes");
+    println!("hot {kind} engine.run: at most {worst_allocs} allocations, {worst_bytes} bytes");
     assert!(
         worst_allocs <= 16,
         "{worst_allocs} allocations in one hot query"
     );
     assert!(worst_bytes <= 4096, "{worst_bytes} bytes in one hot query");
+}
+
+#[test]
+fn hot_crss_query_allocates_only_what_its_reply_owns() {
+    hot_query_allocates_only_what_its_reply_owns(AlgorithmKind::Crss);
+}
+
+/// The frontier's heap is recycled through the engine's pooled scratch
+/// like CRSS's candidate stack, so it holds the same bounds.
+#[test]
+fn hot_frontier_query_allocates_only_what_its_reply_owns() {
+    hot_query_allocates_only_what_its_reply_owns(AlgorithmKind::Frontier);
+}
+
+/// A backend read of a resident page is one allocation: the page is read
+/// straight into the shared block the node cache and decoder keep, not
+/// into a buffer copied into it afterwards.
+#[test]
+fn resident_read_is_one_allocation() {
+    let dir = std::env::temp_dir().join(format!("sqda-hot-allocs-read-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = FileStore::create(&dir, 2, 100, 1024, 1).unwrap();
+    let page = store.allocate(DiskId(0)).unwrap();
+    store.write(page, Bytes::from(vec![7u8; 1000])).unwrap();
+    // Just written: the OS holds the page, so the non-blocking read
+    // serves it unless the platform refuses the attempt altogether.
+    let ((_, data), allocs, bytes) = counted(|| store.read_resident(page).unwrap());
+    if store.nowait_supported() {
+        let data = data.expect("a page written moments ago is resident");
+        assert_eq!(&data[..], &[7u8; 1000][..]);
+        assert_eq!(allocs, 1, "{bytes} bytes");
+    }
+    let (data, allocs, _) = counted(|| store.read(page).unwrap());
+    assert_eq!(&data[..], &[7u8; 1000][..]);
+    assert_eq!(allocs, 1, "a blocking read is one allocation too");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests: for arbitrary data, query points and k, all four
-//! algorithms return exactly the brute-force answer, and the structural
-//! invariants of each algorithm hold.
+//! algorithms and the best-first frontier return exactly the brute-force
+//! answer, and the structural invariants of each algorithm hold.
 
 use sqda_core::{
     exec::run_query, mirror_partner, AccessMethod, AlgorithmKind, RunOptions, SimilaritySearch,
@@ -62,7 +62,10 @@ fn algorithms_equal_brute_force() {
                 .collect();
             want.sort_by(|a, b| a.partial_cmp(b).unwrap());
             want.truncate(k);
-            for kind in AlgorithmKind::ALL {
+            for kind in AlgorithmKind::ALL
+                .into_iter()
+                .chain([AlgorithmKind::Frontier])
+            {
                 let mut algo = kind.build(&tree, q.clone(), k).unwrap();
                 let run = run_query(&tree, algo.as_mut()).unwrap();
                 assert_eq!(run.results.len(), want.len(), "{kind} count");
@@ -79,8 +82,8 @@ fn algorithms_equal_brute_force() {
 }
 
 /// WOPTSS never visits more nodes than any real algorithm; BBSS never
-/// batches more than one page; CRSS never batches more than the disk
-/// count.
+/// batches more than one page; CRSS and the frontier never batch more
+/// than the disk count.
 #[test]
 fn structural_invariants() {
     check(
@@ -93,7 +96,10 @@ fn structural_invariants() {
             let q = Point::new(vec![qx, qy]);
             let mut wopt = AlgorithmKind::Woptss.build(&tree, q.clone(), k).unwrap();
             let wopt_run = run_query(&tree, wopt.as_mut()).unwrap();
-            for kind in AlgorithmKind::REAL {
+            for kind in AlgorithmKind::REAL
+                .into_iter()
+                .chain([AlgorithmKind::Frontier])
+            {
                 let mut algo = kind.build(&tree, q.clone(), k).unwrap();
                 let run = run_query(&tree, algo.as_mut()).unwrap();
                 assert!(
@@ -102,7 +108,9 @@ fn structural_invariants() {
                 );
                 match kind {
                     AlgorithmKind::Bbss => assert_eq!(run.max_batch, 1),
-                    AlgorithmKind::Crss => assert!(run.max_batch <= disks as usize),
+                    AlgorithmKind::Crss | AlgorithmKind::Frontier => {
+                        assert!(run.max_batch <= disks as usize)
+                    }
                     _ => {}
                 }
             }
@@ -155,39 +163,73 @@ fn run_narrowed(
     (algo.results(), nodes)
 }
 
-/// CRSS stays exact whatever width an executor feeds it round by round:
+/// `kind` stays exact whatever width an executor feeds it round by round:
 /// for a seeded arbitrary width in `1..=u` before every batch, it returns
 /// the brute-force answers bit for bit (`dist_sq` bits, object id
-/// breaking ties) and never visits fewer nodes than WOPTSS.
+/// breaking ties) and never visits fewer nodes than WOPTSS. Returns the
+/// nodes of the run with every width 1 and WOPTSS's count.
+fn exact_under_any_width_sequence(kind: AlgorithmKind, case: NarrowedCase) -> (u64, u64) {
+    let (points, (qx, qy), k, u, seed) = case;
+    let tree = build(&points, u);
+    let q = Point::new(vec![qx, qy]);
+    let mut want: Vec<(u64, u64)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| (q.dist_sq(&Point::new(vec![x, y])).to_bits(), i as u64))
+        .collect();
+    // Non-negative doubles order as their bit patterns do.
+    want.sort_unstable();
+    want.truncate(k);
+    let mut wopt = AlgorithmKind::Woptss.build(&tree, q.clone(), k).unwrap();
+    let floor = run_query(&tree, wopt.as_mut()).unwrap().nodes_visited;
+    let mut widths = Rng::seed_from_u64(seed);
+    let mut narrowest = 0;
+    for all_ones in [false, true] {
+        let mut algo = kind.build(&tree, q.clone(), k).unwrap();
+        let (answers, nodes) = run_narrowed(&tree, algo.as_mut(), || {
+            if all_ones {
+                1
+            } else {
+                widths.gen_range(1..=u as usize)
+            }
+        });
+        let got: Vec<(u64, u64)> = answers
+            .iter()
+            .map(|n| (n.dist_sq.to_bits(), n.object.0))
+            .collect();
+        assert_eq!(got, want, "{kind} u {u} k {k} all widths 1: {all_ones}");
+        assert!(nodes >= floor, "{kind} {nodes} nodes beat WOPTSS's {floor}");
+        narrowest = nodes;
+    }
+    (narrowest, floor)
+}
+
+/// CRSS is exact under any width sequence ([`exact_under_any_width_sequence`]).
 #[test]
 fn crss_is_exact_under_any_width_sequence() {
     check(
         "crss_is_exact_under_any_width_sequence",
         CASES,
         narrowed_case,
-        |(points, (qx, qy), k, u, seed)| {
-            let tree = build(&points, u);
-            let q = Point::new(vec![qx, qy]);
-            let mut want: Vec<(u64, u64)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y))| (q.dist_sq(&Point::new(vec![x, y])).to_bits(), i as u64))
-                .collect();
-            // Non-negative doubles order as their bit patterns do.
-            want.sort_unstable();
-            want.truncate(k);
-            let mut widths = Rng::seed_from_u64(seed);
-            let mut crss = AlgorithmKind::Crss.build(&tree, q.clone(), k).unwrap();
-            let (answers, nodes) =
-                run_narrowed(&tree, crss.as_mut(), || widths.gen_range(1..=u as usize));
-            let got: Vec<(u64, u64)> = answers
-                .iter()
-                .map(|n| (n.dist_sq.to_bits(), n.object.0))
-                .collect();
-            assert_eq!(got, want, "u {u} k {k}");
-            let mut wopt = AlgorithmKind::Woptss.build(&tree, q, k).unwrap();
-            let floor = run_query(&tree, wopt.as_mut()).unwrap().nodes_visited;
-            assert!(nodes >= floor, "CRSS {nodes} nodes beat WOPTSS's {floor}");
+        |case| {
+            exact_under_any_width_sequence(AlgorithmKind::Crss, case);
+        },
+    );
+}
+
+/// The frontier is exact under any width sequence, and with every width
+/// 1 it is Hjaltason–Samet: it visits exactly WOPTSS's nodes, lattice
+/// ties included (both descend into an entry whose `D_min` equals the
+/// final `D_k`).
+#[test]
+fn frontier_is_exact_under_any_width_sequence() {
+    check(
+        "frontier_is_exact_under_any_width_sequence",
+        CASES,
+        narrowed_case,
+        |case| {
+            let (nodes, floor) = exact_under_any_width_sequence(AlgorithmKind::Frontier, case);
+            assert_eq!(nodes, floor, "width 1 visits WOPTSS's nodes");
         },
     );
 }

@@ -8,6 +8,7 @@
 //! written in place, and the server's resident size follows how those
 //! blocks pack.
 
+use std::convert::Infallible;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
@@ -42,13 +43,26 @@ impl Bytes {
     /// A buffer of `len` bytes, zeroed and then written in place by
     /// `fill`: one allocation of exactly `len` bytes, no copy.
     pub fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let Ok(bytes) = Bytes::try_filled(len, |buf| {
+            fill(buf);
+            Ok::<_, Infallible>(())
+        });
+        bytes
+    }
+
+    /// [`Bytes::filled`] with a `fill` that can fail, as a read into the
+    /// buffer can: the buffer is dropped and `fill`'s error returned.
+    pub fn try_filled<E>(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
         let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        fill(Arc::get_mut(&mut data).expect("a new buffer has one owner"));
-        Bytes {
+        fill(Arc::get_mut(&mut data).expect("a new buffer has one owner"))?;
+        Ok(Bytes {
             data,
             start: 0,
             end: len,
-        }
+        })
     }
 
     /// The sub-window `r` of this buffer, sharing its storage.

@@ -538,13 +538,19 @@ impl FileStore {
         if !self.nowait_supported() {
             return None;
         }
-        let mut data = vec![0u8; len];
-        match os::pread_nowait(&self.files[disk], &mut data, offset) {
-            Ok(n) if n == len => {
-                self.counters.tally_read(disk);
-                Some(Bytes::from(data))
+        // Read straight into the page's final block; a short read is
+        // declined like a refused one.
+        let read = Bytes::try_filled(len, |buf| -> std::io::Result<()> {
+            match os::pread_nowait(&self.files[disk], buf, offset)? {
+                n if n == len => Ok(()),
+                _ => Err(std::io::ErrorKind::UnexpectedEof.into()),
             }
-            Ok(_) => None,
+        });
+        match read {
+            Ok(data) => {
+                self.counters.tally_read(disk);
+                Some(data)
+            }
             Err(e) => {
                 // ENOSYS / EOPNOTSUPP (kernel or filesystem without
                 // RWF_NOWAIT) and EINVAL (flag rejected) will not change
@@ -701,10 +707,11 @@ impl PageStore for FileStore {
             return Err(StorageError::UninitializedPage(page));
         }
         let disk = placement.disk.index();
-        let mut data = vec![0u8; len as usize];
-        read_exact_at(&self.files[disk], &mut data, offset).map_err(|e| Self::io_err(e, page))?;
+        let data = Bytes::try_filled(len as usize, |buf| {
+            read_exact_at(&self.files[disk], buf, offset).map_err(|e| Self::io_err(e, page))
+        })?;
         self.counters.tally_read(disk);
-        Ok(Bytes::from(data))
+        Ok(data)
     }
 
     fn free(&self, page: PageId) -> Result<()> {

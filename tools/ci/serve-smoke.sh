@@ -37,7 +37,7 @@ def req(line):
     return f.readline().strip()
 assert req('PING') == 'PONG'
 replies = {}
-for algo in ('bbss', 'fpss', 'crss', 'woptss'):
+for algo in ('bbss', 'fpss', 'crss', 'woptss', 'frontier'):
     r = req(f'QUERY 0.5,0.5 5 {algo}')
     assert r.startswith('OK 5 '), (algo, r)
     replies[algo] = r
@@ -46,7 +46,7 @@ assert req('QUERY nonsense').startswith('ERR')
 # EXPLAIN: one-line JSON introspection record with the analytical
 # prediction and residuals next to the observed per-level execution
 # profile. It runs a real query, so it feeds every per-query counter
-# below (5 = 4 QUERYs + this).
+# below (7 = 5 QUERYs + this + the bare EXPLAIN after it).
 ex = req('EXPLAIN 0.5,0.5 5 crss')
 assert ex.startswith('{'), ex
 rec = json.loads(ex)
@@ -62,11 +62,15 @@ assert rec['predicted_accesses'] and rec['predicted_accesses'] > 0, rec
 assert abs(rec['residual_accesses'] -
            (rec['observed_accesses'] - rec['predicted_accesses'])) < 1e-9, rec
 assert rec['calibrated'] is False, rec  # first run: no calibration.json yet
+# A bare EXPLAIN (or QUERY) runs the best-first frontier.
+bare = json.loads(req('EXPLAIN 0.5,0.5 5'))
+assert bare['algo'] == 'FRONTIER' and bare['k'] == 5, bare
+assert bare['observed_accesses'] > 0, bare
 assert req('EXPLAIN nonsense').startswith('ERR')
 assert req('EXPLAIN').startswith('ERR')
 
 stats = req('STATS')
-assert stats.startswith('STATS queries=5 '), stats
+assert stats.startswith('STATS queries=7 '), stats
 for field in ('cache_hit_ratio=', 'degraded_reads=0',
               'window_qps=', 'window_p50_ms=', 'window_p99_ms=',
               'reads_per_disk=', 'resident_bytes=', 'byte_budget=',
@@ -76,7 +80,7 @@ for field in ('cache_hit_ratio=', 'degraded_reads=0',
 # Shared-traversal batch verb: two queries, one descent. The first
 # query's answers must match the earlier solo fpss reply (BATCH feeds
 # the served counter but not per-query telemetry, so the later
-# queries_completed/flight/slow-log counts of 5 still hold).
+# queries_completed/flight/slow-log counts of 7 still hold).
 solo = replies['fpss']
 batch = req('BATCH 0.5,0.5;0.1,0.9 5')
 assert batch.startswith('OK 2 fetches='), batch
@@ -137,7 +141,7 @@ for key, e in hists.items():
     assert bounds[-1] == float('inf'), (key, bounds)
     assert e['s'] and e['c'] == cums[-1], (key, e)
 text = '\n'.join(lines)
-assert 'sqda_queries_completed_total 5' in text, text[:2000]
+assert 'sqda_queries_completed_total 7' in text, text[:2000]
 assert 'sqda_disk_reads_total{disk="0"}' in text
 assert 'sqda_model_residual_accesses ' in text, text[:2000]
 assert 'sqda_model_residual_latency ' in text, text[:2000]
@@ -159,12 +163,12 @@ t = json.load(open(trace_file))
 assert t['displayTimeUnit'] == 'ms'
 begins = sum(1 for e in t['traceEvents'] if e['ph'] == 'b')
 ends = sum(1 for e in t['traceEvents'] if e['ph'] == 'e')
-assert begins == ends == 5, (begins, ends)
+assert begins == ends == 7, (begins, ends)
 slow = [json.loads(l) for l in open(f'{out}/slow.jsonl')]
-assert len(slow) == 5 and all('response_ms' in e for e in slow), slow
-# The EXPLAIN'd query's slow-log entry carries the full record.
+assert len(slow) == 7 and all('response_ms' in e for e in slow), slow
+# The EXPLAIN'd queries' slow-log entries carry the full record.
 enriched = [e for e in slow if 'explain' in e]
-assert len(enriched) == 1, slow
+assert len(enriched) == 2, slow
 emb = enriched[0]['explain']
 assert emb['observed_accesses'] > 0 and 'predicted_accesses' in emb, emb
 print('serve smoke OK:', stats)

@@ -100,11 +100,17 @@ assert s['benches']['bench_hotpath']['reps'] > 0
 for key in ('decode_leaf_ns', 'decode_internal_ns',
             'warm_traversal_ns_per_node', 'knn_warm_ns_per_query',
             'batch_knn_ns_per_query', 'crss_hot_query_ns',
-            'crss_hot_nodes_per_query', 'crss_hot_rounds_per_query'):
+            'crss_hot_nodes_per_query', 'crss_hot_rounds_per_query',
+            'frontier_hot_query_ns', 'frontier_hot_nodes_per_query',
+            'frontier_hot_rounds_per_query'):
     assert h[key] > 0, (key, h[key])
 # Every read of the hot query is free, so CRSS activates one branch per
 # round: each round is exactly one page.
 assert h['crss_hot_nodes_per_query'] == h['crss_hot_rounds_per_query'], h
+# So does the best-first frontier, and in distance order it visits
+# WOPTSS's nodes: never more than CRSS's.
+assert h['frontier_hot_nodes_per_query'] == h['frontier_hot_rounds_per_query'], h
+assert h['frontier_hot_nodes_per_query'] <= h['crss_hot_nodes_per_query'], h
 # A hot CRSS query allocates what its reply owns and nothing else
 # (exact counts; core/tests/hot_allocs.rs pins the same).
 assert 0 < h['allocs_per_query'] <= 16, h['allocs_per_query']
