@@ -15,6 +15,17 @@
 //! to the backend's per-disk workers (none when the node cache holds
 //! the round). The accept loop owns the listener and nothing else.
 //!
+//! A handler whose replies are all flushed, with nothing buffered, would
+//! block in `read`, and waking it costs 7–9 µs of a round trip on a
+//! 2-vCPU VM. So first it polls its socket, non-blocking and yielding
+//! the core between attempts, for up to [`POLL_WINDOW`] (20 µs), and
+//! only then blocks. It polls only while both hold: its peer sent the
+//! previous request within the window of the reply before it (a new
+//! connection counts as prompt), and fewer connections sent a request in
+//! the last millisecond than the process has cores, so the spin takes a
+//! core no other connection needs. `STATS polled_requests=` counts the
+//! requests found by polling.
+//!
 //! # Replies, flushing and limits
 //!
 //! Accepted sockets run with `TCP_NODELAY`, and replies collect in a
@@ -63,6 +74,7 @@
 //!          cache_hit_ratio=<x> degraded_reads=<d> window_qps=<qps>
 //!          window_p50_ms=<p50> window_p99_ms=<p99> reads_per_disk=<a,b,...>
 //!          resident_bytes=<b> byte_budget=<b> inline_reads=<n>
+//!          polled_requests=<n>
 //! -> METRICS       (Prometheus text exposition; read until the "# EOF" line)
 //! <- # HELP sqda_queries_started_total ...
 //!    ...
@@ -105,6 +117,7 @@ use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfil
 use sqda_core::Neighbor;
 use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
 use sqda_geom::Point;
+use sqda_obs::prometheus::ServerCounters;
 use sqda_obs::{trace_document, LiveTelemetry};
 use sqda_rstar::{Node, RStarTree};
 use sqda_simkernel::SystemParams;
@@ -118,6 +131,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 type CmdResult = Result<(), Box<dyn Error + Send + Sync>>;
 
@@ -303,6 +317,108 @@ const MAX_BATCH: usize = 1024;
 /// though more requests are already buffered: bounds the reply buffer.
 const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
+/// How long a handler with every reply flushed polls its socket for the
+/// next request before it blocks in `read` (see the module docs). A
+/// single closed-loop client turns a reply around in 12–13 µs on
+/// loopback (p50–p90); the wake-up a blocking read costs is 7–9 µs.
+const POLL_WINDOW: Duration = Duration::from_micros(20);
+
+/// A connection that sent a request within this long needs a core: the
+/// handler polls only while fewer connections than cores did. Counted in
+/// ticks of this length, so "within" is one to two ticks.
+const RECENT: Duration = Duration::from_millis(1);
+
+/// When a handler polls instead of blocking.
+#[derive(Debug, Clone, Copy)]
+struct PollRule {
+    /// How long a poll lasts ([`POLL_WINDOW`] when serving).
+    window: Duration,
+    /// Cores the process may run on, read once at start: the lookup
+    /// reads cgroup files.
+    cores: usize,
+}
+
+impl PollRule {
+    /// The rule `sqda serve` runs under: [`POLL_WINDOW`], and the cores
+    /// the process may use.
+    fn serving() -> Self {
+        PollRule {
+            window: POLL_WINDOW,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Polls when the peer answered its last reply within the window
+    /// (`last_gap`: reply flushed → next request readable) and fewer
+    /// connections than cores sent a request recently (`active`,
+    /// this one included), so the poll spins on a core no one else needs.
+    fn polls(&self, last_gap: Duration, active: usize) -> bool {
+        last_gap <= self.window && active < self.cores
+    }
+}
+
+/// The bits of an [`Activity`] tick word that count connections; the
+/// tick number is above them.
+const COUNT_BITS: u32 = 20;
+
+/// How many connections sent a request recently, in O(1) per request
+/// and without a lock: per tick of [`RECENT`], the number of distinct
+/// connections that sent one in it. A connection counts itself once per
+/// tick, so the shared words are written about once a millisecond per
+/// busy connection, and read on every wait.
+struct Activity {
+    epoch: Instant,
+    /// `tick << COUNT_BITS | connections`, for even and odd ticks.
+    ticks: [AtomicU64; 2],
+}
+
+impl Activity {
+    fn new() -> Self {
+        Activity {
+            epoch: Instant::now(),
+            ticks: [AtomicU64::new(0), AtomicU64::new(0)],
+        }
+    }
+
+    /// The tick `at` falls in; 1 is the first, so no word ever names 0.
+    fn tick(&self, at: Instant) -> u64 {
+        (at.saturating_duration_since(self.epoch).as_nanos() / RECENT.as_nanos()) as u64 + 1
+    }
+
+    /// Counts a request sent at `at` on the connection whose last
+    /// counted tick is `*last`.
+    fn note(&self, at: Instant, last: &mut u64) {
+        let tick = self.tick(at);
+        if *last == tick {
+            return;
+        }
+        *last = tick;
+        let word = &self.ticks[(tick & 1) as usize];
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            match w >> COUNT_BITS {
+                t if t == tick => Some(w + 1),
+                t if t < tick => Some(tick << COUNT_BITS | 1),
+                _ => None, // another thread's clock is a tick ahead
+            }
+        });
+    }
+
+    /// Connections that sent a request in the tick `at` falls in or the
+    /// one before, whichever counted more.
+    fn active(&self, at: Instant) -> usize {
+        let tick = self.tick(at);
+        let count = |t: u64| {
+            let w = self.ticks[(t & 1) as usize].load(Ordering::Relaxed);
+            if w >> COUNT_BITS == t {
+                (w & ((1 << COUNT_BITS) - 1)) as usize
+            } else {
+                0
+            }
+        };
+        count(tick).max(count(tick - 1))
+    }
+}
+
 /// What every connection handler shares.
 struct Server<'a> {
     engine: RealTimeEngine<'a, RStarTree<FileStore>>,
@@ -317,6 +433,41 @@ struct Server<'a> {
     /// `SHUTDOWN` can unblock handlers parked in `read`.
     conns: Mutex<HashMap<usize, TcpStream>>,
     addr: SocketAddr,
+    poll: PollRule,
+    activity: Activity,
+    /// Requests a handler found by polling (`STATS polled_requests=`).
+    polled: AtomicU64,
+}
+
+impl<'a> Server<'a> {
+    /// An engine over `tree` whose reads go through a fresh
+    /// [`ThreadedFileBackend`], both observed by `live`.
+    fn new(
+        tree: &'a RStarTree<FileStore>,
+        live: Arc<LiveTelemetry>,
+        explain: ExplainContext,
+        addr: SocketAddr,
+        poll: PollRule,
+    ) -> Result<Self, Box<dyn Error + Send + Sync>> {
+        let observer: Arc<dyn ReadObserver> = Arc::clone(&live) as _;
+        let threaded = Arc::new(ThreadedFileBackend::with_observer(
+            Arc::clone(tree.store()),
+            observer,
+        ));
+        let io: Arc<dyn IoBackend> = threaded.clone();
+        Ok(Server {
+            engine: RealTimeEngine::new(tree, io)?.with_telemetry(live)?,
+            threaded,
+            explain,
+            served: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            addr,
+            poll,
+            activity: Activity::new(),
+            polled: AtomicU64::new(0),
+        })
+    }
 }
 
 /// Accept loop: one handler thread per connection, shared engine. Returns
@@ -331,22 +482,18 @@ pub fn run_server(
     live: Arc<LiveTelemetry>,
     explain: ExplainContext,
 ) -> CmdResult {
-    let observer: Arc<dyn ReadObserver> = Arc::clone(&live) as _;
-    let threaded = Arc::new(ThreadedFileBackend::with_observer(
-        Arc::clone(tree.store()),
-        observer,
-    ));
-    let io: Arc<dyn IoBackend> = threaded.clone();
-    let server = Server {
-        engine: RealTimeEngine::new(tree, io)?.with_telemetry(live)?,
-        threaded,
-        explain,
-        served: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        conns: Mutex::new(HashMap::new()),
-        addr: listener.local_addr()?,
-    };
-    let server = &server;
+    serve_connections(tree, listener, live, explain, PollRule::serving())
+}
+
+/// [`run_server`] under an explicit poll rule.
+fn serve_connections(
+    tree: &RStarTree<FileStore>,
+    listener: TcpListener,
+    live: Arc<LiveTelemetry>,
+    explain: ExplainContext,
+    poll: PollRule,
+) -> CmdResult {
+    let server = &Server::new(tree, live, explain, listener.local_addr()?, poll)?;
     let conns = || server.conns.lock().expect("connection registry poisoned");
     std::thread::scope(|s| -> CmdResult {
         let mut accepted = Ok(());
@@ -390,6 +537,11 @@ fn handle_connection(stream: &TcpStream, server: &Server) {
     let mut writer = stream;
     let mut line: Vec<u8> = Vec::new();
     let mut out = String::new();
+    // The last wait's length, reply flushed → request readable; the
+    // first request counts as prompt. And the last activity tick this
+    // connection counted itself in.
+    let mut gap = Duration::ZERO;
+    let mut tick = 0;
     let last = loop {
         // The flush rule: never block in `read` holding replies, and
         // never hold more than REPLY_FLUSH_BYTES of them.
@@ -400,11 +552,31 @@ fn handle_connection(stream: &TcpStream, server: &Server) {
             }
             out.clear();
         }
+        // Nothing buffered: the read below would block. Poll first when
+        // the rule allows, so a prompt request is not a wake-up away.
+        let idle_from = reader.buffer().is_empty().then(Instant::now);
+        if let Some(idle_from) = idle_from {
+            if server.poll.polls(gap, server.activity.active(idle_from)) {
+                match poll_input(&mut reader, server.poll.window) {
+                    Ok(true) => {
+                        server.polled.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(false) => {}
+                    // Still non-blocking: a write could fail half done.
+                    Err(_) => break Control::Quit,
+                }
+            }
+        }
         line.clear();
         let mut capped = reader.by_ref().take(MAX_LINE as u64 + 1);
         if !capped.read_until(b'\n', &mut line).is_ok_and(|n| n > 0) {
             break Control::Quit; // end of input, or the socket failed
         }
+        let now = Instant::now();
+        if let Some(idle_from) = idle_from {
+            gap = now - idle_from;
+        }
+        server.activity.note(now, &mut tick);
         let control = if line.len() > MAX_LINE && !line.ends_with(b"\n") {
             out.push_str("ERR line too long");
             Control::Quit
@@ -431,6 +603,35 @@ fn handle_connection(stream: &TcpStream, server: &Server) {
         // Unblock the accept loop so it observes the flag.
         let _ = TcpStream::connect(server.addr);
     }
+}
+
+/// Polls the reader's socket for input for up to `window`, yielding the
+/// core between attempts; `Ok(true)` once input is buffered. The socket
+/// is non-blocking only inside this call, so every write and every
+/// blocking read sees it blocking; `Err` when it could not be put back
+/// (and the connection must close).
+/// (The registry's clone shares the mode, and only ever shuts down.)
+fn poll_input(reader: &mut BufReader<&TcpStream>, window: Duration) -> std::io::Result<bool> {
+    use std::io::ErrorKind::{Interrupted, WouldBlock};
+    let stream = *reader.get_ref();
+    if stream.set_nonblocking(true).is_err() {
+        return Ok(false);
+    }
+    let start = Instant::now();
+    let arrived = loop {
+        match reader.fill_buf() {
+            // Input, or end of input for the blocking read to see.
+            Ok(buf) => break !buf.is_empty(),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+            Err(_) => break false, // the blocking read reports it
+        }
+        if start.elapsed() >= window {
+            break false;
+        }
+        std::thread::yield_now();
+    };
+    stream.set_nonblocking(false)?;
+    Ok(arrived)
 }
 
 enum Control {
@@ -534,6 +735,7 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
         threaded,
         explain,
         served,
+        polled,
         ..
     } = server;
     let dim = engine.access_method().dim();
@@ -586,6 +788,7 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
                 io.cache_resident_bytes, io.cache_byte_budget
             );
             let _ = write!(out, " inline_reads={}", threaded.inline_reads());
+            let _ = write!(out, " polled_requests={}", polled.load(Ordering::Relaxed));
         }
         Some("METRICS") => {
             let live = engine.telemetry().ok_or("telemetry disabled")?;
@@ -593,8 +796,11 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             let io = engine.access_method().io_stats();
             // Multi-line reply; the final "# EOF" line doubles as the
             // exposition-format terminator and the protocol terminator.
-            let inline_reads = Some(threaded.inline_reads());
-            out.push_str(live.prometheus(Some(&io), inline_reads).trim_end());
+            let counters = ServerCounters {
+                inline_reads: threaded.inline_reads(),
+                polled_requests: polled.load(Ordering::Relaxed),
+            };
+            out.push_str(live.prometheus(Some(&io), Some(counters)).trim_end());
         }
         Some("DUMP-TRACE") => {
             let name = words.next().ok_or("usage: DUMP-TRACE <file name>")?;
@@ -684,6 +890,8 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
 mod tests {
     use super::*;
     use crate::meta::TreeMeta;
+    use sqda_geom::prop::len;
+    use sqda_geom::rng::Rng;
     use sqda_rstar::decluster::ProximityIndex;
     use sqda_rstar::RStarConfig;
     use std::io::BufRead;
@@ -946,16 +1154,37 @@ mod tests {
 
     /// Serves a fresh store to `client`, then shuts the server down.
     fn with_server(name: &str, client: impl FnOnce(SocketAddr)) {
+        with_server_under(name, PollRule::serving(), |addr, _| client(addr));
+    }
+
+    /// What `respond` answers each request line in process: the reply a
+    /// served connection must carry byte for byte.
+    type Expect<'a> = &'a (dyn Fn(&str) -> String + Sync);
+
+    /// Serves a fresh store under `poll` to `client`, with an in-process
+    /// twin of the server over the same tree for its expected replies,
+    /// then shuts the server down.
+    fn with_server_under(name: &str, poll: PollRule, client: impl FnOnce(SocketAddr, Expect)) {
         let dir = build_store(name);
         let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
+        let twin = twin_server(&tree);
+        let expect = |request: &str| {
+            let mut out = String::new();
+            respond(request, &twin, &mut out);
+            out
+        };
         std::thread::scope(|s| {
-            let server = s.spawn(|| run_server(&tree, listener, live.clone(), test_context(&tree)));
+            let server = s.spawn(|| {
+                let ctx = test_context(&tree);
+                serve_connections(&tree, listener, live.clone(), ctx, poll)
+            });
             // A failed client assertion must still stop the server, or
             // the scope would wait for it forever.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(addr)));
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(addr, &expect)));
             let (mut c, mut rc) = connect(addr);
             assert_eq!(request_line(&mut c, &mut rc, "SHUTDOWN"), "BYE");
             server.join().unwrap().unwrap();
@@ -1042,7 +1271,24 @@ mod tests {
 
     #[test]
     fn shutdown_does_not_wait_for_idle_clients() {
-        let dir = build_store("idle-shutdown");
+        shutdown_closes_an_idle_client("idle-shutdown", PollRule::serving());
+    }
+
+    #[test]
+    fn shutdown_reaches_a_handler_that_is_polling() {
+        // After its PONG the idle client's handler polls for up to 30 s.
+        let rule = PollRule {
+            window: Duration::from_secs(30),
+            cores: 64,
+        };
+        shutdown_closes_an_idle_client("polling-shutdown", rule);
+    }
+
+    /// `SHUTDOWN` on one connection stops the server within 2 s while
+    /// another client, answered once, sits idle, and that client reads
+    /// end of input.
+    fn shutdown_closes_an_idle_client(name: &str, poll: PollRule) {
+        let dir = build_store(name);
         let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1051,7 +1297,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let ctx = test_context(&tree);
-                let result = run_server(&tree, listener, live.clone(), ctx);
+                let result = serve_connections(&tree, listener, live.clone(), ctx, poll);
                 done_tx.send(result.is_ok()).unwrap();
             });
             let (mut idle, mut r_idle) = connect(addr);
@@ -1192,6 +1438,289 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(written, ["ok.json"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An in-process server over `tree` that no socket reaches.
+    fn twin_server(tree: &RStarTree<FileStore>) -> Server<'_> {
+        let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
+        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
+        Server::new(tree, live, test_context(tree), addr, PollRule::serving()).unwrap()
+    }
+
+    /// The rule the loopback tests poll under: a window a test client
+    /// answers within even on a loaded machine, and cores to spare.
+    const POLLING: PollRule = PollRule {
+        window: Duration::from_millis(2),
+        cores: 64,
+    };
+
+    /// `STATS polled_requests=`, asked on a connection of its own.
+    fn polled_requests(addr: SocketAddr) -> u64 {
+        let (mut c, mut rc) = connect(addr);
+        let stats = request_line(&mut c, &mut rc, "STATS");
+        let (_, n) = stats.split_once(" polled_requests=").expect(&stats);
+        n.split(' ').next().unwrap().parse().unwrap()
+    }
+
+    /// The `i`-th of a mix of queries, algorithms and refusals.
+    fn mixed_request(i: usize) -> String {
+        match i % 4 {
+            0 => "PING".to_string(),
+            1 => format!("QUERY {}.5,{}.25 {}", i % 19, i % 13, 8 + i % 5),
+            2 => format!("QUERY {}.0,{}.0 9 crss", i % 17, i % 11),
+            _ => format!("QUERY {}.0 3", i % 7),
+        }
+    }
+
+    #[test]
+    fn the_poll_gate_wants_a_prompt_peer_and_a_free_core() {
+        let us = Duration::from_micros;
+        let rule = PollRule {
+            window: us(20),
+            cores: 2,
+        };
+        assert!(rule.polls(Duration::ZERO, 1), "a first request, alone");
+        assert!(rule.polls(us(20), 1), "a gap of exactly the window");
+        assert!(!rule.polls(us(21), 1), "a peer slower than the window");
+        assert!(!rule.polls(us(5), 2), "as many busy connections as cores");
+        assert!(!rule.polls(us(5), 3));
+        assert!(PollRule { cores: 4, ..rule }.polls(us(5), 3));
+        // The count includes the asking connection: one core never polls.
+        assert!(!PollRule { cores: 1, ..rule }.polls(Duration::ZERO, 1));
+    }
+
+    #[test]
+    fn activity_counts_each_connection_once_per_tick() {
+        let activity = Activity::new();
+        let at = |us: u64| activity.epoch + Duration::from_micros(us);
+        let (mut a, mut b) = (0, 0);
+        assert_eq!(activity.active(at(0)), 0);
+        activity.note(at(10), &mut a);
+        activity.note(at(20), &mut a);
+        assert_eq!(activity.active(at(30)), 1, "one connection, noted twice");
+        activity.note(at(40), &mut b);
+        assert_eq!(activity.active(at(50)), 2);
+        // Early in the next tick the last one's count still stands...
+        activity.note(at(1_100), &mut a);
+        assert_eq!(activity.active(at(1_200)), 2);
+        // ...and a tick later only what was noted since counts.
+        assert_eq!(activity.active(at(2_300)), 1);
+        assert_eq!(activity.active(at(3_500)), 0);
+        // A clock two ticks behind does not wipe the newer tick's count
+        // in the word they share.
+        let mut c = 0;
+        activity.note(at(3_600), &mut b);
+        activity.note(at(1_500), &mut c);
+        assert_eq!(activity.active(at(3_700)), 1);
+    }
+
+    #[test]
+    fn a_polled_burst_past_the_flush_size_is_answered_in_order() {
+        let requests: Vec<String> = (0..3000).map(mixed_request).collect();
+        with_server_under("poll-burst", POLLING, |addr, expect| {
+            let want: Vec<String> = requests.iter().map(|r| expect(r)).collect();
+            let bytes: usize = want.iter().map(|w| w.len() + 1).sum();
+            assert!(bytes > 2 * REPLY_FLUSH_BYTES, "{bytes} reply bytes");
+            let (mut c, mut rc) = connect(addr);
+            // A closed loop first, so the handler is polling when the
+            // burst lands.
+            for (req, want) in requests.iter().zip(&want).take(50) {
+                assert_eq!(&request_line(&mut c, &mut rc, req), want);
+            }
+            let burst = requests.join("\n") + "\n";
+            std::thread::scope(|s| {
+                s.spawn(|| (&c).write_all(burst.as_bytes()).unwrap());
+                for (req, want) in requests.iter().zip(&want) {
+                    let mut got = String::new();
+                    rc.read_line(&mut got).unwrap();
+                    assert_eq!(got.strip_suffix('\n'), Some(want.as_str()), "{req:?}");
+                }
+            });
+            assert!(polled_requests(addr) > 0, "the handler never polled");
+        });
+    }
+
+    #[test]
+    fn a_client_pausing_past_the_window_is_still_answered() {
+        with_server_under("poll-pause", POLLING, |addr, expect| {
+            let (mut c, mut rc) = connect(addr);
+            for i in 0..60 {
+                if i % 10 == 9 {
+                    std::thread::sleep(POLLING.window * 3);
+                }
+                let req = mixed_request(i);
+                assert_eq!(request_line(&mut c, &mut rc, &req), expect(&req), "{req:?}");
+            }
+            assert!(polled_requests(addr) > 0, "the handler never polled");
+        });
+    }
+
+    #[test]
+    fn two_busy_connections_on_two_cores_close_the_gate() {
+        let rule = PollRule {
+            cores: 2,
+            ..POLLING
+        };
+        with_server_under("poll-two", rule, |addr, expect| {
+            let mut clients = [connect(addr), connect(addr)];
+            for (c, rc) in &mut clients {
+                assert_eq!(request_line(c, rc, "PING"), "PONG");
+            }
+            let before = polled_requests(addr);
+            const EACH: u64 = 400;
+            std::thread::scope(|s| {
+                for (c, rc) in &mut clients {
+                    s.spawn(move || {
+                        for i in 0..EACH as usize {
+                            let req = mixed_request(i);
+                            assert_eq!(request_line(c, rc, &req), expect(&req), "{req:?}");
+                        }
+                    });
+                }
+            });
+            // Only while one client is off its core can the other poll.
+            let polled = polled_requests(addr) - before;
+            assert!(
+                polled < EACH / 2,
+                "{polled} of {} requests polled",
+                2 * EACH
+            );
+        });
+    }
+
+    /// A request line drawn from every verb, with operands that are
+    /// random, truncated or malformed: bad numbers and `k`s, non-finite
+    /// and out-of-range coordinates, trailing words, non-ASCII text.
+    fn wire_request(rng: &mut Rng, size: usize) -> String {
+        fn pick<'a>(rng: &mut Rng, from: &[&'a str]) -> &'a str {
+            from[rng.gen_range(0..from.len())]
+        }
+        fn coords(rng: &mut Rng, size: usize) -> String {
+            const ODD: [&str; 16] = [
+                "1e200",
+                "-1.1e150",
+                "1e150",
+                "NaN",
+                "inf",
+                "-inf",
+                "1e400",
+                "1e-320",
+                "-0",
+                "0x10",
+                "",
+                "abc",
+                "½",
+                "1,",
+                "+.5",
+                "18446744073709551616",
+            ];
+            let n = len(rng, size, 0..5);
+            let coord = |rng: &mut Rng| match rng.gen_bool(0.6) {
+                true => format!("{}", rng.gen_range(-2.0..20.0)),
+                false => pick(rng, &ODD).to_string(),
+            };
+            (0..n).map(|_| coord(rng)).collect::<Vec<_>>().join(",")
+        }
+        const VERBS: [&str; 14] = [
+            "QUERY",
+            "QUERY",
+            "EXPLAIN",
+            "BATCH",
+            "BATCH",
+            "PING",
+            "STATS",
+            "METRICS",
+            "DUMP-TRACE",
+            "QUIT",
+            "SHUTDOWN",
+            "query",
+            "NOPE",
+            "ÉTAT",
+        ];
+        let verb = pick(rng, &VERBS);
+        let mut words = vec![verb.to_string()];
+        if rng.gen_bool(0.9) {
+            match verb {
+                "QUERY" | "EXPLAIN" | "query" => words.push(coords(rng, size)),
+                "BATCH" => {
+                    let n = len(rng, size, 0..6);
+                    words.push(
+                        (0..n)
+                            .map(|_| coords(rng, size))
+                            .collect::<Vec<_>>()
+                            .join(";"),
+                    );
+                }
+                "DUMP-TRACE" => {
+                    words.push(pick(rng, &["t.json", "../t", "a/b", ".", "é.json"]).into())
+                }
+                _ => {}
+            }
+        }
+        if matches!(verb, "QUERY" | "EXPLAIN" | "BATCH") && rng.gen_bool(0.9) {
+            let big = (MAX_K + 1).to_string();
+            let small = rng.gen_range(1..20u64).to_string();
+            let ks = [
+                "0",
+                big.as_str(),
+                small.as_str(),
+                small.as_str(),
+                "-1",
+                "ten",
+                "3.5",
+                "1e3",
+            ];
+            words.push(pick(rng, &ks).into());
+            if rng.gen_bool(0.5) {
+                let algos = [
+                    "crss", "bbss", "fpss", "woptss", "frontier", "CRSS", "astar",
+                ];
+                words.push(pick(rng, &algos).into());
+            }
+        }
+        if rng.gen_bool(0.2) {
+            words.push(pick(rng, &["extra", "ü", "日本", "\u{feff}", "1", ";"]).into());
+        }
+        let mut line = words.join(" ");
+        if rng.gen_bool(0.2) {
+            let mut cut = rng.gen_range(0..line.len() + 1);
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            line.truncate(cut);
+        }
+        line
+    }
+
+    #[test]
+    fn every_request_line_gets_exactly_one_reply() {
+        let dir = build_store("fuzz");
+        let (tree, _) = open_tree(dir.to_str().unwrap()).unwrap();
+        let server = twin_server(&tree);
+        let lines = |rng: &mut Rng, size: usize| -> Vec<String> {
+            (0..len(rng, size, 1..9))
+                .map(|_| wire_request(rng, size))
+                .collect()
+        };
+        sqda_geom::prop::check("wire_requests_get_one_reply", 300, lines, |lines| {
+            for line in lines {
+                // As the connection handler hands lines over.
+                let request = line.trim();
+                if request.is_empty() {
+                    continue;
+                }
+                let mut out = String::new();
+                respond(request, &server, &mut out);
+                assert!(!out.is_empty(), "{request:?}: no reply");
+                if request == "METRICS" {
+                    assert!(out.ends_with("\n# EOF"), "{request:?}: {out}");
+                    assert!(!out.contains("\n\n"), "{request:?}: {out}");
+                } else {
+                    assert!(!out.contains('\n'), "{request:?}: {out:?}");
+                }
+            }
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -90,7 +90,9 @@ impl From<RStarError> for QueryError {
             | RStarError::UnsupportedPacking { .. }
             | RStarError::InvalidBuild(_)
             | RStarError::Source(_) => QueryError::Invariant(e.to_string()),
-            RStarError::NodeDoesNotFit { .. } => QueryError::Config(e.to_string()),
+            RStarError::NodeDoesNotFit { .. } | RStarError::PageSizeMismatch { .. } => {
+                QueryError::Config(e.to_string())
+            }
         }
     }
 }

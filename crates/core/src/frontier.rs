@@ -148,17 +148,21 @@ impl SimilaritySearch for Frontier {
                 IndexNode::Leaf(leaf) => scan_leaf(&leaf, q, &mut s.metrics[0], &mut s.kbest),
                 IndexNode::Internal(block) => {
                     // Entries already outside the query sphere never
-                    // reach the heap (`D_k` only shrinks).
+                    // reach the heap (`D_k` only shrinks). One `push`
+                    // each: `extend` rebuilds the heap when it grows a
+                    // lot, which costs more than sifting a node's worth.
                     let dk_sq = s.kbest.dk_sq();
                     let dists = &mut s.metrics[0];
                     block.min_dist_sq_into(q, dists);
-                    let before = s.frontier.len();
-                    let live = dists.iter().enumerate().filter(|(_, &d)| d <= dk_sq);
-                    s.frontier.extend(live.map(|(i, &d_min_sq)| FrontierEntry {
-                        d_min_sq,
-                        page: block.child(i),
-                    }));
-                    pushed += (s.frontier.len() - before) as u64;
+                    for (i, &d_min_sq) in dists.iter().enumerate() {
+                        if d_min_sq <= dk_sq {
+                            s.frontier.push(FrontierEntry {
+                                d_min_sq,
+                                page: block.child(i),
+                            });
+                            pushed += 1;
+                        }
+                    }
                 }
             }
         }

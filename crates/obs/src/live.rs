@@ -510,17 +510,15 @@ impl LiveTelemetry {
     }
 
     /// Renders the whole registry as Prometheus text exposition, with
-    /// the store's [`IoStats`](sqda_storage::IoStats) and the threaded
-    /// backend's
-    /// [`inline_reads`](sqda_storage::ThreadedFileBackend::inline_reads)
-    /// when given; see [`prometheus`](crate::prometheus) for the format
-    /// contract.
+    /// the store's [`IoStats`](sqda_storage::IoStats) and the server's
+    /// [`ServerCounters`](crate::prometheus::ServerCounters) when given;
+    /// see [`prometheus`](crate::prometheus) for the format contract.
     pub fn prometheus(
         &self,
         io: Option<&sqda_storage::IoStats>,
-        inline_reads: Option<u64>,
+        server: Option<crate::prometheus::ServerCounters>,
     ) -> String {
-        crate::prometheus::render(self, io, inline_reads)
+        crate::prometheus::render(self, io, server)
     }
 }
 

@@ -21,6 +21,17 @@ use sqda_storage::IoStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The serving process's own counters, exported beside the registry by
+/// `sqda serve`'s `METRICS` verb.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerCounters {
+    /// Backend reads served on the submitting thread rather than a disk
+    /// worker (`ThreadedFileBackend::inline_reads`).
+    pub inline_reads: u64,
+    /// Requests a connection thread found while polling its socket.
+    pub polled_requests: u64,
+}
+
 /// Metric name prefix shared by every family.
 const PREFIX: &str = "sqda";
 
@@ -84,10 +95,10 @@ fn histogram_family(
 }
 
 /// Renders the whole live registry (and, when given, the store's
-/// [`IoStats`] and the backend's inline-read count) as Prometheus text
+/// [`IoStats`] and the server's own counters) as Prometheus text
 /// exposition terminated by `# EOF`. The registry's figures come from one
 /// [`LiveTelemetry::scrape`], so they all describe one moment.
-pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>) -> String {
+pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, server: Option<ServerCounters>) -> String {
     let mut out = String::new();
     let Scrape {
         uptime_ns,
@@ -336,12 +347,18 @@ pub fn render(t: &LiveTelemetry, io: Option<&IoStats>, inline_reads: Option<u64>
         }
     }
 
-    if let Some(inline_reads) = inline_reads {
+    if let Some(server) = server {
         counter_u64(
             &mut out,
             &format!("{PREFIX}_backend_inline_reads_total"),
             "Backend reads served on the submitting thread, not by a disk worker.",
-            inline_reads,
+            server.inline_reads,
+        );
+        counter_u64(
+            &mut out,
+            &format!("{PREFIX}_polled_requests_total"),
+            "Requests a connection thread found by polling its socket, not woken from a blocking read.",
+            server.polled_requests,
         );
     }
 
@@ -571,7 +588,11 @@ mod tests {
             cache_byte_budget: 65_536,
             ..sqda_storage::IoStats::default()
         };
-        let text = render(&t, Some(&io), Some(17));
+        let server = ServerCounters {
+            inline_reads: 17,
+            polled_requests: 9,
+        };
+        let text = render(&t, Some(&io), Some(server));
         let errors = lint(&text);
         assert!(errors.is_empty(), "lint errors: {errors:#?}");
         assert!(text.ends_with("# EOF\n"));
@@ -585,6 +606,7 @@ mod tests {
         assert!(text.contains("sqda_cache_hit_ratio 0.4"));
         assert!(text.contains("sqda_disk_service_time_ms_bucket{disk=\"1\",le=\"+Inf\"} 2"));
         assert!(text.contains("sqda_backend_inline_reads_total 17"));
+        assert!(text.contains("sqda_polled_requests_total 9"));
         assert!(text.contains("sqda_flight_events_total"));
     }
 

@@ -49,6 +49,14 @@ pub enum RStarError {
         /// The page size, bytes.
         page_size: usize,
     },
+    /// The configuration sizes nodes for pages of one size and the store
+    /// holds pages of another; refused before anything is written.
+    PageSizeMismatch {
+        /// The configuration's page size, bytes.
+        config: usize,
+        /// The store's page size, bytes.
+        store: usize,
+    },
 }
 
 impl From<StorageError> for RStarError {
@@ -86,6 +94,10 @@ impl std::fmt::Display for RStarError {
                 f,
                 "page size {page_size} too small for {dim}-d nodes of 4 entries"
             ),
+            RStarError::PageSizeMismatch { config, store } => write!(
+                f,
+                "configured page size {config} but the store's pages are {store} bytes"
+            ),
         }
     }
 }
@@ -94,6 +106,16 @@ impl std::error::Error for RStarError {}
 
 /// Convenience alias for tree results.
 pub type Result<T> = std::result::Result<T, RStarError>;
+
+/// Refuses a configuration whose nodes are sized for pages the store
+/// does not have: larger ones fail a write part-way through a build,
+/// smaller ones waste every page.
+fn check_page_size<B, S: PageStore + ?Sized>(config: &TreeConfig<B>, store: &S) -> Result<()> {
+    match (config.page_size, store.page_size()) {
+        (config, store) if config != store => Err(RStarError::PageSizeMismatch { config, store }),
+        _ => Ok(()),
+    }
+}
 
 /// Summary statistics of a tree (used by experiments and diagnostics).
 #[derive(Debug, Clone, PartialEq)]
@@ -187,11 +209,14 @@ pub struct PagedTree<S: PageStore, B: Bound> {
 
 impl<S: PageStore, B: Bound> PagedTree<S, B> {
     /// Creates an empty tree: a single empty leaf, placed on disk 0.
+    /// A `config` sized for another page size than the store's is
+    /// [`RStarError::PageSizeMismatch`], with nothing written.
     pub(crate) fn create_with(
         store: Arc<S>,
         config: TreeConfig<B>,
         placer: B::Placer,
     ) -> Result<Self> {
+        check_page_size(&config, store.as_ref())?;
         let root = store.allocate(DiskId(0))?;
         store.write(root, codec::encode::<B>(&Node::empty_leaf(), config.dim))?;
         Ok(Self {
@@ -211,13 +236,15 @@ impl<S: PageStore, B: Bound> PagedTree<S, B> {
     /// `root` is the root page id recorded by the caller (e.g. alongside
     /// a [`sqda_storage::FileStore`]'s superblock); height and object
     /// count are recovered from the root node itself. `placer` places
-    /// the nodes later inserts split off.
+    /// the nodes later inserts split off. A `config` sized for another
+    /// page size than the store's is [`RStarError::PageSizeMismatch`].
     pub fn attach(
         store: Arc<S>,
         config: TreeConfig<B>,
         placer: B::Placer,
         root: PageId,
     ) -> Result<Self> {
+        check_page_size(&config, store.as_ref())?;
         let node = codec::decode::<B>(store.read(root)?, config.dim, root)?;
         Ok(Self {
             store,

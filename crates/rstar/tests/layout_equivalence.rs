@@ -21,7 +21,7 @@ const QUERIES: usize = 20;
 const K: usize = 10;
 
 fn build_tree() -> RStarTree<ArrayStore> {
-    let store = Arc::new(ArrayStore::new(10, 1449, 1));
+    let store = Arc::new(ArrayStore::with_page_size(10, 1449, 1024, 1));
     let mut tree = RStarTree::create(
         store,
         RStarConfig::with_page_size(2, 1024),

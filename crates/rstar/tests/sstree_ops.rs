@@ -6,9 +6,10 @@ use sqda_core::{
 };
 use sqda_geom::rng::Rng;
 use sqda_geom::Point;
-use sqda_rstar::{SsConfig, SsTree};
+use sqda_rstar::{RStarError, SsConfig, SsTree};
 use sqda_simkernel::SystemParams;
 use sqda_storage::ArrayStore;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
@@ -213,4 +214,28 @@ fn duplicate_points() {
     tree.validate().unwrap().unwrap();
     let got = best_first_knn(&tree, &Point::new(vec![1.0, 1.0]), 100).unwrap();
     assert_eq!(got.len(), 100);
+}
+
+#[test]
+fn a_page_size_mismatch_is_refused_before_anything_is_written() {
+    let store = Arc::new(ArrayStore::with_page_size(4, 1449, 1024, 5));
+    let refused = SsTree::create(store.clone(), SsConfig::new(2));
+    assert!(matches!(
+        refused,
+        Err(RStarError::PageSizeMismatch {
+            config: 4096,
+            store: 1024
+        })
+    ));
+    assert_eq!(store.allocated_pages(), 0);
+
+    let tree = SsTree::create(store.clone(), SsConfig::with_page_size(2, 1024)).unwrap();
+    let attached = SsTree::attach(store, SsConfig::new(2), AtomicU64::new(1), tree.root_page());
+    assert!(matches!(
+        attached,
+        Err(RStarError::PageSizeMismatch {
+            config: 4096,
+            store: 1024
+        })
+    ));
 }

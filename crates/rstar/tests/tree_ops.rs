@@ -5,7 +5,7 @@ use sqda_core::{best_first_knn, exec::run_query, Neighbor, QueryError, RangeSear
 use sqda_geom::rng::Rng;
 use sqda_geom::Point;
 use sqda_rstar::decluster::{ProximityIndex, RoundRobin};
-use sqda_rstar::{RStarConfig, RStarTree};
+use sqda_rstar::{RStarConfig, RStarError, RStarTree};
 use sqda_storage::{ArrayStore, PageStore};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -355,4 +355,56 @@ fn stats_level_structure() {
     assert_eq!(stats.nodes_per_level[stats.height as usize - 1], 1);
     // Leaves outnumber every other level.
     assert!(stats.nodes_per_level[0] >= *stats.nodes_per_level.last().unwrap());
+}
+
+#[test]
+fn a_page_size_mismatch_is_refused_before_anything_is_written() {
+    // An 8 KiB configuration over 4 KiB pages used to take 170 inserts
+    // and then fail part-way through the build.
+    let store = Arc::new(ArrayStore::new(4, 1449, 5));
+    let config = RStarConfig::with_page_size(2, 8192);
+    let refused = RStarTree::create(store.clone(), config, Box::new(ProximityIndex));
+    assert!(
+        matches!(
+            refused,
+            Err(RStarError::PageSizeMismatch {
+                config: 8192,
+                store: 4096
+            })
+        ),
+        "{:?}",
+        refused.err()
+    );
+    assert_eq!(store.allocated_pages(), 0);
+
+    // Attaching reads nothing either: the sizes are compared first.
+    let mut tree =
+        RStarTree::create(store.clone(), RStarConfig::new(2), Box::new(ProximityIndex)).unwrap();
+    for p in random_points(300, 2, 6) {
+        let id = tree.num_objects();
+        tree.insert(p, id).unwrap();
+    }
+    let reads = store.stats().reads;
+    let config = RStarConfig::with_page_size(2, 1024);
+    let attached = RStarTree::attach(
+        store.clone(),
+        config,
+        Box::new(ProximityIndex),
+        tree.root_page(),
+    );
+    assert!(matches!(
+        attached,
+        Err(RStarError::PageSizeMismatch {
+            config: 1024,
+            store: 4096
+        })
+    ));
+    assert_eq!(store.stats().reads, reads);
+    let same = RStarTree::attach(
+        store,
+        RStarConfig::new(2),
+        Box::new(ProximityIndex),
+        tree.root_page(),
+    );
+    assert_eq!(same.unwrap().num_objects(), 300);
 }

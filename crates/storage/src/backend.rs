@@ -28,7 +28,7 @@
 
 use crate::{Bytes, FileStore, PageId, PageStore, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,7 +138,9 @@ impl<S: PageStore + ?Sized> InlineBackend<S> {
 
 impl<S: PageStore + ?Sized + Send + Sync> IoBackend for InlineBackend<S> {
     fn submit_batch(&self, pages: &[PageId]) -> Receiver<ReadCompletion> {
-        let (tx, rx) = std::sync::mpsc::channel();
+        // One slot per page: no send blocks, and a round allocates a
+        // buffer of its own size, not the unbounded channel's block.
+        let (tx, rx) = std::sync::mpsc::sync_channel(pages.len());
         for &page in pages {
             let (disk, cylinder) = placement_of(self.store.as_ref(), page);
             let start = Instant::now();
@@ -179,7 +181,8 @@ struct ReadRequest {
     /// Requests already queued or in service at this disk when this one
     /// was submitted (this request excluded).
     queue_depth: u32,
-    reply: Sender<ReadCompletion>,
+    /// The batch's channel, a slot per page: the send never blocks.
+    reply: SyncSender<ReadCompletion>,
 }
 
 /// Real-file backend: one worker thread per disk, each servicing its
@@ -302,7 +305,9 @@ impl ThreadedFileBackend {
 
 impl IoBackend for ThreadedFileBackend {
     fn submit_batch(&self, pages: &[PageId]) -> Receiver<ReadCompletion> {
-        let (tx, rx) = std::sync::mpsc::channel();
+        // One slot per page, each page sends one completion: no send
+        // blocks, the caller's or a worker's.
+        let (tx, rx) = std::sync::mpsc::sync_channel(pages.len());
         for &page in pages {
             let submitted = Instant::now();
             let done = match self.store.read_resident(page) {

@@ -74,8 +74,10 @@ assert stats.startswith('STATS queries=7 '), stats
 for field in ('cache_hit_ratio=', 'degraded_reads=0',
               'window_qps=', 'window_p50_ms=', 'window_p99_ms=',
               'reads_per_disk=', 'resident_bytes=', 'byte_budget=',
-              'inline_reads='):
+              'inline_reads=', 'polled_requests='):
     assert field in stats, (field, stats)
+# Present, not counted: this client turns a reply around slower than the
+# server's poll window, so whether any request was polled is timing.
 
 # Shared-traversal batch verb: two queries, one descent. The first
 # query's answers must match the earlier solo fpss reply (BATCH feeds
@@ -147,6 +149,7 @@ assert 'sqda_model_residual_accesses ' in text, text[:2000]
 assert 'sqda_model_residual_latency ' in text, text[:2000]
 assert 'sqda_cache_resident_bytes ' in text, text[:2000]
 assert 'sqda_backend_inline_reads_total ' in text, text[:2000]
+assert 'sqda_polled_requests_total ' in text, text[:2000]
 open(f'{out}/metrics-scrape.txt', 'w').write(text + '\n')
 print('METRICS OK:', len(lines), 'lines,', len(hists), 'histogram series')
 
