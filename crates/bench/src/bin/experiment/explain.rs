@@ -22,7 +22,7 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions, ResultsTable,
 };
-use sqda_core::{AlgorithmKind, RealTimeEngine, Simulation, Workload};
+use sqda_core::{AlgorithmKind, QueryScratch, RealTimeEngine, Simulation, Workload};
 use sqda_datasets::uniform;
 use sqda_obs::{MetricSummary, Prediction};
 use sqda_rstar::decluster::ProximityIndex;
@@ -104,6 +104,7 @@ pub fn run(opts: &ExpOptions) {
 
     let backend = Arc::new(ThreadedFileBackend::new(store.clone()));
     let engine = RealTimeEngine::new(&tree, backend).expect("real-clock engine");
+    let mut scratch = QueryScratch::new();
 
     let mut table = ResultsTable::new(
         format!(
@@ -127,6 +128,7 @@ pub fn run(opts: &ExpOptions) {
         let p = predict_knn(&profile, &params, tree.height(), k, LAMBDA)
             .expect("non-degenerate data space");
         let pred = Prediction::from(p);
+        let request = (LAMBDA, false, Some(pred));
         let mut obs_acc_reps = Vec::new();
         let mut abs_resid_reps = Vec::new();
         let mut obs_ms_reps = Vec::new();
@@ -136,7 +138,7 @@ pub fn run(opts: &ExpOptions) {
             let mut ms = 0.0;
             for q in qs {
                 let (rec, answers) = engine
-                    .explain_query(KIND, q.clone(), k, LAMBDA, false, Some(pred))
+                    .explain_query(KIND, q.clone(), k, request, &mut scratch)
                     .expect("explain query");
                 assert_eq!(rec.answers, answers.len(), "explain answer count");
                 acc += rec.nodes as f64;

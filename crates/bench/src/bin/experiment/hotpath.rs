@@ -19,10 +19,11 @@
 //! * `batch_knn_ns_per_query` — shared-traversal k-NN of a batch of 8,
 //!   plus its deterministic fetch-sharing counters;
 //! * `crss_hot_query_ns`, `allocs_per_query`, `bytes_per_query` — one
-//!   `RealTimeEngine::run` of a CRSS k-NN query (what `sqda serve`'s
-//!   `QUERY` calls) over a 100 000-point STR-packed tree that is entirely
-//!   in the decoded-node cache: wall time, and what it asks of the
-//!   allocator (counted by the `experiment` binary's `#[global_allocator]`; exact);
+//!   `RealTimeEngine::query` of a CRSS k-NN query over a reused
+//!   [`QueryScratch`] (what `sqda serve`'s `QUERY` calls) over a 100 000-point
+//!   STR-packed tree that is entirely in the decoded-node cache: wall time,
+//!   and what it asks of the allocator (counted by the `experiment` binary's
+//!   `#[global_allocator]`; exact);
 //! * `crss_hot_nodes_per_query`, `crss_hot_rounds_per_query` — that
 //!   query's nodes and fetch rounds (exact). Every read is free, so CRSS
 //!   takes one branch per round and the two are equal;
@@ -57,7 +58,7 @@ use sqda_bench::{
     report::{BinReport, Direction},
     ExpOptions,
 };
-use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine, Workload};
+use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine};
 use sqda_geom::{kernel, Point};
 use sqda_obs::{Event, LiveTelemetry, QueryObservation};
 use sqda_rstar::decluster::ProximityIndex;
@@ -86,7 +87,7 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Counts what the process asks of the allocator while `COUNTING` is on:
-/// the hot-query section turns it on around single-threaded `engine.run`
+/// the hot-query section turns it on around single-threaded `engine.query`
 /// calls, so the sweeps of the other experiments pay one relaxed load.
 struct Counting;
 
@@ -377,45 +378,51 @@ pub fn run(opts: &ExpOptions) {
         black_box(r.answers.len());
     });
 
-    // One served CRSS query, hot: `engine.run` on a single-query
-    // workload, as `QUERY` calls it, every node a cache hit. Two settling
-    // passes (cache fill, then the engine's pooled scratch reaching its
-    // steady size), an exact allocation count, then timed passes.
+    // One served CRSS query, hot: `engine.query` over one scratch, as
+    // `QUERY` calls it, every node a cache hit. Two settling passes (cache
+    // fill, then the scratch reaching its steady size), an exact
+    // allocation count of the calls alone (their points are copied before
+    // counting starts, as `QUERY` parses its own), then timed passes.
     let served = build_served_tree();
     let backend = Arc::new(InlineBackend::new(Arc::clone(served.store())));
     let engine = RealTimeEngine::new(&served, backend).expect("engine");
-    let served_queries: Vec<Workload> = (0..SERVED_QUERIES)
+    let served_points: Vec<Point> = (0..SERVED_QUERIES)
         .map(|i| {
             let q = vec![(i * 37 % 311) as f64 + 0.3, (i * 53 % 311) as f64 + 0.7];
-            Workload::single(Point::new(q), K)
+            Point::new(q)
         })
         .collect();
-    let serve_all = |kind: AlgorithmKind| {
-        let (mut nodes, mut rounds) = (0.0, 0.0);
-        for w in &served_queries {
-            let report = engine.run(kind, w, 1).expect("hot query");
-            assert_eq!((report.failed, report.answers[0].len()), (0, K));
-            nodes += report.mean_nodes_per_query;
-            rounds += report.mean_batches_per_query;
+    let mut served_scratch = QueryScratch::new();
+    let mut serve_all = |kind: AlgorithmKind, points: Vec<Point>| {
+        let (mut nodes, mut rounds) = (0, 0);
+        for point in points {
+            let run = engine
+                .query(kind, point, K, &mut served_scratch)
+                .expect("hot query");
+            assert_eq!(run.results.len(), K);
+            nodes += run.nodes_visited;
+            rounds += run.batches;
         }
-        let n = served_queries.len() as f64;
-        (nodes / n, rounds / n)
+        let n = SERVED_QUERIES as f64;
+        (nodes as f64 / n, rounds as f64 / n)
     };
-    serve_all(AlgorithmKind::Crss);
-    serve_all(AlgorithmKind::Crss);
+    serve_all(AlgorithmKind::Crss, served_points.clone());
+    serve_all(AlgorithmKind::Crss, served_points.clone());
+    let points = served_points.clone();
     COUNTING.store(true, Relaxed);
     let counted_from = (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
-    let (crss_nodes_per_query, crss_rounds_per_query) = serve_all(AlgorithmKind::Crss);
+    let (crss_nodes_per_query, crss_rounds_per_query) = serve_all(AlgorithmKind::Crss, points);
     COUNTING.store(false, Relaxed);
-    let per_query = |total: u64| total as f64 / served_queries.len() as f64;
+    let per_query = |total: u64| total as f64 / served_points.len() as f64;
     let allocs_per_query = per_query(ALLOCS.load(Relaxed) - counted_from.0);
     let bytes_per_query = per_query(ALLOC_BYTES.load(Relaxed) - counted_from.1);
-    let crss_reps = sample_ns(reps, 1, served_queries.len(), |_| {
-        black_box(serve_all(AlgorithmKind::Crss));
+    let crss_reps = sample_ns(reps, 1, served_points.len(), |_| {
+        black_box(serve_all(AlgorithmKind::Crss, served_points.clone()));
     });
-    let (frontier_nodes_per_query, frontier_rounds_per_query) = serve_all(AlgorithmKind::Frontier);
-    let frontier_reps = sample_ns(reps, 1, served_queries.len(), |_| {
-        black_box(serve_all(AlgorithmKind::Frontier));
+    let (frontier_nodes_per_query, frontier_rounds_per_query) =
+        serve_all(AlgorithmKind::Frontier, served_points.clone());
+    let frontier_reps = sample_ns(reps, 1, served_points.len(), |_| {
+        black_box(serve_all(AlgorithmKind::Frontier, served_points.clone()));
     });
 
     let telemetry = telemetry_costs(reps);

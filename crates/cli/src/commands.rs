@@ -4,7 +4,8 @@ use crate::args::{checked, parse_query_point, Args, ArgsError};
 use crate::meta::TreeMeta;
 use sqda_analysis::{predict_knn, DeviceCalibration, TreeProfile};
 use sqda_core::{
-    exec::run_query, AlgorithmKind, RangeSearch, RealTimeEngine, RunOptions, Simulation, Workload,
+    exec::run_query, AlgorithmKind, QueryScratch, RangeSearch, RealTimeEngine, RunOptions,
+    Simulation, Workload,
 };
 use sqda_datasets::{CsvRows, Dataset};
 use sqda_geom::Point;
@@ -574,8 +575,8 @@ pub fn explain(args: &Args) -> CmdResult {
     let predicted = predict_knn(&profile, &params, tree.height(), k, lambda).map(Into::into);
     let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
     let engine = RealTimeEngine::new(&tree, backend)?;
-    let (record, _) =
-        engine.explain_query(kind, point, k, lambda, calibration.is_some(), predicted)?;
+    let request = (lambda, calibration.is_some(), predicted);
+    let (record, _) = engine.explain_query(kind, point, k, request, &mut QueryScratch::new())?;
     println!("{}", record.to_json());
     Ok(())
 }

@@ -10,10 +10,11 @@
 //! # Threads
 //!
 //! A request is parsed, run and answered on its connection's thread:
-//! `QUERY` calls `engine.run(.., 1)`, whose single worker is the caller,
-//! so the only hand-off in a served query is a round's page reads going
-//! to the backend's per-disk workers (none when the node cache holds
-//! the round). The accept loop owns the listener and nothing else.
+//! `QUERY` calls `engine.query`, which drives the query's session on the
+//! caller over the connection's own [`QueryScratch`], so the only
+//! hand-off in a served query is a round's page reads going to the
+//! backend's per-disk workers (none when the node cache holds the
+//! round). The accept loop owns the listener and nothing else.
 //!
 //! A handler whose replies are all flushed, with nothing buffered, would
 //! block in `read`, and waking it costs 7–9 µs of a round trip on a
@@ -114,8 +115,7 @@
 use crate::args::{checked, parse_query_point, Args};
 use crate::commands::{algo_by_name, calibrated_params, open_tree};
 use sqda_analysis::{predict_knn, DeviceCalibration, DiskServiceModel, TreeProfile};
-use sqda_core::Neighbor;
-use sqda_core::{AlgorithmKind, RealTimeEngine, Workload};
+use sqda_core::{AlgorithmKind, Neighbor, QueryScratch, RealTimeEngine};
 use sqda_geom::Point;
 use sqda_obs::prometheus::ServerCounters;
 use sqda_obs::{trace_document, LiveTelemetry};
@@ -537,6 +537,9 @@ fn handle_connection(stream: &TcpStream, server: &Server) {
     let mut writer = stream;
     let mut line: Vec<u8> = Vec::new();
     let mut out = String::new();
+    // The algorithms' working memory and the round buffers, grown by the
+    // connection's first queries and reused by the rest.
+    let mut scratch = QueryScratch::new();
     // The last wait's length, reply flushed → request readable; the
     // first request counts as prompt. And the last activity tick this
     // connection counted itself in.
@@ -583,7 +586,7 @@ fn handle_connection(stream: &TcpStream, server: &Server) {
         } else {
             match std::str::from_utf8(&line).map(str::trim) {
                 Ok("") => continue,
-                Ok(request) => respond(request, server, &mut out),
+                Ok(request) => respond(request, server, &mut scratch, &mut out),
                 Err(_) => {
                     out.push_str("ERR request is not valid UTF-8");
                     Control::None
@@ -717,9 +720,14 @@ fn write_neighbors(out: &mut String, answers: &[Neighbor], sep: char) {
 /// One protocol request → one reply appended to `out`, without its
 /// final newline (plus connection control). A refused request leaves
 /// exactly `ERR <detail>` behind.
-fn respond(request: &str, server: &Server, out: &mut String) -> Control {
+fn respond(
+    request: &str,
+    server: &Server,
+    scratch: &mut QueryScratch,
+    out: &mut String,
+) -> Control {
     let start = out.len();
-    match try_respond(request, server, out) {
+    match try_respond(request, server, scratch, out) {
         Ok(control) => control,
         Err(detail) => {
             out.truncate(start);
@@ -729,7 +737,12 @@ fn respond(request: &str, server: &Server, out: &mut String) -> Control {
     }
 }
 
-fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Control, String> {
+fn try_respond(
+    request: &str,
+    server: &Server,
+    scratch: &mut QueryScratch,
+    out: &mut String,
+) -> Result<Control, String> {
     let Server {
         engine,
         threaded,
@@ -822,14 +835,11 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
         Some("QUERY") => {
             let mut req = parse_knn(words, "QUERY <x,y,...> <k> [algo]", false, dim)?;
             let point = req.points.pop().expect("a QUERY parses to one point");
-            let report = engine
-                .run(req.kind, &Workload::single(point, req.k), 1)
+            let run = engine
+                .query(req.kind, point, req.k, scratch)
                 .map_err(|e| e.to_string())?;
-            if let Some((_, e)) = report.failures.first() {
-                return Err(e.to_string());
-            }
             served.fetch_add(1, Ordering::Relaxed);
-            let answers = &report.answers[0];
+            let answers = &run.results;
             let _ = write!(out, "OK {}", answers.len());
             if !answers.is_empty() {
                 out.push(' ');
@@ -850,8 +860,9 @@ fn try_respond(request: &str, server: &Server, out: &mut String) -> Result<Contr
             let predicted = explain.profile.as_ref().and_then(|profile| {
                 predict_knn(profile, &explain.params, explain.height, k, lambda).map(Into::into)
             });
+            let request = (lambda, explain.calibrated, predicted);
             let (record, _) = engine
-                .explain_query(kind, point, k, lambda, explain.calibrated, predicted)
+                .explain_query(kind, point, k, request, scratch)
                 .map_err(|e| e.to_string())?;
             served.fetch_add(1, Ordering::Relaxed);
             out.push_str(&record.to_json());
@@ -1173,7 +1184,7 @@ mod tests {
         let twin = twin_server(&tree);
         let expect = |request: &str| {
             let mut out = String::new();
-            respond(request, &twin, &mut out);
+            respond(request, &twin, &mut QueryScratch::new(), &mut out);
             out
         };
         std::thread::scope(|s| {
@@ -1704,6 +1715,8 @@ mod tests {
                 .collect()
         };
         sqda_geom::prop::check("wire_requests_get_one_reply", 300, lines, |lines| {
+            // One connection's worth of lines over one scratch.
+            let mut scratch = QueryScratch::new();
             for line in lines {
                 // As the connection handler hands lines over.
                 let request = line.trim();
@@ -1711,7 +1724,7 @@ mod tests {
                     continue;
                 }
                 let mut out = String::new();
-                respond(request, &server, &mut out);
+                respond(request, &server, &mut scratch, &mut out);
                 assert!(!out.is_empty(), "{request:?}: no reply");
                 if request == "METRICS" {
                     assert!(out.ends_with("\n# EOF"), "{request:?}: {out}");

@@ -407,6 +407,8 @@ pub struct QueryScratch {
     /// The pages of the batch being fetched; executors fill it from the
     /// session's pending step.
     pub(crate) pages: Vec<PageId>,
+    /// The real-clock engine's buffers for reading one round of pages.
+    pub(crate) round: crate::exec::Round,
     /// Per-node distance vector for the batch kernels.
     pub dists: Vec<f64>,
     /// What the four algorithms run on; [`crate::AlgorithmKind::build_with`]

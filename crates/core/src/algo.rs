@@ -160,10 +160,11 @@ impl PartialOrd for KBestItem {
     }
 }
 impl Ord for KBestItem {
+    /// Squared distances of finite coordinates are sums of squares: never
+    /// NaN and never −0.0, so `total_cmp` orders them exactly as `<` does.
     fn cmp(&self, other: &Self) -> Ordering {
         self.dist_sq
-            .partial_cmp(&other.dist_sq)
-            .expect("distances are finite")
+            .total_cmp(&other.dist_sq)
             // Deterministic tie-breaking across algorithms: larger object
             // id counts as "farther" so the retained set is unique.
             .then(self.object.cmp(&other.object))
@@ -245,10 +246,10 @@ impl KBest {
                 dist_sq: i.dist_sq,
             })
             .collect();
+        // The heap's order (see `KBestItem::cmp`).
         v.sort_by(|a, b| {
             a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite")
+                .total_cmp(&b.dist_sq)
                 .then(a.object.cmp(&b.object))
         });
         v

@@ -34,9 +34,9 @@ pub fn run_query_with(
     scratch: &mut crate::QueryScratch,
 ) -> Result<QueryRun, QueryError> {
     let clock = VirtualClock::new();
-    let mut nar = Narrator::off(&clock);
+    let mut nar = Narrator::new(&clock, None, am.root_page());
     scratch.batch.clear();
-    let mut session = Session::new(algo, 0, 0, std::mem::take(&mut scratch.batch));
+    let mut session = Session::new(algo, 0, std::mem::take(&mut scratch.batch));
     session.arrive(&mut nar);
     let mut pages = std::mem::take(&mut scratch.pages);
     while session.next_batch(&mut nar, &mut pages)? {

@@ -8,7 +8,10 @@
 //! clock, the simulator routes pages through its disk/bus/CPU models on
 //! the [`clock::VirtualClock`] its event queue advances, and the
 //! real-clock engine submits batches to an [`sqda_storage::IoBackend`]
-//! on the [`clock::WallClock`].
+//! on the [`clock::WallClock`], one query per call on the caller's
+//! thread. Each executor narrates to at most one sink: the simulator to
+//! its caller's recorder, the real-clock engine to the flight ring of its
+//! live telemetry.
 
 mod clock;
 mod logical;

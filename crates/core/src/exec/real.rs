@@ -2,38 +2,39 @@
 //! scheduled by the machine's clock and a batched I/O backend instead of
 //! the event queue and the disk timing model.
 //!
-//! One k-NN activation round becomes one [`IoBackend::submit_batch`]
-//! call — over a [`ThreadedFileBackend`](sqda_storage::ThreadedFileBackend)
-//! the batch's pages are read concurrently across the per-disk files,
-//! which is the paper's intra-query parallelism on real hardware. The
-//! engine runs a closed-loop workload: `concurrency` workers each drive
-//! one query session at a time to completion, so "arrival" is the
-//! moment a worker picks the query up (the Poisson schedule of a
-//! [`Workload`] only has meaning under the simulator). A lone worker is
-//! the calling thread itself; only two or more are spawned.
+//! The unit of work is one query ([`RealTimeEngine::query`]): one session
+//! driven to completion on the calling thread over buffers the caller
+//! owns ([`QueryScratch`]), so the engine keeps no per-query state. One
+//! k-NN activation round becomes one [`IoBackend::submit_batch`] call —
+//! over a [`ThreadedFileBackend`](sqda_storage::ThreadedFileBackend) the
+//! batch's pages are read concurrently across the per-disk files, which
+//! is the paper's intra-query parallelism on real hardware.
+//! [`RealTimeEngine::run`] is a closed loop over that path: `concurrency`
+//! workers each drive one query at a time, so "arrival" is the moment a
+//! worker picks the query up (the Poisson schedule of a [`Workload`] only
+//! has meaning under the simulator). A lone worker is the calling thread
+//! itself; only two or more are spawned.
 //!
 //! Observability uses the same vocabulary as the simulated engine —
 //! `query_arrive`, `batch_issued`, `disk_service`, `cpu_slice`,
-//! `query_complete`, `query_abort` — stamped through [`WallClock`]
-//! instead of the virtual clock. Wall-clock `disk_service` carries
-//! measured queue and transfer times (seek/rotation are not separable on
-//! real files), and there are no `bus_transfer` events: the memory bus
-//! is not observable from user space.
+//! `query_complete`, `query_abort` — narrated to the flight ring of the
+//! attached [`LiveTelemetry`] under the query's serving id. Wall-clock
+//! `disk_service` carries measured queue and transfer times (seek/rotation
+//! are not separable on real files), and there are no `bus_transfer`
+//! events: the memory bus is not observable from user space.
 
 use super::clock::WallClock;
 use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session, SessionObs};
-use crate::access::{AccessMethod, IndexNode};
+use crate::access::{AccessMethod, IndexNode, QueryScratch};
 use crate::algo::{AlgorithmKind, Neighbor, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
+use sqda_geom::Point;
 use sqda_obs::stats::percentile;
-use sqda_obs::{
-    CollectingRecorder, LiveTelemetry, NullRecorder, Prediction, QueryExplain, QueryObservation,
-    Recorder,
-};
+use sqda_obs::{LiveTelemetry, Prediction, QueryExplain, QueryObservation, Recorder};
 use sqda_storage::{IoBackend, PageId, ReadCompletion};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Aggregated results of one real-clock run.
@@ -43,7 +44,7 @@ pub struct RealTimeReport {
     pub algorithm: &'static str,
     /// Which I/O backend served the reads.
     pub backend: &'static str,
-    /// Concurrent worker sessions.
+    /// Concurrent worker sessions that ran.
     pub concurrency: usize,
     /// Queries completed.
     pub completed: usize,
@@ -74,12 +75,6 @@ pub struct RealTimeReport {
     pub answers: Vec<Vec<Neighbor>>,
     /// The typed error of every aborted query, keyed by workload index.
     pub failures: Vec<(u32, QueryError)>,
-}
-
-/// Outcome of one driven session, before aggregation.
-struct SessionOutcome {
-    index: u32,
-    result: Result<CompletedSession, QueryError>,
 }
 
 /// What an explained query is asked with beyond a bare one: the arrival
@@ -197,46 +192,14 @@ pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
     Ok(())
 }
 
-/// What a worker keeps from one `run` to the next, through the engine's
-/// free list: the algorithms' scratch and the round buffers, grown to
-/// their steady size by the first queries they served.
-#[derive(Default)]
-struct Pooled {
-    scratch: crate::QueryScratch,
-    round: Round,
-}
-
-/// What a worker carries from one query to the next: its narrator (and
-/// with it the page→level map), pooled buffers and CPU-track id. The
-/// buffers return to the engine's free list when the worker is dropped.
-struct Worker<'a> {
-    id: u16,
-    nar: Narrator<'a>,
-    pooled: Pooled,
-    pool: &'a Mutex<Vec<Pooled>>,
-}
-
-impl Drop for Worker<'_> {
-    fn drop(&mut self) {
-        // A poisoned list just stops recycling: the buffers are dropped.
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(std::mem::take(&mut self.pooled));
-        }
-    }
-}
-
-/// The wall-clock twin of [`super::Simulation`]: executes a workload
-/// with the same batch state machines, real reads through an
-/// [`IoBackend`], and the machine's clock.
+/// The wall-clock twin of [`super::Simulation`]: runs queries with the
+/// same batch state machines, real reads through an [`IoBackend`], and
+/// the machine's clock. It holds the tree, the backend and the telemetry;
+/// a query's buffers are its caller's.
 pub struct RealTimeEngine<'t, A: AccessMethod + ?Sized> {
     am: &'t A,
     backend: Arc<dyn IoBackend>,
     live: Option<Arc<LiveTelemetry>>,
-    /// Buffers of workers that finished, for the next ones: a server
-    /// calls `run` once per request, and a request should not pay for
-    /// growing them again. Never longer than the most workers that ever
-    /// ran at once.
-    pool: Mutex<Vec<Pooled>>,
 }
 
 impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
@@ -259,7 +222,6 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
             am,
             backend,
             live: None,
-            pool: Mutex::default(),
         })
     }
 
@@ -317,117 +279,102 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         Ok((report, started.elapsed().as_secs_f64()))
     }
 
-    /// Runs `workload` under `kind` with `concurrency` worker sessions
-    /// (at `concurrency` 1, on the calling thread).
+    /// Runs one k-NN query under `kind` to completion on the calling
+    /// thread — the call `sqda serve`'s `QUERY` makes. `scratch` lends the
+    /// algorithm its working memory and the session its round buffers; a
+    /// caller that keeps it from one query to the next grows them once.
+    ///
+    /// # Errors
+    ///
+    /// The query's typed error: a failed read or decode, or a query its
+    /// algorithm refuses (a point of the wrong dimensionality).
+    pub fn query(
+        &self,
+        kind: AlgorithmKind,
+        point: Point,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<QueryRun, QueryError> {
+        let (done, _) = self.run_one(kind, point, k, 0, scratch, None)?;
+        Ok(done.run)
+    }
+
+    /// Runs `workload` under `kind` with up to `concurrency` worker
+    /// sessions, no more than there are queries: each worker claims the
+    /// next query and runs it down [`Self::query`]'s path over a scratch
+    /// of its own. A lone worker is the calling thread. A query that
+    /// fails is a failure in the report, booked in workload order like
+    /// every outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Invariant`] if a worker thread panicked.
     pub fn run(
         &self,
         kind: AlgorithmKind,
         workload: &Workload,
         concurrency: usize,
     ) -> Result<RealTimeReport, QueryError> {
-        self.run_recorded(kind, workload, concurrency, &mut NullRecorder)
-    }
-
-    /// Like [`RealTimeEngine::run`], but narrates the run through
-    /// `recorder`. Workers buffer events locally; the merged stream is
-    /// delivered to the recorder in timestamp order after the run.
-    pub fn run_recorded(
-        &self,
-        kind: AlgorithmKind,
-        workload: &Workload,
-        concurrency: usize,
-        recorder: &mut dyn Recorder,
-    ) -> Result<RealTimeReport, QueryError> {
-        let concurrency = concurrency.max(1);
-        let recording = recorder.enabled();
-        let clock = WallClock::new();
+        let queries = &workload.queries;
+        let workers = concurrency.clamp(1, queries.len().max(1));
         let started = Instant::now();
         let cursor = AtomicUsize::new(0);
-
-        let mut responses = Vec::new();
-        let mut answers = vec![Vec::new(); workload.queries.len()];
-        let mut failures = Vec::new();
-        let (mut total_nodes, mut total_batches) = (0u64, 0u64);
-        let mut book = |outcome: SessionOutcome| match outcome.result {
-            Ok(done) => {
-                responses.push(done.response_ns as f64 / 1e9);
-                total_nodes += done.run.nodes_visited;
-                total_batches += done.run.batches;
-                answers[outcome.index as usize] = done.run.results;
-            }
-            Err(e) => failures.push((outcome.index, e)),
-        };
-
-        // One worker body for every concurrency. A lone worker runs it on
-        // the caller's thread and books each outcome as it lands, so a
-        // served single query pays no thread spawn and no staging, and
-        // only its page reads cross to the backend; several workers stage
-        // theirs to be booked in workload order. Each worker claims
-        // queries off `cursor` until the workload is exhausted and returns
-        // the events it buffered for the recorder.
-        let worker = |id: usize, done: &mut dyn FnMut(SessionOutcome)| {
-            let mut buffer = CollectingRecorder::new();
-            let mut w = self.worker(id as u16, &clock, recording.then_some(&mut buffer as _));
+        let worker = |cpu: usize| {
+            let mut scratch = QueryScratch::new();
+            let mut outcomes = Vec::new();
             loop {
                 let q = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(wq) = workload.queries.get(q) else {
-                    break;
+                let Some(wq) = queries.get(q) else {
+                    break outcomes;
                 };
-                let index = q as u32;
-                let result = self
-                    .run_one(kind, wq.point.clone(), wq.k, index, &mut w, None)
-                    .map(|(done, _)| done);
-                done(SessionOutcome { index, result });
+                let result =
+                    self.run_one(kind, wq.point.clone(), wq.k, cpu as u16, &mut scratch, None);
+                outcomes.push((q, result.map(|(done, _)| done)));
             }
-            drop(w);
-            buffer.into_events()
         };
-        let mut events = if concurrency == 1 {
-            worker(0, &mut book)
+        let outcomes = if workers == 1 {
+            worker(0)
         } else {
-            let mut staged = Vec::new();
-            let mut events = Vec::new();
-            std::thread::scope(|scope| {
+            let joined: Vec<_> = std::thread::scope(|scope| {
                 let worker = &worker;
-                let handles: Vec<_> = (0..concurrency)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut mine = Vec::new();
-                            let events = worker(w, &mut |outcome| mine.push(outcome));
-                            (mine, events)
-                        })
-                    })
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || worker(w)))
                     .collect();
-                for handle in handles {
-                    let (mine, theirs) = handle.join().expect("engine worker panicked");
-                    staged.extend(mine);
-                    events.extend(theirs);
-                }
+                handles.into_iter().map(|h| h.join()).collect()
             });
-            staged.sort_by_key(|o: &SessionOutcome| o.index);
-            staged.into_iter().for_each(&mut book);
-            events
+            let mut outcomes = Vec::with_capacity(queries.len());
+            for mine in joined {
+                let panicked =
+                    |_| QueryError::Invariant("a real-clock engine worker panicked".into());
+                outcomes.extend(mine.map_err(panicked)?);
+            }
+            outcomes.sort_by_key(|&(q, _)| q);
+            outcomes
         };
         let wall_s = started.elapsed().as_secs_f64();
 
-        if recording {
-            events.sort_by_key(|(ts, _)| *ts);
-            for (ts, event) in events {
-                recorder.record(ts, event);
+        let mut responses = Vec::new();
+        let mut answers = vec![Vec::new(); queries.len()];
+        let mut failures = Vec::new();
+        let (mut total_nodes, mut total_batches) = (0u64, 0u64);
+        for (q, outcome) in outcomes {
+            match outcome {
+                Ok(done) => {
+                    responses.push(done.response_ns as f64 / 1e9);
+                    total_nodes += done.run.nodes_visited;
+                    total_batches += done.run.batches;
+                    answers[q] = done.run.results;
+                }
+                Err(e) => failures.push((q as u32, e)),
             }
         }
-
         let completed = responses.len();
-        // The percentiles want the times ranked; a single query's (every
-        // served request) are as they stand.
-        let mut sorted = std::borrow::Cow::from(&responses[..]);
-        if completed > 1 {
-            sorted.to_mut().sort_by(f64::total_cmp);
-        }
+        let mut sorted = responses.clone();
+        sorted.sort_by(f64::total_cmp);
         Ok(RealTimeReport {
             algorithm: kind.name(),
             backend: self.backend.name(),
-            concurrency,
+            concurrency: workers,
             completed,
             failed: failures.len(),
             wall_s,
@@ -449,26 +396,8 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         })
     }
 
-    /// A worker narrating to `recorder` and to the flight ring of the
-    /// attached telemetry, whichever are on, over buffers off the free
-    /// list (fresh ones when it is empty).
-    fn worker<'a>(
-        &'a self,
-        id: u16,
-        clock: &'a WallClock,
-        recorder: Option<&'a mut dyn Recorder>,
-    ) -> Worker<'a> {
-        let pooled = self.pool.lock().ok().and_then(|mut pool| pool.pop());
-        Worker {
-            id,
-            nar: Narrator::new(clock, recorder, self.live.as_deref(), self.am.root_page()),
-            pooled: pooled.unwrap_or_default(),
-            pool: &self.pool,
-        }
-    }
-
-    /// Runs one k-NN query through the exact per-session machinery of
-    /// [`Self::run`] and returns its introspection record next to its
+    /// Runs one k-NN query down [`Self::query`]'s path, over `scratch`,
+    /// and returns its introspection record next to its
     /// answers: per-level node accesses, batch sizes, the lemma-1
     /// threshold trajectory, the per-disk read distribution, the cache
     /// hit/miss split and the queue/service/CPU time breakdown.
@@ -477,51 +406,54 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     /// id, counters, histograms, flight ring) exactly like a served
     /// query; the probe only observes, so answers and store `IoStats`
     /// are identical to an unexplained run. A slow-query-log entry for
-    /// the query carries the full explain record, and when `predicted`
-    /// is given the observed-minus-predicted residuals feed the
-    /// telemetry's drift windows. Callers without an analytical model
-    /// pass `lambda` 0, `calibrated` false and `predicted` `None`; the
-    /// record then reports observations with null predictions.
+    /// the query carries the full explain record. `request` is `(lambda,
+    /// calibrated, predicted)`: the arrival rate the prediction assumed,
+    /// whether it used a device calibration, and the prediction itself;
+    /// when one is given the observed-minus-predicted residuals feed the telemetry's
+    /// drift windows. Callers without an analytical model pass
+    /// `(0.0, false, None)`; the record then reports observations with
+    /// null predictions.
     pub fn explain_query(
         &self,
         kind: AlgorithmKind,
-        point: sqda_geom::Point,
+        point: Point,
         k: usize,
-        lambda: f64,
-        calibrated: bool,
-        predicted: Option<Prediction>,
+        request: (f64, bool, Option<Prediction>),
+        scratch: &mut QueryScratch,
     ) -> Result<(QueryExplain, Vec<Neighbor>), QueryError> {
-        let clock = WallClock::new();
-        let mut worker = self.worker(0, &clock, None);
-        let request = Some((lambda, calibrated, predicted));
-        let (done, explain) = self.run_one(kind, point, k, 0, &mut worker, request)?;
+        let (done, explain) = self.run_one(kind, point, k, 0, scratch, Some(request))?;
         Ok((
             explain.expect("an explained query has a record"),
             done.run.results,
         ))
     }
 
-    /// One query from pickup to the books, the path `run` and
+    /// One query from pickup to the books, the path `query`, `run` and
     /// `explain_query` share: takes a serving id from the live telemetry
     /// (which counts the pickup and tags the query's flight events),
-    /// builds the algorithm, drives its session — filling an EXPLAIN
-    /// record on the way when `explain` asks for one — and feeds the
-    /// outcome to every live aggregate.
+    /// builds the algorithm over `scratch`, drives its session on CPU
+    /// track `cpu` — filling an EXPLAIN record on the way when `explain`
+    /// asks for one — and feeds the outcome to every live aggregate.
     fn run_one(
         &self,
         kind: AlgorithmKind,
-        point: sqda_geom::Point,
+        point: Point,
         k: usize,
-        index: u32,
-        worker: &mut Worker<'_>,
+        cpu: u16,
+        scratch: &mut QueryScratch,
         explain: Option<ExplainRequest>,
     ) -> Result<(CompletedSession, Option<QueryExplain>), QueryError> {
         let live = self.live.as_deref();
-        let query = live.map_or(index, |l| l.begin_query());
+        let query = live.map_or(0, LiveTelemetry::begin_query);
+        let clock = WallClock::new();
+        // The flight ring, when armed, is the query's one narration sink.
+        let mut flight = live;
+        let flight = flight.as_mut().map(|f| f as &mut dyn Recorder);
+        let mut nar = Narrator::new(&clock, flight, self.am.root_page());
         // The record starts with what the session fills as it goes; the
         // totals are booked once the query completed.
         let mut record = explain.map(|(lambda, calibrated, predicted)| {
-            worker.nar.track_levels(self.am.root_page());
+            nar.track_levels(self.am.root_page());
             QueryExplain {
                 query,
                 algo: kind.name().to_string(),
@@ -544,10 +476,11 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                 predicted,
             }
         });
+        let explain = record.as_mut();
         let result = kind
-            .build_with(self.am, point, k, &mut worker.pooled.scratch)
+            .build_with(self.am, point, k, scratch)
             .and_then(|mut algo| {
-                self.drive_session(algo.as_mut(), index, query, worker, record.as_mut())
+                self.drive_session(algo.as_mut(), query, cpu, &mut nar, scratch, explain)
             });
         let seen = observation(query, kind, k, result.as_ref().ok());
         let record = record.filter(|_| result.is_ok()).map(|mut record| {
@@ -588,18 +521,17 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     fn drive_session(
         &self,
         algo: &mut dyn SimilaritySearch,
-        index: u32,
-        serving: u32,
-        worker: &mut Worker<'_>,
+        query: u32,
+        cpu: u16,
+        nar: &mut Narrator<'_>,
+        scratch: &mut QueryScratch,
         mut explain: Option<&mut QueryExplain>,
     ) -> Result<CompletedSession, QueryError> {
-        let (nar, cpu) = (&mut worker.nar, worker.id);
         let disks = self.am.num_disks() as usize;
-        let Pooled { scratch, round } = &mut worker.pooled;
         scratch.batch.clear();
         let buffer = std::mem::take(&mut scratch.batch);
-        let pages = &mut scratch.pages;
-        let mut session = Session::new(algo, index, serving, buffer);
+        let (pages, round) = (&mut scratch.pages, &mut scratch.round);
+        let mut session = Session::new(algo, query, buffer);
         session.arrive(nar);
         // The disk of the last read the query saw complete: the failing
         // one when a read is what ends it.
@@ -678,7 +610,7 @@ mod tests {
     use crate::algo::{BatchResult, Step};
     use crate::exec::{run_query, RunOptions, Simulation};
     use crate::workload::WorkloadQuery;
-    use sqda_geom::Point;
+    use sqda_obs::CollectingRecorder;
     use sqda_rstar::decluster::ProximityIndex;
     use sqda_rstar::{RStarConfig, RStarTree};
     use sqda_simkernel::{SimTime, SystemParams};
@@ -739,11 +671,85 @@ mod tests {
         let engine = RealTimeEngine::new(&tree, backend).unwrap();
         let clock = WallClock::new();
         let mut events = CollectingRecorder::new();
-        let mut worker = engine.worker(0, &clock, Some(&mut events));
-        let result = engine.drive_session(&mut EmptyFetcher, 0, 0, &mut worker, None);
-        drop(worker);
+        let mut nar = Narrator::new(&clock, Some(&mut events), tree.root_page());
+        let mut scratch = QueryScratch::new();
+        let result = engine.drive_session(&mut EmptyFetcher, 0, 0, &mut nar, &mut scratch, None);
+        drop(nar);
         assert_invariant(result.map(|_| ()).unwrap_err(), "real-clock");
         let kinds: Vec<&str> = events.events().iter().map(|(_, e)| e.kind()).collect();
         assert_eq!(kinds, ["query_arrive", "query_abort"]);
+    }
+
+    /// A tree of 20 points on the x axis, over two in-memory disks.
+    fn small_tree() -> RStarTree<ArrayStore> {
+        let store = Arc::new(ArrayStore::new(2, 1449, 1));
+        let config = RStarConfig::new(2).with_max_entries(8);
+        let mut tree = RStarTree::create(store, config, Box::new(ProximityIndex)).unwrap();
+        for i in 0..20u64 {
+            tree.insert(Point::new(vec![i as f64, 0.0]), i).unwrap();
+        }
+        tree
+    }
+
+    fn workload(n: usize) -> Workload {
+        let queries = (0..n).map(|i| WorkloadQuery {
+            arrival: SimTime::ZERO,
+            point: Point::new(vec![i as f64, 0.5]),
+            k: 2,
+        });
+        Workload {
+            queries: queries.collect(),
+        }
+    }
+
+    /// `run` starts no more workers than there are queries, and reports
+    /// the workers that ran.
+    #[test]
+    fn run_starts_no_more_workers_than_queries() {
+        let tree = small_tree();
+        let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+        let engine = RealTimeEngine::new(&tree, backend).unwrap();
+        for (queries, concurrency, workers) in [(2, 3, 2), (0, 3, 1), (3, 1, 1)] {
+            let report = engine
+                .run(AlgorithmKind::Crss, &workload(queries), concurrency)
+                .unwrap();
+            assert_eq!(
+                report.concurrency, workers,
+                "{queries} queries x{concurrency}"
+            );
+            assert_eq!(report.completed, queries);
+        }
+    }
+
+    /// Forwards to the tree but panics on every node read.
+    struct PanicOnRead<'a>(&'a RStarTree<ArrayStore>);
+
+    impl AccessMethod for PanicOnRead<'_> {
+        fn root_page(&self) -> PageId {
+            AccessMethod::root_page(self.0)
+        }
+        fn num_disks(&self) -> u32 {
+            AccessMethod::num_disks(self.0)
+        }
+        fn read_index_node(&self, _page: PageId) -> Result<IndexNode, QueryError> {
+            panic!("a node read panicked")
+        }
+        fn placement(&self, page: PageId) -> Result<sqda_storage::Placement, QueryError> {
+            AccessMethod::placement(self.0, page)
+        }
+    }
+
+    /// A worker thread that panics fails the run with a typed error
+    /// instead of taking the caller down with it.
+    #[test]
+    fn a_panicking_worker_is_a_typed_invariant() {
+        let tree = small_tree();
+        let am = PanicOnRead(&tree);
+        let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+        let engine = RealTimeEngine::new(&am, backend).unwrap();
+        match engine.run(AlgorithmKind::Crss, &workload(2), 2) {
+            Err(QueryError::Invariant(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected Invariant, got {other:?}"),
+        }
     }
 }

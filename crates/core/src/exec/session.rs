@@ -19,7 +19,7 @@ use super::clock::EngineClock;
 use crate::access::IndexNode;
 use crate::algo::{AlgoProgress, Neighbor, SimilaritySearch, Step};
 use crate::error::QueryError;
-use sqda_obs::{Event as ObsEvent, LiveTelemetry, Recorder};
+use sqda_obs::{Event as ObsEvent, Recorder};
 use sqda_simkernel::{Cpu, Disk, SimTime};
 use sqda_storage::PageId;
 use std::collections::HashMap;
@@ -152,63 +152,51 @@ pub(crate) struct SessionObs {
     pub(crate) batches: u32,
 }
 
-/// The one narration path. An event is built once per sink that is on
-/// and stamped through the engine's clock: for the run's recorder (the
-/// simulator's caller-supplied one; a real-clock worker's buffer, merged
-/// after the run) under the query's workload index, which is what the
-/// post-hoc tooling joins on; for the live flight ring, which keeps its
-/// own clock, under the global serving id [`LiveTelemetry`] handed out.
-/// With both off a hook costs two checks and nothing is built.
+/// The one narration path. An event is built only while the executor's
+/// one sink is on — the simulator's caller-supplied recorder, or the
+/// real-clock engine's flight ring, which restamps it on its own clock —
+/// and is stamped through the engine's clock under the query's id: the
+/// workload index under the simulator, which is what the post-hoc
+/// tooling joins on, the serving id
+/// [`LiveTelemetry`](sqda_obs::LiveTelemetry) handed out under the real
+/// engine. With the sink off a hook costs one check and nothing is
+/// built.
 pub(crate) struct Narrator<'a> {
     clock: &'a dyn EngineClock,
     recorder: Option<&'a mut dyn Recorder>,
-    flight: Option<&'a LiveTelemetry>,
     /// Tree level of every page seen so far (root = 0), extended as
-    /// internal nodes are delivered. Maintained only while tracking.
+    /// internal nodes are delivered; empty while levels are not tracked.
     levels: HashMap<PageId, u16>,
-    tracking: bool,
 }
 
 impl<'a> Narrator<'a> {
-    /// A narrator with every sink off.
-    pub(crate) fn off(clock: &'a dyn EngineClock) -> Self {
-        Self {
-            clock,
-            recorder: None,
-            flight: None,
-            levels: HashMap::new(),
-            tracking: false,
-        }
-    }
-
-    /// A narrator over `clock` feeding `recorder` (an enabled one) and
-    /// the flight ring of `live` (if it has one). `root` seeds the level
-    /// map.
+    /// A narrator over `clock` feeding `recorder` if it is given and
+    /// enabled, and then tracking levels from `root`.
     pub(crate) fn new(
         clock: &'a dyn EngineClock,
         recorder: Option<&'a mut dyn Recorder>,
-        live: Option<&'a LiveTelemetry>,
         root: PageId,
     ) -> Self {
-        let mut nar = Self::off(clock);
-        nar.recorder = recorder;
-        nar.flight = live.filter(|l| l.flight_enabled());
+        let mut nar = Self {
+            clock,
+            recorder: recorder.filter(|r| r.enabled()),
+            levels: HashMap::new(),
+        };
         if nar.on() {
             nar.track_levels(root);
         }
         nar
     }
 
-    /// Whether any sink wants events.
+    /// Whether the sink wants events.
     #[inline]
     pub(crate) fn on(&self) -> bool {
-        self.recorder.is_some() || self.flight.is_some()
+        self.recorder.is_some()
     }
 
-    /// Maintains the page→level map even with every sink off (the
+    /// Maintains the page→level map even with the sink off (the
     /// EXPLAIN record reads it).
     pub(crate) fn track_levels(&mut self, root: PageId) {
-        self.tracking = true;
         self.levels.insert(root, 0);
     }
 
@@ -251,10 +239,8 @@ pub(crate) struct DiskRead {
 /// it, as the simulator's do.
 pub(crate) struct Session<A> {
     algo: A,
-    /// Workload index: the id recorder streams know the query by.
+    /// The id the narrated stream knows the query by.
     query: u32,
-    /// The id the flight ring knows it by (`query` without one).
-    serving: u32,
     arrival_ns: u64,
     outstanding: usize,
     fetched: Vec<(PageId, IndexNode)>,
@@ -270,18 +256,12 @@ where
     A: DerefMut,
     A::Target: SimilaritySearch,
 {
-    /// A session for workload query `query`, staging fetched nodes in
-    /// `fetched` (an empty buffer whose capacity is worth reusing).
-    pub(crate) fn new(
-        algo: A,
-        query: u32,
-        serving: u32,
-        fetched: Vec<(PageId, IndexNode)>,
-    ) -> Self {
+    /// A session for query `query`, staging fetched nodes in `fetched`
+    /// (an empty buffer whose capacity is worth reusing).
+    pub(crate) fn new(algo: A, query: u32, fetched: Vec<(PageId, IndexNode)>) -> Self {
         Self {
             algo,
             query,
-            serving,
             arrival_ns: 0,
             outstanding: 0,
             fetched,
@@ -293,15 +273,12 @@ where
         }
     }
 
-    /// Sends the event `build` makes of a query id to every sink that is
-    /// on, under the id that sink knows this query by.
+    /// Sends the event `build` makes of the query's id to the sink, if
+    /// it is on.
     #[inline]
-    pub(crate) fn narrate(&self, nar: &mut Narrator<'_>, build: impl Fn(u32) -> ObsEvent) {
+    pub(crate) fn narrate(&self, nar: &mut Narrator<'_>, build: impl FnOnce(u32) -> ObsEvent) {
         if let Some(recorder) = nar.recorder.as_deref_mut() {
             recorder.record(nar.clock.now_ns(), build(self.query));
-        }
-        if let Some(live) = nar.flight {
-            live.record_event(live.now_ns(), build(self.serving));
         }
     }
 
@@ -417,7 +394,7 @@ where
         node: IndexNode,
         charge: impl FnOnce(u64, u64) -> CpuCharge,
     ) -> Result<(), QueryError> {
-        if nar.tracking {
+        if !nar.levels.is_empty() {
             if let IndexNode::Internal(block) = &node {
                 let child_level = nar.level(page) + 1;
                 for child in block.children() {

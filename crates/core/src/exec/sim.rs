@@ -355,7 +355,7 @@ impl<'t, A: AccessMethod + ?Sized> Simulation<'t, A> {
             events: EventQueue::new(),
             sessions: (0..n).map(|_| None).collect(),
             batch: Vec::new(),
-            nar: Narrator::new(&clock, recorder, None, self.am.root_page()),
+            nar: Narrator::new(&clock, recorder, self.am.root_page()),
             faulted,
             retry: plan.retry(),
             degraded_reads: 0,
@@ -525,7 +525,7 @@ impl<A: AccessMethod + ?Sized> Run<'_, '_, A> {
         };
         self.scratch.batch.clear();
         let fetched = std::mem::take(&mut self.scratch.batch);
-        let session = self.sessions[q].insert(Session::new(algo, q as u32, q as u32, fetched));
+        let session = self.sessions[q].insert(Session::new(algo, q as u32, fetched));
         session.arrive(&mut self.nar);
         let startup = self.params.query_startup();
         let charge = charge_cpu(&mut self.cpus, &mut self.events, q, now, |cpu| {

@@ -38,8 +38,9 @@
 //!   (Figures 10–12, Tables 3–4), and
 //! * the [real-clock engine](exec::RealTimeEngine) — the same sessions
 //!   against real files through a batched
-//!   [`IoBackend`](sqda_storage::IoBackend), reporting wall-clock
-//!   latencies (`sqda serve`).
+//!   [`IoBackend`](sqda_storage::IoBackend), one query per call over a
+//!   caller-owned [`QueryScratch`], reporting wall-clock latencies
+//!   (`sqda serve`).
 //!
 //! # Example: one query, four algorithms
 //!

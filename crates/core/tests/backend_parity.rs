@@ -25,11 +25,11 @@
 
 use sqda_core::{
     batch_knn_with, exec::run_query, AccessMethod, AlgorithmKind, BatchResult, BatchScratch, Crss,
-    Frontier, IndexNode, Neighbor, QueryError, RealTimeEngine, RunOptions, SimilaritySearch,
-    Simulation, Step, Workload, WorkloadQuery,
+    Frontier, IndexNode, Neighbor, QueryError, QueryScratch, RealTimeEngine, RunOptions,
+    SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
-use sqda_obs::{CollectingRecorder, Event, MetricsSnapshot};
+use sqda_obs::{Event, MetricsSnapshot};
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{Node, RStarConfig, RStarTree};
 use sqda_simkernel::{SimTime, SystemParams};
@@ -607,9 +607,10 @@ fn explain_enabled_run_is_work_identical() {
         let mut answers = Vec::new();
         let mut explained_reads = vec![0u64; NUM_DISKS as usize];
         let mut explained_hits = 0u64;
+        let mut scratch = QueryScratch::new();
         for (point, k) in queries() {
             let (explain, result) = engine
-                .explain_query(kind, point, k, 0.0, false, None)
+                .explain_query(kind, point, k, (0.0, false, None), &mut scratch)
                 .unwrap();
             assert_eq!(
                 explain.nodes,
@@ -943,11 +944,11 @@ impl<F: Fn(&mut ReadCompletion) + Send + Sync> IoBackend for Rewriting<F> {
 }
 
 /// A query the real-clock engine gives up on is narrated to the end:
-/// every `query_arrive` — in the recorder stream and in the flight ring
-/// alike — is closed by a `query_complete` or a `query_abort`, so the
-/// folded metrics count the aborts the report counts and a Perfetto
-/// export keeps no unterminated span. (The engine used to leave through
-/// `?` with the arrival already narrated and nothing after it.)
+/// every `query_arrive` in the flight ring is closed by a
+/// `query_complete` or a `query_abort`, so the folded metrics count the
+/// aborts the report counts and a Perfetto export keeps no unterminated
+/// span. (The engine used to leave through `?` with the arrival already
+/// narrated and nothing after it.)
 #[test]
 fn failed_real_queries_are_narrated_as_aborts() {
     let dir = tmpdir("aborts");
@@ -970,10 +971,7 @@ fn failed_real_queries_are_narrated_as_aborts() {
         .unwrap()
         .with_telemetry(Arc::clone(&live))
         .unwrap();
-    let mut recorder = CollectingRecorder::new();
-    let report = engine
-        .run_recorded(AlgorithmKind::Crss, &workload(), 1, &mut recorder)
-        .unwrap();
+    let report = engine.run(AlgorithmKind::Crss, &workload(), 1).unwrap();
     assert!(report.failed > 0, "the bad disk must be hit");
     assert_eq!(report.completed + report.failed, queries().len());
     for (_, err) in &report.failures {
@@ -984,12 +982,10 @@ fn failed_real_queries_are_narrated_as_aborts() {
         events.iter().filter(|(_, e)| e.kind() == kind).count()
     };
     let flight = live.flight().unwrap().drain();
-    for (what, events) in [("recorder", recorder.events()), ("flight", &flight[..])] {
-        assert_eq!(count(events, "query_abort"), report.failed, "{what}");
-        assert_eq!(count(events, "query_complete"), report.completed, "{what}");
-        assert_eq!(count(events, "query_arrive"), queries().len(), "{what}");
-    }
-    let snapshot = MetricsSnapshot::from_events(recorder.events());
+    assert_eq!(count(&flight, "query_abort"), report.failed);
+    assert_eq!(count(&flight, "query_complete"), report.completed);
+    assert_eq!(count(&flight, "query_arrive"), queries().len());
+    let snapshot = MetricsSnapshot::from_events(&flight);
     assert_eq!(snapshot.queries_aborted.0, report.failed as u64);
     assert_eq!(live.snapshot().queries_aborted.0, report.failed as u64);
     std::fs::remove_dir_all(&dir).ok();

@@ -2,13 +2,15 @@
 //!
 //! A counting `#[global_allocator]` (per-thread counters, so the harness
 //! and other tests cannot leak into a measurement) brackets hot CRSS and
-//! frontier `engine.run` calls — the call `QUERY` makes — over a tree
-//! whose nodes are all in the decoded-node cache, and a backend read. Before the per-query scratch and
-//! the shared node views one such call made 173 allocations and moved
-//! 72 KB on the benchmark store; what is left is what the reply owns: the
-//! report, the algorithm box, the query point and `k` answer points.
+//! frontier `engine.query` calls over a caller's scratch — the call
+//! `QUERY` makes — over a tree whose nodes are all in the decoded-node
+//! cache, and a backend read. Before the per-query scratch and the shared
+//! node views one query made 173 allocations and moved 72 KB on the
+//! benchmark store; what is left is what the answers own and the
+//! algorithm: the results vector, `k` answer points and the algorithm
+//! box.
 
-use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, RealTimeEngine, Workload};
+use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, QueryScratch, RealTimeEngine};
 use sqda_geom::Point;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{PackingOrder, RStarConfig, RStarTree};
@@ -80,35 +82,40 @@ fn resident_tree() -> RStarTree<ArrayStore> {
     tree
 }
 
-fn workloads() -> Vec<Workload> {
+fn points() -> Vec<Point> {
     (0..64u64)
         .map(|i| {
-            let q = vec![(i * 37 % 240) as f64 + 0.3, (i * 53 % 240) as f64 + 0.7];
-            Workload::single(Point::new(q), K)
+            Point::new(vec![
+                (i * 37 % 240) as f64 + 0.3,
+                (i * 53 % 240) as f64 + 0.7,
+            ])
         })
         .collect()
 }
 
 /// Settles `kind` over the resident tree, then counts what each hot
-/// `engine.run` asks of the allocator.
+/// `engine.query` asks of the allocator.
 fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
     let tree = resident_tree();
     let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
     let engine = RealTimeEngine::new(&tree, backend).unwrap();
-    let workloads = workloads();
+    let points = points();
+    let mut scratch = QueryScratch::new();
     // Two settling passes: the first fills the node cache, the second
-    // grows the engine's pooled scratch to its steady size.
+    // grows the caller's scratch to its steady size.
     for _ in 0..2 {
-        for w in &workloads {
-            assert_eq!(engine.run(kind, w, 1).unwrap().failed, 0);
+        for p in &points {
+            engine.query(kind, p.clone(), K, &mut scratch).unwrap();
         }
     }
     let reads_before = tree.io_stats().reads;
-    let (mut worst_allocs, mut worst_bytes, mut nodes) = (0, 0, 0.0);
-    for w in &workloads {
-        let (report, allocs, bytes) = counted(|| engine.run(kind, w, 1).unwrap());
-        assert_eq!(report.answers[0].len(), K);
-        nodes += report.mean_nodes_per_query;
+    let (mut worst_allocs, mut worst_bytes, mut nodes) = (0, 0, 0);
+    for p in &points {
+        // The point is the caller's (`QUERY` parses its own).
+        let point = p.clone();
+        let (run, allocs, bytes) = counted(|| engine.query(kind, point, K, &mut scratch).unwrap());
+        assert_eq!(run.results.len(), K);
+        nodes += run.nodes_visited;
         worst_allocs = worst_allocs.max(allocs);
         worst_bytes = worst_bytes.max(bytes);
     }
@@ -120,12 +127,12 @@ fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
     // Every read is a cache hit, so the search takes one branch per
     // round; a query still reads more than one root-to-leaf path.
     assert!(
-        nodes / workloads.len() as f64 > tree.height() as f64,
+        nodes as f64 / points.len() as f64 > tree.height() as f64,
         "queries do real work"
     );
-    println!("hot {kind} engine.run: at most {worst_allocs} allocations, {worst_bytes} bytes");
+    println!("hot {kind} engine.query: at most {worst_allocs} allocations, {worst_bytes} bytes");
     assert!(
-        worst_allocs <= 16,
+        worst_allocs <= 12,
         "{worst_allocs} allocations in one hot query"
     );
     assert!(worst_bytes <= 4096, "{worst_bytes} bytes in one hot query");
@@ -136,8 +143,8 @@ fn hot_crss_query_allocates_only_what_its_reply_owns() {
     hot_query_allocates_only_what_its_reply_owns(AlgorithmKind::Crss);
 }
 
-/// The frontier's heap is recycled through the engine's pooled scratch
-/// like CRSS's candidate stack, so it holds the same bounds.
+/// The frontier's heap is recycled through the caller's scratch like
+/// CRSS's candidate stack, so it holds the same bounds.
 #[test]
 fn hot_frontier_query_allocates_only_what_its_reply_owns() {
     hot_query_allocates_only_what_its_reply_owns(AlgorithmKind::Frontier);

@@ -29,7 +29,7 @@
 //! the log's file is written after the registry's lock is released, and
 //! only by queries that already blew the threshold.
 
-use crate::event::Event;
+use crate::event::{Event, Recorder};
 use crate::json::ObjWriter;
 use crate::metrics::{DiskMetrics, Histogram, MetricsSnapshot, TIME_MS_BOUNDS};
 use crate::stats::percentile;
@@ -530,6 +530,20 @@ impl LiveTelemetry {
 impl sqda_storage::ReadObserver for LiveTelemetry {
     fn on_disk_read(&self, disk: u32, queue_ns: u64, service_ns: u64, queue_depth: u32) {
         self.observe_disk_read(disk, queue_ns, service_ns, queue_depth);
+    }
+}
+
+/// The flight ring as an executor's event sink: each event is stamped
+/// on the registry's own clock ([`LiveTelemetry::now_ns`]), whatever
+/// clock the executor runs on, and nothing is wanted while the ring is
+/// off.
+impl Recorder for &LiveTelemetry {
+    fn record(&mut self, _ts_ns: u64, event: Event) {
+        self.record_event(self.now_ns(), event);
+    }
+
+    fn enabled(&self) -> bool {
+        self.flight_enabled()
     }
 }
 

@@ -1,7 +1,8 @@
 #!/bin/bash
 # CI `test`: the tier-1 line, locked and offline under an empty
 # CARGO_HOME (so it passes only while the workspace takes no registry
-# crate), then the tree property tests at 500 cases each, code lines per
+# crate), then a build of the repo benchmark's package, then the tree
+# property tests at 500 cases each, code lines per
 # crate, one quick experiment sweep (5 replications per data point)
 # with its summary checked — the fault
 # sweep, the explain records, the hot-path counters and the external
@@ -20,6 +21,12 @@ mkdir -p "$OUT/cargo-home"
 
 CARGO_HOME="$PWD/$OUT/cargo-home" cargo build --release --locked --offline &&
   CARGO_HOME="$PWD/$OUT/cargo-home" cargo test -q --locked --offline
+
+# The repo benchmark (benchmark/) is a package of its own over the library
+# crates' public API: build it, so a change to a signature it calls
+# fails here. (Its Cargo.lock is written fresh and git-ignored.)
+CARGO_HOME="$PWD/$OUT/cargo-home" cargo build --release --offline \
+  --manifest-path benchmark/Cargo.toml --target-dir "$OUT/benchmark-target"
 
 # The tree properties again at 500 cases each: both trees run on one
 # paged-tree shell, so its insertion, codec and validator are drawn
@@ -111,9 +118,9 @@ assert h['crss_hot_nodes_per_query'] == h['crss_hot_rounds_per_query'], h
 # WOPTSS's nodes: never more than CRSS's.
 assert h['frontier_hot_nodes_per_query'] == h['frontier_hot_rounds_per_query'], h
 assert h['frontier_hot_nodes_per_query'] <= h['crss_hot_nodes_per_query'], h
-# A hot CRSS query allocates what its reply owns and nothing else
-# (exact counts; core/tests/hot_allocs.rs pins the same).
-assert 0 < h['allocs_per_query'] <= 16, h['allocs_per_query']
+# A hot CRSS query allocates its answers and its algorithm and nothing
+# else (exact counts; core/tests/hot_allocs.rs pins the same).
+assert 0 < h['allocs_per_query'] <= 12, h['allocs_per_query']
 assert 0 < h['bytes_per_query'] <= 4096, h['bytes_per_query']
 # Kernel section: ns/entry (mean of the per-rep samples) for the three
 # kernels at every specialised dimensionality measured and at dim 10
