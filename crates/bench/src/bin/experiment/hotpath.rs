@@ -38,8 +38,9 @@
 //!   reads and writes and the allocations one such build makes per
 //!   object (exact);
 //! * `telemetry_ns` — what the live telemetry plane charges: per
-//!   `observe_query` fold, alone and while seven writer threads fold
-//!   queries into the same registry, per flight-recorder push, and per
+//!   `observe_query` fold of a served query's three-round record, alone
+//!   and while seven writer threads fold records into the same registry,
+//!   per flight-recorder push, and per
 //!   Prometheus render of a plane that has seen 10 000 queries (off the
 //!   query path).
 //!
@@ -60,7 +61,7 @@ use sqda_bench::{
 };
 use sqda_core::{best_first_knn_with, AlgorithmKind, QueryScratch, RealTimeEngine};
 use sqda_geom::{kernel, Point};
-use sqda_obs::{Event, LiveTelemetry, QueryObservation};
+use sqda_obs::{Event, LiveTelemetry, QueryExplain};
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{codec, PackingOrder, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, InlineBackend, NodeCache, PageId, PageStore};
@@ -175,23 +176,30 @@ fn build_served_tree() -> RStarTree<ArrayStore> {
 /// Nanoseconds per telemetry operation, one sample per rep, for the ops
 /// `telemetry_ns` names.
 fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
-    let observation = |i: usize| QueryObservation {
-        query: i as u32,
-        algo: "CRSS",
+    // One served query's record, as the engine hands it over: 14 nodes
+    // in 3 rounds. Each fold gets its own id and response time.
+    let served = QueryExplain {
+        algo: "CRSS".into(),
         k: 10,
         answers: 10,
         nodes: 14,
         batches: 3,
-        response_ns: 2_000_000 + i as u64 * 1000,
-        disk_queue_ns: 300_000,
-        disk_service_ns: 1_200_000,
-        cpu_ns: 80_000,
-        failed: false,
+        batch_sizes: vec![1, 6, 7],
+        disk_queue_ms: 0.3,
+        disk_service_ms: 1.2,
+        cpu_ms: 0.08,
+        ..QueryExplain::default()
+    };
+    let observation = |record: &mut QueryExplain, i: usize| {
+        record.query = i as u32;
+        record.response_ms = 2.0 + i as f64 * 1e-3;
     };
 
     let live = LiveTelemetry::new(8);
+    let mut record = served.clone();
     let observe_query = sample_ns(reps, 20_000, 20_000, |i| {
-        live.observe_query(black_box(&observation(i)), None)
+        observation(&mut record, i);
+        live.observe_query(black_box(&record), false)
     });
 
     // Seven writer threads fold queries into the registry while this one
@@ -200,17 +208,19 @@ fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
     let stop = AtomicBool::new(false);
     let contended = std::thread::scope(|s| {
         for t in 0..7 {
-            let (shared, stop) = (&shared, &stop);
+            let (shared, stop, mut record) = (&shared, &stop, served.clone());
             s.spawn(move || {
                 let mut i = t;
                 while !stop.load(Relaxed) {
-                    shared.observe_query(&observation(i), None);
+                    observation(&mut record, i);
+                    shared.observe_query(&record, false);
                     i += 7;
                 }
             });
         }
         let samples = sample_ns(reps, 20_000, 20_000, |i| {
-            shared.observe_query(black_box(&observation(i)), None)
+            observation(&mut record, i);
+            shared.observe_query(black_box(&record), false)
         });
         stop.store(true, Relaxed);
         samples
@@ -225,7 +235,8 @@ fn telemetry_costs(reps: usize) -> Vec<(&'static str, Vec<f64>)> {
     for i in 0..10_000 {
         loaded.begin_query();
         loaded.observe_disk_read((i % 8) as u32, 300_000, 1_200_000, (i % 5) as u32);
-        loaded.observe_query(&observation(i), None);
+        observation(&mut record, i);
+        loaded.observe_query(&record, false);
     }
     let render = sample_ns(reps, 20, 20, |_| {
         black_box(loaded.prometheus(None, None).len());

@@ -104,10 +104,11 @@
 //!
 //! # Telemetry
 //!
-//! Every server carries a [`LiveTelemetry`] registry: the engine feeds
-//! per-query component breakdowns and the I/O backend feeds per-disk
-//! service times through the `ReadObserver` seam, each update cheap on
-//! the query path. `--flight-cap` (or `--trace`) arms the bounded
+//! Every server carries a [`LiveTelemetry`] registry: the engine hands it
+//! each query's one record — the `EXPLAIN` record, filled for every
+//! query — once, at completion or abort, and the I/O backend feeds
+//! per-disk service times through the `ReadObserver` seam, each update
+//! one short lock on the query path. `--flight-cap` (or `--trace`) arms the bounded
 //! flight-recorder ring that `DUMP-TRACE` and `--trace` export as a
 //! Perfetto trace; `--slow-query-ms` / `--slow-query-log` append a JSONL
 //! breakdown line for every query at or over the threshold.

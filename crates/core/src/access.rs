@@ -273,6 +273,15 @@ impl IndexNode {
         self.len() == 0
     }
 
+    /// The node's level in its tree: 0 for leaves, rising towards the
+    /// root.
+    pub(crate) fn level(&self) -> u32 {
+        match self {
+            IndexNode::Leaf(_) => 0,
+            IndexNode::Internal(b) => b.node().level(),
+        }
+    }
+
     /// Why a query point `q` cannot be searched in this node: its
     /// dimensionality differs from the node's. `None` when it fits, and
     /// for an empty node with no dimensionality to compare.
@@ -414,6 +423,8 @@ pub struct QueryScratch {
     /// What the four algorithms run on; [`crate::AlgorithmKind::build_with`]
     /// lends it to the algorithm it builds, the session returns it.
     pub(crate) algo: crate::algo::AlgoScratch,
+    /// The real-clock engine's record of the query it last ran.
+    pub(crate) record: sqda_obs::QueryExplain,
 }
 
 impl QueryScratch {

@@ -87,6 +87,16 @@ impl EngineClock for WallClock {
     }
 }
 
+/// The live registry's clock, anchored at the registry's creation: a
+/// served query runs on it, so its flight events and the registry's
+/// windows share one time base.
+impl EngineClock for sqda_obs::LiveTelemetry {
+    #[inline]
+    fn now_ns(&self) -> u64 {
+        sqda_obs::LiveTelemetry::now_ns(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,23 +15,30 @@
 //! has meaning under the simulator). A lone worker is the calling thread
 //! itself; only two or more are spawned.
 //!
+//! Every query fills one [`QueryExplain`] record in its scratch — batch
+//! sizes, per-level node accesses, per-disk reads, the cache split, the
+//! threshold trajectory and the time breakdown — and hands it to the
+//! attached [`LiveTelemetry`] in one call at completion or abort. An
+//! `EXPLAIN` runs the same path and returns a copy of the record.
+//!
 //! Observability uses the same vocabulary as the simulated engine —
 //! `query_arrive`, `batch_issued`, `disk_service`, `cpu_slice`,
 //! `query_complete`, `query_abort` — narrated to the flight ring of the
-//! attached [`LiveTelemetry`] under the query's serving id. Wall-clock
-//! `disk_service` carries measured queue and transfer times (seek/rotation
-//! are not separable on real files), and there are no `bus_transfer`
-//! events: the memory bus is not observable from user space.
+//! attached [`LiveTelemetry`] under the query's serving id, on the
+//! registry's clock. Wall-clock `disk_service` carries measured queue and
+//! transfer times (seek/rotation are not separable on real files), and
+//! there are no `bus_transfer` events: the memory bus is not observable
+//! from user space.
 
-use super::clock::WallClock;
-use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session, SessionObs};
+use super::clock::{EngineClock, WallClock};
+use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session};
 use crate::access::{AccessMethod, IndexNode, QueryScratch};
 use crate::algo::{AlgorithmKind, Neighbor, SimilaritySearch};
 use crate::error::QueryError;
 use crate::workload::Workload;
 use sqda_geom::Point;
 use sqda_obs::stats::percentile;
-use sqda_obs::{LiveTelemetry, Prediction, QueryExplain, QueryObservation, Recorder};
+use sqda_obs::{LiveTelemetry, Prediction, QueryExplain, Recorder};
 use sqda_storage::{IoBackend, PageId, ReadCompletion};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,36 +88,6 @@ pub struct RealTimeReport {
 /// rate its prediction assumed, whether that prediction used a device
 /// calibration, and the prediction itself.
 type ExplainRequest = (f64, bool, Option<Prediction>);
-
-struct CompletedSession {
-    run: QueryRun,
-    response_ns: u64,
-    obs: SessionObs,
-}
-
-/// The live-telemetry record of one query: its measured components when
-/// it completed, a bare failure mark (`done` = `None`) when it aborted.
-fn observation(
-    query: u32,
-    kind: AlgorithmKind,
-    k: usize,
-    done: Option<&CompletedSession>,
-) -> QueryObservation<'static> {
-    let obs = done.map(|d| d.obs).unwrap_or_default();
-    QueryObservation {
-        query,
-        algo: kind.name(),
-        k,
-        answers: done.map_or(0, |d| d.run.results.len()),
-        nodes: done.map_or(0, |d| d.run.nodes_visited),
-        batches: obs.batches,
-        response_ns: done.map_or(0, |d| d.response_ns),
-        disk_queue_ns: obs.disk_queue_ns,
-        disk_service_ns: obs.seek_ns + obs.rotation_ns + obs.transfer_ns,
-        cpu_ns: obs.cpu_ns,
-        failed: done.is_none(),
-    }
-}
 
 /// Reusable buffers of [`fetch_round`]; after a round, `nodes` holds its
 /// decoded nodes in request order, `misses` the pages the backend read
@@ -295,8 +272,7 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> Result<QueryRun, QueryError> {
-        let (done, _) = self.run_one(kind, point, k, 0, scratch, None)?;
-        Ok(done.run)
+        self.run_one(kind, point, k, 0, scratch, None)
     }
 
     /// Runs `workload` under `kind` with up to `concurrency` worker
@@ -327,9 +303,9 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                 let Some(wq) = queries.get(q) else {
                     break outcomes;
                 };
-                let result =
-                    self.run_one(kind, wq.point.clone(), wq.k, cpu as u16, &mut scratch, None);
-                outcomes.push((q, result.map(|(done, _)| done)));
+                let point = wq.point.clone();
+                let result = self.run_one(kind, point, wq.k, cpu as u16, &mut scratch, None);
+                outcomes.push((q, result.map(|run| (run, scratch.record.response_ms))));
             }
         };
         let outcomes = if workers == 1 {
@@ -359,11 +335,11 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         let (mut total_nodes, mut total_batches) = (0u64, 0u64);
         for (q, outcome) in outcomes {
             match outcome {
-                Ok(done) => {
-                    responses.push(done.response_ns as f64 / 1e9);
-                    total_nodes += done.run.nodes_visited;
-                    total_batches += done.run.batches;
-                    answers[q] = done.run.results;
+                Ok((run, response_ms)) => {
+                    responses.push(response_ms / 1e3);
+                    total_nodes += run.nodes_visited;
+                    total_batches += run.batches;
+                    answers[q] = run.results;
                 }
                 Err(e) => failures.push((q as u32, e)),
             }
@@ -397,22 +373,21 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     }
 
     /// Runs one k-NN query down [`Self::query`]'s path, over `scratch`,
-    /// and returns its introspection record next to its
-    /// answers: per-level node accesses, batch sizes, the lemma-1
-    /// threshold trajectory, the per-disk read distribution, the cache
-    /// hit/miss split and the queue/service/CPU time breakdown.
+    /// and returns a copy of its record next to its answers: per-level
+    /// node accesses, batch sizes, the lemma-1 threshold trajectory, the
+    /// per-disk read distribution, the cache hit/miss split and the
+    /// queue/service/CPU time breakdown.
     ///
-    /// The query flows through the attached [`LiveTelemetry`] (serving
-    /// id, counters, histograms, flight ring) exactly like a served
-    /// query; the probe only observes, so answers and store `IoStats`
-    /// are identical to an unexplained run. A slow-query-log entry for
-    /// the query carries the full explain record. `request` is `(lambda,
-    /// calibrated, predicted)`: the arrival rate the prediction assumed,
-    /// whether it used a device calibration, and the prediction itself;
-    /// when one is given the observed-minus-predicted residuals feed the telemetry's
-    /// drift windows. Callers without an analytical model pass
-    /// `(0.0, false, None)`; the record then reports observations with
-    /// null predictions.
+    /// The query flows through the attached [`LiveTelemetry`] exactly
+    /// like a served one, so answers and store `IoStats` are identical to
+    /// an unexplained run; its slow-query-log entry, if any, embeds the
+    /// record. `request` is `(lambda, calibrated, predicted)`: the arrival
+    /// rate the prediction assumed, whether it used a device calibration,
+    /// and the prediction itself; when one is given the
+    /// observed-minus-predicted residuals feed the telemetry's drift
+    /// windows. Callers without an analytical model pass `(0.0, false,
+    /// None)`; the record then reports observations with null
+    /// predictions.
     pub fn explain_query(
         &self,
         kind: AlgorithmKind,
@@ -421,19 +396,17 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         request: (f64, bool, Option<Prediction>),
         scratch: &mut QueryScratch,
     ) -> Result<(QueryExplain, Vec<Neighbor>), QueryError> {
-        let (done, explain) = self.run_one(kind, point, k, 0, scratch, Some(request))?;
-        Ok((
-            explain.expect("an explained query has a record"),
-            done.run.results,
-        ))
+        let run = self.run_one(kind, point, k, 0, scratch, Some(request))?;
+        Ok((scratch.record.clone(), run.results))
     }
 
     /// One query from pickup to the books, the path `query`, `run` and
     /// `explain_query` share: takes a serving id from the live telemetry
     /// (which counts the pickup and tags the query's flight events),
     /// builds the algorithm over `scratch`, drives its session on CPU
-    /// track `cpu` — filling an EXPLAIN record on the way when `explain`
-    /// asks for one — and feeds the outcome to every live aggregate.
+    /// track `cpu` — filling `scratch`'s record on the way — and hands the
+    /// record to the live telemetry in one call. An `explain` request is
+    /// attached to the record, which its slow-log line then embeds.
     fn run_one(
         &self,
         kind: AlgorithmKind,
@@ -442,68 +415,33 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         cpu: u16,
         scratch: &mut QueryScratch,
         explain: Option<ExplainRequest>,
-    ) -> Result<(CompletedSession, Option<QueryExplain>), QueryError> {
+    ) -> Result<QueryRun, QueryError> {
         let live = self.live.as_deref();
         let query = live.map_or(0, LiveTelemetry::begin_query);
-        let clock = WallClock::new();
+        let wall;
+        let clock: &dyn EngineClock = match live {
+            Some(live) => live,
+            None => {
+                wall = WallClock::new();
+                &wall
+            }
+        };
         // The flight ring, when armed, is the query's one narration sink.
         let mut flight = live;
         let flight = flight.as_mut().map(|f| f as &mut dyn Recorder);
-        let mut nar = Narrator::new(&clock, flight, self.am.root_page());
-        // The record starts with what the session fills as it goes; the
-        // totals are booked once the query completed.
-        let mut record = explain.map(|(lambda, calibrated, predicted)| {
-            nar.track_levels(self.am.root_page());
-            QueryExplain {
-                query,
-                algo: kind.name().to_string(),
-                k,
-                answers: 0,
-                nodes: 0,
-                batches: 0,
-                level_accesses: Vec::new(),
-                batch_sizes: Vec::new(),
-                threshold_trajectory: Vec::new(),
-                reads_per_disk: vec![0; self.am.num_disks() as usize],
-                cache_hits: 0,
-                cache_misses: 0,
-                response_ms: 0.0,
-                disk_queue_ms: 0.0,
-                disk_service_ms: 0.0,
-                cpu_ms: 0.0,
-                lambda,
-                calibrated,
-                predicted,
-            }
-        });
-        let explain = record.as_mut();
+        let mut nar = Narrator::new(clock, flight, self.am.root_page());
+        let record = &mut scratch.record;
+        record.reset(query, kind.name(), k, self.am.num_disks() as usize);
+        (record.lambda, record.calibrated, record.predicted) =
+            explain.unwrap_or((0.0, false, None));
         let result = kind
             .build_with(self.am, point, k, scratch)
-            .and_then(|mut algo| {
-                self.drive_session(algo.as_mut(), query, cpu, &mut nar, scratch, explain)
-            });
-        let seen = observation(query, kind, k, result.as_ref().ok());
-        let record = record.filter(|_| result.is_ok()).map(|mut record| {
-            record.answers = seen.answers;
-            record.nodes = seen.nodes;
-            record.batches = seen.batches;
-            record.response_ms = seen.response_ns as f64 / 1e6;
-            record.disk_queue_ms = seen.disk_queue_ns as f64 / 1e6;
-            record.disk_service_ms = seen.disk_service_ns as f64 / 1e6;
-            record.cpu_ms = seen.cpu_ns as f64 / 1e6;
-            record
-        });
+            .and_then(|mut algo| self.drive_session(algo.as_mut(), query, cpu, &mut nar, scratch));
+        scratch.record.failed = result.is_err();
         if let Some(live) = live {
-            let json = record.as_ref().map(|r| r.to_json());
-            live.observe_query(&seen, json.as_deref());
-            if let Some(accesses) = record.as_ref().and_then(|r| r.residual_accesses()) {
-                // Saturated predictions have no latency residual; NaN is
-                // dropped by the window, the access residual still lands.
-                let latency = record.as_ref().and_then(|r| r.residual_response_ms());
-                live.observe_residual(accesses, latency.unwrap_or(f64::NAN));
-            }
+            live.observe_query(&scratch.record, explain.is_some());
         }
-        result.map(|done| (done, record))
+        result
     }
 
     /// Drives one session from arrival to completion or abort: the
@@ -511,13 +449,11 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
     /// replaced by real completion delivery, one [`fetch_round`] per
     /// batch, and between rounds the algorithm's width
     /// ([`SimilaritySearch::set_width`]) from where the round's reads
-    /// were served. A failed read or decode aborts the session — narrated, so
-    /// the stream's `query_arrive` is closed — and surfaces as the
-    /// query's typed error. `explain`, when given, collects what only an
-    /// EXPLAIN record reports (per-level accesses, batch sizes, the
-    /// threshold trajectory, per-disk reads, the cache split) inline, so
-    /// an explained query runs the exact same code path — and produces
-    /// the exact same answers and I/O — as a bare one.
+    /// were served. `scratch`'s record takes each round's size as it is
+    /// issued, its reads, cache split, per-level accesses and threshold,
+    /// and the totals at completion. A failed read or decode aborts the
+    /// session — narrated, so the stream's `query_arrive` is closed — and
+    /// surfaces as the query's typed error.
     fn drive_session(
         &self,
         algo: &mut dyn SimilaritySearch,
@@ -525,38 +461,26 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         cpu: u16,
         nar: &mut Narrator<'_>,
         scratch: &mut QueryScratch,
-        mut explain: Option<&mut QueryExplain>,
-    ) -> Result<CompletedSession, QueryError> {
+    ) -> Result<QueryRun, QueryError> {
         let disks = self.am.num_disks() as usize;
         scratch.batch.clear();
         let buffer = std::mem::take(&mut scratch.batch);
-        let (pages, round) = (&mut scratch.pages, &mut scratch.round);
+        let (pages, round, record) = (&mut scratch.pages, &mut scratch.round, &mut scratch.record);
         let mut session = Session::new(algo, query, buffer);
         session.arrive(nar);
         // The disk of the last read the query saw complete: the failing
         // one when a read is what ends it.
         let mut last_disk = 0u16;
+        // Every algorithm's first round is the root, so a node's depth is
+        // the first node's level minus its own.
+        let mut root_level = None;
         let mut rounds = || -> Result<(), QueryError> {
             while session.next_batch(nar, pages)? {
-                if let Some(live) = &self.live {
-                    live.observe_batch(pages.len());
-                }
-                if let Some(x) = explain.as_deref_mut() {
-                    x.batch_sizes.push(pages.len() as u32);
-                    for &page in pages.iter() {
-                        let level = nar.level(page) as usize;
-                        if x.level_accesses.len() <= level {
-                            x.level_accesses.resize(level + 1, 0);
-                        }
-                        x.level_accesses[level] += 1;
-                    }
-                }
+                record.batch_sizes.push(pages.len() as u32);
                 fetch_round(self.am, self.backend.as_ref(), pages, round, |done| {
                     last_disk = done.disk as u16;
-                    if let Some(x) = explain.as_deref_mut() {
-                        if let Some(slot) = x.reads_per_disk.get_mut(done.disk as usize) {
-                            *slot += 1;
-                        }
+                    if let Some(slot) = record.reads_per_disk.get_mut(done.disk as usize) {
+                        *slot += 1;
                     }
                     let read = DiskRead {
                         disk: done.disk as u16,
@@ -569,23 +493,27 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
                     };
                     session.disk_read(nar, done.page, read);
                 })?;
-                if let Some(x) = explain.as_deref_mut() {
-                    x.cache_misses += round.misses.len() as u64;
-                    x.cache_hits += (pages.len() - round.misses.len()) as u64;
-                }
+                record.cache_misses += round.misses.len() as u64;
+                record.cache_hits += (pages.len() - round.misses.len()) as u64;
                 // The array's parallelism is bought per round, and only
                 // while reads wait on disks: a round memory served says
                 // the next one would overlap nothing.
                 session.set_width(if round.waited { disks } else { 1 });
                 for (&page, node) in pages.iter().zip(round.drain()) {
+                    let level = node.level();
+                    let depth = root_level.get_or_insert(level).saturating_sub(level) as usize;
+                    if record.level_accesses.len() <= depth {
+                        record.level_accesses.resize(depth + 1, 0);
+                    }
+                    record.level_accesses[depth] += 1;
                     session.deliver(nar, page, node, |_, elapsed_ns| CpuCharge {
                         cpu,
                         queue_ns: 0,
                         exec_ns: elapsed_ns,
                     })?;
                 }
-                if let (Some(x), Some(progress)) = (explain.as_deref_mut(), session.progress()) {
-                    x.threshold_trajectory.push(progress.d_th_sq.sqrt());
+                if let Some(progress) = session.progress() {
+                    record.threshold_trajectory.push(progress.d_th_sq.sqrt());
                 }
             }
             Ok(())
@@ -596,11 +524,16 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         }
         let response_ns = session.complete(nar);
         let obs = session.obs;
-        Ok(CompletedSession {
-            run: session.finish(scratch),
-            response_ns,
-            obs,
-        })
+        let ms = |ns: u64| ns as f64 / 1e6;
+        record.nodes = session.nodes_visited;
+        record.batches = obs.batches;
+        record.response_ms = ms(response_ns);
+        record.disk_queue_ms = ms(obs.disk_queue_ns);
+        record.disk_service_ms = ms(obs.seek_ns + obs.rotation_ns + obs.transfer_ns);
+        record.cpu_ms = ms(obs.cpu_ns);
+        let run = session.finish(scratch);
+        scratch.record.answers = run.results.len();
+        Ok(run)
     }
 }
 
@@ -673,7 +606,7 @@ mod tests {
         let mut events = CollectingRecorder::new();
         let mut nar = Narrator::new(&clock, Some(&mut events), tree.root_page());
         let mut scratch = QueryScratch::new();
-        let result = engine.drive_session(&mut EmptyFetcher, 0, 0, &mut nar, &mut scratch, None);
+        let result = engine.drive_session(&mut EmptyFetcher, 0, 0, &mut nar, &mut scratch);
         drop(nar);
         assert_invariant(result.map(|_| ()).unwrap_err(), "real-clock");
         let kinds: Vec<&str> = events.events().iter().map(|(_, e)| e.kind()).collect();

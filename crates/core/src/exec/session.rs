@@ -154,7 +154,7 @@ pub(crate) struct SessionObs {
 
 /// The one narration path. An event is built only while the executor's
 /// one sink is on — the simulator's caller-supplied recorder, or the
-/// real-clock engine's flight ring, which restamps it on its own clock —
+/// real-clock engine's flight ring, whose registry is then the clock —
 /// and is stamped through the engine's clock under the query's id: the
 /// workload index under the simulator, which is what the post-hoc
 /// tooling joins on, the serving id
@@ -165,7 +165,7 @@ pub(crate) struct Narrator<'a> {
     clock: &'a dyn EngineClock,
     recorder: Option<&'a mut dyn Recorder>,
     /// Tree level of every page seen so far (root = 0), extended as
-    /// internal nodes are delivered; empty while levels are not tracked.
+    /// internal nodes are delivered; empty while the sink is off.
     levels: HashMap<PageId, u16>,
 }
 
@@ -177,27 +177,22 @@ impl<'a> Narrator<'a> {
         recorder: Option<&'a mut dyn Recorder>,
         root: PageId,
     ) -> Self {
-        let mut nar = Self {
-            clock,
-            recorder: recorder.filter(|r| r.enabled()),
-            levels: HashMap::new(),
-        };
-        if nar.on() {
-            nar.track_levels(root);
+        let recorder = recorder.filter(|r| r.enabled());
+        let mut levels = HashMap::new();
+        if recorder.is_some() {
+            levels.insert(root, 0);
         }
-        nar
+        Self {
+            clock,
+            recorder,
+            levels,
+        }
     }
 
     /// Whether the sink wants events.
     #[inline]
     pub(crate) fn on(&self) -> bool {
         self.recorder.is_some()
-    }
-
-    /// Maintains the page→level map even with the sink off (the
-    /// EXPLAIN record reads it).
-    pub(crate) fn track_levels(&mut self, root: PageId) {
-        self.levels.insert(root, 0);
     }
 
     /// Tree level of `page` (0 for a page never seen below a delivered

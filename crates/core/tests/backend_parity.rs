@@ -587,23 +587,26 @@ fn telemetry_enabled_run_is_work_identical() {
 
 /// The introspection plane observes, never steers: running every query
 /// through [`RealTimeEngine::explain_query`] yields byte-identical
-/// answers and identical `IoStats` to the bare engine, and each
-/// record's internal books are consistent — per-level accesses sum to
-/// the node total, per-disk reads sum to the store's physical reads.
+/// answers and identical `IoStats` to the bare engine, over either
+/// backend, and each record's internal books are consistent — batch
+/// sizes and per-level accesses sum to the node total, the root level
+/// is one page, there are no more levels than the tree has, each miss is
+/// one disk read, and per-disk reads sum to the store's physical reads.
 #[test]
 fn explain_enabled_run_is_work_identical() {
     let dir = tmpdir("explain");
     let root = build_store(&dir);
-    for kind in [
-        AlgorithmKind::Crss,
-        AlgorithmKind::Bbss,
-        AlgorithmKind::Frontier,
-    ] {
-        let bare = run_real(&dir, root, kind, true);
+    for (kind, threaded) in KINDS.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+        let what = format!("{kind} (threaded: {threaded})");
+        let bare = run_real(&dir, root, kind, threaded);
         let tree = open_tree(&dir, root);
-        let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
-        let engine =
-            RealTimeEngine::new(&tree, Arc::<ThreadedFileBackend>::clone(&backend)).unwrap();
+        let threaded_backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
+        let backend: Arc<dyn IoBackend> = if threaded {
+            Arc::<ThreadedFileBackend>::clone(&threaded_backend)
+        } else {
+            Arc::new(InlineBackend::new(Arc::clone(tree.store())))
+        };
+        let engine = RealTimeEngine::new(&tree, backend).unwrap();
         let mut answers = Vec::new();
         let mut explained_reads = vec![0u64; NUM_DISKS as usize];
         let mut explained_hits = 0u64;
@@ -615,17 +618,34 @@ fn explain_enabled_run_is_work_identical() {
             assert_eq!(
                 explain.nodes,
                 explain.level_accesses.iter().sum::<u64>(),
-                "{kind}: per-level accesses must sum to the node total"
+                "{what}: per-level accesses must sum to the node total"
+            );
+            assert_eq!(
+                explain.nodes,
+                explain.batch_sizes.iter().map(|&b| b as u64).sum::<u64>(),
+                "{what}: batch sizes must sum to the node total"
+            );
+            assert_eq!(explain.level_accesses[0], 1, "{what}: one root");
+            assert!(
+                explain.level_accesses.len() <= tree.height() as usize,
+                "{what}: {:?} over a tree of height {}",
+                explain.level_accesses,
+                tree.height()
             );
             assert_eq!(
                 explain.batches as usize,
                 explain.batch_sizes.len(),
-                "{kind}: one recorded size per batch"
+                "{what}: one recorded size per batch"
             );
             assert_eq!(
                 explain.nodes,
                 explain.cache_hits + explain.cache_misses,
-                "{kind}: every access is a hit or a miss"
+                "{what}: every access is a hit or a miss"
+            );
+            assert_eq!(
+                explain.reads_per_disk.iter().sum::<u64>(),
+                explain.cache_misses,
+                "{what}: every miss is one disk read"
             );
             for (slot, n) in explained_reads.iter_mut().zip(&explain.reads_per_disk) {
                 *slot += n;
@@ -636,18 +656,65 @@ fn explain_enabled_run_is_work_identical() {
         let explained = ModeRun {
             answers,
             io: tree.io_stats(),
-            waited: backend.worker_reads(),
+            waited: threaded_backend.worker_reads(),
         };
         assert_answers_identical(kind, &bare, &explained, "bare vs explain");
         assert_work_identical(kind, &bare, &explained, "bare vs explain");
+        if kind == AlgorithmKind::Woptss {
+            // The oracle plans with a best-first pass over the tree before
+            // its first round: the store saw reads no session issued.
+            continue;
+        }
         assert_eq!(
             explained_reads, explained.io.reads_per_disk,
-            "{kind}: per-query disk distributions must sum to the store's"
+            "{what}: per-query disk distributions must sum to the store's"
         );
         assert_eq!(
             explained_hits, explained.io.cache_hits,
-            "{kind}: per-query cache hits must sum to the cache's"
+            "{what}: per-query cache hits must sum to the cache's"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A served query runs on the registry's clock: the flight events of two
+/// queries run back to back lie within registry time and drain (in
+/// timestamp order) exactly as they were recorded — the first query's
+/// arrival to completion, then the second's.
+#[test]
+fn flight_events_are_stamped_on_the_registry_clock() {
+    let dir = tmpdir("flight-clock");
+    let root = build_store(&dir);
+    let tree = open_tree(&dir, root);
+    let live = Arc::new(sqda_obs::LiveTelemetry::new(NUM_DISKS).with_flight_recorder(8192));
+    let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+    let engine = RealTimeEngine::new(&tree, backend)
+        .unwrap()
+        .with_telemetry(Arc::clone(&live))
+        .unwrap();
+    let mut scratch = QueryScratch::new();
+    let before = live.now_ns();
+    for (point, k) in queries().into_iter().take(2) {
+        engine
+            .query(AlgorithmKind::Crss, point, k, &mut scratch)
+            .unwrap();
+    }
+    let after = live.now_ns();
+    let events = live.flight().unwrap().drain();
+    assert!(events.len() > 4, "{events:?}");
+    for &(ts, _) in &events {
+        assert!(
+            before <= ts && ts <= after,
+            "{ts} outside [{before}, {after}]"
+        );
+    }
+    let ids: Vec<u32> = events.iter().map(|(_, e)| e.query().unwrap()).collect();
+    let second = ids.iter().position(|&q| q == 1).expect("two queries");
+    assert!(ids[..second].iter().all(|&q| q == 0), "{ids:?}");
+    assert!(ids[second..].iter().all(|&q| q == 1), "{ids:?}");
+    for span in [&events[..second], &events[second..]] {
+        assert_eq!(span[0].1.kind(), "query_arrive", "{span:?}");
+        assert_eq!(span[span.len() - 1].1.kind(), "query_complete", "{span:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -988,5 +1055,16 @@ fn failed_real_queries_are_narrated_as_aborts() {
     let snapshot = MetricsSnapshot::from_events(&flight);
     assert_eq!(snapshot.queries_aborted.0, report.failed as u64);
     assert_eq!(live.snapshot().queries_aborted.0, report.failed as u64);
+    // Folding at query end drops no round, an aborted query's included.
+    let issued: Vec<f64> = flight
+        .iter()
+        .filter_map(|(_, e)| match *e {
+            Event::BatchIssued { size, .. } => Some(size as f64),
+            _ => None,
+        })
+        .collect();
+    let batch_size = live.snapshot().batch_size;
+    assert_eq!(batch_size.count(), issued.len() as u64);
+    assert_eq!(batch_size.sum(), issued.iter().sum::<f64>());
     std::fs::remove_dir_all(&dir).ok();
 }

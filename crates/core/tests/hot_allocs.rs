@@ -8,10 +8,12 @@
 //! node views one query made 173 allocations and moved 72 KB on the
 //! benchmark store; what is left is what the answers own and the
 //! algorithm: the results vector, `k` answer points and the algorithm
-//! box.
+//! box. An engine built with live telemetry, as `sqda serve` runs it,
+//! asks for exactly as much: the query's record lives in the scratch.
 
 use sqda_core::{AccessMethod, AlgorithmKind, IndexNode, QueryScratch, RealTimeEngine};
 use sqda_geom::Point;
+use sqda_obs::LiveTelemetry;
 use sqda_rstar::decluster::ProximityIndex;
 use sqda_rstar::{PackingOrder, RStarConfig, RStarTree};
 use sqda_storage::{ArrayStore, Bytes, DiskId, FileStore, InlineBackend, NodeCache, PageStore};
@@ -94,11 +96,16 @@ fn points() -> Vec<Point> {
 }
 
 /// Settles `kind` over the resident tree, then counts what each hot
-/// `engine.query` asks of the allocator.
-fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
+/// `engine.query` asks of the allocator, on an engine with live telemetry
+/// attached when `served`; returns the worst `(allocations, bytes)`.
+fn hot_query_costs(kind: AlgorithmKind, served: bool) -> (u64, u64) {
     let tree = resident_tree();
     let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
-    let engine = RealTimeEngine::new(&tree, backend).unwrap();
+    let mut engine = RealTimeEngine::new(&tree, backend).unwrap();
+    if served {
+        let live = Arc::new(LiveTelemetry::new(tree.store().num_disks()));
+        engine = engine.with_telemetry(live).unwrap();
+    }
     let points = points();
     let mut scratch = QueryScratch::new();
     // Two settling passes: the first fills the node cache, the second
@@ -130,12 +137,22 @@ fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
         nodes as f64 / points.len() as f64 > tree.height() as f64,
         "queries do real work"
     );
-    println!("hot {kind} engine.query: at most {worst_allocs} allocations, {worst_bytes} bytes");
-    assert!(
-        worst_allocs <= 12,
-        "{worst_allocs} allocations in one hot query"
+    let how = if served { "served" } else { "bare" };
+    println!(
+        "hot {kind} {how} engine.query: at most {worst_allocs} allocations, {worst_bytes} bytes"
     );
-    assert!(worst_bytes <= 4096, "{worst_bytes} bytes in one hot query");
+    (worst_allocs, worst_bytes)
+}
+
+/// Checks the bare engine's bounds for `kind`, and that the served
+/// engine asks for exactly what the bare one does.
+fn hot_query_allocates_only_what_its_reply_owns(kind: AlgorithmKind) {
+    let (allocs, bytes) = hot_query_costs(kind, false);
+    assert!(allocs <= 12, "{allocs} allocations in one hot query");
+    assert!(bytes <= 4096, "{bytes} bytes in one hot query");
+    let served = hot_query_costs(kind, true);
+    assert_eq!(served, (allocs, bytes), "{kind}: telemetry allocated");
+    assert_eq!(served.0, 12, "{kind}: a served hot query's allocations");
 }
 
 #[test]

@@ -232,20 +232,6 @@ fn min_dist_sq_each<const D: usize>(q: &[f64], rects: &[f64], out: &mut Vec<f64>
     }
 }
 
-/// MINMAXDIST² from `q` to every rectangle of a flat rect buffer.
-pub fn batch_min_max_dist_sq(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
-    let dim = q.len();
-    out.clear();
-    out.extend(entries(rects, 2 * dim).map(|r| min_max_dist_sq(&r[..dim], &r[dim..], q)));
-}
-
-/// D_max² from `q` to every rectangle of a flat rect buffer.
-pub fn batch_max_dist_sq(q: &[f64], rects: &[f64], out: &mut Vec<f64>) {
-    let dim = q.len();
-    out.clear();
-    out.extend(entries(rects, 2 * dim).map(|r| max_dist_sq(&r[..dim], &r[dim..], q)));
-}
-
 /// All three rectangle metrics (`D_min²`, `D_mm²`, `D_max²`) for every
 /// entry in one sweep — what CRSS/FPSS candidate construction needs.
 pub fn batch_rect_metrics(

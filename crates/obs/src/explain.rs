@@ -15,6 +15,11 @@
 //! serve `EXPLAIN` verb replies with exactly this line and the
 //! slow-query log embeds it verbatim, so the schema is pinned by a
 //! golden test below.
+//!
+//! The real-clock engine fills one record for every query it serves,
+//! explained or not, and hands it to the live registry
+//! ([`LiveTelemetry::observe_query`](crate::LiveTelemetry::observe_query))
+//! at completion: `EXPLAIN` differs from `QUERY` only in returning a copy.
 
 use crate::json::{f64_array, u64_array, ObjWriter};
 
@@ -38,7 +43,7 @@ pub struct Prediction {
 
 /// The introspection record of one executed query: observations,
 /// predictions and residuals, rendered as one line of JSON.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryExplain {
     /// Global serving id of the query.
     pub query: u32,
@@ -81,9 +86,37 @@ pub struct QueryExplain {
     pub calibrated: bool,
     /// The analytical prediction, when the caller could compute one.
     pub predicted: Option<Prediction>,
+    /// Whether the query aborted with a typed error. Only the live
+    /// registry sees such a record (it counts the abort and the rounds
+    /// issued); the JSON rendering leaves the flag out.
+    pub failed: bool,
 }
 
 impl QueryExplain {
+    /// Empties the record for query `query` of `algo` asking `k` over an
+    /// array of `disks` disks, keeping its buffers: a record refilled
+    /// query after query allocates nothing once it has grown.
+    pub fn reset(&mut self, query: u32, algo: &str, k: usize, disks: usize) {
+        let mut kept = std::mem::take(self);
+        kept.algo.clear();
+        kept.algo.push_str(algo);
+        kept.level_accesses.clear();
+        kept.batch_sizes.clear();
+        kept.threshold_trajectory.clear();
+        kept.reads_per_disk.clear();
+        kept.reads_per_disk.resize(disks, 0);
+        *self = QueryExplain {
+            query,
+            algo: kept.algo,
+            k,
+            level_accesses: kept.level_accesses,
+            batch_sizes: kept.batch_sizes,
+            threshold_trajectory: kept.threshold_trajectory,
+            reads_per_disk: kept.reads_per_disk,
+            ..QueryExplain::default()
+        };
+    }
+
     /// Observed minus predicted node accesses (`None` without a
     /// prediction).
     pub fn residual_accesses(&self) -> Option<f64> {
@@ -193,6 +226,7 @@ mod tests {
                 utilization: 0.375,
                 response_ms: 4.0,
             }),
+            failed: false,
         }
     }
 
@@ -243,6 +277,25 @@ mod tests {
         );
         assert_eq!(e.residual_accesses(), None);
         assert_eq!(e.residual_response_ms(), None);
+    }
+
+    #[test]
+    fn reset_empties_the_record_and_keeps_its_buffers() {
+        let mut e = fixture();
+        e.failed = true;
+        let kept = e.batch_sizes.as_ptr();
+        e.reset(8, "FRONTIER", 3, 4);
+        assert_eq!(
+            e,
+            QueryExplain {
+                query: 8,
+                algo: "FRONTIER".into(),
+                k: 3,
+                reads_per_disk: vec![0; 4],
+                ..QueryExplain::default()
+            }
+        );
+        assert_eq!(e.batch_sizes.as_ptr(), kept, "the buffer was reused");
     }
 
     #[test]

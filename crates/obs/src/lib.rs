@@ -13,7 +13,11 @@
 //!   histograms, load imbalance, cache behaviour folded from the store's
 //!   `IoStats`);
 //! * [`profile`] — per-query [`QueryProfile`]s (nodes per level,
-//!   response-time component breakdown, CRSS threshold trajectory).
+//!   response-time component breakdown, CRSS threshold trajectory);
+//! * [`explain`] — the [`QueryExplain`] record the real-clock engine
+//!   fills for every query it serves, and [`live`] — the
+//!   [`LiveTelemetry`] registry a serving process folds each record into
+//!   once, at completion, and scrapes while running.
 //!
 //! The overhead contract: with [`NullRecorder`] the instrumented
 //! executor performs no per-event heap allocation and produces
@@ -39,7 +43,7 @@ pub mod stats;
 pub use event::{CollectingRecorder, Event, NullRecorder, QueryId, Recorder};
 pub use explain::{Prediction, QueryExplain};
 pub use jsonl::{event_to_json, events_to_jsonl};
-pub use live::{FlightRecorder, LiveTelemetry, QueryObservation, WindowStats};
+pub use live::{FlightRecorder, LiveTelemetry, WindowStats};
 pub use manifest::{discover_git_sha, RunManifest};
 pub use metrics::{Counter, DiskMetrics, Histogram, MetricsSnapshot};
 pub use perfetto::chrome_trace;

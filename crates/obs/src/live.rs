@@ -19,6 +19,12 @@
 //! * the slow-query log — an append-only JSONL file of queries that ran
 //!   over a threshold, with the full per-component breakdown.
 //!
+//! The engine writes once per query, at completion or abort: it hands
+//! [`LiveTelemetry::observe_query`] the query's one
+//! [`QueryExplain`](crate::QueryExplain) record, after
+//! [`LiveTelemetry::begin_query`] at pickup; the I/O backend's disk
+//! workers feed each read on their own.
+//!
 //! Overhead contract: an update takes the registry's lock once and does
 //! a few integer adds and bucket searches under it (a disk's first read
 //! also inserts its entry); nothing under the lock sorts, formats, does
@@ -30,6 +36,7 @@
 //! only by queries that already blew the threshold.
 
 use crate::event::{Event, Recorder};
+use crate::explain::QueryExplain;
 use crate::json::ObjWriter;
 use crate::metrics::{DiskMetrics, Histogram, MetricsSnapshot, TIME_MS_BOUNDS};
 use crate::stats::percentile;
@@ -182,54 +189,25 @@ impl FlightRecorder {
     }
 }
 
-/// Everything the engine knows about one finished query, handed to
-/// [`LiveTelemetry::observe_query`] at completion.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryObservation<'a> {
-    /// Global serving id of the query.
-    pub query: u32,
-    /// Algorithm that ran it.
-    pub algo: &'a str,
-    /// Requested neighbour count.
-    pub k: usize,
-    /// Answers produced (0 when failed).
-    pub answers: usize,
-    /// Index nodes fetched.
-    pub nodes: u64,
-    /// Fetch batches issued.
-    pub batches: u32,
-    /// Pickup-to-completion response time, ns.
-    pub response_ns: u64,
-    /// Total time requests waited in disk queues, ns.
-    pub disk_queue_ns: u64,
-    /// Total disk service (read) time, ns.
-    pub disk_service_ns: u64,
-    /// Total CPU execution time, ns.
-    pub cpu_ns: u64,
-    /// Whether the query aborted with a typed error.
-    pub failed: bool,
-}
-
 /// One slow-query log line: serving id, algorithm, k, answer count, the
-/// full per-component response-time breakdown, and the query's rendered
-/// [`QueryExplain`](crate::explain::QueryExplain) JSON under an `explain`
-/// key when available.
-fn slow_line(ts_ns: u64, o: &QueryObservation<'_>, explain: Option<&str>) -> String {
+/// full per-component response-time breakdown, and — for an explained
+/// query — the rendered record itself under an `explain` key.
+fn slow_line(ts_ns: u64, r: &QueryExplain, explained: bool) -> String {
     let mut w = ObjWriter::new();
     w.field_u64("ts_ns", ts_ns);
-    w.field_u64("query", o.query as u64);
-    w.field_str("algo", o.algo);
-    w.field_u64("k", o.k as u64);
-    w.field_u64("answers", o.answers as u64);
-    w.field_u64("nodes", o.nodes);
-    w.field_u64("batches", o.batches as u64);
-    w.field_f64("response_ms", o.response_ns as f64 / 1e6);
-    w.field_f64("disk_queue_ms", o.disk_queue_ns as f64 / 1e6);
-    w.field_f64("disk_service_ms", o.disk_service_ns as f64 / 1e6);
-    w.field_f64("cpu_ms", o.cpu_ns as f64 / 1e6);
-    w.field_bool("failed", o.failed);
-    if let Some(explain) = explain {
-        w.field_raw("explain", explain);
+    w.field_u64("query", r.query as u64);
+    w.field_str("algo", &r.algo);
+    w.field_u64("k", r.k as u64);
+    w.field_u64("answers", r.answers as u64);
+    w.field_u64("nodes", r.nodes);
+    w.field_u64("batches", r.batches as u64);
+    w.field_f64("response_ms", r.response_ms);
+    w.field_f64("disk_queue_ms", r.disk_queue_ms);
+    w.field_f64("disk_service_ms", r.disk_service_ms);
+    w.field_f64("cpu_ms", r.cpu_ms);
+    w.field_bool("failed", r.failed);
+    if explained {
+        w.field_raw("explain", &r.to_json());
     }
     w.finish()
 }
@@ -295,7 +273,7 @@ pub struct LiveTelemetry {
     state: Mutex<State>,
     flight: Option<FlightRecorder>,
     slow_log: Option<Mutex<std::fs::File>>,
-    slow_threshold_ns: u64,
+    slow_threshold_ms: f64,
 }
 
 impl LiveTelemetry {
@@ -325,7 +303,7 @@ impl LiveTelemetry {
             }),
             flight: None,
             slow_log: None,
-            slow_threshold_ns: u64::MAX,
+            slow_threshold_ms: f64::INFINITY,
         }
     }
 
@@ -341,7 +319,7 @@ impl LiveTelemetry {
     /// or truncated).
     pub fn with_slow_query_log(mut self, path: &Path, threshold_ms: f64) -> std::io::Result<Self> {
         self.slow_log = Some(Mutex::new(std::fs::File::create(path)?));
-        self.slow_threshold_ns = (threshold_ms.max(0.0) * 1e6) as u64;
+        self.slow_threshold_ms = threshold_ms.max(0.0);
         Ok(self)
     }
 
@@ -384,57 +362,49 @@ impl LiveTelemetry {
         }
     }
 
-    /// Feeds the size of one fetch batch into the batch-size
-    /// distribution.
-    pub fn observe_batch(&self, pages: usize) {
-        (lock(&self.state).books.metrics.batch_size).observe(pages as f64);
-    }
-
-    /// Feeds one finished query into every live aggregate: counters,
-    /// latency/component histograms, the sliding window, and — when the
-    /// query ran over the threshold — the slow-query log, whose line
-    /// embeds `explain` (the query's rendered
-    /// [`QueryExplain`](crate::explain::QueryExplain) JSON) when given.
-    pub fn observe_query(&self, o: &QueryObservation<'_>, explain: Option<&str>) {
+    /// Feeds one finished or aborted query into every live aggregate,
+    /// under one lock: the batch-size distribution takes every round the
+    /// query issued; an aborted one (`record.failed`) is then only
+    /// counted. A completed one feeds the counters, the latency and
+    /// component histograms, the sliding window, the drift windows when
+    /// the record carries a prediction, and — when it ran over the
+    /// threshold — the slow-query log, whose line embeds the rendered
+    /// record when the query was `explained`.
+    pub fn observe_query(&self, record: &QueryExplain, explained: bool) {
         let now = self.now_ns();
-        let response_ms = o.response_ns as f64 / 1e6;
         let slow = {
             let mut s = lock(&self.state);
             let b = &mut s.books;
-            if o.failed {
+            for &pages in &record.batch_sizes {
+                b.metrics.batch_size.observe(pages as f64);
+            }
+            if record.failed {
                 b.metrics.queries_aborted.add(1);
                 return;
             }
             b.metrics.queries_completed.add(1);
-            b.metrics.response_ms.observe(response_ms);
-            b.disk_queue_ms.observe(o.disk_queue_ns as f64 / 1e6);
-            b.disk_service_ms.observe(o.disk_service_ns as f64 / 1e6);
-            b.cpu_ms.observe(o.cpu_ns as f64 / 1e6);
-            let slow = o.response_ns >= self.slow_threshold_ns;
+            b.metrics.response_ms.observe(record.response_ms);
+            b.disk_queue_ms.observe(record.disk_queue_ms);
+            b.disk_service_ms.observe(record.disk_service_ms);
+            b.cpu_ms.observe(record.cpu_ms);
+            let slow = record.response_ms >= self.slow_threshold_ms;
             b.slow_queries += slow as u64;
-            s.window.push((now, response_ms));
+            s.window.push((now, record.response_ms));
+            // A saturated prediction has no latency residual; the access
+            // residual still lands.
+            if let Some(accesses) = record.residual_accesses().filter(|v| v.is_finite()) {
+                s.residual_accesses.push((now, accesses));
+            }
+            if let Some(latency) = record.residual_response_ms().filter(|v| v.is_finite()) {
+                s.residual_latency.push((now, latency));
+            }
             slow
         };
         if let Some(file) = self.slow_log.as_ref().filter(|_| slow) {
-            let line = slow_line(now, o, explain);
+            let line = slow_line(now, record, explained);
             // Telemetry must never fail the query: drop the line on I/O
             // errors rather than surface them into the serving path.
             let _ = writeln!(lock(file), "{line}");
-        }
-    }
-
-    /// Feeds one predicted-vs-observed residual pair into the drift
-    /// windows behind the `sqda_model_residual_*` gauges. Non-finite
-    /// components (no prediction, or a saturated latency estimate) are
-    /// skipped.
-    pub fn observe_residual(&self, accesses: f64, latency_ms: f64) {
-        let now = self.now_ns();
-        let mut s = lock(&self.state);
-        if accesses.is_finite() {
-            s.residual_accesses.push((now, accesses));
-        }
-        if latency_ms.is_finite() {
-            s.residual_latency.push((now, latency_ms));
         }
     }
 
@@ -533,13 +503,13 @@ impl sqda_storage::ReadObserver for LiveTelemetry {
     }
 }
 
-/// The flight ring as an executor's event sink: each event is stamped
-/// on the registry's own clock ([`LiveTelemetry::now_ns`]), whatever
-/// clock the executor runs on, and nothing is wanted while the ring is
-/// off.
+/// The flight ring as an executor's event sink: each event keeps the
+/// stamp the executor gave it — the real-clock engine narrates on the
+/// registry's own clock ([`LiveTelemetry::now_ns`]) — and nothing is
+/// wanted while the ring is off.
 impl Recorder for &LiveTelemetry {
-    fn record(&mut self, _ts_ns: u64, event: Event) {
-        self.record_event(self.now_ns(), event);
+    fn record(&mut self, ts_ns: u64, event: Event) {
+        self.record_event(ts_ns, event);
     }
 
     fn enabled(&self) -> bool {
@@ -551,19 +521,20 @@ impl Recorder for &LiveTelemetry {
 mod tests {
     use super::*;
 
-    fn observation(query: u32, response_ns: u64) -> QueryObservation<'static> {
-        QueryObservation {
+    fn record(query: u32, response_ms: f64) -> QueryExplain {
+        QueryExplain {
             query,
-            algo: "CRSS",
+            algo: "CRSS".into(),
             k: 5,
             answers: 5,
             nodes: 7,
             batches: 2,
-            response_ns,
-            disk_queue_ns: 1_000_000,
-            disk_service_ns: 2_500_000,
-            cpu_ns: 300_000,
-            failed: false,
+            batch_sizes: vec![1, 6],
+            response_ms,
+            disk_queue_ms: 1.0,
+            disk_service_ms: 2.5,
+            cpu_ms: 0.3,
+            ..QueryExplain::default()
         }
     }
 
@@ -659,20 +630,23 @@ mod tests {
         t.observe_disk_read(0, 1_000_000, 2_000_000, 3);
         t.observe_disk_read(1, 0, 500_000, 0);
         t.observe_disk_read(2, 0, 500_000, 0); // no such disk: ignored
-        t.observe_query(&observation(q0, 4_000_000), None);
+        t.observe_query(&record(q0, 4.0), false);
         t.observe_query(
-            &QueryObservation {
+            &QueryExplain {
                 answers: 0,
                 failed: true,
-                ..observation(q1, 0)
+                ..record(q1, 0.0)
             },
-            None,
+            false,
         );
         let snap = t.snapshot();
         assert_eq!(snap.queries_arrived.0, 2);
         assert_eq!(snap.queries_completed.0, 1);
         assert_eq!(snap.queries_aborted.0, 1);
         assert_eq!(snap.response_ms.count(), 1);
+        // The aborted query's rounds count too.
+        assert_eq!(snap.batch_size.count(), 4);
+        assert_eq!(snap.batch_size.sum(), 14.0);
         assert_eq!(snap.disks.len(), 2);
         assert_eq!(snap.disks[&0].requests.0, 1);
         assert_eq!(snap.disks[&0].busy_ns.0, 2_000_000);
@@ -702,20 +676,20 @@ mod tests {
         let t = LiveTelemetry::new(1)
             .with_slow_query_log(&path, 2.0)
             .unwrap();
-        let fast = QueryObservation {
-            algo: "BBSS",
+        let fast = QueryExplain {
+            algo: "BBSS".into(),
             answers: 3,
-            ..observation(0, 1_000_000) // 1 ms < 2 ms threshold
+            ..record(0, 1.0) // 1 ms < 2 ms threshold
         };
-        let slow = QueryObservation {
+        let slow = QueryExplain {
             query: 1,
-            response_ns: 5_000_000,
-            ..fast
+            response_ms: 5.0,
+            ..fast.clone()
         };
         t.begin_query();
         t.begin_query();
-        t.observe_query(&fast, None);
-        t.observe_query(&slow, None);
+        t.observe_query(&fast, false);
+        t.observe_query(&slow, false);
         assert_eq!(t.scrape().books.slow_queries, 1);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -725,6 +699,7 @@ mod tests {
         assert_eq!(doc.get("algo").unwrap().as_str(), Some("BBSS"));
         assert_eq!(doc.get("answers").unwrap().as_u64(), Some(3));
         assert!(doc.get("response_ms").unwrap().as_f64().unwrap() >= 2.0);
+        assert!(doc.get("explain").is_none(), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -736,10 +711,27 @@ mod tests {
             (s.residual_accesses, s.residual_latency_ms)
         };
         assert_eq!(means(&t), (0.0, 0.0));
-        t.observe_residual(2.0, 0.5);
-        t.observe_residual(4.0, 1.5);
+        // 7 nodes in 4 ms, against these predictions.
+        let predicted = |accesses, response_ms| QueryExplain {
+            predicted: Some(crate::explain::Prediction {
+                accesses,
+                batches: 2.0,
+                utilization: 0.5,
+                response_ms,
+            }),
+            ..record(0, 4.0)
+        };
+        t.observe_query(&predicted(5.0, 3.5), true);
+        t.observe_query(&predicted(3.0, 2.5), true);
         // Non-finite components are dropped, not recorded as zeros.
-        t.observe_residual(f64::NAN, f64::INFINITY);
+        t.observe_query(&predicted(f64::NAN, f64::INFINITY), true);
+        // No prediction, or an abort: nothing to compare.
+        t.observe_query(&record(0, 4.0), false);
+        let aborted = QueryExplain {
+            failed: true,
+            ..predicted(0.0, 0.0)
+        };
+        t.observe_query(&aborted, true);
         let (accesses, latency) = means(&t);
         assert!((accesses - 3.0).abs() < 1e-9);
         assert!((latency - 1.0).abs() < 1e-9);
@@ -754,14 +746,11 @@ mod tests {
             .with_slow_query_log(&path, 0.0)
             .unwrap();
         t.begin_query();
-        t.observe_query(
-            &observation(0, 2_000_000),
-            Some(r#"{"observed_accesses":3}"#),
-        );
+        t.observe_query(&record(0, 2.0), true);
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = crate::json::parse(text.lines().next().unwrap()).unwrap();
         let explain = doc.get("explain").unwrap();
-        assert_eq!(explain.get("observed_accesses").unwrap().as_u64(), Some(3));
+        assert_eq!(explain.get("observed_accesses").unwrap().as_u64(), Some(7));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -773,7 +762,7 @@ mod tests {
                 let t = &t;
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        t.observe_query(&observation(0, (w * 1000 + i) * 100_000), None);
+                        t.observe_query(&record(0, (w * 1000 + i) as f64 / 10.0), false);
                     }
                 });
             }
@@ -812,7 +801,7 @@ mod tests {
                 s.spawn(move || {
                     barrier.wait();
                     for i in 0..10_000u64 {
-                        t.observe_query(&observation(0, (w + i) * 10_000), None);
+                        t.observe_query(&record(0, (w + i) as f64 / 100.0), false);
                     }
                     finished.fetch_add(1, SeqCst);
                 });

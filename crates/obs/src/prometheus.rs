@@ -546,7 +546,7 @@ pub fn lint(text: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::QueryObservation;
+    use crate::explain::QueryExplain;
 
     fn populated() -> LiveTelemetry {
         let t = LiveTelemetry::new(2).with_flight_recorder(32);
@@ -555,20 +555,20 @@ mod tests {
             assert_eq!(id, q);
             t.observe_disk_read(q % 2, 200_000, 1_500_000, q);
             t.observe_query(
-                &QueryObservation {
+                &QueryExplain {
                     query: id,
-                    algo: "CRSS",
+                    algo: "CRSS".into(),
                     k: 10,
                     answers: 10,
                     nodes: 12,
                     batches: 3,
-                    response_ns: (q as u64 + 1) * 2_000_000,
-                    disk_queue_ns: 200_000,
-                    disk_service_ns: 1_500_000,
-                    cpu_ns: 90_000,
-                    failed: false,
+                    response_ms: (q + 1) as f64 * 2.0,
+                    disk_queue_ms: 0.2,
+                    disk_service_ms: 1.5,
+                    cpu_ms: 0.09,
+                    ..QueryExplain::default()
                 },
-                None,
+                false,
             );
         }
         t
@@ -622,20 +622,20 @@ mod tests {
             let id = t.begin_query();
             t.observe_disk_read(0, 250_000, 1_000_000, q);
             t.observe_query(
-                &QueryObservation {
+                &QueryExplain {
                     query: id,
-                    algo: "CRSS",
+                    algo: "CRSS".into(),
                     k: 5,
                     answers: 5,
                     nodes: 8,
                     batches: 2,
-                    response_ns: (q as u64 + 1) * 4_000_000,
-                    disk_queue_ns: 250_000,
-                    disk_service_ns: 1_000_000,
-                    cpu_ns: 50_000,
-                    failed: false,
+                    response_ms: (q + 1) as f64 * 4.0,
+                    disk_queue_ms: 0.25,
+                    disk_service_ms: 1.0,
+                    cpu_ms: 0.05,
+                    ..QueryExplain::default()
                 },
-                None,
+                false,
             );
         }
         let wall = [
@@ -700,20 +700,17 @@ h_count 9
         for (i, &s) in samples.iter().enumerate() {
             t.begin_query();
             t.observe_query(
-                &QueryObservation {
+                &QueryExplain {
                     query: i as u32,
-                    algo: "CRSS",
+                    algo: "CRSS".into(),
                     k: 1,
                     answers: 1,
                     nodes: 1,
                     batches: 1,
-                    response_ns: (s * 1e6) as u64,
-                    disk_queue_ns: 0,
-                    disk_service_ns: 0,
-                    cpu_ns: 0,
-                    failed: false,
+                    response_ms: s,
+                    ..QueryExplain::default()
                 },
-                None,
+                false,
             );
         }
         let hist = t.snapshot().response_ms;

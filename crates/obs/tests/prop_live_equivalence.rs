@@ -11,7 +11,7 @@
 
 use sqda_geom::prop::{self, check};
 use sqda_geom::rng::Rng;
-use sqda_obs::{LiveTelemetry, QueryObservation};
+use sqda_obs::{LiveTelemetry, QueryExplain};
 use std::sync::Mutex;
 
 const DISKS: u32 = 3;
@@ -25,20 +25,21 @@ fn feed(t: &LiveTelemetry, v: u64) {
     let (v, query) = (v / 2, v.is_multiple_of(2));
     if query {
         t.observe_query(
-            &QueryObservation {
+            &QueryExplain {
                 query: 0,
-                algo: "CRSS",
+                algo: "CRSS".into(),
                 k: 10,
                 answers: 10,
                 nodes: v % 40,
                 batches: (v % 9) as u32,
-                response_ns: (v % 6000) * MS,
-                disk_queue_ns: (v / 7 % 300) * MS,
-                disk_service_ns: (v / 3 % 2000) * MS,
-                cpu_ns: (v % 11) * MS,
-                failed: false,
+                batch_sizes: vec![(v % 7) as u32 + 1; (v % 9) as usize],
+                response_ms: (v % 6000) as f64,
+                disk_queue_ms: (v / 7 % 300) as f64,
+                disk_service_ms: (v / 3 % 2000) as f64,
+                cpu_ms: (v % 11) as f64,
+                ..QueryExplain::default()
             },
-            None,
+            false,
         );
     } else {
         let depth = (v / 5 % 200) as u32;

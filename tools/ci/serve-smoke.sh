@@ -66,6 +66,12 @@ assert rec['calibrated'] is False, rec  # first run: no calibration.json yet
 bare = json.loads(req('EXPLAIN 0.5,0.5 5'))
 assert bare['algo'] == 'FRONTIER' and bare['k'] == 5, bare
 assert bare['observed_accesses'] > 0, bare
+# Both records keep consistent books: every access sits at one level, in
+# one batch, and is a cache hit or a miss; one size per batch.
+for r in (rec, bare):
+    assert (sum(r['level_accesses']) == sum(r['batch_sizes']) == r['observed_accesses']
+            == r['cache_hits'] + r['cache_misses']), r
+    assert len(r['batch_sizes']) == r['observed_batches'], r
 assert req('EXPLAIN nonsense').startswith('ERR')
 assert req('EXPLAIN').startswith('ERR')
 
