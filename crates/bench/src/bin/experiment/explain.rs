@@ -137,10 +137,11 @@ pub fn run(opts: &ExpOptions) {
             let mut resid = 0.0;
             let mut ms = 0.0;
             for q in qs {
-                let (rec, answers) = engine
-                    .explain_query(KIND, q.clone(), k, request, &mut scratch)
+                let run = engine
+                    .query(KIND, q.clone(), k, Some(request), &mut scratch)
                     .expect("explain query");
-                assert_eq!(rec.answers, answers.len(), "explain answer count");
+                let rec = scratch.record();
+                assert_eq!(rec.answers, run.results.len(), "explain answer count");
                 acc += rec.nodes as f64;
                 resid += rec.residual_accesses().expect("prediction attached").abs();
                 ms += rec.response_ms;

@@ -16,8 +16,10 @@
 //!   three-metric rectangle kernels at dims 2, 3, 5 and 8 (const-generic
 //!   bodies) and 10 (runtime `dim`), batch sizes 1/8/64 (one entry, a
 //!   small node, a large fanout);
-//! * `batch_knn_ns_per_query` — shared-traversal k-NN of a batch of 8,
-//!   plus its deterministic fetch-sharing counters;
+//! * `batch_knn_ns_per_query` — one `RealTimeEngine::run_query_batch` of
+//!   8 queries over an `InlineBackend` (8 FPSS machines reading each
+//!   round's page union once), plus its deterministic fetch-sharing
+//!   counters;
 //! * `crss_hot_query_ns`, `allocs_per_query`, `bytes_per_query` — one
 //!   `RealTimeEngine::query` of a CRSS k-NN query over a reused
 //!   [`QueryScratch`] (what `sqda serve`'s `QUERY` calls) over a 100 000-point
@@ -369,8 +371,9 @@ pub fn run(opts: &ExpOptions) {
         }
     }
 
-    // Shared-traversal batch k-NN: B clustered-ish queries through one
-    // wavefront descent; the fetch counters are exact and deterministic.
+    // Shared-round batch k-NN: B clustered-ish queries as B FPSS machines
+    // reading each round's union once; the fetch counters are exact and
+    // deterministic.
     let batch_queries: Vec<Point> = (0..BATCH_B)
         .map(|i| {
             Point::new(vec![
@@ -379,14 +382,17 @@ pub fn run(opts: &ExpOptions) {
             ])
         })
         .collect();
-    let mut batch_scratch = sqda_core::BatchScratch::new();
-    let batch_report =
-        sqda_core::batch_knn_with(&tree, None, &batch_queries, K, &mut batch_scratch)
-            .expect("batch");
+    let batch_backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+    let batch_engine = RealTimeEngine::new(&tree, batch_backend).expect("engine");
+    let batch = || {
+        batch_engine
+            .run_query_batch(&batch_queries, K)
+            .expect("batch")
+            .0
+    };
+    let batch_report = batch();
     let batch_reps = sample_ns(reps, 1, batch_queries.len(), |_| {
-        let r = sqda_core::batch_knn_with(&tree, None, &batch_queries, K, &mut batch_scratch)
-            .expect("batch");
-        black_box(r.answers.len());
+        black_box(batch().answers.len());
     });
 
     // One served CRSS query, hot: `engine.query` over one scratch, as
@@ -408,7 +414,7 @@ pub fn run(opts: &ExpOptions) {
         let (mut nodes, mut rounds) = (0, 0);
         for point in points {
             let run = engine
-                .query(kind, point, K, &mut served_scratch)
+                .query(kind, point, K, None, &mut served_scratch)
                 .expect("hot query");
             assert_eq!(run.results.len(), K);
             nodes += run.nodes_visited;

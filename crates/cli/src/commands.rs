@@ -576,8 +576,9 @@ pub fn explain(args: &Args) -> CmdResult {
     let backend = Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store())));
     let engine = RealTimeEngine::new(&tree, backend)?;
     let request = (lambda, calibration.is_some(), predicted);
-    let (record, _) = engine.explain_query(kind, point, k, request, &mut QueryScratch::new())?;
-    println!("{}", record.to_json());
+    let mut scratch = QueryScratch::new();
+    engine.query(kind, point, k, Some(request), &mut scratch)?;
+    println!("{}", scratch.record().to_json());
     Ok(())
 }
 

@@ -86,7 +86,7 @@ COMMANDS:
                    record
      BATCH <x,y;x,y;...> <k>  ->  OK <B> fetches=<unique>/<interest>
                    rounds=<r> wall_us=<t> q0=<id>:<dist>,... q1=...
-                   (B <= 1024 queries through one shared traversal)
+                   (B <= 1024 FPSS queries over shared rounds)
      PING -> PONG   STATS -> counters   QUIT / SHUTDOWN -> BYE
      METRICS -> Prometheus text exposition, read until the '# EOF' line
      DUMP-TRACE <name> -> write the flight-recorder ring as the trace

@@ -64,8 +64,10 @@
 //! <- {"query":...,"observed_accesses":...,"predicted_accesses":...,...}
 //!    (runs the query and returns its one-line JSON introspection
 //!    record: observed per-level/per-disk work and timing next to the
-//!    analytical prediction and the residuals)
-//! -> BATCH <x,y;x,y;...> <k>   (B queries through one shared traversal)
+//!    analytical prediction and the residuals; `woptss`'s oracle search
+//!    reads before the query starts, which `STATS reads=` counts and the
+//!    record and per-disk metrics do not)
+//! -> BATCH <x,y;x,y;...> <k>   (B FPSS queries over shared rounds)
 //! <- OK <B> fetches=<unique>/<interest> rounds=<r> wall_us=<t>
 //!          q0=<id>:<dist>,... q1=...
 //! -> PING
@@ -837,7 +839,7 @@ fn try_respond(
             let mut req = parse_knn(words, "QUERY <x,y,...> <k> [algo]", false, dim)?;
             let point = req.points.pop().expect("a QUERY parses to one point");
             let run = engine
-                .query(req.kind, point, req.k, scratch)
+                .query(req.kind, point, req.k, None, scratch)
                 .map_err(|e| e.to_string())?;
             served.fetch_add(1, Ordering::Relaxed);
             let answers = &run.results;
@@ -862,16 +864,15 @@ fn try_respond(
                 predict_knn(profile, &explain.params, explain.height, k, lambda).map(Into::into)
             });
             let request = (lambda, explain.calibrated, predicted);
-            let (record, _) = engine
-                .explain_query(kind, point, k, request, scratch)
+            engine
+                .query(kind, point, k, Some(request), scratch)
                 .map_err(|e| e.to_string())?;
             served.fetch_add(1, Ordering::Relaxed);
-            out.push_str(&record.to_json());
+            out.push_str(&scratch.record().to_json());
         }
         Some("BATCH") => {
-            // B queries through one shared traversal (FPSS wavefront
-            // semantics): each wavefront page is fetched and decoded
-            // once for every query still interested in it.
+            // B ordinary FPSS machines in lockstep: each round reads the
+            // union of their fetch lists once.
             let KnnRequest { points, k, .. } =
                 parse_knn(words, "BATCH <x,y;x,y;...> <k>", true, dim)?;
             let (report, wall_s) = engine

@@ -432,6 +432,12 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The record of the query the real-clock engine last ran over this
+    /// scratch ([`crate::RealTimeEngine::query`]).
+    pub fn record(&self) -> &sqda_obs::QueryExplain {
+        &self.record
+    }
 }
 
 #[cfg(test)]

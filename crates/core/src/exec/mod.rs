@@ -21,7 +21,7 @@ mod sim;
 
 pub use clock::{EngineClock, VirtualClock, WallClock};
 pub use logical::{run_query, run_query_with};
-pub(crate) use real::{fetch_round, Round};
-pub use real::{RealTimeEngine, RealTimeReport};
+pub(crate) use real::Round;
+pub use real::{BatchKnnReport, RealTimeEngine, RealTimeReport};
 pub use session::{mirror_partner, QueryRun};
 pub use sim::{AlgoFactory, RunOptions, Simulation, SimulationReport};

@@ -19,7 +19,12 @@
 //! sizes, per-level node accesses, per-disk reads, the cache split, the
 //! threshold trajectory and the time breakdown — and hands it to the
 //! attached [`LiveTelemetry`] in one call at completion or abort. An
-//! `EXPLAIN` runs the same path and returns a copy of the record.
+//! `EXPLAIN` is the same call with a prediction attached to the record,
+//! which its caller then renders from the scratch.
+//!
+//! [`RealTimeEngine::run_query_batch`] runs B ordinary FPSS sessions in
+//! lockstep: one round reads the union of their fetch lists once, and
+//! each session gets its own pages back.
 //!
 //! Observability uses the same vocabulary as the simulated engine —
 //! `query_arrive`, `batch_issued`, `disk_service`, `cpu_slice`,
@@ -30,15 +35,16 @@
 //! there are no `bus_transfer` events: the memory bus is not observable
 //! from user space.
 
-use super::clock::{EngineClock, WallClock};
+use super::clock::{EngineClock, VirtualClock, WallClock};
 use super::session::{per, CpuCharge, DiskRead, Narrator, QueryRun, Session};
 use crate::access::{AccessMethod, IndexNode, QueryScratch};
 use crate::algo::{AlgorithmKind, Neighbor, SimilaritySearch};
 use crate::error::QueryError;
+use crate::fpss::Fpss;
 use crate::workload::Workload;
 use sqda_geom::Point;
 use sqda_obs::stats::percentile;
-use sqda_obs::{LiveTelemetry, Prediction, QueryExplain, Recorder};
+use sqda_obs::{LiveTelemetry, Prediction, Recorder};
 use sqda_storage::{IoBackend, PageId, ReadCompletion};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -84,6 +90,33 @@ pub struct RealTimeReport {
     pub failures: Vec<(u32, QueryError)>,
 }
 
+/// Results of one [`RealTimeEngine::run_query_batch`].
+#[derive(Debug, Clone)]
+pub struct BatchKnnReport {
+    /// Per-query answers, in input order; each sorted by increasing
+    /// distance (object id breaking ties).
+    pub answers: Vec<Vec<Neighbor>>,
+    /// Pages read for the whole batch: the sum of the rounds' union sizes.
+    pub unique_fetches: u64,
+    /// The sum of the machines' fetch-list lengths — the page reads B
+    /// solo FPSS runs would have issued.
+    pub total_interest: u64,
+    /// Rounds run: the most fetch rounds any one machine took.
+    pub rounds: u32,
+}
+
+impl BatchKnnReport {
+    /// Fetch amplification avoided: `total_interest / unique_fetches`
+    /// (1.0 when queries never overlap, up to B when they always do).
+    pub fn sharing_factor(&self) -> f64 {
+        if self.unique_fetches == 0 {
+            1.0
+        } else {
+            self.total_interest as f64 / self.unique_fetches as f64
+        }
+    }
+}
+
 /// What an explained query is asked with beyond a bare one: the arrival
 /// rate its prediction assumed, whether that prediction used a device
 /// calibration, and the prediction itself.
@@ -98,14 +131,14 @@ pub(crate) struct Round {
     /// `(page, position in the request)` of every miss, sorted, so a
     /// completion finds its slot whatever order reads finish in.
     slots: Vec<(PageId, usize)>,
-    pub(crate) misses: Vec<PageId>,
-    pub(crate) nodes: Vec<Option<IndexNode>>,
-    pub(crate) waited: bool,
+    misses: Vec<PageId>,
+    nodes: Vec<Option<IndexNode>>,
+    waited: bool,
 }
 
 impl Round {
     /// Takes the round's nodes, in request order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = IndexNode> + '_ {
+    fn drain(&mut self) -> impl Iterator<Item = IndexNode> + '_ {
         self.nodes.drain(..).flatten()
     }
 }
@@ -116,7 +149,7 @@ impl Round {
 /// Completions arrive in finish order — `on_read` sees each as it lands —
 /// and are slotted back into request order, so callers get exactly what
 /// the logical and simulated executors deliver.
-pub(crate) fn fetch_round<A: AccessMethod + ?Sized>(
+fn fetch_round<A: AccessMethod + ?Sized>(
     am: &A,
     backend: &dyn IoBackend,
     pages: &[PageId],
@@ -235,31 +268,20 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         self.am
     }
 
-    /// Runs `queries` as one shared-traversal k-NN batch (see
-    /// [`crate::batch`]): the batch descends the tree once, decodes each
-    /// wavefront page a single time, and serves every interested query
-    /// from the shared block via the batch distance kernels. Answers are
-    /// bit-identical to running FPSS per query through [`Self::run`].
-    /// Each round is read through this engine's [`IoBackend`] exactly as
-    /// a session's batch is — over a threaded backend the whole
-    /// wavefront reads concurrently across the per-disk files. Returns
-    /// the batch report and the wall-clock seconds the batch took.
-    pub fn run_query_batch(
-        &self,
-        queries: &[sqda_geom::Point],
-        k: usize,
-    ) -> Result<(crate::batch::BatchKnnReport, f64), QueryError> {
-        let started = Instant::now();
-        let mut scratch = crate::batch::BatchScratch::new();
-        let backend = Some(self.backend.as_ref());
-        let report = crate::batch::batch_knn_with(self.am, backend, queries, k, &mut scratch)?;
-        Ok((report, started.elapsed().as_secs_f64()))
-    }
-
     /// Runs one k-NN query under `kind` to completion on the calling
-    /// thread — the call `sqda serve`'s `QUERY` makes. `scratch` lends the
-    /// algorithm its working memory and the session its round buffers; a
-    /// caller that keeps it from one query to the next grows them once.
+    /// thread — the call `sqda serve`'s `QUERY` and `EXPLAIN` make.
+    /// `scratch` lends the algorithm its working memory and the session
+    /// its round buffers; a caller that keeps it from one query to the
+    /// next grows them once. The query's record stays in the scratch
+    /// ([`QueryScratch::record`]).
+    ///
+    /// `explain` is what an `EXPLAIN` asks beyond a bare query:
+    /// `(lambda, calibrated, predicted)`, the arrival rate its prediction
+    /// assumed, whether that prediction used a device calibration, and
+    /// the prediction itself. It is attached to the record, whose
+    /// slow-log line then embeds it, and a prediction's
+    /// observed-minus-predicted residuals feed the telemetry's drift
+    /// windows. Answers and reads are the same either way.
     ///
     /// # Errors
     ///
@@ -270,9 +292,89 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         kind: AlgorithmKind,
         point: Point,
         k: usize,
+        explain: Option<ExplainRequest>,
         scratch: &mut QueryScratch,
     ) -> Result<QueryRun, QueryError> {
-        self.run_one(kind, point, k, 0, scratch, None)
+        self.run_one(kind, point, k, 0, scratch, explain)
+    }
+
+    /// Runs `queries` as B ordinary [`Fpss`] machines in lockstep over
+    /// shared rounds: each round reads the union of the machines' fetch
+    /// lists once, in page order, through this engine's backend (over a
+    /// threaded backend the whole union reads concurrently across the
+    /// per-disk files), and hands every machine the nodes of its own
+    /// pages in its own request order. Answers are therefore solo FPSS's
+    /// bit for bit; sharing changes only how often a page is read.
+    /// Returns the batch report and the wall-clock seconds the batch took.
+    ///
+    /// # Errors
+    ///
+    /// A failed read or decode, or [`QueryError::Invariant`] when a
+    /// machine refuses its query (a point of the wrong dimensionality)
+    /// or asks for an empty batch.
+    pub fn run_query_batch(
+        &self,
+        queries: &[Point],
+        k: usize,
+    ) -> Result<(BatchKnnReport, f64), QueryError> {
+        let started = Instant::now();
+        let clock = VirtualClock::new();
+        let mut nar = Narrator::new(&clock, None, self.am.root_page());
+        let mut machines: Vec<Fpss> = queries
+            .iter()
+            .map(|q| Fpss::new(self.am, q.clone(), k))
+            .collect();
+        // The machines still running, each with its current fetch list.
+        let mut live: Vec<_> = machines
+            .iter_mut()
+            .enumerate()
+            .map(|(q, machine)| {
+                let mut session = Session::new(machine, q as u32, Vec::new());
+                session.arrive(&mut nar);
+                (session, Vec::new())
+            })
+            .collect();
+        let (mut union, mut round) = (Vec::new(), Round::default());
+        let (mut unique_fetches, mut total_interest, mut rounds) = (0, 0, 0);
+        loop {
+            union.clear();
+            let mut at = 0;
+            while let Some((session, pages)) = live.get_mut(at) {
+                if session.next_batch(&mut nar, pages)? {
+                    union.extend_from_slice(pages);
+                    at += 1;
+                } else {
+                    live.swap_remove(at);
+                }
+            }
+            if live.is_empty() {
+                break;
+            }
+            union.sort_unstable();
+            union.dedup();
+            rounds += 1;
+            unique_fetches += union.len() as u64;
+            fetch_round(self.am, self.backend.as_ref(), &union, &mut round, |_| {})?;
+            for (session, pages) in &mut live {
+                total_interest += pages.len() as u64;
+                for &page in pages.iter() {
+                    let at = union
+                        .binary_search(&page)
+                        .expect("the union holds every page");
+                    let node = round.nodes[at]
+                        .clone()
+                        .expect("fetch_round fills every slot");
+                    session.deliver(&mut nar, page, node, |_, _| CpuCharge::default())?;
+                }
+            }
+        }
+        let report = BatchKnnReport {
+            answers: machines.iter().map(|m| m.results()).collect(),
+            unique_fetches,
+            total_interest,
+            rounds,
+        };
+        Ok((report, started.elapsed().as_secs_f64()))
     }
 
     /// Runs `workload` under `kind` with up to `concurrency` worker
@@ -372,40 +474,12 @@ impl<'t, A: AccessMethod + ?Sized> RealTimeEngine<'t, A> {
         })
     }
 
-    /// Runs one k-NN query down [`Self::query`]'s path, over `scratch`,
-    /// and returns a copy of its record next to its answers: per-level
-    /// node accesses, batch sizes, the lemma-1 threshold trajectory, the
-    /// per-disk read distribution, the cache hit/miss split and the
-    /// queue/service/CPU time breakdown.
-    ///
-    /// The query flows through the attached [`LiveTelemetry`] exactly
-    /// like a served one, so answers and store `IoStats` are identical to
-    /// an unexplained run; its slow-query-log entry, if any, embeds the
-    /// record. `request` is `(lambda, calibrated, predicted)`: the arrival
-    /// rate the prediction assumed, whether it used a device calibration,
-    /// and the prediction itself; when one is given the
-    /// observed-minus-predicted residuals feed the telemetry's drift
-    /// windows. Callers without an analytical model pass `(0.0, false,
-    /// None)`; the record then reports observations with null
-    /// predictions.
-    pub fn explain_query(
-        &self,
-        kind: AlgorithmKind,
-        point: Point,
-        k: usize,
-        request: (f64, bool, Option<Prediction>),
-        scratch: &mut QueryScratch,
-    ) -> Result<(QueryExplain, Vec<Neighbor>), QueryError> {
-        let run = self.run_one(kind, point, k, 0, scratch, Some(request))?;
-        Ok((scratch.record.clone(), run.results))
-    }
-
-    /// One query from pickup to the books, the path `query`, `run` and
-    /// `explain_query` share: takes a serving id from the live telemetry
-    /// (which counts the pickup and tags the query's flight events),
-    /// builds the algorithm over `scratch`, drives its session on CPU
-    /// track `cpu` — filling `scratch`'s record on the way — and hands the
-    /// record to the live telemetry in one call. An `explain` request is
+    /// One query from pickup to the books, the path `query` and `run`
+    /// share: takes a serving id from the live telemetry (which counts the
+    /// pickup and tags the query's flight events), builds the algorithm
+    /// over `scratch`, drives its session on CPU track `cpu` — filling
+    /// `scratch`'s record on the way — and hands the record to the live
+    /// telemetry in one call. An `explain` request is
     /// attached to the record, which its slow-log line then embeds.
     fn run_one(
         &self,
@@ -543,11 +617,14 @@ mod tests {
     use crate::algo::{BatchResult, Step};
     use crate::exec::{run_query, RunOptions, Simulation};
     use crate::workload::WorkloadQuery;
+    use sqda_geom::rng::Rng;
     use sqda_obs::CollectingRecorder;
     use sqda_rstar::decluster::ProximityIndex;
     use sqda_rstar::{RStarConfig, RStarTree};
     use sqda_simkernel::{SimTime, SystemParams};
-    use sqda_storage::{ArrayStore, InlineBackend};
+    use sqda_storage::{
+        ArrayStore, FileStore, InlineBackend, PageStore, ThreadedFileBackend, DEFAULT_PAGE_SIZE,
+    };
 
     /// Asks for an empty batch straight away — one no delivery could
     /// ever complete.
@@ -683,6 +760,158 @@ mod tests {
         match engine.run(AlgorithmKind::Crss, &workload(2), 2) {
             Err(QueryError::Invariant(msg)) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected Invariant, got {other:?}"),
+        }
+    }
+
+    /// A tree of `n` random points in [0, 10)², eight entries a node.
+    fn random_tree<S: PageStore>(store: Arc<S>, n: usize, seed: u64) -> RStarTree<S> {
+        let config = RStarConfig::new(2).with_max_entries(8);
+        let mut tree = RStarTree::create(store, config, Box::new(ProximityIndex)).unwrap();
+        let mut rng = Rng::seed_from_u64(seed);
+        for i in 0..n {
+            let p = Point::new(vec![rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)]);
+            tree.insert(p, i as u64).unwrap();
+        }
+        tree
+    }
+
+    /// [`random_tree`] over four in-memory disks.
+    fn build(n: usize, seed: u64) -> RStarTree<ArrayStore> {
+        random_tree(Arc::new(ArrayStore::new(4, 1449, seed)), n, seed)
+    }
+
+    /// `run_query_batch` over an inline backend on `tree`'s store.
+    fn batch(
+        tree: &RStarTree<ArrayStore>,
+        queries: &[Point],
+        k: usize,
+    ) -> Result<BatchKnnReport, QueryError> {
+        let backend = Arc::new(InlineBackend::new(Arc::clone(tree.store())));
+        let engine = RealTimeEngine::new(tree, backend).unwrap();
+        Ok(engine.run_query_batch(queries, k)?.0)
+    }
+
+    /// B ordinary FPSS machines over shared rounds answer exactly as each
+    /// does alone, over either backend, and the batch's books are the
+    /// solo runs': the fetch lists sum to their nodes, the rounds are the
+    /// longest solo descent, and a round reads a page once — so a lone
+    /// query shares nothing. Covers no query, a repeated point, and k
+    /// past the population.
+    #[test]
+    fn batch_answers_bit_identical_to_solo_fpss() {
+        const N: usize = 1500;
+        let dir = std::env::temp_dir().join(format!("sqda-batch-solo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(FileStore::create(&dir, 4, 1449, DEFAULT_PAGE_SIZE, 41).unwrap());
+        let tree = random_tree(store, N, 41);
+        let mut rng = Rng::seed_from_u64(99);
+        let mut points: Vec<Point> = (0..8)
+            .map(|_| Point::new(vec![rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)]))
+            .collect();
+        points[1] = points[0].clone();
+        let backends: [Arc<dyn IoBackend>; 2] = [
+            Arc::new(InlineBackend::new(Arc::clone(tree.store()))),
+            Arc::new(ThreadedFileBackend::new(Arc::clone(tree.store()))),
+        ];
+        for backend in backends {
+            let name = backend.name();
+            let engine = RealTimeEngine::new(&tree, backend).unwrap();
+            for (b, k) in [0, 1, 2, 5, 8]
+                .into_iter()
+                .flat_map(|b| [1, 7, N + 3].map(|k| (b, k)))
+            {
+                let what = format!("{name}: B={b} k={k}");
+                let queries = &points[..b];
+                let (batch, _) = engine.run_query_batch(queries, k).unwrap();
+                let solo: Vec<QueryRun> = queries
+                    .iter()
+                    .map(|q| run_query(&tree, &mut Fpss::new(&tree, q.clone(), k)).unwrap())
+                    .collect();
+                assert_eq!(batch.answers.len(), b, "{what}");
+                for (got, want) in batch.answers.iter().zip(&solo) {
+                    assert_eq!(got.len(), want.results.len(), "{what}");
+                    for (g, w) in got.iter().zip(&want.results) {
+                        assert_eq!(g.object, w.object, "{what}");
+                        assert_eq!(g.dist_sq.to_bits(), w.dist_sq.to_bits(), "{what}");
+                    }
+                }
+                let solo_nodes: u64 = solo.iter().map(|r| r.nodes_visited).sum();
+                assert_eq!(batch.total_interest, solo_nodes, "{what}");
+                let solo_rounds = solo.iter().map(|r| r.batches).max().unwrap_or(0);
+                assert_eq!(u64::from(batch.rounds), solo_rounds, "{what}");
+                assert!(batch.unique_fetches <= batch.total_interest, "{what}");
+                if b == 1 {
+                    assert_eq!(batch.unique_fetches, batch.total_interest, "{what}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sharing_reduces_unique_fetches() {
+        let tree = build(2000, 42);
+        // Clustered queries overlap heavily: the round unions must be far
+        // smaller than B solo traversals.
+        let queries: Vec<Point> = (0..8)
+            .map(|i| Point::new(vec![5.0 + 0.01 * i as f64, 5.0]))
+            .collect();
+        let report = batch(&tree, &queries, 5).unwrap();
+        assert!(report.unique_fetches > 0);
+        assert!(
+            report.total_interest > report.unique_fetches,
+            "clustered queries must share fetches: {} vs {}",
+            report.total_interest,
+            report.unique_fetches
+        );
+        assert!(report.sharing_factor() > 1.5);
+        assert!(report.rounds >= 2);
+    }
+
+    #[test]
+    fn empty_batch_and_single_query() {
+        let tree = build(300, 43);
+        let none = batch(&tree, &[], 3).unwrap();
+        assert!(none.answers.is_empty());
+        assert_eq!(none.unique_fetches, 0);
+
+        let one = vec![Point::new(vec![2.0, 2.0])];
+        let report = batch(&tree, &one, 3).unwrap();
+        assert_eq!(report.answers.len(), 1);
+        assert_eq!(report.answers[0].len(), 3);
+        // A batch of one shares nothing.
+        assert_eq!(report.unique_fetches, report.total_interest);
+    }
+
+    #[test]
+    fn batch_larger_than_tree_k() {
+        let tree = build(10, 44);
+        let queries = vec![Point::new(vec![1.0, 1.0]), Point::new(vec![9.0, 9.0])];
+        let report = batch(&tree, &queries, 50).unwrap();
+        for a in &report.answers {
+            assert_eq!(a.len(), 10, "k beyond population returns everything");
+        }
+    }
+
+    /// A point of the wrong dimensionality fails the batch with a typed
+    /// error wherever it sits: its FPSS machine refuses it at the root,
+    /// before a kernel reads its coordinates.
+    #[test]
+    fn batch_point_of_wrong_dimensionality_is_a_typed_invariant() {
+        let tree = build(300, 46);
+        let (good, bad) = (Point::new(vec![2.0, 2.0]), Point::new(vec![2.0, 2.0, 2.0]));
+        for queries in [
+            vec![bad.clone(), good.clone()],
+            vec![good.clone(), bad.clone()],
+            vec![bad.clone()],
+        ] {
+            match batch(&tree, &queries, 3) {
+                Err(QueryError::Invariant(msg)) => assert!(
+                    msg.contains("3 dimensions") && msg.contains("the tree has 2"),
+                    "{msg}"
+                ),
+                other => panic!("expected Invariant, got {other:?}"),
+            }
         }
     }
 }

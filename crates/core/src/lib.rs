@@ -40,7 +40,10 @@
 //!   against real files through a batched
 //!   [`IoBackend`](sqda_storage::IoBackend), one query per call over a
 //!   caller-owned [`QueryScratch`], reporting wall-clock latencies
-//!   (`sqda serve`).
+//!   (`sqda serve`); its
+//!   [`run_query_batch`](exec::RealTimeEngine::run_query_batch) runs B
+//!   ordinary [`Fpss`] sessions in lockstep, each round reading the union
+//!   of their pages once ([`BatchKnnReport`]).
 //!
 //! # Example: one query, four algorithms
 //!
@@ -71,7 +74,6 @@
 
 pub mod access;
 pub mod algo;
-pub mod batch;
 mod bbss;
 mod best_first;
 mod crss;
@@ -86,14 +88,13 @@ pub mod workload;
 
 pub use access::{AccessMethod, IndexNode, InternalBlock, LeafBlock, QueryScratch};
 pub use algo::{AlgoProgress, AlgorithmKind, BatchResult, KBest, Neighbor, SimilaritySearch, Step};
-pub use batch::{batch_knn, batch_knn_with, BatchKnnReport, BatchScratch};
 pub use bbss::Bbss;
 pub use best_first::{best_first_knn, best_first_knn_with};
 pub use crss::Crss;
 pub use error::QueryError;
 pub use exec::{
-    mirror_partner, run_query, run_query_with, QueryRun, RealTimeEngine, RealTimeReport,
-    RunOptions, Simulation, SimulationReport,
+    mirror_partner, run_query, run_query_with, BatchKnnReport, QueryRun, RealTimeEngine,
+    RealTimeReport, RunOptions, Simulation, SimulationReport,
 };
 pub use fpss::Fpss;
 pub use frontier::Frontier;

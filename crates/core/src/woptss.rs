@@ -9,6 +9,11 @@
 //! fetches every relevant node level by level with full parallelism. Its
 //! node count and response time are the lower bounds the real algorithms
 //! are measured against (Theorem 2 shows none of them attains it).
+//!
+//! The oracle reads through the access method before any session starts:
+//! the store's `IoStats` and its node cache count those lookups (`sqda
+//! serve`'s `STATS reads=`), but the query's `QueryExplain` record and the
+//! live per-disk metrics, which see only session reads, do not.
 
 use crate::access::{AccessMethod, IndexNode, QueryScratch};
 use crate::algo::{scan_leaf, AlgoScratch, BatchResult, Neighbor, SimilaritySearch, Step};
@@ -30,7 +35,8 @@ pub struct Woptss {
 
 impl Woptss {
     /// Prepares a WOPTSS run, precomputing the true `D_k` via the
-    /// sequential best-first search (the oracle's foreknowledge).
+    /// sequential best-first search (the oracle's foreknowledge), whose
+    /// reads reach the store but no query record (see the module docs).
     pub fn new(
         am: &(impl AccessMethod + ?Sized),
         query: Point,

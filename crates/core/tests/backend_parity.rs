@@ -24,9 +24,9 @@
 //! about *time*, and about a width only where reads cost nothing.
 
 use sqda_core::{
-    batch_knn_with, exec::run_query, AccessMethod, AlgorithmKind, BatchResult, BatchScratch, Crss,
-    Frontier, IndexNode, Neighbor, QueryError, QueryScratch, RealTimeEngine, RunOptions,
-    SimilaritySearch, Simulation, Step, Workload, WorkloadQuery,
+    best_first_knn, exec::run_query, AccessMethod, AlgorithmKind, BatchResult, Crss, Frontier,
+    IndexNode, Neighbor, QueryError, QueryScratch, RealTimeEngine, RunOptions, SimilaritySearch,
+    Simulation, Step, Workload, WorkloadQuery,
 };
 use sqda_geom::Point;
 use sqda_obs::{Event, MetricsSnapshot};
@@ -517,11 +517,12 @@ fn inline_and_threaded_backends_agree() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A shared-traversal batch (`BATCH`) answers alike over both backends:
-/// each wavefront round's reads complete in request order inline and in
+/// A shared-round batch (`BATCH`) answers alike over both backends:
+/// each round's reads complete in request order inline and in
 /// finish order over the threaded backend (on its workers once the OS
-/// has dropped the pages), and `batch_knn_with` re-assembles them into
-/// the same answers and counters.
+/// has dropped the pages), and `run_query_batch` hands every FPSS
+/// machine its own pages back in its own order: the same answers and
+/// counters.
 #[test]
 fn batch_replies_identical_across_backends() {
     let dir = tmpdir("batch-backends");
@@ -536,8 +537,8 @@ fn batch_replies_identical_across_backends() {
         } else {
             Arc::new(InlineBackend::new(store))
         };
-        let mut scratch = BatchScratch::new();
-        batch_knn_with(&tree, Some(backend.as_ref()), &points, k, &mut scratch).unwrap()
+        let engine = RealTimeEngine::new(&tree, backend).unwrap();
+        engine.run_query_batch(&points, k).unwrap().0
     };
     for k in [1, 4, 7] {
         let (inline, threaded) = (batch(false, k), batch(true, k));
@@ -586,12 +587,14 @@ fn telemetry_enabled_run_is_work_identical() {
 }
 
 /// The introspection plane observes, never steers: running every query
-/// through [`RealTimeEngine::explain_query`] yields byte-identical
-/// answers and identical `IoStats` to the bare engine, over either
-/// backend, and each record's internal books are consistent — batch
-/// sizes and per-level accesses sum to the node total, the root level
-/// is one page, there are no more levels than the tree has, each miss is
-/// one disk read, and per-disk reads sum to the store's physical reads.
+/// with a prediction request through [`RealTimeEngine::query`] yields
+/// byte-identical answers and identical `IoStats` to the bare engine,
+/// over either backend, and each record's internal books are consistent
+/// — batch sizes and per-level accesses sum to the node total, the root
+/// level is one page, there are no more levels than the tree has, each
+/// miss is one disk read, and per-disk reads sum to the store's physical
+/// reads. The store's cache lookups are the record's, plus, for WOPTSS,
+/// its oracle's: a bare best-first search of the same point and k.
 #[test]
 fn explain_enabled_run_is_work_identical() {
     let dir = tmpdir("explain");
@@ -612,9 +615,32 @@ fn explain_enabled_run_is_work_identical() {
         let mut explained_hits = 0u64;
         let mut scratch = QueryScratch::new();
         for (point, k) in queries() {
-            let (explain, result) = engine
-                .explain_query(kind, point, k, (0.0, false, None), &mut scratch)
+            let lookups = |io: IoStats| io.cache_hits + io.cache_misses;
+            let before = lookups(tree.io_stats());
+            let run = engine
+                .query(
+                    kind,
+                    point.clone(),
+                    k,
+                    Some((0.0, false, None)),
+                    &mut scratch,
+                )
                 .unwrap();
+            let explain = scratch.record();
+            // The WOPTSS oracle plans with a best-first pass before the
+            // first round: the store sees its lookups, the record does not.
+            let oracle = if kind == AlgorithmKind::Woptss {
+                let bare = open_tree(&dir, root);
+                best_first_knn(&bare, &point, k).unwrap();
+                lookups(bare.io_stats())
+            } else {
+                0
+            };
+            assert_eq!(
+                lookups(tree.io_stats()) - before,
+                explain.cache_hits + explain.cache_misses + oracle,
+                "{what}: the store's lookups are the record's plus the oracle's"
+            );
             assert_eq!(
                 explain.nodes,
                 explain.level_accesses.iter().sum::<u64>(),
@@ -651,7 +677,7 @@ fn explain_enabled_run_is_work_identical() {
                 *slot += n;
             }
             explained_hits += explain.cache_hits;
-            answers.push(result);
+            answers.push(run.results);
         }
         let explained = ModeRun {
             answers,
@@ -660,19 +686,18 @@ fn explain_enabled_run_is_work_identical() {
         };
         assert_answers_identical(kind, &bare, &explained, "bare vs explain");
         assert_work_identical(kind, &bare, &explained, "bare vs explain");
-        if kind == AlgorithmKind::Woptss {
-            // The oracle plans with a best-first pass over the tree before
-            // its first round: the store saw reads no session issued.
-            continue;
+        // WOPTSS's oracle reads, which its records leave out, are
+        // accounted for query by query above.
+        if kind != AlgorithmKind::Woptss {
+            assert_eq!(
+                explained_reads, explained.io.reads_per_disk,
+                "{what}: per-query disk distributions must sum to the store's"
+            );
+            assert_eq!(
+                explained_hits, explained.io.cache_hits,
+                "{what}: per-query cache hits must sum to the cache's"
+            );
         }
-        assert_eq!(
-            explained_reads, explained.io.reads_per_disk,
-            "{what}: per-query disk distributions must sum to the store's"
-        );
-        assert_eq!(
-            explained_hits, explained.io.cache_hits,
-            "{what}: per-query cache hits must sum to the cache's"
-        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -696,7 +721,7 @@ fn flight_events_are_stamped_on_the_registry_clock() {
     let before = live.now_ns();
     for (point, k) in queries().into_iter().take(2) {
         engine
-            .query(AlgorithmKind::Crss, point, k, &mut scratch)
+            .query(AlgorithmKind::Crss, point, k, None, &mut scratch)
             .unwrap();
     }
     let after = live.now_ns();

@@ -112,7 +112,9 @@ fn hot_query_costs(kind: AlgorithmKind, served: bool) -> (u64, u64) {
     // grows the caller's scratch to its steady size.
     for _ in 0..2 {
         for p in &points {
-            engine.query(kind, p.clone(), K, &mut scratch).unwrap();
+            engine
+                .query(kind, p.clone(), K, None, &mut scratch)
+                .unwrap();
         }
     }
     let reads_before = tree.io_stats().reads;
@@ -120,7 +122,8 @@ fn hot_query_costs(kind: AlgorithmKind, served: bool) -> (u64, u64) {
     for p in &points {
         // The point is the caller's (`QUERY` parses its own).
         let point = p.clone();
-        let (run, allocs, bytes) = counted(|| engine.query(kind, point, K, &mut scratch).unwrap());
+        let (run, allocs, bytes) =
+            counted(|| engine.query(kind, point, K, None, &mut scratch).unwrap());
         assert_eq!(run.results.len(), K);
         nodes += run.nodes_visited;
         worst_allocs = worst_allocs.max(allocs);
